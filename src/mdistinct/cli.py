@@ -19,8 +19,8 @@ from .errors import (CapExceededError, InfeasibilityError, MDistinctError,
 from .evaluation import run_experiment
 from .fileio import (HistoryStore, load_experiment_config,
                      load_external_tables, load_microdata, load_update_model,
-                     infer_schema, widen_schema, write_report_files,
-                     write_risks)
+                     infer_schema, snapshot_histories, snapshot_tables,
+                     widen_schema, write_report_files, write_risks)
 from .sug import attack_release_sequence
 
 EXIT_OK = 0
@@ -97,9 +97,13 @@ def _open_history(store: HistoryStore, args, mode: str,
     if store.has_schema():
         schema = store.read_schema()
         meta = store.read_meta()
-        if int(meta["m"]) != args.m or meta["mode"] != mode:
+        m = store.read_meta_int(meta, "m")
+        if "mode" not in meta:
+            raise ValidationError(f"{store.path / 'meta.csv'}: no 'mode' "
+                                  f"entry")
+        if m != args.m or meta["mode"] != mode:
             raise ValidationError(
-                f"history {store.path} was built with m={meta['m']} "
+                f"history {store.path} was built with m={m} "
                 f"mode={meta['mode']}; got m={args.m} mode={mode}")
         widened = widen_schema(schema, observed)
         if widened is not schema:
@@ -138,11 +142,12 @@ def cmd_attack(args) -> int:
     releases = store.read_releases(schema)
     if not releases:
         raise ValidationError(f"history {store.path} has no releases")
-    histories = store.histories(schema)
+    snapshots = store.snapshots(schema)
+    histories = snapshot_histories(snapshots)
     if args.et is not None:
         et = load_external_tables(args.et, schema)
     else:
-        et = store.external_tables(schema)
+        et = snapshot_tables(snapshots)
     reports = attack_release_sequence(releases, et, model, histories, schema)
     write_risks(store.path / "risks.csv", reports)
     vulnerable = count_vulnerable(reports)
@@ -193,8 +198,8 @@ def cmd_simulate(args) -> int:
 
 def _replay_minv(store: HistoryStore, schema, m: int) -> MInvarianceState:
     state = MInvarianceState(m)
-    meta = store.read_meta()
-    state.invalidated_total = int(meta.get("invalidated_total", "0"))
+    state.invalidated_total = store.read_meta_int(
+        store.read_meta(), "invalidated_total", "0")
     for i in store.release_indices():
         release = store.read_release(i, schema)
         for group in release.groups:

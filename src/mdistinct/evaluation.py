@@ -421,8 +421,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             histories.setdefault(rec.id, {})[release.release_index] = \
                 rec.sensitive
 
-        prefix_reports = attack_release_sequence(report.published, None,
-                                                 model, histories)
+        prefix_reports = attack_release_sequence(
+            report.published, None, model, histories,
+            previous=report.final_reports)
         report.final_reports = prefix_reports
         vulnerable = count_vulnerable(prefix_reports)
         stats = release.counterfeit_stats

@@ -41,6 +41,8 @@ __all__ = [
     "load_update_model",
     "write_update_model",
     "HistoryStore",
+    "snapshot_histories",
+    "snapshot_tables",
     "load_external_tables",
     "write_risks",
     "write_csv",
@@ -336,8 +338,26 @@ class HistoryStore:
         write_csv(self.path / "meta.csv", rows)
 
     def read_meta(self) -> dict[str, str]:
-        rows = _read_csv(self.path / "meta.csv")
+        path = self.path / "meta.csv"
+        rows = _read_csv(path)
+        for lineno, row in enumerate(rows[1:], start=2):
+            if len(row) != 2:
+                raise ValidationError(f"{path} line {lineno}: expected 2 "
+                                      f"fields, got {len(row)}")
         return {k: v for k, v in rows[1:]}
+
+    def read_meta_int(self, meta: Mapping[str, str], key: str,
+                      default: str | None = None) -> int:
+        """An integer entry of `meta` (as read_meta returned it)."""
+        text = meta.get(key, default)
+        if text is None:
+            raise ValidationError(f"{self.path / 'meta.csv'}: no {key!r} "
+                                  f"entry")
+        try:
+            return int(text)
+        except ValueError:
+            raise ValidationError(f"{self.path / 'meta.csv'}: {key}={text!r} "
+                                  f"is not an integer") from None
 
     def write_schema(self, schema: TableSchema) -> None:
         with open(self.path / "schema.json", "w") as fh:
@@ -433,25 +453,14 @@ class HistoryStore:
     def read_actuals(self, index: int, schema: TableSchema) -> list[Record]:
         return load_microdata(self.path / f"microdata_{index}.csv", schema)
 
-    def histories(self, schema: TableSchema) -> dict[str, dict[int, str]]:
-        out: dict[str, dict[int, str]] = {}
-        for i in self.release_indices():
-            path = self.path / f"microdata_{i}.csv"
-            if not path.exists():
-                continue
-            for rec in load_microdata(path, schema):
-                out.setdefault(rec.id, {})[i] = rec.sensitive
-        return out
+    def snapshots(self, schema: TableSchema) -> dict[int, list[Record]]:
+        """Every stored microdata snapshot, parsed once, by release index."""
+        return {i: self.read_actuals(i, schema)
+                for i in self.release_indices()
+                if (self.path / f"microdata_{i}.csv").exists()}
 
-    def external_tables(self, schema: TableSchema) -> list[ExternalKnowledgeTable]:
-        out = []
-        for i in self.release_indices():
-            path = self.path / f"microdata_{i}.csv"
-            if not path.exists():
-                continue
-            rows = {rec.id: rec.qi for rec in load_microdata(path, schema)}
-            out.append(ExternalKnowledgeTable(i, rows))
-        return out
+    def histories(self, schema: TableSchema) -> dict[str, dict[int, str]]:
+        return snapshot_histories(self.snapshots(schema))
 
     # --- engine state replay
 
@@ -470,6 +479,23 @@ class HistoryStore:
                             member.sensitive, sig, i)
             state.release_count = i
         return state
+
+
+def snapshot_histories(snapshots: Mapping[int, Sequence[Record]],
+                       ) -> dict[str, dict[int, str]]:
+    """Actual sensitive value per record id and release index."""
+    out: dict[str, dict[int, str]] = {}
+    for i, records in snapshots.items():
+        for rec in records:
+            out.setdefault(rec.id, {})[i] = rec.sensitive
+    return out
+
+
+def snapshot_tables(snapshots: Mapping[int, Sequence[Record]],
+                    ) -> list[ExternalKnowledgeTable]:
+    """The snapshots as exact-QI external-knowledge tables."""
+    return [ExternalKnowledgeTable(i, {rec.id: rec.qi for rec in records})
+            for i, records in snapshots.items()]
 
 
 def load_external_tables(directory: Path | str,

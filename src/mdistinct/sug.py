@@ -1,14 +1,20 @@
 """The adversary: sensitive-attribute update graphs (SUGs), pruning to the
 feasible subgraph, exact path mass and per-version disclosure risks.
 
-All arithmetic is exact (fractions.Fraction); risks come out as the golden
-rationals with no tolerance.  Risk evaluation uses memoized forward/backward
-masses, so path enumeration is only needed when paths themselves are wanted.
+All results are exact: node and edge weights are `fractions.Fraction`s and
+risks come out as the golden rationals with no tolerance.  Inside, the
+forward/backward path masses run on integers: every layer's node weights
+are scaled to that layer's common denominator and every gap's edge weights
+to that gap's, so each path mass carries the same factor and one exact
+division per risk cancels it.  Path enumeration is only needed when paths
+themselves are wanted.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -67,6 +73,11 @@ class Sug:
         return tuple(n.value for n in self.layers[i - 1])
 
 
+@functools.lru_cache(maxsize=4096)
+def _share(count: int, total: int) -> Fraction:
+    return Fraction(count, total)
+
+
 def _collapse(values: Sequence[str]) -> tuple[list[str], list[Fraction]]:
     """Distinct values in first-appearance order with multiplicity shares."""
     order: list[str] = []
@@ -76,7 +87,7 @@ def _collapse(values: Sequence[str]) -> tuple[list[str], list[Fraction]]:
             order.append(v)
         counts[v] = counts.get(v, 0) + 1
     total = len(values)
-    return order, [Fraction(counts[v], total) for v in order]
+    return order, [_share(counts[v], total) for v in order]
 
 
 def build_sug(candidates: Sequence[Sequence[str]],
@@ -93,24 +104,22 @@ def build_sug(candidates: Sequence[Sequence[str]],
     for i, cand in enumerate(candidates):
         if not cand:
             raise ValidationError(f"layer {i + 1}: empty candidate set")
-        for v in cand:
-            model.cus_of(v)  # raises on unknown values
         order, shares = _collapse(cand)
+        for v in order:
+            model.cus_of(v)  # raises on unknown values
         if priors is not None:
             shares = [priors[i][v] for v in order]
         layers.append(tuple(SugNode(i + 1, v, w)
                             for v, w in zip(order, shares)))
-    out: list[tuple[tuple[tuple[int, Fraction], ...], ...]] = []
-    for i in range(len(layers) - 1):
-        nxt = layers[i + 1]
+    table = model.successors
+    out = []
+    for layer, nxt in zip(layers, layers[1:]):
+        targets = [succ.value for succ in nxt]
         gap = []
-        for node in layers[i]:
-            adj = []
-            for k, succ in enumerate(nxt):
-                p = model.prob(node.value, succ.value)
-                if p > 0:
-                    adj.append((k, p))
-            gap.append(tuple(adj))
+        for node in layer:
+            row = table.get(node.value, {})
+            gap.append(tuple((k, row[b]) for k, b in enumerate(targets)
+                             if b in row))
         out.append(tuple(gap))
     return Sug(tuple(layers), tuple(out))
 
@@ -120,36 +129,49 @@ def prune(sug: Sug) -> Sug:
 
     First layer loses nodes with no successor, last layer nodes with no
     predecessor, interior nodes either; a layer running empty means the
-    published history has no feasible explanation.
+    published history has no feasible explanation.  A graph with no dead
+    end is its own fixed point and comes back unchanged.
     """
     depth = sug.depth
-    alive = [[True] * len(layer) for layer in sug.layers]
     if depth == 1:
         return sug
+    # live successor / predecessor counts per node
+    outs = [[len(adj) for adj in gap] for gap in sug.out]
+    ins = [[0] * len(layer) for layer in sug.layers[1:]]
+    for gap, counts in zip(sug.out, ins):
+        for adj in gap:
+            for v, _ in adj:
+                counts[v] += 1
+    if all(map(all, outs)) and all(map(all, ins)):
+        return sug
+    outs.append([1] * len(sug.layers[-1]))
+    ins.insert(0, [1] * len(sug.layers[0]))
+    preds: list[list[list[int]]] = [[] for _ in range(depth)]
+    for i, gap in enumerate(sug.out):
+        rev: list[list[int]] = [[] for _ in sug.layers[i + 1]]
+        for u, adj in enumerate(gap):
+            for v, _ in adj:
+                rev[v].append(u)
+        preds[i + 1] = rev
 
-    def live_out(i: int, u: int) -> int:
-        return sum(1 for v, _ in sug.out[i][u] if alive[i + 1][v])
-
-    def live_in(i: int, v: int) -> int:
-        return sum(1 for u in range(len(sug.layers[i - 1]))
-                   if alive[i - 1][u]
-                   and any(k == v for k, _ in sug.out[i - 1][u]))
-
+    # Sweep layers in order, killing in place, so the first layer to run
+    # empty (and with it the error message) is the same as node-by-node
+    # recounting would find.
+    alive = [[True] * len(layer) for layer in sug.layers]
     changed = True
     while changed:
         changed = False
         for i in range(depth):
             for u in range(len(sug.layers[i])):
-                if not alive[i][u]:
-                    continue
-                dead = False
-                if i < depth - 1 and live_out(i, u) == 0:
-                    dead = True
-                if i > 0 and live_in(i, u) == 0:
-                    dead = True
-                if dead:
+                if alive[i][u] and (outs[i][u] == 0 or ins[i][u] == 0):
                     alive[i][u] = False
                     changed = True
+                    if i + 1 < depth:
+                        for v, _ in sug.out[i][u]:
+                            ins[i + 1][v] -= 1
+                    if i > 0:
+                        for w in preds[i][u]:
+                            outs[i - 1][w] -= 1
         for i, layer_alive in enumerate(alive):
             if not any(layer_alive):
                 raise InconsistentHistoryError(
@@ -218,30 +240,45 @@ class RiskReport:
         return max(self.risks)
 
 
-def _masses(fs: Sug) -> tuple[list[list[Fraction]], list[list[Fraction]], Fraction]:
-    """Forward/backward path mass per node and the total path mass."""
+def _scaled(weights: Sequence[Fraction]) -> list[int]:
+    """Weights times their lcm denominator: integers in the same ratios."""
+    scale = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (scale // w.denominator) for w in weights]
+
+
+def _masses(fs: Sug) -> tuple[list[list[int]], list[list[int]], int, int]:
+    """Forward/backward path mass per node, total path mass and path count.
+
+    Masses are integers: each layer's node weights and each gap's edge
+    weights are scaled to their own lcm denominator, so every path mass is
+    the true one times the product of all those scales.  That factor is
+    the same for every path and cancels in fwd * bwd / total.
+    """
     depth = fs.depth
-    fwd: list[list[Fraction]] = [[n.weight for n in fs.layers[0]]]
+    nodes = [_scaled([n.weight for n in layer]) for layer in fs.layers]
+    edges = []
+    for gap in fs.out:
+        scale = math.lcm(*(w.denominator for adj in gap for _, w in adj))
+        edges.append([[(v, w.numerator * (scale // w.denominator))
+                       for v, w in adj] for adj in gap])
+
+    fwd = [nodes[0]]
+    paths = [1] * len(nodes[0])
     for i in range(1, depth):
-        prev = fwd[-1]
-        cur = [Fraction(0)] * len(fs.layers[i])
-        for u in range(len(fs.layers[i - 1])):
-            base = prev[u]
-            if base:
-                for v, w in fs.out[i - 1][u]:
-                    cur[v] += base * w
-        fwd.append([c * n.weight for c, n in zip(cur, fs.layers[i])])
-    bwd: list[list[Fraction]] = [[] for _ in range(depth)]
-    bwd[depth - 1] = [Fraction(1)] * len(fs.layers[depth - 1])
+        mass = [0] * len(nodes[i])
+        count = [0] * len(nodes[i])
+        for base, n, adj in zip(fwd[-1], paths, edges[i - 1]):
+            for v, w in adj:
+                mass[v] += base * w
+                count[v] += n
+        fwd.append([m * w for m, w in zip(mass, nodes[i])])
+        paths = count
+    bwd: list[list[int]] = [[] for _ in range(depth)]
+    bwd[depth - 1] = [1] * len(nodes[depth - 1])
     for i in range(depth - 2, -1, -1):
-        nxt = bwd[i + 1]
-        bwd[i] = [
-            sum((w * fs.layers[i + 1][v].weight * nxt[v]
-                 for v, w in fs.out[i][u]), Fraction(0))
-            for u in range(len(fs.layers[i]))
-        ]
-    total = sum(fwd[depth - 1], Fraction(0))
-    return fwd, bwd, total
+        after = [w * b for w, b in zip(nodes[i + 1], bwd[i + 1])]
+        bwd[i] = [sum(w * after[v] for v, w in adj) for adj in edges[i]]
+    return fwd, bwd, sum(fwd[depth - 1]), sum(paths)
 
 
 def disclosure_risks(fs: Sug, actual: Sequence[str],
@@ -253,7 +290,7 @@ def disclosure_risks(fs: Sug, actual: Sequence[str],
         raise ValidationError("empty graph")
     if len(actual) != fs.depth:
         raise ValidationError("one actual value per layer required")
-    fwd, bwd, total = _masses(fs)
+    fwd, bwd, total, path_count = _masses(fs)
     if total == 0:
         raise InconsistentHistoryError("no feasible path")
     risks: list[Fraction] = []
@@ -265,11 +302,11 @@ def disclosure_risks(fs: Sug, actual: Sequence[str],
             risks.append(Fraction(0))
             consistent = False
         else:
-            risks.append(fwd[i][idx] * bwd[i][idx] / total)
+            risks.append(Fraction(fwd[i][idx] * bwd[i][idx], total))
     if versions is None:
         versions = range(1, fs.depth + 1)
-    return RiskReport(record_id, tuple(versions), tuple(risks),
-                      _count_paths(fs), consistent)
+    return RiskReport(record_id, tuple(versions), tuple(risks), path_count,
+                      consistent)
 
 
 def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
@@ -335,6 +372,7 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
                             model: UpdateModel,
                             histories: Mapping[str, Mapping[int, str]],
                             schema: TableSchema | None = None,
+                            previous: Sequence[RiskReport] | None = None,
                             ) -> list[RiskReport]:
     """Replay the attack over a full release sequence.
 
@@ -342,6 +380,11 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     contain it (counterfeit members included - the adversary cannot tell),
     then build -> prune -> risks.  `histories` supplies the actual value per
     (id, release index); `et` enables the exact-QI integrity check.
+
+    `previous` may hold the reports of this attack on the same releases
+    without the newest one (same model and histories).  A record absent
+    from the newest release has the same candidate sets, actual values and
+    so the same report as then; it is returned as is, not attacked again.
     """
     ordered = sorted(releases, key=lambda r: r.release_index)
     et_by_index = {t.release_index: t for t in (et or ())}
@@ -357,10 +400,17 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
                         f"outside its group region")
             membership.setdefault(rid, []).append(
                 (rel.release_index, group.values))
+    settled = {r.record_id: r for r in previous or ()}
+    newest = ordered[-1].release_index if ordered else None
     reports: list[RiskReport] = []
     for rid in sorted(membership):
         appearances = membership[rid]
         versions = tuple(i for i, _ in appearances)
+        before = settled.get(rid)
+        if (versions[-1] != newest and before is not None
+                and before.versions == versions):
+            reports.append(before)
+            continue
         candidates = [values for _, values in appearances]
         try:
             actual = [histories[rid][i] for i in versions]

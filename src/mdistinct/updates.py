@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -69,6 +70,15 @@ class UpdateModel:
 
     def prob(self, a: str, b: str) -> Fraction:
         return self.p_trans.get((a, b), Fraction(0))
+
+    @cached_property
+    def successors(self) -> dict[str, dict[str, Fraction]]:
+        """The positive transitions as {a: {b: p}}, built once per model."""
+        table: dict[str, dict[str, Fraction]] = {}
+        for (a, b), p in self.p_trans.items():
+            if p > 0:
+                table.setdefault(a, {})[b] = p
+        return table
 
     def cus_of(self, value: str) -> frozenset[str]:
         try:

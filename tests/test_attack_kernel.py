@@ -1,0 +1,253 @@
+"""The integer attack kernel and prefix reuse against independent routes.
+
+* `disclosure_risks(prune(build_sug(...)))` runs its path masses on scaled
+  integers; the joint-enumeration oracle multiplies `Fraction`s outright.
+  Both must give the same `RiskReport`, path count included, under closed
+  models with non-uniform rational probabilities and explicit priors.
+* `prune` counts live neighbours instead of rescanning layers; it must
+  reach the same subgraph, and fail with the same message, as the plain
+  node-by-node sweep kept below as the reference.
+* `attack_release_sequence(..., previous=...)` hands back settled records'
+  earlier reports; every prefix must still equal a fresh attack.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mdistinct.baselines import count_vulnerable
+from mdistinct.errors import InconsistentHistoryError
+from mdistinct.evaluation import ExperimentConfig, run_experiment
+from mdistinct.fileio import synthetic_schema
+from mdistinct.sug import (Sug, attack_release_sequence, build_sug,
+                           disclosure_risks, prune, risks_by_joint_oracle)
+from mdistinct.updates import UpdateModel, validate_update_model
+
+F = Fraction
+
+
+def reference_prune(sug: Sug) -> Sug:
+    """Dead-end removal by recounting every node's live neighbours on each
+    sweep: the definition the counting `prune` must reproduce."""
+    depth = sug.depth
+    alive = [[True] * len(layer) for layer in sug.layers]
+    if depth == 1:
+        return sug
+
+    def live_out(i, u):
+        return sum(1 for v, _ in sug.out[i][u] if alive[i + 1][v])
+
+    def live_in(i, v):
+        return sum(1 for u in range(len(sug.layers[i - 1]))
+                   if alive[i - 1][u]
+                   and any(k == v for k, _ in sug.out[i - 1][u]))
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(depth):
+            for u in range(len(sug.layers[i])):
+                if not alive[i][u]:
+                    continue
+                if ((i < depth - 1 and live_out(i, u) == 0)
+                        or (i > 0 and live_in(i, u) == 0)):
+                    alive[i][u] = False
+                    changed = True
+        for i, layer_alive in enumerate(alive):
+            if not any(layer_alive):
+                raise InconsistentHistoryError(
+                    f"layer {i + 1} has no feasible node")
+    keep = [[u for u, ok in enumerate(layer) if ok] for layer in alive]
+    remap = [{u: k for k, u in enumerate(layer)} for layer in keep]
+    return Sug(
+        tuple(tuple(sug.layers[i][u] for u in keep[i]) for i in range(depth)),
+        tuple(tuple(tuple((remap[i + 1][v], w) for v, w in sug.out[i][u]
+                          if alive[i + 1][v])
+                    for u in keep[i])
+              for i in range(depth - 1)))
+
+
+@st.composite
+def closed_models(draw, max_values=6):
+    """Reachability closure of a random digraph, with random positive
+    integer weights normalized per row: closed, non-uniform, exact."""
+    n = draw(st.integers(2, max_values))
+    domain = [f"s{i}" for i in range(n)]
+    cus = {v: set(draw(st.lists(st.sampled_from(domain), min_size=1,
+                                max_size=2, unique=True)))
+           for v in domain}
+    changed = True
+    while changed:
+        changed = False
+        for v in domain:
+            for w in list(cus[v]):
+                if not cus[w] <= cus[v]:
+                    cus[v] |= cus[w]
+                    changed = True
+    p = {}
+    for a in domain:
+        targets = sorted(cus[a])
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(targets),
+                                max_size=len(targets)))
+        for b, w in zip(targets, weights):
+            p[(a, b)] = F(w, sum(weights))
+    model = UpdateModel(tuple(domain),
+                        {a: frozenset(t) for a, t in cus.items()}, p)
+    assert validate_update_model(model) == []
+    return model
+
+
+def _priors(draw, candidates):
+    """Explicit per-layer priors over each layer's distinct values."""
+    priors = []
+    for cand in candidates:
+        values = list(dict.fromkeys(cand))
+        weights = draw(st.lists(st.integers(1, 7), min_size=len(values),
+                                max_size=len(values)))
+        priors.append({v: F(w, sum(weights))
+                       for v, w in zip(values, weights)})
+    return priors
+
+
+@st.composite
+def feasible_instances(draw):
+    """A true path through the model plus random decoys per layer; decoys
+    often have no partner in the next or previous layer, so pruning
+    removes nodes before the risks are taken."""
+    model = draw(closed_models())
+    domain = list(model.sensitive_domain)
+    depth = draw(st.integers(1, 5))
+    actual = [draw(st.sampled_from(domain))]
+    while len(actual) < depth:
+        actual.append(draw(st.sampled_from(sorted(model.cus_of(actual[-1])))))
+    candidates = []
+    for value in actual:
+        decoys = draw(st.lists(st.sampled_from(domain), max_size=4))
+        layer = draw(st.permutations([value, *decoys]))
+        candidates.append(list(layer))
+    priors = _priors(draw, candidates) if draw(st.booleans()) else None
+    return model, candidates, actual, priors
+
+
+@settings(max_examples=400, deadline=None)
+@given(feasible_instances())
+def test_kernel_equals_joint_oracle(instance):
+    model, candidates, actual, priors = instance
+    fs = prune(build_sug(candidates, model, priors))
+    graph = disclosure_risks(fs, actual)
+    oracle = risks_by_joint_oracle(candidates, model, actual, priors)
+    assert graph == oracle
+
+
+@st.composite
+def any_instances(draw):
+    """Random candidate histories, feasible or not."""
+    model = draw(closed_models())
+    depth = draw(st.integers(1, 5))
+    candidates = [draw(st.lists(st.sampled_from(model.sensitive_domain),
+                                min_size=1, max_size=5))
+                  for _ in range(depth)]
+    return model, candidates
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_instances())
+def test_prune_matches_reference_sweep(instance):
+    model, candidates = instance
+    sug = build_sug(candidates, model)
+    try:
+        want = reference_prune(sug)
+    except InconsistentHistoryError as exc:
+        with pytest.raises(InconsistentHistoryError) as got:
+            prune(sug)
+        assert str(got.value) == str(exc)
+        return
+    assert prune(sug) == want
+
+
+def test_prune_error_names_first_layer_emptied_by_the_sweep(worked_model):
+    # Pneumonia cannot become Dyspepsia: the first sweep empties layers 2
+    # and 3 while Flu, with a live successor when visited, lasts until the
+    # second sweep; the error names the lowest layer empty after a sweep
+    history = [["Flu"], ["Pneumonia"], ["Dyspepsia"]]
+    with pytest.raises(InconsistentHistoryError,
+                       match="^layer 2 has no feasible node$"):
+        prune(build_sug(history, worked_model))
+
+
+def test_dead_end_free_graph_is_returned_unchanged(worked_model):
+    sug = build_sug([["Flu", "Dyspepsia"], ["Pneumonia", "Gastritis"]],
+                    worked_model)
+    assert prune(sug) is sug
+
+
+def test_missing_edges_are_not_built(worked_model):
+    sug = build_sug([["Glaucoma", "Flu"], ["Cataract", "LungCancer"]],
+                    worked_model)
+    assert sug.out == ((((0, F(1, 2)),), ((1, F(1, 2)),)),)
+
+
+# ---------------------------------------------------------------------------
+# prefix reuse
+
+
+class TestPrefixReuse:
+    def test_settled_records_get_their_previous_report(
+            self, release_one, release_two_defended, worked_model,
+            histories_12):
+        first = attack_release_sequence([release_one], None, worked_model,
+                                        histories_12)
+        # drop Ken from release 2: his only appearance stays release 1
+        without_ken = replace(release_two_defended, groups=tuple(
+            replace(g, members=tuple(m for m in g.members
+                                     if m.rid != "Ken"))
+            for g in release_two_defended.groups))
+        reports = attack_release_sequence([release_one, without_ken], None,
+                                          worked_model, histories_12,
+                                          previous=first)
+        fresh = attack_release_sequence([release_one, without_ken], None,
+                                        worked_model, histories_12)
+        assert reports == fresh
+        ken = next(r for r in reports if r.record_id == "Ken")
+        assert ken is next(r for r in first if r.record_id == "Ken")
+        # records in the newest release are attacked again
+        assert all(r is not p for r, p in zip(reports, first)
+                   if r.record_id != "Ken")
+
+    def test_previous_report_with_other_versions_is_ignored(
+            self, release_one, worked_model, histories_12):
+        stale = attack_release_sequence([release_one], None, worked_model,
+                                        histories_12)
+        stale = [replace(r, versions=(0,)) for r in stale]
+        release_three = replace(release_one, release_index=3)
+        history = {rid: {**h, 3: h[1]} for rid, h in histories_12.items()}
+        fresh = attack_release_sequence([release_one, release_three], None,
+                                        worked_model, history)
+        assert attack_release_sequence([release_one, release_three], None,
+                                       worked_model, history,
+                                       previous=stale) == fresh
+
+    def test_every_prefix_equals_a_fresh_attack(self):
+        config = ExperimentConfig(m=6, d=10, n_records=120, n_releases=4,
+                                  inserts=30, deletes=12,
+                                  internal_updates=30, thetas=(),
+                                  n_queries=0, seed=11)
+        report = run_experiment(config)
+        model = synthetic_schema(config.d, config.sensitive_size)[1]
+        histories: dict[str, dict[int, str]] = {}
+        for release, snapshot in zip(report.published, report.snapshots):
+            for rec in snapshot:
+                histories.setdefault(rec.id, {})[release.release_index] = \
+                    rec.sensitive
+        settled = 0
+        fresh = []
+        for k, stats in enumerate(report.releases, start=1):
+            fresh = attack_release_sequence(report.published[:k], None, model,
+                                            histories)
+            assert stats.vulnerable == count_vulnerable(fresh)
+            newest = report.published[k - 1].release_index
+            settled += sum(1 for r in fresh if r.versions[-1] != newest)
+        assert report.final_reports == fresh
+        assert settled > 0  # the run had settled records to reuse

@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from mdistinct import cli
+from mdistinct import cli, fileio
 from mdistinct.cli import main
 from mdistinct.errors import CapExceededError
 from mdistinct.fileio import HistoryStore, write_csv
@@ -40,6 +40,24 @@ class TestPublishAttackVerify:
 
         assert run(workdir, "verify", "--m", "2", *base) == 0
         assert "OK: 2 releases satisfy 2-distinct" in capsys.readouterr().out
+
+    def test_attack_parses_each_snapshot_once(self, workdir, monkeypatch,
+                                              capsys):
+        hist = workdir / "hist"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        for snap in ("t1.csv", "t2.csv"):
+            run(workdir, "publish", "--microdata", workdir / snap,
+                "--m", "2", "--seed", "3", *base)
+        parsed = []
+        load = fileio.load_microdata
+
+        def counting(path, schema):
+            parsed.append(path.name)
+            return load(path, schema)
+
+        monkeypatch.setattr(fileio, "load_microdata", counting)
+        assert run(workdir, "attack", *base) == 0
+        assert sorted(parsed) == ["microdata_1.csv", "microdata_2.csv"]
 
     def test_attack_with_external_tables_dir(self, workdir, capsys):
         hist = workdir / "hist"
@@ -127,6 +145,41 @@ class TestExitCodes:
                    "--m", "2")
         assert code == 2
         assert "locked" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, message", [
+        ([["key", "value"], ["mode", "m_distinct"], ["seed", "0"]],
+         "no 'm' entry"),
+        ([["key", "value"], ["m", "two"], ["mode", "m_distinct"]],
+         "m='two' is not an integer"),
+        ([["key", "value"], ["m", "2", "extra"], ["mode", "m_distinct"]],
+         "line 2: expected 2 fields, got 3"),
+        ([["key", "value"], ["m", "2"]], "no 'mode' entry"),
+    ])
+    def test_malformed_meta_exits_two(self, workdir, capsys, rows, message):
+        hist = workdir / "hist"
+        base = ["--microdata", workdir / "t2.csv", "--model",
+                workdir / "model.csv", "--history", hist, "--m", "2"]
+        run(workdir, "publish", *base)
+        capsys.readouterr()
+        write_csv(hist / "meta.csv", rows)
+        assert run(workdir, "publish", *base) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+
+    def test_malformed_minv_total_exits_two(self, workdir, capsys):
+        hist = workdir / "minv"
+        base = ["baseline", "--kind", "minv", "--microdata",
+                workdir / "t1.csv", "--model", workdir / "model.csv",
+                "--history", hist, "--m", "2"]
+        assert run(workdir, *base) == 0
+        capsys.readouterr()
+        write_csv(hist / "meta.csv",
+                  [["key", "value"], ["invalidated_total", "1.5"],
+                   ["m", "2"], ["mode", "baseline_minv"]])
+        assert run(workdir, *base) == 2
+        assert "invalidated_total='1.5' is not an integer" in \
+            capsys.readouterr().err
 
     def test_infeasible_demand_exits_three(self, workdir, capsys):
         # only three pairwise-disjoint update scopes exist in this model,

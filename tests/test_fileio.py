@@ -11,6 +11,7 @@ from mdistinct.fileio import (HistoryStore, apply_external_updates,
                               infer_schema, initial_population,
                               load_experiment_config, load_external_tables,
                               load_microdata, load_update_model,
+                              snapshot_histories, snapshot_tables,
                               synthesize_internal_updates, synthetic_schema,
                               widen_schema, write_csv, write_microdata,
                               write_risks, write_update_model)
@@ -213,7 +214,9 @@ class TestHistoryStore:
             t1_records, key=lambda r: r.id)
         histories = store.histories(disease_schema)
         assert histories["Ben"] == {1: "Flu"}
-        tables = store.external_tables(disease_schema)
+        snapshots = store.snapshots(disease_schema)
+        assert snapshot_histories(snapshots) == histories
+        tables = snapshot_tables(snapshots)
         assert tables[0].release_index == 1
         assert tables[0].rows["Ken"] == (14, 20)
 

@@ -1,0 +1,130 @@
+"""Golden-hash gate: small experiments must reproduce recorded bytes.
+
+Criterion 9 only compares two reruns of the same code with each other; this
+test pins the outputs themselves.  The digests below were recorded before
+the attack kernel moved to integer arithmetic, so any change to a report,
+a serialized release, an actuals snapshot or a risk rational shows up as a
+digest mismatch.  Regenerate them only for a deliberate output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from mdistinct.evaluation import ExperimentConfig, run_experiment
+from mdistinct.fileio import (HistoryStore, synthetic_schema,
+                              write_report_files, write_risks)
+
+GOLDEN = dict(d=10, n_records=200, n_releases=4, inserts=50, deletes=20,
+              internal_updates=50, thetas=(0.25, 0.5), n_queries=100, seed=7)
+
+GOLDEN_DIGESTS = {
+    2: {
+        "history/counterfeits_1.csv":
+            "57aeed239f1e8c9ed1647e5a3ff914c7a397bc6bbc05670666c747341a47aedb",
+        "history/counterfeits_2.csv":
+            "0106ec347397241f008ebb8b672c2eff90be99ff40df567992388a25ea1df890",
+        "history/counterfeits_3.csv":
+            "af562380a452b0a618f8b079fe2319d30875861de62674e052d7251182a30716",
+        "history/counterfeits_4.csv":
+            "d32712be3e3ebe778ad6d22925534c337fce4cd21fc8bbfb72e49323b7b87dbc",
+        "history/microdata_1.csv":
+            "d8098dc15bb9883f48ecd9f19a9c4ee65897e13ea2050b6397184977228f908f",
+        "history/microdata_2.csv":
+            "5c37fa36856bbd474429ad111e41cb54cd2deb48b7e6e5297ef7b403c34db0eb",
+        "history/microdata_3.csv":
+            "c25fe1cb4a608c754e701ac3ed89a4abb64c3dcb6ee333fbd8bf1b40250e5ff3",
+        "history/microdata_4.csv":
+            "9b997c65e8790dfd4d1cf72268fdb1dbe9b527f23ea26422add464f40d226fe0",
+        "history/release_1.csv":
+            "3829a79cc6d4ab121c8c909b0eee873d285699e60904899e6e590358ecf9a7ce",
+        "history/release_2.csv":
+            "59e7822fe47d65d83a36c6cad8e240ea1e8933b0d721264931320dae296130b0",
+        "history/release_3.csv":
+            "5c0e7868b8fb2c773736f8b4159ebc78f1cf1c8f4599c77d86f821d58da8292c",
+        "history/release_4.csv":
+            "c407c896b67933d8af2e31387c1ba82cf11f5f561d6f3f170796693dd05fcb09",
+        "history/risks.csv":
+            "ac1dbfe78c586c262f38d236fb3c0feb44d6c27880c458ab65897da28761b775",
+        "history/schema.json":
+            "229ee1e4c87514b8249596007646e54879d84375babc916310644fb9ee4b82dc",
+        "report.csv":
+            "e8cc76dec711c86bb1ef0a82fe7a9391365ce7ea15228792dea597aa45148dec",
+        "summary.csv":
+            "8d3550e0bc0a106b06166e0990ca1f0510a1c8031c1baea2a18da86504f5d537",
+    },
+    6: {
+        "history/counterfeits_1.csv":
+            "57aeed239f1e8c9ed1647e5a3ff914c7a397bc6bbc05670666c747341a47aedb",
+        "history/counterfeits_2.csv":
+            "a0b552028f0de39791404f7240c0bc35036642a4d990960ae29c2d3bc273383d",
+        "history/counterfeits_3.csv":
+            "ba45c4c2c87931883d955911df0e120a380ffe354343841979982bea97a56956",
+        "history/counterfeits_4.csv":
+            "5cfd48ffd316b5f1f56ea4ede9911343e0277a6e36a0f1574f69b0c6d66d0ca2",
+        "history/microdata_1.csv":
+            "d8098dc15bb9883f48ecd9f19a9c4ee65897e13ea2050b6397184977228f908f",
+        "history/microdata_2.csv":
+            "5c37fa36856bbd474429ad111e41cb54cd2deb48b7e6e5297ef7b403c34db0eb",
+        "history/microdata_3.csv":
+            "c25fe1cb4a608c754e701ac3ed89a4abb64c3dcb6ee333fbd8bf1b40250e5ff3",
+        "history/microdata_4.csv":
+            "9b997c65e8790dfd4d1cf72268fdb1dbe9b527f23ea26422add464f40d226fe0",
+        "history/release_1.csv":
+            "5f4e315cc433ddf38d5eed3ea97330ed05e94f33ebb4e8dad1f8fb4894550e50",
+        "history/release_2.csv":
+            "0140b8a989027e6d5da840c5c83e218a7e56be59cc75c5ce505adb470f309efd",
+        "history/release_3.csv":
+            "db1c65d3e9cde0a21857071e50a46b05c3e4d180d3595108eb160891b732969e",
+        "history/release_4.csv":
+            "42a69425c3fb305d51225fba70bea64efa33bd9ac025f4bf15cc3f34e01d9b5e",
+        "history/risks.csv":
+            "a9df268af0d6fa60d06ed34022e289be1df668077b52cc59b0514c0e26bfb069",
+        "history/schema.json":
+            "229ee1e4c87514b8249596007646e54879d84375babc916310644fb9ee4b82dc",
+        "report.csv":
+            "677a6d6f5f44d444694c8f0d1e15f9f8e946c1bff1cd5b8a862ede75aa6d1e19",
+        "summary.csv":
+            "1bc35d72cbbc9d162eef4b772cf450d60c18d468490d2e5f9e5aee109a05f7fb",
+    },
+}
+
+
+def golden_outputs(m: int, root: Path) -> dict[str, str]:
+    """Run the golden config at `m` and return sha256 per output file:
+    `report.csv`, `summary.csv`, and every file of the serialized history
+    (schema, releases, counterfeit counts, actuals and the final risks)."""
+    config = ExperimentConfig(m=m, **GOLDEN)
+    report = run_experiment(config)
+    schema, _ = synthetic_schema(config.d, config.sensitive_size)
+    report_dir = root / "report"
+    write_report_files(report_dir, report)
+    store = HistoryStore(root / "history")
+    store.path.mkdir(parents=True)
+    store.write_schema(schema)
+    for release, snapshot in zip(report.published, report.snapshots):
+        store.write_release(release, schema)
+        store.write_actuals(release.release_index, schema, snapshot)
+    write_risks(store.path / "risks.csv", report.final_reports)
+    files = {name: report_dir / name for name in ("report.csv", "summary.csv")}
+    files.update({f"history/{p.name}": p
+                  for p in sorted(store.path.iterdir())})
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in files.items()}
+
+
+@pytest.mark.parametrize("m", [2, 6])
+def test_golden_outputs_match_recorded_digests(m, tmp_path):
+    assert golden_outputs(m, tmp_path) == GOLDEN_DIGESTS[m]
+
+
+if __name__ == "__main__":
+    import pprint
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        pprint.pprint({m: golden_outputs(m, Path(tmp) / str(m))
+                       for m in (2, 6)}, width=100)
