@@ -85,48 +85,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_m(m: int) -> None:
+    if m < 2:
+        raise ValidationError(f"--m must be at least 2, got {m}")
+
+
 def _open_history(store: HistoryStore, args, mode: str,
                   model) -> tuple:
     """Schema + mode/m consistency for a publish-like command.
 
     Later snapshots may drift outside the first snapshot's numeric bounds,
-    so the stored schema is widened (and rewritten) as needed; published
-    regions use absolute coordinates and stay valid.
+    so the stored schema is widened as needed; published regions use
+    absolute coordinates and stay valid.  Nothing is written here: returns
+    the schema and whether `_save_header` must store it, so a publish that
+    fails leaves the history as it was.
     """
     observed = infer_schema(args.microdata, model)
-    if store.has_schema():
-        schema = store.read_schema()
-        meta = store.read_meta()
-        m = store.read_meta_int(meta, "m")
-        if "mode" not in meta:
-            raise ValidationError(f"{store.path / 'meta.csv'}: no 'mode' "
-                                  f"entry")
-        if m != args.m or meta["mode"] != mode:
-            raise ValidationError(
-                f"history {store.path} was built with m={m} "
-                f"mode={meta['mode']}; got m={args.m} mode={mode}")
-        widened = widen_schema(schema, observed)
-        if widened is not schema:
-            store.write_schema(widened)
-            schema = widened
-    else:
-        schema = observed
-        store.write_schema(schema)
+    if not store.has_schema():
+        return observed, True
+    schema = store.read_schema()
+    meta = store.read_meta()
+    m = store.read_meta_int(meta, "m")
+    if "mode" not in meta:
+        raise ValidationError(f"{store.path / 'meta.csv'}: no 'mode' "
+                              f"entry")
+    if m != args.m or meta["mode"] != mode:
+        raise ValidationError(
+            f"history {store.path} was built with m={m} "
+            f"mode={meta['mode']}; got m={args.m} mode={mode}")
+    widened = widen_schema(schema, observed)
+    return widened, widened is not schema
+
+
+def _save_header(store: HistoryStore, args, mode: str, schema,
+                 changed: bool) -> None:
+    """Store what `_open_history` decided, once the release is ready."""
+    if not changed:
+        return
+    fresh = not store.has_schema()
+    store.write_schema(schema)
+    if fresh:
         store.write_meta({"seed": str(args.seed), "m": str(args.m),
                           "mode": mode})
-    return schema
 
 
 def cmd_publish(args) -> int:
+    _check_m(args.m)
     model = load_update_model(args.model)
     store = HistoryStore(args.history)
     mode = "m_distinct_star" if args.star else "m_distinct"
     with store.lock():
-        schema = _open_history(store, args, mode, model)
+        schema, changed = _open_history(store, args, mode, model)
         records = load_microdata(args.microdata, schema)
         state = store.replay_state(model, args.m, mode)
         release, state = publish(records, state, model, schema,
                                  seed=args.seed)
+        _save_header(store, args, mode, schema, changed)
         store.write_release(release, schema)
         store.write_actuals(release.release_index, schema, records)
     counterfeits = sum(release.counterfeit_stats.values())
@@ -159,6 +173,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_m(args.m)
     model = load_update_model(args.model)
     store = HistoryStore(args.history)
     schema = store.read_schema()
@@ -198,9 +213,11 @@ def cmd_simulate(args) -> int:
 
 def _replay_minv(store: HistoryStore, schema, m: int) -> MInvarianceState:
     state = MInvarianceState(m)
-    state.invalidated_total = store.read_meta_int(
-        store.read_meta(), "invalidated_total", "0")
-    for i in store.release_indices():
+    indices = store.release_indices()
+    if indices:
+        state.invalidated_total = store.read_meta_int(
+            store.read_meta(), "invalidated_total", "0")
+    for i in indices:
         release = store.read_release(i, schema)
         for group in release.groups:
             valueset = frozenset(group.values)
@@ -212,11 +229,12 @@ def _replay_minv(store: HistoryStore, schema, m: int) -> MInvarianceState:
 
 
 def cmd_baseline(args) -> int:
+    _check_m(args.m)
     model = load_update_model(args.model)
     store = HistoryStore(args.history)
     mode = f"baseline_{args.kind}"
     with store.lock():
-        schema = _open_history(store, args, mode, model)
+        schema, changed = _open_history(store, args, mode, model)
         records = load_microdata(args.microdata, schema)
         if args.kind == "ldiv":
             index = (store.release_indices() or [0])[-1] + 1
@@ -229,6 +247,8 @@ def cmd_baseline(args) -> int:
             release, state, invalidated = publish_m_invariance(
                 records, state, schema, model, args.seed)
             total = state.invalidated_total
+        _save_header(store, args, mode, schema, changed)
+        if args.kind == "minv":
             meta = store.read_meta()
             meta["invalidated_total"] = str(total)
             store.write_meta(meta)

@@ -11,10 +11,11 @@ Mondrian-style partitioner.  Everything is deterministic given the seed.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InfeasibilityError, ValidationError
 from .model import (AttributeSchema, CounterfeitMember, PublishedRelease,
@@ -298,103 +299,80 @@ class _Cell:
     record: Record | None    # None: counterfeit slot
 
 
-class _BTrack:
-    __slots__ = ("left",)
+def _pick_sequence(entry_at: Sequence[int], value_at: Sequence[int], k: int,
+                   max_picks: int, budget: int) -> list[list[int]]:
+    """Greedy pick-out sequence over one queue, as queue positions.
 
-    def __init__(self, budget: int):
-        self.left = budget
-
-
-def _cell_key(cell: _Cell, attr_pos: int, schema: TableSchema):
-    if cell.record is None:
-        return (1, cell.entry, cell.seq)
-    attr = schema.qi[attr_pos]
-    return (0, attr.to_index(cell.record.qi[attr_pos]), cell.record.id)
-
-
-def _one_pick(avail: list[_Cell], k: int, budget: _BTrack) -> list[int] | None:
-    """Pick one cell per entry with pairwise-distinct real values, preferring
-    the queue head; backtracking, budget-counted.  Returns indices into
-    avail, or None."""
-    last_pos: dict[int, int] = {}
-    for idx, cell in enumerate(avail):
-        last_pos[cell.entry] = idx
+    Each pick takes one untaken position per entry with pairwise-distinct
+    real values (value < 0 marks a counterfeit slot); it is the first find of
+    a backtracking search that prefers the queue head.  `budget` caps the
+    tentative choices over the whole sequence; the first pick it stops ends
+    the sequence.  Taken positions leave a doubly linked list of untaken
+    ones, and each entry keeps its last untaken position, which moves back
+    along that list only when the pick takes it.
+    """
+    n = len(entry_at)
+    nxt = list(range(1, n + 1))      # next untaken position; n is the end
+    prv = list(range(-1, n - 1))     # previous untaken position; -1 none
+    head = 0
+    last = [-1] * k                  # last untaken position per entry
+    for p, e in enumerate(entry_at):
+        last[e] = p
+    left = budget
     chosen: list[int] = []
-    open_entries = set(range(k))
-    used_values: set[str] = set()
-
-    def feasible(idx: int) -> bool:
-        # an entry is still reachable iff its last queue position is ahead
-        return all(last_pos.get(e, -1) >= idx for e in open_entries)
+    open_entries: set[int] = set()
+    used: set[int] = set()
 
     def dfs(start: int) -> bool:
-        if not open_entries:
-            return True
-        if not feasible(start):
-            return False
-        for idx in range(start, len(avail)):
-            cell = avail[idx]
-            if cell.entry not in open_entries:
-                continue
-            value = None if cell.record is None else cell.record.sensitive
-            if value is not None and value in used_values:
-                continue
-            if budget.left <= 0:
+        nonlocal left
+        # an entry is still reachable iff its last untaken position is ahead
+        for e in open_entries:
+            if last[e] < start:
                 return False
-            budget.left -= 1
-            chosen.append(idx)
-            open_entries.discard(cell.entry)
-            if value is not None:
-                used_values.add(value)
-            if dfs(idx + 1):
-                return True
-            chosen.pop()
-            open_entries.add(cell.entry)
-            if value is not None:
-                used_values.discard(value)
+        p = start
+        while p < n:
+            e = entry_at[p]
+            if e in open_entries:
+                v = value_at[p]
+                if v < 0 or v not in used:
+                    if left <= 0:
+                        return False
+                    left -= 1
+                    chosen.append(p)
+                    open_entries.discard(e)
+                    if v >= 0:
+                        used.add(v)
+                    if not open_entries or dfs(nxt[p]):
+                        return True
+                    chosen.pop()
+                    open_entries.add(e)
+                    used.discard(v)
+            p = nxt[p]
         return False
 
-    return list(chosen) if dfs(0) else None
-
-
-class _Extents:
-    """Per-attribute min/max of a shrinking real-record multiset, tracked in
-    index space as run-length-encoded sorted columns with monotone pointers."""
-
-    def __init__(self, schema: TableSchema, records: Iterable[Record]):
-        self.schema = schema
-        self.runs: list[list[tuple[int, int]]] = []  # per attr: (value, count)
-        recs = list(records)
-        for j, attr in enumerate(schema.qi):
-            rle: list[tuple[int, int]] = []
-            for v in sorted(attr.to_index(rec.qi[j]) for rec in recs):
-                if rle and rle[-1][0] == v:
-                    rle[-1] = (v, rle[-1][1] + 1)
-                else:
-                    rle.append((v, 1))
-            self.runs.append(rle)
-        self.removed: list[Counter] = [Counter() for _ in schema.qi]
-        self.lo_ptr = [0] * len(schema.qi)
-        self.hi_ptr = [len(r) - 1 for r in self.runs]
-
-    def remove(self, rec: Record) -> None:
-        for j, attr in enumerate(self.schema.qi):
-            self.removed[j][attr.to_index(rec.qi[j])] += 1
-
-    def span(self, j: int) -> tuple[int, int]:
-        runs = self.runs[j]
-        rem = self.removed[j]
-        lo = self.lo_ptr[j]
-        while lo < len(runs) and rem[runs[lo][0]] >= runs[lo][1]:
-            lo += 1
-        self.lo_ptr[j] = lo
-        hi = self.hi_ptr[j]
-        while hi >= 0 and rem[runs[hi][0]] >= runs[hi][1]:
-            hi -= 1
-        self.hi_ptr[j] = hi
-        if lo > hi:
-            raise InfeasibilityError("no real records left")
-        return runs[lo][0], runs[hi][0]
+    picks: list[list[int]] = []
+    while len(picks) < max_picks:
+        chosen.clear()
+        used.clear()
+        open_entries.update(range(k))
+        if not dfs(head):
+            break
+        picks.append(list(chosen))
+        for p in chosen:
+            a, b = prv[p], nxt[p]
+            if a >= 0:
+                nxt[a] = b
+            else:
+                head = b
+            if b < n:
+                prv[b] = a
+            e = entry_at[p]
+            if last[e] == p:
+                # one position per entry per pick, so a is still untaken
+                while a >= 0 and entry_at[a] != e:
+                    a = prv[a]
+                last[e] = a
+    return picks
 
 
 def split_score(schema: TableSchema,
@@ -432,23 +410,19 @@ def _emit_group(cells: Sequence[_Cell], cus_list: Sequence[frozenset[str]],
     return out
 
 
-def _fallback_decompose(cells_by_entry: list[list[_Cell]],
-                        schema: TableSchema) -> list[list[_Cell]]:
+def _fallback_decompose(cells_by_entry: list[list[_Cell]]) -> list[list[_Cell]]:
     """Deterministic decomposition into delta one-per-entry groups with
     distinct real values: round-robin order repaired by bipartite
     edge-coloring (delta colors always suffice: column degree = delta and
     every value frequency <= delta), then a swap pass so no group is left
-    all-counterfeit."""
+    all-counterfeit.  Each entry's cells come in the first QI attribute's
+    queue order: reals by (index, id), then counterfeit slots by seq."""
     delta = len(cells_by_entry[0])
     k = len(cells_by_entry)
     # proper-coloring bookkeeping: per color, which columns/values are taken
     col_used: list[dict[int, _Cell]] = [dict() for _ in range(delta)]
     val_used: list[dict[str, _Cell]] = [dict() for _ in range(delta)]
     color_of: dict[tuple[int, int], int] = {}  # (entry, seq) -> color
-
-    def ordered(entry: int) -> list[_Cell]:
-        return sorted(cells_by_entry[entry],
-                      key=lambda c: _cell_key(c, 0, schema))
 
     def insert(cell: _Cell) -> None:
         e, v = cell.entry, cell.record.sensitive
@@ -488,17 +462,17 @@ def _fallback_decompose(cells_by_entry: list[list[_Cell]],
         val_used[c][v] = cell
         color_of[(cell.entry, cell.seq)] = c
 
-    for e in range(k):
-        for cell in ordered(e):
+    for cells in cells_by_entry:
+        for cell in cells:
             if cell.record is not None:
                 insert(cell)
     # counterfeit slots take the leftover colors per column
-    for e in range(k):
+    for cells in cells_by_entry:
         free = sorted(set(range(delta)) - {color_of[(c.entry, c.seq)]
-                                           for c in cells_by_entry[e]
+                                           for c in cells
                                            if (c.entry, c.seq) in color_of})
         it = iter(free)
-        for cell in ordered(e):
+        for cell in cells:
             if cell.record is None:
                 color_of[(cell.entry, cell.seq)] = next(it)
     groups: list[list[_Cell]] = [[None] * k for _ in range(delta)]
@@ -525,14 +499,6 @@ def _fallback_decompose(cells_by_entry: list[list[_Cell]],
     return groups
 
 
-def _coloring_ok(groups: list[list[_Cell]]) -> bool:
-    for g in groups:
-        vals = [c.record.sensitive for c in g if c.record is not None]
-        if len(vals) != len(set(vals)):
-            return False
-    return True
-
-
 def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                  backtrack_cap: int = BACKTRACK_CAP,
                  ) -> list[list[Record | CounterfeitMember]]:
@@ -543,34 +509,73 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
     the candidate splits, children must stay balanced with F_max bounded by
     their entry size, and the minimum split_score wins.  delta = 1 emits the
     group, drawing counterfeit sensitive values from the entry's CUS.
+
+    A queue orders real cells by (index, record id), then counterfeit slots
+    by (entry, seq).  The keys are unique, so each attribute is sorted once
+    for the whole bucket and a child's queue is its parent's with the other
+    child's cells filtered out.  Reals lead every queue, so side B's spans
+    are two pointers over that prefix, and its largest value frequency only
+    falls as side A grows.  Extents are memoized per call.
     """
     cus_list = bucket.signature.entries
-    cells_by_entry: list[list[_Cell]] = []
+    cells: list[_Cell] = []
     for e, entry in enumerate(bucket.entries):
-        cells = [_Cell(e, s, rec) for s, rec in enumerate(entry)]
+        cells += [_Cell(e, s, rec) for s, rec in enumerate(entry)]
         cells += [_Cell(e, len(entry) + s, None)
                   for s in range(bucket.counterfeits[e])]
-        cells_by_entry.append(cells)
-    sizes = {len(c) for c in cells_by_entry}
+    sizes = {len(entry) + pad
+             for entry, pad in zip(bucket.entries, bucket.counterfeits)}
     if len(sizes) != 1:
         raise ValidationError("bucket not balanced")
 
+    k = len(bucket.entries)
+    qi = schema.qi
+    n_attr = len(qi)
+    entry_of = [c.entry for c in cells]
+    value_ids: dict[str, int] = {}
+    value_of = [-1 if c.record is None
+                else value_ids.setdefault(c.record.sensitive, len(value_ids))
+                for c in cells]
+    n_values = len(value_ids)
+    reals = [i for i, c in enumerate(cells) if c.record is not None]
+    fakes = [i for i, c in enumerate(cells) if c.record is None]
+    point = [() if c.record is None
+             else tuple(attr.to_index(v) for attr, v in zip(qi, c.record.qi))
+             for c in cells]
+    root = [sorted(reals, key=lambda i: (point[i][j], cells[i].record.id))
+            + fakes for j in range(n_attr)]
+
+    # (attr, lo, hi) -> extent; extents are >= 1, so a miss reads falsy
+    memo: dict[tuple[int, int, int], int] = {}
+
+    def extent(j: int, lo: int, hi: int) -> int:
+        out = memo[(j, lo, hi)] = _span_extent(qi[j], lo, hi)
+        return out
+
+    mark = [0] * len(cells)
+    stamp = 0
     out: list[list[Record | CounterfeitMember]] = []
 
-    def recurse(by_entry: list[list[_Cell]]) -> None:
-        delta = len(by_entry[0])
+    def recurse(orders: list[list[int]], n_real: int) -> None:
+        nonlocal stamp
+        first = orders[0]
+        delta = len(first) // k
         if delta == 1:
-            out.append(_emit_group([cells[0] for cells in by_entry],
-                                   cus_list, rng))
+            group: list[_Cell] = [None] * k
+            for c in first:
+                group[entry_of[c]] = cells[c]
+            out.append(_emit_group(group, cus_list, rng))
             return
-        k = len(by_entry)
-        all_cells = [c for cells in by_entry for c in cells]
-        reals = [c.record for c in all_cells if c.record is not None]
         parent_extents = []
-        for j, attr in enumerate(schema.qi):
-            idx = [attr.to_index(r.qi[j]) for r in reals]
-            parent_extents.append(_span_extent(attr, min(idx), max(idx)))
-        total_freq = Counter(r.sensitive for r in reals)
+        for j, o in enumerate(orders):
+            lo, hi = point[o[0]][j], point[o[n_real - 1]][j]
+            parent_extents.append(memo.get((j, lo, hi)) or extent(j, lo, hi))
+        freq = [0] * n_values
+        for c in first[:n_real]:
+            freq[value_of[c]] += 1
+        hist = [0] * (max(freq) + 1)     # hist[f]: values with frequency f
+        for f in freq:
+            hist[f] += 1
         # candidate scores share the denominator prod(parent_extents), so
         # they compare exactly as integer numerators (split_score * denom)
         denom = 1
@@ -578,74 +583,103 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
             denom *= e
         cof = [denom // e for e in parent_extents]
 
-        best = None  # (score, attr_pos, delta_a, picks)
-        for attr_pos in range(len(schema.qi)):
-            queue = sorted(all_cells, key=lambda c: _cell_key(c, attr_pos, schema))
-            budget = _BTrack(backtrack_cap)
-            picks: list[list[_Cell]] = []
-            avail = queue
-            while len(picks) < delta - 1:
-                pick_idx = _one_pick(avail, k, budget)
-                if pick_idx is None:
-                    break
-                pick = [avail[i] for i in pick_idx]
-                pick.sort(key=lambda c: c.entry)
-                picks.append(pick)
-                taken = set(pick_idx)
-                avail = [c for i, c in enumerate(avail) if i not in taken]
+        best = None  # (score, delta_a, picks)
+        for queue in orders:
+            picks = [[queue[p] for p in pick] for pick in _pick_sequence(
+                [entry_of[c] for c in queue], [value_of[c] for c in queue],
+                k, delta - 1, backtrack_cap)]
             if not picks:
                 continue
-            # sweep delta_a over pick prefixes, updating A/B stats as we go
-            b_side = _Extents(schema, reals)
-            a_freq: Counter = Counter()
+            # sweep delta_a over pick prefixes; side B's largest frequency
+            # only falls, tracked with a histogram of frequencies, and each
+            # side's score numerator changes only with the spans that moved
+            stamp += 1
+            b_freq = freq[:]
+            b_hist = hist[:]
+            f_max = len(hist) - 1
+            lo_ptr = [0] * n_attr
+            hi_ptr = [n_real - 1] * n_attr
+            a_lo = [sys.maxsize] * n_attr
+            a_hi = [-1] * n_attr
+            a_ext = [0] * n_attr
+            b_ext = list(parent_extents)     # B starts as the whole node
+            a_num = 0
+            b_num = n_attr * denom
+            moved: set[int] = set()
             a_reals = 0
-            a_spans: list[tuple[int, int] | None] = [None] * len(schema.qi)
-            for delta_a in range(1, len(picks) + 1):
-                for cell in picks[delta_a - 1]:
-                    if cell.record is None:
+            for delta_a, pick in enumerate(picks, start=1):
+                for c in pick:
+                    v = value_of[c]
+                    if v < 0:
                         continue
-                    rec = cell.record
-                    a_freq[rec.sensitive] += 1
+                    mark[c] = stamp
                     a_reals += 1
-                    b_side.remove(rec)
-                    for j, attr in enumerate(schema.qi):
-                        i = attr.to_index(rec.qi[j])
-                        span = a_spans[j]
-                        a_spans[j] = (i, i) if span is None else \
-                            (min(span[0], i), max(span[1], i))
-                if delta_a > delta - 1:
-                    break
-                b_reals = len(reals) - a_reals
+                    f = b_freq[v]
+                    b_freq[v] = f - 1
+                    b_hist[f] -= 1
+                    b_hist[f - 1] += 1
+                    if f == f_max and not b_hist[f]:
+                        f_max -= 1
+                    for j, i in enumerate(point[c]):
+                        if i < a_lo[j]:
+                            a_lo[j] = i
+                            moved.add(j)
+                        if i > a_hi[j]:
+                            a_hi[j] = i
+                            moved.add(j)
+                b_reals = n_real - a_reals
                 if a_reals == 0 or b_reals == 0:
                     continue
-                delta_b = delta - delta_a
-                if any(total_freq[v] - a_freq[v] > delta_b for v in total_freq):
+                if f_max > delta - delta_a:
                     continue
                 # F_max(A) <= delta_a holds by construction (distinct per pick)
-                a_num = b_num = 0
-                for j, attr in enumerate(schema.qi):
-                    lo, hi = a_spans[j]
-                    a_num += _span_extent(attr, lo, hi) * cof[j]
-                    lo, hi = b_side.span(j)
-                    b_num += _span_extent(attr, lo, hi) * cof[j]
-                score_num = a_reals * a_num + b_reals * b_num
-                cand = (score_num, attr_pos, delta_a)
-                if best is None or cand < (best[0], best[1], best[2]):
-                    best = (score_num, attr_pos, delta_a, picks[:delta_a])
+                for j in moved:
+                    lo, hi = a_lo[j], a_hi[j]
+                    x = memo.get((j, lo, hi)) or extent(j, lo, hi)
+                    a_num += (x - a_ext[j]) * cof[j]
+                    a_ext[j] = x
+                moved.clear()
+                for j, o in enumerate(orders):
+                    lo = lo_ptr[j]
+                    hi = hi_ptr[j]
+                    if mark[o[lo]] != stamp and mark[o[hi]] != stamp:
+                        continue
+                    while mark[o[lo]] == stamp:
+                        lo += 1
+                    while mark[o[hi]] == stamp:
+                        hi -= 1
+                    lo_ptr[j] = lo
+                    hi_ptr[j] = hi
+                    lo, hi = point[o[lo]][j], point[o[hi]][j]
+                    x = memo.get((j, lo, hi)) or extent(j, lo, hi)
+                    b_num += (x - b_ext[j]) * cof[j]
+                    b_ext[j] = x
+                score = a_reals * a_num + b_reals * b_num
+                # candidates come in increasing (attr_pos, delta_a), so
+                # only a strictly lower score can win the tie-break
+                if best is None or score < best[0]:
+                    best = (score, delta_a, picks)
         if best is None:
-            for group in _fallback_decompose(by_entry, schema):
+            by_entry: list[list[_Cell]] = [[] for _ in range(k)]
+            for c in first:
+                by_entry[entry_of[c]].append(cells[c])
+            for group in _fallback_decompose(by_entry):
                 out.append(_emit_group(group, cus_list, rng))
             return
-        _, _, delta_a, chosen = best
-        picked = {(c.entry, c.seq) for pick in chosen for c in pick}
-        child_a = [[c for pick in chosen for c in pick if c.entry == e]
-                   for e in range(k)]
-        child_b = [[c for c in by_entry[e] if (c.entry, c.seq) not in picked]
-                   for e in range(k)]
-        recurse(child_a)
-        recurse(child_b)
+        _, delta_a, picks = best
+        stamp += 1
+        side = stamp
+        a_reals = 0
+        for pick in picks[:delta_a]:
+            for c in pick:
+                mark[c] = side
+                a_reals += value_of[c] >= 0
+        child_a = [[c for c in o if mark[c] == side] for o in orders]
+        child_b = [[c for c in o if mark[c] != side] for o in orders]
+        recurse(child_a, a_reals)
+        recurse(child_b, n_real - a_reals)
 
-    recurse(cells_by_entry)
+    recurse(root, len(reals))
     return out
 
 
@@ -827,6 +861,15 @@ def publish(records: Sequence[Record], state: EngineState,
     for rec in ordered:
         schema.validate_record(rec)
     returning = [r for r in ordered if r.id in state.prev]
+    for rec in returning:
+        last = state.prev[rec.id].release_index
+        if last != state.release_count:
+            # the attack and verify model one update step between a
+            # record's consecutive appearances, so a gap is refused
+            raise ValidationError(
+                f"record {rec.id!r} last appeared in release {last} and "
+                f"returns in release {state.release_count + 1}; a record "
+                f"may not skip a release")
     buckets = phase1_create_buckets([state.prev[r.id].signature
                                      for r in returning])
     pool = phase2_assign(ordered, state.prev, buckets, schema,
@@ -856,12 +899,13 @@ def publish(records: Sequence[Record], state: EngineState,
 def verify_m_distinct(releases: Sequence[PublishedRelease],
                       model: UpdateModel, m: int,
                       star: bool = False) -> tuple[bool, list[str]]:
-    """Check every release is m-unique and every record's candidate set is a
-    legal update instance of its previous group's signature (star mode: CUS
-    of first-appearance groups pairwise disjoint)."""
+    """Check every release is m-unique, every record's candidate set is a
+    legal update instance of its previous group's signature, and no record
+    skips a release between two of its appearances (star mode: CUS of
+    first-appearance groups pairwise disjoint)."""
     violations: list[str] = []
     prev_sig: dict[str, USS] = {}
-    seen: set[str] = set()
+    last_seen: dict[str, int] = {}
     for rel in sorted(releases, key=lambda r: r.release_index):
         for group in rel.groups:
             values = group.values
@@ -871,7 +915,7 @@ def verify_m_distinct(releases: Sequence[PublishedRelease],
             if len(set(values)) != len(values):
                 violations.append(f"release {rel.release_index} group "
                                   f"{group.gid}: duplicate sensitive values")
-            first_timer = any(not mm.counterfeit and mm.rid not in seen
+            first_timer = any(not mm.counterfeit and mm.rid not in last_seen
                               for mm in group.members)
             if star and first_timer:
                 sets = [model.cus_of(v) for v in values]
@@ -885,6 +929,12 @@ def verify_m_distinct(releases: Sequence[PublishedRelease],
             for member in group.members:
                 if member.counterfeit:
                     continue
+                last = last_seen.get(member.rid, rel.release_index - 1)
+                if last < rel.release_index - 1:
+                    violations.append(
+                        f"release {rel.release_index} group {group.gid}: "
+                        f"{member.rid!r} last appeared in release {last}; "
+                        f"a record may not skip a release")
                 old = prev_sig.get(member.rid)
                 if old is not None and not is_legal_update_instance(values, old):
                     violations.append(
@@ -894,5 +944,5 @@ def verify_m_distinct(releases: Sequence[PublishedRelease],
             for member in group.members:
                 if not member.counterfeit:
                     prev_sig[member.rid] = sig
-                    seen.add(member.rid)
+                    last_seen[member.rid] = rel.release_index
     return (not violations, violations)

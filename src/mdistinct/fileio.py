@@ -467,9 +467,12 @@ class HistoryStore:
     def replay_state(self, model: UpdateModel, m: int,
                      mode: str) -> EngineState:
         """Rebuild per-record publish state from the stored releases."""
-        schema = self.read_schema()
         state = EngineState(m=m, mode=mode)
-        for i in self.release_indices():
+        indices = self.release_indices()
+        if not indices:
+            return state
+        schema = self.read_schema()
+        for i in indices:
             release = self.read_release(i, schema)
             for group in release.groups:
                 sig = uss_of(group.values, model)

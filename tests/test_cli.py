@@ -7,6 +7,7 @@ from mdistinct import cli, fileio
 from mdistinct.cli import main
 from mdistinct.errors import CapExceededError
 from mdistinct.fileio import HistoryStore, write_csv
+from mdistinct.model import Record, generalize
 
 
 @pytest.fixture
@@ -203,6 +204,91 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "attack_release_sequence", explode)
         assert run(workdir, "attack", *base) == 4
         assert "too many paths" in capsys.readouterr().err
+
+
+def _tree(path):
+    """Every file under a history directory, name -> bytes."""
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("m", ["0", "-3", "1"])
+    def test_m_below_two_exits_two_and_writes_nothing(self, workdir, capsys,
+                                                      m):
+        hist = workdir / "hist"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        for argv in (["publish", "--microdata", workdir / "t1.csv"],
+                     ["baseline", "--kind", "minv", "--microdata",
+                      workdir / "t1.csv"],
+                     ["baseline", "--kind", "ldiv", "--microdata",
+                      workdir / "t1.csv"]):
+            assert run(workdir, *argv, "--m", m, *base) == 2
+            assert f"--m must be at least 2, got {m}" in \
+                capsys.readouterr().err
+            assert not hist.exists()
+        # an existing history stays as it was, and verify refuses too
+        assert run(workdir, "publish", "--microdata", workdir / "t1.csv",
+                   "--m", "2", *base) == 0
+        before = _tree(hist)
+        assert run(workdir, "publish", "--microdata", workdir / "t2.csv",
+                   "--m", m, *base) == 2
+        assert run(workdir, "verify", "--m", m, *base) == 2
+        assert "OK" not in capsys.readouterr().out
+        assert _tree(hist) == before
+
+
+GAP_MODEL = [["value", "successor", "probability"],
+             ["a", "b", ""], ["a", "c", ""], ["b", "c", ""], ["c", "c", ""],
+             ["x", "x", ""], ["x", "y", ""], ["y", "x", ""], ["y", "y", ""]]
+
+
+class TestGappedHistories:
+    """A record absent from a release between two appearances: {a, x} at
+    release 1 and {b, y} at release 3 pass the one-step legality test, yet
+    two steps of the model pin x -> y, so the history is refused."""
+
+    @pytest.fixture
+    def gapped(self, workdir):
+        write_csv(workdir / "gap_model.csv", GAP_MODEL)
+        snaps = {1: [["r1", "1", "a"], ["r2", "2", "x"]],
+                 2: [["s1", "3", "c"], ["s2", "4", "y"]],
+                 3: [["r1", "1", "b"], ["r2", "2", "y"]]}
+        for i, rows in snaps.items():
+            write_csv(workdir / f"g{i}.csv", [["id", "q", "s"], *rows])
+        hist = workdir / "gap"
+        base = ["--model", workdir / "gap_model.csv", "--history", hist,
+                "--m", "2"]
+        for i in (1, 2):
+            assert run(workdir, "publish", "--microdata",
+                       workdir / f"g{i}.csv", *base) == 0
+        return hist, base
+
+    def test_gapped_publish_exits_two_and_keeps_history(self, workdir,
+                                                        gapped, capsys):
+        hist, base = gapped
+        capsys.readouterr()
+        before = _tree(hist)
+        assert run(workdir, "publish", "--microdata", workdir / "g3.csv",
+                   *base) == 2
+        err = capsys.readouterr().err
+        assert ("record 'r1' last appeared in release 1 and returns in "
+                "release 3") in err
+        assert _tree(hist) == before
+        assert HistoryStore(hist).release_indices() == [1, 2]
+
+    def test_verify_flags_a_hand_made_gap(self, workdir, gapped, capsys):
+        hist, base = gapped
+        assert run(workdir, "verify", *base) == 0
+        store = HistoryStore(hist)
+        schema = store.read_schema()
+        records = [Record("r1", (1,), "b"), Record("r2", (2,), "y")]
+        store.write_release(generalize(schema, 3, [records]), schema)
+        store.write_actuals(3, schema, records)
+        capsys.readouterr()
+        assert run(workdir, "verify", *base) == 2
+        err = capsys.readouterr().err
+        assert "release 3 group 1: 'r1' last appeared in release 1" in err
+        assert "'r2' last appeared in release 1" in err
 
 
 class TestBaselineCommands:

@@ -305,6 +305,18 @@ class TestPublish:
         with pytest.raises(ValidationError):
             publish(jump, state, worked_model, disease_schema, seed=3)
 
+    def test_returning_after_a_gap_rejected(self, t1_records, worked_model,
+                                            disease_schema):
+        state = EngineState(m=2)
+        publish(t1_records, state, worked_model, disease_schema, seed=3)
+        others = [Record("Amy", (20, 20), "Flu"),
+                  Record("Bob", (21, 21), "Glaucoma")]
+        publish(others, state, worked_model, disease_schema, seed=3)
+        with pytest.raises(ValidationError, match="record 'Ben' last "
+                           "appeared in release 1 and returns in release 3"):
+            publish(t1_records, state, worked_model, disease_schema, seed=3)
+        assert state.release_count == 2
+
     def test_nothing_to_publish(self, worked_model, disease_schema):
         with pytest.raises(ValidationError):
             publish([], EngineState(m=2), worked_model, disease_schema,
@@ -340,6 +352,22 @@ class TestVerify:
             [release_one, release_two_naive], worked_model, 2)
         assert not ok
         assert any("legal update instance" in v for v in violations)
+
+    def test_flags_a_record_that_skips_a_release(self, t1_records,
+                                                 worked_model,
+                                                 disease_schema):
+        # Julia (Pneumonia) and Ken (Dyspepsia) may keep their values, so
+        # the skipped release is the only violation
+        pair = t1_records[2:4]
+        first = generalize(disease_schema, 1, [pair])
+        middle = generalize(disease_schema, 2, [t1_records[:2]])
+        back = generalize(disease_schema, 3, [pair])
+        ok, violations = verify_m_distinct([first, middle, back],
+                                           worked_model, 2)
+        assert not ok
+        assert violations == [
+            f"release 3 group 1: {r.id!r} last appeared in release 1; a "
+            f"record may not skip a release" for r in pair]
 
     def test_defended_sequence_passes(self, release_one, release_two_defended,
                                       worked_model):

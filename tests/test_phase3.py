@@ -1,0 +1,389 @@
+"""Phase-3 split kernel against the straightforward implementation.
+
+`reference_phase3_split` is the per-level kernel that `engine.phase3_split`
+replaced: it re-sorts every cell per attribute at each recursion level,
+re-runs a fresh pick-out search over a rebuilt `avail` list per pick and
+recomputes side B's spans from run-length columns.  The engine sorts once
+per bucket and carries the orders down the recursion; the properties below
+require both to emit the same groups, member by member and counterfeit
+value by counterfeit value, and to leave the random generator in the same
+state, including when the backtracking budget runs out and the fallback
+decomposition takes over.
+"""
+
+import random
+from collections import Counter
+from typing import Iterable
+
+from hypothesis import example, given, settings, strategies as st
+
+from mdistinct import engine
+from mdistinct.engine import (Bucket, _Cell, _emit_group, _fallback_decompose,
+                              _pick_sequence, _span_extent,
+                              balance_counterfeits, phase3_split)
+from mdistinct.errors import InfeasibilityError, ValidationError
+from mdistinct.evaluation import ExperimentConfig, run_experiment
+from mdistinct.model import (AttributeSchema, Hierarchy, Record,
+                             TableSchema)
+from mdistinct.updates import USS
+
+# ---------------------------------------------------------------------------
+# the reference kernel, as it was before the presorted rewrite
+
+
+class _BTrack:
+    __slots__ = ("left",)
+
+    def __init__(self, budget: int):
+        self.left = budget
+
+
+def _cell_key(cell: _Cell, attr_pos: int, schema: TableSchema):
+    if cell.record is None:
+        return (1, cell.entry, cell.seq)
+    attr = schema.qi[attr_pos]
+    return (0, attr.to_index(cell.record.qi[attr_pos]), cell.record.id)
+
+
+def _one_pick(avail: list[_Cell], k: int, budget: _BTrack) -> list[int] | None:
+    """Pick one cell per entry with pairwise-distinct real values, preferring
+    the queue head; backtracking, budget-counted.  Returns indices into
+    avail, or None."""
+    last_pos: dict[int, int] = {}
+    for idx, cell in enumerate(avail):
+        last_pos[cell.entry] = idx
+    chosen: list[int] = []
+    open_entries = set(range(k))
+    used_values: set[str] = set()
+
+    def feasible(idx: int) -> bool:
+        # an entry is still reachable iff its last queue position is ahead
+        return all(last_pos.get(e, -1) >= idx for e in open_entries)
+
+    def dfs(start: int) -> bool:
+        if not open_entries:
+            return True
+        if not feasible(start):
+            return False
+        for idx in range(start, len(avail)):
+            cell = avail[idx]
+            if cell.entry not in open_entries:
+                continue
+            value = None if cell.record is None else cell.record.sensitive
+            if value is not None and value in used_values:
+                continue
+            if budget.left <= 0:
+                return False
+            budget.left -= 1
+            chosen.append(idx)
+            open_entries.discard(cell.entry)
+            if value is not None:
+                used_values.add(value)
+            if dfs(idx + 1):
+                return True
+            chosen.pop()
+            open_entries.add(cell.entry)
+            if value is not None:
+                used_values.discard(value)
+        return False
+
+    return list(chosen) if dfs(0) else None
+
+
+class _Extents:
+    """Per-attribute min/max of a shrinking real-record multiset, tracked in
+    index space as run-length-encoded sorted columns with monotone pointers."""
+
+    def __init__(self, schema: TableSchema, records: Iterable[Record]):
+        self.schema = schema
+        self.runs: list[list[tuple[int, int]]] = []  # per attr: (value, count)
+        recs = list(records)
+        for j, attr in enumerate(schema.qi):
+            rle: list[tuple[int, int]] = []
+            for v in sorted(attr.to_index(rec.qi[j]) for rec in recs):
+                if rle and rle[-1][0] == v:
+                    rle[-1] = (v, rle[-1][1] + 1)
+                else:
+                    rle.append((v, 1))
+            self.runs.append(rle)
+        self.removed: list[Counter] = [Counter() for _ in schema.qi]
+        self.lo_ptr = [0] * len(schema.qi)
+        self.hi_ptr = [len(r) - 1 for r in self.runs]
+
+    def remove(self, rec: Record) -> None:
+        for j, attr in enumerate(self.schema.qi):
+            self.removed[j][attr.to_index(rec.qi[j])] += 1
+
+    def span(self, j: int) -> tuple[int, int]:
+        runs = self.runs[j]
+        rem = self.removed[j]
+        lo = self.lo_ptr[j]
+        while lo < len(runs) and rem[runs[lo][0]] >= runs[lo][1]:
+            lo += 1
+        self.lo_ptr[j] = lo
+        hi = self.hi_ptr[j]
+        while hi >= 0 and rem[runs[hi][0]] >= runs[hi][1]:
+            hi -= 1
+        self.hi_ptr[j] = hi
+        if lo > hi:
+            raise InfeasibilityError("no real records left")
+        return runs[lo][0], runs[hi][0]
+
+
+def reference_phase3_split(bucket, schema, rng,
+                           backtrack_cap=engine.BACKTRACK_CAP):
+    cus_list = bucket.signature.entries
+    cells_by_entry: list[list[_Cell]] = []
+    for e, entry in enumerate(bucket.entries):
+        cells = [_Cell(e, s, rec) for s, rec in enumerate(entry)]
+        cells += [_Cell(e, len(entry) + s, None)
+                  for s in range(bucket.counterfeits[e])]
+        cells_by_entry.append(cells)
+    sizes = {len(c) for c in cells_by_entry}
+    if len(sizes) != 1:
+        raise ValidationError("bucket not balanced")
+
+    out = []
+
+    def recurse(by_entry: list[list[_Cell]]) -> None:
+        delta = len(by_entry[0])
+        if delta == 1:
+            out.append(_emit_group([cells[0] for cells in by_entry],
+                                   cus_list, rng))
+            return
+        k = len(by_entry)
+        all_cells = [c for cells in by_entry for c in cells]
+        reals = [c.record for c in all_cells if c.record is not None]
+        parent_extents = []
+        for j, attr in enumerate(schema.qi):
+            idx = [attr.to_index(r.qi[j]) for r in reals]
+            parent_extents.append(_span_extent(attr, min(idx), max(idx)))
+        total_freq = Counter(r.sensitive for r in reals)
+        denom = 1
+        for e in parent_extents:
+            denom *= e
+        cof = [denom // e for e in parent_extents]
+
+        best = None  # (score, attr_pos, delta_a, picks)
+        for attr_pos in range(len(schema.qi)):
+            queue = sorted(all_cells,
+                           key=lambda c: _cell_key(c, attr_pos, schema))
+            budget = _BTrack(backtrack_cap)
+            picks: list[list[_Cell]] = []
+            avail = queue
+            while len(picks) < delta - 1:
+                pick_idx = _one_pick(avail, k, budget)
+                if pick_idx is None:
+                    break
+                pick = [avail[i] for i in pick_idx]
+                pick.sort(key=lambda c: c.entry)
+                picks.append(pick)
+                taken = set(pick_idx)
+                avail = [c for i, c in enumerate(avail) if i not in taken]
+            if not picks:
+                continue
+            b_side = _Extents(schema, reals)
+            a_freq: Counter = Counter()
+            a_reals = 0
+            a_spans: list[tuple[int, int] | None] = [None] * len(schema.qi)
+            for delta_a in range(1, len(picks) + 1):
+                for cell in picks[delta_a - 1]:
+                    if cell.record is None:
+                        continue
+                    rec = cell.record
+                    a_freq[rec.sensitive] += 1
+                    a_reals += 1
+                    b_side.remove(rec)
+                    for j, attr in enumerate(schema.qi):
+                        i = attr.to_index(rec.qi[j])
+                        span = a_spans[j]
+                        a_spans[j] = (i, i) if span is None else \
+                            (min(span[0], i), max(span[1], i))
+                if delta_a > delta - 1:
+                    break
+                b_reals = len(reals) - a_reals
+                if a_reals == 0 or b_reals == 0:
+                    continue
+                delta_b = delta - delta_a
+                if any(total_freq[v] - a_freq[v] > delta_b
+                       for v in total_freq):
+                    continue
+                a_num = b_num = 0
+                for j, attr in enumerate(schema.qi):
+                    lo, hi = a_spans[j]
+                    a_num += _span_extent(attr, lo, hi) * cof[j]
+                    lo, hi = b_side.span(j)
+                    b_num += _span_extent(attr, lo, hi) * cof[j]
+                score_num = a_reals * a_num + b_reals * b_num
+                cand = (score_num, attr_pos, delta_a)
+                if best is None or cand < (best[0], best[1], best[2]):
+                    best = (score_num, attr_pos, delta_a, picks[:delta_a])
+        if best is None:
+            # the engine's fallback takes each entry in attribute-0 order
+            ordered = [sorted(cells, key=lambda c: _cell_key(c, 0, schema))
+                       for cells in by_entry]
+            for group in _fallback_decompose(ordered):
+                out.append(_emit_group(group, cus_list, rng))
+            return
+        _, _, delta_a, chosen = best
+        picked = {(c.entry, c.seq) for pick in chosen for c in pick}
+        child_a = [[c for pick in chosen for c in pick if c.entry == e]
+                   for e in range(k)]
+        child_b = [[c for c in by_entry[e] if (c.entry, c.seq) not in picked]
+                   for e in range(k)]
+        recurse(child_a)
+        recurse(child_b)
+
+    recurse(cells_by_entry)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# random balanced buckets
+
+DOMAIN = tuple(f"v{i}" for i in range(7))
+
+AGE = AttributeSchema.numeric("age", 20, 27)
+TREE = AttributeSchema.categorical("region", Hierarchy("any", {
+    "north": {"n1": {"a", "b"}, "n2": ["c"]},
+    "south": ["d", "e", "f"],
+    "west": ["g"],
+}))
+FLAT = AttributeSchema.categorical("sex", Hierarchy.flat("any_sex",
+                                                         ["f", "m"]))
+ATTRS = (AGE, TREE, FLAT)
+
+
+def _draw_qi(attr: AttributeSchema, draw):
+    if attr.kind == "numeric":
+        return draw(st.integers(attr.lo, attr.hi))
+    return draw(st.sampled_from(attr.hierarchy.leaves))
+
+
+@st.composite
+def buckets(draw):
+    """A schema and a balanced bucket of 1-4 entries with up to 12 records
+    each; records in one entry may share values, QI points may tie."""
+    picked = draw(st.lists(st.sampled_from(ATTRS), min_size=1, max_size=3,
+                           unique_by=lambda a: a.name))
+    schema = TableSchema(tuple(picked), "s", DOMAIN)
+    k = draw(st.integers(1, 4))
+    cus = draw(st.lists(st.frozensets(st.sampled_from(DOMAIN), min_size=1,
+                                      max_size=4),
+                        min_size=k, max_size=k))
+    bucket = Bucket(USS(cus), "signature")
+    counts = draw(st.lists(st.integers(0, 12), min_size=k, max_size=k)
+                  .filter(lambda c: sum(c) > 0))
+    ids = draw(st.permutations(range(sum(counts))))
+    n = 0
+    for e, (values, count) in enumerate(zip(bucket.signature.entries,
+                                            counts)):
+        for _ in range(count):
+            qi = tuple(_draw_qi(a, draw) for a in schema.qi)
+            value = draw(st.sampled_from(sorted(values)))
+            bucket.add(Record(f"r{ids[n]:02d}", qi, value), e, schema)
+            n += 1
+    return schema, balance_counterfeits(bucket)
+
+
+def _outcome(split, bucket, schema, seed, cap):
+    rng = random.Random(seed)
+    try:
+        result = split(bucket, schema, rng, backtrack_cap=cap)
+    except (InfeasibilityError, ValidationError) as exc:
+        result = (type(exc), str(exc))
+    return result, rng.getstate()
+
+
+@settings(max_examples=400, deadline=None)
+@given(buckets(), st.sampled_from([1, 5, 50]), st.integers(0, 2 ** 16))
+def test_matches_reference(case, cap, seed):
+    schema, bucket = case
+    assert (_outcome(phase3_split, bucket, schema, seed, cap)
+            == _outcome(reference_phase3_split, bucket, schema, seed, cap))
+
+
+def reference_pick_sequence(entry_at, value_at, k, max_picks, budget):
+    """The pick loop of `reference_phase3_split` on a bare queue, as queue
+    positions in the order the search chose them."""
+    queue = [_Cell(e, p, None if v < 0 else Record(f"p{p}", (), f"v{v}"))
+             for p, (e, v) in enumerate(zip(entry_at, value_at))]
+    avail = list(range(len(queue)))
+    track = _BTrack(budget)
+    picks = []
+    while len(picks) < max_picks:
+        pick_idx = _one_pick([queue[p] for p in avail], k, track)
+        if pick_idx is None:
+            break
+        picks.append([avail[i] for i in pick_idx])
+        taken = set(pick_idx)
+        avail = [p for i, p in enumerate(avail) if i not in taken]
+    return picks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.tuples(st.integers(0, k - 1), st.integers(-1, 3)),
+             max_size=24))))
+# an unreachable entry while two others are still open: without the
+# reachability cut the search would charge budget-20 attempts differently
+@example((4, list(zip([1, 2, 3, 3, 1, 3, 2, 2, 1, 0, 0, 2, 1, 1],
+                      [0, 0, 1, 0, 1, 0, -1, 1, 1, 1, 0, 1, -1, -1]))))
+# a pick takes an entry's last untaken cell; its last position must move
+# back to the entry's previous untaken cell, not any untaken cell
+@example((4, list(zip([1, 0, 1, 2, 3, 1, 2, 0, 3, 1, 2, 0, 3, 0],
+                      [1, -1, 0, 1, 0, 0, 1, 1, 0, -1, -1, 0, -1, 1]))))
+def test_pick_sequence_spends_the_budget_like_the_reference(case):
+    """Every budget from 0 up must stop the sequence at the same pick: the
+    search tries the same candidates in the same order, skips the same
+    unreachable branches, and charges the same attempts.  Entries may be
+    missing or uneven, so the reachability cut-off matters."""
+    k, queue = case
+    entry_at = [e for e, _ in queue]
+    value_at = [v for _, v in queue]
+    for budget in range(0, 40):
+        assert (_pick_sequence(entry_at, value_at, k, len(queue), budget)
+                == reference_pick_sequence(entry_at, value_at, k,
+                                           len(queue), budget))
+
+
+def test_budget_exhaustion_reaches_fallback():
+    """Three entries of three records with interleaved shared values: a cap
+    of 1 stops the first pick, so every level falls back; both kernels must
+    still agree."""
+    schema = TableSchema((AGE,), "s", DOMAIN)
+    bucket = Bucket(USS([{"v0", "v1", "v2"}] * 3), "signature")
+    for e in range(3):
+        for s, v in enumerate(["v0", "v1", "v2"]):
+            bucket.add(Record(f"r{e}{s}", (20 + (e + s) % 3,), v), e, schema)
+    balance_counterfeits(bucket)
+    for cap in (0, 1, 2, 5, 50):
+        assert (_outcome(phase3_split, bucket, schema, 11, cap)
+                == _outcome(reference_phase3_split, bucket, schema, 11, cap))
+
+
+def test_workload_buckets_match_reference(monkeypatch):
+    """Every bucket a small synthetic m=2 and m=4 run sends to phase 3 (four
+    QI attributes, three of them hierarchies) splits as the reference
+    does."""
+    seen = []
+
+    def checked(bucket, schema, rng, backtrack_cap=engine.BACKTRACK_CAP):
+        state = rng.getstate()
+        ref_rng = random.Random()
+        ref_rng.setstate(state)
+        expected = reference_phase3_split(bucket, schema, ref_rng,
+                                          backtrack_cap)
+        got = phase3_split(bucket, schema, rng, backtrack_cap)
+        assert got == expected
+        assert rng.getstate() == ref_rng.getstate()
+        seen.append(len(got))
+        return got
+
+    monkeypatch.setattr(engine, "phase3_split", checked)
+    for m in (2, 4):
+        run_experiment(ExperimentConfig(
+            m=m, n_records=120, n_releases=3, inserts=20, deletes=10,
+            internal_updates=30, n_queries=1, thetas=(0.5,), seed=5))
+    assert len(seen) > 10 and max(seen) > 5
