@@ -59,6 +59,16 @@ class MInvarianceState:
     signatures: dict[str, frozenset[str]] = field(default_factory=dict)
     invalidated_total: int = 0
 
+    def apply(self, release: PublishedRelease, model: UpdateModel) -> None:
+        """Fold a release in: each real member's signature becomes its
+        group's value set.  Like the publisher, this ignores the model."""
+        for group in release.groups:
+            valueset = frozenset(group.values)
+            for member in group.members:
+                if not member.counterfeit:
+                    self.signatures[member.rid] = valueset
+        self.release_count = release.release_index
+
 
 def publish_m_invariance(records: Sequence[Record], state: MInvarianceState,
                          schema: TableSchema, model: UpdateModel, seed: int,
@@ -107,14 +117,8 @@ def publish_m_invariance(records: Sequence[Record], state: MInvarianceState,
     groups.extend(static_partition(pool, state.m, schema, model, rng))
     if not groups:
         raise InfeasibilityError("nothing to publish")
-    release_index = state.release_count + 1
-    release = generalize(schema, release_index, groups)
-    for group in release.groups:
-        valueset = frozenset(group.values)
-        for member in group.members:
-            if not member.counterfeit:
-                state.signatures[member.rid] = valueset
-    state.release_count = release_index
+    release = generalize(schema, state.release_count + 1, groups)
+    state.apply(release, model)
     state.invalidated_total += len(invalidated)
     return release, state, invalidated
 

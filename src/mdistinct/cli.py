@@ -16,11 +16,11 @@ from .baselines import (MInvarianceState, count_vulnerable,
 from .engine import EngineState, publish, verify_m_distinct
 from .errors import (CapExceededError, InfeasibilityError, MDistinctError,
                      ValidationError)
-from .evaluation import run_experiment
-from .fileio import (HistoryStore, load_experiment_config,
-                     load_external_tables, load_microdata, load_update_model,
-                     infer_schema, snapshot_histories, snapshot_tables,
-                     widen_schema, write_report_files, write_risks)
+from .evaluation import load_experiment_config, run_experiment
+from .fileio import (HistoryStore, load_external_tables, load_microdata,
+                     load_update_model, infer_schema, snapshot_histories,
+                     snapshot_tables, widen_schema, write_report_files,
+                     write_risks)
 from .sug import attack_release_sequence
 
 EXIT_OK = 0
@@ -137,7 +137,7 @@ def cmd_publish(args) -> int:
     with store.lock():
         schema, changed = _open_history(store, args, mode, model)
         records = load_microdata(args.microdata, schema)
-        state = store.replay_state(model, args.m, mode)
+        state = store.replay_state(EngineState(args.m, mode), model)
         release, state = publish(records, state, model, schema,
                                  seed=args.seed)
         _save_header(store, args, mode, schema, changed)
@@ -211,23 +211,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if report.verify_ok else EXIT_VALIDATION
 
 
-def _replay_minv(store: HistoryStore, schema, m: int) -> MInvarianceState:
-    state = MInvarianceState(m)
-    indices = store.release_indices()
-    if indices:
-        state.invalidated_total = store.read_meta_int(
-            store.read_meta(), "invalidated_total", "0")
-    for i in indices:
-        release = store.read_release(i, schema)
-        for group in release.groups:
-            valueset = frozenset(group.values)
-            for member in group.members:
-                if not member.counterfeit:
-                    state.signatures[member.rid] = valueset
-        state.release_count = i
-    return state
-
-
 def cmd_baseline(args) -> int:
     _check_m(args.m)
     model = load_update_model(args.model)
@@ -243,7 +226,11 @@ def cmd_baseline(args) -> int:
             invalidated: list[str] = []
             total = 0
         else:
-            state = _replay_minv(store, schema, args.m)
+            state = MInvarianceState(args.m)
+            if store.release_indices():
+                state.invalidated_total = store.read_meta_int(
+                    store.read_meta(), "invalidated_total", "0")
+            state = store.replay_state(state, model)
             release, state, invalidated = publish_m_invariance(
                 records, state, schema, model, args.seed)
             total = state.invalidated_total

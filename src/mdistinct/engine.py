@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InfeasibilityError, ValidationError
 from .model import (AttributeSchema, CounterfeitMember, PublishedRelease,
@@ -151,8 +151,7 @@ def phase1_create_buckets(prev_signatures: Sequence[USS]) -> list[Bucket]:
 # engine state
 
 
-@dataclass(frozen=True)
-class PrevInfo:
+class PrevInfo(NamedTuple):
     value: str
     signature: USS
     release_index: int
@@ -168,6 +167,17 @@ class EngineState:
     @property
     def star(self) -> bool:
         return self.mode == "m_distinct_star"
+
+    def apply(self, release: PublishedRelease, model: UpdateModel) -> None:
+        """Fold a release in: each real member's value, its group's
+        signature and the release index become its previous publication."""
+        for group in release.groups:
+            sig = uss_of(group.values, model)
+            for member in group.members:
+                if not member.counterfeit:
+                    self.prev[member.rid] = PrevInfo(member.sensitive, sig,
+                                                     release.release_index)
+        self.release_count = release.release_index
 
 
 def _eligible_buckets(rec: Record, prev: PrevInfo | None,
@@ -884,65 +894,59 @@ def publish(records: Sequence[Record], state: EngineState,
                                    star=state.star))
     if not groups:
         raise ValidationError("nothing to publish")
-    release_index = state.release_count + 1
-    release = generalize(schema, release_index, groups)
-    for group in release.groups:
-        sig = uss_of(group.values, model)
-        for member in group.members:
-            if not member.counterfeit:
-                state.prev[member.rid] = PrevInfo(member.sensitive, sig,
-                                                  release_index)
-    state.release_count = release_index
+    release = generalize(schema, state.release_count + 1, groups)
+    state.apply(release, model)
     return release, state
 
 
 def verify_m_distinct(releases: Sequence[PublishedRelease],
                       model: UpdateModel, m: int,
                       star: bool = False) -> tuple[bool, list[str]]:
-    """Check every release is m-unique, every record's candidate set is a
-    legal update instance of its previous group's signature, and no record
-    skips a release between two of its appearances (star mode: CUS of
-    first-appearance groups pairwise disjoint)."""
+    """Check every release is m-unique with each record in one group, every
+    record's candidate set is a legal update instance of its previous
+    group's signature, and no record skips a release between two of its
+    appearances (star mode: CUS of first-appearance groups pairwise
+    disjoint).  Each release is folded into the state once checked."""
     violations: list[str] = []
-    prev_sig: dict[str, USS] = {}
-    last_seen: dict[str, int] = {}
+    state = EngineState(m)
     for rel in sorted(releases, key=lambda r: r.release_index):
+        i = rel.release_index
+        placed: set[str] = set()
         for group in rel.groups:
+            where = f"release {i} group {group.gid}"
             values = group.values
             if len(group.members) < m:
-                violations.append(f"release {rel.release_index} group "
-                                  f"{group.gid}: fewer than {m} members")
+                violations.append(f"{where}: fewer than {m} members")
             if len(set(values)) != len(values):
-                violations.append(f"release {rel.release_index} group "
-                                  f"{group.gid}: duplicate sensitive values")
-            first_timer = any(not mm.counterfeit and mm.rid not in last_seen
+                violations.append(f"{where}: duplicate sensitive values")
+            first_timer = any(not mm.counterfeit and mm.rid not in state.prev
                               for mm in group.members)
             if star and first_timer:
                 sets = [model.cus_of(v) for v in values]
-                if any(sets[i] & sets[j]
-                       for i in range(len(sets))
-                       for j in range(i + 1, len(sets))):
-                    violations.append(
-                        f"release {rel.release_index} group {group.gid}: "
-                        f"first-release CUS not pairwise disjoint")
-            sig = uss_of(values, model)
+                if any(sets[a] & sets[b]
+                       for a in range(len(sets))
+                       for b in range(a + 1, len(sets))):
+                    violations.append(f"{where}: first-release CUS not "
+                                      f"pairwise disjoint")
             for member in group.members:
                 if member.counterfeit:
                     continue
-                last = last_seen.get(member.rid, rel.release_index - 1)
-                if last < rel.release_index - 1:
+                if member.rid in placed:
+                    violations.append(f"release {i}: id {member.rid!r} "
+                                      f"appears in two groups")
+                    continue
+                placed.add(member.rid)
+                prev = state.prev.get(member.rid)
+                if prev is None:
+                    continue
+                if prev.release_index < i - 1:
                     violations.append(
-                        f"release {rel.release_index} group {group.gid}: "
-                        f"{member.rid!r} last appeared in release {last}; "
-                        f"a record may not skip a release")
-                old = prev_sig.get(member.rid)
-                if old is not None and not is_legal_update_instance(values, old):
+                        f"{where}: {member.rid!r} last appeared in release "
+                        f"{prev.release_index}; a record may not skip a "
+                        f"release")
+                if not is_legal_update_instance(values, prev.signature):
                     violations.append(
-                        f"release {rel.release_index} group {group.gid}: "
-                        f"candidate set not a legal update instance of "
-                        f"{member.rid!r}'s previous signature")
-            for member in group.members:
-                if not member.counterfeit:
-                    prev_sig[member.rid] = sig
-                    last_seen[member.rid] = rel.release_index
+                        f"{where}: candidate set not a legal update instance "
+                        f"of {member.rid!r}'s previous signature")
+        state.apply(rel, model)
     return (not violations, violations)

@@ -14,10 +14,12 @@ exact count on the microdata; zero-estimate queries are resampled).
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +28,8 @@ from .baselines import (MInvarianceState, count_vulnerable,
                         publish_l_diversity, publish_m_invariance)
 from .engine import EngineState, publish, verify_m_distinct
 from .errors import ValidationError
+from .fileio import (apply_external_updates, initial_population,
+                     synthesize_internal_updates, synthetic_schema)
 from .model import PublishedRelease, Record, TableSchema
 from .sug import RiskReport, attack_release_sequence
 from .updates import UpdateModel
@@ -40,6 +44,7 @@ __all__ = [
     "SnapshotCounter",
     "median_fraction",
     "ExperimentConfig",
+    "load_experiment_config",
     "ReleaseStats",
     "QueryStats",
     "RunReport",
@@ -266,6 +271,31 @@ class ExperimentConfig:
             raise ValidationError("counts must be non-negative")
 
 
+def load_experiment_config(path: Path | str) -> tuple[ExperimentConfig, Path]:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: bad JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: top level must be an object")
+    out_dir = Path(data.pop("out_dir", Path(path).parent))
+    known = set(ExperimentConfig.__dataclass_fields__)
+    unknown = set(data) - known
+    if unknown:
+        raise ValidationError(f"{path}: unknown config keys "
+                              f"{sorted(unknown)}")
+    if "thetas" in data:
+        data["thetas"] = tuple(float(t) for t in data["thetas"])
+    try:
+        config = ExperimentConfig(**data)
+    except TypeError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    return config, out_dir
+
+
 @dataclass(frozen=True)
 class ReleaseStats:
     release_index: int
@@ -381,10 +411,6 @@ def _publish_step(config: ExperimentConfig, records, state, model, schema,
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Synthesize an evolving population, publish every release with the
     configured scheme, attack after each release, and measure query error."""
-    # imported here: the synthesizer lives beside the file loaders
-    from .fileio import (apply_external_updates, initial_population,
-                         synthesize_internal_updates, synthetic_schema)
-
     schema, model = synthetic_schema(config.d, config.sensitive_size)
     domain = sorted(model.sensitive_domain)
     domain_index = {v: i for i, v in enumerate(domain)}

@@ -23,15 +23,19 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .engine import EngineState, PrevInfo
 from .errors import ValidationError
-from .evaluation import ExperimentConfig, RunReport
 from .model import (AttributeSchema, ExternalKnowledgeTable, Hierarchy,
-                    Member, PublishedRelease, QIGroup, Record, TableSchema)
+                    Member, PublishedRelease, QIGroup, QIValue, Record,
+                    TableSchema)
 from .sug import RiskReport
-from .updates import UpdateModel, uss_of, validate_update_model
+from .updates import UpdateModel, validate_update_model
+
+if TYPE_CHECKING:
+    from .baselines import MInvarianceState
+    from .engine import EngineState
+    from .evaluation import RunReport
 
 __all__ = [
     "load_microdata",
@@ -46,7 +50,6 @@ __all__ = [
     "load_external_tables",
     "write_risks",
     "write_csv",
-    "load_experiment_config",
     "synthetic_schema",
     "initial_population",
     "apply_external_updates",
@@ -72,38 +75,66 @@ def _read_csv(path: Path | str) -> list[list[str]]:
 # microdata
 
 
-def load_microdata(path: Path | str, schema: TableSchema) -> list[Record]:
-    """Read id,<qi...>,<sensitive> rows; errors carry 1-based line numbers."""
+def _csv_indices(directory: Path, prefix: str) -> list[int]:
+    """The sorted i of every <prefix>_<i>.csv in a directory."""
+    out = []
+    for p in directory.glob(f"{prefix}_*.csv"):
+        try:
+            out.append(int(p.stem.split("_")[1]))
+        except (IndexError, ValueError):
+            continue
+    return sorted(out)
+
+
+def _read_qi_rows(path: Path | str, schema: TableSchema,
+                  tail: Sequence[str] = (),
+                  ) -> Iterator[tuple[str, str, tuple[QIValue, ...],
+                                      list[str]]]:
+    """Parse id,<qi...>,<tail...> rows: the header, each row's field
+    count, unique ids, integer numeric columns and every QI value inside
+    its attribute's domain.  Yields (where, id, qi, tail fields), `where`
+    being the row's "<path> line <n>: " error prefix."""
     rows = _read_csv(path)
     if not rows:
         raise ValidationError(f"{path}: empty file")
-    expected = ["id", *schema.qi_names, schema.sensitive_name]
+    expected = ["id", *schema.qi_names, *tail]
     if rows[0] != expected:
         raise ValidationError(f"{path} line 1: header {rows[0]!r} does not "
                               f"match schema {expected!r}")
-    out: list[Record] = []
+    n_qi = len(schema.qi)
     seen: set[str] = set()
     for lineno, row in enumerate(rows[1:], start=2):
         where = f"{path} line {lineno}: "
         if len(row) != len(expected):
             raise ValidationError(f"{where}expected {len(expected)} fields, "
                                   f"got {len(row)}")
-        rid, *qi_raw, sensitive = row
+        rid = row[0]
         if rid in seen:
             raise ValidationError(f"{where}duplicate id {rid!r}")
         seen.add(rid)
-        qi = []
-        for attr, text in zip(schema.qi, qi_raw):
+        qi: list[QIValue] = []
+        for attr, text in zip(schema.qi, row[1:]):
+            value: QIValue = text
             if attr.kind == "numeric":
                 try:
-                    qi.append(int(text))
+                    value = int(text)
                 except ValueError:
                     raise ValidationError(
                         f"{where}{attr.name}={text!r} is not an integer"
                     ) from None
-            else:
-                qi.append(text)
-        rec = Record(rid, tuple(qi), sensitive)
+            if not attr.contains(value):
+                raise ValidationError(f"{where}record {rid!r}: "
+                                      f"{attr.name}={value!r} outside domain")
+            qi.append(value)
+        yield where, rid, tuple(qi), row[1 + n_qi:]
+
+
+def load_microdata(path: Path | str, schema: TableSchema) -> list[Record]:
+    """Read id,<qi...>,<sensitive> rows; errors carry 1-based line numbers."""
+    out: list[Record] = []
+    for where, rid, qi, (sensitive,) in _read_qi_rows(
+            path, schema, (schema.sensitive_name,)):
+        rec = Record(rid, qi, sensitive)
         schema.validate_record(rec, where=where)
         out.append(rec)
     return out
@@ -378,13 +409,7 @@ class HistoryStore:
     # --- releases
 
     def release_indices(self) -> list[int]:
-        out = []
-        for p in self.path.glob("release_*.csv"):
-            try:
-                out.append(int(p.stem.split("_")[1]))
-            except (IndexError, ValueError):
-                continue
-        return sorted(out)
+        return _csv_indices(self.path, "release")
 
     def write_release(self, release: PublishedRelease,
                       schema: TableSchema) -> None:
@@ -462,25 +487,17 @@ class HistoryStore:
     def histories(self, schema: TableSchema) -> dict[str, dict[int, str]]:
         return snapshot_histories(self.snapshots(schema))
 
-    # --- engine state replay
+    # --- publisher state replay
 
-    def replay_state(self, model: UpdateModel, m: int,
-                     mode: str) -> EngineState:
-        """Rebuild per-record publish state from the stored releases."""
-        state = EngineState(m=m, mode=mode)
+    def replay_state(self, state: EngineState | MInvarianceState,
+                     model: UpdateModel) -> EngineState | MInvarianceState:
+        """Fold every stored release, in order, into a fresh publisher
+        state and return it."""
         indices = self.release_indices()
-        if not indices:
-            return state
-        schema = self.read_schema()
-        for i in indices:
-            release = self.read_release(i, schema)
-            for group in release.groups:
-                sig = uss_of(group.values, model)
-                for member in group.members:
-                    if not member.counterfeit:
-                        state.prev[member.rid] = PrevInfo(
-                            member.sensitive, sig, i)
-            state.release_count = i
+        if indices:
+            schema = self.read_schema()
+            for i in indices:
+                state.apply(self.read_release(i, schema), model)
         return state
 
 
@@ -506,38 +523,10 @@ def load_external_tables(directory: Path | str,
     """Read et_<i>.csv files (columns id,<qi...>) from a directory."""
     directory = Path(directory)
     out = []
-    indices = []
-    for p in directory.glob("et_*.csv"):
-        try:
-            indices.append(int(p.stem.split("_")[1]))
-        except (IndexError, ValueError):
-            continue
-    for i in sorted(indices):
-        path = directory / f"et_{i}.csv"
-        rows = _read_csv(path)
-        expected = ["id", *schema.qi_names]
-        if not rows or rows[0] != expected:
-            raise ValidationError(f"{path} line 1: header must be "
-                                  f"{','.join(expected)}")
-        table: dict[str, tuple] = {}
-        for lineno, row in enumerate(rows[1:], start=2):
-            if len(row) != len(expected):
-                raise ValidationError(f"{path} line {lineno}: expected "
-                                      f"{len(expected)} fields")
-            rid, *qi_raw = row
-            qi = []
-            for attr, text in zip(schema.qi, qi_raw):
-                if attr.kind == "numeric":
-                    try:
-                        qi.append(int(text))
-                    except ValueError:
-                        raise ValidationError(
-                            f"{path} line {lineno}: {attr.name}={text!r} is "
-                            f"not an integer") from None
-                else:
-                    qi.append(text)
-            table[rid] = tuple(qi)
-        out.append(ExternalKnowledgeTable(i, table))
+    for i in _csv_indices(directory, "et"):
+        rows = _read_qi_rows(directory / f"et_{i}.csv", schema)
+        out.append(ExternalKnowledgeTable(
+            i, {rid: qi for _, rid, qi, _ in rows}))
     return out
 
 
@@ -552,32 +541,7 @@ def write_risks(path: Path | str, reports: Sequence[RiskReport]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiment configs
-
-
-def load_experiment_config(path: Path | str) -> tuple[ExperimentConfig, Path]:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: bad JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: top level must be an object")
-    out_dir = Path(data.pop("out_dir", Path(path).parent))
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(data) - known
-    if unknown:
-        raise ValidationError(f"{path}: unknown config keys "
-                              f"{sorted(unknown)}")
-    if "thetas" in data:
-        data["thetas"] = tuple(float(t) for t in data["thetas"])
-    try:
-        config = ExperimentConfig(**data)
-    except TypeError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    return config, out_dir
+# experiment reports
 
 
 def write_report_files(out_dir: Path | str, report: RunReport) -> None:

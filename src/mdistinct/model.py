@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 from .errors import ValidationError
@@ -224,7 +225,7 @@ class QIGroup:
     region: Region
     members: tuple[Member, ...]
 
-    @property
+    @cached_property
     def values(self) -> tuple[str, ...]:
         """The group's candidate sensitive set, counterfeits included."""
         return tuple(m.sensitive for m in self.members)

@@ -179,10 +179,10 @@ def is_legal_update_instance(values: Sequence[str], uss: USS) -> bool:
     return True
 
 
-def _perfect_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int] | None:
-    """Kuhn's algorithm; adj[i] lists right-nodes usable by left-node i.
-    Returns match_left (left index -> right index) or None."""
-    match_right: list[int] = [-1] * n
+def _has_matching(adj: Sequence[Sequence[int]], width: int) -> bool:
+    """Kuhn's algorithm: True iff every left node i can be matched to a
+    distinct right node j < width taken from adj[i]."""
+    match_right = [-1] * width
 
     def try_assign(i: int, seen: list[bool]) -> bool:
         for j in adj[i]:
@@ -193,13 +193,7 @@ def _perfect_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int] | None:
                     return True
         return False
 
-    for i in range(n):
-        if not try_assign(i, [False] * n):
-            return None
-    match_left = [-1] * n
-    for j, i in enumerate(match_right):
-        match_left[i] = j
-    return match_left
+    return all(try_assign(i, [False] * width) for i in range(len(adj)))
 
 
 def implies(a: USS, b: USS) -> bool:
@@ -207,10 +201,9 @@ def implies(a: USS, b: USS) -> bool:
     of a.  Any one-per-entry draw from b is then legal for a as well."""
     if len(a) != len(b):
         return False
-    n = len(a)
     adj = [[j for j, ae in enumerate(a.entries) if be <= ae]
            for be in b.entries]
-    return _perfect_matching(n, adj) is not None
+    return _has_matching(adj, len(a))
 
 
 @dataclass(frozen=True)
@@ -249,32 +242,13 @@ def _greedy_pairing(n: int, a: USS, b: USS,
             taken[j] = True
             rest_adj = [[k for k in adj[r] if not taken[k]]
                         for r in range(i + 1, n)]
-            if not rest_adj or _perfect_matching_rect(rest_adj, n) is not None:
+            if _has_matching(rest_adj, n):
                 pairing.append(j)
                 break
             taken[j] = False
         else:  # pragma: no cover - adj came from a feasible matching
             raise AssertionError("greedy pairing lost feasibility")
     return pairing
-
-
-def _perfect_matching_rect(adj: Sequence[Sequence[int]], width: int) -> list[int] | None:
-    """Matching of all left nodes into right nodes indexed < width."""
-    match_right = [-1] * width
-
-    def try_assign(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] < 0 or try_assign(match_right[j], seen):
-                    match_right[j] = i
-                    return True
-        return False
-
-    for i in range(len(adj)):
-        if not try_assign(i, [False] * width):
-            return None
-    return match_right
 
 
 def intersect(a: USS, b: USS) -> IntersectionPlan | None:
@@ -291,7 +265,7 @@ def intersect(a: USS, b: USS) -> IntersectionPlan | None:
         return IntersectionPlan((), USS(()), Fraction(1))
     adj = [[j for j, be in enumerate(b.entries) if ae & be]
            for ae in a.entries]
-    if _perfect_matching(n, adj) is None:
+    if not _has_matching(adj, n):
         return None
 
     if n <= EXACT_BIJECTION_LIMIT:

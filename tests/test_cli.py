@@ -182,6 +182,29 @@ class TestExitCodes:
         assert "invalidated_total='1.5' is not an integer" in \
             capsys.readouterr().err
 
+    def test_et_value_outside_its_hierarchy_exits_two(self, workdir,
+                                                       capsys):
+        snap = workdir / "cities.csv"
+        write_csv(snap, [["id", "city", "disease"],
+                         ["a", "north", "Flu"], ["b", "north", "Gastritis"],
+                         ["c", "south", "Glaucoma"],
+                         ["d", "south", "Dyspepsia"]])
+        hist = workdir / "cities"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        assert run(workdir, "publish", "--microdata", snap, "--m", "2",
+                   *base) == 0
+        et_dir = workdir / "et"
+        et_dir.mkdir()
+        write_csv(et_dir / "et_1.csv",
+                  [["id", "city"], ["a", "north"], ["c", "atlantis"]])
+        capsys.readouterr()
+        assert run(workdir, "attack", "--et", et_dir, *base) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "et_1.csv line 3: record 'c': city='atlantis' outside " \
+            "domain" in err
+        assert "Traceback" not in err
+
     def test_infeasible_demand_exits_three(self, workdir, capsys):
         # only three pairwise-disjoint update scopes exist in this model,
         # so no group can hold four of them

@@ -369,6 +369,18 @@ class TestVerify:
             f"release 3 group 1: {r.id!r} last appeared in release 1; a "
             f"record may not skip a release" for r in pair]
 
+    def test_flags_a_record_placed_in_two_groups(self, worked_model,
+                                                 disease_schema):
+        release = generalize(disease_schema, 1, [
+            [Record("a", (10, 20), "Flu"), Record("b", (11, 21), "Glaucoma")],
+            [Record("a", (12, 22), "Pneumonia"),
+             Record("c", (13, 23), "Cataract")],
+        ])
+        # the second group is even a legal update instance of the first
+        ok, violations = verify_m_distinct([release], worked_model, 2)
+        assert not ok
+        assert violations == ["release 1: id 'a' appears in two groups"]
+
     def test_defended_sequence_passes(self, release_one, release_two_defended,
                                       worked_model):
         ok, violations = verify_m_distinct(

@@ -4,21 +4,40 @@ from fractions import Fraction
 
 import pytest
 
+from mdistinct.baselines import MInvarianceState, publish_m_invariance
 from mdistinct.engine import EngineState, publish
 from mdistinct.errors import ValidationError
-from mdistinct.evaluation import ExperimentConfig
+from mdistinct.evaluation import ExperimentConfig, load_experiment_config
 from mdistinct.fileio import (HistoryStore, apply_external_updates,
                               infer_schema, initial_population,
-                              load_experiment_config, load_external_tables,
-                              load_microdata, load_update_model,
-                              snapshot_histories, snapshot_tables,
-                              synthesize_internal_updates, synthetic_schema,
-                              widen_schema, write_csv, write_microdata,
-                              write_risks, write_update_model)
+                              load_external_tables, load_microdata,
+                              load_update_model, snapshot_histories,
+                              snapshot_tables, synthesize_internal_updates,
+                              synthetic_schema, widen_schema, write_csv,
+                              write_microdata, write_risks,
+                              write_update_model)
 from mdistinct.model import Record
 from mdistinct.sug import RiskReport
 
 F = Fraction
+
+
+def _publish_m_distinct(records, state, model, schema):
+    return publish(records, state, model, schema, seed=3)
+
+
+def _publish_m_invariance(records, state, model, schema):
+    release, state, _ = publish_m_invariance(records, state, schema, model,
+                                             seed=3)
+    return release, state
+
+
+# publisher kind -> (fresh state, one live publish, the per-record state)
+REPLAY_CASES = {
+    "m_distinct": (lambda: EngineState(m=2), _publish_m_distinct, "prev"),
+    "m_invariance": (lambda: MInvarianceState(2), _publish_m_invariance,
+                     "signatures"),
+}
 
 
 class TestMicrodata:
@@ -220,20 +239,23 @@ class TestHistoryStore:
         assert tables[0].release_index == 1
         assert tables[0].rows["Ken"] == (14, 20)
 
-    def test_replay_state_matches_live_state(self, tmp_path, t1_records,
-                                             t2_records, worked_model,
-                                             disease_schema):
-        state = EngineState(m=2)
+    @pytest.mark.parametrize("kind", sorted(REPLAY_CASES))
+    def test_replay_state_matches_live_state(self, kind, tmp_path,
+                                             t1_records, t2_records,
+                                             worked_model, disease_schema):
+        fresh, publish_one, per_record = REPLAY_CASES[kind]
+        state = fresh()
         store = HistoryStore(tmp_path / "h")
         store.path.mkdir()
         store.write_schema(disease_schema)
         for snap in (t1_records, t2_records):
-            release, state = publish(snap, state, worked_model,
-                                     disease_schema, seed=3)
+            release, state = publish_one(snap, state, worked_model,
+                                         disease_schema)
             store.write_release(release, disease_schema)
-        replayed = store.replay_state(worked_model, 2, "m_distinct")
-        assert replayed.release_count == state.release_count
-        assert replayed.prev == state.prev
+        replayed = store.replay_state(fresh(), worked_model)
+        assert replayed.release_count == state.release_count == 2
+        assert getattr(replayed, per_record) == getattr(state, per_record)
+        assert getattr(replayed, per_record)
 
     def test_lock_is_exclusive_and_released(self, tmp_path):
         store = HistoryStore(tmp_path / "h")
