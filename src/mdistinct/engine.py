@@ -15,6 +15,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InfeasibilityError, ValidationError
@@ -51,30 +52,59 @@ def _span_extent(attr: AttributeSchema, lo: int, hi: int) -> int:
     return attr.hierarchy.leafcount(attr.hierarchy.covering_node(lo, hi))
 
 
+class _ExtentMemo(dict):
+    """(attr position, lo, hi) -> `_span_extent`, each computed once."""
+
+    def __init__(self, qi: Sequence[AttributeSchema]):
+        super().__init__()
+        self.qi = qi
+
+    def __missing__(self, key: tuple[int, int, int]) -> int:
+        j, lo, hi = key
+        out = self[key] = _span_extent(self.qi[j], lo, hi)
+        return out
+
+
+def _point(qi: Sequence[AttributeSchema], rec: Record) -> tuple[int, ...]:
+    """A record's QI values as indices in each attribute's total order."""
+    return tuple(attr.to_index(v) for attr, v in zip(qi, rec.qi))
+
+
 # ---------------------------------------------------------------------------
 # buckets
 
 
 @dataclass
 class Bucket:
-    """A signature bucket: one entry (record list) per CUS of the signature."""
+    """A signature bucket: one entry (record list) per CUS of the signature.
+
+    `add` keeps the state phase 2 scores against up to date: the size, the
+    largest sensitive-value frequency and entry size, and each attribute's
+    span of member QI indices with its extent and the extents' product.
+    """
 
     signature: USS
     origin: str  # "signature" | "intersection"
     entries: list[list[Record]] = field(init=False)
     counterfeits: list[int] = field(init=False)
     freq: Counter = field(init=False)
-    _span: list[tuple[int, int] | None] = field(init=False)
+    size: int = field(init=False)
+    extent_product: int = field(init=False)  # 1 while empty
+    _f_max: int = field(init=False)
+    _largest: int = field(init=False)
+    _lo: list[int] = field(init=False)
+    _hi: list[int] = field(init=False)
+    _ext: list[int] = field(init=False)
 
     def __post_init__(self):
         self.entries = [[] for _ in self.signature.entries]
         self.counterfeits = [0] * len(self.signature.entries)
         self.freq = Counter()
-        self._span = []
-
-    @property
-    def size(self) -> int:
-        return sum(len(e) for e in self.entries)
+        self.size = 0
+        self.extent_product = 1
+        self._f_max = 0
+        self._largest = 0
+        self._lo, self._hi, self._ext = [], [], []
 
     def covers(self, value: str) -> bool:
         return self.signature.covers(value)
@@ -92,38 +122,51 @@ class Bucket:
         return True
 
     def delta(self) -> int:
-        f_max = max(self.freq.values(), default=0)
-        sizes = max((len(e) for e in self.entries), default=0)
-        return max(f_max, sizes)
+        return max(self._f_max, self._largest)
 
-    def extent_product(self, schema: TableSchema) -> int:
+    def extent_product_with(self, point: Sequence[int],
+                            extent: _ExtentMemo) -> int:
+        """The extent product once a record at `point` joins; 1 while the
+        bucket is empty (nothing to grow)."""
+        if not self.size:
+            return 1
         out = 1
-        for attr, span in zip(schema.qi, self._span):
-            lo, hi = span
-            out *= _span_extent(attr, lo, hi)
-        return out
-
-    def extent_product_with(self, schema: TableSchema, rec: Record) -> int:
-        out = 1
-        for j, attr in enumerate(schema.qi):
-            idx = attr.to_index(rec.qi[j])
-            if self._span:
-                lo, hi = self._span[j]
-                lo, hi = min(lo, idx), max(hi, idx)
+        for j, i in enumerate(point):
+            lo, hi = self._lo[j], self._hi[j]
+            if i < lo:
+                out *= extent[(j, i, hi)]
+            elif i > hi:
+                out *= extent[(j, lo, i)]
             else:
-                lo = hi = idx
-            out *= _span_extent(attr, lo, hi)
+                out *= self._ext[j]
         return out
 
     def add(self, rec: Record, entry_index: int, schema: TableSchema) -> None:
-        self.entries[entry_index].append(rec)
-        self.freq[rec.sensitive] += 1
-        idx = [attr.to_index(v) for attr, v in zip(schema.qi, rec.qi)]
-        if not self._span:
-            self._span = [(i, i) for i in idx]
+        self._place(rec, entry_index, _point(schema.qi, rec),
+                    _ExtentMemo(schema.qi))
+
+    def _place(self, rec: Record, entry_index: int, point: Sequence[int],
+               extent: _ExtentMemo) -> None:
+        entry = self.entries[entry_index]
+        entry.append(rec)
+        self._largest = max(self._largest, len(entry))
+        f = self.freq[rec.sensitive] = self.freq[rec.sensitive] + 1
+        self._f_max = max(self._f_max, f)
+        if not self.size:
+            self._lo, self._hi = list(point), list(point)
+            self._ext = [extent[(j, i, i)] for j, i in enumerate(point)]
         else:
-            self._span = [(min(lo, i), max(hi, i))
-                          for (lo, hi), i in zip(self._span, idx)]
+            lo, hi, ext = self._lo, self._hi, self._ext
+            for j, i in enumerate(point):
+                if i < lo[j]:
+                    lo[j] = i
+                elif i > hi[j]:
+                    hi[j] = i
+                else:
+                    continue
+                ext[j] = extent[(j, lo[j], hi[j])]
+        self.size += 1
+        self.extent_product = prod(self._ext)
 
 
 def phase1_create_buckets(prev_signatures: Sequence[USS]) -> list[Bucket]:
@@ -180,13 +223,15 @@ class EngineState:
         self.release_count = release.release_index
 
 
-def _eligible_buckets(rec: Record, prev: PrevInfo | None,
+def _eligible_buckets(prev: PrevInfo | None, covering: Sequence[int],
                       buckets: Sequence[Bucket], star: bool,
                       implies_cache: dict[tuple, bool]) -> list[int]:
+    """The buckets among `covering`, those whose signature covers the
+    record's value, that the record may join given its previous
+    publication."""
     out = []
-    for b, bucket in enumerate(buckets):
-        if not bucket.covers(rec.sensitive):
-            continue
+    for b in covering:
+        bucket = buckets[b]
         if prev is not None:
             key = (prev.signature.key, b)
             ok = implies_cache.get(key)
@@ -204,7 +249,9 @@ def _eligible_buckets(rec: Record, prev: PrevInfo | None,
 def cnt_buc(rec: Record, buckets: Sequence[Bucket],
             prev: PrevInfo | None = None, star: bool = False) -> int:
     """Number of buckets the record can be assigned to."""
-    return len(_eligible_buckets(rec, prev, buckets, star, {}))
+    covering = [b for b, bucket in enumerate(buckets)
+                if bucket.covers(rec.sensitive)]
+    return len(_eligible_buckets(prev, covering, buckets, star, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -217,26 +264,35 @@ class AssignmentScore:
     lam: Fraction       # area after / area before, >= 1
     value: Fraction     # 1/lam or -lam
 
-    @classmethod
-    def build(cls, epsilon: int, lam: Fraction) -> "AssignmentScore":
-        return cls(epsilon, lam, 1 / lam if epsilon == 1 else -lam)
+
+def _epsilon(bucket: Bucket, entry_index: int, value: str) -> int:
+    """-1 when the record's value frequency or its entry's size already
+    equals delta, so padding grows; +1 otherwise, and in an empty bucket,
+    where there is nothing to conflict with."""
+    if not bucket.size:
+        return 1
+    delta = bucket.delta()
+    if bucket.freq[value] == delta or len(bucket.entries[entry_index]) == delta:
+        return -1
+    return 1
+
+
+def _score(epsilon: int, before: int, after: int) -> tuple[int, int]:
+    """The score 1/lam (epsilon +1) or -lam (epsilon -1), lam = after /
+    before, as (numerator, positive denominator)."""
+    return (before, after) if epsilon == 1 else (-after, before)
 
 
 def assignment_score(rec: Record, bucket: Bucket, entry_index: int,
                      schema: TableSchema) -> AssignmentScore:
     if rec.sensitive not in bucket.signature.entries[entry_index]:
         raise ValidationError("record's value not in the entry's CUS")
-    if bucket.size == 0:
-        # Nothing to conflict with and no area to grow.
-        return AssignmentScore.build(1, Fraction(1))
-    delta = bucket.delta()
-    eps = 1
-    if bucket.freq[rec.sensitive] == delta \
-            or len(bucket.entries[entry_index]) == delta:
-        eps = -1
-    lam = Fraction(bucket.extent_product_with(schema, rec),
-                   bucket.extent_product(schema))
-    return AssignmentScore.build(eps, lam)
+    eps = _epsilon(bucket, entry_index, rec.sensitive)
+    before = bucket.extent_product
+    after = bucket.extent_product_with(_point(schema.qi, rec),
+                                       _ExtentMemo(schema.qi))
+    return AssignmentScore(eps, Fraction(after, before),
+                           Fraction(*_score(eps, before, after)))
 
 
 def phase2_assign(records: Sequence[Record],
@@ -249,45 +305,61 @@ def phase2_assign(records: Sequence[Record],
     Returns the leftover pool (CNT_buc = 0, necessarily first-timers) for
     the static partitioner.  A returning record with no bucket means the
     microdata contradicts the update model, which is an input error.
+
+    Eligibility depends only on the previous signature and the value, so
+    each such pair's bucket list is found once, among the buckets that
+    cover the value.  In one bucket lam does not depend on the entry and a
+    larger epsilon always scores higher (1/lam > 0 > -lam), so the best
+    entry has the largest epsilon, then the fewest records.  Scores are
+    compared as integer pairs by cross-multiplication.
     """
+    covering: dict[str, list[int]] = {}
+    for b, bucket in enumerate(buckets):
+        for value in set().union(*bucket.signature.entries):
+            covering.setdefault(value, []).append(b)
     implies_cache: dict[tuple, bool] = {}
-    eligible: dict[str, list[int]] = {}
+    options_for: dict[tuple, list[tuple[int, list[int]]]] = {}
     pool: list[Record] = []
-    assignable: list[tuple[int, str, Record]] = []
+    assignable: list[tuple[int, str, Record, list, tuple[int, ...]]] = []
     for rec in records:
         prev = prev_of.get(rec.id)
-        buckets_for = _eligible_buckets(rec, prev, buckets, star, implies_cache)
-        if not buckets_for:
+        key = (None if prev is None else prev.signature.key, rec.sensitive)
+        options = options_for.get(key)
+        if options is None:
+            options = options_for[key] = [
+                (b, buckets[b].eligible_entries(rec.sensitive))
+                for b in _eligible_buckets(
+                    prev, covering.get(rec.sensitive, ()), buckets, star,
+                    implies_cache)]
+        if not options:
             if prev is not None:
                 raise ValidationError(
                     f"returning record {rec.id!r} fits no bucket; its update "
                     f"{prev.value!r} -> {rec.sensitive!r} contradicts the model")
             pool.append(rec)
             continue
-        eligible[rec.id] = buckets_for
-        assignable.append((len(buckets_for), rec.id, rec))
+        assignable.append((len(options), rec.id, rec, options,
+                           _point(schema.qi, rec)))
     assignable.sort(key=lambda t: (t[0], t[1]))
 
-    for _, _, rec in assignable:
-        best_score: Fraction | None = None
-        best: tuple[int, int] | None = None  # (bucket, entry)
-        for b in eligible[rec.id]:
+    extent = _ExtentMemo(schema.qi)
+    for _, _, rec, options, point in assignable:
+        value = rec.sensitive
+        best_num, best_den, best = 0, 0, None  # best: (bucket, entry)
+        for b, entry_ids in options:
             bucket = buckets[b]
-            buc_score: Fraction | None = None
-            buc_entry: int | None = None
-            for i in bucket.eligible_entries(rec.sensitive):
-                s = assignment_score(rec, bucket, i, schema).value
-                if buc_score is None or s > buc_score:
-                    buc_score, buc_entry = s, i
-                elif s == buc_score and (len(bucket.entries[i])
-                                         < len(bucket.entries[buc_entry])):
-                    buc_entry = i
-            if buc_score is not None and (best_score is None
-                                          or buc_score > best_score):
-                best_score = buc_score
-                best = (b, buc_entry)
-        assert best is not None
-        buckets[best[0]].add(rec, best[1], schema)
+            entries = bucket.entries
+            eps = entry = None
+            for i in entry_ids:
+                e = _epsilon(bucket, i, value)
+                if entry is None or e > eps or (
+                        e == eps and len(entries[i]) < len(entries[entry])):
+                    eps, entry = e, i
+            num, den = _score(eps, bucket.extent_product,
+                              bucket.extent_product_with(point, extent))
+            if best is None or num * best_den > best_num * den:
+                best_num, best_den, best = num, den, (b, entry)
+        buckets[best[0]]._place(rec, best[1], point, extent)
     return pool
 
 
@@ -385,22 +457,27 @@ def _pick_sequence(entry_at: Sequence[int], value_at: Sequence[int], k: int,
     return picks
 
 
+def _side_numerator(extents: Sequence[int], cof: Sequence[int]) -> int:
+    """sum_j extent_j / parent_extent_j scaled by prod(parent extents),
+    with cof[j] = prod(parent extents) // parent_extent_j."""
+    return sum(x * c for x, c in zip(extents, cof))
+
+
 def split_score(schema: TableSchema,
                 parent_extents: Sequence[int],
                 side_a: tuple[int, Sequence[tuple[int, int]]],
                 side_b: tuple[int, Sequence[tuple[int, int]]]) -> Fraction:
     """sum over children of |child| * sum_j extent(child, j) / extent(parent, j),
     with |child| counting real records."""
-    total = Fraction(0)
+    denom = prod(parent_extents)
+    cof = [denom // e for e in parent_extents]
+    num = 0
     for n, spans in (side_a, side_b):
         if n == 0:
             raise ValidationError("empty split child")
-        part = Fraction(0)
-        for j, attr in enumerate(schema.qi):
-            lo, hi = spans[j]
-            part += Fraction(_span_extent(attr, lo, hi), parent_extents[j])
-        total += n * part
-    return total
+        num += n * _side_numerator([_span_extent(attr, lo, hi) for attr, (lo, hi)
+                                    in zip(schema.qi, spans)], cof)
+    return Fraction(num, denom)
 
 
 def _emit_group(cells: Sequence[_Cell], cus_list: Sequence[frozenset[str]],
@@ -549,19 +626,12 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
     n_values = len(value_ids)
     reals = [i for i, c in enumerate(cells) if c.record is not None]
     fakes = [i for i, c in enumerate(cells) if c.record is None]
-    point = [() if c.record is None
-             else tuple(attr.to_index(v) for attr, v in zip(qi, c.record.qi))
+    point = [() if c.record is None else _point(qi, c.record)
              for c in cells]
     root = [sorted(reals, key=lambda i: (point[i][j], cells[i].record.id))
             + fakes for j in range(n_attr)]
 
-    # (attr, lo, hi) -> extent; extents are >= 1, so a miss reads falsy
-    memo: dict[tuple[int, int, int], int] = {}
-
-    def extent(j: int, lo: int, hi: int) -> int:
-        out = memo[(j, lo, hi)] = _span_extent(qi[j], lo, hi)
-        return out
-
+    extent = _ExtentMemo(qi)
     mark = [0] * len(cells)
     stamp = 0
     out: list[list[Record | CounterfeitMember]] = []
@@ -579,7 +649,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
         parent_extents = []
         for j, o in enumerate(orders):
             lo, hi = point[o[0]][j], point[o[n_real - 1]][j]
-            parent_extents.append(memo.get((j, lo, hi)) or extent(j, lo, hi))
+            parent_extents.append(extent[(j, lo, hi)])
         freq = [0] * n_values
         for c in first[:n_real]:
             freq[value_of[c]] += 1
@@ -588,9 +658,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
             hist[f] += 1
         # candidate scores share the denominator prod(parent_extents), so
         # they compare exactly as integer numerators (split_score * denom)
-        denom = 1
-        for e in parent_extents:
-            denom *= e
+        denom = prod(parent_extents)
         cof = [denom // e for e in parent_extents]
 
         best = None  # (score, delta_a, picks)
@@ -645,7 +713,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                 # F_max(A) <= delta_a holds by construction (distinct per pick)
                 for j in moved:
                     lo, hi = a_lo[j], a_hi[j]
-                    x = memo.get((j, lo, hi)) or extent(j, lo, hi)
+                    x = extent[(j, lo, hi)]
                     a_num += (x - a_ext[j]) * cof[j]
                     a_ext[j] = x
                 moved.clear()
@@ -661,7 +729,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                     lo_ptr[j] = lo
                     hi_ptr[j] = hi
                     lo, hi = point[o[lo]][j], point[o[hi]][j]
-                    x = memo.get((j, lo, hi)) or extent(j, lo, hi)
+                    x = extent[(j, lo, hi)]
                     b_num += (x - b_ext[j]) * cof[j]
                     b_ext[j] = x
                 score = a_reals * a_num + b_reals * b_num
@@ -751,109 +819,120 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
     rarest-value-first into floor(N/m) groups.  An ineligible root pool
     falls back to a counterfeit-padded deal.  In star mode the distinctness
     unit is the whole CUS, making group CUS's pairwise disjoint.
+
+    Records are sorted by (index, id) along each attribute once, and a
+    child's orders are its parent's filtered.  Every cut of one node shares
+    split_score's denominator, the product of the node's extents, so cuts
+    are ranked by integer numerators.
     """
     if not records:
         return []
-
-    def eligible(recs: Sequence[Record]) -> bool:
-        if len(recs) < m:
-            return False
-        freq = Counter(_color_key(r, model, star) for r in recs)
-        return max(freq.values()) <= len(recs) // m
-
     out: list[list[Record | CounterfeitMember]] = []
-
-    def check_star(group: Sequence[Record | CounterfeitMember]) -> None:
-        # distinct CUS keys do not guarantee disjointness when one CUS nests
-        # inside another, so verify before publishing
-        sets = [model.cus_of(x.sensitive) for x in group]
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if sets[i] & sets[j]:
-                    raise InfeasibilityError(
-                        "static partition cannot keep group CUS pairwise "
-                        "disjoint under this update model")
-
-    def emit_leaf(recs: list[Record]) -> None:
-        for group in _deal(recs, max(len(recs) // m, 1), model, star):
-            if star:
-                check_star(group)
-            out.append(list(group))
-
-    def recurse(recs: list[Record]) -> None:
-        n = len(recs)
-        best = None  # (score, attr_pos, cut, ordered)
-        for attr_pos, attr in enumerate(schema.qi):
-            ordered = sorted(recs, key=lambda r: (attr.to_index(r.qi[attr_pos]),
-                                                  r.id))
-            # prefix/suffix spans for all attributes along this order
-            spans_fwd: list[list[tuple[int, int]]] = []
-            spans_bwd: list[list[tuple[int, int]]] = []
-            cur: list[tuple[int, int] | None] = [None] * len(schema.qi)
-            for rec in ordered:
-                cur = [_grow(span, a.to_index(rec.qi[j]))
-                       for j, (span, a) in enumerate(zip(cur, schema.qi))]
-                spans_fwd.append(list(cur))
-            cur = [None] * len(schema.qi)
-            for rec in reversed(ordered):
-                cur = [_grow(span, a.to_index(rec.qi[j]))
-                       for j, (span, a) in enumerate(zip(cur, schema.qi))]
-                spans_bwd.append(list(cur))
-            spans_bwd.reverse()
-            freq_fwd: Counter = Counter()
-            fmax_fwd = []
-            running = 0
-            for rec in ordered:
-                c = _color_key(rec, model, star)
-                freq_fwd[c] += 1
-                running = max(running, freq_fwd[c])
-                fmax_fwd.append(running)
-            freq_bwd: Counter = Counter()
-            fmax_bwd = [0] * (n + 1)
-            running = 0
-            for i in range(n - 1, -1, -1):
-                c = _color_key(ordered[i], model, star)
-                freq_bwd[c] += 1
-                running = max(running, freq_bwd[c])
-                fmax_bwd[i] = running
-            parent = [_span_extent(a, *spans_fwd[-1][j])
-                      for j, a in enumerate(schema.qi)]
-            for cut in range(m, n - m + 1, m):
-                if fmax_fwd[cut - 1] > cut // m:
-                    continue
-                if fmax_bwd[cut] > (n - cut) // m:
-                    continue
-                score = split_score(schema, parent,
-                                    (cut, spans_fwd[cut - 1]),
-                                    (n - cut, spans_bwd[cut]))
-                cand = (score, attr_pos, cut)
-                if best is None or cand < (best[0], best[1], best[2]):
-                    best = (score, attr_pos, cut, ordered)
-        if best is None:
-            emit_leaf(sorted(recs, key=lambda r: r.id))
-            return
-        _, _, cut, ordered = best
-        recurse(ordered[:cut])
-        recurse(ordered[cut:])
-
     pool = sorted(records, key=lambda r: r.id)
-    if eligible(pool):
-        recurse(pool)
+    keys = [_color_key(r, model, star) for r in pool]
+    f_root = max(Counter(keys).values())
+    if len(pool) < m or f_root > len(pool) // m:
+        # not m-eligible: deal into max-frequency many groups, pad with
+        # counterfeits
+        for group in _deal(pool, f_root, model, star):
+            if star:
+                _check_star(group, model)
+            out.append(_pad_group(list(group), m, model, star, rng))
         return out
-    # not m-eligible: deal into max-frequency many groups, pad with counterfeits
-    freq = Counter(_color_key(r, model, star) for r in pool)
-    n_groups = max(max(freq.values(), default=1), 1)
-    for group in _deal(pool, n_groups, model, star):
-        if star:
-            check_star(group)
-        out.append(_pad_group(list(group), m, model, star, rng))
+
+    qi = schema.qi
+    n_attr = len(qi)
+    color_ids: dict = {}
+    color = [color_ids.setdefault(key, len(color_ids)) for key in keys]
+    point = [_point(qi, rec) for rec in pool]
+    extent = _ExtentMemo(qi)
+    mark = [0] * len(pool)
+    stamp = 0
+
+    def side_numerators(order: list[int], cof: list[int], forward: bool,
+                        ) -> dict[int, int]:
+        """cut -> numerator of the side before (forward) or after the cut,
+        for every cut at a multiple of m that leaves that side m-eligible."""
+        n = len(order)
+        lo = [sys.maxsize] * n_attr
+        hi = [-1] * n_attr
+        freq = [0] * len(color_ids)
+        f_max = 0
+        found = {}
+        for size, p in enumerate(range(n - 1) if forward
+                                 else range(n - 1, 0, -1), start=1):
+            r = order[p]
+            for j, i in enumerate(point[r]):
+                if i < lo[j]:
+                    lo[j] = i
+                if i > hi[j]:
+                    hi[j] = i
+            c = color[r]
+            freq[c] += 1
+            if freq[c] > f_max:
+                f_max = freq[c]
+            cut = size if forward else n - size
+            # a side of fewer than m records fails the frequency test
+            if cut % m or f_max > size // m:
+                continue
+            found[cut] = _side_numerator(
+                [extent[(j, lo[j], hi[j])] for j in range(n_attr)], cof)
+        return found
+
+    def recurse(members: list[int], orders: list[list[int]]) -> None:
+        nonlocal stamp
+        n = len(members)
+        best = None  # (numerator, attr_pos, cut)
+        if n >= 2 * m:
+            parent = [extent[(j, point[o[0]][j], point[o[-1]][j])]
+                      for j, o in enumerate(orders)]
+            denom = prod(parent)
+            cof = [denom // e for e in parent]
+            for attr_pos, order in enumerate(orders):
+                after = side_numerators(order, cof, forward=False)
+                before = side_numerators(order, cof, forward=True)
+                for cut, a_num in before.items():
+                    if cut not in after:
+                        continue
+                    score = cut * a_num + (n - cut) * after[cut]
+                    # candidates come in increasing (attr_pos, cut), so only
+                    # a strictly lower score wins the (score, attr_pos, cut)
+                    # order
+                    if best is None or score < best[0]:
+                        best = (score, attr_pos, cut)
+        if best is None:
+            for group in _deal([pool[i] for i in members], max(n // m, 1),
+                               model, star):
+                if star:
+                    _check_star(group, model)
+                out.append(list(group))
+            return
+        _, attr_pos, cut = best
+        stamp += 1
+        for i in orders[attr_pos][:cut]:
+            mark[i] = stamp
+        child_a = [[i for i in o if mark[i] == stamp] for o in orders]
+        child_b = [[i for i in o if mark[i] != stamp] for o in orders]
+        recurse(child_a[attr_pos], child_a)
+        recurse(child_b[attr_pos], child_b)
+
+    everyone = list(range(len(pool)))
+    recurse(everyone, [sorted(everyone, key=lambda i: (point[i][j], i))
+                       for j in range(n_attr)])
     return out
 
 
-def _grow(span: tuple[int, int] | None, idx: int) -> tuple[int, int]:
-    if span is None:
-        return (idx, idx)
-    return (min(span[0], idx), max(span[1], idx))
+def _check_star(group: Sequence[Record | CounterfeitMember],
+                model: UpdateModel) -> None:
+    # distinct CUS keys do not guarantee disjointness when one CUS nests
+    # inside another, so verify before publishing
+    sets = [model.cus_of(x.sensitive) for x in group]
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if sets[i] & sets[j]:
+                raise InfeasibilityError(
+                    "static partition cannot keep group CUS pairwise "
+                    "disjoint under this update model")
 
 
 # ---------------------------------------------------------------------------

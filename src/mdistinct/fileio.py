@@ -20,6 +20,7 @@ import csv
 import json
 import os
 import random
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -76,13 +77,14 @@ def _read_csv(path: Path | str) -> list[list[str]]:
 
 
 def _csv_indices(directory: Path, prefix: str) -> list[int]:
-    """The sorted i of every <prefix>_<i>.csv in a directory."""
+    """The sorted i of every <prefix>_<i>.csv in a directory, i written in
+    decimal without leading zeros; a stray copy such as <prefix>_1_old.csv
+    or <prefix>_01.csv is not a second file number 1."""
     out = []
     for p in directory.glob(f"{prefix}_*.csv"):
-        try:
-            out.append(int(p.stem.split("_")[1]))
-        except (IndexError, ValueError):
-            continue
+        i = p.stem[len(prefix) + 1:]
+        if re.fullmatch(r"0|[1-9][0-9]*", i):
+            out.append(int(i))
     return sorted(out)
 
 

@@ -314,6 +314,68 @@ class TestGappedHistories:
         assert "'r2' last appeared in release 1" in err
 
 
+class TestStrayFiles:
+    """Only <prefix>_<i>.csv, i in decimal without leading zeros, is a
+    release or an external table: a copy saved beside one is not a second
+    file number 1."""
+
+    @pytest.fixture
+    def one_release(self, workdir):
+        hist = workdir / "hist"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        assert run(workdir, "publish", "--microdata", workdir / "t1.csv",
+                   "--m", "2", "--seed", "3", *base) == 0
+        return hist, base
+
+    @pytest.mark.parametrize("name", ["release_1_old.csv", "release_01.csv"])
+    def test_verify_ignores_a_release_copy(self, workdir, one_release,
+                                           capsys, name):
+        hist, base = one_release
+        shutil.copy(hist / "release_1.csv", hist / name)
+        capsys.readouterr()
+        assert run(workdir, "verify", "--m", "2", *base) == 0
+        assert "OK: 1 releases satisfy 2-distinct" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["release_1_old.csv", "release_01.csv"])
+    def test_publish_replays_each_release_once(self, workdir, one_release,
+                                               monkeypatch, name):
+        hist, base = one_release
+        shutil.copy(hist / "release_1.csv", hist / name)
+        read = []
+        original = HistoryStore.read_release
+
+        def counting(self, index, schema):
+            read.append(index)
+            return original(self, index, schema)
+
+        monkeypatch.setattr(HistoryStore, "read_release", counting)
+        assert run(workdir, "publish", "--microdata", workdir / "t2.csv",
+                   "--m", "2", "--seed", "3", *base) == 0
+        assert read == [1]
+        assert HistoryStore(hist).release_indices() == [1, 2]
+
+    def test_attack_reads_each_external_table_once(self, workdir,
+                                                   one_release, monkeypatch,
+                                                   capsys):
+        hist, base = one_release
+        et_dir = workdir / "et"
+        et_dir.mkdir()
+        write_csv(et_dir / "et_1.csv",
+                  [["id", "salary", "age"], ["Ken", "14", "20"]])
+        write_csv(et_dir / "et_1_old.csv",
+                  [["id", "salary", "age"], ["Ken", "39", "39"]])
+        parsed = []
+        parse = fileio._read_qi_rows
+
+        def counting(path, schema, tail=()):
+            parsed.append(path.name)
+            return parse(path, schema, tail)
+
+        monkeypatch.setattr(fileio, "_read_qi_rows", counting)
+        assert run(workdir, "attack", "--et", et_dir, *base) == 0
+        assert sorted(parsed) == ["et_1.csv", "microdata_1.csv"]
+
+
 class TestBaselineCommands:
     def test_ldiv_publishes_numbered_releases(self, workdir, capsys):
         hist = workdir / "ldiv"

@@ -1,17 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdistinct.engine import (AssignmentScore, Bucket, EngineState, PrevInfo,
-                              assignment_score, balance_counterfeits, cnt_buc,
+                              _span_extent, assignment_score, balance_counterfeits, cnt_buc,
                               phase1_create_buckets, phase2_assign,
                               phase3_split, publish, split_score,
                               static_partition, verify_m_distinct)
 from mdistinct.errors import InfeasibilityError, ValidationError
-from mdistinct.model import (AttributeSchema, CounterfeitMember, Record,
-                             TableSchema, generalize)
+from mdistinct.model import (AttributeSchema, CounterfeitMember, Hierarchy,
+                             Record, TableSchema, generalize)
 from mdistinct.updates import USS, implies, uss_of
 from mdistinct.baselines import count_vulnerable
 from mdistinct.sug import attack_release_sequence
@@ -78,6 +79,48 @@ class TestCntBuc:
 def small_schema():
     return TableSchema((AttributeSchema.numeric("x", 0, 9),), "s",
                        ("a", "b", "c", "d", "e"))
+
+
+def _recount(bucket, schema):
+    """(size, delta, extent product) of a bucket, from its members."""
+    members = [r for entry in bucket.entries for r in entry]
+    freq = Counter(r.sensitive for r in members)
+    delta = max(max(freq.values(), default=0),
+                max(len(e) for e in bucket.entries))
+    product = 1
+    if members:
+        for j, attr in enumerate(schema.qi):
+            idx = [attr.to_index(r.qi[j]) for r in members]
+            product *= _span_extent(attr, min(idx), max(idx))
+    return len(members), delta, product
+
+
+STATE_SCHEMA = TableSchema(
+    (AttributeSchema.numeric("x", 0, 9),
+     AttributeSchema.categorical("c", Hierarchy("any", {
+         "p": ["a", "b"], "q": {"r": ["c", "d"], "e": None}}))),
+    "s", ("a", "b", "c", "d"))
+
+
+class TestBucketState:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 9),
+                              st.sampled_from("abcde"),
+                              st.sampled_from("abcd")), max_size=12))
+    def test_running_state_matches_a_recount(self, adds):
+        """After every add, the size, delta() and extent product kept by
+        `add` equal a recount from the members."""
+        cus = [{"a", "b"}, {"b", "c"}, {"a", "b", "c", "d"}]
+        bucket = Bucket(sig_of(*cus), "signature")
+        entry_cus = bucket.signature.entries
+        assert (bucket.size, bucket.delta(), bucket.extent_product) \
+            == (0, 0, 1)
+        for n, (entry, x, c, value) in enumerate(adds):
+            if value not in entry_cus[entry]:
+                value = min(entry_cus[entry])
+            bucket.add(Record(f"r{n}", (x, c), value), entry, STATE_SCHEMA)
+            assert (bucket.size, bucket.delta(), bucket.extent_product) \
+                == _recount(bucket, STATE_SCHEMA)
 
 
 class TestAssignmentScore:
