@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage, 2 validation failure, 3 infeasible
-(including inconsistent histories), 4 enumeration cap exceeded.
+(including inconsistent histories).
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from pathlib import Path
 from .baselines import (MInvarianceState, count_vulnerable,
                         publish_l_diversity, publish_m_invariance)
 from .engine import EngineState, publish, verify_m_distinct
-from .errors import (CapExceededError, InfeasibilityError, MDistinctError,
-                     ValidationError)
+from .errors import InfeasibilityError, MDistinctError, ValidationError
 from .evaluation import load_experiment_config, run_experiment
 from .fileio import (HistoryStore, load_external_tables, load_microdata,
                      load_update_model, infer_schema, snapshot_histories,
@@ -27,7 +26,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
-EXIT_CAP = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,13 +147,19 @@ def cmd_publish(args) -> int:
     return EXIT_OK
 
 
-def cmd_attack(args) -> int:
+def _read_history(args) -> tuple:
+    """The model, store, schema and releases an audit command reads."""
     model = load_update_model(args.model)
     store = HistoryStore(args.history)
     schema = store.read_schema()
     releases = store.read_releases(schema)
     if not releases:
         raise ValidationError(f"history {store.path} has no releases")
+    return model, store, schema, releases
+
+
+def cmd_attack(args) -> int:
+    model, store, schema, releases = _read_history(args)
     snapshots = store.snapshots(schema)
     histories = snapshot_histories(snapshots)
     if args.et is not None:
@@ -174,12 +178,7 @@ def cmd_attack(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_m(args.m)
-    model = load_update_model(args.model)
-    store = HistoryStore(args.history)
-    schema = store.read_schema()
-    releases = store.read_releases(schema)
-    if not releases:
-        raise ValidationError(f"history {store.path} has no releases")
+    model, _, _, releases = _read_history(args)
     ok, violations = verify_m_distinct(releases, model, args.m,
                                        star=args.star)
     if ok:
@@ -256,17 +255,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapExceededError as exc:
+    except MDistinctError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except InfeasibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MDistinctError as exc:  # pragma: no cover - base-class safety net
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, InfeasibilityError):
+            return EXIT_INFEASIBLE
         return EXIT_VALIDATION
 
 

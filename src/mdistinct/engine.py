@@ -14,26 +14,22 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import prod
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InfeasibilityError, ValidationError
 from .model import (AttributeSchema, CounterfeitMember, PublishedRelease,
                     Record, TableSchema, generalize)
-from .updates import USS, UpdateModel, implies, intersect, is_legal_update_instance, uss_of
+from .updates import (USS, UpdateModel, implies, intersect,
+                      is_legal_update_instance, pairwise_disjoint, uss_of)
 
 __all__ = [
     "Bucket",
-    "AssignmentScore",
     "EngineState",
     "PrevInfo",
     "phase1_create_buckets",
-    "cnt_buc",
-    "assignment_score",
     "phase2_assign",
     "balance_counterfeits",
-    "split_score",
     "phase3_split",
     "static_partition",
     "publish",
@@ -106,20 +102,9 @@ class Bucket:
         self._largest = 0
         self._lo, self._hi, self._ext = [], [], []
 
-    def covers(self, value: str) -> bool:
-        return self.signature.covers(value)
-
     def eligible_entries(self, value: str) -> list[int]:
         return [i for i, cus in enumerate(self.signature.entries)
                 if value in cus]
-
-    def pairwise_disjoint(self) -> bool:
-        sets = self.signature.entries
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if sets[i] & sets[j]:
-                    return False
-        return True
 
     def delta(self) -> int:
         return max(self._f_max, self._largest)
@@ -240,29 +225,14 @@ def _eligible_buckets(prev: PrevInfo | None, covering: Sequence[int],
                 implies_cache[key] = ok
             if not ok:
                 continue
-        elif star and not bucket.pairwise_disjoint():
+        elif star and not pairwise_disjoint(bucket.signature.entries):
             continue
         out.append(b)
     return out
 
 
-def cnt_buc(rec: Record, buckets: Sequence[Bucket],
-            prev: PrevInfo | None = None, star: bool = False) -> int:
-    """Number of buckets the record can be assigned to."""
-    covering = [b for b, bucket in enumerate(buckets)
-                if bucket.covers(rec.sensitive)]
-    return len(_eligible_buckets(prev, covering, buckets, star, {}))
-
-
 # ---------------------------------------------------------------------------
 # phase 2
-
-
-@dataclass(frozen=True)
-class AssignmentScore:
-    epsilon: int        # +1: no counterfeit growth; -1: padding will grow
-    lam: Fraction       # area after / area before, >= 1
-    value: Fraction     # 1/lam or -lam
 
 
 def _epsilon(bucket: Bucket, entry_index: int, value: str) -> int:
@@ -281,18 +251,6 @@ def _score(epsilon: int, before: int, after: int) -> tuple[int, int]:
     """The score 1/lam (epsilon +1) or -lam (epsilon -1), lam = after /
     before, as (numerator, positive denominator)."""
     return (before, after) if epsilon == 1 else (-after, before)
-
-
-def assignment_score(rec: Record, bucket: Bucket, entry_index: int,
-                     schema: TableSchema) -> AssignmentScore:
-    if rec.sensitive not in bucket.signature.entries[entry_index]:
-        raise ValidationError("record's value not in the entry's CUS")
-    eps = _epsilon(bucket, entry_index, rec.sensitive)
-    before = bucket.extent_product
-    after = bucket.extent_product_with(_point(schema.qi, rec),
-                                       _ExtentMemo(schema.qi))
-    return AssignmentScore(eps, Fraction(after, before),
-                           Fraction(*_score(eps, before, after)))
 
 
 def phase2_assign(records: Sequence[Record],
@@ -458,26 +416,10 @@ def _pick_sequence(entry_at: Sequence[int], value_at: Sequence[int], k: int,
 
 
 def _side_numerator(extents: Sequence[int], cof: Sequence[int]) -> int:
-    """sum_j extent_j / parent_extent_j scaled by prod(parent extents),
-    with cof[j] = prod(parent extents) // parent_extent_j."""
+    """One side's sum_j extent_j / parent_extent_j times prod(parent
+    extents), cof[j] being prod(parent extents) // parent_extent_j.  A split
+    scores sum over its sides of |side| (real records) times that sum."""
     return sum(x * c for x, c in zip(extents, cof))
-
-
-def split_score(schema: TableSchema,
-                parent_extents: Sequence[int],
-                side_a: tuple[int, Sequence[tuple[int, int]]],
-                side_b: tuple[int, Sequence[tuple[int, int]]]) -> Fraction:
-    """sum over children of |child| * sum_j extent(child, j) / extent(parent, j),
-    with |child| counting real records."""
-    denom = prod(parent_extents)
-    cof = [denom // e for e in parent_extents]
-    num = 0
-    for n, spans in (side_a, side_b):
-        if n == 0:
-            raise ValidationError("empty split child")
-        num += n * _side_numerator([_span_extent(attr, lo, hi) for attr, (lo, hi)
-                                    in zip(schema.qi, spans)], cof)
-    return Fraction(num, denom)
 
 
 def _emit_group(cells: Sequence[_Cell], cus_list: Sequence[frozenset[str]],
@@ -594,7 +536,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
     At each level, every QI attribute contributes one greedy pick-out
     sequence from its sorted queue; prefix sizes delta_A in 1..delta-1 form
     the candidate splits, children must stay balanced with F_max bounded by
-    their entry size, and the minimum split_score wins.  delta = 1 emits the
+    their entry size, and the minimum split score wins.  delta = 1 emits the
     group, drawing counterfeit sensitive values from the entry's CUS.
 
     A queue orders real cells by (index, record id), then counterfeit slots
@@ -657,7 +599,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
         for f in freq:
             hist[f] += 1
         # candidate scores share the denominator prod(parent_extents), so
-        # they compare exactly as integer numerators (split_score * denom)
+        # they compare exactly as integer numerators (see _side_numerator)
         denom = prod(parent_extents)
         cof = [denom // e for e in parent_extents]
 
@@ -815,15 +757,15 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
     """Partition history-free records into m-unique groups.
 
     Top-down: recursively apply the best eligible cut (multiples of m along
-    each attribute's sorted order, minimum split_score), then deal each leaf
+    each attribute's sorted order, minimum split score), then deal each leaf
     rarest-value-first into floor(N/m) groups.  An ineligible root pool
     falls back to a counterfeit-padded deal.  In star mode the distinctness
     unit is the whole CUS, making group CUS's pairwise disjoint.
 
     Records are sorted by (index, id) along each attribute once, and a
     child's orders are its parent's filtered.  Every cut of one node shares
-    split_score's denominator, the product of the node's extents, so cuts
-    are ranked by integer numerators.
+    the split score's denominator, the product of the node's extents, so
+    cuts are ranked by integer numerators.
     """
     if not records:
         return []
@@ -926,13 +868,9 @@ def _check_star(group: Sequence[Record | CounterfeitMember],
                 model: UpdateModel) -> None:
     # distinct CUS keys do not guarantee disjointness when one CUS nests
     # inside another, so verify before publishing
-    sets = [model.cus_of(x.sensitive) for x in group]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i] & sets[j]:
-                raise InfeasibilityError(
-                    "static partition cannot keep group CUS pairwise "
-                    "disjoint under this update model")
+    if not pairwise_disjoint(model.cus_of(x.sensitive) for x in group):
+        raise InfeasibilityError("static partition cannot keep group CUS "
+                                 "pairwise disjoint under this update model")
 
 
 # ---------------------------------------------------------------------------
@@ -1000,13 +938,10 @@ def verify_m_distinct(releases: Sequence[PublishedRelease],
                 violations.append(f"{where}: duplicate sensitive values")
             first_timer = any(not mm.counterfeit and mm.rid not in state.prev
                               for mm in group.members)
-            if star and first_timer:
-                sets = [model.cus_of(v) for v in values]
-                if any(sets[a] & sets[b]
-                       for a in range(len(sets))
-                       for b in range(a + 1, len(sets))):
-                    violations.append(f"{where}: first-release CUS not "
-                                      f"pairwise disjoint")
+            if star and first_timer and not pairwise_disjoint(
+                    model.cus_of(v) for v in values):
+                violations.append(f"{where}: first-release CUS not pairwise "
+                                  f"disjoint")
             for member in group.members:
                 if member.counterfeit:
                     continue

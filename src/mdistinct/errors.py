@@ -1,4 +1,5 @@
-"""Shared exception types, one per CLI failure class."""
+"""Shared exception types; the CLI exits 3 on an `InfeasibilityError`, 2 on
+any other."""
 
 from __future__ import annotations
 
@@ -20,4 +21,4 @@ class InconsistentHistoryError(InfeasibilityError):
 
 
 class CapExceededError(MDistinctError):
-    """An internal enumeration cap was hit (path explosion, oracle size)."""
+    """The joint-enumeration oracle's size cap was hit (no CLI command)."""

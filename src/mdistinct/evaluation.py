@@ -3,8 +3,9 @@
 Counts are estimated under the uniform-within-region assumption: each real
 member of a group contributes the fraction of its group's region that
 overlaps the query box.  Counterfeit members never contribute.  Estimates
-are exact rationals; numpy batch evaluators accelerate large workloads and
-are cross-checked against the scalar paths in tests.
+are exact rationals.  Both the estimate and the exact count are evaluated
+for a batch of queries at once with numpy; the tests hold scalar oracles
+for both.
 
 The experiment driver replays the full pipeline on synthetic data: evolve
 the population, publish with the chosen scheme, attack after every release,
@@ -37,9 +38,6 @@ from .updates import UpdateModel
 __all__ = [
     "AggregateQuery",
     "random_query",
-    "actual_count",
-    "estimate_count",
-    "query_error",
     "ReleaseEvaluator",
     "SnapshotCounter",
     "median_fraction",
@@ -90,64 +88,17 @@ def _region_span(attr, cell) -> tuple[int, int]:
     return attr.hierarchy.span(cell)
 
 
-def actual_count(records: Sequence[Record], query: AggregateQuery,
-                 schema: TableSchema, domain_index: dict[str, int]) -> int:
-    total = 0
-    slo, shi = query.sensitive_span
-    for rec in records:
-        s = domain_index[rec.sensitive]
-        if not slo <= s <= shi:
-            continue
-        ok = True
-        for attr, v, (qlo, qhi) in zip(schema.qi, rec.qi, query.qi_spans):
-            if not qlo <= attr.to_index(v) <= qhi:
-                ok = False
-                break
-        if ok:
-            total += 1
-    return total
-
-
-def estimate_count(release: PublishedRelease, query: AggregateQuery,
-                   schema: TableSchema, domain: Sequence[str]) -> Fraction:
-    """Exact rational estimate of the query count from one release."""
-    domain_index = {v: i for i, v in enumerate(domain)}
-    slo, shi = query.sensitive_span
-    total = Fraction(0)
-    for group in release.groups:
-        hits = sum(1 for member in group.members
-                   if not member.counterfeit
-                   and slo <= domain_index[member.sensitive] <= shi)
-        if hits == 0:
-            continue
-        weight = Fraction(1)
-        for attr, cell, (qlo, qhi) in zip(schema.qi, group.region,
-                                          query.qi_spans):
-            glo, ghi = _region_span(attr, cell)
-            ov = min(ghi, qhi) - max(glo, qlo) + 1
-            if ov <= 0:
-                weight = Fraction(0)
-                break
-            weight *= Fraction(ov, ghi - glo + 1)
-        total += hits * weight
-    return total
-
-
-def query_error(microdata: Sequence[Record], release: PublishedRelease,
-                query: AggregateQuery, schema: TableSchema,
-                domain: Sequence[str]) -> Fraction:
-    """|R* - R| / R* with R* the estimate from the release and R the exact
-    count on the microdata."""
-    domain_index = {v: i for i, v in enumerate(domain)}
-    r_star = estimate_count(release, query, schema, domain)
-    if r_star <= 0:
-        raise ValidationError("query has zero estimate; resample instead")
-    r = actual_count(microdata, query, schema, domain_index)
-    return abs(r_star - r) / r_star
+def _query_bounds(queries: Sequence[AggregateQuery], n_attr: int):
+    """The queries' QI box bounds (qlo, qhi), each Q x n_attr, and their
+    sensitive-span bounds (slo, shi), each of length Q."""
+    box = np.array([q.qi_spans for q in queries],
+                   dtype=np.int64).reshape(len(queries), n_attr, 2)
+    span = np.array([q.sensitive_span for q in queries], dtype=np.int64)
+    return box[:, :, 0], box[:, :, 1], span[:, 0], span[:, 1]
 
 
 class ReleaseEvaluator:
-    """Vectorized batch twin of estimate_count for one release."""
+    """Exact count estimates of query batches against one release."""
 
     def __init__(self, release: PublishedRelease, schema: TableSchema,
                  domain: Sequence[str]):
@@ -172,13 +123,7 @@ class ReleaseEvaluator:
     def batch(self, queries: Sequence[AggregateQuery]) -> list[Fraction]:
         if not queries:
             return []
-        n_attr = self.glo.shape[1]
-        qlo = np.array([[q.qi_spans[j][0] for j in range(n_attr)]
-                        for q in queries], dtype=np.int64)
-        qhi = np.array([[q.qi_spans[j][1] for j in range(n_attr)]
-                        for q in queries], dtype=np.int64)
-        slo = np.array([q.sensitive_span[0] for q in queries], dtype=np.int64)
-        shi = np.array([q.sensitive_span[1] for q in queries], dtype=np.int64)
+        qlo, qhi, slo, shi = _query_bounds(queries, self.glo.shape[1])
         # overlap widths per (group, query, attr); clip negatives to 0
         ov = (np.minimum(self.ghi[:, None, :], qhi[None, :, :])
               - np.maximum(self.glo[:, None, :], qlo[None, :, :]) + 1)
@@ -201,7 +146,7 @@ class ReleaseEvaluator:
 
 
 class SnapshotCounter:
-    """Vectorized batch twin of actual_count for one microdata snapshot."""
+    """Exact counts of query batches on one microdata snapshot."""
 
     def __init__(self, records: Sequence[Record], schema: TableSchema,
                  domain_index: dict[str, int]):
@@ -215,12 +160,7 @@ class SnapshotCounter:
         if not queries:
             return np.zeros(0, dtype=np.int64)
         n_attr = self.idx.shape[1]
-        qlo = np.array([[q.qi_spans[j][0] for j in range(n_attr)]
-                        for q in queries], dtype=np.int64)
-        qhi = np.array([[q.qi_spans[j][1] for j in range(n_attr)]
-                        for q in queries], dtype=np.int64)
-        slo = np.array([q.sensitive_span[0] for q in queries], dtype=np.int64)
-        shi = np.array([q.sensitive_span[1] for q in queries], dtype=np.int64)
+        qlo, qhi, slo, shi = _query_bounds(queries, n_attr)
         inside = (self.sens[:, None] >= slo[None, :]) \
             & (self.sens[:, None] <= shi[None, :])
         for j in range(n_attr):

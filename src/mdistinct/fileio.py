@@ -70,6 +70,8 @@ def _read_csv(path: Path | str) -> list[list[str]]:
             return list(csv.reader(fh))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: not a CSV text file ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +197,10 @@ def infer_schema(path: Path | str, model: UpdateModel) -> TableSchema:
     body = rows[1:]
     if not body:
         raise ValidationError(f"{path}: no records")
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise ValidationError(f"{path} line {lineno}: expected "
+                                  f"{len(header)} fields, got {len(row)}")
     attrs: list[AttributeSchema] = []
     for j, name in enumerate(header[1:-1], start=1):
         col = [row[j] for row in body]
@@ -302,17 +308,42 @@ def _schema_to_json(schema: TableSchema) -> dict:
             "sensitive_domain": list(schema.sensitive_domain)}
 
 
-def _schema_from_json(data: dict) -> TableSchema:
+def _is_tree(tree: object) -> bool:
+    """A hierarchy as JSON holds it: null (a leaf), a list of leaf names or
+    an object of subtrees."""
+    if isinstance(tree, list):
+        return all(type(leaf) is str for leaf in tree)
+    return tree is None or (isinstance(tree, dict)
+                            and all(map(_is_tree, tree.values())))
+
+
+def _schema_from_json(data: object, where: str) -> TableSchema:
+    """The schema `_schema_to_json` wrote; any other layout is a
+    ValidationError."""
+    def typed(obj: object, key: str, kind: type):
+        value = obj.get(key) if isinstance(obj, dict) else None
+        if type(value) is not kind:
+            raise ValidationError(f"{where}{key!r} missing or not a "
+                                  f"{kind.__name__}")
+        return value
+
     attrs = []
-    for entry in data["qi"]:
-        if entry["kind"] == "numeric":
-            attrs.append(AttributeSchema.numeric(entry["name"], entry["lo"],
-                                                 entry["hi"]))
-        else:
+    for entry in typed(data, "qi", list):
+        name = typed(entry, "name", str)
+        if entry.get("kind") == "numeric":
+            attrs.append(AttributeSchema.numeric(
+                name, typed(entry, "lo", int), typed(entry, "hi", int)))
+        elif entry.get("kind") == "categorical" and _is_tree(
+                entry.get("tree", 0)):
             attrs.append(AttributeSchema.categorical(
-                entry["name"], Hierarchy(entry["root"], entry["tree"])))
-    return TableSchema(tuple(attrs), data["sensitive_name"],
-                       tuple(data["sensitive_domain"]))
+                name, Hierarchy(typed(entry, "root", str), entry["tree"])))
+        else:
+            raise ValidationError(f"{where}{name}: bad kind or tree")
+    domain = typed(data, "sensitive_domain", list)
+    if not all(type(v) is str for v in domain):
+        raise ValidationError(f"{where}sensitive values must be strings")
+    return TableSchema(tuple(attrs), typed(data, "sensitive_name", str),
+                       tuple(domain))
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +429,16 @@ class HistoryStore:
             fh.write("\n")
 
     def read_schema(self) -> TableSchema:
+        path = self.path / "schema.json"
         try:
-            with open(self.path / "schema.json") as fh:
-                return _schema_from_json(json.load(fh))
+            with open(path) as fh:
+                data = json.load(fh)
         except OSError as exc:
             raise ValidationError(f"no schema in history {self.path}: "
                                   f"{exc.strerror}") from None
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"{path}: bad JSON ({exc})") from None
+        return _schema_from_json(data, f"{path}: ")
 
     def has_schema(self) -> bool:
         return (self.path / "schema.json").exists()

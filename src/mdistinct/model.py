@@ -1,14 +1,13 @@
 """Tabular data model: schemas, records, generalization regions, releases.
 
 Numeric attributes generalize to integer intervals, categorical ones to
-nodes of a fixed hierarchy tree.  All measures are exact rationals and all
-extents count domain points, so degenerate regions keep positive measure.
+nodes of a fixed hierarchy tree.  Extents count domain points, so a
+degenerate region still covers one point per attribute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
@@ -25,10 +24,7 @@ __all__ = [
     "PublishedRelease",
     "ExternalKnowledgeTable",
     "bounding_region",
-    "enlarge_region",
     "region_contains",
-    "region_extent",
-    "region_measure",
     "generalize",
 ]
 
@@ -64,26 +60,18 @@ class Hierarchy:
         if name in self._span:
             raise ValidationError(f"duplicate hierarchy node {name!r}")
         self._span[name] = (-1, -1)  # reserve to catch cycles/dupes
-        if isinstance(subtree, Mapping):
-            kids = []
+        if isinstance(subtree, Sequence) and not isinstance(subtree, str):
+            subtree = [(child, None) for child in subtree]  # leaf names
+        elif isinstance(subtree, Mapping):
+            subtree = list(subtree.items())
+        if isinstance(subtree, list):
             lo = len(leaves)
-            for child, sub in subtree.items():
-                kids.append(child)
+            for child, sub in subtree:
                 self._build(child, sub, leaves)
             hi = len(leaves) - 1
             if hi < lo:
                 raise ValidationError(f"hierarchy node {name!r} has no leaves")
-            self._children[name] = tuple(kids)
-        elif isinstance(subtree, Sequence) and not isinstance(subtree, str):
-            kids = []
-            lo = len(leaves)
-            for child in subtree:
-                kids.append(child)
-                self._build(child, None, leaves)
-            hi = len(leaves) - 1
-            if hi < lo:
-                raise ValidationError(f"hierarchy node {name!r} has no leaves")
-            self._children[name] = tuple(kids)
+            self._children[name] = tuple(child for child, _ in subtree)
         else:  # leaf
             lo = hi = len(leaves)
             leaves.append(name)
@@ -284,21 +272,6 @@ def bounding_region(schema: TableSchema,
     return tuple(cells)
 
 
-def enlarge_region(schema: TableSchema, region: Region,
-                   point: tuple[QIValue, ...]) -> Region:
-    cells: list[RegionCell] = []
-    for attr, cell, value in zip(schema.qi, region, point):
-        if attr.kind == "numeric":
-            lo, hi = cell
-            cells.append((min(lo, value), max(hi, value)))
-        else:
-            h = attr.hierarchy
-            lo, hi = h.span(cell)
-            i = h.index[value]
-            cells.append(h.covering_node(min(lo, i), max(hi, i)))
-    return tuple(cells)
-
-
 def region_contains(schema: TableSchema, region: Region,
                     point: tuple[QIValue, ...]) -> bool:
     for attr, cell, value in zip(schema.qi, region, point):
@@ -312,22 +285,6 @@ def region_contains(schema: TableSchema, region: Region,
             if not (lo <= h.index[value] <= hi):
                 return False
     return True
-
-
-def region_extent(attr: AttributeSchema, cell: RegionCell) -> int:
-    """Number of domain points the cell covers (interval length or leaf count)."""
-    if attr.kind == "numeric":
-        lo, hi = cell
-        return hi - lo + 1
-    return attr.hierarchy.leafcount(cell)
-
-
-def region_measure(schema: TableSchema, region: Region) -> Fraction:
-    """Normalized volume: product over attributes of extent / domain size."""
-    out = Fraction(1)
-    for attr, cell in zip(schema.qi, region):
-        out *= Fraction(region_extent(attr, cell), attr.size)
-    return out
 
 
 def generalize(schema: TableSchema,

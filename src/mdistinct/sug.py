@@ -6,8 +6,7 @@ risks come out as the golden rationals with no tolerance.  Inside, the
 forward/backward path masses run on integers: every layer's node weights
 are scaled to that layer's common denominator and every gap's edge weights
 to that gap's, so each path mass carries the same factor and one exact
-division per risk cancels it.  Path enumeration is only needed when paths
-themselves are wanted.
+division per risk cancels it.  No path is ever enumerated.
 """
 
 from __future__ import annotations
@@ -29,13 +28,11 @@ __all__ = [
     "RiskReport",
     "build_sug",
     "prune",
-    "enumerate_paths",
     "disclosure_risks",
     "risks_by_joint_oracle",
     "attack_release_sequence",
 ]
 
-PATH_ENUMERATION_CAP = 10_000_000
 JOINT_ORACLE_CAP = 1_000_000
 
 
@@ -188,43 +185,6 @@ def prune(sug: Sug) -> Sug:
               for u in keep[i])
         for i in range(depth - 1))
     return Sug(layers, out)
-
-
-def _count_paths(fs: Sug) -> int:
-    counts = [1] * len(fs.layers[-1])
-    for i in range(fs.depth - 2, -1, -1):
-        counts = [sum(counts[v] for v, _ in fs.out[i][u])
-                  for u in range(len(fs.layers[i]))]
-    return sum(counts)
-
-
-def enumerate_paths(fs: Sug, cap: int = PATH_ENUMERATION_CAP,
-                    ) -> list[tuple[tuple[str, ...], Fraction]]:
-    """All first-to-last-layer paths with their exact weights.
-
-    A path's weight is the product of every node weight and every edge
-    weight along it.  Refuses to materialize more than `cap` paths.
-    """
-    total = _count_paths(fs)
-    if total > cap:
-        raise CapExceededError(f"path explosion: {total} paths exceed cap {cap}")
-    paths: list[tuple[tuple[str, ...], Fraction]] = []
-    depth = fs.depth
-
-    def walk(i: int, u: int, values: list[str], weight: Fraction) -> None:
-        node = fs.layers[i][u]
-        values.append(node.value)
-        weight *= node.weight
-        if i == depth - 1:
-            paths.append((tuple(values), weight))
-        else:
-            for v, w in fs.out[i][u]:
-                walk(i + 1, v, values, weight * w)
-        values.pop()
-
-    for u in range(len(fs.layers[0])):
-        walk(0, u, [], Fraction(1))
-    return paths
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
 """The update algebra: CUS maps, transition models, update-set signatures,
-legality / implication / intersection tests between signatures."""
+legality / implication / intersection / disjointness tests."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -20,7 +19,7 @@ __all__ = [
     "is_legal_update_instance",
     "implies",
     "intersect",
-    "cus_disjointness",
+    "pairwise_disjoint",
 ]
 
 # Exhaustive bijection search is exact up to this many signature entries;
@@ -299,10 +298,12 @@ def intersect(a: USS, b: USS) -> IntersectionPlan | None:
     return IntersectionPlan(chosen, result, score)
 
 
-def cus_disjointness(values: Sequence[str], model: UpdateModel) -> bool:
-    """True iff the values' candidate update sets are pairwise disjoint."""
-    sets = [model.cus_of(v) for v in values]
-    for x, y in itertools.combinations(sets, 2):
-        if x & y:
+def pairwise_disjoint(sets: Iterable[frozenset[str]]) -> bool:
+    """True iff no two of the sets share a value: the test star mode puts
+    on a signature's entries and on a group's CUS sets."""
+    seen: set[str] = set()
+    for s in sets:
+        if not seen.isdisjoint(s):
             return False
+        seen |= s
     return True

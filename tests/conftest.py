@@ -1,6 +1,7 @@
 """Shared fixtures: the six-patient disease example, its update models, and
 the hand-checked releases used as golden attack inputs."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,28 @@ DISEASES = ("Cataract", "Dyspepsia", "Flu", "Gastritis", "Glaucoma",
 
 # one line per acceptance criterion, echoed after the test summary
 acceptance_lines: list[str] = []
+
+
+def path_weights(fs) -> dict[tuple[str, ...], Fraction]:
+    """Every first-to-last-layer path of a candidate graph, as its values,
+    with its exact weight: the product of every node weight and every edge
+    weight along it.  Values are unique within a layer, so they name the
+    path."""
+    paths: dict[tuple[str, ...], Fraction] = {}
+
+    def walk(i, u, values, weight):
+        node = fs.layers[i][u]
+        values += (node.value,)
+        weight *= node.weight
+        if i == fs.depth - 1:
+            paths[values] = weight
+        else:
+            for v, w in fs.out[i][u]:
+                walk(i + 1, v, values, weight * w)
+
+    for u in range(len(fs.layers[0])):
+        walk(0, u, (), Fraction(1))
+    return paths
 
 
 @pytest.fixture(scope="session")

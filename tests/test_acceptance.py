@@ -17,9 +17,10 @@ from mdistinct.cli import main
 from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.fileio import HistoryStore, synthetic_schema, write_report_files
 from mdistinct.sug import (attack_release_sequence, build_sug,
-                           disclosure_risks, enumerate_paths, prune,
-                           risks_by_joint_oracle)
+                           disclosure_risks, prune, risks_by_joint_oracle)
 from mdistinct.updates import UpdateModel
+
+from conftest import path_weights
 
 F = Fraction
 
@@ -217,8 +218,7 @@ def test_criterion_04_path_weights_and_risks_on_three_releases(
         criterion_log):
     failures = []
     fs = prune(build_sug(three_layer_history, three_layer_model))
-    paths = dict(enumerate_paths(fs, cap=10 ** 6))
-    weights = sorted(paths.values(), reverse=True)
+    weights = sorted(path_weights(fs).values(), reverse=True)
     expected = [F(1, 18), F(1, 18), F(1, 36), F(1, 72), F(1, 72)]
     if weights != expected:
         failures.append(f"path weights {weights} != {expected}")

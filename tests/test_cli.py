@@ -3,9 +3,8 @@ import shutil
 
 import pytest
 
-from mdistinct import cli, fileio
+from mdistinct import fileio
 from mdistinct.cli import main
-from mdistinct.errors import CapExceededError
 from mdistinct.fileio import HistoryStore, write_csv
 from mdistinct.model import Record, generalize
 
@@ -213,20 +212,6 @@ class TestExitCodes:
                    workdir / "star", "--m", "4", "--star")
         assert code == 3
         assert "error:" in capsys.readouterr().err
-
-    def test_enumeration_cap_exits_four(self, workdir, monkeypatch, capsys):
-        hist = workdir / "hist"
-        base = ["--model", workdir / "model.csv", "--history", hist]
-        run(workdir, "publish", "--microdata", workdir / "t1.csv",
-            "--m", "2", *base)
-        capsys.readouterr()
-
-        def explode(*args, **kwargs):
-            raise CapExceededError("too many paths")
-
-        monkeypatch.setattr(cli, "attack_release_sequence", explode)
-        assert run(workdir, "attack", *base) == 4
-        assert "too many paths" in capsys.readouterr().err
 
 
 def _tree(path):

@@ -1,0 +1,347 @@
+"""The CLI fails closed: a malformed input ends in exit code 1, 2 or 3,
+never in an exception.
+
+A history is built once: release 1 of a six-record table with a numeric
+and a categorical QI column.  Each example copies it, breaks one input the
+command reads and runs the command.  Every breaker below is malformed by
+construction, so no drawn file can turn out valid again.  `publish` reads
+the microdata, the model, `meta.csv` and `schema.json`; `verify` reads the
+model and `schema.json`; `attack` reads the model, `schema.json` and the
+stored microdata snapshot.  `verify` and `attack` never read `meta.csv`.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import shutil
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from mdistinct.cli import main
+from mdistinct.fileio import write_csv
+
+T1 = [["id", "salary", "city", "disease"],
+      ["Ben", "31", "north", "Flu"], ["Harry", "26", "south", "Gastritis"],
+      ["Julia", "16", "north", "Pneumonia"],
+      ["Ken", "14", "east", "Dyspepsia"], ["Lily", "29", "south", "Glaucoma"],
+      ["Tom", "24", "east", "Pneumonia"]]
+T2 = [T1[0],
+      ["Ben", "26", "south", "Pneumonia"], ["Harry", "23", "east", "Dyspepsia"],
+      ["Julia", "18", "north", "LungCancer"],
+      ["Ken", "14", "east", "Dyspepsia"], ["Lily", "12", "north", "Glaucoma"],
+      ["Tom", "15", "south", "Pneumonia"]]
+DOMAIN = ("Cataract", "Dyspepsia", "Flu", "Gastritis", "Glaucoma",
+          "LungCancer", "Pneumonia")
+MODEL = [["value", "successor", "probability"],
+         ["Cataract", "Cataract", "1"],
+         ["Dyspepsia", "Dyspepsia", "1/2"], ["Dyspepsia", "Gastritis", "1/2"],
+         ["Flu", "LungCancer", "1/2"], ["Flu", "Pneumonia", "1/2"],
+         ["Gastritis", "Dyspepsia", "1/2"], ["Gastritis", "Gastritis", "1/2"],
+         ["Glaucoma", "Cataract", "1/2"], ["Glaucoma", "Glaucoma", "1/2"],
+         ["LungCancer", "LungCancer", "1"],
+         ["Pneumonia", "LungCancer", "1/2"], ["Pneumonia", "Pneumonia", "1/2"]]
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(allow_nan=False), TEXT)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(TEXT, inner, max_size=3)), max_leaves=6)
+
+
+def _csv_bytes(rows) -> bytes:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().encode()
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_rational(text: str) -> bool:
+    try:
+        Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# breakers shared by the CSV inputs
+
+
+@st.composite
+def wrong_field_count(draw, rows):
+    """One row, the header included, cut short (down to a blank line) or
+    given extra cells."""
+    rows = [list(r) for r in rows]
+    i = draw(st.integers(0, len(rows) - 1))
+    width = len(rows[i])
+    n = draw(st.integers(0, width + 3).filter(lambda n: n != width))
+    rows[i] = (rows[i] + draw(st.lists(TEXT, min_size=n, max_size=n)))[:n]
+    return _csv_bytes(rows)
+
+
+@st.composite
+def renamed_header(draw, rows):
+    header = list(rows[0])
+    j = draw(st.integers(0, len(header) - 1))
+    header[j] = draw(TEXT.filter(lambda s: s != rows[0][j]))
+    return _csv_bytes([header, *rows[1:]])
+
+
+@st.composite
+def bad_byte_in_header(draw, rows):
+    """A NUL byte or a byte that is no UTF-8 inside the header line."""
+    data = _csv_bytes(rows)
+    at = draw(st.integers(0, data.index(b"\n")))
+    return data[:at] + draw(st.sampled_from([b"\x00", b"\xff"])) + data[at:]
+
+
+def _cell(draw, rows, column, value):
+    """rows with one body row's `column` replaced by `value`."""
+    rows = [list(r) for r in rows]
+    rows[draw(st.integers(1, len(rows) - 1))][column] = value
+    return _csv_bytes(rows)
+
+
+def _body_row(draw, rows, op):
+    """rows with one body row duplicated ("dup") or deleted ("del")."""
+    rows = [list(r) for r in rows]
+    i = draw(st.integers(1, len(rows) - 1))
+    if op == "dup":
+        rows.insert(i, list(rows[i]))
+    else:
+        del rows[i]
+    return _csv_bytes(rows)
+
+
+def csv_breakers(rows):
+    return st.one_of(st.just(b""), wrong_field_count(rows),
+                     renamed_header(rows), bad_byte_in_header(rows))
+
+
+# ---------------------------------------------------------------------------
+# per input
+
+
+@st.composite
+def broken_microdata(draw, rows):
+    """A table for a history whose schema has integer salaries, cities
+    from a fixed set and diseases from the model."""
+    kind = draw(st.sampled_from(["csv", "salary", "city", "disease", "id",
+                                 "header only"]))
+    if kind == "csv":
+        return draw(csv_breakers(rows))
+    if kind == "salary":
+        return _cell(draw, rows, 1, draw(TEXT.filter(lambda s: not _is_int(s))))
+    if kind == "city":
+        cities = {r[2] for r in rows[1:]}
+        return _cell(draw, rows, 2, draw(TEXT.filter(lambda s: s not in cities)))
+    if kind == "disease":
+        return _cell(draw, rows, 3, draw(TEXT.filter(lambda s: s not in DOMAIN)))
+    if kind == "id":
+        rows = [list(r) for r in rows]
+        i, j = draw(st.lists(st.integers(1, len(rows) - 1), min_size=2,
+                             max_size=2, unique=True))
+        rows[i][0] = rows[j][0]
+        return _csv_bytes(rows)
+    return _csv_bytes(rows[:1])
+
+
+@st.composite
+def broken_model(draw):
+    kind = draw(st.sampled_from(["csv", "blank", "probability", "other",
+                                 "successor", "dup", "del"]))
+    if kind == "csv":
+        return draw(csv_breakers(MODEL))
+    if kind == "blank":
+        return _cell(draw, MODEL, draw(st.integers(0, 1)), "")
+    if kind == "probability":
+        garbage = TEXT.filter(lambda s: s.strip() and not _is_rational(s))
+        return _cell(draw, MODEL, 2, draw(garbage))
+    if kind == "other":
+        # every value's probabilities sum to 1, so any one changed breaks it
+        rows = [list(r) for r in MODEL]
+        i = draw(st.integers(1, len(rows) - 1))
+        p = draw(st.fractions(-2, 2).filter(
+            lambda p: p != Fraction(rows[i][2])))
+        rows[i][2] = f"{p.numerator}/{p.denominator}"
+        return _csv_bytes(rows)
+    if kind == "successor":
+        # a successor outside the domain has no transitions of its own
+        return _cell(draw, MODEL, 1, draw(TEXT.filter(
+            lambda s: s and s not in DOMAIN)))
+    # a duplicate transition, or one value short of probability 1 (or, for
+    # an absorbing value, a successor left without transitions)
+    return _body_row(draw, MODEL, kind)
+
+
+@st.composite
+def broken_meta(draw, rows):
+    """meta.csv of an m=2 m_distinct history."""
+    kind = draw(st.sampled_from(["empty", "drop", "m", "other m", "mode",
+                                 "fields", "byte"]))
+    keys = [r[0] for r in rows]
+    rows = [list(r) for r in rows]
+    if kind == "empty":
+        return b""
+    if kind == "drop":
+        del rows[keys.index(draw(st.sampled_from(["m", "mode"])))]
+    elif kind == "m":
+        rows[keys.index("m")][1] = draw(TEXT.filter(lambda s: not _is_int(s)))
+    elif kind == "other m":
+        rows[keys.index("m")][1] = str(draw(st.integers().filter(
+            lambda m: m != 2)))
+    elif kind == "mode":
+        rows[keys.index("mode")][1] = draw(TEXT.filter(
+            lambda s: s != "m_distinct"))
+    elif kind == "fields":
+        row = rows[draw(st.integers(1, len(rows) - 1))]
+        if draw(st.booleans()):
+            row.append(draw(TEXT))
+        else:
+            row.pop()
+    else:
+        data = _csv_bytes(rows)
+        at = data.index(b"m,2\n") + 3
+        return data[:at] + draw(st.sampled_from([b"\x00", b"\xff"])) + data[at:]
+    return _csv_bytes(rows)
+
+
+def _not_a(types):
+    return JSON_VALUES.filter(lambda v: not (isinstance(v, types)
+                                             and not isinstance(v, bool)))
+
+
+@st.composite
+def broken_schema(draw, text):
+    """schema.json: cut short, a byte inserted, the wrong top-level type, a
+    key dropped or a field of the wrong type."""
+    data = json.loads(text)
+    kind = draw(st.sampled_from(["cut", "byte", "top", "drop", "type",
+                                 "bounds"]))
+    if kind == "cut":
+        return text[:draw(st.integers(0, text.rindex("}") - 1))].encode()
+    if kind == "byte":
+        raw = text.encode()
+        at = draw(st.integers(0, len(raw)))
+        return raw[:at] + draw(st.sampled_from([b"\x00", b"\xff"])) + raw[at:]
+    if kind == "top":
+        return json.dumps(draw(_not_a(dict))).encode()
+    attrs = {a["kind"]: a for a in data["qi"]}
+    if kind == "bounds":
+        num = attrs["numeric"]
+        num["lo"] = num["hi"] + draw(st.integers(1, 10))
+        return json.dumps(data).encode()
+    fields = [(data, "qi", list), (data, "sensitive_name", str),
+              (data, "sensitive_domain", list),
+              (attrs["numeric"], "name", str),
+              (attrs["numeric"], "kind", str), (attrs["numeric"], "lo", int),
+              (attrs["numeric"], "hi", int),
+              (attrs["categorical"], "root", str),
+              (attrs["categorical"], "tree", dict)]
+    owner, key, kind_of = draw(st.sampled_from(fields))
+    if kind == "drop":
+        del owner[key]
+    elif key == "tree":
+        # None is a one-leaf tree, and a list names leaves
+        owner[key] = draw(JSON_VALUES.filter(
+            lambda v: v is not None and not isinstance(v, (dict, list))))
+    else:
+        owner[key] = draw(_not_a(kind_of))
+    return json.dumps(data).encode()
+
+
+# ---------------------------------------------------------------------------
+# the runs
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_csv(root / "t1.csv", T1)
+    write_csv(root / "t2.csv", T2)
+    write_csv(root / "model.csv", MODEL)
+    assert _run(root, "publish", "--microdata", "t1.csv", "--m", "2")[0] == 0
+    return root
+
+
+def _run(root, command, *argv):
+    """Exit code and stderr of one command on root's history; a file name
+    in argv is taken from root."""
+    err = io.StringIO()
+    argv = [str(root / a) if a.endswith(".csv") else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([command, "--model", str(root / "model.csv"),
+                     "--history", str(root / "hist"), *argv])
+    return code, err.getvalue()
+
+
+def _fails_closed(base, target, data, command, *argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "w"
+        shutil.copytree(base, root)
+        (root / target).write_bytes(data)
+        code, err = _run(root, command, *argv)
+    assert code in (1, 2, 3), (target, data)
+    assert err.startswith("error: "), err
+
+
+def inputs(base, *names):
+    hist = (base / "hist").resolve()
+    options = {
+        "microdata": st.tuples(st.just("t2.csv"), broken_microdata(T2)),
+        "snapshot": st.tuples(st.just("hist/microdata_1.csv"),
+                              broken_microdata(T1)),
+        "model": st.tuples(st.just("model.csv"), broken_model()),
+        "meta": st.tuples(st.just("hist/meta.csv"), broken_meta(
+            list(csv.reader(io.StringIO((hist / "meta.csv").read_text()))))),
+        "schema": st.tuples(st.just("hist/schema.json"), broken_schema(
+            (hist / "schema.json").read_text())),
+    }
+    return st.one_of(*(options[n] for n in names))
+
+
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def test_publish_fails_closed(base):
+    @FUZZ
+    @given(inputs(base, "microdata", "model", "meta", "schema"))
+    def check(case):
+        _fails_closed(base, *case, "publish", "--microdata", "t2.csv",
+                      "--m", "2")
+
+    check()
+
+
+def test_verify_fails_closed(base):
+    @FUZZ
+    @given(inputs(base, "model", "schema"))
+    def check(case):
+        _fails_closed(base, *case, "verify", "--m", "2")
+
+    check()
+
+
+def test_attack_fails_closed(base):
+    @FUZZ
+    @given(inputs(base, "snapshot", "model", "schema"))
+    def check(case):
+        _fails_closed(base, *case, "attack")
+
+    check()

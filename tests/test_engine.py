@@ -1,14 +1,16 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdistinct.engine import (AssignmentScore, Bucket, EngineState, PrevInfo,
-                              _span_extent, assignment_score, balance_counterfeits, cnt_buc,
-                              phase1_create_buckets, phase2_assign,
-                              phase3_split, publish, split_score,
+from mdistinct.engine import (Bucket, EngineState, PrevInfo, _ExtentMemo,
+                              _eligible_buckets, _epsilon, _point, _score,
+                              _side_numerator, _span_extent,
+                              balance_counterfeits, phase1_create_buckets,
+                              phase2_assign, phase3_split, publish,
                               static_partition, verify_m_distinct)
 from mdistinct.errors import InfeasibilityError, ValidationError
 from mdistinct.model import (AttributeSchema, CounterfeitMember, Hierarchy,
@@ -60,19 +62,32 @@ class TestPhase1:
 
 
 class TestCntBuc:
+    """CNT_buc, the number of buckets a record may join, is the length of
+    `_eligible_buckets` over the buckets that cover its value."""
+
     def test_returning_record_counts_implied_covering_buckets(self,
                                                               worked_model):
         sig = uss_of(["Dyspepsia", "Pneumonia"], worked_model)
-        buckets = phase1_create_buckets([sig])
-        julia = Record("Julia", (18, 31), "LungCancer")
+        other = uss_of(["Dyspepsia", "Glaucoma"], worked_model)
+        buckets = phase1_create_buckets([sig, other])
         prev = PrevInfo("Pneumonia", sig, 1)
-        assert cnt_buc(julia, buckets, prev) == 1
+        # of the two candidates, only the first is implied by sig
+        assert _eligible_buckets(prev, [0, 1], buckets, False, {}) == [0]
 
-    def test_uncovered_value_counts_nothing(self, worked_model):
+    def test_uncovered_value_counts_nothing(self, worked_model,
+                                            disease_schema):
         sig = uss_of(["Dyspepsia", "Pneumonia"], worked_model)
         buckets = phase1_create_buckets([sig])
         stranger = Record("new", (20, 20), "Cataract")
-        assert cnt_buc(stranger, buckets) == 0
+        assert phase2_assign([stranger], {}, buckets,
+                             disease_schema) == [stranger]
+        assert buckets[0].size == 0
+
+    def test_star_first_timer_skips_overlapping_entries(self):
+        buckets = [Bucket(sig_of({"a", "b"}, {"b", "c"}), "signature"),
+                   Bucket(sig_of({"a"}, {"b", "c"}), "signature")]
+        assert _eligible_buckets(None, [0, 1], buckets, True, {}) == [1]
+        assert _eligible_buckets(None, [0, 1], buckets, False, {}) == [0, 1]
 
 
 @pytest.fixture
@@ -123,23 +138,31 @@ class TestBucketState:
                 == _recount(bucket, STATE_SCHEMA)
 
 
+def assignment_score(rec, bucket, entry_index, schema):
+    """(epsilon, lam, score) of a record against a bucket entry, from the
+    integer helpers phase 2 runs: score = 1/lam when epsilon is +1, -lam
+    when it is -1, with lam the extent product after over before."""
+    eps = _epsilon(bucket, entry_index, rec.sensitive)
+    before = bucket.extent_product
+    after = bucket.extent_product_with(_point(schema.qi, rec),
+                                       _ExtentMemo(schema.qi))
+    return eps, F(after, before), F(*_score(eps, before, after))
+
+
 class TestAssignmentScore:
     def test_empty_bucket_scores_one(self, small_schema):
         bucket = Bucket(sig_of({"a", "b"}, {"c"}), "signature")
-        score = assignment_score(Record("r1", (4,), "a"), bucket, 0,
-                                 small_schema)
-        assert score == AssignmentScore(1, F(1), F(1))
+        assert assignment_score(Record("r1", (4,), "a"), bucket, 0,
+                                small_schema) == (1, F(1), F(1))
 
     def test_inside_region_no_collision_scores_one(self, small_schema):
         bucket = Bucket(sig_of({"a", "b"}, {"c", "d"}), "signature")
         bucket.add(Record("r1", (2,), "a"), 0, small_schema)
         bucket.add(Record("r2", (6,), "c"), 1, small_schema)
-        score = assignment_score(Record("r3", (4,), "d"), bucket, 1,
-                                 small_schema)
-        assert score.epsilon == -1   # entry 1 already holds delta records
-        score = assignment_score(Record("r3", (4,), "b"), bucket, 0,
-                                 small_schema)
-        assert score == AssignmentScore(-1, F(1), F(-1))
+        # entry 1 already holds delta records
+        assert _epsilon(bucket, 1, "d") == -1
+        assert assignment_score(Record("r3", (4,), "b"), bucket, 0,
+                                small_schema) == (-1, F(1), F(-1))
 
     def test_region_growth_penalized(self, small_schema):
         bucket = Bucket(sig_of({"a", "b"}, {"c", "d"}), "signature")
@@ -148,14 +171,15 @@ class TestAssignmentScore:
         bucket.add(Record("r3", (3,), "b"), 0, small_schema)
         # delta=2, entry 1 has room and "d" is fresh: epsilon=+1,
         # lambda = extent 0..3 over extent 2..3
-        score = assignment_score(Record("r4", (0,), "d"), bucket, 1,
-                                 small_schema)
-        assert score == AssignmentScore(1, F(2), F(1, 2))
+        assert assignment_score(Record("r4", (0,), "d"), bucket, 1,
+                                small_schema) == (1, F(2), F(1, 2))
 
     def test_value_outside_entry_rejected(self, small_schema):
+        """Phase 2 only scores a record against entries whose CUS holds
+        its value."""
         bucket = Bucket(sig_of({"a"}, {"b"}), "signature")
-        with pytest.raises(ValidationError):
-            assignment_score(Record("r1", (0,), "b"), bucket, 0, small_schema)
+        assert bucket.eligible_entries("b") == [1]
+        assert bucket.eligible_entries("c") == []
 
 
 class TestPhase2:
@@ -204,20 +228,24 @@ class TestBalance:
 
 class TestSplitScore:
     def test_tight_split_beats_interleaved(self):
+        """sum over sides of |side| * extent(side) / extent(parent), as the
+        integer numerator over the parent's extent product."""
         schema = TableSchema((AttributeSchema.numeric("x", 1, 10),), "s",
                              ("a", "b"))
+        (attr,) = schema.qi
         parent = [10]
-        tight = split_score(schema, parent, (2, [(0, 1)]), (2, [(8, 9)]))
-        crossed = split_score(schema, parent, (2, [(0, 8)]), (2, [(1, 9)]))
-        assert tight == F(4, 5)
-        assert crossed == F(18, 5)
-        assert tight < crossed
+        cof = [prod(parent) // e for e in parent]
 
-    def test_empty_child_rejected(self):
-        schema = TableSchema((AttributeSchema.numeric("x", 1, 10),), "s",
-                             ("a",))
-        with pytest.raises(ValidationError):
-            split_score(schema, [10], (0, [(0, 0)]), (2, [(1, 9)]))
+        def numerator(*sides):
+            return sum(n * _side_numerator(
+                [_span_extent(attr, lo, hi) for lo, hi in spans], cof)
+                for n, spans in sides)
+
+        tight = numerator((2, [(0, 1)]), (2, [(8, 9)]))
+        crossed = numerator((2, [(0, 8)]), (2, [(1, 9)]))
+        assert F(tight, prod(parent)) == F(4, 5)
+        assert F(crossed, prod(parent)) == F(18, 5)
+        assert tight < crossed
 
 
 class TestPhase3:

@@ -3,15 +3,65 @@ from fractions import Fraction
 
 import pytest
 
+from mdistinct import evaluation
 from mdistinct.errors import ValidationError
 from mdistinct.evaluation import (AggregateQuery, ExperimentConfig,
                                   ReleaseEvaluator, SnapshotCounter,
-                                  actual_count, estimate_count,
-                                  median_fraction, query_error, random_query,
-                                  run_experiment)
+                                  _region_span, median_fraction,
+                                  random_query, run_experiment)
+from mdistinct.fileio import synthetic_schema
 from mdistinct.model import CounterfeitMember, Record, generalize
 
 F = Fraction
+
+# ---------------------------------------------------------------------------
+# scalar oracles of the two batch evaluators, one query and one group or
+# record at a time
+
+
+def actual_count(records, query, schema, domain_index) -> int:
+    """Records inside the query's QI box with a value in its span."""
+    total = 0
+    slo, shi = query.sensitive_span
+    for rec in records:
+        s = domain_index[rec.sensitive]
+        if not slo <= s <= shi:
+            continue
+        ok = True
+        for attr, v, (qlo, qhi) in zip(schema.qi, rec.qi, query.qi_spans):
+            if not qlo <= attr.to_index(v) <= qhi:
+                ok = False
+                break
+        if ok:
+            total += 1
+    return total
+
+
+def estimate_count(release, query, schema, domain) -> Fraction:
+    """Exact rational estimate of the query count from one release: each
+    real member in the value span counts for the share of its group's
+    region inside the query box."""
+    domain_index = {v: i for i, v in enumerate(domain)}
+    slo, shi = query.sensitive_span
+    total = Fraction(0)
+    for group in release.groups:
+        hits = sum(1 for member in group.members
+                   if not member.counterfeit
+                   and slo <= domain_index[member.sensitive] <= shi)
+        if hits == 0:
+            continue
+        weight = Fraction(1)
+        for attr, cell, (qlo, qhi) in zip(schema.qi, group.region,
+                                          query.qi_spans):
+            glo, ghi = _region_span(attr, cell)
+            ov = min(ghi, qhi) - max(glo, qlo) + 1
+            if ov <= 0:
+                weight = Fraction(0)
+                break
+            weight *= Fraction(ov, ghi - glo + 1)
+        total += hits * weight
+    return total
+
 
 DOMAIN = ("Cataract", "Dyspepsia", "Flu", "Gastritis", "Glaucoma",
           "LungCancer", "Pneumonia")
@@ -66,25 +116,72 @@ class TestActualCount:
 
 
 class TestQueryError:
-    def test_relative_to_the_estimate(self, disease_schema):
-        group = [Record(c, (10 + i, 15), "Flu")
-                 for i, c in enumerate("abcd")]
-        release = generalize(disease_schema, 1, [group])
-        microdata = group[:3]
-        assert query_error(microdata, release, ALL, disease_schema,
-                           DOMAIN) == F(1, 4)
+    """`run_experiment` measures each kept query's error as |R* - R| / R*,
+    R* the estimate from the release and R the count on the snapshot, and
+    resamples queries whose estimate is zero.  The oracles recompute both
+    on the very queries it kept."""
 
-    def test_vanished_population_errs_fully(self, disease_schema,
-                                            one_group_release):
-        assert query_error([], one_group_release, ALL, disease_schema,
-                           DOMAIN) == 1
+    CONFIG = ExperimentConfig(m=2, d=5, n_records=40, n_releases=2,
+                              inserts=6, deletes=3, internal_updates=8,
+                              thetas=(0.1, 0.5), n_queries=30, seed=3,
+                              sensitive_size=10)
 
-    def test_zero_estimate_rejected(self, t1_records, disease_schema,
-                                    one_group_release):
-        far = AggregateQuery(((20, 30), (0, 25)), (0, 6))
-        with pytest.raises(ValidationError, match="resample"):
-            query_error(t1_records, one_group_release, far, disease_schema,
-                        DOMAIN)
+    @pytest.fixture(scope="class")
+    def run(self):
+        """The report and, per release, the release, the snapshot, every
+        query drawn and the queries kept for each theta."""
+        seen = []
+
+        class Evaluator(ReleaseEvaluator):
+            def __init__(self, release, schema, domain):
+                super().__init__(release, schema, domain)
+                seen.append({"release": release, "drawn": [], "kept": []})
+
+            def batch(self, queries):
+                seen[-1]["drawn"].extend(queries)
+                return super().batch(queries)
+
+        class Counter(SnapshotCounter):
+            def __init__(self, records, schema, domain_index):
+                super().__init__(records, schema, domain_index)
+                seen[-1]["records"] = list(records)
+
+            def batch(self, queries):
+                seen[-1]["kept"].append(list(queries))
+                return super().batch(queries)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "ReleaseEvaluator", Evaluator)
+            patch.setattr(evaluation, "SnapshotCounter", Counter)
+            report = run_experiment(self.CONFIG)
+        schema, model = synthetic_schema(self.CONFIG.d,
+                                         self.CONFIG.sensitive_size)
+        return report, seen, schema, sorted(model.sensitive_domain)
+
+    def test_relative_to_the_estimate(self, run):
+        report, seen, schema, domain = run
+        index = {v: i for i, v in enumerate(domain)}
+        assert len(seen) == self.CONFIG.n_releases
+        for step in seen:
+            release = step["release"]
+            for theta, kept in zip(self.CONFIG.thetas, step["kept"]):
+                assert len(kept) == self.CONFIG.n_queries
+                errors = []
+                for q in kept:
+                    est = estimate_count(release, q, schema, domain)
+                    act = actual_count(step["records"], q, schema, index)
+                    errors.append(abs(est - act) / est)
+                assert report.release_median(release.release_index,
+                                             theta) == median_fraction(errors)
+
+    def test_zero_estimate_rejected(self, run):
+        _, seen, schema, domain = run
+        drawn = [(step["release"], q) for step in seen for q in step["drawn"]]
+        kept = {id(q) for step in seen for qs in step["kept"] for q in qs}
+        zero = [q for release, q in drawn
+                if estimate_count(release, q, schema, domain) == 0]
+        assert zero, "the narrow theta should draw some empty queries"
+        assert not any(id(q) in kept for q in zero)
 
 
 class TestBatchTwins:

@@ -1,4 +1,5 @@
-"""The package's modules import one another without a cycle.
+"""The package's modules import one another without a cycle, and every
+name the package defines is used by the program.
 
 Function-level imports count, since they run whenever the function does;
 imports under `if TYPE_CHECKING:` never run and do not count.
@@ -10,6 +11,9 @@ from pathlib import Path
 import mdistinct
 
 PACKAGE = Path(mdistinct.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+# where the program's callers live; tests are not among them
+PROGRAM = ("src", "perfbench", "scripts")
 
 
 def _is_type_checking(test: ast.expr) -> bool:
@@ -92,3 +96,85 @@ def test_package_has_no_import_cycle():
     graph = {name: runtime_imports(path.read_text(), modules)
              for name, path in files.items()}
     assert find_cycle(graph) is None
+
+
+# ---------------------------------------------------------------------------
+# dead code: library names that only tests reach
+
+
+def module_names(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The functions, classes and constants a module defines at its top
+    level, dunder names such as `__all__` aside."""
+    found: dict[str, ast.stmt] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if (isinstance(target, ast.Name)
+                        and not target.id.startswith("__")):
+                    found[target.id] = node
+    return found
+
+
+def references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name a tree reads and every attribute it names, outside the
+    `skip` subtree.  Import statements and strings (`__all__` entries
+    among them) are no references."""
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unused_names(package: dict[str, ast.Module],
+                 callers: list[ast.Module]) -> list[str]:
+    """`module.name` for every name a package module defines that no
+    caller module references outside the name's own definition."""
+    everywhere = [references(tree) for tree in callers]
+    unused = []
+    for module, tree in sorted(package.items()):
+        for name, node in module_names(tree).items():
+            if not any(name in (references(tree, skip=node)
+                                if other is tree else refs)
+                       for other, refs in zip(callers, everywhere)):
+                unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_collector_skips_definitions_strings_and_imports():
+    lib = ast.parse(
+        "LIMIT = 3\n"
+        "USED = 4\n"
+        "__all__ = ['helper', 'Kept']\n"
+        "def helper(n):\n"
+        "    return helper(n - 1) if n else USED\n"
+        "class Kept:\n"
+        "    pass\n")
+    caller = ast.parse("from .lib import LIMIT, helper\n"
+                       "print(lib.Kept)\n")
+    # helper only calls itself, LIMIT is only imported, and USED is read
+    # inside helper's own definition, which still counts for USED
+    assert unused_names({"lib": lib}, [lib, caller]) == ["lib.LIMIT",
+                                                         "lib.helper"]
+
+
+def test_every_library_name_has_a_caller_in_the_program():
+    trees = {p: ast.parse(p.read_text()) for d in PROGRAM
+             for p in sorted((ROOT / d).rglob("*.py"))}
+    package = {p.stem: tree for p, tree in trees.items()
+               if p.parent == ROOT / "src" / "mdistinct"}
+    callers = list(trees.values())
+    assert len(callers) > len(package)   # perfbench and scripts were found
+    assert unused_names(package, callers) == []

@@ -1,10 +1,10 @@
-"""The publisher's kernels rank their candidates on integers.
+"""The publisher ranks its candidates on integers.
 
 Scores are rationals, but phase 2 compares them as cross-multiplied
 integer pairs and the two partitioners as integer numerators over a shared
-denominator; `Fraction` belongs only to the wrappers that report a score
-(`assignment_score`, `split_score`).  An `ast` walk of each kernel, nested
-functions and annotations included, keeps it that way.
+denominator, so `engine.py`, where all three kernels live, has no use for
+`Fraction`.  An `ast` walk of the whole module, imports, nested functions
+and annotations included, keeps it that way.
 """
 
 import ast
@@ -13,17 +13,23 @@ from pathlib import Path
 import mdistinct
 
 ENGINE = Path(mdistinct.__file__).parent / "engine.py"
-KERNELS = ("phase2_assign", "static_partition", "phase3_split")
 
 
 def names_used(node: ast.AST) -> set[str]:
-    """Every identifier a node mentions as a name or an attribute."""
+    """Every identifier a node mentions as a name, an attribute or an
+    import."""
     found: set[str] = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             found.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.update(sub.name.split("."))
+            if sub.asname:
+                found.add(sub.asname)
+        elif isinstance(sub, ast.ImportFrom) and sub.module:
+            found.update(sub.module.split("."))
     return found
 
 
@@ -49,7 +55,18 @@ def test_collector_sees_nested_functions_attributes_and_annotations():
     assert "Fraction" not in names_used(found["plain"])
 
 
+def test_collector_sees_imports():
+    for source in ("from fractions import Fraction\n",
+                   "from fractions import Fraction as Q\n",
+                   "import fractions\n",
+                   "from fractions import *\n"):
+        found = names_used(ast.parse(source))
+        assert "Fraction" in found or "fractions" in found, source
+    assert names_used(ast.parse("from math import prod\n")) == {"math",
+                                                                "prod"}
+
+
 def test_kernels_do_not_name_fraction():
-    found = functions(ENGINE.read_text())
-    for name in KERNELS:
-        assert "Fraction" not in names_used(found[name]), name
+    found = names_used(ast.parse(ENGINE.read_text()))
+    assert "Fraction" not in found
+    assert "fractions" not in found

@@ -1,13 +1,11 @@
 import pytest
-from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
 from mdistinct.errors import ValidationError
 from mdistinct.model import (AttributeSchema, CounterfeitMember, Hierarchy,
                              Record, TableSchema, bounding_region,
-                             enlarge_region, generalize, region_contains,
-                             region_measure)
+                             generalize, region_contains)
 
 TREE = {
     "unmarried": {"never_married": None, "separated": None,
@@ -86,17 +84,6 @@ class TestRegions:
         region = bounding_region(schema, [(30, "separated"),
                                           (40, "widowed")])
         assert region == ((30, 40), "unmarried")
-
-    def test_enlarge_is_monotone(self, schema):
-        region = bounding_region(schema, [(30, "separated")])
-        grown = enlarge_region(schema, region, (10, "civil_marriage"))
-        assert grown == ((10, 30), "any")
-        assert region_contains(schema, grown, (30, "separated"))
-        assert region_contains(schema, grown, (10, "civil_marriage"))
-
-    def test_measure(self, schema):
-        region = ((30, 39), "unmarried")
-        assert region_measure(schema, region) == Fraction(10, 100) * Fraction(4, 6)
 
     @given(st.lists(st.tuples(st.integers(0, 99),
                               st.sampled_from(Hierarchy("any", TREE).leaves)),

@@ -10,18 +10,21 @@ leave the same pool, the same bucket entries in the same order, the same
 groups and the random generator in the same state.
 """
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import prod
+from typing import NamedTuple
 
 from hypothesis import given, settings, strategies as st
 
 from mdistinct import baselines, engine
-from mdistinct.engine import (AssignmentScore, Bucket, PrevInfo, _color_key,
-                              _deal, _pad_group,
-                              _span_extent, assignment_score,
+from mdistinct.engine import (Bucket, PrevInfo, _ExtentMemo, _color_key,
+                              _deal, _epsilon, _pad_group, _point, _score,
+                              _side_numerator, _span_extent,
                               phase1_create_buckets, phase2_assign,
-                              split_score, static_partition)
+                              static_partition)
 from mdistinct.errors import InfeasibilityError, ValidationError
 from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.model import AttributeSchema, Hierarchy, Record, TableSchema
@@ -48,6 +51,12 @@ def scratch_delta(bucket):
                max((len(e) for e in bucket.entries), default=0))
 
 
+class AssignmentScore(NamedTuple):
+    epsilon: int        # +1: no counterfeit growth; -1: padding will grow
+    lam: Fraction       # area after / area before, >= 1
+    value: Fraction     # 1/lam or -lam
+
+
 def reference_assignment_score(rec, bucket, entry_index, schema):
     if rec.sensitive not in bucket.signature.entries[entry_index]:
         raise ValidationError("record's value not in the entry's CUS")
@@ -67,7 +76,7 @@ def reference_assignment_score(rec, bucket, entry_index, schema):
 def reference_eligible_buckets(rec, prev, buckets, star, implies_cache):
     out = []
     for b, bucket in enumerate(buckets):
-        if not bucket.covers(rec.sensitive):
+        if not bucket.signature.covers(rec.sensitive):
             continue
         if prev is not None:
             key = (prev.signature.key, b)
@@ -77,7 +86,8 @@ def reference_eligible_buckets(rec, prev, buckets, star, implies_cache):
                 implies_cache[key] = ok
             if not ok:
                 continue
-        elif star and not bucket.pairwise_disjoint():
+        elif star and any(x & y for x, y in itertools.combinations(
+                bucket.signature.entries, 2)):
             continue
         out.append(b)
     return out
@@ -370,13 +380,18 @@ def test_phase2_matches_reference(case):
 @settings(max_examples=200, deadline=None)
 @given(phase2_cases())
 def test_assignment_score_matches_reference(case):
-    """The `Fraction` wrapper over the integer score, on pre-filled and
-    empty buckets alike."""
+    """Phase 2's integer epsilon, extent products and score pair give the
+    reference's `Fraction` score, on pre-filled and empty buckets alike."""
     schema, sigs, prefill, records, _, _ = case
+    extent = _ExtentMemo(schema.qi)
     for bucket in _buckets(sigs, prefill, schema):
         for rec in records:
+            before = bucket.extent_product
+            after = bucket.extent_product_with(_point(schema.qi, rec), extent)
             for i in bucket.eligible_entries(rec.sensitive):
-                assert (assignment_score(rec, bucket, i, schema)
+                eps = _epsilon(bucket, i, rec.sensitive)
+                assert (AssignmentScore(eps, F(after, before),
+                                        F(*_score(eps, before, after)))
                         == reference_assignment_score(rec, bucket, i, schema))
 
 
@@ -443,13 +458,20 @@ def test_static_partition_matches_reference(case):
             == _partition_outcome(reference_static_partition, case))
 
 
-def test_split_score_wrapper_matches_reference():
+def test_side_numerator_matches_reference():
+    """Side numerators over the parent's extent product are the
+    reference's `Fraction` split score."""
     schema = TableSchema((AGE, TREE), "s", ("a",))
     parent = [5, 6]
+    denom = prod(parent)
+    cof = [denom // e for e in parent]
     for a, b in [((2, [(0, 1), (0, 2)]), (3, [(2, 4), (3, 5)])),
                  ((1, [(4, 4), (5, 5)]), (4, [(0, 3), (0, 4)]))]:
-        assert (split_score(schema, parent, a, b)
-                == reference_split_score(schema, parent, a, b))
+        num = sum(n * _side_numerator(
+            [_span_extent(attr, lo, hi)
+             for attr, (lo, hi) in zip(schema.qi, spans)], cof)
+            for n, spans in (a, b))
+        assert F(num, denom) == reference_split_score(schema, parent, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ from mdistinct.errors import (CapExceededError, InconsistentHistoryError,
                               ValidationError)
 from mdistinct.model import ExternalKnowledgeTable
 from mdistinct.sug import (attack_release_sequence, build_sug,
-                           disclosure_risks, enumerate_paths, prune,
-                           risks_by_joint_oracle)
+                           disclosure_risks, prune, risks_by_joint_oracle)
 from mdistinct.updates import UpdateModel
+
+from conftest import path_weights
 
 F = Fraction
 
@@ -80,10 +81,9 @@ class TestPathsAndRisks:
     def test_three_layer_path_weights(self, three_layer_model,
                                       three_layer_history):
         fs = prune(build_sug(three_layer_history, three_layer_model))
-        paths = enumerate_paths(fs)
-        weights = sorted((w for _, w in paths), reverse=True)
+        weights = sorted(path_weights(fs).values(), reverse=True)
         assert weights == [F(1, 18), F(1, 18), F(1, 36), F(1, 72), F(1, 72)]
-        assert sum(w for _, w in paths) == F(1, 6)
+        assert sum(weights) == F(1, 6)
 
     def test_three_layer_risks(self, three_layer_model, three_layer_history,
                                three_layer_actual):
@@ -99,10 +99,12 @@ class TestPathsAndRisks:
         assert not report.consistent
         assert report.risks[0] == 0
 
-    def test_enumeration_cap(self, worked_model):
-        sug = build_sug([["Dyspepsia", "Gastritis"]] * 25, worked_model)
-        with pytest.raises(CapExceededError):
-            enumerate_paths(prune(sug), cap=1000)
+    def test_path_count_without_enumeration(self, worked_model):
+        """2**25 paths are counted and weighed, never listed."""
+        fs = prune(build_sug([["Dyspepsia", "Gastritis"]] * 25, worked_model))
+        report = disclosure_risks(fs, ["Dyspepsia"] * 25)
+        assert report.path_count == 2 ** 25
+        assert report.risks == (F(1, 2),) * 25
 
 
 class TestJointOracle:
@@ -166,8 +168,8 @@ def test_prune_preserves_total_path_mass(mh):
         fs = prune(sug)
     except InconsistentHistoryError:
         return
-    full = {p: w for p, w in enumerate_paths(sug, cap=10 ** 6)}
-    kept = {p: w for p, w in enumerate_paths(fs, cap=10 ** 6)}
+    full = path_weights(sug)
+    kept = path_weights(fs)
     # every complete path survives pruning with its exact weight
     assert kept == full
     assert sum(kept.values(), F(0)) <= 1

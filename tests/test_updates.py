@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdistinct.errors import ValidationError
-from mdistinct.updates import (USS, UpdateModel, cus_disjointness, implies,
-                               intersect, is_legal_update_instance, uss_of,
+from mdistinct.updates import (EXACT_BIJECTION_LIMIT, USS, UpdateModel,
+                               implies, intersect, is_legal_update_instance,
+                               pairwise_disjoint, uss_of,
                                validate_update_model)
 
 
@@ -159,9 +160,16 @@ class TestIntersect:
 
 
 def test_cus_disjointness(worked_model):
-    assert cus_disjointness(["Dyspepsia", "Glaucoma"], worked_model)
+    def disjoint(values):
+        return pairwise_disjoint(worked_model.cus_of(v) for v in values)
+
+    assert disjoint(["Dyspepsia", "Glaucoma"])
     # Flu and Pneumonia share their whole CUS
-    assert not cus_disjointness(["Flu", "Pneumonia"], worked_model)
+    assert not disjoint(["Flu", "Pneumonia"])
+    # LungCancer's CUS nests inside Pneumonia's; the third set is the one
+    # that meets the first
+    assert not disjoint(["Pneumonia", "Glaucoma", "LungCancer"])
+    assert disjoint(["Cataract"]) and disjoint([])
 
 
 # ---------------------------------------------------------------------------
@@ -239,3 +247,35 @@ def test_closure_makes_legality_hereditary(data):
            for v in values]
     assert is_legal_update_instance(nxt, sig)
     assert implies(sig, uss_of(nxt, model))
+
+
+@st.composite
+def matchable_pairs(draw):
+    """Two signatures of 9-10 entries over a 12-value domain with a perfect
+    matching of nonempty intersections: b's entry for a's i-th entry, at a
+    drawn position, holds one of its values plus random others."""
+    n = draw(st.integers(EXACT_BIJECTION_LIMIT + 1, EXACT_BIJECTION_LIMIT + 2))
+    domain = [f"v{i:02d}" for i in range(12)]
+    subsets = st.sets(st.sampled_from(domain), min_size=1, max_size=4)
+    a = [draw(subsets) for _ in range(n)]
+    order = draw(st.permutations(range(n)))
+    b = [set() for _ in range(n)]
+    for i, j in enumerate(order):
+        b[j] = {draw(st.sampled_from(sorted(a[i])))} | draw(
+            st.sets(st.sampled_from(domain), max_size=3))
+    return USS(a), USS(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matchable_pairs())
+def test_greedy_pairing_is_a_nonempty_bijection(pair):
+    """Above EXACT_BIJECTION_LIMIT entries `intersect` pairs greedily; the
+    pairing must still be a bijection of nonempty intersections, and the
+    result their signature."""
+    a, b = pair
+    plan = intersect(a, b)
+    assert plan is not None
+    assert sorted(plan.pairing) == list(range(len(b)))
+    meets = [a.entries[i] & b.entries[j] for i, j in enumerate(plan.pairing)]
+    assert all(meets)
+    assert plan.result == USS(meets)
