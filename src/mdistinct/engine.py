@@ -74,7 +74,7 @@ def _point(qi: Sequence[AttributeSchema], rec: Record) -> tuple[int, ...]:
 class Bucket:
     """A signature bucket: one entry (record list) per CUS of the signature.
 
-    `add` keeps the state phase 2 scores against up to date: the size, the
+    `_place` keeps the state phase 2 scores against up to date: the size, the
     largest sensitive-value frequency and entry size, and each attribute's
     span of member QI indices with its extent and the extents' product.
     """
@@ -125,10 +125,6 @@ class Bucket:
             else:
                 out *= self._ext[j]
         return out
-
-    def add(self, rec: Record, entry_index: int, schema: TableSchema) -> None:
-        self._place(rec, entry_index, _point(schema.qi, rec),
-                    _ExtentMemo(schema.qi))
 
     def _place(self, rec: Record, entry_index: int, point: Sequence[int],
                extent: _ExtentMemo) -> None:

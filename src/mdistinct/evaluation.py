@@ -3,9 +3,12 @@
 Counts are estimated under the uniform-within-region assumption: each real
 member of a group contributes the fraction of its group's region that
 overlaps the query box.  Counterfeit members never contribute.  Estimates
-are exact rationals.  Both the estimate and the exact count are evaluated
-for a batch of queries at once with numpy; the tests hold scalar oracles
-for both.
+are exact rationals, summed on integers: the groups' numerators are added
+up per distinct region volume (the denominator), the per-denominator sums
+are scaled to the release's common denominator, and each query's estimate
+is built as one rational at the end.  Both the estimate and the exact
+count are evaluated for a batch of queries at once with numpy; the tests
+hold scalar oracles for both.
 
 The experiment driver replays the full pipeline on synthetic data: evolve
 the population, publish with the chosen scheme, attack after every release,
@@ -16,6 +19,7 @@ exact count on the microdata; zero-estimate queries are resampled).
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -50,6 +54,9 @@ __all__ = [
 ]
 
 OVERSAMPLE_FACTOR = 10
+
+# the estimate of a query no real member falls in; Fractions are immutable
+ZERO = Fraction(0)
 
 PUBLISHERS = ("m_distinct", "m_distinct_star", "l_diversity", "m_invariance")
 
@@ -98,51 +105,73 @@ def _query_bounds(queries: Sequence[AggregateQuery], n_attr: int):
 
 
 class ReleaseEvaluator:
-    """Exact count estimates of query batches against one release."""
+    """Exact count estimates of query batches against one release.
+
+    A group adds to a query's estimate its real members in the value span
+    times the overlap of its region with the query box, over its region's
+    volume `extprod`.  The groups are kept in `extprod` order, so the
+    numerators over one denominator fill one run of columns: each run is
+    summed on integers, and the sums meet the release's `lcm` of
+    denominators in one dot product with Python-int multipliers, which
+    leaves one `Fraction` to build per query.  A numerator is at most
+    (real members) x (largest `extprod`); when that bound does not fit
+    int64, the same steps run on Python ints.
+    """
 
     def __init__(self, release: PublishedRelease, schema: TableSchema,
                  domain: Sequence[str]):
-        self.schema = schema
         domain_index = {v: i for i, v in enumerate(domain)}
         groups = release.groups
-        n_attr = len(schema.qi)
-        self.glo = np.zeros((len(groups), n_attr), dtype=np.int64)
-        self.ghi = np.zeros((len(groups), n_attr), dtype=np.int64)
-        hist = np.zeros((len(groups), len(domain) + 1), dtype=np.int64)
-        self.extprod = [1] * len(groups)
+        regions, extprod = [], []
+        hist = np.zeros((len(domain) + 1, len(groups)), dtype=np.int64)
         for g, group in enumerate(groups):
-            for j, (attr, cell) in enumerate(zip(schema.qi, group.region)):
-                lo, hi = _region_span(attr, cell)
-                self.glo[g, j], self.ghi[g, j] = lo, hi
-                self.extprod[g] *= hi - lo + 1
+            region = [_region_span(attr, cell)
+                      for attr, cell in zip(schema.qi, group.region)]
+            regions.append(region)
+            extprod.append(math.prod(hi - lo + 1 for lo, hi in region))
             for member in group.members:
                 if not member.counterfeit:
-                    hist[g, domain_index[member.sensitive] + 1] += 1
-        self.cumhist = np.cumsum(hist, axis=1)
+                    hist[domain_index[member.sensitive] + 1, g] += 1
+        order = sorted(range(len(groups)), key=extprod.__getitem__)
+        # per attribute, the distinct group spans (lo, hi) and each group's
+        # index among them
+        self.spans = []
+        for j in range(len(schema.qi)):
+            bounds = np.array([regions[g][j] for g in order],
+                              dtype=np.int64).reshape(-1, 2)
+            unique, index = np.unique(bounds, axis=0, return_inverse=True)
+            self.spans.append((unique[:, 0], unique[:, 1], index.reshape(-1)))
+        # per value index v, each group's real members with a value below v
+        self.cumhist = np.cumsum(hist[:, order], axis=0)
+        dens = [extprod[g] for g in order]
+        self.starts = np.array([g for g in range(len(dens))
+                                if g == 0 or dens[g] != dens[g - 1]],
+                               dtype=np.intp)
+        distinct = [dens[g] for g in self.starts.tolist()]
+        self.lcm = math.lcm(*distinct)
+        self.mult = np.array([self.lcm // den for den in distinct],
+                             dtype=object)
+        real = int(hist.sum())
+        self.dtype = (np.int64 if real * max(distinct, default=1) < 2 ** 63
+                      else object)
 
     def batch(self, queries: Sequence[AggregateQuery]) -> list[Fraction]:
         if not queries:
             return []
-        qlo, qhi, slo, shi = _query_bounds(queries, self.glo.shape[1])
-        # overlap widths per (group, query, attr); clip negatives to 0
-        ov = (np.minimum(self.ghi[:, None, :], qhi[None, :, :])
-              - np.maximum(self.glo[:, None, :], qlo[None, :, :]) + 1)
-        np.clip(ov, 0, None, out=ov)
-        ovprod = ov.prod(axis=2)
-        cnt = self.cumhist[:, shi + 1] - self.cumhist[:, slo]
-        num = cnt * ovprod
-        out: list[Fraction] = []
-        for q in range(len(queries)):
-            nz = np.nonzero(num[:, q])[0]
-            by_den: dict[int, int] = {}
-            for g in nz.tolist():
-                den = self.extprod[g]
-                by_den[den] = by_den.get(den, 0) + int(num[g, q])
-            total = Fraction(0)
-            for den in sorted(by_den):
-                total += Fraction(by_den[den], den)
-            out.append(total)
-        return out
+        qlo, qhi, slo, shi = _query_bounds(queries, len(self.spans))
+        # Q x G: real members in each query's value span, then times each
+        # attribute's overlap width, clipped at 0, taken from the query's
+        # overlap with each distinct region
+        num = (self.cumhist[shi + 1]
+               - self.cumhist[slo]).astype(self.dtype, copy=False)
+        for j, (lo, hi, index) in enumerate(self.spans):
+            ov = (np.minimum(hi, qhi[:, j:j + 1])
+                  - np.maximum(lo, qlo[:, j:j + 1]) + 1)
+            np.maximum(ov, 0, out=ov)
+            num *= ov.take(index, axis=1)
+        sums = np.add.reduceat(num, self.starts, axis=1)
+        return [Fraction(t, self.lcm) if t else ZERO
+                for t in sums.dot(self.mult).tolist()]
 
 
 class SnapshotCounter:

@@ -65,13 +65,25 @@ def write_csv(path: Path | str, rows: Iterable[Sequence[str]]) -> None:
 
 
 def _read_csv(path: Path | str) -> list[list[str]]:
+    """The rows of a CSV file.  No field may hold a line break: `write_csv`
+    leaves a bare carriage return unquoted, so such a value would not
+    survive being written back into a history."""
     try:
         with open(path, newline="") as fh:
-            return list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"{path}: not a CSV text file ({exc})") from None
+    # only a quoted field holding a line break makes a row span two lines,
+    # and every row before the first such row starts on its own line number
+    if reader.line_num != len(rows):
+        lineno = next(i for i, row in enumerate(rows, start=1)
+                      if any("\r" in cell or "\n" in cell for cell in row))
+        raise ValidationError(f"{path} line {lineno}: a field holds a line "
+                              f"break")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +329,21 @@ def _is_tree(tree: object) -> bool:
                             and all(map(_is_tree, tree.values())))
 
 
+def _has_line_break(data: object) -> bool:
+    """Whether a string or key anywhere in decoded JSON holds a line
+    break, which no CSV field of a history may hold."""
+    if isinstance(data, str):
+        return "\r" in data or "\n" in data
+    if isinstance(data, dict):
+        return any(map(_has_line_break, [*data, *data.values()]))
+    return isinstance(data, list) and any(map(_has_line_break, data))
+
+
 def _schema_from_json(data: object, where: str) -> TableSchema:
     """The schema `_schema_to_json` wrote; any other layout is a
     ValidationError."""
+    if _has_line_break(data):
+        raise ValidationError(f"{where}a name holds a line break")
     def typed(obj: object, key: str, kind: type):
         value = obj.get(key) if isinstance(obj, dict) else None
         if type(value) is not kind:

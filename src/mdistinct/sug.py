@@ -65,10 +65,6 @@ class Sug:
     def edge_count(self) -> int:
         return sum(len(adj) for gap in self.out for adj in gap)
 
-    def layer_values(self, i: int) -> tuple[str, ...]:
-        """Values of layer i (1-based)."""
-        return tuple(n.value for n in self.layers[i - 1])
-
 
 @functools.lru_cache(maxsize=4096)
 def _share(count: int, total: int) -> Fraction:

@@ -155,9 +155,6 @@ class USS:
         inner = ", ".join("{" + ",".join(k) + "}" for k in self._key)
         return f"USS[{inner}]"
 
-    def covers(self, value: str) -> bool:
-        return any(value in e for e in self.entries)
-
 
 def uss_of(values: Sequence[str], model: UpdateModel) -> USS:
     return USS(model.cus_of(v) for v in values)

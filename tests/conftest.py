@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mdistinct.engine import _ExtentMemo, _point
 from mdistinct.model import (AttributeSchema, Member, PublishedRelease,
                              QIGroup, Record, TableSchema)
 from mdistinct.updates import UpdateModel
@@ -17,6 +18,22 @@ DISEASES = ("Cataract", "Dyspepsia", "Flu", "Gastritis", "Glaucoma",
 
 # one line per acceptance criterion, echoed after the test summary
 acceptance_lines: list[str] = []
+
+
+def layer_values(sug, i: int) -> tuple[str, ...]:
+    """Values of a candidate graph's layer i (1-based)."""
+    return tuple(n.value for n in sug.layers[i - 1])
+
+
+def covers(uss, value: str) -> bool:
+    """Whether some entry of a signature holds the value."""
+    return any(value in e for e in uss.entries)
+
+
+def add(bucket, rec, entry_index: int, schema) -> None:
+    """Place one record in a bucket entry, as phase 2 does."""
+    bucket._place(rec, entry_index, _point(schema.qi, rec),
+                  _ExtentMemo(schema.qi))
 
 
 def path_weights(fs) -> dict[tuple[str, ...], Fraction]:

@@ -20,7 +20,7 @@ from mdistinct.sug import (attack_release_sequence, build_sug,
                            disclosure_risks, prune, risks_by_joint_oracle)
 from mdistinct.updates import UpdateModel
 
-from conftest import path_weights
+from conftest import layer_values, path_weights
 
 F = Fraction
 
@@ -290,9 +290,9 @@ def test_criterion_06_risk_bounds_and_graph_structure(desk_runs, star_runs,
         fs = prune(build_sug(candidates, model))
         report = disclosure_risks(fs, actual)
         for i, risk in enumerate(report.risks, start=1):
-            if (risk == 1) != (len(fs.layer_values(i)) == 1):
+            if (risk == 1) != (len(layer_values(fs, i)) == 1):
                 failures.append(f"(b) trial {trial} layer {i}: risk {risk} "
-                                f"with {len(fs.layer_values(i))} nodes")
+                                f"with {len(layer_values(fs, i))} nodes")
                 break
         else:
             continue
@@ -309,12 +309,12 @@ def test_criterion_06_risk_bounds_and_graph_structure(desk_runs, star_runs,
             sug = build_sug(candidates, model10)
             fs = prune(sug)
             depths = range(1, sug.depth + 1)
-            if [set(sug.layer_values(i)) for i in depths] != \
-                    [set(fs.layer_values(i)) for i in depths]:
+            if [set(layer_values(sug, i)) for i in depths] != \
+                    [set(layer_values(fs, i)) for i in depths]:
                 failures.append(f"(c) m={m} record {rid}: pruning removed "
                                 f"candidates")
                 break
-            if any(len(sug.layer_values(i)) < m for i in depths):
+            if any(len(layer_values(sug, i)) < m for i in depths):
                 failures.append(f"(c) m={m} record {rid}: a layer has fewer "
                                 f"than {m} candidates")
                 break

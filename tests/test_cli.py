@@ -125,6 +125,50 @@ class TestExitCodes:
         assert code == 2
         assert "no releases" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("brk", ["\r", "\n", "\r\n"])
+    @pytest.mark.parametrize("column", [0, 3])
+    def test_line_break_in_a_field_exits_two(self, workdir, capsys, brk,
+                                             column):
+        # a quoted id or value holding a line break; write_csv would leave
+        # a bare "\r" unquoted in the release it wrote
+        rows = (workdir / "t1.csv").read_text().splitlines()
+        cells = rows[2].split(",")
+        cells[column] = f'"{cells[column][:2]}{brk}{cells[column][2:]}"'
+        rows[2] = ",".join(cells)
+        (workdir / "bad.csv").write_bytes("\n".join(rows).encode() + b"\n")
+        hist = workdir / "hist"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        assert run(workdir, "publish", "--microdata", workdir / "bad.csv",
+                   "--m", "2", *base) == 2
+        assert "bad.csv line 3: a field holds a line break" in \
+            capsys.readouterr().err
+        assert not list(hist.glob("*"))
+        # and into an existing history, which stays as it was
+        assert run(workdir, "publish", "--microdata", workdir / "t1.csv",
+                   "--m", "2", *base) == 0
+        before = _tree(hist)
+        assert run(workdir, "publish", "--microdata", workdir / "bad.csv",
+                   "--m", "2", *base) == 2
+        assert _tree(hist) == before
+        assert run(workdir, "verify", "--m", "2", *base) == 0
+
+    def test_line_break_in_a_schema_name_exits_two(self, workdir, capsys):
+        # a name that reaches a history from schema.json, not from a CSV
+        hist = workdir / "hist"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        assert run(workdir, "publish", "--microdata", workdir / "t1.csv",
+                   "--m", "2", *base) == 0
+        schema = json.loads((hist / "schema.json").read_text())
+        schema["qi"][0]["name"] = "sal\rary"
+        (hist / "schema.json").write_text(json.dumps(schema))
+        before = _tree(hist)
+        for argv in (["publish", "--microdata", workdir / "t2.csv",
+                      "--m", "2"], ["verify", "--m", "2"], ["attack"]):
+            assert run(workdir, *argv, *base) == 2
+            assert "schema.json: a name holds a line break" in \
+                capsys.readouterr().err
+        assert _tree(hist) == before
+
     def test_mismatched_parameters_exit_two(self, workdir, capsys):
         hist = workdir / "hist"
         base = ["--model", workdir / "model.csv", "--history", hist]

@@ -46,7 +46,11 @@ MODEL = [["value", "successor", "probability"],
          ["LungCancer", "LungCancer", "1"],
          ["Pneumonia", "LungCancer", "1/2"], ["Pneumonia", "Pneumonia", "1/2"]]
 
-TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+# line breaks drawn as often as any other character: a quoted field may
+# hold one, and no loader accepts it
+TEXT = st.text(st.one_of(st.sampled_from("\r\n"),
+                         st.characters(blacklist_categories=("Cs",))),
+               max_size=8)
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
                          st.floats(allow_nan=False), TEXT)
 JSON_VALUES = st.recursive(
@@ -55,9 +59,11 @@ JSON_VALUES = st.recursive(
         st.dictionaries(TEXT, inner, max_size=3)), max_leaves=6)
 
 
-def _csv_bytes(rows) -> bytes:
+def _csv_bytes(rows, end="\n") -> bytes:
+    """rows as CSV; the writer quotes a field holding a line break, except
+    a bare "\r" when `end` is "\n"."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
+    csv.writer(out, lineterminator=end).writerows(rows)
     return out.getvalue().encode()
 
 
@@ -141,9 +147,16 @@ def broken_microdata(draw, rows):
     """A table for a history whose schema has integer salaries, cities
     from a fixed set and diseases from the model."""
     kind = draw(st.sampled_from(["csv", "salary", "city", "disease", "id",
-                                 "header only"]))
+                                 "line break", "header only"]))
     if kind == "csv":
         return draw(csv_breakers(rows))
+    if kind == "line break":
+        # any field, the id among them, quoted around a line break
+        rows = [list(r) for r in rows]
+        row = rows[draw(st.integers(1, len(rows) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(TEXT) + draw(
+            st.sampled_from(["\r", "\n", "\r\n"])) + draw(TEXT)
+        return _csv_bytes(rows, end="\r\n")
     if kind == "salary":
         return _cell(draw, rows, 1, draw(TEXT.filter(lambda s: not _is_int(s))))
     if kind == "city":

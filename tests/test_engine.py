@@ -19,6 +19,8 @@ from mdistinct.updates import USS, implies, uss_of
 from mdistinct.baselines import count_vulnerable
 from mdistinct.sug import attack_release_sequence
 
+from conftest import add
+
 F = Fraction
 
 
@@ -133,7 +135,7 @@ class TestBucketState:
         for n, (entry, x, c, value) in enumerate(adds):
             if value not in entry_cus[entry]:
                 value = min(entry_cus[entry])
-            bucket.add(Record(f"r{n}", (x, c), value), entry, STATE_SCHEMA)
+            add(bucket, Record(f"r{n}", (x, c), value), entry, STATE_SCHEMA)
             assert (bucket.size, bucket.delta(), bucket.extent_product) \
                 == _recount(bucket, STATE_SCHEMA)
 
@@ -157,8 +159,8 @@ class TestAssignmentScore:
 
     def test_inside_region_no_collision_scores_one(self, small_schema):
         bucket = Bucket(sig_of({"a", "b"}, {"c", "d"}), "signature")
-        bucket.add(Record("r1", (2,), "a"), 0, small_schema)
-        bucket.add(Record("r2", (6,), "c"), 1, small_schema)
+        add(bucket, Record("r1", (2,), "a"), 0, small_schema)
+        add(bucket, Record("r2", (6,), "c"), 1, small_schema)
         # entry 1 already holds delta records
         assert _epsilon(bucket, 1, "d") == -1
         assert assignment_score(Record("r3", (4,), "b"), bucket, 0,
@@ -166,9 +168,9 @@ class TestAssignmentScore:
 
     def test_region_growth_penalized(self, small_schema):
         bucket = Bucket(sig_of({"a", "b"}, {"c", "d"}), "signature")
-        bucket.add(Record("r1", (2,), "a"), 0, small_schema)
-        bucket.add(Record("r2", (3,), "c"), 1, small_schema)
-        bucket.add(Record("r3", (3,), "b"), 0, small_schema)
+        add(bucket, Record("r1", (2,), "a"), 0, small_schema)
+        add(bucket, Record("r2", (3,), "c"), 1, small_schema)
+        add(bucket, Record("r3", (3,), "b"), 0, small_schema)
         # delta=2, entry 1 has room and "d" is fresh: epsilon=+1,
         # lambda = extent 0..3 over extent 2..3
         assert assignment_score(Record("r4", (0,), "d"), bucket, 1,
@@ -219,9 +221,9 @@ class TestPhase2:
 class TestBalance:
     def test_pads_every_entry_to_delta(self, small_schema):
         bucket = Bucket(sig_of({"a", "b"}, {"c", "d"}), "signature")
-        bucket.add(Record("r1", (1,), "a"), 0, small_schema)
-        bucket.add(Record("r2", (2,), "b"), 0, small_schema)
-        bucket.add(Record("r3", (3,), "c"), 1, small_schema)
+        add(bucket, Record("r1", (1,), "a"), 0, small_schema)
+        add(bucket, Record("r2", (2,), "b"), 0, small_schema)
+        add(bucket, Record("r3", (3,), "c"), 1, small_schema)
         balance_counterfeits(bucket)
         assert bucket.counterfeits == [0, 1]
 
@@ -251,10 +253,10 @@ class TestSplitScore:
 class TestPhase3:
     def _bucket(self, schema):
         bucket = Bucket(sig_of({"a", "b"}, {"c", "d"}), "signature")
-        bucket.add(Record("r1", (0,), "a"), 0, schema)
-        bucket.add(Record("r2", (9,), "b"), 0, schema)
-        bucket.add(Record("r3", (1,), "c"), 1, schema)
-        bucket.add(Record("r4", (8,), "d"), 1, schema)
+        add(bucket, Record("r1", (0,), "a"), 0, schema)
+        add(bucket, Record("r2", (9,), "b"), 0, schema)
+        add(bucket, Record("r3", (1,), "c"), 1, schema)
+        add(bucket, Record("r4", (8,), "d"), 1, schema)
         balance_counterfeits(bucket)
         return bucket
 
@@ -266,9 +268,9 @@ class TestPhase3:
 
     def test_counterfeit_values_come_from_the_entry(self, small_schema):
         bucket = Bucket(sig_of({"a", "b"}, {"c", "d"}), "signature")
-        bucket.add(Record("r1", (0,), "a"), 0, small_schema)
-        bucket.add(Record("r2", (9,), "b"), 0, small_schema)
-        bucket.add(Record("r3", (1,), "c"), 1, small_schema)
+        add(bucket, Record("r1", (0,), "a"), 0, small_schema)
+        add(bucket, Record("r2", (9,), "b"), 0, small_schema)
+        add(bucket, Record("r3", (1,), "c"), 1, small_schema)
         balance_counterfeits(bucket)
         groups = phase3_split(bucket, small_schema, random.Random(0))
         assert len(groups) == 2
@@ -283,11 +285,11 @@ class TestPhase3:
         rng = random.Random(1)
         bucket = Bucket(sig_of({"a", "b", "c"}, {"c", "d", "e"}), "signature")
         for i, v in enumerate(["a", "b", "c", "a", "b"]):
-            bucket.add(Record(f"r{i}", (rng.randrange(10),), v), 0,
-                       small_schema)
+            add(bucket, Record(f"r{i}", (rng.randrange(10),), v), 0,
+                small_schema)
         for i, v in enumerate(["c", "d", "e"]):
-            bucket.add(Record(f"s{i}", (rng.randrange(10),), v), 1,
-                       small_schema)
+            add(bucket, Record(f"s{i}", (rng.randrange(10),), v), 1,
+                small_schema)
         balance_counterfeits(bucket)
         groups = phase3_split(bucket, small_schema, random.Random(2),
                               backtrack_cap=0)

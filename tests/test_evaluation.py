@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdistinct import evaluation
 from mdistinct.errors import ValidationError
@@ -10,7 +13,8 @@ from mdistinct.evaluation import (AggregateQuery, ExperimentConfig,
                                   _region_span, median_fraction,
                                   random_query, run_experiment)
 from mdistinct.fileio import synthetic_schema
-from mdistinct.model import CounterfeitMember, Record, generalize
+from mdistinct.model import (AttributeSchema, CounterfeitMember, Hierarchy,
+                             Record, TableSchema, generalize)
 
 F = Fraction
 
@@ -211,6 +215,117 @@ class TestBatchTwins:
         index = {v: i for i, v in enumerate(DOMAIN)}
         counter = SnapshotCounter(t1_records, disease_schema, index)
         assert counter.batch([]).tolist() == []
+
+
+# ---------------------------------------------------------------------------
+# the batch evaluator against the scalar oracle on random releases
+
+
+def _tree(draw, leaves, name, depth):
+    """A hierarchy subtree over `leaves`, cut into contiguous runs."""
+    if depth == 0 or len(leaves) == 1:
+        return list(leaves)
+    cuts = sorted(draw(st.sets(st.integers(1, len(leaves) - 1), max_size=3)))
+    out = {}
+    for i, (a, b) in enumerate(zip([0, *cuts], [*cuts, len(leaves)])):
+        run = leaves[a:b]
+        if len(run) == 1:
+            out[run[0]] = None
+        else:
+            out[f"{name}/{i}"] = _tree(draw, run, f"{name}/{i}", depth - 1)
+    return out
+
+
+@st.composite
+def attributes(draw, j, wide):
+    """A numeric attribute, 2**32 to 2**40 points wide if `wide`, or a
+    categorical one over a random hierarchy of up to 8 leaves."""
+    if wide:
+        lo = draw(st.integers(-2 ** 40, 2 ** 40))
+        return AttributeSchema.numeric(
+            f"a{j}", lo, lo + draw(st.integers(2 ** 32, 2 ** 40)))
+    if draw(st.booleans()):
+        lo = draw(st.integers(-5, 5))
+        return AttributeSchema.numeric(f"a{j}", lo,
+                                       lo + draw(st.integers(0, 12)))
+    leaves = [f"a{j}.{i}" for i in range(draw(st.integers(1, 8)))]
+    return AttributeSchema.categorical(
+        f"a{j}", Hierarchy(f"a{j}", _tree(draw, leaves, f"a{j}", 2)))
+
+
+def _value(draw, attr):
+    if attr.kind == "numeric":
+        return draw(st.integers(attr.lo, attr.hi))
+    return draw(st.sampled_from(attr.hierarchy.leaves))
+
+
+@st.composite
+def estimate_cases(draw, wide=False):
+    """(release, schema, domain, queries).  With `wide`, two or three
+    numeric attributes each at least 2**32 points wide, and a first group
+    spanning them all: its extent product alone is 2**64 or more."""
+    n_attr = draw(st.integers(2, 3) if wide else st.integers(1, 3))
+    qi = tuple(draw(attributes(j, wide)) for j in range(n_attr))
+    domain = tuple(f"s{i}" for i in range(draw(st.integers(1, 6))))
+    schema = TableSchema(qi, "s", domain)
+    groups, n = [], 0
+    for g in range(draw(st.integers(1, 8))):
+        members = []
+        for _ in range(draw(st.integers(1, 4))):
+            n += 1
+            members.append(Record(f"r{n}", tuple(_value(draw, a) for a in qi),
+                                  draw(st.sampled_from(domain))))
+        if wide and g == 0:
+            for point in ((a.lo for a in qi), (a.hi for a in qi)):
+                n += 1
+                members.append(Record(f"r{n}", tuple(point), domain[0]))
+        members += [CounterfeitMember(draw(st.sampled_from(domain)))
+                    for _ in range(draw(st.integers(0, 2)))]
+        groups.append(members)
+    release = generalize(schema, 1, groups)
+
+    def span(size):
+        lo = draw(st.integers(0, size - 1))
+        return (lo, draw(st.integers(lo, size - 1)))
+
+    queries = [AggregateQuery(tuple(span(a.size) for a in qi),
+                              span(len(domain)))
+               for _ in range(draw(st.integers(1, 10)))]
+    return release, schema, domain, queries
+
+
+def numerator_bound(release, schema) -> int:
+    """Real members times the largest region volume: no group's numerator
+    over its own volume exceeds it."""
+    real = sum(not m.counterfeit for g in release.groups for m in g.members)
+    volume = max(math.prod(hi - lo + 1 for lo, hi in
+                           (_region_span(a, c) for a, c in
+                            zip(schema.qi, g.region)))
+                 for g in release.groups)
+    return real * volume
+
+
+class TestBatchProperty:
+    def _check(self, case, dtype):
+        release, schema, domain, queries = case
+        evaluator = ReleaseEvaluator(release, schema, domain)
+        assert evaluator.dtype is dtype
+        assert evaluator.batch(queries) == [
+            estimate_count(release, q, schema, domain) for q in queries]
+
+    @settings(max_examples=200, deadline=None)
+    @given(estimate_cases())
+    def test_int64_numerators(self, case):
+        release, schema, _, _ = case
+        assert numerator_bound(release, schema) < 2 ** 63
+        self._check(case, np.int64)
+
+    @settings(max_examples=100, deadline=None)
+    @given(estimate_cases(wide=True))
+    def test_python_int_numerators(self, case):
+        release, schema, _, _ = case
+        assert numerator_bound(release, schema) >= 2 ** 63
+        self._check(case, object)
 
 
 class TestRandomQuery:

@@ -1,16 +1,24 @@
-"""The publisher ranks its candidates on integers.
+"""The publisher ranks its candidates on integers, and query estimation
+sums on integers.
 
 Scores are rationals, but phase 2 compares them as cross-multiplied
 integer pairs and the two partitioners as integer numerators over a shared
 denominator, so `engine.py`, where all three kernels live, has no use for
 `Fraction`.  An `ast` walk of the whole module, imports, nested functions
-and annotations included, keeps it that way.
+and annotations included, keeps it that way.  Query estimates are exact
+rationals too, but each one is a single integer over the release's common
+denominator: a count of the `Fraction`s a batch builds keeps it that way.
 """
 
 import ast
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import mdistinct
+from mdistinct import evaluation
+from mdistinct.evaluation import ExperimentConfig, random_query, run_experiment
+from mdistinct.fileio import synthetic_schema
 
 ENGINE = Path(mdistinct.__file__).parent / "engine.py"
 
@@ -70,3 +78,36 @@ def test_kernels_do_not_name_fraction():
     found = names_used(ast.parse(ENGINE.read_text()))
     assert "Fraction" not in found
     assert "fractions" not in found
+
+
+# ---------------------------------------------------------------------------
+# query estimation sums on integers and builds one rational per estimate
+
+
+def test_estimation_builds_one_fraction_per_positive_estimate(monkeypatch):
+    report = run_experiment(ExperimentConfig(
+        publisher="m_invariance", m=2, d=5, n_records=60, n_releases=2,
+        inserts=10, deletes=5, internal_updates=10, thetas=(0.5,),
+        n_queries=1, seed=5, sensitive_size=10))
+    schema, model = synthetic_schema(5, 10)
+    domain = sorted(model.sensitive_domain)
+    rng = random.Random(0)
+    queries = [random_query(schema, domain, theta, rng)
+               for theta in (0.1, 0.5, 0.9) for _ in range(100)]
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    for release in report.published:
+        evaluator = evaluation.ReleaseEvaluator(release, schema, domain)
+        expected = evaluator.batch(queries)
+        built.clear()
+        monkeypatch.setattr(evaluation, "Fraction", counting)
+        estimates = evaluator.batch(queries)
+        monkeypatch.undo()
+        positive = sum(1 for e in estimates if e > 0)
+        assert estimates == expected
+        assert 0 < positive < len(queries)
+        assert len(built) <= positive

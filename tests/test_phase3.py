@@ -27,6 +27,8 @@ from mdistinct.model import (AttributeSchema, Hierarchy, Record,
                              TableSchema)
 from mdistinct.updates import USS
 
+from conftest import add
+
 # ---------------------------------------------------------------------------
 # the reference kernel, as it was before the presorted rewrite
 
@@ -281,7 +283,7 @@ def buckets(draw):
         for _ in range(count):
             qi = tuple(_draw_qi(a, draw) for a in schema.qi)
             value = draw(st.sampled_from(sorted(values)))
-            bucket.add(Record(f"r{ids[n]:02d}", qi, value), e, schema)
+            add(bucket, Record(f"r{ids[n]:02d}", qi, value), e, schema)
             n += 1
     return schema, balance_counterfeits(bucket)
 
@@ -356,7 +358,7 @@ def test_budget_exhaustion_reaches_fallback():
     bucket = Bucket(USS([{"v0", "v1", "v2"}] * 3), "signature")
     for e in range(3):
         for s, v in enumerate(["v0", "v1", "v2"]):
-            bucket.add(Record(f"r{e}{s}", (20 + (e + s) % 3,), v), e, schema)
+            add(bucket, Record(f"r{e}{s}", (20 + (e + s) % 3,), v), e, schema)
     balance_counterfeits(bucket)
     for cap in (0, 1, 2, 5, 50):
         assert (_outcome(phase3_split, bucket, schema, 11, cap)

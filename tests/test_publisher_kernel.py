@@ -31,6 +31,8 @@ from mdistinct.model import AttributeSchema, Hierarchy, Record, TableSchema
 from mdistinct.updates import (USS, UpdateModel, implies, uss_of,
                                validate_update_model)
 
+from conftest import add, covers
+
 F = Fraction
 
 # ---------------------------------------------------------------------------
@@ -76,7 +78,7 @@ def reference_assignment_score(rec, bucket, entry_index, schema):
 def reference_eligible_buckets(rec, prev, buckets, star, implies_cache):
     out = []
     for b, bucket in enumerate(buckets):
-        if not bucket.signature.covers(rec.sensitive):
+        if not covers(bucket.signature, rec.sensitive):
             continue
         if prev is not None:
             key = (prev.signature.key, b)
@@ -132,7 +134,7 @@ def reference_phase2_assign(records, prev_of, buckets, schema, star=False):
                 best_score = buc_score
                 best = (b, buc_entry)
         assert best is not None
-        buckets[best[0]].add(rec, best[1], schema)
+        add(buckets[best[0]], rec, best[1], schema)
     return pool
 
 
@@ -356,7 +358,7 @@ def _buckets(sigs, prefill, schema):
         bucket = buckets[b]
         i = pick % len(bucket.entries)
         values = sorted(bucket.signature.entries[i])
-        bucket.add(Record(f"p{n}", qi, values[pick % len(values)]), i, schema)
+        add(bucket, Record(f"p{n}", qi, values[pick % len(values)]), i, schema)
     return buckets
 
 
@@ -406,7 +408,7 @@ def test_ties_keep_the_first_bucket_and_the_first_smallest_entry():
                    for _ in range(2)]
         for bucket in buckets:
             for rid, entry in (("p0", 0), ("p1", 3), ("p2", 3)):
-                bucket.add(Record(rid, (20,), "a"), entry, schema)
+                add(bucket, Record(rid, (20,), "a"), entry, schema)
         return buckets
 
     rec = Record("r", (20,), "b")

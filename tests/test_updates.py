@@ -9,6 +9,8 @@ from mdistinct.updates import (EXACT_BIJECTION_LIMIT, USS, UpdateModel,
                                pairwise_disjoint, uss_of,
                                validate_update_model)
 
+from conftest import covers
+
 
 class TestUpdateModel:
     def test_uniform_shares(self, worked_model):
@@ -67,7 +69,7 @@ class TestUss:
 
     def test_covers(self):
         sig = USS([{"x", "y"}, {"z"}])
-        assert sig.covers("z") and not sig.covers("w")
+        assert covers(sig, "z") and not covers(sig, "w")
 
     def test_uss_of_worked_group(self, worked_model):
         sig = uss_of(["Dyspepsia", "Pneumonia"], worked_model)
