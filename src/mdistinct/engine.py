@@ -153,17 +153,27 @@ class Bucket:
 def phase1_create_buckets(prev_signatures: Sequence[USS]) -> list[Bucket]:
     """One bucket per distinct signature in scan order, then best pairwise
     intersections appended (deduplicated, single pass - intersections of
-    intersections are not generated)."""
+    intersections are not generated).
+
+    A pair can intersect only when both signatures have the same size and
+    every entry of each meets the other's values, as a perfect matching of
+    nonempty intersections needs; other pairs are skipped untried."""
     queue: list[USS] = []
     seen: set[USS] = set()
     for sig in prev_signatures:
         if sig not in seen:
             seen.add(sig)
             queue.append(sig)
+    values = [sig.values for sig in queue]
     extra: list[USS] = []
-    for i in range(len(queue)):
+    for i, a in enumerate(queue):
         for j in range(i + 1, len(queue)):
-            plan = intersect(queue[i], queue[j])
+            b = queue[j]
+            if (len(a) != len(b)
+                    or any(values[j].isdisjoint(e) for e in a.entries)
+                    or any(values[i].isdisjoint(e) for e in b.entries)):
+                continue
+            plan = intersect(a, b)
             if plan is not None and plan.result not in seen:
                 seen.add(plan.result)
                 extra.append(plan.result)

@@ -403,7 +403,11 @@ class HistoryStore:
 
     @contextmanager
     def lock(self):
-        self.path.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # the path or a parent is not a directory
+            raise ValidationError(f"history {self.path} cannot be a "
+                                  f"directory: {exc.strerror}") from None
         lockfile = self.path / "lock"
         try:
             fd = os.open(lockfile, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -581,10 +585,18 @@ def snapshot_tables(snapshots: Mapping[int, Sequence[Record]],
 
 def load_external_tables(directory: Path | str,
                          schema: TableSchema) -> list[ExternalKnowledgeTable]:
-    """Read et_<i>.csv files (columns id,<qi...>) from a directory."""
+    """Read et_<i>.csv files (columns id,<qi...>) from a directory, which
+    must hold at least one."""
     directory = Path(directory)
+    if not directory.is_dir():
+        raise ValidationError(f"external tables {directory}: not a "
+                              f"directory")
+    indices = _csv_indices(directory, "et")
+    if not indices:
+        raise ValidationError(f"external tables {directory}: no et_<i>.csv "
+                              f"file")
     out = []
-    for i in _csv_indices(directory, "et"):
+    for i in indices:
         rows = _read_qi_rows(directory / f"et_{i}.csv", schema)
         out.append(ExternalKnowledgeTable(
             i, {rid: qi for _, rid, qi, _ in rows}))

@@ -6,7 +6,10 @@ risks come out as the golden rationals with no tolerance.  Inside, the
 forward/backward path masses run on integers: every layer's node weights
 are scaled to that layer's common denominator and every gap's edge weights
 to that gap's, so each path mass carries the same factor and one exact
-division per risk cancels it.  No path is ever enumerated.
+division per risk cancels it.  No path is ever enumerated.  The attack on
+a release sequence runs the same recursion once per distinct candidate
+history, not once per record, and skips pruning, which cannot change a
+risk.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 from .errors import CapExceededError, InconsistentHistoryError, ValidationError
 from .model import ExternalKnowledgeTable, PublishedRelease, TableSchema, region_contains
@@ -34,6 +38,8 @@ __all__ = [
 ]
 
 JOINT_ORACLE_CAP = 1_000_000
+
+_W = TypeVar("_W")
 
 
 @dataclass(frozen=True)
@@ -71,16 +77,40 @@ def _share(count: int, total: int) -> Fraction:
     return Fraction(count, total)
 
 
-def _collapse(values: Sequence[str]) -> tuple[list[str], list[Fraction]]:
-    """Distinct values in first-appearance order with multiplicity shares."""
-    order: list[str] = []
+def _tally(values: Sequence[str]) -> dict[str, int]:
+    """Multiplicity per distinct value, keys in first-appearance order."""
     counts: dict[str, int] = {}
     for v in values:
-        if v not in counts:
-            order.append(v)
         counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
+def _collapse(values: Sequence[str]) -> tuple[list[str], list[Fraction]]:
+    """Distinct values in first-appearance order with multiplicity shares."""
+    counts = _tally(values)
     total = len(values)
-    return order, [_share(counts[v], total) for v in order]
+    return list(counts), [_share(c, total) for c in counts.values()]
+
+
+def _check_layer(i: int, values: Sequence[str], model: UpdateModel) -> None:
+    """Reject an empty candidate set or a value outside the model."""
+    if not values:
+        raise ValidationError(f"layer {i + 1}: empty candidate set")
+    for v in dict.fromkeys(values):
+        model.cus_of(v)  # raises on unknown values
+
+
+def _gap(sources: Sequence[str], targets: Sequence[str],
+         table: Mapping[str, Mapping[str, _W]],
+         ) -> tuple[tuple[tuple[int, _W], ...], ...]:
+    """Per source value, its (target position, weight) successors, read off
+    a {value: {successor: weight}} table."""
+    gap = []
+    for a in sources:
+        row = table.get(a, {})
+        gap.append(tuple([(k, row[b]) for k, b in enumerate(targets)
+                          if b in row]))
+    return tuple(gap)
 
 
 def build_sug(candidates: Sequence[Sequence[str]],
@@ -95,26 +125,15 @@ def build_sug(candidates: Sequence[Sequence[str]],
         raise ValidationError("empty candidate history")
     layers: list[tuple[SugNode, ...]] = []
     for i, cand in enumerate(candidates):
-        if not cand:
-            raise ValidationError(f"layer {i + 1}: empty candidate set")
+        _check_layer(i, cand, model)
         order, shares = _collapse(cand)
-        for v in order:
-            model.cus_of(v)  # raises on unknown values
         if priors is not None:
             shares = [priors[i][v] for v in order]
         layers.append(tuple(SugNode(i + 1, v, w)
                             for v, w in zip(order, shares)))
-    table = model.successors
-    out = []
-    for layer, nxt in zip(layers, layers[1:]):
-        targets = [succ.value for succ in nxt]
-        gap = []
-        for node in layer:
-            row = table.get(node.value, {})
-            gap.append(tuple((k, row[b]) for k, b in enumerate(targets)
-                             if b in row))
-        out.append(tuple(gap))
-    return Sug(tuple(layers), tuple(out))
+    values = [[node.value for node in layer] for layer in layers]
+    return Sug(tuple(layers), tuple(_gap(a, b, model.successors)
+                                    for a, b in zip(values, values[1:])))
 
 
 def prune(sug: Sug) -> Sug:
@@ -189,7 +208,7 @@ class RiskReport:
     versions: tuple[int, ...]       # release index per layer
     risks: tuple[Fraction, ...]
     path_count: int
-    consistent: bool                # every actual value had a surviving node
+    consistent: bool                # every actual value on a feasible path
 
     @property
     def max_risk(self) -> Fraction:
@@ -202,23 +221,31 @@ def _scaled(weights: Sequence[Fraction]) -> list[int]:
     return [w.numerator * (scale // w.denominator) for w in weights]
 
 
-def _masses(fs: Sug) -> tuple[list[list[int]], list[list[int]], int, int]:
+def _scaled_gap(gap: Sequence[Sequence[tuple[int, Fraction]]],
+                ) -> list[list[tuple[int, int]]]:
+    """A gap's successor rows with every weight times the gap's lcm
+    denominator."""
+    scale = math.lcm(*(w.denominator for adj in gap for _, w in adj))
+    return [[(v, w.numerator * (scale // w.denominator)) for v, w in adj]
+            for adj in gap]
+
+
+_Masses = tuple[list[list[int]], list[list[int]], int, int]
+
+
+def _masses(nodes: Sequence[Sequence[int]],
+            edges: Sequence[Sequence[Sequence[tuple[int, int]]]]) -> _Masses:
     """Forward/backward path mass per node, total path mass and path count.
 
-    Masses are integers: each layer's node weights and each gap's edge
-    weights are scaled to their own lcm denominator, so every path mass is
-    the true one times the product of all those scales.  That factor is
-    the same for every path and cancels in fwd * bwd / total.
+    `nodes[i]` holds layer i's node weights and `edges[i]` the (successor,
+    weight) rows of the gap from layer i to i + 1, all integers: each
+    layer's and each gap's weights are the true ones times a positive
+    factor of its own, so every path mass is the true one times the product
+    of all those factors.  That product is the same for every path and
+    cancels in fwd * bwd / total.
     """
-    depth = fs.depth
-    nodes = [_scaled([n.weight for n in layer]) for layer in fs.layers]
-    edges = []
-    for gap in fs.out:
-        scale = math.lcm(*(w.denominator for adj in gap for _, w in adj))
-        edges.append([[(v, w.numerator * (scale // w.denominator))
-                       for v, w in adj] for adj in gap])
-
-    fwd = [nodes[0]]
+    depth = len(nodes)
+    fwd = [list(nodes[0])]
     paths = [1] * len(nodes[0])
     for i in range(1, depth):
         mass = [0] * len(nodes[i])
@@ -233,8 +260,31 @@ def _masses(fs: Sug) -> tuple[list[list[int]], list[list[int]], int, int]:
     bwd[depth - 1] = [1] * len(nodes[depth - 1])
     for i in range(depth - 2, -1, -1):
         after = [w * b for w, b in zip(nodes[i + 1], bwd[i + 1])]
-        bwd[i] = [sum(w * after[v] for v, w in adj) for adj in edges[i]]
+        row = []
+        for adj in edges[i]:
+            acc = 0
+            for v, w in adj:
+                acc += w * after[v]
+            row.append(acc)
+        bwd[i] = row
     return fwd, bwd, sum(fwd[depth - 1]), sum(paths)
+
+
+def _report(positions: Sequence[Mapping[str, int]], masses: _Masses,
+            actual: Sequence[str], record_id: str,
+            versions: Sequence[int]) -> RiskReport:
+    """Per-version risk: the mass of the paths crossing the actual value's
+    node (`positions[i]` maps layer i's values to node indices) over the
+    total.  An actual value with no node, or on a node no path crosses,
+    gets risk 0 and makes the report inconsistent."""
+    fwd, bwd, total, path_count = masses
+    risks = []
+    for i, value in enumerate(actual):
+        k = positions[i].get(value)
+        risks.append(Fraction(0) if k is None
+                     else Fraction(fwd[i][k] * bwd[i][k], total))
+    return RiskReport(record_id, tuple(versions), tuple(risks), path_count,
+                      all(risks))
 
 
 def disclosure_risks(fs: Sug, actual: Sequence[str],
@@ -246,23 +296,16 @@ def disclosure_risks(fs: Sug, actual: Sequence[str],
         raise ValidationError("empty graph")
     if len(actual) != fs.depth:
         raise ValidationError("one actual value per layer required")
-    fwd, bwd, total, path_count = _masses(fs)
-    if total == 0:
+    masses = _masses([_scaled([n.weight for n in layer])
+                      for layer in fs.layers],
+                     [_scaled_gap(gap) for gap in fs.out])
+    if masses[2] == 0:
         raise InconsistentHistoryError("no feasible path")
-    risks: list[Fraction] = []
-    consistent = True
-    for i, value in enumerate(actual):
-        idx = next((k for k, n in enumerate(fs.layers[i]) if n.value == value),
-                   None)
-        if idx is None:
-            risks.append(Fraction(0))
-            consistent = False
-        else:
-            risks.append(Fraction(fwd[i][idx] * bwd[i][idx], total))
+    positions = [{n.value: k for k, n in enumerate(layer)}
+                 for layer in fs.layers]
     if versions is None:
         versions = range(1, fs.depth + 1)
-    return RiskReport(record_id, tuple(versions), tuple(risks), path_count,
-                      consistent)
+    return _report(positions, masses, actual, record_id, versions)
 
 
 def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
@@ -323,6 +366,52 @@ def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
                       consistent)
 
 
+class _SharedTables:
+    """The integer tables one attack call builds once and shares among its
+    records: the model's transition probabilities times their common lcm
+    denominator, per distinct candidate multiset its value positions and
+    node weights (the multiplicities, in proportion to the shares), and per
+    distinct pair of consecutive multisets its successor rows."""
+
+    def __init__(self, model: UpdateModel):
+        self.model = model
+        table = model.successors
+        scale = math.lcm(*(p.denominator for row in table.values()
+                           for p in row.values()))
+        self.rows = {a: {b: p.numerator * (scale // p.denominator)
+                         for b, p in row.items()}
+                     for a, row in table.items()}
+        self.layers: dict[tuple[str, ...],
+                          tuple[dict[str, int], list[int]]] = {}
+        self.gaps: dict[tuple[tuple[str, ...], tuple[str, ...]],
+                        tuple[tuple[tuple[int, int], ...], ...]] = {}
+
+    def masses(self, candidates: Sequence[tuple[str, ...]],
+               ) -> tuple[list[dict[str, int]], _Masses]:
+        """Value positions per layer and the path masses of one history,
+        with build_sug's checks in build_sug's order."""
+        layers = []
+        for i, values in enumerate(candidates):
+            layer = self.layers.get(values)
+            if layer is None:
+                _check_layer(i, values, self.model)
+                counts = _tally(values)
+                layer = self.layers[values] = (
+                    {v: k for k, v in enumerate(counts)},
+                    list(counts.values()))
+            layers.append(layer)
+        edges = []
+        for a, b, (sources, _), (targets, _) in zip(
+                candidates, candidates[1:], layers, layers[1:]):
+            gap = self.gaps.get((a, b))
+            if gap is None:
+                gap = self.gaps[(a, b)] = _gap(list(sources), list(targets),
+                                               self.rows)
+            edges.append(gap)
+        positions = [pos for pos, _ in layers]
+        return positions, _masses([weights for _, weights in layers], edges)
+
+
 def attack_release_sequence(releases: Sequence[PublishedRelease],
                             et: Sequence[ExternalKnowledgeTable] | None,
                             model: UpdateModel,
@@ -334,8 +423,15 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
 
     For each record id, its candidate sets are read off the groups that
     contain it (counterfeit members included - the adversary cannot tell),
-    then build -> prune -> risks.  `histories` supplies the actual value per
-    (id, release index); `et` enables the exact-QI integrity check.
+    and its report is what disclosure_risks(prune(build_sug(...))) gives.
+    `histories` supplies the actual value per (id, release index); `et`
+    enables the exact-QI integrity check.
+
+    Records with the same candidate history share one SUG, so its path
+    masses are computed once per call and dropped after its last record.
+    No graph is pruned: a node prune removes has forward or backward mass
+    0, so every risk and the path count come out the same without it.
+    Only a history with no feasible path goes through prune, which raises.
 
     `previous` may hold the reports of this attack on the same releases
     without the newest one (same model and histories).  A record absent
@@ -358,22 +454,40 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
                 (rel.release_index, group.values))
     settled = {r.record_id: r for r in previous or ()}
     newest = ordered[-1].release_index if ordered else None
-    reports: list[RiskReport] = []
-    for rid in sorted(membership):
-        appearances = membership[rid]
+    reports: dict[str, RiskReport] = {}
+    pending: dict[str, tuple[tuple[int, ...],
+                             tuple[tuple[str, ...], ...]]] = {}
+    for rid, appearances in membership.items():
         versions = tuple(i for i, _ in appearances)
         before = settled.get(rid)
         if (versions[-1] != newest and before is not None
                 and before.versions == versions):
-            reports.append(before)
-            continue
-        candidates = [values for _, values in appearances]
+            reports[rid] = before
+        else:
+            pending[rid] = (versions, tuple(v for _, v in appearances))
+    left = Counter(candidates for _, candidates in pending.values())
+    tables = _SharedTables(model)
+    shared: dict[tuple[tuple[str, ...], ...],
+                 tuple[list[dict[str, int]], _Masses]] = {}
+    for rid in sorted(pending):
+        versions, candidates = pending[rid]
         try:
             actual = [histories[rid][i] for i in versions]
         except KeyError:
             raise ValidationError(f"no actual sensitive value on file for "
                                   f"{rid!r} at one of releases {versions}")
-        fs = prune(build_sug(candidates, model))
-        reports.append(disclosure_risks(fs, actual, record_id=rid,
-                                        versions=versions))
-    return reports
+        if candidates in shared:
+            positions, masses = shared.pop(candidates)
+        else:
+            positions, masses = tables.masses(candidates)
+        left[candidates] -= 1
+        if left[candidates]:
+            shared[candidates] = positions, masses
+        if masses[2] == 0:  # no feasible path: prune raises, naming the
+            # first layer its sweep empties
+            reports[rid] = disclosure_risks(
+                prune(build_sug(candidates, model)), actual,
+                record_id=rid, versions=versions)
+        else:
+            reports[rid] = _report(positions, masses, actual, rid, versions)
+    return [reports[rid] for rid in sorted(membership)]

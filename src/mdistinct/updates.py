@@ -145,6 +145,11 @@ class USS:
     def __iter__(self):
         return iter(self.entries)
 
+    @property
+    def values(self) -> frozenset[str]:
+        """Every value some entry holds."""
+        return frozenset().union(*self.entries)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, USS) and self._key == other._key
 
@@ -194,8 +199,19 @@ def _has_matching(adj: Sequence[Sequence[int]], width: int) -> bool:
 
 def implies(a: USS, b: USS) -> bool:
     """True iff some bijection pairs every entry of b with a superset entry
-    of a.  Any one-per-entry draw from b is then legal for a as well."""
-    if len(a) != len(b):
+    of a.  Any one-per-entry draw from b is then legal for a as well.
+
+    Equal signatures pair entry with entry.  Otherwise two necessary
+    conditions are tested before the matching: every value of b lies in
+    some entry of a, and b's entry sizes, both sorted, are each at most
+    a's (a bijection into supersets maps the k largest entries of b onto k
+    entries of a at least as large)."""
+    if a.key == b.key:
+        return True
+    if len(a) != len(b) or not b.values <= a.values:
+        return False
+    if any(x > y for x, y in zip(sorted(map(len, b.entries)),
+                                 sorted(map(len, a.entries)))):
         return False
     adj = [[j for j, ae in enumerate(a.entries) if be <= ae]
            for be in b.entries]

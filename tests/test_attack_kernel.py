@@ -9,6 +9,10 @@
   node-by-node sweep kept below as the reference.
 * `attack_release_sequence(..., previous=...)` hands back settled records'
   earlier reports; every prefix must still equal a fresh attack.
+* `attack_release_sequence` shares one set of path masses among the
+  records with the same candidate history and prunes nothing; its reports,
+  and the error it raises, must be those of `reference_attack`, which runs
+  `disclosure_risks(prune(build_sug(...)))` record by record.
 """
 
 from dataclasses import replace
@@ -18,9 +22,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdistinct.baselines import count_vulnerable
-from mdistinct.errors import InconsistentHistoryError
+from mdistinct.errors import (InconsistentHistoryError, MDistinctError,
+                              ValidationError)
 from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.fileio import synthetic_schema
+from mdistinct.model import Member, PublishedRelease, QIGroup
 from mdistinct.sug import (Sug, attack_release_sequence, build_sug,
                            disclosure_risks, prune, risks_by_joint_oracle)
 from mdistinct.updates import UpdateModel, validate_update_model
@@ -251,3 +257,122 @@ class TestPrefixReuse:
             settled += sum(1 for r in fresh if r.versions[-1] != newest)
         assert report.final_reports == fresh
         assert settled > 0  # the run had settled records to reuse
+
+
+# ---------------------------------------------------------------------------
+# shared histories against the record-by-record route
+
+
+def reference_attack(releases, model, histories):
+    """One graph per record, built, pruned and attacked on its own."""
+    membership = {}
+    for rel in sorted(releases, key=lambda r: r.release_index):
+        for rid, group in sorted(rel.group_of().items()):
+            membership.setdefault(rid, []).append(
+                (rel.release_index, group.values))
+    reports = []
+    for rid in sorted(membership):
+        versions = tuple(i for i, _ in membership[rid])
+        try:
+            actual = [histories[rid][i] for i in versions]
+        except KeyError:
+            raise ValidationError(f"no actual sensitive value on file for "
+                                  f"{rid!r} at one of releases {versions}")
+        fs = prune(build_sug([v for _, v in membership[rid]], model))
+        reports.append(disclosure_risks(fs, actual, record_id=rid,
+                                        versions=versions))
+    return reports
+
+
+def rarely(n):
+    """True once in n draws; False is the simplest example."""
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+@st.composite
+def release_sequences(draw):
+    """1-4 releases of 2-7 records in at most three groups each, and a
+    twin of the first record in its groups throughout, so that records
+    share candidate histories.  A record follows the model or, when it
+    drifts, takes any value, so that its own path can be pruned while its
+    history stays feasible, or leave its history with no feasible path.
+    Counterfeits add decoys, now and then one outside the domain, and now
+    and then an actual value is missing."""
+    model = draw(closed_models())
+    domain = list(model.sensitive_domain)
+    n = draw(st.integers(2, 7))
+    rids = [f"r{k}" for k in range(n)]
+    drifts = {rid: draw(rarely(4)) for rid in rids + ["twin"]}
+    values: dict[str, str] = {}
+    histories: dict[str, dict[int, str]] = {}
+    releases = []
+    for index in range(1, draw(st.integers(1, 4)) + 1):
+        present = draw(st.lists(st.sampled_from(rids), min_size=1,
+                                unique=True))
+        slot = {rid: draw(st.integers(0, 2)) for rid in present}
+        if rids[0] in present:
+            present.append("twin")
+            slot["twin"] = slot[rids[0]]
+        members: dict[int, list[Member]] = {}
+        for rid in present:
+            before = values.get(rid)
+            pool = (domain if before is None or drifts[rid]
+                    else sorted(model.cus_of(before)))
+            values[rid] = draw(st.sampled_from(pool))
+            histories.setdefault(rid, {})[index] = values[rid]
+            members.setdefault(slot[rid], []).append(Member(rid,
+                                                            values[rid]))
+        groups = []
+        for gid in sorted(members):
+            decoys = draw(st.lists(st.sampled_from(
+                domain + ["zz"] if draw(rarely(20)) else domain),
+                max_size=2))
+            fakes = [Member(f"c{index}.{gid}.{k}", v, True)
+                     for k, v in enumerate(decoys)]
+            groups.append(QIGroup(gid, (), (*members[gid], *fakes)))
+        releases.append(PublishedRelease(index, tuple(groups)))
+    if draw(rarely(8)):
+        rid = draw(st.sampled_from(sorted(histories)))
+        del histories[rid][min(histories[rid])]
+    return model, releases, histories
+
+
+def _outcome(attack, *args, **kwargs):
+    try:
+        return attack(*args, **kwargs)
+    except MDistinctError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(release_sequences())
+def test_attack_equals_record_by_record_reference(case):
+    model, releases, histories = case
+    want = _outcome(reference_attack, releases, model, histories)
+    assert _outcome(attack_release_sequence, releases, None, model,
+                    histories) == want
+    previous = _outcome(attack_release_sequence, releases[:-1], None, model,
+                        histories)
+    if isinstance(previous, list):
+        assert _outcome(attack_release_sequence, releases, None, model,
+                        histories, previous=previous) == want
+
+
+def test_actual_value_on_a_pruned_node_is_inconsistent(worked_model):
+    # Glaucoma cannot become Gastritis or Dyspepsia, so prune removes Ken's
+    # first node; Julia shares his candidate history, whose two paths out
+    # of Dyspepsia stay feasible
+    releases = [
+        PublishedRelease(1, (QIGroup(1, (), (
+            Member("Ken", "Glaucoma"), Member("Julia", "Dyspepsia"))),)),
+        PublishedRelease(2, (QIGroup(1, (), (
+            Member("Ken", "Gastritis"), Member("Julia", "Dyspepsia"))),)),
+    ]
+    histories = {"Ken": {1: "Glaucoma", 2: "Gastritis"},
+                 "Julia": {1: "Dyspepsia", 2: "Dyspepsia"}}
+    reports = attack_release_sequence(releases, None, worked_model,
+                                      histories)
+    assert reports == reference_attack(releases, worked_model, histories)
+    julia, ken = reports
+    assert (ken.risks, ken.consistent) == ((F(0), F(1, 2)), False)
+    assert (julia.risks, julia.consistent) == ((F(1), F(1, 2)), True)

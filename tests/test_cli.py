@@ -190,6 +190,39 @@ class TestExitCodes:
         assert code == 2
         assert "locked" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["publish"], ["baseline", "--kind", "ldiv"],
+        ["baseline", "--kind", "minv"]])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_history_on_a_regular_file_exits_two(self, workdir, capsys,
+                                                  command, below):
+        taken = workdir / "taken.csv"
+        taken.write_text("not a history\n")
+        hist = taken / below if below else taken
+        code = run(workdir, *command, "--microdata", workdir / "t1.csv",
+                   "--model", workdir / "model.csv", "--history", hist,
+                   "--m", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: history {hist} cannot be a directory")
+        assert "Traceback" not in err
+        assert taken.read_text() == "not a history\n"
+
+    @pytest.mark.parametrize("et", ["missing", "t1.csv", "empty"])
+    def test_et_without_external_tables_exits_two(self, workdir, capsys,
+                                                   et):
+        hist = workdir / "hist"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        assert run(workdir, "publish", "--microdata", workdir / "t1.csv",
+                   "--m", "2", *base) == 0
+        (workdir / "empty").mkdir()
+        (workdir / "empty" / "et_1_old.csv").write_text("id,salary,age\n")
+        capsys.readouterr()
+        assert run(workdir, "attack", "--et", workdir / et, *base) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: external tables {workdir / et}: ")
+        assert not (hist / "risks.csv").exists()
+
     @pytest.mark.parametrize("rows, message", [
         ([["key", "value"], ["mode", "m_distinct"], ["seed", "0"]],
          "no 'm' entry"),

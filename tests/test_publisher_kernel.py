@@ -8,6 +8,10 @@ reference partitioner re-sorts each node per attribute and ranks cuts by
 `Fraction` split scores.  The properties below require both forms to
 leave the same pool, the same bucket entries in the same order, the same
 groups and the random generator in the same state.
+
+Phase 1 and `implies` skip work with necessary conditions tested first;
+`reference_phase1_create_buckets` tries `intersect` on every pair and
+`reference_implies` always runs the matching, and both must agree.
 """
 
 import itertools
@@ -28,8 +32,8 @@ from mdistinct.engine import (Bucket, PrevInfo, _ExtentMemo, _color_key,
 from mdistinct.errors import InfeasibilityError, ValidationError
 from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.model import AttributeSchema, Hierarchy, Record, TableSchema
-from mdistinct.updates import (USS, UpdateModel, implies, uss_of,
-                               validate_update_model)
+from mdistinct.updates import (USS, UpdateModel, _has_matching, implies,
+                               intersect, uss_of, validate_update_model)
 
 from conftest import add, covers
 
@@ -458,6 +462,95 @@ def _partition_outcome(partition, case):
 def test_static_partition_matches_reference(case):
     assert (_partition_outcome(static_partition, case)
             == _partition_outcome(reference_static_partition, case))
+
+
+# ---------------------------------------------------------------------------
+# phase 1 and implies against the plain pair loop and matching
+
+
+def reference_phase1_create_buckets(prev_signatures):
+    """Phase 1 with `intersect` tried on every pair of distinct signatures."""
+    queue = list(dict.fromkeys(prev_signatures))
+    seen = set(queue)
+    extra = []
+    for i in range(len(queue)):
+        for j in range(i + 1, len(queue)):
+            plan = intersect(queue[i], queue[j])
+            if plan is not None and plan.result not in seen:
+                seen.add(plan.result)
+                extra.append(plan.result)
+    return ([Bucket(sig, "signature") for sig in queue]
+            + [Bucket(sig, "intersection") for sig in extra])
+
+
+def reference_implies(a, b):
+    """A bijection into superset entries, by matching alone."""
+    if len(a) != len(b):
+        return False
+    adj = [[j for j, ae in enumerate(a.entries) if be <= ae]
+           for be in b.entries]
+    return _has_matching(adj, len(a))
+
+
+@st.composite
+def signature_cases(draw):
+    """Signatures of 2-7 groups: under a non-block model, of k distinct
+    values each, so that signatures often intersect; under either kind of
+    model, of 1-4 values each, so that sizes differ.  Per group also the
+    signature of the values it may move to next, which the group's own
+    signature implies."""
+    if draw(st.booleans()):
+        model = draw(closed_models())
+        domain = list(model.sensitive_domain)
+        k = draw(st.integers(1, min(3, len(domain))))
+        groups = draw(st.lists(st.lists(st.sampled_from(domain), min_size=k,
+                                        max_size=k, unique=True),
+                               min_size=2, max_size=7, unique_by=frozenset))
+    else:
+        model = draw(st.one_of(closed_models(), block_models()))
+        domain = list(model.sensitive_domain)
+        groups = draw(st.lists(st.lists(st.sampled_from(domain), min_size=1,
+                                        max_size=4), min_size=2, max_size=7))
+    moved = [[draw(st.sampled_from(sorted(model.cus_of(v)))) for v in g]
+             for g in groups]
+    return ([uss_of(g, model) for g in groups],
+            [uss_of(g, model) for g in moved])
+
+
+def _buckets_with_origins(buckets):
+    return [(b.signature.key, b.origin) for b in buckets]
+
+
+@settings(max_examples=500, deadline=None)
+@given(signature_cases())
+def test_phase1_matches_the_unfiltered_pair_loop(case):
+    sigs, moved = case
+    assert (_buckets_with_origins(phase1_create_buckets(sigs + moved))
+            == _buckets_with_origins(
+                reference_phase1_create_buckets(sigs + moved)))
+
+
+def test_phase1_filter_keeps_intersections():
+    # overlapping, non-nested CUS sets: the pair passes the filter
+    model = UpdateModel.uniform({"a": {"a", "x"}, "b": {"b", "x"},
+                                 "x": {"x"}})
+    sigs = [uss_of(["a", "x"], model), uss_of(["b", "x"], model)]
+    buckets = phase1_create_buckets(sigs)
+    assert _buckets_with_origins(buckets) == _buckets_with_origins(
+        reference_phase1_create_buckets(sigs))
+    assert [b.origin for b in buckets] == ["signature", "signature",
+                                           "intersection"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(signature_cases())
+def test_implies_matches_the_plain_matching(case):
+    sigs, moved = case
+    for a in sigs + moved:
+        for b in sigs + moved:
+            assert implies(a, b) == reference_implies(a, b)
+    for a, b in zip(sigs, moved):
+        assert implies(a, b)
 
 
 def test_side_numerator_matches_reference():
