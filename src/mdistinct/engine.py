@@ -191,6 +191,19 @@ class PrevInfo(NamedTuple):
     release_index: int
 
 
+class _CusKeys(dict):
+    """value -> its CUS as a sorted tuple (a `USS.key` entry), each
+    computed once."""
+
+    def __init__(self, model: UpdateModel):
+        super().__init__()
+        self.model = model
+
+    def __missing__(self, value: str) -> tuple[str, ...]:
+        out = self[value] = tuple(sorted(self.model.cus_of(value)))
+        return out
+
+
 @dataclass
 class EngineState:
     m: int
@@ -204,14 +217,26 @@ class EngineState:
 
     def apply(self, release: PublishedRelease, model: UpdateModel) -> None:
         """Fold a release in: each real member's value, its group's
-        signature and the release index become its previous publication."""
+        signature and the release index become its previous publication.
+
+        A group's `USS.key` is the sorted tuple of its values' CUS keys, so
+        groups with the same such tuple share one `USS`; each value's CUS
+        key is computed once per call."""
+        cus_keys = _CusKeys(model)
+        signatures: dict[tuple, USS] = {}
+        index = release.release_index
+        prev = self.prev
         for group in release.groups:
-            sig = uss_of(group.values, model)
-            for member in group.members:
-                if not member.counterfeit:
-                    self.prev[member.rid] = PrevInfo(member.sensitive, sig,
-                                                     release.release_index)
-        self.release_count = release.release_index
+            members = group.members
+            values = [mm.sensitive for mm in members]
+            key = tuple(sorted(map(cus_keys.__getitem__, values)))
+            sig = signatures.get(key)
+            if sig is None:
+                sig = signatures[key] = uss_of(values, model)
+            for mm in members:
+                if not mm.counterfeit:
+                    prev[mm.rid] = PrevInfo(mm.sensitive, sig, index)
+        self.release_count = index
 
 
 def _eligible_buckets(prev: PrevInfo | None, covering: Sequence[int],

@@ -146,13 +146,17 @@ def _read_qi_rows(path: Path | str, schema: TableSchema,
 
 
 def load_microdata(path: Path | str, schema: TableSchema) -> list[Record]:
-    """Read id,<qi...>,<sensitive> rows; errors carry 1-based line numbers."""
+    """Read id,<qi...>,<sensitive> rows; errors carry 1-based line numbers.
+    `_read_qi_rows` checks the field count and every QI value, so only the
+    sensitive value is left to check here."""
+    domain = frozenset(schema.sensitive_domain)
     out: list[Record] = []
     for where, rid, qi, (sensitive,) in _read_qi_rows(
             path, schema, (schema.sensitive_name,)):
-        rec = Record(rid, qi, sensitive)
-        schema.validate_record(rec, where=where)
-        out.append(rec)
+        if sensitive not in domain:
+            raise ValidationError(f"{where}record {rid!r}: sensitive value "
+                                  f"{sensitive!r} outside domain")
+        out.append(Record(rid, qi, sensitive))
     return out
 
 
@@ -383,13 +387,36 @@ def _cell_to_text(attr: AttributeSchema, cell) -> str:
     return cell
 
 
+# An integer as `str` writes one.  `int` alone would also take "+5", " 5",
+# "1_0" and non-ASCII digits.
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text: str) -> int | None:
+    """The integer a plain decimal text spells, or None."""
+    if _DECIMAL.fullmatch(text) is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than `int` converts
+        return None
+
+
 def _cell_from_text(attr: AttributeSchema, text: str):
+    """The cell `_cell_to_text` wrote: "lo..hi" with lo <= hi inside the
+    attribute's bounds, or a node of its hierarchy."""
     if attr.kind == "numeric":
-        lo, _, hi = text.partition("..")
-        try:
-            return (int(lo), int(hi))
-        except ValueError:
-            raise ValidationError(f"bad numeric region {text!r}") from None
+        lo_text, sep, hi_text = text.partition("..")
+        lo, hi = _decimal(lo_text), _decimal(hi_text)
+        if not sep or lo is None or hi is None:
+            raise ValidationError(f"bad {attr.name} region {text!r}: not "
+                                  f"lo..hi in decimal")
+        if lo > hi:
+            raise ValidationError(f"bad {attr.name} region {text!r}: lo > hi")
+        if lo < attr.lo or hi > attr.hi:
+            raise ValidationError(f"bad {attr.name} region {text!r}: outside "
+                                  f"{attr.lo}..{attr.hi}")
+        return (lo, hi)
     if text not in attr.hierarchy:
         raise ValidationError(f"unknown {attr.name} node {text!r}")
     return text
@@ -502,34 +529,46 @@ class HistoryStore:
                     "is_counterfeit"]
         if not rows or rows[0] != expected:
             raise ValidationError(f"{path} line 1: bad header")
-        groups: dict[int, tuple] = {}
-        order: list[int] = []
-        for lineno, row in enumerate(rows[1:], start=2):
-            where = f"{path} line {lineno}: "
-            if len(row) != len(expected):
-                raise ValidationError(f"{where}expected {len(expected)} "
-                                      f"fields, got {len(row)}")
-            gid_text, rid, *rest = row
-            cells_text, sensitive, cf = rest[:-2], rest[-2], rest[-1]
-            try:
-                gid = int(gid_text)
-            except ValueError:
-                raise ValidationError(f"{where}bad gid {gid_text!r}") from None
-            if cf not in ("0", "1"):
-                raise ValidationError(f"{where}is_counterfeit must be 0 or 1")
-            region = tuple(_cell_from_text(a, t)
-                           for a, t in zip(schema.qi, cells_text))
-            member = Member(rid, sensitive, cf == "1")
-            if gid not in groups:
-                groups[gid] = (region, [member])
-                order.append(gid)
-            else:
-                if groups[gid][0] != region:
-                    raise ValidationError(f"{where}group {gid} region differs "
+        width = len(expected)
+        end = width - 2  # a row's region cells are row[2:end]
+        # Parsing is a function of the text alone, so each distinct gid
+        # text and each distinct tuple of cell texts is parsed once.
+        gids: dict[str, int] = {}
+        regions: dict[tuple[str, ...], tuple] = {}
+        groups: dict[int, tuple[tuple, list[Member]]] = {}
+        try:
+            for lineno, row in enumerate(rows[1:], start=2):
+                if len(row) != width:
+                    raise ValidationError(f"expected {width} fields, got "
+                                          f"{len(row)}")
+                gid = gids.get(row[0])
+                if gid is None:
+                    gid = _decimal(row[0])
+                    if gid is None:
+                        raise ValidationError(f"bad gid {row[0]!r}")
+                    gids[row[0]] = gid
+                cf = row[-1]
+                if cf != "0" and cf != "1":
+                    raise ValidationError("is_counterfeit must be 0 or 1")
+                cells = tuple(row[2:end])
+                region = regions.get(cells)
+                if region is None:
+                    region = regions[cells] = tuple(
+                        map(_cell_from_text, schema.qi, cells))
+                member = Member(row[1], row[-2], cf == "1")
+                group = groups.get(gid)
+                if group is None:
+                    groups[gid] = (region, [member])
+                elif group[0] != region:
+                    raise ValidationError(f"group {gid} region differs "
                                           f"between rows")
-                groups[gid][1].append(member)
+                else:
+                    group[1].append(member)
+        except ValidationError as exc:
+            raise ValidationError(f"{path} line {lineno}: {exc}") from None
         return PublishedRelease(index, tuple(
-            QIGroup(g, groups[g][0], tuple(groups[g][1])) for g in order))
+            QIGroup(g, region, tuple(members))
+            for g, (region, members) in groups.items()))
 
     def read_releases(self, schema: TableSchema) -> list[PublishedRelease]:
         return [self.read_release(i, schema) for i in self.release_indices()]
@@ -557,12 +596,17 @@ class HistoryStore:
     def replay_state(self, state: EngineState | MInvarianceState,
                      model: UpdateModel) -> EngineState | MInvarianceState:
         """Fold every stored release, in order, into a fresh publisher
-        state and return it."""
+        state and return it.  A release that lists a real record in two
+        groups is refused: the fold would keep only the record's last
+        group, and a publish built on that would extend a history that
+        `verify` and `attack` reject."""
         indices = self.release_indices()
         if indices:
             schema = self.read_schema()
             for i in indices:
-                state.apply(self.read_release(i, schema), model)
+                release = self.read_release(i, schema)
+                release.group_of()  # raises on a record in two groups
+                state.apply(release, model)
         return state
 
 

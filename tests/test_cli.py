@@ -438,6 +438,96 @@ class TestStrayFiles:
         assert sorted(parsed) == ["et_1.csv", "microdata_1.csv"]
 
 
+class TestStoredReleases:
+    """Every command reads each stored release whole before using it.  A
+    gid or numeric region that `write_release` could not have written, or
+    a real record listed in two groups, stops `publish` before it writes
+    anything, and stops `verify` and `attack`."""
+
+    @pytest.fixture
+    def two_releases(self, workdir):
+        hist = workdir / "hist"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        for snap in ("t1.csv", "t2.csv"):
+            assert run(workdir, "publish", "--microdata", workdir / snap,
+                       "--m", "2", "--seed", "3", *base) == 0
+        return hist, base
+
+    @pytest.mark.parametrize("column, text, message", [
+        (2, "16..14", "bad salary region '16..14': lo > hi"),
+        (2, "-5..99999", "bad salary region '-5..99999': outside 12..31"),
+        (2, "+14..1_6", "bad salary region '+14..1_6': not lo..hi in "
+                        "decimal"),
+        (2, "14..16..18", "bad salary region '14..16..18': not lo..hi in "
+                          "decimal"),
+        (0, "0_1", "bad gid '0_1'"),
+    ])
+    def test_malformed_integer_text_exits_two(self, workdir, two_releases,
+                                              capsys, column, text,
+                                              message):
+        hist, base = two_releases
+        path = hist / "release_1.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        for row in rows[1:]:
+            if row[0] == rows[1][0]:  # every row of the first group
+                row[column] = text
+        write_csv(path, rows)
+        before = _tree(hist)
+        capsys.readouterr()
+        for argv in (["publish", "--microdata", workdir / "t2.csv",
+                      "--seed", "3", "--m", "2"],
+                     ["verify", "--m", "2"], ["attack"]):
+            assert run(workdir, *argv, *base) == 2
+            assert capsys.readouterr().err == \
+                f"error: {path} line 2: {message}\n"
+            assert _tree(hist) == before
+
+    def test_publish_refuses_a_record_in_two_groups(self, workdir,
+                                                    two_releases, capsys):
+        hist, base = two_releases
+        path = hist / "release_1.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        first = rows[1]
+        other = next(row for row in rows[2:] if row[0] != first[0])
+        other[1] = first[1]
+        write_csv(path, rows)
+        message = f"release 1: id {first[1]!r} appears in two groups"
+        before = _tree(hist)
+        capsys.readouterr()
+        assert run(workdir, "publish", "--microdata", workdir / "t2.csv",
+                   "--seed", "3", "--m", "2", *base) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert _tree(hist) == before
+        assert run(workdir, "attack", *base) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # verify reports it among the violations, not as an error
+        assert run(workdir, "verify", "--m", "2", *base) == 2
+        assert f"\n{message}\n" in "\n" + capsys.readouterr().err
+
+    def test_each_command_reads_each_release_once(self, workdir,
+                                                  monkeypatch):
+        """Each publish replays every earlier release, and attack and
+        verify read the whole history once each: 4*3/2 + 2*4 = 14 reads
+        for four releases, the identity perfbench's traced
+        fileio.read_release.calls rests on."""
+        read = []
+        original = HistoryStore.read_release
+
+        def counting(self, index, schema):
+            read.append(index)
+            return original(self, index, schema)
+
+        monkeypatch.setattr(HistoryStore, "read_release", counting)
+        hist = workdir / "hist"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        for snap in ("t1.csv", "t2.csv", "t2.csv", "t2.csv"):
+            assert run(workdir, "publish", "--microdata", workdir / snap,
+                       "--m", "2", "--seed", "3", *base) == 0
+        assert run(workdir, "attack", *base) == 0
+        assert run(workdir, "verify", "--m", "2", *base) == 0
+        assert read == [1, 1, 2, 1, 2, 3, 1, 2, 3, 4, 1, 2, 3, 4]
+
+
 class TestBaselineCommands:
     def test_ldiv_publishes_numbered_releases(self, workdir, capsys):
         hist = workdir / "ldiv"
@@ -471,6 +561,25 @@ class TestBaselineCommands:
                    workdir / "t2.csv", "--seed", "5", *base) == 0
         assert "3 invalidated this release (3 cumulative)" in \
             capsys.readouterr().out
+
+    def test_minv_refuses_a_record_in_two_groups(self, workdir, capsys):
+        hist = workdir / "minv"
+        base = ["--model", workdir / "model.csv", "--history", hist,
+                "--m", "2", "--seed", "5"]
+        assert run(workdir, "baseline", "--kind", "minv", "--microdata",
+                   workdir / "t1.csv", *base) == 0
+        path = hist / "release_1.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        other = next(row for row in rows[2:] if row[0] != rows[1][0])
+        other[1] = rows[1][1]
+        write_csv(path, rows)
+        before = _tree(hist)
+        capsys.readouterr()
+        assert run(workdir, "baseline", "--kind", "minv", "--microdata",
+                   workdir / "t2.csv", *base) == 2
+        assert capsys.readouterr().err == (
+            f"error: release 1: id {rows[1][1]!r} appears in two groups\n")
+        assert _tree(hist) == before
 
     def test_baseline_history_never_mixes_with_engine(self, workdir, capsys):
         hist = workdir / "hist"

@@ -5,15 +5,19 @@ A history is built once: release 1 of a six-record table with a numeric
 and a categorical QI column.  Each example copies it, breaks one input the
 command reads and runs the command.  Every breaker below is malformed by
 construction, so no drawn file can turn out valid again.  `publish` reads
-the microdata, the model, `meta.csv` and `schema.json`; `verify` reads the
-model and `schema.json`; `attack` reads the model, `schema.json` and the
-stored microdata snapshot.  `verify` and `attack` never read `meta.csv`.
+the microdata, the model, `meta.csv`, `schema.json` and the stored
+release; `verify` reads the model, `schema.json` and the release; `attack`
+reads the model, `schema.json`, the release and the stored microdata
+snapshot.  `verify` and `attack` never read `meta.csv`.  `verify` reports a
+real record listed in two groups as a violation, not an error, so that one
+breaker is not drawn for it.
 """
 
 import contextlib
 import csv
 import io
 import json
+import re
 import shutil
 import tempfile
 from fractions import Fraction
@@ -233,6 +237,74 @@ def broken_meta(draw, rows):
     return _csv_bytes(rows)
 
 
+# infer_schema gives a text column a flat hierarchy under "any_<name>"
+CITY_NODES = {"any_city", *(row[2] for row in T1[1:])}
+SALARY_LO, SALARY_HI = 14, 31  # the bounds infer_schema takes from T1
+
+
+def _salary_region(draw, rows, i):
+    """A salary region text that the rule for stored regions rejects:
+    inverted, outside the bounds, or with a sign, space or underscore that
+    `int` would read."""
+    kind = draw(st.sampled_from(["inverted", "outside", "sign"]))
+    if kind == "inverted":
+        lo, hi = sorted(draw(st.lists(st.integers(SALARY_LO, SALARY_HI),
+                                      min_size=2, max_size=2, unique=True)))
+        return f"{hi}..{lo}"
+    if kind == "outside":
+        if draw(st.booleans()):
+            lo = draw(st.integers(-99, SALARY_LO - 1))
+            hi = draw(st.integers(max(lo, 0), SALARY_HI))
+        else:
+            lo = draw(st.integers(SALARY_LO, SALARY_HI))
+            hi = draw(st.integers(SALARY_HI + 1, 999))
+        return f"{lo}..{hi}"
+    ends = rows[i][2].split("..")
+    k = draw(st.integers(0, 1))
+    e = ends[k]
+    ends[k] = draw(st.sampled_from([f"+{e}", f" {e}", f"{e} ",
+                                    f"{e[0]}_{e[1:]}"]))
+    return "..".join(ends)
+
+
+@st.composite
+def broken_release(draw, rows, duplicate_id=True):
+    """release_1.csv of the base history (gid,id,salary,city,disease,
+    is_counterfeit); every group has at least two rows."""
+    kinds = ["csv", "gid", "counterfeit", "city", "salary", "differs"]
+    if duplicate_id:
+        kinds.append("duplicate id")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "csv":
+        return draw(csv_breakers(rows))
+    if kind == "gid":
+        return _cell(draw, rows, 0, draw(TEXT.filter(
+            lambda s: not re.fullmatch(r"-?[0-9]+", s))))
+    if kind == "counterfeit":
+        return _cell(draw, rows, 5, draw(TEXT.filter(
+            lambda s: s not in ("0", "1"))))
+    if kind == "city":
+        return _cell(draw, rows, 3, draw(TEXT.filter(
+            lambda s: s not in CITY_NODES)))
+    rows = [list(r) for r in rows]
+    i = draw(st.integers(1, len(rows) - 1))
+    if kind == "salary":
+        rows[i][2] = _salary_region(draw, rows, i)
+    elif kind == "differs":
+        # a valid region other than the one the group's other rows hold
+        lo, hi = draw(st.lists(st.integers(SALARY_LO, SALARY_HI),
+                               min_size=2, max_size=2).map(sorted).filter(
+            lambda r: f"{r[0]}..{r[1]}" != rows[i][2]))
+        rows[i][2] = f"{lo}..{hi}"
+    else:
+        # a real record's id given to a real row of another group
+        real = [r for r in rows[1:] if r[5] == "0"]
+        a = draw(st.sampled_from(real))
+        b = draw(st.sampled_from([r for r in real if r[0] != a[0]]))
+        b[1] = a[1]
+    return _csv_bytes(rows)
+
+
 def _not_a(types):
     return JSON_VALUES.filter(lambda v: not (isinstance(v, types)
                                              and not isinstance(v, bool)))
@@ -325,6 +397,12 @@ def inputs(base, *names):
         "schema": st.tuples(st.just("hist/schema.json"), broken_schema(
             (hist / "schema.json").read_text())),
     }
+    release = list(csv.reader(io.StringIO(
+        (hist / "release_1.csv").read_text())))
+    for name, duplicate_id in (("release", True),
+                               ("release, no duplicate id", False)):
+        options[name] = st.tuples(st.just("hist/release_1.csv"),
+                                  broken_release(release, duplicate_id))
     return st.one_of(*(options[n] for n in names))
 
 
@@ -334,7 +412,7 @@ FUZZ = settings(max_examples=300, deadline=None,
 
 def test_publish_fails_closed(base):
     @FUZZ
-    @given(inputs(base, "microdata", "model", "meta", "schema"))
+    @given(inputs(base, "microdata", "model", "meta", "schema", "release"))
     def check(case):
         _fails_closed(base, *case, "publish", "--microdata", "t2.csv",
                       "--m", "2")
@@ -344,7 +422,7 @@ def test_publish_fails_closed(base):
 
 def test_verify_fails_closed(base):
     @FUZZ
-    @given(inputs(base, "model", "schema"))
+    @given(inputs(base, "model", "schema", "release, no duplicate id"))
     def check(case):
         _fails_closed(base, *case, "verify", "--m", "2")
 
@@ -353,7 +431,7 @@ def test_verify_fails_closed(base):
 
 def test_attack_fails_closed(base):
     @FUZZ
-    @given(inputs(base, "snapshot", "model", "schema"))
+    @given(inputs(base, "snapshot", "model", "schema", "release"))
     def check(case):
         _fails_closed(base, *case, "attack")
 
