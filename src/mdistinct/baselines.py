@@ -61,11 +61,17 @@ class MInvarianceState:
 
     def apply(self, release: PublishedRelease, model: UpdateModel) -> None:
         """Fold a release in: each real member's signature becomes its
-        group's value set.  Like the publisher, this ignores the model."""
+        group's value set.  A returning member published with a value
+        outside its previous signature is one `publish_m_invariance`
+        invalidated, so replaying a history rebuilds the running count.
+        Like the publisher, this ignores the model."""
         for group in release.groups:
             valueset = frozenset(group.values)
             for member in group.members:
                 if not member.counterfeit:
+                    prev = self.signatures.get(member.rid)
+                    if prev is not None and member.sensitive not in prev:
+                        self.invalidated_total += 1
                     self.signatures[member.rid] = valueset
         self.release_count = release.release_index
 
@@ -80,7 +86,7 @@ def publish_m_invariance(records: Sequence[Record], state: MInvarianceState,
     replicating the set exactly (counterfeits pad missing values).  Records
     whose value escaped the set are invalidated - m-invariance has no legal
     group for them - so they re-enter as first-timers via the static
-    partitioner, and the running invalidation count goes up.
+    partitioner, and folding the release into the state counts them.
     """
     rng = random.Random(seed)
     ordered = sorted(records, key=lambda r: r.id)
@@ -119,7 +125,6 @@ def publish_m_invariance(records: Sequence[Record], state: MInvarianceState,
         raise InfeasibilityError("nothing to publish")
     release = generalize(schema, state.release_count + 1, groups)
     state.apply(release, model)
-    state.invalidated_total += len(invalidated)
     return release, state, invalidated
 
 

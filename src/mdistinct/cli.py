@@ -95,8 +95,8 @@ def _open_history(store: HistoryStore, args, mode: str,
     Later snapshots may drift outside the first snapshot's numeric bounds,
     so the stored schema is widened as needed; published regions use
     absolute coordinates and stay valid.  Nothing is written here: returns
-    the schema and whether `_save_header` must store it, so a publish that
-    fails leaves the history as it was.
+    the schema and whether it must be stored, so a publish that fails
+    leaves the history as it was.
     """
     observed = infer_schema(args.microdata, model)
     if not store.has_schema():
@@ -115,32 +115,40 @@ def _open_history(store: HistoryStore, args, mode: str,
     return widened, widened is not schema
 
 
-def _save_header(store: HistoryStore, args, mode: str, schema,
-                 changed: bool) -> None:
-    """Store what `_open_history` decided, once the release is ready."""
-    if not changed:
-        return
-    fresh = not store.has_schema()
-    store.write_schema(schema)
-    if fresh:
-        store.write_meta({"seed": str(args.seed), "m": str(args.m),
-                          "mode": mode})
-
-
-def cmd_publish(args) -> int:
+def _publish_locked(args, mode: str, step) -> tuple:
+    """The body `publish` and `baseline` share.  Under the history lock it
+    opens the history, loads the microdata and calls `step(store, records,
+    schema, model)`, which returns the release and the tail of the summary
+    line.  Only then does it store the schema (and, in a new history,
+    meta.csv), the release and the microdata behind it, so a publish that
+    fails writes nothing.  Returns the release, the records and the tail."""
     _check_m(args.m)
     model = load_update_model(args.model)
     store = HistoryStore(args.history)
-    mode = "m_distinct_star" if args.star else "m_distinct"
     with store.lock():
         schema, changed = _open_history(store, args, mode, model)
         records = load_microdata(args.microdata, schema)
-        state = store.replay_state(EngineState(args.m, mode), model)
-        release, state = publish(records, state, model, schema,
-                                 seed=args.seed)
-        _save_header(store, args, mode, schema, changed)
+        release, tail = step(store, records, schema, model)
+        if changed:
+            fresh = not store.has_schema()
+            store.write_schema(schema)
+            if fresh:
+                store.write_meta({"seed": str(args.seed), "m": str(args.m),
+                                  "mode": mode})
         store.write_release(release, schema)
         store.write_actuals(release.release_index, schema, records)
+    return release, records, tail
+
+
+def cmd_publish(args) -> int:
+    mode = "m_distinct_star" if args.star else "m_distinct"
+
+    def step(store, records, schema, model):
+        state = store.replay_state(EngineState(args.m, mode), model)
+        release, _ = publish(records, state, model, schema, seed=args.seed)
+        return release, ""
+
+    release, records, _ = _publish_locked(args, mode, step)
     counterfeits = sum(release.counterfeit_stats.values())
     print(f"release {release.release_index}: {len(release.groups)} groups, "
           f"{len(records)} records, {counterfeits} counterfeits")
@@ -211,42 +219,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    _check_m(args.m)
-    model = load_update_model(args.model)
-    store = HistoryStore(args.history)
-    mode = f"baseline_{args.kind}"
-    with store.lock():
-        schema, changed = _open_history(store, args, mode, model)
-        records = load_microdata(args.microdata, schema)
+    def step(store, records, schema, model):
         if args.kind == "ldiv":
             index = (store.release_indices() or [0])[-1] + 1
-            release = publish_l_diversity(records, args.m, schema, model,
-                                          args.seed, release_index=index)
-            invalidated: list[str] = []
-            total = 0
-        else:
-            state = MInvarianceState(args.m)
-            if store.release_indices():
-                state.invalidated_total = store.read_meta_int(
-                    store.read_meta(), "invalidated_total", "0")
-            state = store.replay_state(state, model)
-            release, state, invalidated = publish_m_invariance(
-                records, state, schema, model, args.seed)
-            total = state.invalidated_total
-        _save_header(store, args, mode, schema, changed)
-        if args.kind == "minv":
-            meta = store.read_meta()
-            meta["invalidated_total"] = str(total)
-            store.write_meta(meta)
-        store.write_release(release, schema)
-        store.write_actuals(release.release_index, schema, records)
+            return publish_l_diversity(records, args.m, schema, model,
+                                       args.seed, release_index=index), ""
+        # replay counts the invalidations of every stored release
+        state = store.replay_state(MInvarianceState(args.m), model)
+        release, state, invalidated = publish_m_invariance(
+            records, state, schema, model, args.seed)
+        return release, (f", {len(invalidated)} invalidated this release "
+                         f"({state.invalidated_total} cumulative)")
+
+    release, _, tail = _publish_locked(args, f"baseline_{args.kind}", step)
     counterfeits = sum(release.counterfeit_stats.values())
-    line = (f"release {release.release_index} ({args.kind}): "
-            f"{len(release.groups)} groups, {counterfeits} counterfeits")
-    if args.kind == "minv":
-        line += (f", {len(invalidated)} invalidated this release "
-                 f"({total} cumulative)")
-    print(line)
+    print(f"release {release.release_index} ({args.kind}): "
+          f"{len(release.groups)} groups, {counterfeits} counterfeits{tail}")
     return EXIT_OK
 
 

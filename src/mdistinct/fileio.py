@@ -86,6 +86,45 @@ def _read_csv(path: Path | str) -> list[list[str]]:
     return rows
 
 
+def _read_table(path: Path | str, header: list[str] | None = None,
+                ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """A CSV file's header and its body rows as (line number, row).  The
+    header must equal `header` unless that is None.  A row whose width is
+    not the header's raises when the iteration reaches it, so the first
+    bad row raises first, whatever is wrong with it."""
+    rows = _read_csv(path)
+    if not rows:
+        raise ValidationError(f"{path}: empty file")
+    if header is not None and rows[0] != header:
+        raise ValidationError(f"{path} line 1: header {rows[0]!r} does not "
+                              f"match {header!r}")
+    width = len(rows[0])
+
+    def body() -> Iterator[tuple[int, list[str]]]:
+        for lineno, row in enumerate(rows[1:], start=2):
+            if len(row) != width:
+                raise ValidationError(f"{path} line {lineno}: expected "
+                                      f"{width} fields, got {len(row)}")
+            yield lineno, row
+
+    return rows[0], body()
+
+
+# An integer as `str` writes one.  `int` alone would also take "+5", " 5",
+# "1_0" and non-ASCII digits.
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text: str) -> int | None:
+    """The integer a plain decimal text spells, or None."""
+    if _DECIMAL.fullmatch(text) is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than `int` converts
+        return None
+
+
 # ---------------------------------------------------------------------------
 # microdata
 
@@ -104,45 +143,35 @@ def _csv_indices(directory: Path, prefix: str) -> list[int]:
 
 def _read_qi_rows(path: Path | str, schema: TableSchema,
                   tail: Sequence[str] = (),
-                  ) -> Iterator[tuple[str, str, tuple[QIValue, ...],
+                  ) -> Iterator[tuple[int, str, tuple[QIValue, ...],
                                       list[str]]]:
-    """Parse id,<qi...>,<tail...> rows: the header, each row's field
-    count, unique ids, integer numeric columns and every QI value inside
-    its attribute's domain.  Yields (where, id, qi, tail fields), `where`
-    being the row's "<path> line <n>: " error prefix."""
-    rows = _read_csv(path)
-    if not rows:
-        raise ValidationError(f"{path}: empty file")
-    expected = ["id", *schema.qi_names, *tail]
-    if rows[0] != expected:
-        raise ValidationError(f"{path} line 1: header {rows[0]!r} does not "
-                              f"match schema {expected!r}")
+    """Parse id,<qi...>,<tail...> rows: unique ids, decimal integers in
+    numeric columns and every QI value inside its attribute's domain.
+    Yields (line number, id, qi, tail fields)."""
+    _, rows = _read_table(path, ["id", *schema.qi_names, *tail])
     n_qi = len(schema.qi)
     seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        where = f"{path} line {lineno}: "
-        if len(row) != len(expected):
-            raise ValidationError(f"{where}expected {len(expected)} fields, "
-                                  f"got {len(row)}")
+    for lineno, row in rows:
         rid = row[0]
         if rid in seen:
-            raise ValidationError(f"{where}duplicate id {rid!r}")
+            raise ValidationError(f"{path} line {lineno}: duplicate id "
+                                  f"{rid!r}")
         seen.add(rid)
         qi: list[QIValue] = []
         for attr, text in zip(schema.qi, row[1:]):
-            value: QIValue = text
+            value: QIValue | None = text
             if attr.kind == "numeric":
-                try:
-                    value = int(text)
-                except ValueError:
-                    raise ValidationError(
-                        f"{where}{attr.name}={text!r} is not an integer"
-                    ) from None
+                value = _decimal(text)
+                if value is None:
+                    raise ValidationError(f"{path} line {lineno}: "
+                                          f"{attr.name}={text!r} is not an "
+                                          f"integer")
             if not attr.contains(value):
-                raise ValidationError(f"{where}record {rid!r}: "
-                                      f"{attr.name}={value!r} outside domain")
+                raise ValidationError(f"{path} line {lineno}: record "
+                                      f"{rid!r}: {attr.name}={value!r} "
+                                      f"outside domain")
             qi.append(value)
-        yield where, rid, tuple(qi), row[1 + n_qi:]
+        yield lineno, rid, tuple(qi), row[1 + n_qi:]
 
 
 def load_microdata(path: Path | str, schema: TableSchema) -> list[Record]:
@@ -151,11 +180,12 @@ def load_microdata(path: Path | str, schema: TableSchema) -> list[Record]:
     sensitive value is left to check here."""
     domain = frozenset(schema.sensitive_domain)
     out: list[Record] = []
-    for where, rid, qi, (sensitive,) in _read_qi_rows(
+    for lineno, rid, qi, (sensitive,) in _read_qi_rows(
             path, schema, (schema.sensitive_name,)):
         if sensitive not in domain:
-            raise ValidationError(f"{where}record {rid!r}: sensitive value "
-                                  f"{sensitive!r} outside domain")
+            raise ValidationError(f"{path} line {lineno}: record {rid!r}: "
+                                  f"sensitive value {sensitive!r} outside "
+                                  f"domain")
         out.append(Record(rid, qi, sensitive))
     return out
 
@@ -200,32 +230,23 @@ def widen_schema(stored: TableSchema, observed: TableSchema) -> TableSchema:
 
 
 def infer_schema(path: Path | str, model: UpdateModel) -> TableSchema:
-    """Derive a QI schema from a microdata file: integer columns become
-    numeric attributes with data-driven bounds, everything else becomes a
-    flat categorical hierarchy over the observed values."""
-    rows = _read_csv(path)
-    if not rows or len(rows[0]) < 3:
-        raise ValidationError(f"{path}: need at least id, one QI column and "
-                              f"a sensitive column")
-    header = rows[0]
-    if header[0] != "id":
-        raise ValidationError(f"{path} line 1: first column must be 'id'")
-    body = rows[1:]
+    """Derive a QI schema from a microdata file: columns of decimal integers
+    become numeric attributes with data-driven bounds, everything else
+    becomes a flat categorical hierarchy over the observed values."""
+    header, rows = _read_table(path)
+    if len(header) < 3 or header[0] != "id":
+        raise ValidationError(f"{path} line 1: need id, at least one QI "
+                              f"column and a sensitive column")
+    body = [row for _, row in rows]
     if not body:
         raise ValidationError(f"{path}: no records")
-    for lineno, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise ValidationError(f"{path} line {lineno}: expected "
-                                  f"{len(header)} fields, got {len(row)}")
     attrs: list[AttributeSchema] = []
     for j, name in enumerate(header[1:-1], start=1):
-        col = [row[j] for row in body]
-        try:
-            ints = [int(v) for v in col]
-        except ValueError:
-            leaves = sorted(set(col))
+        values = {row[j] for row in body}
+        ints = list(map(_decimal, values))
+        if None in ints:
             attrs.append(AttributeSchema.categorical(
-                name, Hierarchy.flat(f"any_{name}", leaves)))
+                name, Hierarchy.flat(f"any_{name}", sorted(values))))
         else:
             attrs.append(AttributeSchema.numeric(name, min(ints), max(ints)))
     return TableSchema(tuple(attrs), header[-1],
@@ -236,21 +257,15 @@ def infer_schema(path: Path | str, model: UpdateModel) -> TableSchema:
 # update model files: value,successor,probability
 
 
-def load_update_model(path: Path | str,
-                      domain: Sequence[str] | None = None) -> UpdateModel:
+def load_update_model(path: Path | str) -> UpdateModel:
     """Read transition rows.  A blank probability means "uniform over this
     value's successors" and must then be blank on all of the value's rows.
-    Probabilities parse as exact rationals: "1/3", "0.25" or "1"."""
-    rows = _read_csv(path)
-    if not rows or rows[0] != ["value", "successor", "probability"]:
-        raise ValidationError(f"{path} line 1: header must be "
-                              f"value,successor,probability")
+    Probabilities parse as exact rationals: "1/3", "0.25" or "1".  The
+    domain is every value the rows name."""
+    _, rows = _read_table(path, ["value", "successor", "probability"])
     succ: dict[str, dict[str, Fraction | None]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, (a, b, text) in rows:
         where = f"{path} line {lineno}: "
-        if len(row) != 3:
-            raise ValidationError(f"{where}expected 3 fields, got {len(row)}")
-        a, b, text = row
         if not a or not b:
             raise ValidationError(f"{where}blank value or successor")
         prob: Fraction | None = None
@@ -280,12 +295,10 @@ def load_update_model(path: Path | str,
         else:
             for b, p in targets.items():
                 p_trans[(a, b)] = p
-    if domain is None:
-        names = set(succ)
-        for targets in succ.values():
-            names.update(targets)
-        domain = sorted(names)
-    model = UpdateModel(tuple(domain), cus, p_trans)
+    names = set(succ)
+    for targets in succ.values():
+        names.update(targets)
+    model = UpdateModel(tuple(sorted(names)), cus, p_trans)
     problems = validate_update_model(model)
     if problems:
         raise ValidationError(f"{path}: invalid update model:\n  "
@@ -387,21 +400,6 @@ def _cell_to_text(attr: AttributeSchema, cell) -> str:
     return cell
 
 
-# An integer as `str` writes one.  `int` alone would also take "+5", " 5",
-# "1_0" and non-ASCII digits.
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
-def _decimal(text: str) -> int | None:
-    """The integer a plain decimal text spells, or None."""
-    if _DECIMAL.fullmatch(text) is None:
-        return None
-    try:
-        return int(text)
-    except ValueError:  # more digits than `int` converts
-        return None
-
-
 def _cell_from_text(attr: AttributeSchema, text: str):
     """The cell `_cell_to_text` wrote: "lo..hi" with lo <= hi inside the
     attribute's bounds, or a node of its hierarchy."""
@@ -457,26 +455,19 @@ class HistoryStore:
         write_csv(self.path / "meta.csv", rows)
 
     def read_meta(self) -> dict[str, str]:
-        path = self.path / "meta.csv"
-        rows = _read_csv(path)
-        for lineno, row in enumerate(rows[1:], start=2):
-            if len(row) != 2:
-                raise ValidationError(f"{path} line {lineno}: expected 2 "
-                                      f"fields, got {len(row)}")
-        return {k: v for k, v in rows[1:]}
+        _, rows = _read_table(self.path / "meta.csv", ["key", "value"])
+        return {k: v for _, (k, v) in rows}
 
-    def read_meta_int(self, meta: Mapping[str, str], key: str,
-                      default: str | None = None) -> int:
+    def read_meta_int(self, meta: Mapping[str, str], key: str) -> int:
         """An integer entry of `meta` (as read_meta returned it)."""
-        text = meta.get(key, default)
-        if text is None:
+        if key not in meta:
             raise ValidationError(f"{self.path / 'meta.csv'}: no {key!r} "
                                   f"entry")
-        try:
-            return int(text)
-        except ValueError:
-            raise ValidationError(f"{self.path / 'meta.csv'}: {key}={text!r} "
-                                  f"is not an integer") from None
+        value = _decimal(meta[key])
+        if value is None:
+            raise ValidationError(f"{self.path / 'meta.csv'}: "
+                                  f"{key}={meta[key]!r} is not an integer")
+        return value
 
     def write_schema(self, schema: TableSchema) -> None:
         with open(self.path / "schema.json", "w") as fh:
@@ -524,23 +515,17 @@ class HistoryStore:
     def read_release(self, index: int,
                      schema: TableSchema) -> PublishedRelease:
         path = self.path / f"release_{index}.csv"
-        rows = _read_csv(path)
-        expected = ["gid", "id", *schema.qi_names, schema.sensitive_name,
-                    "is_counterfeit"]
-        if not rows or rows[0] != expected:
-            raise ValidationError(f"{path} line 1: bad header")
-        width = len(expected)
-        end = width - 2  # a row's region cells are row[2:end]
+        _, rows = _read_table(path, ["gid", "id", *schema.qi_names,
+                                     schema.sensitive_name, "is_counterfeit"])
+        end = len(schema.qi) + 2  # a row's region cells are row[2:end]
+        domain = frozenset(schema.sensitive_domain)
         # Parsing is a function of the text alone, so each distinct gid
         # text and each distinct tuple of cell texts is parsed once.
         gids: dict[str, int] = {}
         regions: dict[tuple[str, ...], tuple] = {}
         groups: dict[int, tuple[tuple, list[Member]]] = {}
-        try:
-            for lineno, row in enumerate(rows[1:], start=2):
-                if len(row) != width:
-                    raise ValidationError(f"expected {width} fields, got "
-                                          f"{len(row)}")
+        for lineno, row in rows:
+            try:
                 gid = gids.get(row[0])
                 if gid is None:
                     gid = _decimal(row[0])
@@ -550,6 +535,9 @@ class HistoryStore:
                 cf = row[-1]
                 if cf != "0" and cf != "1":
                     raise ValidationError("is_counterfeit must be 0 or 1")
+                if row[-2] not in domain:
+                    raise ValidationError(f"sensitive value {row[-2]!r} "
+                                          f"outside domain")
                 cells = tuple(row[2:end])
                 region = regions.get(cells)
                 if region is None:
@@ -564,8 +552,9 @@ class HistoryStore:
                                           f"between rows")
                 else:
                     group[1].append(member)
-        except ValidationError as exc:
-            raise ValidationError(f"{path} line {lineno}: {exc}") from None
+            except ValidationError as exc:
+                raise ValidationError(f"{path} line {lineno}: {exc}") \
+                    from None
         return PublishedRelease(index, tuple(
             QIGroup(g, region, tuple(members))
             for g, (region, members) in groups.items()))

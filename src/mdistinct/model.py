@@ -172,17 +172,17 @@ class TableSchema:
     def qi_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.qi)
 
-    def validate_record(self, rec: "Record", where: str = "") -> None:
+    def validate_record(self, rec: "Record") -> None:
         if len(rec.qi) != len(self.qi):
-            raise ValidationError(f"{where}record {rec.id!r}: expected "
+            raise ValidationError(f"record {rec.id!r}: expected "
                                   f"{len(self.qi)} QI values, got {len(rec.qi)}")
         for attr, value in zip(self.qi, rec.qi):
             if not attr.contains(value):
                 raise ValidationError(
-                    f"{where}record {rec.id!r}: {attr.name}={value!r} outside domain")
+                    f"record {rec.id!r}: {attr.name}={value!r} outside domain")
         if rec.sensitive not in self.sensitive_domain:
             raise ValidationError(
-                f"{where}record {rec.id!r}: sensitive value {rec.sensitive!r} "
+                f"record {rec.id!r}: sensitive value {rec.sensitive!r} "
                 f"outside domain")
 
 

@@ -14,7 +14,6 @@ risk.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -72,11 +71,6 @@ class Sug:
         return sum(len(adj) for gap in self.out for adj in gap)
 
 
-@functools.lru_cache(maxsize=4096)
-def _share(count: int, total: int) -> Fraction:
-    return Fraction(count, total)
-
-
 def _tally(values: Sequence[str]) -> dict[str, int]:
     """Multiplicity per distinct value, keys in first-appearance order."""
     counts: dict[str, int] = {}
@@ -89,7 +83,7 @@ def _collapse(values: Sequence[str]) -> tuple[list[str], list[Fraction]]:
     """Distinct values in first-appearance order with multiplicity shares."""
     counts = _tally(values)
     total = len(values)
-    return list(counts), [_share(c, total) for c in counts.values()]
+    return list(counts), [Fraction(c, total) for c in counts.values()]
 
 
 def _check_layer(i: int, values: Sequence[str], model: UpdateModel) -> None:

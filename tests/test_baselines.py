@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,9 @@ import pytest
 from mdistinct.baselines import (MInvarianceState, count_vulnerable,
                                  publish_l_diversity, publish_m_invariance)
 from mdistinct.errors import InfeasibilityError
+from mdistinct.fileio import (HistoryStore, apply_external_updates,
+                              initial_population, synthesize_internal_updates,
+                              synthetic_schema)
 from mdistinct.model import CounterfeitMember, Record
 from mdistinct.sug import RiskReport, attack_release_sequence
 
@@ -113,6 +117,30 @@ class TestMInvariance:
         assert invalidated == ["a"]
         assert state.invalidated_total == 1
         assert sum(m.counterfeit for m in r2.groups[0].members) == 1
+
+    def test_replay_rebuilds_the_running_count(self, tmp_path):
+        """After each of five releases, replaying the stored history gives
+        the count the publisher kept while publishing."""
+        schema, model = synthetic_schema(5, 20)
+        rng = random.Random(4)
+        records, next_id = initial_population(40, schema, model, rng)
+        store = HistoryStore(tmp_path)
+        state, running = MInvarianceState(2), 0
+        for seed in range(5):
+            release, state, invalidated = publish_m_invariance(
+                records, state, schema, model, seed)
+            running += len(invalidated)
+            store.write_release(release, schema)
+            store.write_schema(schema)
+            replayed = store.replay_state(MInvarianceState(2), model)
+            assert replayed.invalidated_total == state.invalidated_total \
+                == running
+            assert replayed.signatures == state.signatures
+            records = synthesize_internal_updates(records, schema, model, 12,
+                                                  rng)
+            records, next_id = apply_external_updates(records, schema, rng,
+                                                      3, 3, next_id)
+        assert running > 0
 
 
 class TestCountVulnerable:

@@ -231,6 +231,11 @@ class TestExitCodes:
         ([["key", "value"], ["m", "2", "extra"], ["mode", "m_distinct"]],
          "line 2: expected 2 fields, got 3"),
         ([["key", "value"], ["m", "2"]], "no 'mode' entry"),
+        ([["key", "value"], ["m", " 2"], ["mode", "m_distinct"]],
+         "m=' 2' is not an integer"),
+        ([["name", "value"], ["m", "2"], ["mode", "m_distinct"]],
+         "meta.csv line 1: header ['name', 'value'] does not match "
+         "['key', 'value']"),
     ])
     def test_malformed_meta_exits_two(self, workdir, capsys, rows, message):
         hist = workdir / "hist"
@@ -243,20 +248,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message in err
-
-    def test_malformed_minv_total_exits_two(self, workdir, capsys):
-        hist = workdir / "minv"
-        base = ["baseline", "--kind", "minv", "--microdata",
-                workdir / "t1.csv", "--model", workdir / "model.csv",
-                "--history", hist, "--m", "2"]
-        assert run(workdir, *base) == 0
-        capsys.readouterr()
-        write_csv(hist / "meta.csv",
-                  [["key", "value"], ["invalidated_total", "1.5"],
-                   ["m", "2"], ["mode", "baseline_minv"]])
-        assert run(workdir, *base) == 2
-        assert "invalidated_total='1.5' is not an integer" in \
-            capsys.readouterr().err
 
     def test_et_value_outside_its_hierarchy_exits_two(self, workdir,
                                                        capsys):
@@ -440,9 +431,9 @@ class TestStrayFiles:
 
 class TestStoredReleases:
     """Every command reads each stored release whole before using it.  A
-    gid or numeric region that `write_release` could not have written, or
-    a real record listed in two groups, stops `publish` before it writes
-    anything, and stops `verify` and `attack`."""
+    gid, numeric region or sensitive value that `write_release` could not
+    have written, or a real record listed in two groups, stops `publish`
+    before it writes anything, and stops `verify` and `attack`."""
 
     @pytest.fixture
     def two_releases(self, workdir):
@@ -472,14 +463,32 @@ class TestStoredReleases:
             if row[0] == rows[1][0]:  # every row of the first group
                 row[column] = text
         write_csv(path, rows)
+        self._refused_by_every_command(workdir, base, capsys,
+                                       f"{path} line 2: {message}")
+
+    def test_sensitive_value_outside_the_domain_exits_two(
+            self, workdir, two_releases, capsys):
+        hist, base = two_releases
+        path = hist / "release_1.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows[2][-2] = "Zzz"
+        write_csv(path, rows)
+        self._refused_by_every_command(
+            workdir, base, capsys,
+            f"{path} line 3: sensitive value 'Zzz' outside domain")
+
+    @staticmethod
+    def _refused_by_every_command(workdir, base, capsys, message):
+        """publish, verify and attack each exit 2 with `message` and leave
+        the history as it was."""
+        hist = base[-1]
         before = _tree(hist)
         capsys.readouterr()
         for argv in (["publish", "--microdata", workdir / "t2.csv",
                       "--seed", "3", "--m", "2"],
                      ["verify", "--m", "2"], ["attack"]):
             assert run(workdir, *argv, *base) == 2
-            assert capsys.readouterr().err == \
-                f"error: {path} line 2: {message}\n"
+            assert capsys.readouterr().err == f"error: {message}\n"
             assert _tree(hist) == before
 
     def test_publish_refuses_a_record_in_two_groups(self, workdir,
@@ -550,17 +559,67 @@ class TestBaselineCommands:
         assert code == 3
         assert "not m-eligible" in capsys.readouterr().err
 
+    # later snapshots of the same six people: values move inside their CUS
+    T3 = [["Ben", "27", "36", "LungCancer"],
+          ["Harry", "24", "33", "Gastritis"],
+          ["Julia", "19", "32", "LungCancer"],
+          ["Ken", "15", "21", "Gastritis"], ["Lily", "13", "18", "Cataract"],
+          ["Tom", "16", "28", "Pneumonia"]]
+    T4 = [["Ben", "28", "37", "LungCancer"],
+          ["Harry", "25", "34", "Dyspepsia"],
+          ["Julia", "20", "33", "LungCancer"],
+          ["Ken", "16", "22", "Dyspepsia"], ["Lily", "14", "19", "Cataract"],
+          ["Tom", "17", "29", "LungCancer"]]
+    MINV_LINES = [
+        "release 1 (minv): 3 groups, 0 counterfeits, 0 invalidated this "
+        "release (0 cumulative)",
+        "release 2 (minv): 4 groups, 3 counterfeits, 3 invalidated this "
+        "release (3 cumulative)",
+        "release 3 (minv): 5 groups, 6 counterfeits, 3 invalidated this "
+        "release (6 cumulative)",
+        "release 4 (minv): 5 groups, 6 counterfeits, 3 invalidated this "
+        "release (9 cumulative)"]
+
+    def _four_snapshots(self, workdir):
+        header = ["id", "salary", "age", "disease"]
+        write_csv(workdir / "t3.csv", [header, *self.T3])
+        write_csv(workdir / "t4.csv", [header, *self.T4])
+        return ["t1.csv", "t2.csv", "t3.csv", "t4.csv"]
+
     def test_minv_reports_cumulative_invalidations(self, workdir, capsys):
+        """Four releases print the totals a count stored in meta.csv used
+        to give; replay rebuilds them, and meta.csv holds no count."""
         hist = workdir / "minv"
         base = ["--model", workdir / "model.csv", "--history", hist,
-                "--m", "2"]
-        assert run(workdir, "baseline", "--kind", "minv", "--microdata",
-                   workdir / "t1.csv", "--seed", "5", *base) == 0
-        assert "0 invalidated" in capsys.readouterr().out
-        assert run(workdir, "baseline", "--kind", "minv", "--microdata",
-                   workdir / "t2.csv", "--seed", "5", *base) == 0
-        assert "3 invalidated this release (3 cumulative)" in \
-            capsys.readouterr().out
+                "--m", "2", "--seed", "5"]
+        for snap, line in zip(self._four_snapshots(workdir),
+                              self.MINV_LINES):
+            assert run(workdir, "baseline", "--kind", "minv",
+                       "--microdata", workdir / snap, *base) == 0
+            assert capsys.readouterr().out == line + "\n"
+        assert "invalidated_total" not in (hist / "meta.csv").read_text()
+
+    def test_minv_history_with_a_stored_total_keeps_publishing(self, workdir,
+                                                               capsys):
+        """A history written when meta.csv kept the count: the stored value
+        is ignored and left as it is."""
+        hist = workdir / "minv"
+        base = ["--model", workdir / "model.csv", "--history", hist,
+                "--m", "2", "--seed", "5"]
+        snaps = self._four_snapshots(workdir)
+        for snap in snaps[:2]:
+            assert run(workdir, "baseline", "--kind", "minv",
+                       "--microdata", workdir / snap, *base) == 0
+        old_meta = [["key", "value"], ["invalidated_total", "99"], ["m", "2"],
+                    ["mode", "baseline_minv"], ["seed", "5"]]
+        write_csv(hist / "meta.csv", old_meta)
+        capsys.readouterr()
+        for snap, line in zip(snaps[2:], self.MINV_LINES[2:]):
+            assert run(workdir, "baseline", "--kind", "minv",
+                       "--microdata", workdir / snap, *base) == 0
+            assert capsys.readouterr().out == line + "\n"
+        assert (hist / "meta.csv").read_text() == \
+            "".join(",".join(row) + "\n" for row in old_meta)
 
     def test_minv_refuses_a_record_in_two_groups(self, workdir, capsys):
         hist = workdir / "minv"

@@ -93,6 +93,131 @@ class TestMicrodata:
             load_microdata(path, disease_schema)
 
 
+# reader -> (file name, header, a good row, a row with a bad value and its
+# message or None, how the reader is called on the file)
+READERS = {
+    "microdata": ("data.csv", ["id", "salary", "age", "disease"],
+                  ["a", "20", "20", "Flu"], (["b", "x", "20", "Flu"],
+                                             "salary='x' is not an integer"),
+                  lambda path, schema, model: load_microdata(path, schema)),
+    "external table": ("et_1.csv", ["id", "salary", "age"],
+                       ["a", "20", "20"], (["b", "20", "x"],
+                                           "age='x' is not an integer"),
+                       lambda path, schema, model: load_external_tables(
+                           path.parent, schema)),
+    "infer schema": ("data.csv", ["id", "salary", "age", "disease"],
+                     ["a", "20", "20", "Flu"], None,
+                     lambda path, schema, model: infer_schema(path, model)),
+    "update model": ("model.csv", ["value", "successor", "probability"],
+                     ["a", "a", "1"], (["b", "b", "zz"],
+                                       "bad probability 'zz'"),
+                     lambda path, schema, model: load_update_model(path)),
+    "meta": ("meta.csv", ["key", "value"], ["m", "2"], None,
+             lambda path, schema, model: HistoryStore(
+                 path.parent).read_meta()),
+    "release": ("release_1.csv",
+                ["gid", "id", "salary", "age", "disease", "is_counterfeit"],
+                ["1", "a", "20..21", "20..21", "Flu", "0"],
+                (["x", "b", "20..21", "20..21", "Flu", "0"], "bad gid 'x'"),
+                lambda path, schema, model: HistoryStore(
+                    path.parent).read_release(1, schema)),
+}
+
+
+class TestCheckedReaders:
+    """Every CSV input goes through one reader: the header, each row's
+    width and the line number of the first bad row."""
+
+    def _error(self, tmp_path, name, rows, disease_schema, worked_model):
+        file_name, *_, read = READERS[name]
+        path = tmp_path / file_name
+        write_csv(path, rows)
+        with pytest.raises(ValidationError) as info:
+            read(path, disease_schema, worked_model)
+        return path, str(info.value)
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_wrong_header(self, tmp_path, disease_schema, worked_model,
+                          name):
+        _, header, good, *_ = READERS[name]
+        wrong = ["ident", *header[1:]]
+        path, err = self._error(tmp_path, name, [wrong, good],
+                                disease_schema, worked_model)
+        if name == "infer schema":  # any header with id first will do
+            assert err == f"{path} line 1: need id, at least one QI " \
+                          f"column and a sensitive column"
+        else:
+            assert err == f"{path} line 1: header {wrong!r} does not " \
+                          f"match {header!r}"
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_short_row(self, tmp_path, disease_schema, worked_model, name):
+        _, header, good, *_ = READERS[name]
+        path, err = self._error(tmp_path, name, [header, good, good[:-1]],
+                                disease_schema, worked_model)
+        assert err == f"{path} line 3: expected {len(header)} fields, " \
+                      f"got {len(header) - 1}"
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n, reader in READERS.items() if reader[3] is not None))
+    def test_first_bad_row_raises_first(self, tmp_path, disease_schema,
+                                        worked_model, name):
+        """A bad value on line 2 comes before a short row on line 4."""
+        _, header, good, (bad, message), _ = READERS[name]
+        path, err = self._error(tmp_path, name,
+                                [header, bad, good, good[:-1]],
+                                disease_schema, worked_model)
+        assert err == f"{path} line 2: {message}"
+
+    def test_empty_file(self, tmp_path, disease_schema, worked_model):
+        for name in sorted(READERS):
+            path = tmp_path / READERS[name][0]
+            path.write_text("")
+            with pytest.raises(ValidationError) as info:
+                READERS[name][-1](path, disease_schema, worked_model)
+            assert str(info.value) == f"{path}: empty file"
+            path.unlink()
+
+
+NOT_DECIMAL = ["1_0", "+5", " 5", "\u0663", "5 ", "--5", ""]
+
+
+class TestIntegerRule:
+    """Numeric microdata and --et cells, like stored gids and regions, are
+    plain decimal: digits with an optional leading "-"."""
+
+    @pytest.mark.parametrize("text", NOT_DECIMAL)
+    def test_microdata_refuses(self, tmp_path, disease_schema, text):
+        path = tmp_path / "data.csv"
+        write_csv(path, [["id", "salary", "age", "disease"],
+                         ["a", "20", text, "Flu"]])
+        with pytest.raises(ValidationError) as info:
+            load_microdata(path, disease_schema)
+        assert str(info.value) == \
+            f"{path} line 2: age={text!r} is not an integer"
+
+    @pytest.mark.parametrize("text", NOT_DECIMAL)
+    def test_external_table_refuses(self, tmp_path, disease_schema, text):
+        path = tmp_path / "et_1.csv"
+        write_csv(path, [["id", "salary", "age"], ["a", "20", "20"],
+                         ["b", text, "20"]])
+        with pytest.raises(ValidationError) as info:
+            load_external_tables(tmp_path, disease_schema)
+        assert str(info.value) == \
+            f"{path} line 3: salary={text!r} is not an integer"
+
+    @pytest.mark.parametrize("text", NOT_DECIMAL)
+    def test_infer_schema_takes_the_column_as_categorical(
+            self, tmp_path, worked_model, text):
+        path = tmp_path / "data.csv"
+        write_csv(path, [["id", "salary", "age", "disease"],
+                         ["a", "20", "-3", "Flu"], ["b", "21", text, "Flu"]])
+        salary, age = infer_schema(path, worked_model).qi
+        assert (salary.kind, salary.lo, salary.hi) == ("numeric", 20, 21)
+        assert age.kind == "categorical"
+        assert age.hierarchy.leaves == tuple(sorted(["-3", text]))
+
+
 class TestInferSchema:
     def test_numeric_bounds_come_from_the_data(self, data_dir, worked_model):
         schema = infer_schema(data_dir / "microdata_t1.csv", worked_model)

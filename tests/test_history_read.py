@@ -5,12 +5,14 @@ and `EngineState.apply` as they were before each distinct gid text, each
 distinct tuple of region cell texts and each distinct CUS multiset was
 parsed or built once per call.  The properties below require both forms to
 give equal releases and states, and the same error on a corrupted file.
-The one departure is the rule for integers: a gid and both ends of a
-numeric region must be plain decimal (an optional leading "-"), and a
-region must satisfy lo <= hi inside its attribute's bounds.  The reference
-took anything `int` reads and any order; the departure tests below name
-what it let through.  Region and node errors now also carry the file and
-line, which the reference left off.
+There are two departures.  The first is the rule for integers: a gid and
+both ends of a numeric region must be plain decimal (an optional leading
+"-"), and a region must satisfy lo <= hi inside its attribute's bounds.
+The reference took anything `int` reads and any order; the departure tests
+below name what it let through.  The second: every row's sensitive value,
+counterfeit rows included, must lie in the schema's sensitive domain,
+which the reference did not check.  Region and node errors now also carry
+the file and line, which the reference left off.
 """
 
 import csv
@@ -52,8 +54,11 @@ def reference_read_release(store, index, schema):
     rows = fileio._read_csv(path)
     expected = ["gid", "id", *schema.qi_names, schema.sensitive_name,
                 "is_counterfeit"]
-    if not rows or rows[0] != expected:
-        raise ValidationError(f"{path} line 1: bad header")
+    if not rows:
+        raise ValidationError(f"{path}: empty file")
+    if rows[0] != expected:
+        raise ValidationError(f"{path} line 1: header {rows[0]!r} does not "
+                              f"match {expected!r}")
     groups: dict[int, tuple] = {}
     order: list[int] = []
     for lineno, row in enumerate(rows[1:], start=2):
@@ -239,8 +244,8 @@ def test_parser_matches_reference(case, data):
 def test_corrupted_release_fails_like_reference(case, data):
     """One field replaced, or one row a field longer or shorter: both
     parsers give the same release or the same error, except where the
-    integer rule rejects the replacing text or the reference left the file
-    and line off a cell error."""
+    integer rule rejects the replacing text, a sensitive value leaves the
+    domain or the reference left the file and line off a cell error."""
     schema, release = case
     index = release.release_index
     with tempfile.TemporaryDirectory() as tmp:
@@ -251,6 +256,15 @@ def test_corrupted_release_fails_like_reference(case, data):
         write_csv(path, broken)
         new = _outcome(HistoryStore.read_release, store, index, schema)
         ref = _outcome(reference_read_release, store, index, schema)
+    if at is not None and at[0] > 0 and at[1] == len(broken[at[0]]) - 2:
+        # a replaced sensitive value, which the reference never checked
+        text = broken[at[0]][at[1]]
+        if text in schema.sensitive_domain:
+            assert new == ref
+        else:
+            assert new == f"{path} line {at[0] + 1}: sensitive value " \
+                          f"{text!r} outside domain"
+        return
     if new == ref:
         return
     # only a replaced gid or region cell of a body row can part the two,
