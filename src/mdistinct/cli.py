@@ -111,7 +111,7 @@ def _open_history(store: HistoryStore, args, mode: str,
         raise ValidationError(
             f"history {store.path} was built with m={m} "
             f"mode={meta['mode']}; got m={args.m} mode={mode}")
-    widened = widen_schema(schema, observed)
+    widened = widen_schema(schema, observed, args.microdata)
     return widened, widened is not schema
 
 
@@ -119,9 +119,9 @@ def _publish_locked(args, mode: str, step) -> tuple:
     """The body `publish` and `baseline` share.  Under the history lock it
     opens the history, loads the microdata and calls `step(store, records,
     schema, model)`, which returns the release and the tail of the summary
-    line.  Only then does it store the schema (and, in a new history,
-    meta.csv), the release and the microdata behind it, so a publish that
-    fails writes nothing.  Returns the release, the records and the tail."""
+    line.  Only then does it store meta.csv (in a new history), the schema,
+    the release and the microdata behind it, so a publish that fails
+    writes nothing.  Returns the release, the records and the tail."""
     _check_m(args.m)
     model = load_update_model(args.model)
     store = HistoryStore(args.history)
@@ -130,11 +130,12 @@ def _publish_locked(args, mode: str, step) -> tuple:
         records = load_microdata(args.microdata, schema)
         release, tail = step(store, records, schema, model)
         if changed:
-            fresh = not store.has_schema()
-            store.write_schema(schema)
-            if fresh:
+            # meta.csv first: a history with no schema.json counts as new,
+            # so a crash between the two writes leaves one a rerun redoes
+            if not store.has_schema():
                 store.write_meta({"seed": str(args.seed), "m": str(args.m),
                                   "mode": mode})
+            store.write_schema(schema)
         store.write_release(release, schema)
         store.write_actuals(release.release_index, schema, records)
     return release, records, tail

@@ -41,29 +41,29 @@ __all__ = [
 BACKTRACK_CAP = 1_000_000
 
 
-def _span_extent(attr: AttributeSchema, lo: int, hi: int) -> int:
-    """Points covered by the generalization of an index span [lo, hi]."""
-    if attr.kind == "numeric":
-        return hi - lo + 1
-    return attr.hierarchy.leafcount(attr.hierarchy.covering_node(lo, hi))
+class _Extents:
+    """Points covered by the generalization of attribute j's index span
+    [lo, hi]: hi - lo + 1 for a numeric attribute (width 0), and
+    `cover[j][lo * width[j] + hi]` for a categorical one, `cover[j]` being
+    its hierarchy's cache (`Hierarchy.extent`), which lives as long as the
+    schema.  The hot loops inline `of`."""
 
-
-class _ExtentMemo(dict):
-    """(attr position, lo, hi) -> `_span_extent`, each computed once."""
+    __slots__ = ("width", "cover")
 
     def __init__(self, qi: Sequence[AttributeSchema]):
-        super().__init__()
-        self.qi = qi
+        self.width = [0 if a.kind == "numeric" else len(a.hierarchy.leaves)
+                      for a in qi]
+        self.cover = [None if a.kind == "numeric" else a.hierarchy.extent
+                      for a in qi]
 
-    def __missing__(self, key: tuple[int, int, int]) -> int:
-        j, lo, hi = key
-        out = self[key] = _span_extent(self.qi[j], lo, hi)
-        return out
+    def of(self, j: int, lo: int, hi: int) -> int:
+        w = self.width[j]
+        return self.cover[j][lo * w + hi] if w else hi - lo + 1
 
 
 def _point(qi: Sequence[AttributeSchema], rec: Record) -> tuple[int, ...]:
     """A record's QI values as indices in each attribute's total order."""
-    return tuple(attr.to_index(v) for attr, v in zip(qi, rec.qi))
+    return tuple([attr.to_index(v) for attr, v in zip(qi, rec.qi)])
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ class Bucket:
         return max(self._f_max, self._largest)
 
     def extent_product_with(self, point: Sequence[int],
-                            extent: _ExtentMemo) -> int:
+                            extent: _Extents) -> int:
         """The extent product once a record at `point` joins; 1 while the
         bucket is empty (nothing to grow)."""
         if not self.size:
@@ -119,15 +119,15 @@ class Bucket:
         for j, i in enumerate(point):
             lo, hi = self._lo[j], self._hi[j]
             if i < lo:
-                out *= extent[(j, i, hi)]
+                out *= extent.of(j, i, hi)
             elif i > hi:
-                out *= extent[(j, lo, i)]
+                out *= extent.of(j, lo, i)
             else:
                 out *= self._ext[j]
         return out
 
     def _place(self, rec: Record, entry_index: int, point: Sequence[int],
-               extent: _ExtentMemo) -> None:
+               extent: _Extents) -> None:
         entry = self.entries[entry_index]
         entry.append(rec)
         self._largest = max(self._largest, len(entry))
@@ -135,7 +135,7 @@ class Bucket:
         self._f_max = max(self._f_max, f)
         if not self.size:
             self._lo, self._hi = list(point), list(point)
-            self._ext = [extent[(j, i, i)] for j, i in enumerate(point)]
+            self._ext = [extent.of(j, i, i) for j, i in enumerate(point)]
         else:
             lo, hi, ext = self._lo, self._hi, self._ext
             for j, i in enumerate(point):
@@ -145,7 +145,7 @@ class Bucket:
                     hi[j] = i
                 else:
                     continue
-                ext[j] = extent[(j, lo[j], hi[j])]
+                ext[j] = extent.of(j, lo[j], hi[j])
         self.size += 1
         self.extent_product = prod(self._ext)
 
@@ -331,7 +331,7 @@ def phase2_assign(records: Sequence[Record],
                            _point(schema.qi, rec)))
     assignable.sort(key=lambda t: (t[0], t[1]))
 
-    extent = _ExtentMemo(schema.qi)
+    extent = _Extents(schema.qi)
     for _, _, rec, options, point in assignable:
         value = rec.sensitive
         best_num, best_den, best = 0, 0, None  # best: (bucket, entry)
@@ -363,33 +363,36 @@ def balance_counterfeits(bucket: Bucket) -> Bucket:
 # phase 3
 
 
-@dataclass(frozen=True)
-class _Cell:
+class _Cell(NamedTuple):
     entry: int
     seq: int                 # tie-breaker, creation order within the entry
     record: Record | None    # None: counterfeit slot
 
 
 def _pick_sequence(entry_at: Sequence[int], value_at: Sequence[int], k: int,
-                   max_picks: int, budget: int) -> list[list[int]]:
-    """Greedy pick-out sequence over one queue, as queue positions.
+                   max_picks: int, budget: int,
+                   ) -> tuple[list[list[int]], bool]:
+    """Greedy pick-out sequence over one queue, as queue positions, and
+    whether the budget may have cut it short.
 
     Each pick takes one untaken position per entry with pairwise-distinct
     real values (value < 0 marks a counterfeit slot); it is the first find of
     a backtracking search that prefers the queue head.  `budget` caps the
     tentative choices over the whole sequence; the first pick it stops ends
-    the sequence.  Taken positions leave a doubly linked list of untaken
-    ones, and each entry keeps its last untaken position, which moves back
-    along that list only when the pick takes it.
+    the sequence.
+
+    A pick first follows the search's first path: each untaken position in
+    turn whose entry is open and whose value is unused.  When that path takes
+    all k entries, it is the search's first find (a dead end the search would
+    prune is one the path could not cross) and costs k tentative choices;
+    otherwise the search runs with the budget as it was, pruning a branch
+    once an open entry has no untaken position left ahead.
     """
     n = len(entry_at)
-    nxt = list(range(1, n + 1))      # next untaken position; n is the end
-    prv = list(range(-1, n - 1))     # previous untaken position; -1 none
-    head = 0
-    last = [-1] * k                  # last untaken position per entry
-    for p, e in enumerate(entry_at):
-        last[e] = p
+    taken = [False] * n
+    head = 0                         # no untaken position before it
     left = budget
+    last: list[int] = []             # last untaken position per entry
     chosen: list[int] = []
     open_entries: set[int] = set()
     used: set[int] = set()
@@ -400,8 +403,9 @@ def _pick_sequence(entry_at: Sequence[int], value_at: Sequence[int], k: int,
         for e in open_entries:
             if last[e] < start:
                 return False
-        p = start
-        while p < n:
+        for p in range(start, n):
+            if taken[p]:
+                continue
             e = entry_at[p]
             if e in open_entries:
                 v = value_at[p]
@@ -413,37 +417,49 @@ def _pick_sequence(entry_at: Sequence[int], value_at: Sequence[int], k: int,
                     open_entries.discard(e)
                     if v >= 0:
                         used.add(v)
-                    if not open_entries or dfs(nxt[p]):
+                    if not open_entries or dfs(p + 1):
                         return True
                     chosen.pop()
                     open_entries.add(e)
                     used.discard(v)
-            p = nxt[p]
         return False
 
     picks: list[list[int]] = []
-    while len(picks) < max_picks:
+    # a pick costs at least k, so a smaller budget cannot pay for one
+    while len(picks) < max_picks and left >= k:
+        while head < n and taken[head]:
+            head += 1
         chosen.clear()
         used.clear()
         open_entries.update(range(k))
-        if not dfs(head):
-            break
+        for p in range(head, n):
+            if taken[p]:
+                continue
+            e = entry_at[p]
+            if e in open_entries:
+                v = value_at[p]
+                if v < 0 or v not in used:
+                    chosen.append(p)
+                    open_entries.discard(e)
+                    if not open_entries:
+                        break
+                    used.add(v)
+        if open_entries:         # the first path is no pick: search
+            chosen.clear()
+            used.clear()
+            open_entries.update(range(k))
+            last = [-1] * k
+            for p in range(head, n):
+                if not taken[p]:
+                    last[entry_at[p]] = p
+            if not dfs(head):
+                break
+        else:
+            left -= k
         picks.append(list(chosen))
         for p in chosen:
-            a, b = prv[p], nxt[p]
-            if a >= 0:
-                nxt[a] = b
-            else:
-                head = b
-            if b < n:
-                prv[b] = a
-            e = entry_at[p]
-            if last[e] == p:
-                # one position per entry per pick, so a is still untaken
-                while a >= 0 and entry_at[a] != e:
-                    a = prv[a]
-                last[e] = a
-    return picks
+            taken[p] = True
+    return picks, len(picks) < max_picks and left < k
 
 
 def _side_numerator(extents: Sequence[int], cof: Sequence[int]) -> int:
@@ -575,7 +591,14 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
     for the whole bucket and a child's queue is its parent's with the other
     child's cells filtered out.  Reals lead every queue, so side B's spans
     are two pointers over that prefix, and its largest value frequency only
-    falls as side A grows.  Extents are memoized per call.
+    falls as side A grows.
+
+    A pick is the smallest valid one in queue order, and a search over part
+    of a queue spends no more of the budget, so the winning attribute's
+    sequence is passed down: child A's is its first delta_A - 1 picks, and
+    child B's is the picks after delta_A unless the budget may have cut the
+    sequence short.  An attribute whose sequence repeats an earlier one's
+    scores the same and cannot win the tie-break, so it is not swept.
     """
     cus_list = bucket.signature.entries
     cells: list[_Cell] = []
@@ -604,12 +627,16 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
     root = [sorted(reals, key=lambda i: (point[i][j], cells[i].record.id))
             + fakes for j in range(n_attr)]
 
-    extent = _ExtentMemo(qi)
+    extent = _Extents(qi)
+    width, cover = extent.width, extent.cover
     mark = [0] * len(cells)
     stamp = 0
     out: list[list[Record | CounterfeitMember]] = []
 
-    def recurse(orders: list[list[int]], n_real: int) -> None:
+    def recurse(orders: list[list[int]], n_real: int,
+                known: tuple[int, list[list[int]]] | None) -> None:
+        """`known`: an attribute position and this node's pick sequence on
+        it, when the parent's sequence already gave it."""
         nonlocal stamp
         first = orders[0]
         delta = len(first) // k
@@ -619,10 +646,8 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                 group[entry_of[c]] = cells[c]
             out.append(_emit_group(group, cus_list, rng))
             return
-        parent_extents = []
-        for j, o in enumerate(orders):
-            lo, hi = point[o[0]][j], point[o[n_real - 1]][j]
-            parent_extents.append(extent[(j, lo, hi)])
+        parent_extents = [extent.of(j, point[o[0]][j], point[o[n_real - 1]][j])
+                          for j, o in enumerate(orders)]
         freq = [0] * n_values
         for c in first[:n_real]:
             freq[value_of[c]] += 1
@@ -634,16 +659,25 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
         denom = prod(parent_extents)
         cof = [denom // e for e in parent_extents]
 
-        best = None  # (score, delta_a, picks)
-        for queue in orders:
-            picks = [[queue[p] for p in pick] for pick in _pick_sequence(
-                [entry_of[c] for c in queue], [value_of[c] for c in queue],
-                k, delta - 1, backtrack_cap)]
-            if not picks:
+        best_score = 0
+        best = None  # (attr_pos, delta_a, picks, cut_short)
+        swept: list[list[list[int]]] = []
+        for attr_pos, queue in enumerate(orders):
+            if known is not None and known[0] == attr_pos:
+                picks, cut_short = known[1], False
+            else:
+                found, cut_short = _pick_sequence(
+                    [entry_of[c] for c in queue], [value_of[c] for c in queue],
+                    k, delta - 1, backtrack_cap)
+                picks = [[queue[p] for p in pick] for pick in found]
+            if not picks or picks in swept:
                 continue
+            swept.append(picks)
             # sweep delta_a over pick prefixes; side B's largest frequency
             # only falls, tracked with a histogram of frequencies, and each
-            # side's score numerator changes only with the spans that moved
+            # side's score numerator changes only with the spans that moved:
+            # A's as a member widens one, B's once a scored step finds a
+            # pointer's cell taken
             stamp += 1
             b_freq = freq[:]
             b_hist = hist[:]
@@ -653,10 +687,9 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
             a_lo = [sys.maxsize] * n_attr
             a_hi = [-1] * n_attr
             a_ext = [0] * n_attr
-            b_ext = list(parent_extents)     # B starts as the whole node
+            b_ext = parent_extents[:]        # B starts as the whole node
             a_num = 0
             b_num = n_attr * denom
-            moved: set[int] = set()
             a_reals = 0
             for delta_a, pick in enumerate(picks, start=1):
                 for c in pick:
@@ -672,24 +705,24 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                     if f == f_max and not b_hist[f]:
                         f_max -= 1
                     for j, i in enumerate(point[c]):
-                        if i < a_lo[j]:
-                            a_lo[j] = i
-                            moved.add(j)
-                        if i > a_hi[j]:
-                            a_hi[j] = i
-                            moved.add(j)
+                        lo = a_lo[j]
+                        hi = a_hi[j]
+                        if lo <= i <= hi:
+                            continue
+                        if i < lo:
+                            a_lo[j] = lo = i
+                        if i > hi:
+                            a_hi[j] = hi = i
+                        w = width[j]
+                        x = cover[j][lo * w + hi] if w else hi - lo + 1
+                        a_num += (x - a_ext[j]) * cof[j]
+                        a_ext[j] = x
                 b_reals = n_real - a_reals
                 if a_reals == 0 or b_reals == 0:
                     continue
                 if f_max > delta - delta_a:
                     continue
                 # F_max(A) <= delta_a holds by construction (distinct per pick)
-                for j in moved:
-                    lo, hi = a_lo[j], a_hi[j]
-                    x = extent[(j, lo, hi)]
-                    a_num += (x - a_ext[j]) * cof[j]
-                    a_ext[j] = x
-                moved.clear()
                 for j, o in enumerate(orders):
                     lo = lo_ptr[j]
                     hi = hi_ptr[j]
@@ -701,15 +734,16 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                         hi -= 1
                     lo_ptr[j] = lo
                     hi_ptr[j] = hi
-                    lo, hi = point[o[lo]][j], point[o[hi]][j]
-                    x = extent[(j, lo, hi)]
+                    lo, hi, w = point[o[lo]][j], point[o[hi]][j], width[j]
+                    x = cover[j][lo * w + hi] if w else hi - lo + 1
                     b_num += (x - b_ext[j]) * cof[j]
                     b_ext[j] = x
                 score = a_reals * a_num + b_reals * b_num
                 # candidates come in increasing (attr_pos, delta_a), so
                 # only a strictly lower score can win the tie-break
-                if best is None or score < best[0]:
-                    best = (score, delta_a, picks)
+                if best is None or score < best_score:
+                    best_score = score
+                    best = (attr_pos, delta_a, picks, cut_short)
         if best is None:
             by_entry: list[list[_Cell]] = [[] for _ in range(k)]
             for c in first:
@@ -717,7 +751,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
             for group in _fallback_decompose(by_entry):
                 out.append(_emit_group(group, cus_list, rng))
             return
-        _, delta_a, picks = best
+        attr_pos, delta_a, picks, cut_short = best
         stamp += 1
         side = stamp
         a_reals = 0
@@ -727,10 +761,11 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                 a_reals += value_of[c] >= 0
         child_a = [[c for c in o if mark[c] == side] for o in orders]
         child_b = [[c for c in o if mark[c] != side] for o in orders]
-        recurse(child_a, a_reals)
-        recurse(child_b, n_real - a_reals)
+        recurse(child_a, a_reals, (attr_pos, picks[:delta_a - 1]))
+        recurse(child_b, n_real - a_reals,
+                None if cut_short else (attr_pos, picks[delta_a:]))
 
-    recurse(root, len(reals))
+    recurse(root, len(reals), None)
     return out
 
 
@@ -818,7 +853,8 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
     color_ids: dict = {}
     color = [color_ids.setdefault(key, len(color_ids)) for key in keys]
     point = [_point(qi, rec) for rec in pool]
-    extent = _ExtentMemo(qi)
+    extent = _Extents(qi)
+    width, cover = extent.width, extent.cover
     mark = [0] * len(pool)
     stamp = 0
 
@@ -849,7 +885,8 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
             if cut % m or f_max > size // m:
                 continue
             found[cut] = _side_numerator(
-                [extent[(j, lo[j], hi[j])] for j in range(n_attr)], cof)
+                [ext[a * w + b] if w else b - a + 1
+                 for a, b, w, ext in zip(lo, hi, width, cover)], cof)
         return found
 
     def recurse(members: list[int], orders: list[list[int]]) -> None:
@@ -857,7 +894,7 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
         n = len(members)
         best = None  # (numerator, attr_pos, cut)
         if n >= 2 * m:
-            parent = [extent[(j, point[o[0]][j], point[o[-1]][j])]
+            parent = [extent.of(j, point[o[0]][j], point[o[-1]][j])
                       for j, o in enumerate(orders)]
             denom = prod(parent)
             cof = [denom // e for e in parent]

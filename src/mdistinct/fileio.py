@@ -198,16 +198,31 @@ def write_microdata(path: Path | str, schema: TableSchema,
     write_csv(path, rows)
 
 
-def widen_schema(stored: TableSchema, observed: TableSchema) -> TableSchema:
-    """Grow `stored`'s numeric bounds to cover `observed` (same attributes,
-    same kinds).  Returns `stored` itself when nothing needs to grow; new
-    categorical values are an error, since published regions name nodes of
-    the stored hierarchy."""
-    if [(a.name, a.kind) for a in stored.qi] != \
-            [(a.name, a.kind) for a in observed.qi]:
+def widen_schema(stored: TableSchema, observed: TableSchema,
+                 path: Path | str) -> TableSchema:
+    """Grow `stored`'s numeric bounds to cover `observed`, the schema
+    inferred from the microdata file `path` (same attributes, same kinds).
+    Returns `stored` itself when nothing needs to grow; new categorical
+    values are an error, since published regions name nodes of the stored
+    hierarchy."""
+    if stored.qi_names != observed.qi_names:
         raise ValidationError(
-            f"microdata columns {[a.name for a in observed.qi]} do not match "
-            f"the history schema {[a.name for a in stored.qi]}")
+            f"microdata columns {list(observed.qi_names)} do not match the "
+            f"history schema {list(stored.qi_names)}")
+    for s, o in zip(stored.qi, observed.qi):
+        if s.kind == o.kind:
+            continue
+        kinds = (f"column {s.name} is {s.kind} in the history schema but "
+                 f"{o.kind} in {path}")
+        if s.kind == "numeric":
+            # the column read as categorical, so some cell is not decimal
+            header, rows = _read_table(path)
+            j = header.index(s.name)
+            lineno, text = next((lineno, row[j]) for lineno, row in rows
+                                if _decimal(row[j]) is None)
+            raise ValidationError(f"{path} line {lineno}: {s.name}={text!r} "
+                                  f"is not an integer; {kinds}")
+        raise ValidationError(kinds)
     changed = False
     attrs: list[AttributeSchema] = []
     for s, o in zip(stored.qi, observed.qi):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import ValidationError
 
@@ -36,6 +36,22 @@ Region = tuple[RegionCell, ...]
 QIValue = Union[int, str]
 
 
+class _CoverExtents(dict):
+    """`lo * len(leaves) + hi` -> leaf count of the smallest node covering
+    the index span [lo, hi], computed on first lookup, so it holds only the
+    spans looked up."""
+
+    def __init__(self, hierarchy: "Hierarchy"):
+        super().__init__()
+        self.hierarchy = hierarchy
+
+    def __missing__(self, key: int) -> int:
+        h = self.hierarchy
+        lo, hi = divmod(key, len(h.leaves))
+        out = self[key] = h.leafcount(h.covering_node(lo, hi))
+        return out
+
+
 class Hierarchy:
     """A rooted tree over an ordered leaf set, with contiguous leaf spans.
 
@@ -55,6 +71,7 @@ class Hierarchy:
         self.index = {leaf: i for i, leaf in enumerate(self.leaves)}
         if len(self.index) != len(self.leaves):
             raise ValidationError(f"duplicate leaves in hierarchy under {root!r}")
+        self.extent = _CoverExtents(self)
 
     def _build(self, name: str, subtree: object, leaves: list[str]) -> tuple[int, int]:
         if name in self._span:
@@ -200,8 +217,10 @@ class CounterfeitMember:
     sensitive: str
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(NamedTuple):
+    """One published group member: a named tuple, since a history read
+    builds one per row."""
+
     rid: str
     sensitive: str
     counterfeit: bool = False

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mdistinct.engine import _ExtentMemo, _point
+from mdistinct.engine import _Extents, _point
 from mdistinct.model import (AttributeSchema, Member, PublishedRelease,
                              QIGroup, Record, TableSchema)
 from mdistinct.updates import UpdateModel
@@ -30,10 +30,19 @@ def covers(uss, value: str) -> bool:
     return any(value in e for e in uss.entries)
 
 
+def span_extent(attr, lo: int, hi: int) -> int:
+    """Points covered by the generalization of an index span [lo, hi],
+    worked out from the hierarchy on every call: the oracle for the
+    publisher's cached `engine._Extents`."""
+    if attr.kind == "numeric":
+        return hi - lo + 1
+    return attr.hierarchy.leafcount(attr.hierarchy.covering_node(lo, hi))
+
+
 def add(bucket, rec, entry_index: int, schema) -> None:
     """Place one record in a bucket entry, as phase 2 does."""
     bucket._place(rec, entry_index, _point(schema.qi, rec),
-                  _ExtentMemo(schema.qi))
+                  _Extents(schema.qi))
 
 
 def path_weights(fs) -> dict[tuple[str, ...], Fraction]:

@@ -180,6 +180,24 @@ class TestExitCodes:
         assert code == 2
         assert "was built with m=2" in capsys.readouterr().err
 
+    def test_column_of_another_kind_names_the_cell(self, workdir, capsys):
+        hist = workdir / "hist"
+        base = ["--model", workdir / "model.csv", "--history", hist,
+                "--m", "2"]
+        assert run(workdir, "publish", "--microdata", workdir / "t1.csv",
+                   *base) == 0
+        before = _tree(hist)
+        snap = workdir / "signed.csv"
+        snap.write_text((workdir / "t2.csv").read_text()
+                        .replace("Ben,26,", "Ben,+26,"))
+        capsys.readouterr()
+        assert run(workdir, "publish", "--microdata", snap, *base) == 2
+        assert capsys.readouterr().err == (
+            f"error: {snap} line 2: salary='+26' is not an integer; column "
+            f"salary is numeric in the history schema but categorical in "
+            f"{snap}\n")
+        assert _tree(hist) == before
+
     def test_locked_history_exits_two(self, workdir, capsys):
         hist = workdir / "hist"
         hist.mkdir()
@@ -285,6 +303,48 @@ class TestExitCodes:
 def _tree(path):
     """Every file under a history directory, name -> bytes."""
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+class _Crash(Exception):
+    """A crash in the middle of a publish, injected at one write."""
+
+
+class TestInterruptedFirstPublish:
+    """A first publish stores meta.csv, then schema.json.  A history with no
+    schema.json counts as new, so a crash between or at those writes leaves
+    a history the next publish starts over, ending as an uninterrupted one
+    would."""
+
+    def _crash_at(self, workdir, monkeypatch, write):
+        hist = workdir / "hist"
+        base = ["--model", workdir / "model.csv", "--history", hist,
+                "--m", "2", "--seed", "3"]
+
+        def crash(self, *args):
+            raise _Crash
+
+        with monkeypatch.context() as patch:
+            patch.setattr(HistoryStore, write, crash)
+            with pytest.raises(_Crash):
+                run(workdir, "publish", "--microdata", workdir / "t1.csv",
+                    *base)
+        left = sorted(p.name for p in hist.iterdir())
+        assert run(workdir, "publish", "--microdata", workdir / "t1.csv",
+                   *base) == 0
+        assert run(workdir, "verify", *base[:-2]) == 0
+        clean = workdir / "clean"
+        assert run(workdir, "publish", "--microdata", workdir / "t1.csv",
+                   *base[:3], clean, *base[4:]) == 0
+        assert _tree(hist) == _tree(clean)
+        return left
+
+    def test_crash_at_the_schema_leaves_meta_only(self, workdir,
+                                                  monkeypatch):
+        assert self._crash_at(workdir, monkeypatch,
+                              "write_schema") == ["meta.csv"]
+
+    def test_crash_at_the_meta_leaves_no_schema(self, workdir, monkeypatch):
+        assert self._crash_at(workdir, monkeypatch, "write_meta") == []
 
 
 class TestParameterChecks:

@@ -6,12 +6,12 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdistinct.engine import (Bucket, EngineState, PrevInfo, _ExtentMemo,
+from mdistinct.engine import (Bucket, EngineState, PrevInfo, _Extents,
                               _eligible_buckets, _epsilon, _point, _score,
-                              _side_numerator, _span_extent,
-                              balance_counterfeits, phase1_create_buckets,
-                              phase2_assign, phase3_split, publish,
-                              static_partition, verify_m_distinct)
+                              _side_numerator, balance_counterfeits,
+                              phase1_create_buckets, phase2_assign,
+                              phase3_split, publish, static_partition,
+                              verify_m_distinct)
 from mdistinct.errors import InfeasibilityError, ValidationError
 from mdistinct.model import (AttributeSchema, CounterfeitMember, Hierarchy,
                              Record, TableSchema, generalize)
@@ -19,7 +19,7 @@ from mdistinct.updates import USS, implies, uss_of
 from mdistinct.baselines import count_vulnerable
 from mdistinct.sug import attack_release_sequence
 
-from conftest import add
+from conftest import add, span_extent
 
 F = Fraction
 
@@ -108,7 +108,7 @@ def _recount(bucket, schema):
     if members:
         for j, attr in enumerate(schema.qi):
             idx = [attr.to_index(r.qi[j]) for r in members]
-            product *= _span_extent(attr, min(idx), max(idx))
+            product *= span_extent(attr, min(idx), max(idx))
     return len(members), delta, product
 
 
@@ -147,7 +147,7 @@ def assignment_score(rec, bucket, entry_index, schema):
     eps = _epsilon(bucket, entry_index, rec.sensitive)
     before = bucket.extent_product
     after = bucket.extent_product_with(_point(schema.qi, rec),
-                                       _ExtentMemo(schema.qi))
+                                       _Extents(schema.qi))
     return eps, F(after, before), F(*_score(eps, before, after))
 
 
@@ -240,7 +240,7 @@ class TestSplitScore:
 
         def numerator(*sides):
             return sum(n * _side_numerator(
-                [_span_extent(attr, lo, hi) for lo, hi in spans], cof)
+                [span_extent(attr, lo, hi) for lo, hi in spans], cof)
                 for n, spans in sides)
 
         tight = numerator((2, [(0, 1)]), (2, [(8, 9)]))

@@ -244,11 +244,11 @@ class TestInferSchema:
         write_csv(path, [["id", "salary", "age", "disease"],
                          ["a", "5", "44", "Flu"]])
         observed = infer_schema(path, worked_model)
-        widened = widen_schema(disease_schema, observed)
+        widened = widen_schema(disease_schema, observed, path)
         assert (widened.qi[0].lo, widened.qi[0].hi) == (5, 40)
         assert (widened.qi[1].lo, widened.qi[1].hi) == (15, 44)
         # nothing to grow: the stored schema object is returned untouched
-        assert widen_schema(widened, observed) is widened
+        assert widen_schema(widened, observed, path) is widened
 
     def test_widen_rejects_column_mismatch(self, tmp_path, worked_model,
                                            disease_schema):
@@ -257,7 +257,27 @@ class TestInferSchema:
                          ["a", "20", "170", "Flu"]])
         observed = infer_schema(path, worked_model)
         with pytest.raises(ValidationError, match="do not match"):
-            widen_schema(disease_schema, observed)
+            widen_schema(disease_schema, observed, path)
+
+    def test_widen_names_a_column_of_another_kind(self, tmp_path,
+                                                   worked_model,
+                                                   disease_schema):
+        path = tmp_path / "kinds.csv"
+        write_csv(path, [["id", "salary", "age", "disease"],
+                         ["a", "20", "30", "Flu"],
+                         ["b", "21", "x31", "Flu"]])
+        observed = infer_schema(path, worked_model)
+        with pytest.raises(ValidationError) as info:
+            widen_schema(disease_schema, observed, path)
+        assert str(info.value) == (
+            f"{path} line 3: age='x31' is not an integer; column age is "
+            f"numeric in the history schema but categorical in {path}")
+        # the other way round there is no cell to blame
+        with pytest.raises(ValidationError) as info:
+            widen_schema(observed, disease_schema, path)
+        assert str(info.value) == (
+            f"column age is categorical in the history schema but numeric "
+            f"in {path}")
 
     def test_needs_records_and_columns(self, tmp_path, worked_model):
         path = tmp_path / "thin.csv"

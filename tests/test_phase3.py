@@ -19,15 +19,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from mdistinct import engine
 from mdistinct.engine import (Bucket, _Cell, _emit_group, _fallback_decompose,
-                              _pick_sequence, _span_extent,
-                              balance_counterfeits, phase3_split)
+                              _pick_sequence, balance_counterfeits,
+                              phase3_split)
 from mdistinct.errors import InfeasibilityError, ValidationError
 from mdistinct.evaluation import ExperimentConfig, run_experiment
+from mdistinct.fileio import synthetic_schema
 from mdistinct.model import (AttributeSchema, Hierarchy, Record,
                              TableSchema)
 from mdistinct.updates import USS
 
-from conftest import add
+from conftest import add, span_extent
+
+_span_extent = span_extent  # the name the reference kernel calls
 
 # ---------------------------------------------------------------------------
 # the reference kernel, as it was before the presorted rewrite
@@ -297,8 +300,36 @@ def _outcome(split, bucket, schema, seed, cap):
     return result, rng.getstate()
 
 
+def _bucket(schema: TableSchema, entries) -> tuple[TableSchema, Bucket]:
+    """A balanced bucket from per-entry (QI tuple, value) lists."""
+    values = [frozenset(v for _, v in entry) | {"v6"} for entry in entries]
+    bucket = Bucket(USS(values), "signature")
+    for e, entry in enumerate(entries):
+        for s, (qi, value) in enumerate(entry):
+            add(bucket, Record(f"r{e}{s}", qi, value), e, schema)
+    return schema, balance_counterfeits(bucket)
+
+
+# two entries of six records: each pick costs 2, so a cap of 5 or 7 stops
+# the root's sequence after 2 or 3 of its 5 picks; the later children then
+# search again
+_SIX_BY_TWO = _bucket(TableSchema((AGE, TREE), "s", DOMAIN), [
+    [((20 + i, TREE.hierarchy.leaves[i]), f"v{i}") for i in range(6)],
+    [((27 - i, TREE.hierarchy.leaves[-1 - i]), f"v{(i + 1) % 6}")
+     for i in range(6)]])
+# three entries with shared values: first paths fail and the search
+# backtracks, so the cap runs out inside a pick
+_CLASHING = _bucket(TableSchema((AGE,), "s", DOMAIN), [
+    [((20 + (e + s) % 4,), f"v{(e * s) % 3}") for s in range(4)]
+    for e in range(3)])
+
+
 @settings(max_examples=400, deadline=None)
 @given(buckets(), st.sampled_from([1, 5, 50]), st.integers(0, 2 ** 16))
+@example(_SIX_BY_TWO, 5, 3)
+@example(_SIX_BY_TWO, 7, 3)
+@example(_CLASHING, 9, 1)
+@example(_CLASHING, 14, 1)
 def test_matches_reference(case, cap, seed):
     schema, bucket = case
     assert (_outcome(phase3_split, bucket, schema, seed, cap)
@@ -336,18 +367,83 @@ def reference_pick_sequence(entry_at, value_at, k, max_picks, budget):
 # back to the entry's previous untaken cell, not any untaken cell
 @example((4, list(zip([1, 0, 1, 2, 3, 1, 2, 0, 3, 1, 2, 0, 3, 0],
                       [1, -1, 0, 1, 0, 0, 1, 1, 0, -1, -1, 0, -1, 1]))))
+# every first path fails: the head's value recurs in the only cell of the
+# other entry ahead of it, so each pick backtracks past the head
+@example((2, list(zip([0, 0, 1, 0, 0, 1, 0, 1],
+                      [0, 1, 0, 2, 3, 2, 1, 1]))))
+# three entries whose first paths run out of one entry midway
+@example((3, list(zip([0, 1, 0, 2, 1, 2, 0, 1, 2],
+                      [0, 1, 1, 0, 0, 1, 2, 2, 2]))))
 def test_pick_sequence_spends_the_budget_like_the_reference(case):
-    """Every budget from 0 up must stop the sequence at the same pick: the
-    search tries the same candidates in the same order, skips the same
-    unreachable branches, and charges the same attempts.  Entries may be
-    missing or uneven, so the reachability cut-off matters."""
+    """Every budget from 0 up, those below k among them, must stop the
+    sequence at the same pick: the search tries the same candidates in the
+    same order, skips the same unreachable branches, and charges the same
+    attempts.  Entries may be missing or uneven, so the reachability
+    cut-off matters.  A sequence the budget did not cut short is the one
+    an unlimited budget gives."""
     k, queue = case
     entry_at = [e for e, _ in queue]
     value_at = [v for _, v in queue]
+    unlimited = reference_pick_sequence(entry_at, value_at, k, len(queue),
+                                        10 ** 9)
     for budget in range(0, 40):
-        assert (_pick_sequence(entry_at, value_at, k, len(queue), budget)
-                == reference_pick_sequence(entry_at, value_at, k,
-                                           len(queue), budget))
+        picks, cut_short = _pick_sequence(entry_at, value_at, k, len(queue),
+                                          budget)
+        assert picks == reference_pick_sequence(entry_at, value_at, k,
+                                                len(queue), budget)
+        assert cut_short or picks == unlimited
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.tuples(st.integers(0, k - 1), st.integers(-1, 3)),
+             max_size=24))), st.integers(1, 12), st.integers(0, 40))
+def test_children_repeat_the_parent_sequence(case, max_picks, budget):
+    """What `phase3_split` passes down.  Over the cells of its first d
+    picks (child A), a search with the whole budget makes the first d - 1
+    picks again; over the cells they leave (child B), it makes the picks
+    after d, unless the budget may have cut the parent's sequence short."""
+    k, queue = case
+    entry_at = [e for e, _ in queue]
+    value_at = [v for _, v in queue]
+    picks, cut_short = _pick_sequence(entry_at, value_at, k, max_picks,
+                                      budget)
+
+    def over(positions, n_picks):
+        found, _ = _pick_sequence([entry_at[p] for p in positions],
+                                  [value_at[p] for p in positions], k,
+                                  n_picks, budget)
+        return [[positions[p] for p in pick] for pick in found]
+
+    for d in range(1, len(picks) + 1):
+        inside = {p for pick in picks[:d] for p in pick}
+        assert over(sorted(inside), d - 1) == picks[:d - 1]
+        if not cut_short:
+            outside = [p for p in range(len(queue)) if p not in inside]
+            assert over(outside, max_picks - d) == picks[d:]
+
+
+def test_extent_lookup_matches_the_hierarchy(disease_schema):
+    """`engine._Extents` gives the extent of every index span of every attribute,
+    and a hierarchy's cache starts empty and holds only the spans looked
+    up, whatever the number of leaves."""
+    fresh = synthetic_schema()[0]
+    for attr in fresh.qi:
+        if attr.kind == "categorical":
+            assert len(attr.hierarchy.extent) == 0
+    for schema in (fresh, disease_schema, TableSchema(ATTRS, "s", DOMAIN)):
+        extent = engine._Extents(schema.qi)
+        for j, attr in enumerate(schema.qi):
+            for hi in range(attr.size):
+                for lo in range(hi + 1):
+                    assert (extent.of(j, lo, hi)
+                            == span_extent(attr, lo, hi)), (attr.name, lo, hi)
+    leaves = [f"l{i}" for i in range(1000)]
+    wide = AttributeSchema.categorical("wide", Hierarchy.flat("any", leaves))
+    extent = engine._Extents((wide,))
+    assert extent.of(0, 3, 997) == 1000 and extent.of(0, 5, 5) == 1
+    assert len(wide.hierarchy.extent) == 2
 
 
 def test_budget_exhaustion_reaches_fallback():

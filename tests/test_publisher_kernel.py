@@ -24,18 +24,17 @@ from typing import NamedTuple
 from hypothesis import given, settings, strategies as st
 
 from mdistinct import baselines, engine
-from mdistinct.engine import (Bucket, PrevInfo, _ExtentMemo, _color_key,
+from mdistinct.engine import (Bucket, PrevInfo, _Extents, _color_key,
                               _deal, _epsilon, _pad_group, _point, _score,
-                              _side_numerator, _span_extent,
-                              phase1_create_buckets, phase2_assign,
-                              static_partition)
+                              _side_numerator, phase1_create_buckets,
+                              phase2_assign, static_partition)
 from mdistinct.errors import InfeasibilityError, ValidationError
 from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.model import AttributeSchema, Hierarchy, Record, TableSchema
 from mdistinct.updates import (USS, UpdateModel, _has_matching, implies,
                                intersect, uss_of, validate_update_model)
 
-from conftest import add, covers
+from conftest import add, covers, span_extent
 
 F = Fraction
 
@@ -47,7 +46,7 @@ def scratch_extent_product(schema, members):
     out = 1
     for j, attr in enumerate(schema.qi):
         idx = [attr.to_index(r.qi[j]) for r in members]
-        out *= _span_extent(attr, min(idx), max(idx))
+        out *= span_extent(attr, min(idx), max(idx))
     return out
 
 
@@ -150,7 +149,7 @@ def reference_split_score(schema, parent_extents, side_a, side_b):
         part = F(0)
         for j, attr in enumerate(schema.qi):
             lo, hi = spans[j]
-            part += F(_span_extent(attr, lo, hi), parent_extents[j])
+            part += F(span_extent(attr, lo, hi), parent_extents[j])
         total += n * part
     return total
 
@@ -223,7 +222,7 @@ def reference_static_partition(records, m, schema, model, rng, star=False):
                 freq_bwd[c] += 1
                 running = max(running, freq_bwd[c])
                 fmax_bwd[i] = running
-            parent = [_span_extent(a, *spans_fwd[-1][j])
+            parent = [span_extent(a, *spans_fwd[-1][j])
                       for j, a in enumerate(schema.qi)]
             for cut in range(m, n - m + 1, m):
                 if fmax_fwd[cut - 1] > cut // m:
@@ -389,7 +388,7 @@ def test_assignment_score_matches_reference(case):
     """Phase 2's integer epsilon, extent products and score pair give the
     reference's `Fraction` score, on pre-filled and empty buckets alike."""
     schema, sigs, prefill, records, _, _ = case
-    extent = _ExtentMemo(schema.qi)
+    extent = _Extents(schema.qi)
     for bucket in _buckets(sigs, prefill, schema):
         for rec in records:
             before = bucket.extent_product
@@ -563,7 +562,7 @@ def test_side_numerator_matches_reference():
     for a, b in [((2, [(0, 1), (0, 2)]), (3, [(2, 4), (3, 5)])),
                  ((1, [(4, 4), (5, 5)]), (4, [(0, 3), (0, 4)]))]:
         num = sum(n * _side_numerator(
-            [_span_extent(attr, lo, hi)
+            [span_extent(attr, lo, hi)
              for attr, (lo, hi) in zip(schema.qi, spans)], cof)
             for n, spans in (a, b))
         assert F(num, denom) == reference_split_score(schema, parent, a, b)
