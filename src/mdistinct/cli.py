@@ -17,9 +17,8 @@ from .engine import EngineState, publish, verify_m_distinct
 from .errors import InfeasibilityError, MDistinctError, ValidationError
 from .evaluation import load_experiment_config, run_experiment
 from .fileio import (HistoryStore, load_external_tables, load_microdata,
-                     load_update_model, infer_schema, snapshot_histories,
-                     snapshot_tables, widen_schema, write_report_files,
-                     write_risks)
+                     load_update_model, snapshot_histories, snapshot_schema,
+                     snapshot_tables, write_report_files, write_risks)
 from .sug import attack_release_sequence
 
 EXIT_OK = 0
@@ -88,53 +87,40 @@ def _check_m(m: int) -> None:
         raise ValidationError(f"--m must be at least 2, got {m}")
 
 
-def _open_history(store: HistoryStore, args, mode: str,
-                  model) -> tuple:
-    """Schema + mode/m consistency for a publish-like command.
-
-    Later snapshots may drift outside the first snapshot's numeric bounds,
-    so the stored schema is widened as needed; published regions use
-    absolute coordinates and stay valid.  Nothing is written here: returns
-    the schema and whether it must be stored, so a publish that fails
-    leaves the history as it was.
-    """
-    observed = infer_schema(args.microdata, model)
-    if not store.has_schema():
-        return observed, True
-    schema = store.read_schema()
-    meta = store.read_meta()
-    m = store.read_meta_int(meta, "m")
-    if "mode" not in meta:
-        raise ValidationError(f"{store.path / 'meta.csv'}: no 'mode' "
-                              f"entry")
-    if m != args.m or meta["mode"] != mode:
-        raise ValidationError(
-            f"history {store.path} was built with m={m} "
-            f"mode={meta['mode']}; got m={args.m} mode={mode}")
-    widened = widen_schema(schema, observed, args.microdata)
-    return widened, widened is not schema
-
-
 def _publish_locked(args, mode: str, step) -> tuple:
     """The body `publish` and `baseline` share.  Under the history lock it
-    opens the history, loads the microdata and calls `step(store, records,
-    schema, model)`, which returns the release and the tail of the summary
-    line.  Only then does it store meta.csv (in a new history), the schema,
-    the release and the microdata behind it, so a publish that fails
-    writes nothing.  Returns the release, the records and the tail."""
+    checks a stored history's m and mode, types the microdata by the
+    stored schema (`snapshot_schema`), loads it and calls `step(store,
+    records, schema, model)`, which returns the release and the tail of
+    the summary line.  Only then does it store meta.csv (in a new history),
+    the schema if it is new or grew, the release and the microdata behind
+    it, so a publish that fails writes nothing.  Returns the release, the
+    records and the tail."""
     _check_m(args.m)
     model = load_update_model(args.model)
     store = HistoryStore(args.history)
     with store.lock():
-        schema, changed = _open_history(store, args, mode, model)
+        stored = None
+        if store.has_schema():
+            stored = store.read_schema()
+            meta = store.read_meta()
+            m = store.read_meta_int(meta, "m")
+            if "mode" not in meta:
+                raise ValidationError(f"{store.path / 'meta.csv'}: no "
+                                      f"'mode' entry")
+            if m != args.m or meta["mode"] != mode:
+                raise ValidationError(
+                    f"history {store.path} was built with m={m} "
+                    f"mode={meta['mode']}; got m={args.m} mode={mode}")
+        schema = snapshot_schema(args.microdata, model, stored)
         records = load_microdata(args.microdata, schema)
         release, tail = step(store, records, schema, model)
-        if changed:
+        if stored is None:
             # meta.csv first: a history with no schema.json counts as new,
             # so a crash between the two writes leaves one a rerun redoes
-            if not store.has_schema():
-                store.write_meta({"seed": str(args.seed), "m": str(args.m),
-                                  "mode": mode})
+            store.write_meta({"seed": str(args.seed), "m": str(args.m),
+                              "mode": mode})
+        if schema is not stored:
             store.write_schema(schema)
         store.write_release(release, schema)
         store.write_actuals(release.release_index, schema, records)

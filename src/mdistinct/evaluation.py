@@ -22,7 +22,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -240,6 +240,10 @@ class ExperimentConfig:
             raise ValidationError("counts must be non-negative")
 
 
+_CONFIG_KINDS = {int: "an integer", str: "a string",
+                 tuple: "a list of numbers"}
+
+
 def load_experiment_config(path: Path | str) -> tuple[ExperimentConfig, Path]:
     try:
         with open(path) as fh:
@@ -250,19 +254,27 @@ def load_experiment_config(path: Path | str) -> tuple[ExperimentConfig, Path]:
         raise ValidationError(f"{path}: bad JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: top level must be an object")
-    out_dir = Path(data.pop("out_dir", Path(path).parent))
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(data) - known
+    # each field's default has its type: int, str or (for thetas) tuple
+    kinds = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+    kinds["out_dir"] = str
+    unknown = set(data) - set(kinds)
     if unknown:
         raise ValidationError(f"{path}: unknown config keys "
                               f"{sorted(unknown)}")
+    for key, value in data.items():
+        if kinds[key] is tuple:
+            ok = type(value) is list and all(type(t) in (int, float)
+                                             for t in value)
+        else:  # a bool is not an int here
+            ok = type(value) is kinds[key]
+        if not ok:
+            raise ValidationError(f"{path}: {key} must be "
+                                  f"{_CONFIG_KINDS[kinds[key]]}, got "
+                                  f"{json.dumps(value)}")
+    out_dir = Path(data.pop("out_dir", Path(path).parent))
     if "thetas" in data:
-        data["thetas"] = tuple(float(t) for t in data["thetas"])
-    try:
-        config = ExperimentConfig(**data)
-    except TypeError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    return config, out_dir
+        data["thetas"] = tuple(map(float, data["thetas"]))
+    return ExperimentConfig(**data), out_dir
 
 
 @dataclass(frozen=True)

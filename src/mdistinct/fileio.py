@@ -22,6 +22,7 @@ import os
 import random
 import re
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -41,8 +42,7 @@ if TYPE_CHECKING:
 __all__ = [
     "load_microdata",
     "write_microdata",
-    "infer_schema",
-    "widen_schema",
+    "snapshot_schema",
     "load_update_model",
     "write_update_model",
     "HistoryStore",
@@ -58,8 +58,17 @@ __all__ = [
 ]
 
 
+@contextmanager
+def _writing(path: Path | str) -> Iterator[None]:
+    """Report an OSError raised in the block as a failure to write `path`."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_csv(path: Path | str, rows: Iterable[Sequence[str]]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerows(rows)
 
@@ -198,74 +207,61 @@ def write_microdata(path: Path | str, schema: TableSchema,
     write_csv(path, rows)
 
 
-def widen_schema(stored: TableSchema, observed: TableSchema,
-                 path: Path | str) -> TableSchema:
-    """Grow `stored`'s numeric bounds to cover `observed`, the schema
-    inferred from the microdata file `path` (same attributes, same kinds).
-    Returns `stored` itself when nothing needs to grow; new categorical
-    values are an error, since published regions name nodes of the stored
-    hierarchy."""
-    if stored.qi_names != observed.qi_names:
-        raise ValidationError(
-            f"microdata columns {list(observed.qi_names)} do not match the "
-            f"history schema {list(stored.qi_names)}")
-    for s, o in zip(stored.qi, observed.qi):
-        if s.kind == o.kind:
-            continue
-        kinds = (f"column {s.name} is {s.kind} in the history schema but "
-                 f"{o.kind} in {path}")
-        if s.kind == "numeric":
-            # the column read as categorical, so some cell is not decimal
-            header, rows = _read_table(path)
-            j = header.index(s.name)
-            lineno, text = next((lineno, row[j]) for lineno, row in rows
-                                if _decimal(row[j]) is None)
-            raise ValidationError(f"{path} line {lineno}: {s.name}={text!r} "
-                                  f"is not an integer; {kinds}")
-        raise ValidationError(kinds)
-    changed = False
-    attrs: list[AttributeSchema] = []
-    for s, o in zip(stored.qi, observed.qi):
-        if s.kind == "numeric" and (o.lo < s.lo or o.hi > s.hi):
-            attrs.append(AttributeSchema.numeric(s.name, min(s.lo, o.lo),
-                                                 max(s.hi, o.hi)))
-            changed = True
-            continue
-        if s.kind == "categorical":
-            unknown = set(o.hierarchy.leaves) - set(s.hierarchy.leaves)
-            if unknown:
-                raise ValidationError(
-                    f"{s.name} has values {sorted(unknown)} missing from the "
-                    f"history schema; extend schema.json by hand")
-        attrs.append(s)
-    if not changed:
-        return stored
-    return TableSchema(tuple(attrs), stored.sensitive_name,
-                       stored.sensitive_domain)
+def snapshot_schema(path: Path | str, model: UpdateModel,
+                    stored: TableSchema | None = None) -> TableSchema:
+    """The schema a publish of the microdata file `path` uses.
 
-
-def infer_schema(path: Path | str, model: UpdateModel) -> TableSchema:
-    """Derive a QI schema from a microdata file: columns of decimal integers
-    become numeric attributes with data-driven bounds, everything else
-    becomes a flat categorical hierarchy over the observed values."""
+    With no stored schema it is inferred: columns of decimal integers become
+    numeric attributes with data-driven bounds, everything else a flat
+    categorical hierarchy over the observed values.  A later snapshot is
+    typed by `stored`, the schema of the history it extends: numeric cells
+    must be decimal and the bounds grow to cover them, so published regions
+    in absolute coordinates stay valid; categorical values must be leaves
+    of the stored hierarchy, whose nodes the published regions name.
+    Returns `stored` itself when nothing grows."""
     header, rows = _read_table(path)
     if len(header) < 3 or header[0] != "id":
         raise ValidationError(f"{path} line 1: need id, at least one QI "
                               f"column and a sensitive column")
-    body = [row for _, row in rows]
+    body = list(rows)
     if not body:
         raise ValidationError(f"{path}: no records")
+    names = tuple(header[1:-1])
+    if stored is not None and stored.qi_names != names:
+        raise ValidationError(
+            f"microdata columns {list(names)} do not match the history "
+            f"schema {list(stored.qi_names)}")
     attrs: list[AttributeSchema] = []
-    for j, name in enumerate(header[1:-1], start=1):
-        values = {row[j] for row in body}
+    for j, name in enumerate(names, start=1):
+        values = {row[j] for _, row in body}
+        old = stored.qi[j - 1] if stored is not None else None
+        if old is not None and old.kind == "categorical":
+            unknown = values.difference(old.hierarchy.index)
+            if unknown:
+                raise ValidationError(
+                    f"{name} has values {sorted(unknown)} missing from the "
+                    f"history schema; extend schema.json by hand")
+            attrs.append(old)
+            continue
         ints = list(map(_decimal, values))
-        if None in ints:
+        if None not in ints:
+            lo, hi = min(ints), max(ints)
+            if old is not None:
+                lo, hi = min(lo, old.lo), max(hi, old.hi)
+            attrs.append(AttributeSchema.numeric(name, lo, hi))
+        elif old is None:
             attrs.append(AttributeSchema.categorical(
                 name, Hierarchy.flat(f"any_{name}", sorted(values))))
         else:
-            attrs.append(AttributeSchema.numeric(name, min(ints), max(ints)))
-    return TableSchema(tuple(attrs), header[-1],
-                       tuple(sorted(model.sensitive_domain)))
+            lineno, text = next((lineno, row[j]) for lineno, row in body
+                                if _decimal(row[j]) is None)
+            raise ValidationError(f"{path} line {lineno}: {name}={text!r} "
+                                  f"is not an integer")
+    if stored is None:
+        return TableSchema(tuple(attrs), header[-1],
+                           tuple(sorted(model.sensitive_domain)))
+    qi = tuple(attrs)
+    return stored if qi == stored.qi else replace(stored, qi=qi)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +406,6 @@ def _cell_to_text(attr: AttributeSchema, cell) -> str:
     if attr.kind == "numeric":
         lo, hi = cell
         return f"{lo}..{hi}"
-    if ".." in cell:
-        raise ValidationError(f"category name {cell!r} contains '..'")
     return cell
 
 
@@ -485,7 +479,8 @@ class HistoryStore:
         return value
 
     def write_schema(self, schema: TableSchema) -> None:
-        with open(self.path / "schema.json", "w") as fh:
+        path = self.path / "schema.json"
+        with _writing(path), open(path, "w") as fh:
             json.dump(_schema_to_json(schema), fh, indent=2)
             fh.write("\n")
 
@@ -669,7 +664,8 @@ def write_report_files(out_dir: Path | str, report: RunReport) -> None:
     """report.csv (one row per release) + summary.csv are deterministic for
     a given config; wall-clock numbers go to timings.csv on the side."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "report.csv", report.to_rows())
     write_csv(out_dir / "summary.csv", report.summary_rows())
     write_csv(out_dir / "timings.csv", report.timing_rows())

@@ -131,68 +131,40 @@ def build_sug(candidates: Sequence[Sequence[str]],
 
 
 def prune(sug: Sug) -> Sug:
-    """Iterated dead-end removal to a fixed point.
+    """The feasible subgraph: the nodes reachable from layer 1 that reach
+    the last layer, the fixed point of iterated dead-end removal.
 
-    First layer loses nodes with no successor, last layer nodes with no
-    predecessor, interior nodes either; a layer running empty means the
-    published history has no feasible explanation.  A graph with no dead
-    end is its own fixed point and comes back unchanged.
+    When nothing reaches layer j + 1 the published history has no feasible
+    explanation, and the error names layer j: the first layer that
+    in-order dead-end sweeps would empty, since a node reachable from
+    layer 1 dies in the first sweep only if it has no successor at all.
+    A graph with no dead end comes back unchanged.
     """
-    depth = sug.depth
-    if depth == 1:
-        return sug
-    # live successor / predecessor counts per node
-    outs = [[len(adj) for adj in gap] for gap in sug.out]
-    ins = [[0] * len(layer) for layer in sug.layers[1:]]
-    for gap, counts in zip(sug.out, ins):
-        for adj in gap:
-            for v, _ in adj:
-                counts[v] += 1
-    if all(map(all, outs)) and all(map(all, ins)):
-        return sug
-    outs.append([1] * len(sug.layers[-1]))
-    ins.insert(0, [1] * len(sug.layers[0]))
-    preds: list[list[list[int]]] = [[] for _ in range(depth)]
+    alive = [[True] * len(sug.layers[0])]
     for i, gap in enumerate(sug.out):
-        rev: list[list[int]] = [[] for _ in sug.layers[i + 1]]
+        reached = [False] * len(sug.layers[i + 1])
         for u, adj in enumerate(gap):
-            for v, _ in adj:
-                rev[v].append(u)
-        preds[i + 1] = rev
-
-    # Sweep layers in order, killing in place, so the first layer to run
-    # empty (and with it the error message) is the same as node-by-node
-    # recounting would find.
-    alive = [[True] * len(layer) for layer in sug.layers]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(depth):
-            for u in range(len(sug.layers[i])):
-                if alive[i][u] and (outs[i][u] == 0 or ins[i][u] == 0):
-                    alive[i][u] = False
-                    changed = True
-                    if i + 1 < depth:
-                        for v, _ in sug.out[i][u]:
-                            ins[i + 1][v] -= 1
-                    if i > 0:
-                        for w in preds[i][u]:
-                            outs[i - 1][w] -= 1
-        for i, layer_alive in enumerate(alive):
-            if not any(layer_alive):
-                raise InconsistentHistoryError(
-                    f"layer {i + 1} has no feasible node")
-
-    keep: list[list[int]] = [[u for u, ok in enumerate(layer) if ok]
-                             for layer in alive]
+            if alive[i][u]:
+                for v, _ in adj:
+                    reached[v] = True
+        if not any(reached):
+            raise InconsistentHistoryError(
+                f"layer {i + 1} has no feasible node")
+        alive.append(reached)
+    for i in range(sug.depth - 2, -1, -1):
+        alive[i] = [ok and any(alive[i + 1][v] for v, _ in adj)
+                    for ok, adj in zip(alive[i], sug.out[i])]
+    if all(map(all, alive)):
+        return sug
+    keep = [[u for u, ok in enumerate(layer) if ok] for layer in alive]
     remap = [{u: k for k, u in enumerate(layer)} for layer in keep]
     layers = tuple(tuple(sug.layers[i][u] for u in keep[i])
-                   for i in range(depth))
+                   for i in range(sug.depth))
     out = tuple(
         tuple(tuple((remap[i + 1][v], w) for v, w in sug.out[i][u]
                     if alive[i + 1][v])
               for u in keep[i])
-        for i in range(depth - 1))
+        for i in range(sug.depth - 1))
     return Sug(layers, out)
 
 

@@ -4,9 +4,9 @@
   integers; the joint-enumeration oracle multiplies `Fraction`s outright.
   Both must give the same `RiskReport`, path count included, under closed
   models with non-uniform rational probabilities and explicit priors.
-* `prune` counts live neighbours instead of rescanning layers; it must
-  reach the same subgraph, and fail with the same message, as the plain
-  node-by-node sweep kept below as the reference.
+* `prune` keeps what layer 1 reaches and what reaches the last layer,
+  in two passes; it must reach the same subgraph, and fail with the same
+  message, as the plain node-by-node sweep kept below as the reference.
 * `attack_release_sequence(..., previous=...)` hands back settled records'
   earlier reports; every prefix must still equal a fresh attack.
 * `attack_release_sequence` shares one set of path masses among the

@@ -193,10 +193,19 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(workdir, "publish", "--microdata", snap, *base) == 2
         assert capsys.readouterr().err == (
-            f"error: {snap} line 2: salary='+26' is not an integer; column "
-            f"salary is numeric in the history schema but categorical in "
-            f"{snap}\n")
+            f"error: {snap} line 2: salary='+26' is not an integer\n")
         assert _tree(hist) == before
+
+    def test_unwritable_risks_file_exits_two(self, workdir, capsys):
+        hist = workdir / "hist"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        assert run(workdir, "publish", "--microdata", workdir / "t1.csv",
+                   "--m", "2", *base) == 0
+        (hist / "risks.csv").mkdir()
+        capsys.readouterr()
+        assert run(workdir, "attack", *base) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {hist / 'risks.csv'}: Is a directory\n")
 
     def test_locked_history_exits_two(self, workdir, capsys):
         hist = workdir / "hist"
@@ -298,6 +307,53 @@ class TestExitCodes:
                    workdir / "star", "--m", "4", "--star")
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+
+class TestLaterSnapshots:
+    """A later snapshot is typed by the history's schema, not by its own
+    contents."""
+
+    def test_decimal_values_of_a_categorical_column(self, workdir, capsys):
+        # zone is categorical from the first snapshot on, so a snapshot whose
+        # zones all look decimal still names leaves of its hierarchy
+        z1, z2 = workdir / "z1.csv", workdir / "z2.csv"
+        write_csv(z1, [["id", "zone", "disease"], ["a", "1", "Flu"],
+                       ["b", "1", "Dyspepsia"], ["c", "2", "Glaucoma"],
+                       ["d", "A", "Gastritis"]])
+        write_csv(z2, [["id", "zone", "disease"], ["a", "1", "Pneumonia"],
+                       ["b", "1", "Gastritis"], ["c", "2", "Cataract"],
+                       ["d", "2", "Dyspepsia"]])
+        hist = workdir / "zones"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        for snap in (z1, z2):
+            assert run(workdir, "publish", "--microdata", snap, "--m", "2",
+                       *base) == 0
+        schema = (hist / "schema.json").read_bytes()
+        assert run(workdir, "verify", "--m", "2", *base) == 0
+        assert run(workdir, "attack", *base) == 0
+        assert "4 records attacked" in capsys.readouterr().out
+        assert (hist / "schema.json").read_bytes() == schema
+
+    def test_category_name_holding_two_dots(self, workdir, capsys):
+        # a column's kind decides how a region cell parses, so the leaf
+        # "a..b" is never taken for a numeric range
+        snap = workdir / "dots.csv"
+        write_csv(snap, [["id", "city", "disease"], ["a", "a..b", "Flu"],
+                         ["b", "a..b", "Dyspepsia"],
+                         ["c", "a..b", "Glaucoma"],
+                         ["d", "a..b", "Gastritis"]])
+        hist = workdir / "dots"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        assert run(workdir, "publish", "--microdata", snap, "--m", "2",
+                   *base) == 0
+        assert run(workdir, "verify", "--m", "2", *base) == 0
+        assert run(workdir, "attack", *base) == 0
+        assert "4 records attacked" in capsys.readouterr().out
+        store = HistoryStore(hist)
+        release = store.read_release(1, store.read_schema())
+        assert {g.region for g in release.groups} == {("a..b",)}
+        assert sorted(m.rid for g in release.groups
+                      for m in g.members) == ["a", "b", "c", "d"]
 
 
 def _tree(path):
@@ -740,6 +796,38 @@ class TestSimulate:
         for name in ("report.csv", "summary.csv"):
             assert (workdir / "out1" / name).read_bytes() == \
                 (workdir / "out2" / name).read_bytes()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"thetas": 5}, 'thetas must be a list of numbers, got 5'),
+        ({"thetas": "ab"}, 'thetas must be a list of numbers, got "ab"'),
+        ({"thetas": [0.5, True]},
+         'thetas must be a list of numbers, got [0.5, true]'),
+        ({"n_records": 1.5}, 'n_records must be an integer, got 1.5'),
+        ({"seed": "x"}, 'seed must be an integer, got "x"'),
+        ({"m": "2"}, 'm must be an integer, got "2"'),
+        ({"m": True}, 'm must be an integer, got true'),
+        ({"publisher": 1}, 'publisher must be a string, got 1'),
+        ({"out_dir": 5}, 'out_dir must be a string, got 5'),
+    ])
+    def test_mistyped_config_exits_two(self, workdir, capsys, entry,
+                                       message):
+        config = workdir / "config.json"
+        out_dir = workdir / "out"
+        config.write_text(json.dumps({**self.CONFIG, "out_dir": str(out_dir),
+                                      **entry}))
+        assert run(workdir, "simulate", "--config", config) == 2
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not out_dir.exists()
+
+    def test_out_dir_under_a_file_exits_two(self, workdir, capsys):
+        config = workdir / "config.json"
+        taken = workdir / "taken.csv"
+        taken.write_text("not a directory\n")
+        self._write_config(config, taken / "out")
+        assert run(workdir, "simulate", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {taken / 'out'}: Not a directory\n")
+        assert taken.read_text() == "not a directory\n"
 
     def test_bad_config_exits_two(self, workdir, capsys):
         config = workdir / "config.json"

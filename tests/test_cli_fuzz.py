@@ -237,9 +237,9 @@ def broken_meta(draw, rows):
     return _csv_bytes(rows)
 
 
-# infer_schema gives a text column a flat hierarchy under "any_<name>"
+# snapshot_schema gives a text column a flat hierarchy under "any_<name>"
 CITY_NODES = {"any_city", *(row[2] for row in T1[1:])}
-SALARY_LO, SALARY_HI = 14, 31  # the bounds infer_schema takes from T1
+SALARY_LO, SALARY_HI = 14, 31  # the bounds snapshot_schema takes from T1
 
 
 def _salary_region(draw, rows, i):

@@ -1,23 +1,27 @@
 import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdistinct.baselines import MInvarianceState, publish_m_invariance
 from mdistinct.engine import EngineState, publish
 from mdistinct.errors import ValidationError
 from mdistinct.evaluation import ExperimentConfig, load_experiment_config
-from mdistinct.fileio import (HistoryStore, apply_external_updates,
-                              infer_schema, initial_population,
-                              load_external_tables, load_microdata,
-                              load_update_model, snapshot_histories,
+from mdistinct.fileio import (HistoryStore, _decimal, _read_table,
+                              _schema_to_json, apply_external_updates,
+                              initial_population, load_external_tables,
+                              load_microdata, load_update_model,
+                              snapshot_histories, snapshot_schema,
                               snapshot_tables, synthesize_internal_updates,
-                              synthetic_schema, widen_schema, write_csv,
-                              write_microdata, write_risks,
-                              write_update_model)
-from mdistinct.model import Record
+                              synthetic_schema, write_csv, write_microdata,
+                              write_risks, write_update_model)
+from mdistinct.model import AttributeSchema, Hierarchy, Record, TableSchema
 from mdistinct.sug import RiskReport
+from mdistinct.updates import UpdateModel
 
 F = Fraction
 
@@ -107,7 +111,8 @@ READERS = {
                            path.parent, schema)),
     "infer schema": ("data.csv", ["id", "salary", "age", "disease"],
                      ["a", "20", "20", "Flu"], None,
-                     lambda path, schema, model: infer_schema(path, model)),
+                     lambda path, schema, model: snapshot_schema(path,
+                                                                 model)),
     "update model": ("model.csv", ["value", "successor", "probability"],
                      ["a", "a", "1"], (["b", "b", "zz"],
                                        "bad probability 'zz'"),
@@ -212,15 +217,18 @@ class TestIntegerRule:
         path = tmp_path / "data.csv"
         write_csv(path, [["id", "salary", "age", "disease"],
                          ["a", "20", "-3", "Flu"], ["b", "21", text, "Flu"]])
-        salary, age = infer_schema(path, worked_model).qi
+        salary, age = snapshot_schema(path, worked_model).qi
         assert (salary.kind, salary.lo, salary.hi) == ("numeric", 20, 21)
         assert age.kind == "categorical"
         assert age.hierarchy.leaves == tuple(sorted(["-3", text]))
 
 
 class TestInferSchema:
+    """`snapshot_schema` infers a first snapshot's schema and types every
+    later one by the stored schema."""
+
     def test_numeric_bounds_come_from_the_data(self, data_dir, worked_model):
-        schema = infer_schema(data_dir / "microdata_t1.csv", worked_model)
+        schema = snapshot_schema(data_dir / "microdata_t1.csv", worked_model)
         assert [a.name for a in schema.qi] == ["salary", "age"]
         assert (schema.qi[0].lo, schema.qi[0].hi) == (14, 31)
         assert (schema.qi[1].lo, schema.qi[1].hi) == (17, 35)
@@ -234,7 +242,7 @@ class TestInferSchema:
         write_csv(path, [["id", "city", "disease"],
                          ["a", "north", "Flu"],
                          ["b", "south", "Gastritis"]])
-        schema = infer_schema(path, worked_model)
+        schema = snapshot_schema(path, worked_model)
         assert schema.qi[0].kind == "categorical"
         assert schema.qi[0].hierarchy.leaves == ("north", "south")
 
@@ -243,21 +251,19 @@ class TestInferSchema:
         path = tmp_path / "drift.csv"
         write_csv(path, [["id", "salary", "age", "disease"],
                          ["a", "5", "44", "Flu"]])
-        observed = infer_schema(path, worked_model)
-        widened = widen_schema(disease_schema, observed, path)
+        widened = snapshot_schema(path, worked_model, disease_schema)
         assert (widened.qi[0].lo, widened.qi[0].hi) == (5, 40)
         assert (widened.qi[1].lo, widened.qi[1].hi) == (15, 44)
         # nothing to grow: the stored schema object is returned untouched
-        assert widen_schema(widened, observed, path) is widened
+        assert snapshot_schema(path, worked_model, widened) is widened
 
     def test_widen_rejects_column_mismatch(self, tmp_path, worked_model,
                                            disease_schema):
         path = tmp_path / "odd.csv"
         write_csv(path, [["id", "salary", "height", "disease"],
                          ["a", "20", "170", "Flu"]])
-        observed = infer_schema(path, worked_model)
         with pytest.raises(ValidationError, match="do not match"):
-            widen_schema(disease_schema, observed, path)
+            snapshot_schema(path, worked_model, disease_schema)
 
     def test_widen_names_a_column_of_another_kind(self, tmp_path,
                                                    worked_model,
@@ -266,28 +272,171 @@ class TestInferSchema:
         write_csv(path, [["id", "salary", "age", "disease"],
                          ["a", "20", "30", "Flu"],
                          ["b", "21", "x31", "Flu"]])
-        observed = infer_schema(path, worked_model)
         with pytest.raises(ValidationError) as info:
-            widen_schema(disease_schema, observed, path)
-        assert str(info.value) == (
-            f"{path} line 3: age='x31' is not an integer; column age is "
-            f"numeric in the history schema but categorical in {path}")
-        # the other way round there is no cell to blame
+            snapshot_schema(path, worked_model, disease_schema)
+        assert str(info.value) == f"{path} line 3: age='x31' is not an integer"
+        # the other way round, decimal values that are leaves of a stored
+        # categorical column are accepted
+        stored = snapshot_schema(path, worked_model)
+        decimal = tmp_path / "decimal.csv"
+        write_csv(decimal, [["id", "salary", "age", "disease"],
+                            ["a", "20", "30", "Flu"]])
+        assert snapshot_schema(decimal, worked_model, stored) is stored
+
+    def test_categorical_values_must_be_stored_leaves(self, tmp_path,
+                                                      worked_model):
+        path = tmp_path / "zone.csv"
+        write_csv(path, [["id", "zone", "disease"], ["a", "1", "Flu"],
+                         ["b", "A", "Flu"]])
+        stored = snapshot_schema(path, worked_model)
+        write_csv(path, [["id", "zone", "disease"], ["a", "1", "Flu"],
+                         ["b", "3", "Flu"], ["c", "B", "Flu"]])
         with pytest.raises(ValidationError) as info:
-            widen_schema(observed, disease_schema, path)
+            snapshot_schema(path, worked_model, stored)
         assert str(info.value) == (
-            f"column age is categorical in the history schema but numeric "
-            f"in {path}")
+            "zone has values ['3', 'B'] missing from the history schema; "
+            "extend schema.json by hand")
 
     def test_needs_records_and_columns(self, tmp_path, worked_model):
         path = tmp_path / "thin.csv"
         write_csv(path, [["id", "disease"]])
         with pytest.raises(ValidationError):
-            infer_schema(path, worked_model)
+            snapshot_schema(path, worked_model)
         path2 = tmp_path / "hollow.csv"
         write_csv(path2, [["id", "age", "disease"]])
         with pytest.raises(ValidationError, match="no records"):
-            infer_schema(path2, worked_model)
+            snapshot_schema(path2, worked_model)
+
+
+# The two functions `snapshot_schema` replaced: a schema inferred from each
+# snapshot, then diffed against the stored one.  Where the inferred kinds
+# match the stored ones, `snapshot_schema` must give what they gave.
+
+def infer_schema(path, model):
+    header, rows = _read_table(path)
+    if len(header) < 3 or header[0] != "id":
+        raise ValidationError(f"{path} line 1: need id, at least one QI "
+                              f"column and a sensitive column")
+    body = [row for _, row in rows]
+    if not body:
+        raise ValidationError(f"{path}: no records")
+    attrs = []
+    for j, name in enumerate(header[1:-1], start=1):
+        values = {row[j] for row in body}
+        ints = list(map(_decimal, values))
+        if None in ints:
+            attrs.append(AttributeSchema.categorical(
+                name, Hierarchy.flat(f"any_{name}", sorted(values))))
+        else:
+            attrs.append(AttributeSchema.numeric(name, min(ints), max(ints)))
+    return TableSchema(tuple(attrs), header[-1],
+                       tuple(sorted(model.sensitive_domain)))
+
+
+def widen_schema(stored, observed):
+    if stored.qi_names != observed.qi_names:
+        raise ValidationError(
+            f"microdata columns {list(observed.qi_names)} do not match the "
+            f"history schema {list(stored.qi_names)}")
+    assert [s.kind for s in stored.qi] == [o.kind for o in observed.qi]
+    changed = False
+    attrs = []
+    for s, o in zip(stored.qi, observed.qi):
+        if s.kind == "numeric" and (o.lo < s.lo or o.hi > s.hi):
+            attrs.append(AttributeSchema.numeric(s.name, min(s.lo, o.lo),
+                                                 max(s.hi, o.hi)))
+            changed = True
+            continue
+        if s.kind == "categorical":
+            unknown = set(o.hierarchy.leaves) - set(s.hierarchy.leaves)
+            if unknown:
+                raise ValidationError(
+                    f"{s.name} has values {sorted(unknown)} missing from the "
+                    f"history schema; extend schema.json by hand")
+        attrs.append(s)
+    if not changed:
+        return stored
+    return TableSchema(tuple(attrs), stored.sensitive_name,
+                       stored.sensitive_domain)
+
+
+def _outcome(call):
+    """A call's result, or the message of the ValidationError it raised."""
+    try:
+        return call()
+    except ValidationError as exc:
+        return str(exc)
+
+
+# cells mix small decimals with texts, some of them decimal-looking
+CELLS = st.one_of(st.integers(-30, 30).map(str),
+                  st.sampled_from(["x", "A", "07", "-0", "a..b", "+1"]))
+
+
+@st.composite
+def snapshots(draw):
+    """A microdata file's rows: two or three QI columns, each all decimal or
+    not, and zero to six records."""
+    names = draw(st.lists(st.sampled_from(["age", "zone", "zip"]),
+                          min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(0, 6))
+    columns = []
+    for _ in names:
+        cells = (st.integers(-30, 30).map(str) if draw(st.booleans())
+                 else CELLS)
+        columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    rows = [["id", *names, "disease"]]
+    rows += [[f"r{i}", *(col[i] for col in columns), "Flu"]
+             for i in range(n)]
+    return rows
+
+
+@st.composite
+def stored_like(draw, observed: TableSchema) -> TableSchema:
+    """A stored schema of the observed kinds: numeric bounds that may or may
+    not cover the observed ones, and hierarchies that may miss some
+    observed values or hold others, flat or under two inner nodes."""
+    attrs = []
+    for o in observed.qi:
+        if o.kind == "numeric":
+            lo = draw(st.integers(o.lo - 3, o.lo + 3))
+            hi = draw(st.integers(max(lo, o.hi - 3), max(lo, o.hi + 3)))
+            attrs.append(AttributeSchema.numeric(o.name, lo, hi))
+            continue
+        kept = draw(st.lists(st.sampled_from(o.hierarchy.leaves),
+                             unique=True))
+        leaves = kept + [v for v in draw(st.lists(CELLS, max_size=3))
+                         if v not in o.hierarchy.leaves]
+        leaves = list(dict.fromkeys(leaves)) or ["other"]
+        cut = draw(st.integers(0, len(leaves)))
+        tree = ({"low": leaves[:cut], "high": leaves[cut:]}
+                if 0 < cut < len(leaves) else leaves)
+        attrs.append(AttributeSchema.categorical(
+            o.name, Hierarchy(f"any_{o.name}", tree)))
+    return TableSchema(tuple(attrs), observed.sensitive_name,
+                       observed.sensitive_domain)
+
+
+FLU_ONLY = UpdateModel.uniform({"Flu": {"Flu"}}, ("Flu",))
+
+
+@settings(max_examples=300, deadline=None)
+@given(snapshots(), st.data())
+def test_snapshot_schema_matches_infer_and_widen(rows, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snap.csv"
+        write_csv(path, rows)
+        want = _outcome(lambda: infer_schema(path, FLU_ONLY))
+        got = _outcome(lambda: snapshot_schema(path, FLU_ONLY))
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert _schema_to_json(got) == _schema_to_json(want)
+        stored = data.draw(stored_like(want))
+        want = _outcome(lambda: widen_schema(stored, want))
+        got = _outcome(lambda: snapshot_schema(path, FLU_ONLY, stored))
+        assert got == want
+        assert (got is stored) == (want is stored)
 
 
 class TestUpdateModelFiles:
