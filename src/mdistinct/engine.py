@@ -173,10 +173,10 @@ def phase1_create_buckets(prev_signatures: Sequence[USS]) -> list[Bucket]:
                     or any(values[j].isdisjoint(e) for e in a.entries)
                     or any(values[i].isdisjoint(e) for e in b.entries)):
                 continue
-            plan = intersect(a, b)
-            if plan is not None and plan.result not in seen:
-                seen.add(plan.result)
-                extra.append(plan.result)
+            both = intersect(a, b)
+            if both is not None and both not in seen:
+                seen.add(both)
+                extra.append(both)
     return ([Bucket(sig, "signature") for sig in queue]
             + [Bucket(sig, "intersection") for sig in extra])
 

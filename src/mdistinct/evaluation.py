@@ -238,6 +238,9 @@ class ExperimentConfig:
         if min((self.n_records, self.n_releases, self.inserts, self.deletes,
                 self.internal_updates, self.n_queries), default=0) < 0:
             raise ValidationError("counts must be non-negative")
+        if not all(0 <= t < math.inf for t in self.thetas):
+            raise ValidationError(f"thetas must be finite and non-negative, "
+                                  f"got {list(self.thetas)}")
 
 
 _CONFIG_KINDS = {int: "an integer", str: "a string",

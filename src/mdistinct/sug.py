@@ -43,7 +43,6 @@ _W = TypeVar("_W")
 
 @dataclass(frozen=True)
 class SugNode:
-    layer: int  # 1-based
     value: str
     weight: Fraction
 
@@ -123,8 +122,7 @@ def build_sug(candidates: Sequence[Sequence[str]],
         order, shares = _collapse(cand)
         if priors is not None:
             shares = [priors[i][v] for v in order]
-        layers.append(tuple(SugNode(i + 1, v, w)
-                            for v, w in zip(order, shares)))
+        layers.append(tuple(SugNode(v, w) for v, w in zip(order, shares)))
     values = [[node.value for node in layer] for layer in layers]
     return Sug(tuple(layers), tuple(_gap(a, b, model.successors)
                                     for a, b in zip(values, values[1:])))
@@ -174,7 +172,6 @@ class RiskReport:
     versions: tuple[int, ...]       # release index per layer
     risks: tuple[Fraction, ...]
     path_count: int
-    consistent: bool                # every actual value on a feasible path
 
     @property
     def max_risk(self) -> Fraction:
@@ -242,15 +239,14 @@ def _report(positions: Sequence[Mapping[str, int]], masses: _Masses,
     """Per-version risk: the mass of the paths crossing the actual value's
     node (`positions[i]` maps layer i's values to node indices) over the
     total.  An actual value with no node, or on a node no path crosses,
-    gets risk 0 and makes the report inconsistent."""
+    gets risk 0."""
     fwd, bwd, total, path_count = masses
     risks = []
     for i, value in enumerate(actual):
         k = positions[i].get(value)
         risks.append(Fraction(0) if k is None
                      else Fraction(fwd[i][k] * bwd[i][k], total))
-    return RiskReport(record_id, tuple(versions), tuple(risks), path_count,
-                      all(risks))
+    return RiskReport(record_id, tuple(versions), tuple(risks), path_count)
 
 
 def disclosure_risks(fs: Sug, actual: Sequence[str],
@@ -317,19 +313,11 @@ def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
             mass[i][v] = mass[i].get(v, Fraction(0)) + weight
     if total == 0:
         raise InconsistentHistoryError("no feasible joint assignment")
-    risks = []
-    consistent = True
-    for i, value in enumerate(actual):
-        m = mass[i].get(value)
-        if m is None:
-            risks.append(Fraction(0))
-            consistent = False
-        else:
-            risks.append(m / total)
+    risks = tuple(mass[i].get(value, Fraction(0)) / total
+                  for i, value in enumerate(actual))
     if versions is None:
         versions = range(1, len(candidates) + 1)
-    return RiskReport(record_id, tuple(versions), tuple(risks), feasible,
-                      consistent)
+    return RiskReport(record_id, tuple(versions), risks, feasible)
 
 
 class _SharedTables:
@@ -397,7 +385,8 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     masses are computed once per call and dropped after its last record.
     No graph is pruned: a node prune removes has forward or backward mass
     0, so every risk and the path count come out the same without it.
-    Only a history with no feasible path goes through prune, which raises.
+    A history with no feasible path raises prune's error, found from its
+    forward masses.
 
     `previous` may hold the reports of this attack on the same releases
     without the newest one (same model and histories).  A record absent
@@ -449,11 +438,10 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
         left[candidates] -= 1
         if left[candidates]:
             shared[candidates] = positions, masses
-        if masses[2] == 0:  # no feasible path: prune raises, naming the
-            # first layer its sweep empties
-            reports[rid] = disclosure_risks(
-                prune(build_sug(candidates, model)), actual,
-                record_id=rid, versions=versions)
-        else:
-            reports[rid] = _report(positions, masses, actual, rid, versions)
+        if masses[2] == 0:
+            # no feasible path: name prune's layer, the one before the
+            # first that nothing from layer 1 reaches
+            j = next(j for j, row in enumerate(masses[0]) if not any(row))
+            raise InconsistentHistoryError(f"layer {j} has no feasible node")
+        reports[rid] = _report(positions, masses, actual, rid, versions)
     return [reports[rid] for rid in sorted(membership)]

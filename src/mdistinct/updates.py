@@ -3,6 +3,7 @@ legality / implication / intersection / disjointness tests."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -13,7 +14,6 @@ from .errors import ValidationError
 __all__ = [
     "UpdateModel",
     "USS",
-    "IntersectionPlan",
     "validate_update_model",
     "uss_of",
     "is_legal_update_instance",
@@ -21,11 +21,6 @@ __all__ = [
     "intersect",
     "pairwise_disjoint",
 ]
-
-# Exhaustive bijection search is exact up to this many signature entries;
-# larger signatures fall back to feasibility-preserving greedy matching.
-EXACT_BIJECTION_LIMIT = 8
-
 
 @dataclass(frozen=True)
 class UpdateModel:
@@ -218,97 +213,76 @@ def implies(a: USS, b: USS) -> bool:
     return _has_matching(adj, len(a))
 
 
-@dataclass(frozen=True)
-class IntersectionPlan:
-    """A maximal-score bijection between two signatures of equal size.
-
-    pairing[i] = index into b for the i-th canonical entry of a; result is
-    the signature of the pairwise intersections.
-    """
-
-    pairing: tuple[int, ...]
-    result: USS
-    score: Fraction
-
-
-def _plan_score(a: USS, b: USS, pairing: Sequence[int]) -> Fraction:
-    inter = 0
-    union = 0
-    for i, j in enumerate(pairing):
-        x, y = a.entries[i], b.entries[j]
-        inter += len(x & y)
-        union += len(x | y)
-    return Fraction(inter, union)
-
-
-def _greedy_pairing(n: int, a: USS, b: USS,
-                    adj: Sequence[Sequence[int]]) -> list[int]:
-    """Max-overlap greedy that never strands the remaining entries: each
-    choice is kept only if a perfect matching still exists on the rest."""
-    taken = [False] * n
-    pairing: list[int] = []
-    for i in range(n):
-        options = sorted((j for j in adj[i] if not taken[j]),
-                         key=lambda j: (-len(a.entries[i] & b.entries[j]), j))
-        for j in options:
-            taken[j] = True
-            rest_adj = [[k for k in adj[r] if not taken[k]]
-                        for r in range(i + 1, n)]
-            if _has_matching(rest_adj, n):
-                pairing.append(j)
-                break
-            taken[j] = False
-        else:  # pragma: no cover - adj came from a feasible matching
-            raise AssertionError("greedy pairing lost feasibility")
+def _max_assignment(weights: Sequence[Sequence[int]]) -> list[int]:
+    """The Hungarian method on an n x n integer weight matrix: the column
+    of each row in a perfect matching of maximum total weight.  The O(n^3)
+    form, with row and column potentials on the negated weights, adds one
+    row at a time along a shortest augmenting path; column 0 is the
+    virtual start of each path."""
+    n = len(weights)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    row_of = [0] * (n + 1)          # 1-based row matched to column j
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        slack = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            cost = weights[i0 - 1]
+            delta, j1 = math.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = -cost[j - 1] - u[i0] - v[j]
+                    if cur < slack[j]:
+                        slack[j] = cur
+                        way[j] = j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    pairing = [0] * n
+    for j in range(1, n + 1):
+        pairing[row_of[j] - 1] = j - 1
     return pairing
 
 
-def intersect(a: USS, b: USS) -> IntersectionPlan | None:
-    """Best all-nonempty pairwise intersection of two signatures, or None.
+def intersect(a: USS, b: USS) -> USS | None:
+    """The signature of the best bijection of nonempty pairwise
+    intersections between two signatures, or None when there is none.
 
-    Score is aggregate overlap: sum |X∩Y| / sum |X∪Y| over the pairing.
-    Exhaustive search up to EXACT_BIJECTION_LIMIT entries (first-found wins
-    ties, i.e. lexicographic pairing order), greedy beyond.
+    A pairing scores sum |X∩Y| / sum |X∪Y| = I / (S - I), where I is its
+    total overlap and S = sum |X| + sum |Y| is the same for every pairing,
+    so the best pairing has the most overlap; ties go to the
+    lexicographically first pairing.  Both are one assignment: pairing a's
+    i-th entry with b's j-th weighs |X∩Y| * n^n - j * n^(n-1-i), which
+    spells the pairing in base n below the overlap, and a pair with an
+    empty intersection weighs less than any full pairing could make up.
     """
     if len(a) != len(b):
         return None
     n = len(a)
-    if n == 0:
-        return IntersectionPlan((), USS(()), Fraction(1))
-    adj = [[j for j, be in enumerate(b.entries) if ae & be]
-           for ae in a.entries]
-    if not _has_matching(adj, n):
+    meets = [[ae & be for be in b.entries] for ae in a.entries]
+    if not _has_matching([[j for j, m in enumerate(row) if m]
+                          for row in meets], n):
         return None
-
-    if n <= EXACT_BIJECTION_LIMIT:
-        best: tuple[Fraction, tuple[int, ...]] | None = None
-        taken = [False] * n
-        pairing: list[int] = []
-
-        def dfs(i: int) -> None:
-            nonlocal best
-            if i == n:
-                score = _plan_score(a, b, pairing)
-                if best is None or score > best[0]:
-                    best = (score, tuple(pairing))
-                return
-            for j in adj[i]:
-                if not taken[j]:
-                    taken[j] = True
-                    pairing.append(j)
-                    dfs(i + 1)
-                    pairing.pop()
-                    taken[j] = False
-
-        dfs(0)
-        assert best is not None
-        score, chosen = best
-    else:
-        chosen = tuple(_greedy_pairing(n, a, b, adj))
-        score = _plan_score(a, b, chosen)
-
-    result = USS(a.entries[i] & b.entries[j] for i, j in enumerate(chosen))
-    return IntersectionPlan(chosen, result, score)
+    top = n ** n
+    barred = -top * (sum(map(len, a.entries)) + 1)
+    weights = [[len(m) * top - j * n ** (n - 1 - i) if m else barred
+                for j, m in enumerate(row)] for i, row in enumerate(meets)]
+    return USS(meets[i][j] for i, j in enumerate(_max_assignment(weights)))
 
 
 def pairwise_disjoint(sets: Iterable[frozenset[str]]) -> bool:

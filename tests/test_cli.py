@@ -819,6 +819,24 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {config}: {message}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("raw, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+        ("1e400", "inf"), ("-0.5", "-0.5")])
+    def test_out_of_range_theta_exits_two(self, workdir, capsys, raw,
+                                          shown):
+        # Python's json reads all of these as floats; each made the query
+        # generator raise
+        config = workdir / "config.json"
+        out_dir = workdir / "out"
+        text = json.dumps({**self.CONFIG, "out_dir": str(out_dir)})
+        config.write_text(text.replace('"thetas": [0.5]',
+                                       f'"thetas": [0.5, {raw}]'))
+        assert run(workdir, "simulate", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"error: thetas must be finite and non-negative, got "
+            f"[0.5, {shown}]\n")
+        assert not out_dir.exists()
+
     def test_out_dir_under_a_file_exits_two(self, workdir, capsys):
         config = workdir / "config.json"
         taken = workdir / "taken.csv"

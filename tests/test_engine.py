@@ -50,6 +50,21 @@ class TestPhase1:
         # their best intersection IS the finer signature, already queued
         assert len(buckets) == 2
 
+    def test_nine_entry_intersection_has_the_most_overlap(self):
+        # entry-by-entry greedy picks pair a's {b,d} with b's {c,d}, which
+        # leaves a's {c,d} a {d}: overlap 9, score 9/14; the best pairing
+        # keeps {c,d} whole: overlap 10, score 10/13
+        a = sig_of({"a"}, {"a"}, {"a", "c"}, {"b"}, {"b", "d"}, {"c"}, {"c"},
+                   {"c", "d"}, {"d"})
+        b = sig_of({"a"}, {"a"}, {"b", "d"}, {"c"}, {"c"}, {"c"}, {"c", "d"},
+                   {"d"}, {"d"})
+        buckets = phase1_create_buckets([a, b])
+        assert [bk.origin for bk in buckets] == ["signature", "signature",
+                                                 "intersection"]
+        assert buckets[2].signature == sig_of(
+            {"a"}, {"a"}, {"b"}, {"c"}, {"c"}, {"c"}, {"c", "d"}, {"d"},
+            {"d"})
+
     def test_worked_first_release_signatures(self, worked_model):
         # the three first-release groups yield only two distinct signatures
         # ({Dysp,Pneu} and {Pneu,Gastritis} canonicalize identically), and

@@ -368,6 +368,9 @@ class TestExperimentConfig:
         {"d": 0},
         {"d": 51},
         {"n_queries": -1},
+        {"thetas": (0.5, float("nan"))},
+        {"thetas": (float("inf"),)},
+        {"thetas": (-0.5,)},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
-"""The package's modules import one another without a cycle, and every
-name the package defines, class methods included, is used by the program.
+"""The package's modules import one another without a cycle, every name
+the package defines, class methods included, is used by the program, and
+every field of its classes is read by the program.
 
 Function-level imports count, since they run whenever the function does;
 imports under `if TYPE_CHECKING:` never run and do not count.
@@ -212,6 +213,11 @@ def test_override_check_sees_base_classes():
     assert not overrides_a_base("sug.Sug.node_count")
 
 
+# The attack no longer calls these; the tests' reference attack does, and
+# perfbench/tracer.py wraps them by name, a string the scan does not read.
+NAMED_BY_STRING = ("sug.prune", "sug.disclosure_risks")
+
+
 def test_every_library_name_has_a_caller_in_the_program():
     trees = {p: ast.parse(p.read_text()) for d in PROGRAM
              for p in sorted((ROOT / d).rglob("*.py"))}
@@ -219,5 +225,89 @@ def test_every_library_name_has_a_caller_in_the_program():
                if p.parent == ROOT / "src" / "mdistinct"}
     callers = list(trees.values())
     assert len(callers) > len(package)   # perfbench and scripts were found
+    strings = {node.value for tree in callers for node in ast.walk(tree)
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str)}
+    assert all(name.rpartition(".")[2] in strings
+               for name in NAMED_BY_STRING)
     assert [name for name in unused_names(package, callers)
-            if not overrides_a_base(name)] == []
+            if not overrides_a_base(name)
+            and name not in NAMED_BY_STRING] == []
+
+
+# ---------------------------------------------------------------------------
+# dead fields: data a class carries that no program code reads
+
+
+def class_fields(tree: ast.Module) -> list[str]:
+    """`Class.field` for every field a module's classes declare: the
+    annotated names of a class body (dataclass and named-tuple fields) and
+    the attributes its methods assign on `self`."""
+    found: dict[str, None] = {}
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                found[f"{node.name}.{item.target.id}"] = None
+            elif isinstance(item, FUNCTIONS):
+                for sub in ast.walk(item):
+                    if (isinstance(sub, ast.Attribute)
+                            and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name)
+                            and sub.value.id == "self"):
+                        found[f"{node.name}.{sub.attr}"] = None
+    return list(found)
+
+
+def reads(tree: ast.AST) -> set[str]:
+    """Every attribute name a tree reads; stores and deletes are no
+    reads."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(package: dict[str, ast.Module],
+                  callers: list[ast.Module]) -> list[str]:
+    """`module.Class.field` for every field no caller reads, matched by
+    name as methods are."""
+    read = set().union(*map(reads, callers))
+    return [f"{module}.{name}" for module, tree in sorted(package.items())
+            for name in class_fields(tree)
+            if name.rpartition(".")[2] not in read]
+
+
+def test_field_collector_sees_fields_and_reads():
+    lib = ast.parse(
+        "from typing import NamedTuple\n"
+        "class Point(NamedTuple):\n"
+        "    x: int\n"
+        "    y: int\n"
+        "    label = 'p'\n"
+        "class Counter:\n"
+        "    def __init__(self):\n"
+        "        self.count = 0\n"
+        "        self.spare = 0\n"
+        "        self.seen = []\n"
+        "    def bump(self):\n"
+        "        self.count += 1\n"
+        "        self.seen.append(self.count)\n")
+    caller = ast.parse("p = Point(1, 2)\n"
+                       "p.y = 3\n"
+                       "print(p.x)\n")
+    # y and spare are only written; seen is read for its append
+    assert class_fields(lib) == ["Point.x", "Point.y", "Counter.count",
+                                 "Counter.spare", "Counter.seen"]
+    assert unread_fields({"lib": lib}, [lib, caller]) == [
+        "lib.Point.y", "lib.Counter.spare"]
+
+
+def test_every_field_is_read_by_the_program():
+    trees = {p: ast.parse(p.read_text()) for d in PROGRAM
+             for p in sorted((ROOT / d).rglob("*.py"))}
+    package = {p.stem: tree for p, tree in trees.items()
+               if p.parent == ROOT / "src" / "mdistinct"}
+    assert sum(len(class_fields(tree)) for tree in package.values()) > 50
+    assert unread_fields(package, list(trees.values())) == []

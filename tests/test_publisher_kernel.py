@@ -474,10 +474,10 @@ def reference_phase1_create_buckets(prev_signatures):
     extra = []
     for i in range(len(queue)):
         for j in range(i + 1, len(queue)):
-            plan = intersect(queue[i], queue[j])
-            if plan is not None and plan.result not in seen:
-                seen.add(plan.result)
-                extra.append(plan.result)
+            both = intersect(queue[i], queue[j])
+            if both is not None and both not in seen:
+                seen.add(both)
+                extra.append(both)
     return ([Bucket(sig, "signature") for sig in queue]
             + [Bucket(sig, "intersection") for sig in extra])
 

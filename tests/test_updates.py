@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdistinct.errors import ValidationError
-from mdistinct.updates import (EXACT_BIJECTION_LIMIT, USS, UpdateModel,
-                               implies, intersect, is_legal_update_instance,
-                               pairwise_disjoint, uss_of,
-                               validate_update_model)
+from mdistinct.updates import (USS, UpdateModel, implies, intersect,
+                               is_legal_update_instance, pairwise_disjoint,
+                               uss_of, validate_update_model)
 
 from conftest import covers
 
@@ -115,21 +114,101 @@ class TestImplies:
         assert not implies(USS([{"a"}]), USS([{"a"}, {"a", "b"}]))
 
 
+def overlap_score(a: USS, b: USS, result: USS) -> Fraction:
+    """A pairing's score sum |X∩Y| / sum |X∪Y| read off its intersection
+    signature: I / (S - I), with I the total overlap and S = sum |X| +
+    sum |Y|."""
+    inter = sum(map(len, result.entries))
+    total = sum(map(len, a.entries)) + sum(map(len, b.entries))
+    return Fraction(inter, total - inter)
+
+
+def reference_intersect(a: USS, b: USS):
+    """The exhaustive search `intersect` once ran up to 8 entries: every
+    bijection of nonempty intersections scored as a `Fraction`, the first
+    found kept on ties.  (pairing, result, score), or None."""
+    if len(a) != len(b):
+        return None
+    n = len(a)
+    adj = [[j for j, be in enumerate(b.entries) if ae & be]
+           for ae in a.entries]
+    best = None
+    taken = [False] * n
+    pairing = []
+
+    def score():
+        inter = union = 0
+        for i, j in enumerate(pairing):
+            x, y = a.entries[i], b.entries[j]
+            inter += len(x & y)
+            union += len(x | y)
+        return Fraction(inter, union)
+
+    def dfs(i):
+        nonlocal best
+        if i == n:
+            s = score()
+            if best is None or s > best[0]:
+                best = (s, tuple(pairing))
+            return
+        for j in adj[i]:
+            if not taken[j]:
+                taken[j] = True
+                pairing.append(j)
+                dfs(i + 1)
+                pairing.pop()
+                taken[j] = False
+
+    dfs(0)
+    if best is None:
+        return None
+    s, chosen = best
+    return (chosen,
+            USS(a.entries[i] & b.entries[j] for i, j in enumerate(chosen)),
+            s)
+
+
+def first_pairing_with_most_overlap(a: USS, b: USS):
+    """By a dynamic program over the set of b's entries taken: the most
+    total overlap a bijection of nonempty intersections reaches, and the
+    lexicographically first bijection that reaches it.  None if there is
+    no such bijection."""
+    n = len(a)
+    meet = [[len(x & y) for y in b.entries] for x in a.entries]
+    full = (1 << n) - 1
+    best = {full: 0}             # taken columns -> most overlap of the rest
+    for mask in range(full - 1, -1, -1):
+        i = bin(mask).count("1")
+        options = [meet[i][j] + best[mask | 1 << j] for j in range(n)
+                   if not mask >> j & 1 and meet[i][j]
+                   and best[mask | 1 << j] is not None]
+        best[mask] = max(options, default=None)
+    if best[0] is None:
+        return None
+    pairing, mask = [], 0
+    for i in range(n):
+        j = next(j for j in range(n)
+                 if not mask >> j & 1 and meet[i][j]
+                 and best[mask | 1 << j] is not None
+                 and meet[i][j] + best[mask | 1 << j] == best[mask])
+        pairing.append(j)
+        mask |= 1 << j
+    return best[0], pairing
+
+
 class TestIntersect:
     def test_self_intersection_is_identity(self, worked_model):
         sig = uss_of(["Dyspepsia", "Pneumonia"], worked_model)
-        plan = intersect(sig, sig)
-        assert plan is not None
-        assert plan.result == sig
-        assert plan.score == 1
+        result = intersect(sig, sig)
+        assert result == sig
+        assert overlap_score(sig, sig, result) == 1
 
     def test_partial_overlap(self):
         a = USS([{"a", "b"}, {"c", "d"}])
         b = USS([{"b", "c"}, {"d", "e"}])
-        plan = intersect(a, b)
-        assert plan is not None
-        assert plan.result == USS([{"b"}, {"d"}])
-        assert plan.score == Fraction(2, 6)
+        result = intersect(a, b)
+        assert result == USS([{"b"}, {"d"}])
+        assert overlap_score(a, b, result) == Fraction(2, 6)
 
     def test_no_plan_when_an_entry_cannot_pair(self):
         assert intersect(USS([{"a"}, {"b"}]), USS([{"a"}, {"c"}])) is None
@@ -140,15 +219,13 @@ class TestIntersect:
         coarse = USS([{"Dyspepsia", "Gastritis"},
                       {"Flu", "Pneumonia", "LungCancer"}])
         fine = USS([{"Dyspepsia", "Gastritis"}, {"Flu", "Pneumonia"}])
-        plan = intersect(coarse, fine)
-        assert plan is not None
-        assert plan.result == fine
+        assert intersect(coarse, fine) == fine
 
     def test_maximizes_total_overlap(self):
         # pairing by first-fit would score lower than the crossed pairing
         a = USS([{"a", "b", "c"}, {"c", "d"}])
         b = USS([{"c"}, {"a", "b", "c"}])
-        plan = intersect(a, b)
+        result = intersect(a, b)
         best = max(
             Fraction(len(a.entries[0] & b.entries[0])
                      + len(a.entries[1] & b.entries[1]),
@@ -158,7 +235,7 @@ class TestIntersect:
                      + len(a.entries[1] & b.entries[0]),
                      len(a.entries[0] | b.entries[1])
                      + len(a.entries[1] | b.entries[0])))
-        assert plan.score == best
+        assert overlap_score(a, b, result) == best
 
 
 def test_cus_disjointness(worked_model):
@@ -213,8 +290,8 @@ def test_implies_licenses_every_draw(data):
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_intersection_result_is_coimplied(data):
-    """Both operands imply the intersection signature, and its entries are
-    subsets of paired operand entries."""
+    """Both operands imply the intersection signature, its entries are
+    nonempty, and it is the exhaustive search's."""
     model = data.draw(class_models())
     dom = model.sensitive_domain
     size = data.draw(st.integers(1, min(4, len(dom))))
@@ -223,15 +300,16 @@ def test_intersection_result_is_coimplied(data):
     vb = data.draw(st.lists(st.sampled_from(dom), min_size=size,
                             max_size=size))
     a, b = uss_of(va, model), uss_of(vb, model)
-    plan = intersect(a, b)
-    if plan is None:
+    result = intersect(a, b)
+    reference = reference_intersect(a, b)
+    assert (result is None) == (reference is None)
+    if result is None:
         return
-    assert implies(a, plan.result)
-    assert implies(b, plan.result)
-    assert 0 < plan.score <= 1
-    for i, j in enumerate(plan.pairing):
-        assert plan.result.entries  # non-degenerate
-        assert a.entries[i] & b.entries[j]
+    assert result == reference[1]
+    assert implies(a, result)
+    assert implies(b, result)
+    assert len(result) == size and all(result.entries)
+    assert 0 < overlap_score(a, b, result) <= 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -251,33 +329,48 @@ def test_closure_makes_legality_hereditary(data):
     assert implies(sig, uss_of(nxt, model))
 
 
-@st.composite
-def matchable_pairs(draw):
-    """Two signatures of 9-10 entries over a 12-value domain with a perfect
-    matching of nonempty intersections: b's entry for a's i-th entry, at a
-    drawn position, holds one of its values plus random others."""
-    n = draw(st.integers(EXACT_BIJECTION_LIMIT + 1, EXACT_BIJECTION_LIMIT + 2))
-    domain = [f"v{i:02d}" for i in range(12)]
-    subsets = st.sets(st.sampled_from(domain), min_size=1, max_size=4)
-    a = [draw(subsets) for _ in range(n)]
-    order = draw(st.permutations(range(n)))
-    b = [set() for _ in range(n)]
-    for i, j in enumerate(order):
-        b[j] = {draw(st.sampled_from(sorted(a[i])))} | draw(
-            st.sets(st.sampled_from(domain), max_size=3))
-    return USS(a), USS(b)
+def matchable_pairs(sizes):
+    """Two signatures of the given sizes over a 12-value domain with a
+    perfect matching of nonempty intersections: b's entry for a's i-th
+    entry, at a drawn position, holds one of its values plus random
+    others."""
+    @st.composite
+    def pairs(draw):
+        n = draw(sizes)
+        domain = [f"v{i:02d}" for i in range(12)]
+        subsets = st.sets(st.sampled_from(domain), min_size=1, max_size=4)
+        a = [draw(subsets) for _ in range(n)]
+        order = draw(st.permutations(range(n)))
+        b = [set() for _ in range(n)]
+        for i, j in enumerate(order):
+            b[j] = {draw(st.sampled_from(sorted(a[i])))} | draw(
+                st.sets(st.sampled_from(domain), max_size=3))
+        return USS(a), USS(b)
+    return pairs()
+
+
+@settings(max_examples=200, deadline=None)
+@given(matchable_pairs(st.integers(1, 8)))
+def test_matches_the_exhaustive_search(pair):
+    """Up to 8 entries `intersect` gives the exhaustive search's pairing
+    signature, whose score is I / (S - I)."""
+    a, b = pair
+    pairing, result, score = reference_intersect(a, b)
+    assert sorted(pairing) == list(range(len(b)))
+    assert intersect(a, b) == result
+    assert overlap_score(a, b, result) == score
 
 
 @settings(max_examples=150, deadline=None)
-@given(matchable_pairs())
-def test_greedy_pairing_is_a_nonempty_bijection(pair):
-    """Above EXACT_BIJECTION_LIMIT entries `intersect` pairs greedily; the
-    pairing must still be a bijection of nonempty intersections, and the
-    result their signature."""
+@given(matchable_pairs(st.integers(9, 11)))
+def test_large_pairing_is_the_first_with_most_overlap(pair):
+    """At 9-11 entries, beyond the exhaustive search, the result is the
+    signature of a bijection of nonempty intersections with the most
+    overlap: the lexicographically first such bijection."""
     a, b = pair
-    plan = intersect(a, b)
-    assert plan is not None
-    assert sorted(plan.pairing) == list(range(len(b)))
-    meets = [a.entries[i] & b.entries[j] for i, j in enumerate(plan.pairing)]
+    most, pairing = first_pairing_with_most_overlap(a, b)
+    assert sorted(pairing) == list(range(len(b)))
+    meets = [a.entries[i] & b.entries[j] for i, j in enumerate(pairing)]
     assert all(meets)
-    assert plan.result == USS(meets)
+    assert sum(map(len, meets)) == most
+    assert intersect(a, b) == USS(meets)
