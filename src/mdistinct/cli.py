@@ -93,9 +93,10 @@ def _publish_locked(args, mode: str, step) -> tuple:
     stored schema (`snapshot_schema`), loads it and calls `step(store,
     records, schema, model)`, which returns the release and the tail of
     the summary line.  Only then does it store meta.csv (in a new history),
-    the schema if it is new or grew, the release and the microdata behind
-    it, so a publish that fails writes nothing.  Returns the release, the
-    records and the tail."""
+    the schema if it is new or grew, the microdata behind the release and
+    last the release, whose release_<i>.csv is what makes release i exist,
+    so a publish that fails leaves no release a later command reads.
+    Returns the release, the records and the tail."""
     _check_m(args.m)
     model = load_update_model(args.model)
     store = HistoryStore(args.history)
@@ -122,8 +123,8 @@ def _publish_locked(args, mode: str, step) -> tuple:
                               "mode": mode})
         if schema is not stored:
             store.write_schema(schema)
-        store.write_release(release, schema)
         store.write_actuals(release.release_index, schema, records)
+        store.write_release(release, schema)
     return release, records, tail
 
 
@@ -196,11 +197,13 @@ def cmd_simulate(args) -> int:
             print(f"theta={theta}: no queries evaluated")
             continue
         print(f"theta={theta}: median relative error {float(med):.4f}")
+    if not report.published:
+        print(f"nothing published (n_releases is 0); report in {out_dir}")
+        return EXIT_OK
     print(f"verify {'passed' if report.verify_ok else 'FAILED'}; "
           f"{report.vulnerable} fully disclosed record versions; "
           f"report in {out_dir}")
-    engine = config.publisher in ("m_distinct", "m_distinct_star")
-    if not report.published or not engine:
+    if config.publisher not in ("m_distinct", "m_distinct_star"):
         return EXIT_OK
     return EXIT_OK if report.verify_ok else EXIT_VALIDATION
 

@@ -191,19 +191,6 @@ class PrevInfo(NamedTuple):
     release_index: int
 
 
-class _CusKeys(dict):
-    """value -> its CUS as a sorted tuple (a `USS.key` entry), each
-    computed once."""
-
-    def __init__(self, model: UpdateModel):
-        super().__init__()
-        self.model = model
-
-    def __missing__(self, value: str) -> tuple[str, ...]:
-        out = self[value] = tuple(sorted(self.model.cus_of(value)))
-        return out
-
-
 @dataclass
 class EngineState:
     m: int
@@ -220,16 +207,14 @@ class EngineState:
         signature and the release index become its previous publication.
 
         A group's `USS.key` is the sorted tuple of its values' CUS keys, so
-        groups with the same such tuple share one `USS`; each value's CUS
-        key is computed once per call."""
-        cus_keys = _CusKeys(model)
+        groups with the same such tuple share one `USS`."""
         signatures: dict[tuple, USS] = {}
         index = release.release_index
         prev = self.prev
         for group in release.groups:
             members = group.members
             values = [mm.sensitive for mm in members]
-            key = tuple(sorted(map(cus_keys.__getitem__, values)))
+            key = tuple(sorted(map(model.cus_key, values)))
             sig = signatures.get(key)
             if sig is None:
                 sig = signatures[key] = uss_of(values, model)
@@ -775,7 +760,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
 
 def _color_key(rec: Record, model: UpdateModel, star: bool):
     if star:
-        return tuple(sorted(model.cus_of(rec.sensitive)))
+        return model.cus_key(rec.sensitive)
     return rec.sensitive
 
 

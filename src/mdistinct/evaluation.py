@@ -295,7 +295,6 @@ class ReleaseStats:
 class QueryStats:
     theta: float
     release_index: int           # 0 means pooled across releases
-    n_queries: int
     median_error: Fraction
 
 
@@ -465,15 +464,13 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                     for est, act in zip(estimates, actuals)]
             if errs:
                 report.queries.append(QueryStats(
-                    theta, release.release_index, len(errs),
-                    median_fraction(errs)))
+                    theta, release.release_index, median_fraction(errs)))
             errors[theta].extend(errs)
 
     for theta in config.thetas:
         if errors[theta]:
             report.queries.append(QueryStats(
-                theta, 0, len(errors[theta]),
-                median_fraction(errors[theta])))
+                theta, 0, median_fraction(errors[theta])))
 
     if report.published:
         report.verify_ok, report.violations = verify_m_distinct(

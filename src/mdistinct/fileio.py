@@ -290,26 +290,16 @@ def load_update_model(path: Path | str) -> UpdateModel:
         if b in entry:
             raise ValidationError(f"{where}duplicate transition {a!r}->{b!r}")
         entry[b] = prob
-    cus: dict[str, frozenset[str]] = {}
-    p_trans: dict[tuple[str, str], Fraction] = {}
     for a, targets in succ.items():
         blanks = [p is None for p in targets.values()]
-        if any(blanks) and not all(blanks):
+        if all(blanks):
+            succ[a] = dict.fromkeys(targets, Fraction(1, len(targets)))
+        elif any(blanks):
             raise ValidationError(
                 f"{path}: value {a!r} mixes blank (uniform) and explicit "
                 f"probabilities")
-        cus[a] = frozenset(targets)
-        if all(blanks):
-            share = Fraction(1, len(targets))
-            for b in targets:
-                p_trans[(a, b)] = share
-        else:
-            for b, p in targets.items():
-                p_trans[(a, b)] = p
-    names = set(succ)
-    for targets in succ.values():
-        names.update(targets)
-    model = UpdateModel(tuple(sorted(names)), cus, p_trans)
+    names = set(succ).union(*succ.values())
+    model = UpdateModel(tuple(sorted(names)), succ)
     problems = validate_update_model(model)
     if problems:
         raise ValidationError(f"{path}: invalid update model:\n  "
@@ -319,9 +309,8 @@ def load_update_model(path: Path | str) -> UpdateModel:
 
 def write_update_model(path: Path | str, model: UpdateModel) -> None:
     rows = [["value", "successor", "probability"]]
-    for a in sorted(model.cus):
-        for b in sorted(model.cus[a]):
-            p = model.prob(a, b)
+    for a, row in sorted(model.successors.items()):
+        for b, p in sorted(row.items()):
             rows.append([a, b, f"{p.numerator}/{p.denominator}"])
     write_csv(path, rows)
 
@@ -464,8 +453,15 @@ class HistoryStore:
         write_csv(self.path / "meta.csv", rows)
 
     def read_meta(self) -> dict[str, str]:
-        _, rows = _read_table(self.path / "meta.csv", ["key", "value"])
-        return {k: v for _, (k, v) in rows}
+        path = self.path / "meta.csv"
+        _, rows = _read_table(path, ["key", "value"])
+        meta: dict[str, str] = {}
+        for lineno, (k, v) in rows:
+            if k in meta:
+                raise ValidationError(f"{path} line {lineno}: duplicate key "
+                                      f"{k!r}")
+            meta[k] = v
+        return meta
 
     def read_meta_int(self, meta: Mapping[str, str], key: str) -> int:
         """An integer entry of `meta` (as read_meta returned it)."""
@@ -506,6 +502,13 @@ class HistoryStore:
 
     def write_release(self, release: PublishedRelease,
                       schema: TableSchema) -> None:
+        """Write counterfeits_<i>.csv, then release_<i>.csv: the release
+        file, written last, is what makes release i exist."""
+        cf_rows = [["gid", "count"]]
+        stats = release.counterfeit_stats
+        cf_rows += [[str(g), str(stats[g])] for g in sorted(stats)]
+        write_csv(self.path / f"counterfeits_{release.release_index}.csv",
+                  cf_rows)
         rows = [["gid", "id", *schema.qi_names, schema.sensitive_name,
                  "is_counterfeit"]]
         for group in release.groups:
@@ -516,11 +519,6 @@ class HistoryStore:
                              member.sensitive,
                              "1" if member.counterfeit else "0"])
         write_csv(self.path / f"release_{release.release_index}.csv", rows)
-        cf_rows = [["gid", "count"]]
-        stats = release.counterfeit_stats
-        cf_rows += [[str(g), str(stats[g])] for g in sorted(stats)]
-        write_csv(self.path / f"counterfeits_{release.release_index}.csv",
-                  cf_rows)
 
     def read_release(self, index: int,
                      schema: TableSchema) -> PublishedRelease:
@@ -779,7 +777,7 @@ def synthesize_internal_updates(records: Sequence[Record],
     out = []
     for rec in ordered:
         if rec.id in chosen:
-            value = rng.choice(sorted(model.cus_of(rec.sensitive)))
+            value = rng.choice(model.cus_key(rec.sensitive))
             rec = Record(rec.id, rec.qi, value)
         out.append(rec)
     return out

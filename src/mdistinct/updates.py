@@ -24,31 +24,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UpdateModel:
-    """Per-value candidate update sets and transition probabilities.
-
-    cus(a) is the set of values a can become with non-zero probability; it
-    need not contain a itself.  Probabilities are exact rationals.
-    """
+    """Per-value transition distributions in one table: successors[a][b]
+    is the exact chance that a becomes b.  The keys of a's row are its
+    candidate update set, cus(a), which need not contain a itself."""
 
     sensitive_domain: tuple[str, ...]
-    cus: Mapping[str, frozenset[str]]
-    p_trans: Mapping[tuple[str, str], Fraction]
+    successors: Mapping[str, Mapping[str, Fraction]]
 
     @classmethod
     def uniform(cls, cus_map: Mapping[str, Iterable[str]],
                 domain: Sequence[str] | None = None) -> "UpdateModel":
-        """Uniform transition probabilities over each value's CUS."""
-        cus = {a: frozenset(b) for a, b in cus_map.items()}
-        if domain is None:
-            domain = sorted(cus)
-        p = {}
-        for a, targets in cus.items():
-            if not targets:
+        """Uniform transition probabilities over each value's CUS.  Each
+        row keeps its successors in the order given."""
+        table = {}
+        for a, targets in cus_map.items():
+            row = dict.fromkeys(targets)
+            if not row:
                 raise ValidationError(f"cus({a!r}) is empty")
-            share = Fraction(1, len(targets))
-            for b in sorted(targets):
-                p[(a, b)] = share
-        return cls(tuple(domain), cus, p)
+            table[a] = dict.fromkeys(row, Fraction(1, len(row)))
+        return cls(tuple(sorted(table) if domain is None else domain), table)
 
     @classmethod
     def from_classes(cls, classes: Sequence[Iterable[str]]) -> "UpdateModel":
@@ -59,26 +53,34 @@ class UpdateModel:
             members = list(group)
             domain.extend(members)
             for x in members:
-                cus[x] = frozenset(members)
+                cus[x] = members
         return cls.uniform(cus, domain)
 
-    def prob(self, a: str, b: str) -> Fraction:
-        return self.p_trans.get((a, b), Fraction(0))
+    @cached_property
+    def cus(self) -> dict[str, frozenset[str]]:
+        """value -> its CUS, the keys of its row, built once per model."""
+        return {a: frozenset(row) for a, row in self.successors.items()}
 
     @cached_property
-    def successors(self) -> dict[str, dict[str, Fraction]]:
-        """The positive transitions as {a: {b: p}}, built once per model."""
-        table: dict[str, dict[str, Fraction]] = {}
-        for (a, b), p in self.p_trans.items():
-            if p > 0:
-                table.setdefault(a, {})[b] = p
-        return table
+    def _cus_keys(self) -> dict[str, tuple[str, ...]]:
+        return {a: tuple(sorted(row)) for a, row in self.successors.items()}
+
+    def prob(self, a: str, b: str) -> Fraction:
+        return self.successors.get(a, {}).get(b, Fraction(0))
 
     def cus_of(self, value: str) -> frozenset[str]:
-        try:
-            return self.cus[value]
-        except KeyError:
-            raise ValidationError(f"value {value!r} outside the sensitive domain") from None
+        return _lookup(self.cus, value)
+
+    def cus_key(self, value: str) -> tuple[str, ...]:
+        """value's CUS as a sorted tuple: an entry of a `USS.key`."""
+        return _lookup(self._cus_keys, value)
+
+
+def _lookup(view: Mapping[str, object], value: str):
+    try:
+        return view[value]
+    except KeyError:
+        raise ValidationError(f"value {value!r} outside the sensitive domain") from None
 
 
 def validate_update_model(model: UpdateModel) -> list[str]:
@@ -86,32 +88,28 @@ def validate_update_model(model: UpdateModel) -> list[str]:
     problems: list[str] = []
     dom = set(model.sensitive_domain)
     for a in model.sensitive_domain:
-        if a not in model.cus:
+        if a not in model.successors:
             problems.append(f"no cus defined for {a!r}")
-    for a, targets in sorted(model.cus.items()):
-        if not targets:
+    for a, row in sorted(model.successors.items()):
+        if not row:
             problems.append(f"cus({a!r}) is empty")
             continue
+        targets = model.cus[a]
         if not targets <= dom:
             problems.append(f"cus({a!r}) leaves the domain: "
                             f"{sorted(targets - dom)}")
-        total = Fraction(0)
-        for b in sorted(targets):
-            p = model.prob(a, b)
+        for b, p in sorted(row.items()):
             if p <= 0:
                 problems.append(f"p_trans({a!r}, {b!r}) not strictly positive")
-            total += p
+        total = sum(row.values(), Fraction(0))
         if total != 1:
             problems.append(f"p_trans({a!r}, .) sums to {total}, not 1")
-        for b in sorted(targets):
+        for b in sorted(row):
             other = model.cus.get(b, frozenset())
             if not other <= targets:
                 problems.append(f"closure violated at ({a!r}, {b!r}): "
                                 f"cus({b!r}) has {sorted(other - targets)} "
                                 f"outside cus({a!r})")
-    for (a, b), p in sorted(model.p_trans.items()):
-        if p > 0 and b not in model.cus.get(a, frozenset()):
-            problems.append(f"p_trans({a!r}, {b!r}) > 0 outside cus({a!r})")
     return problems
 
 

@@ -205,24 +205,16 @@ def histories_12(t1_records, t2_records) -> dict[str, dict[int, str]]:
 @pytest.fixture(scope="session")
 def three_layer_model() -> UpdateModel:
     from fractions import Fraction as F
-    cus = {
-        "a": frozenset("q"),
-        "m": frozenset("q"),
-        "d": frozenset("qr"),
-        "x": frozenset("adqr"),
-        "y": frozenset("amq"),
-        "q": frozenset("q"),
-        "r": frozenset("r"),
+    table = {
+        "a": {"q": F(1)},
+        "m": {"q": F(1)},
+        "d": {"q": F(1, 4), "r": F(3, 4)},
+        "x": {"a": F(2, 9), "d": F(4, 9), "q": F(1, 6), "r": F(1, 6)},
+        "y": {"a": F(4, 9), "m": F(4, 9), "q": F(1, 9)},
+        "q": {"q": F(1)},
+        "r": {"r": F(1)},
     }
-    p = {
-        ("a", "q"): F(1), ("m", "q"): F(1),
-        ("d", "q"): F(1, 4), ("d", "r"): F(3, 4),
-        ("x", "a"): F(2, 9), ("x", "d"): F(4, 9),
-        ("x", "q"): F(1, 6), ("x", "r"): F(1, 6),
-        ("y", "a"): F(4, 9), ("y", "m"): F(4, 9), ("y", "q"): F(1, 9),
-        ("q", "q"): F(1), ("r", "r"): F(1),
-    }
-    return UpdateModel(("a", "d", "m", "q", "r", "x", "y"), cus, p)
+    return UpdateModel(("a", "d", "m", "q", "r", "x", "y"), table)
 
 
 @pytest.fixture(scope="session")

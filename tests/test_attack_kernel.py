@@ -96,15 +96,13 @@ def closed_models(draw, max_values=6):
                 if not cus[w] <= cus[v]:
                     cus[v] |= cus[w]
                     changed = True
-    p = {}
+    table = {}
     for a in domain:
         targets = sorted(cus[a])
         weights = draw(st.lists(st.integers(1, 9), min_size=len(targets),
                                 max_size=len(targets)))
-        for b, w in zip(targets, weights):
-            p[(a, b)] = F(w, sum(weights))
-    model = UpdateModel(tuple(domain),
-                        {a: frozenset(t) for a, t in cus.items()}, p)
+        table[a] = {b: F(w, sum(weights)) for b, w in zip(targets, weights)}
+    model = UpdateModel(tuple(domain), table)
     assert validate_update_model(model) == []
     return model
 

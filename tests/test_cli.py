@@ -263,6 +263,8 @@ class TestExitCodes:
         ([["name", "value"], ["m", "2"], ["mode", "m_distinct"]],
          "meta.csv line 1: header ['name', 'value'] does not match "
          "['key', 'value']"),
+        ([["key", "value"], ["m", "2"], ["mode", "m_distinct"], ["m", "3"]],
+         "meta.csv line 4: duplicate key 'm'"),
     ])
     def test_malformed_meta_exits_two(self, workdir, capsys, rows, message):
         hist = workdir / "hist"
@@ -401,6 +403,81 @@ class TestInterruptedFirstPublish:
 
     def test_crash_at_the_meta_leaves_no_schema(self, workdir, monkeypatch):
         assert self._crash_at(workdir, monkeypatch, "write_meta") == []
+
+
+class TestInterruptedPublish:
+    """A publish writes meta.csv (in a new history), schema.json (when new
+    or grown), microdata_<i>.csv, counterfeits_<i>.csv and last
+    release_<i>.csv, whose presence makes release i exist.  A crash at any
+    one of those writes leaves a history that attack and verify read as
+    before the publish, and rerunning the publish ends as an uninterrupted
+    one would."""
+
+    @staticmethod
+    def _publish(workdir, hist, snapshot):
+        return run(workdir, "publish", "--microdata", workdir / snapshot,
+                   "--model", workdir / "model.csv", "--history", hist,
+                   "--m", "2", "--seed", "3")
+
+    @staticmethod
+    def _audit(workdir, hist):
+        """attack's and verify's exit codes and the risks.csv attack
+        writes, run on a copy so that the history stays as it is."""
+        copy = workdir / "audit"
+        shutil.rmtree(copy, ignore_errors=True)
+        if hist.exists():
+            shutil.copytree(hist, copy)
+        args = ["--history", copy, "--model", workdir / "model.csv"]
+        codes = (run(workdir, "attack", *args),
+                 run(workdir, "verify", *args, "--m", "2"))
+        risks = copy / "risks.csv"
+        return codes, risks.read_bytes() if risks.exists() else None
+
+    @staticmethod
+    def _crash_at(patch, k):
+        """Count the history's writes, raising at the k-th; the list of
+        their targets is returned."""
+        writes = []
+
+        def counted(real):
+            def write(*args):
+                writes.append(args[0])
+                if len(writes) == k:
+                    raise _Crash
+                return real(*args)
+            return write
+
+        patch.setattr(fileio, "write_csv", counted(fileio.write_csv))
+        patch.setattr(HistoryStore, "write_schema",
+                      counted(HistoryStore.write_schema))
+        return writes
+
+    @pytest.mark.parametrize("earlier, snapshot, n_writes", [
+        ((), "t1.csv", 5), (("t1.csv",), "t2.csv", 4)])
+    def test_a_crash_at_any_write_leaves_the_history_as_it_was(
+            self, workdir, monkeypatch, earlier, snapshot, n_writes):
+        clean = workdir / "clean"
+        for snap in earlier:
+            assert self._publish(workdir, clean, snap) == 0
+        with monkeypatch.context() as patch:
+            writes = self._crash_at(patch, 0)
+            assert self._publish(workdir, clean, snapshot) == 0
+        # t2 widens the salary range, so its publish rewrites schema.json
+        assert len(writes) == n_writes
+        for k in range(1, n_writes + 1):
+            hist = workdir / f"hist{k}"
+            for snap in earlier:
+                assert self._publish(workdir, hist, snap) == 0
+            indices = HistoryStore(hist).release_indices()
+            before = self._audit(workdir, hist)
+            with monkeypatch.context() as patch:
+                self._crash_at(patch, k)
+                with pytest.raises(_Crash):
+                    self._publish(workdir, hist, snapshot)
+            assert HistoryStore(hist).release_indices() == indices, k
+            assert self._audit(workdir, hist) == before, k
+            assert self._publish(workdir, hist, snapshot) == 0
+            assert _tree(hist) == _tree(clean), k
 
 
 class TestParameterChecks:
@@ -786,6 +863,18 @@ class TestSimulate:
         assert "verify passed" in out
         for name in ("report.csv", "summary.csv", "timings.csv"):
             assert (out_dir / name).exists()
+
+    def test_zero_releases_say_nothing_was_published(self, workdir, capsys):
+        config = workdir / "config.json"
+        out_dir = workdir / "out"
+        config.write_text(json.dumps({**self.CONFIG, "n_releases": 0,
+                                      "out_dir": str(out_dir)}))
+        assert run(workdir, "simulate", "--config", config) == 0
+        assert capsys.readouterr().out == (
+            f"theta=0.5: no queries evaluated\n"
+            f"nothing published (n_releases is 0); report in {out_dir}\n")
+        summary = (out_dir / "summary.csv").read_text()
+        assert "verify_ok,0\n" in summary
 
     def test_reruns_are_byte_identical(self, workdir):
         config = workdir / "config.json"

@@ -21,7 +21,9 @@ from mdistinct.fileio import (HistoryStore, _decimal, _read_table,
                               write_risks, write_update_model)
 from mdistinct.model import AttributeSchema, Hierarchy, Record, TableSchema
 from mdistinct.sug import RiskReport
-from mdistinct.updates import UpdateModel
+from mdistinct.updates import UpdateModel, validate_update_model
+
+from test_attack_kernel import closed_models
 
 F = Fraction
 
@@ -450,7 +452,7 @@ class TestUpdateModelFiles:
         # same transition structure; the loader sorts the inferred domain
         assert set(model.sensitive_domain) == set(class_model.sensitive_domain)
         assert model.cus == class_model.cus
-        assert model.p_trans == class_model.p_trans
+        assert model.successors == class_model.successors
 
     def test_round_trip(self, tmp_path, worked_model):
         path = tmp_path / "model.csv"
@@ -490,6 +492,36 @@ class TestUpdateModelFiles:
                          ["a", "a", "1/2"]])
         with pytest.raises(ValidationError, match="duplicate transition"):
             load_update_model(path)
+
+
+def _load_written(write):
+    """The model `load_update_model` reads from the file `write(path)`
+    writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.csv"
+        write(path)
+        return load_update_model(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_models())
+def test_written_model_files_load_equal(model):
+    loaded = _load_written(lambda path: write_update_model(path, model))
+    assert loaded == model
+    assert validate_update_model(loaded) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_models(), st.randoms(use_true_random=False))
+def test_blank_probability_files_load_uniform(model, rng):
+    rows = [[a, b, ""] for a, row in model.successors.items() for b in row]
+    rng.shuffle(rows)
+    loaded = _load_written(lambda path: write_csv(
+        path, [["value", "successor", "probability"], *rows]))
+    assert loaded == UpdateModel.uniform(model.cus, model.sensitive_domain)
+    assert validate_update_model(loaded) == []
+    assert _load_written(
+        lambda path: write_update_model(path, loaded)) == loaded
 
 
 class TestHistoryStore:

@@ -33,29 +33,49 @@ class TestUpdateModel:
         # b reachable from a, but b can escape to c which a cannot reach
         model = UpdateModel(
             ("a", "b", "c"),
-            {"a": frozenset("ab"), "b": frozenset("bc"), "c": frozenset("c")},
-            {("a", "a"): Fraction(1, 2), ("a", "b"): Fraction(1, 2),
-             ("b", "b"): Fraction(1, 2), ("b", "c"): Fraction(1, 2),
-             ("c", "c"): Fraction(1)})
+            {"a": {"a": Fraction(1, 2), "b": Fraction(1, 2)},
+             "b": {"b": Fraction(1, 2), "c": Fraction(1, 2)},
+             "c": {"c": Fraction(1)}})
         problems = validate_update_model(model)
         assert any("closure" in p for p in problems)
 
     def test_probability_sum_checked(self):
         model = UpdateModel(("a", "b"),
-                            {"a": frozenset("ab"), "b": frozenset("b")},
-                            {("a", "a"): Fraction(1, 2),
-                             ("a", "b"): Fraction(1, 3),
-                             ("b", "b"): Fraction(1)})
+                            {"a": {"a": Fraction(1, 2), "b": Fraction(1, 3)},
+                             "b": {"b": Fraction(1)}})
         assert any("sums to" in p for p in validate_update_model(model))
 
     def test_zero_probability_on_cus_member(self):
         model = UpdateModel(("a", "b"),
-                            {"a": frozenset("ab"), "b": frozenset("b")},
-                            {("a", "a"): Fraction(1),
-                             ("a", "b"): Fraction(0),
-                             ("b", "b"): Fraction(1)})
+                            {"a": {"a": Fraction(1), "b": Fraction(0)},
+                             "b": {"b": Fraction(1)}})
         assert any("strictly positive" in p
                    for p in validate_update_model(model))
+
+    def test_every_violation_is_reported_in_order(self):
+        model = UpdateModel(("a", "b", "c", "d"),
+                            {"a": {"a": Fraction(1, 2), "b": Fraction(1, 3),
+                                   "z": Fraction(0)},
+                             "b": {"b": Fraction(1, 2), "c": Fraction(1, 2)},
+                             "c": {}})
+        assert validate_update_model(model) == [
+            "no cus defined for 'd'",
+            "cus('a') leaves the domain: ['z']",
+            "p_trans('a', 'z') not strictly positive",
+            "p_trans('a', .) sums to 5/6, not 1",
+            "closure violated at ('a', 'b'): cus('b') has ['c'] "
+            "outside cus('a')",
+            "cus('c') is empty"]
+
+    def test_views_are_read_off_the_table(self, worked_model):
+        assert worked_model.cus == {a: frozenset(row) for a, row
+                                    in worked_model.successors.items()}
+        assert worked_model.cus_key("Dyspepsia") == tuple(
+            sorted(worked_model.cus_of("Dyspepsia")))
+        assert worked_model.cus_key("Dyspepsia") is \
+            worked_model.cus_key("Dyspepsia")
+        with pytest.raises(ValidationError, match="outside the sensitive"):
+            worked_model.cus_key("Migraine")
 
 
 class TestUss:
