@@ -226,24 +226,26 @@ class EngineState:
 
 def _eligible_buckets(prev: PrevInfo | None, covering: Sequence[int],
                       buckets: Sequence[Bucket], star: bool,
-                      implies_cache: dict[tuple, bool]) -> list[int]:
+                      implies_rows: dict[tuple, list[bool | None]],
+                      ) -> list[int]:
     """The buckets among `covering`, those whose signature covers the
     record's value, that the record may join given its previous
-    publication."""
+    publication.  `implies_rows` holds, per previous-signature key, the
+    `implies` verdict of each bucket, filled as buckets are asked about."""
+    if prev is None:
+        return [b for b in covering if not star
+                or pairwise_disjoint(buckets[b].signature.entries)]
+    signature = prev.signature
+    row = implies_rows.get(signature.key)
+    if row is None:
+        row = implies_rows[signature.key] = [None] * len(buckets)
     out = []
     for b in covering:
-        bucket = buckets[b]
-        if prev is not None:
-            key = (prev.signature.key, b)
-            ok = implies_cache.get(key)
-            if ok is None:
-                ok = implies(prev.signature, bucket.signature)
-                implies_cache[key] = ok
-            if not ok:
-                continue
-        elif star and not pairwise_disjoint(bucket.signature.entries):
-            continue
-        out.append(b)
+        ok = row[b]
+        if ok is None:
+            ok = row[b] = implies(signature, buckets[b].signature)
+        if ok:
+            out.append(b)
     return out
 
 
@@ -289,9 +291,9 @@ def phase2_assign(records: Sequence[Record],
     """
     covering: dict[str, list[int]] = {}
     for b, bucket in enumerate(buckets):
-        for value in set().union(*bucket.signature.entries):
+        for value in bucket.signature.values:
             covering.setdefault(value, []).append(b)
-    implies_cache: dict[tuple, bool] = {}
+    implies_rows: dict[tuple, list[bool | None]] = {}
     options_for: dict[tuple, list[tuple[int, list[int]]]] = {}
     pool: list[Record] = []
     assignable: list[tuple[int, str, Record, list, tuple[int, ...]]] = []
@@ -304,7 +306,7 @@ def phase2_assign(records: Sequence[Record],
                 (b, buckets[b].eligible_entries(rec.sensitive))
                 for b in _eligible_buckets(
                     prev, covering.get(rec.sensitive, ()), buckets, star,
-                    implies_cache)]
+                    implies_rows)]
         if not options:
             if prev is not None:
                 raise ValidationError(

@@ -5,15 +5,19 @@ member of a group contributes the fraction of its group's region that
 overlaps the query box.  Counterfeit members never contribute.  Estimates
 are exact rationals, summed on integers: the groups' numerators are added
 up per distinct region volume (the denominator), the per-denominator sums
-are scaled to the release's common denominator, and each query's estimate
-is built as one rational at the end.  Both the estimate and the exact
-count are evaluated for a batch of queries at once with numpy; the tests
-hold scalar oracles for both.
+meet the multipliers that scale them to the release's common denominator
+in an int64 product on limbs of the multipliers, and each query's estimate
+is built as one rational at the end.  Exact counts come from prefix
+bitsets of the snapshot held as Python ints: one AND per axis and one bit
+count per query.  Both are evaluated for a batch of queries at once; the
+tests hold scalar oracles for both.
 
 The experiment driver replays the full pipeline on synthetic data: evolve
 the population, publish with the chosen scheme, attack after every release,
 and measure relative query error |R* - R| / R* (R* the estimate, R the
-exact count on the microdata; zero-estimate queries are resampled).
+exact count on the microdata; zero-estimate queries are resampled).  Each
+error is one rational built from integers, and medians are exact: a sort
+keyed on the correctly rounded float compares rationals only on float ties.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -96,12 +101,15 @@ def _region_span(attr, cell) -> tuple[int, int]:
 
 
 def _query_bounds(queries: Sequence[AggregateQuery], n_attr: int):
-    """The queries' QI box bounds (qlo, qhi), each Q x n_attr, and their
-    sensitive-span bounds (slo, shi), each of length Q."""
-    box = np.array([q.qi_spans for q in queries],
-                   dtype=np.int64).reshape(len(queries), n_attr, 2)
-    span = np.array([q.sensitive_span for q in queries], dtype=np.int64)
-    return box[:, :, 0], box[:, :, 1], span[:, 0], span[:, 1]
+    """The queries' span bounds (lo, hi), each Q x (n_attr + 1): a column
+    per QI attribute, then one for the sensitive span."""
+    width = 2 * (n_attr + 1)
+    flat = np.fromiter(chain.from_iterable(chain(*q.qi_spans,
+                                                 q.sensitive_span)
+                                           for q in queries),
+                       dtype=np.int64, count=len(queries) * width)
+    box = flat.reshape(len(queries), n_attr + 1, 2)
+    return box[:, :, 0], box[:, :, 1]
 
 
 class ReleaseEvaluator:
@@ -111,11 +119,18 @@ class ReleaseEvaluator:
     times the overlap of its region with the query box, over its region's
     volume `extprod`.  The groups are kept in `extprod` order, so the
     numerators over one denominator fill one run of columns: each run is
-    summed on integers, and the sums meet the release's `lcm` of
-    denominators in one dot product with Python-int multipliers, which
-    leaves one `Fraction` to build per query.  A numerator is at most
-    (real members) x (largest `extprod`); when that bound does not fit
-    int64, the same steps run on Python ints.
+    summed on integers, and the sums meet the multipliers `lcm // den`
+    that scale them to the release's `lcm` of denominators, which leaves
+    one `Fraction` to build per query.  A numerator is at most (real
+    members) x (largest `extprod`); when that bound does not fit int64,
+    the same steps run on Python ints.
+
+    The multipliers can be far wider than 64 bits, so on int64 they are
+    cut into k-bit limbs, k the largest width at which D sums of at most
+    the batch's largest sum times a limb stay below 2**63 (D the number of
+    denominators).  One int64 product per batch gives each query's dot
+    with every limb, and L shifts put each total back together.  Below
+    16-bit limbs the dot runs on Python ints.
     """
 
     def __init__(self, release: PublishedRelease, schema: TableSchema,
@@ -158,12 +173,12 @@ class ReleaseEvaluator:
     def batch(self, queries: Sequence[AggregateQuery]) -> list[Fraction]:
         if not queries:
             return []
-        qlo, qhi, slo, shi = _query_bounds(queries, len(self.spans))
+        qlo, qhi = _query_bounds(queries, len(self.spans))
         # Q x G: real members in each query's value span, then times each
         # attribute's overlap width, clipped at 0, taken from the query's
         # overlap with each distinct region
-        num = (self.cumhist[shi + 1]
-               - self.cumhist[slo]).astype(self.dtype, copy=False)
+        num = (self.cumhist[qhi[:, -1] + 1]
+               - self.cumhist[qlo[:, -1]]).astype(self.dtype, copy=False)
         for j, (lo, hi, index) in enumerate(self.spans):
             ov = (np.minimum(hi, qhi[:, j:j + 1])
                   - np.maximum(lo, qlo[:, j:j + 1]) + 1)
@@ -171,37 +186,92 @@ class ReleaseEvaluator:
             num *= ov.take(index, axis=1)
         sums = np.add.reduceat(num, self.starts, axis=1)
         return [Fraction(t, self.lcm) if t else ZERO
-                for t in sums.dot(self.mult).tolist()]
+                for t in self._totals(sums)]
+
+    def _totals(self, sums: np.ndarray) -> list[int]:
+        """Each row of `sums` (Q x D) dotted with the multipliers."""
+        if self.dtype is np.int64 and sums.size:
+            width = 63 - (len(self.mult) * int(sums.max())).bit_length()
+            if width >= 16:
+                limbs = _split(self.mult, width)
+                parts = sums @ limbs
+                total = parts[:, -1].astype(object)
+                for i in range(limbs.shape[1] - 2, -1, -1):
+                    total = (total << width) + parts[:, i]
+                return total.tolist()
+        return sums.dot(self.mult).tolist()
+
+
+def _split(mult: np.ndarray, width: int) -> np.ndarray:
+    """The positive ints `mult` as a D x L int64 array of `width`-bit
+    limbs, least significant first: mult[d] = sum of limbs[d, i] << (i *
+    width)."""
+    n = -(-max(int(m).bit_length() for m in mult) // width)
+    mask = (1 << width) - 1
+    return np.array([[(int(m) >> (i * width)) & mask for i in range(n)]
+                     for m in mult], dtype=np.int64)
 
 
 class SnapshotCounter:
-    """Exact counts of query batches on one microdata snapshot."""
+    """Exact counts of query batches on one microdata snapshot.
+
+    Each axis, every QI attribute and then the sensitive index, keeps the
+    snapshot's distinct values on it, sorted, and prefix bitsets over them
+    as Python ints: bit i of `pre[k + 1]` is set when record i's value is
+    at most the k-th distinct value.  The records inside a span [lo, hi]
+    are then `pre[b] & ~pre[a]`, a and b the ranks of lo and hi among the
+    values, and a query's count is the bit count of its axes' AND.  Ranks,
+    not raw indexes, keep a wide numeric axis as small as the snapshot.
+    """
 
     def __init__(self, records: Sequence[Record], schema: TableSchema,
                  domain_index: dict[str, int]):
-        self.idx = np.array([[attr.to_index(v)
-                              for attr, v in zip(schema.qi, rec.qi)]
-                             for rec in records], dtype=np.int64)
-        self.sens = np.array([domain_index[rec.sensitive]
-                              for rec in records], dtype=np.int64)
+        columns = [[attr.to_index(rec.qi[j]) for rec in records]
+                   for j, attr in enumerate(schema.qi)]
+        columns.append([domain_index[rec.sensitive] for rec in records])
+        self.axes = [_prefix_bitsets(column) for column in columns]
 
     def batch(self, queries: Sequence[AggregateQuery]) -> np.ndarray:
         if not queries:
             return np.zeros(0, dtype=np.int64)
-        n_attr = self.idx.shape[1]
-        qlo, qhi, slo, shi = _query_bounds(queries, n_attr)
-        inside = (self.sens[:, None] >= slo[None, :]) \
-            & (self.sens[:, None] <= shi[None, :])
-        for j in range(n_attr):
-            col = self.idx[:, j:j + 1]
-            inside &= (col >= qlo[None, :, j]) & (col <= qhi[None, :, j])
-        return inside.sum(axis=0)
+        qlo, qhi = _query_bounds(queries, len(self.axes) - 1)
+        inside = None
+        for (values, pre), lo, hi in zip(self.axes, qlo.T, qhi.T):
+            spans = zip(np.searchsorted(values, lo, side="left").tolist(),
+                        np.searchsorted(values, hi, side="right").tolist())
+            if inside is None:
+                inside = [pre[b] & ~pre[a] for a, b in spans]
+            else:
+                inside = [s & pre[b] & ~pre[a]
+                          for s, (a, b) in zip(inside, spans)]
+        return np.array([s.bit_count() for s in inside], dtype=np.int64)
+
+
+def _prefix_bitsets(column: list[int]) -> tuple[np.ndarray, list[int]]:
+    """One axis of a `SnapshotCounter`: its sorted distinct values and the
+    prefix bitsets `pre` over them."""
+    values = sorted(set(column))
+    rank = {v: k for k, v in enumerate(values)}
+    cells = [0] * len(values)
+    for i, v in enumerate(column):
+        cells[rank[v]] |= 1 << i
+    pre = [0]
+    for cell in cells:
+        pre.append(pre[-1] | cell)
+    return np.array(values, dtype=np.int64), pre
 
 
 def median_fraction(values: Sequence[Fraction]) -> Fraction:
+    """The exact median.  Fraction -> float rounds correctly and so keeps
+    order, and distinct floats order their values exactly: the sort
+    compares rationals only where two floats tie.  A value beyond float
+    range falls back to comparing rationals throughout."""
     if not values:
         raise ValidationError("median of nothing")
-    ordered = sorted(values)
+    try:
+        ordered = sorted(values, key=lambda f: (float(f), f))
+    except OverflowError:
+        ordered = sorted(values)
     n = len(ordered)
     if n % 2:
         return ordered[n // 2]
@@ -410,6 +480,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         state = EngineState(m=config.m, mode=config.publisher)
     report = RunReport(config)
     errors: dict[float, list[Fraction]] = {t: [] for t in config.thetas}
+    asks_queries = config.n_queries > 0 and bool(config.thetas)
     histories: dict[str, dict[int, str]] = {}
 
     for step in range(config.n_releases):
@@ -442,6 +513,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             Fraction(n_cf, len(release.groups)), vulnerable, invalidated,
             seconds))
 
+        if not asks_queries:
+            continue
         evaluator = ReleaseEvaluator(release, schema, domain)
         counter = SnapshotCounter(records, schema, domain_index)
         for theta in config.thetas:
@@ -449,7 +522,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             kept: list[AggregateQuery] = []
             estimates: list[Fraction] = []
             for _ in range(OVERSAMPLE_FACTOR):
-                if len(kept) == config.n_queries or config.n_queries == 0:
+                if len(kept) == config.n_queries:
                     break
                 chunk = [random_query(schema, domain, theta, qrng)
                          for _ in range(config.n_queries)]
@@ -459,9 +532,11 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                         estimates.append(est)
                         if len(kept) == config.n_queries:
                             break
-            actuals = counter.batch(kept).tolist()
-            errs = [abs(est - act) / est
-                    for est, act in zip(estimates, actuals)]
+            # |n/d - act| / (n/d), the estimate n/d in lowest terms
+            errs = [Fraction(abs(est.numerator - act * est.denominator),
+                             est.numerator)
+                    for est, act in zip(estimates,
+                                        counter.batch(kept).tolist())]
             if errs:
                 report.queries.append(QueryStats(
                     theta, release.release_index, median_fraction(errs)))

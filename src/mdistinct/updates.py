@@ -120,13 +120,15 @@ def _entry_key(entry: frozenset[str]) -> tuple[str, ...]:
 class USS:
     """An update-set signature: a canonicalized multiset of value sets."""
 
-    __slots__ = ("entries", "_key")
+    __slots__ = ("entries", "_key", "values")
 
     def __init__(self, entries: Iterable[Iterable[str]]):
         sets = [frozenset(e) for e in entries]
         sets.sort(key=_entry_key)
         self.entries: tuple[frozenset[str], ...] = tuple(sets)
         self._key = tuple(_entry_key(e) for e in self.entries)
+        # every value some entry holds
+        self.values: frozenset[str] = frozenset().union(*sets)
 
     @property
     def key(self) -> tuple[tuple[str, ...], ...]:
@@ -137,11 +139,6 @@ class USS:
 
     def __iter__(self):
         return iter(self.entries)
-
-    @property
-    def values(self) -> frozenset[str]:
-        """Every value some entry holds."""
-        return frozenset().union(*self.entries)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, USS) and self._key == other._key

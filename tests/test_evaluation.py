@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -212,6 +213,9 @@ class TestBatchTwins:
         evaluator = ReleaseEvaluator(one_group_release, disease_schema,
                                      DOMAIN)
         assert evaluator.batch([]) == []
+        no_groups = ReleaseEvaluator(generalize(disease_schema, 1, []),
+                                     disease_schema, DOMAIN)
+        assert no_groups.batch([ALL, ALL]) == [0, 0]
         index = {v: i for i, v in enumerate(DOMAIN)}
         counter = SnapshotCounter(t1_records, disease_schema, index)
         assert counter.batch([]).tolist() == []
@@ -424,3 +428,171 @@ class TestRunExperiment:
         config = ExperimentConfig(publisher="m_invariance", **SMALL)
         report = run_experiment(config)
         assert report.releases[-1].invalidated > 0
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against their plain twins
+
+
+TINY = F(1, 2 ** 80)
+
+
+@st.composite
+def colliding_fractions(draw):
+    """Fractions built to tie in float, with an odd or even count: values
+    next to x + 2**-80, integers above 2**53 next to their successors, and
+    repeats."""
+    bases = draw(st.lists(st.one_of(
+        st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                     max_denominator=10 ** 6),
+        st.integers(2 ** 53, 2 ** 60).map(F)), min_size=1, max_size=4))
+    pool = [x + k * TINY for x in bases for k in (-1, 0, 1)]
+    pool += [x + 1 for x in bases if x >= 2 ** 53]
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    if len(values) % 2 != draw(st.integers(0, 1)):
+        values.append(values[0])
+    return values
+
+
+def plain_median(values):
+    ordered = sorted(values)
+    n = len(ordered)
+    if n % 2:
+        return ordered[n // 2]
+    return (ordered[n // 2 - 1] + ordered[n // 2]) / 2
+
+
+class TestFloatKeyedMedian:
+    def test_inputs_do_tie_in_float(self):
+        assert float(F(1, 3)) == float(F(1, 3) + TINY)
+        assert float(F(2 ** 53)) == float(F(2 ** 53 + 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(colliding_fractions())
+    def test_equals_the_plain_sort(self, values):
+        assert median_fraction(values) == plain_median(values)
+
+    def test_beyond_float_range(self):
+        huge = F(2 ** 2000)
+        assert median_fraction([huge, F(1), F(3)]) == 3
+        assert median_fraction([huge, huge + TINY, F(-1)]) == huge
+
+
+@st.composite
+def count_cases(draw):
+    """(records, schema, domain, queries): up to 12 records over narrow
+    and wide attributes, and queries mixing full-axis spans, single cells
+    (often on a record's own index) and random spans."""
+    n_attr = draw(st.integers(1, 3))
+    qi = tuple(draw(attributes(j, draw(st.booleans())))
+               for j in range(n_attr))
+    domain = tuple(f"s{i}" for i in range(draw(st.integers(1, 6))))
+    schema = TableSchema(qi, "s", domain)
+    records = [Record(f"r{i}", tuple(_value(draw, a) for a in qi),
+                      draw(st.sampled_from(domain)))
+               for i in range(draw(st.integers(0, 12)))]
+
+    def span(size, hits):
+        kind = draw(st.sampled_from(("full", "cell", "any")))
+        if kind == "full":
+            return (0, size - 1)
+        if kind == "cell":
+            v = draw(st.sampled_from(hits) if hits
+                     else st.integers(0, size - 1))
+            return (v, v)
+        lo = draw(st.integers(0, size - 1))
+        return (lo, draw(st.integers(lo, size - 1)))
+
+    index = {v: i for i, v in enumerate(domain)}
+    queries = [AggregateQuery(
+        tuple(span(a.size, [a.to_index(r.qi[j]) for r in records])
+              for j, a in enumerate(qi)),
+        span(len(domain), [index[r.sensitive] for r in records]))
+        for _ in range(draw(st.integers(1, 10)))]
+    return records, schema, domain, queries
+
+
+class TestBitsetCounter:
+    @staticmethod
+    def _check(records, schema, domain, queries):
+        index = {v: i for i, v in enumerate(domain)}
+        counts = SnapshotCounter(records, schema, index).batch(queries)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [actual_count(records, q, schema, index)
+                                   for q in queries]
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_cases())
+    def test_matches_scalar_count(self, case):
+        self._check(*case)
+
+    def test_empty_and_single_record_snapshots(self, t1_records,
+                                               disease_schema):
+        rng = random.Random(2)
+        queries = [ALL, AggregateQuery(((0, 0), (0, 0)), (0, 0))] + [
+            random_query(disease_schema, DOMAIN, theta, rng)
+            for theta in (0.0, 0.5) for _ in range(20)]
+        for snapshot in ([], t1_records[:1]):
+            self._check(snapshot, disease_schema, DOMAIN, queries)
+        one = t1_records[0]
+        cell = AggregateQuery(
+            tuple((a.to_index(v), a.to_index(v))
+                  for a, v in zip(disease_schema.qi, one.qi)),
+            (DOMAIN.index(one.sensitive),) * 2)
+        index = {v: i for i, v in enumerate(DOMAIN)}
+        assert SnapshotCounter([one], disease_schema, index).batch(
+            [cell, ALL]).tolist() == [1, 1]
+
+
+def _primes(lo: int, n: int) -> list[int]:
+    out, k = [], lo
+    while len(out) < n:
+        if all(k % d for d in range(2, math.isqrt(k) + 1)):
+            out.append(k)
+        k += 1
+    return out
+
+
+class TestLimbDot:
+    """Regions of 12 distinct prime volumes above 1000 give a release
+    whose common denominator is over 100 bits wide."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        qi = (AttributeSchema.numeric("age", 0, 2000),)
+        domain = ("s0", "s1")
+        schema = TableSchema(qi, "s", domain)
+        groups = [[Record(f"r{p}a", (0,), "s0"),
+                   Record(f"r{p}b", (p - 1,), domain[p % 2])]
+                  for p in _primes(1000, 12)]
+        release = generalize(schema, 1, groups)
+        rng = random.Random(5)
+        queries = [random_query(schema, domain, theta, rng)
+                   for theta in (0.1, 0.4, 0.9) for _ in range(30)]
+        return release, schema, domain, queries
+
+    def test_wide_lcm_on_limbs(self, case):
+        release, schema, domain, queries = case
+        evaluator = ReleaseEvaluator(release, schema, domain)
+        assert evaluator.lcm.bit_length() > 100
+        assert evaluator.dtype is np.int64
+        with patch.object(evaluation, "_split",
+                          wraps=evaluation._split) as split:
+            assert evaluator.batch(queries) == [
+                estimate_count(release, q, schema, domain) for q in queries]
+        assert split.called     # the int64 limb product ran
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 52), st.integers(1, 5), st.randoms())
+    def test_totals_equal_the_object_dot(self, case, top, rows, rnd):
+        release, schema, domain, _ = case
+        evaluator = ReleaseEvaluator(release, schema, domain)
+        sums = np.array([[rnd.randint(0, top) for _ in evaluator.mult]
+                         for _ in range(rows)], dtype=np.int64)
+        width = 63 - (len(evaluator.mult) * int(sums.max())).bit_length()
+        with patch.object(evaluation, "_split",
+                          wraps=evaluation._split) as split:
+            assert evaluator._totals(sums) == \
+                sums.astype(object).dot(evaluator.mult).tolist()
+        # below 16-bit limbs the Python-int dot ran instead
+        assert split.called == (width >= 16)
