@@ -59,10 +59,10 @@ def main(argv=None) -> int:
     failures = 0
     for publisher in args.publishers:
         for m in args.group_sizes:
-            config = build_config(publisher, m, args.seed, args.quick)
             label = f"{publisher}_m{m}"
             t0 = time.perf_counter()
             try:
+                config = build_config(publisher, m, args.seed, args.quick)
                 report = run_experiment(config)
             except Exception as exc:
                 print(f"{label:24s} FAILED: {exc}")
@@ -70,11 +70,9 @@ def main(argv=None) -> int:
                 continue
             elapsed = time.perf_counter() - t0
             write_report_files(args.out / label, report)
-            medians = " ".join(
-                f"{float(report.pooled_median(t)):.3f}"
-                if any(q.theta == t and q.release_index == 0
-                       for q in report.queries) else "-"
-                for t in config.thetas)
+            pooled = [report.pooled_medians.get(t) for t in config.thetas]
+            medians = " ".join("-" if med is None else f"{float(med):.3f}"
+                               for med in pooled)
             print(f"{label:24s} {elapsed:6.1f}s  groups/release "
                   f"{report.releases[-1].n_groups:4d}  vulnerable "
                   f"{report.vulnerable:4d}  max risk "

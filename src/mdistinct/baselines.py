@@ -91,7 +91,6 @@ def publish_m_invariance(records: Sequence[Record], state: MInvarianceState,
     rng = random.Random(seed)
     ordered = sorted(records, key=lambda r: r.id)
     buckets: dict[frozenset[str], list[Record]] = {}
-    bucket_order: list[frozenset[str]] = []
     pool: list[Record] = []
     invalidated: list[str] = []
     for rec in ordered:
@@ -99,19 +98,16 @@ def publish_m_invariance(records: Sequence[Record], state: MInvarianceState,
         if sig is None:
             pool.append(rec)
         elif rec.sensitive in sig:
-            if sig not in buckets:
-                buckets[sig] = []
-                bucket_order.append(sig)
-            buckets[sig].append(rec)
+            buckets.setdefault(sig, []).append(rec)
         else:
             invalidated.append(rec.id)
             pool.append(rec)
 
     groups: list[list[Record | CounterfeitMember]] = []
-    for sig in bucket_order:
+    for sig, members in buckets.items():
         values = sorted(sig)
         by_value: dict[str, list[Record]] = {v: [] for v in values}
-        for rec in buckets[sig]:
+        for rec in members:
             by_value[rec.sensitive].append(rec)
         depth = max(len(v) for v in by_value.values())
         for g in range(depth):

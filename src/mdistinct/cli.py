@@ -191,12 +191,11 @@ def cmd_simulate(args) -> int:
     report = run_experiment(config)
     write_report_files(out_dir, report)
     for theta in config.thetas:
-        try:
-            med = report.pooled_median(theta)
-        except KeyError:
+        med = report.pooled_medians.get(theta)
+        if med is None:
             print(f"theta={theta}: no queries evaluated")
-            continue
-        print(f"theta={theta}: median relative error {float(med):.4f}")
+        else:
+            print(f"theta={theta}: median relative error {float(med):.4f}")
     if not report.published:
         print(f"nothing published (n_releases is 0); report in {out_dir}")
         return EXIT_OK

@@ -53,7 +53,6 @@ __all__ = [
     "ExperimentConfig",
     "load_experiment_config",
     "ReleaseStats",
-    "QueryStats",
     "RunReport",
     "run_experiment",
 ]
@@ -76,7 +75,9 @@ class AggregateQuery:
 
 
 def _theta_width(size: int, theta: float) -> int:
-    return min(size - 1, round(theta * size))
+    # a theta above 1 already means the full axis; clamping it first keeps
+    # a huge one from overflowing round()
+    return min(size - 1, round(min(theta, 1.0) * size))
 
 
 def random_query(schema: TableSchema, domain: Sequence[str], theta: float,
@@ -361,18 +362,24 @@ class ReleaseStats:
     publish_seconds: float
 
 
-@dataclass(frozen=True)
-class QueryStats:
-    theta: float
-    release_index: int           # 0 means pooled across releases
-    median_error: Fraction
+def _frac(x: Fraction | None) -> str:
+    """A rational as n/d; a missing one as the empty cell."""
+    return "" if x is None else f"{x.numerator}/{x.denominator}"
 
 
 @dataclass
 class RunReport:
+    """One experiment run.  The median query errors are keyed by theta
+    (`pooled_medians`, over every release) and by (release index, theta)
+    (`release_medians`); a theta or release with no kept query has no
+    entry, and a repeated theta keeps its first per-release median while
+    its pooled median covers every pass."""
+
     config: ExperimentConfig
     releases: list[ReleaseStats] = field(default_factory=list)
-    queries: list[QueryStats] = field(default_factory=list)
+    pooled_medians: dict[float, Fraction] = field(default_factory=dict)
+    release_medians: dict[tuple[int, float], Fraction] = field(
+        default_factory=dict)
     vulnerable: int = 0          # final attack, risk exactly 1
     max_risk: Fraction = Fraction(0)
     verify_ok: bool = False
@@ -382,24 +389,8 @@ class RunReport:
     snapshots: list[list[Record]] = field(default_factory=list)
     final_reports: list[RiskReport] = field(default_factory=list)
 
-    def pooled_median(self, theta: float) -> Fraction:
-        for row in self.queries:
-            if row.release_index == 0 and row.theta == theta:
-                return row.median_error
-        raise KeyError(theta)
-
-    def release_median(self, release_index: int,
-                       theta: float) -> Fraction | None:
-        for row in self.queries:
-            if row.release_index == release_index and row.theta == theta:
-                return row.median_error
-        return None
-
     def to_rows(self) -> list[list[str]]:
         """One deterministic row per release (timings live elsewhere)."""
-        def frac(x: Fraction | None) -> str:
-            return "" if x is None else f"{x.numerator}/{x.denominator}"
-
         thetas = self.config.thetas
         head = ["release", "n_groups", "n_counterfeits", "cnt_g",
                 "vulnerable", "invalidated"]
@@ -407,9 +398,9 @@ class RunReport:
         rows = [head]
         for r in self.releases:
             row = [str(r.release_index), str(r.n_groups),
-                   str(r.n_counterfeits), frac(r.cnt_g), str(r.vulnerable),
+                   str(r.n_counterfeits), _frac(r.cnt_g), str(r.vulnerable),
                    str(r.invalidated)]
-            row += [frac(self.release_median(r.release_index, t))
+            row += [_frac(self.release_medians.get((r.release_index, t)))
                     for t in thetas]
             rows.append(row)
         return rows
@@ -421,15 +412,10 @@ class RunReport:
         rows.append(["d", str(self.config.d)])
         rows.append(["seed", str(self.config.seed)])
         for t in self.config.thetas:
-            try:
-                med = self.pooled_median(t)
-                rows.append([f"pooled_median_error_theta_{t}",
-                             f"{med.numerator}/{med.denominator}"])
-            except KeyError:
-                rows.append([f"pooled_median_error_theta_{t}", ""])
+            rows.append([f"pooled_median_error_theta_{t}",
+                         _frac(self.pooled_medians.get(t))])
         rows.append(["vulnerable_final", str(self.vulnerable)])
-        rows.append(["max_risk", f"{self.max_risk.numerator}/"
-                                 f"{self.max_risk.denominator}"])
+        rows.append(["max_risk", _frac(self.max_risk)])
         rows.append(["verify_ok", "1" if self.verify_ok else "0"])
         rows.append(["violations", str(len(self.violations))])
         return rows
@@ -439,26 +425,6 @@ class RunReport:
         for r in self.releases:
             rows.append([str(r.release_index), f"{r.publish_seconds:.6f}"])
         return rows
-
-
-def _publish_step(config: ExperimentConfig, records, state, model, schema,
-                  seed: int):
-    """Dispatch one release to the configured publisher.
-
-    Returns (release, state, invalidated-count).
-    """
-    kind = config.publisher
-    if kind in ("m_distinct", "m_distinct_star"):
-        release, state = publish(records, state, model, schema, seed=seed)
-        return release, state, 0
-    if kind == "l_diversity":
-        index = state  # plain integer counter for this publisher
-        release = publish_l_diversity(records, config.m, schema, model,
-                                      seed, release_index=index)
-        return release, index + 1, 0
-    release, state, invalidated = publish_m_invariance(records, state,
-                                                       schema, model, seed)
-    return release, state, len(invalidated)
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -471,13 +437,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     pop_rng = random.Random(master.randrange(2 ** 32))
     records, next_id = initial_population(config.n_records, schema, model,
                                           pop_rng)
-    state: object
-    if config.publisher == "l_diversity":
-        state = 1
-    elif config.publisher == "m_invariance":
-        state = MInvarianceState(config.m)
-    else:
-        state = EngineState(m=config.m, mode=config.publisher)
+    engine_state = EngineState(m=config.m, mode=config.publisher)
+    minv_state = MInvarianceState(config.m)
     report = RunReport(config)
     errors: dict[float, list[Fraction]] = {t: [] for t in config.thetas}
     asks_queries = config.n_queries > 0 and bool(config.thetas)
@@ -491,9 +452,19 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 records, schema, rng, config.inserts, config.deletes, next_id)
             records = synthesize_internal_updates(
                 records, schema, model, config.internal_updates, rng)
+        seed = rng.randrange(2 ** 32)
+        invalidated = 0
         t0 = time.perf_counter()
-        release, state, invalidated = _publish_step(
-            config, records, state, model, schema, seed=rng.randrange(2 ** 32))
+        if config.publisher == "l_diversity":
+            release = publish_l_diversity(records, config.m, schema, model,
+                                          seed, release_index=step + 1)
+        elif config.publisher == "m_invariance":
+            release, minv_state, dropped = publish_m_invariance(
+                records, minv_state, schema, model, seed)
+            invalidated = len(dropped)
+        else:
+            release, engine_state = publish(records, engine_state, model,
+                                            schema, seed=seed)
         seconds = time.perf_counter() - t0
         report.published.append(release)
         report.snapshots.append(list(records))
@@ -538,14 +509,13 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                     for est, act in zip(estimates,
                                         counter.batch(kept).tolist())]
             if errs:
-                report.queries.append(QueryStats(
-                    theta, release.release_index, median_fraction(errs)))
+                report.release_medians.setdefault(
+                    (release.release_index, theta), median_fraction(errs))
             errors[theta].extend(errs)
 
-    for theta in config.thetas:
-        if errors[theta]:
-            report.queries.append(QueryStats(
-                theta, 0, median_fraction(errors[theta])))
+    for theta, errs in errors.items():
+        if errs:
+            report.pooled_medians[theta] = median_fraction(errs)
 
     if report.published:
         report.verify_ok, report.violations = verify_m_distinct(

@@ -171,7 +171,6 @@ class RiskReport:
     record_id: str
     versions: tuple[int, ...]       # release index per layer
     risks: tuple[Fraction, ...]
-    path_count: int
 
     @property
     def max_risk(self) -> Fraction:
@@ -193,12 +192,12 @@ def _scaled_gap(gap: Sequence[Sequence[tuple[int, Fraction]]],
             for adj in gap]
 
 
-_Masses = tuple[list[list[int]], list[list[int]], int, int]
+_Masses = tuple[list[list[int]], list[list[int]], int]
 
 
 def _masses(nodes: Sequence[Sequence[int]],
             edges: Sequence[Sequence[Sequence[tuple[int, int]]]]) -> _Masses:
-    """Forward/backward path mass per node, total path mass and path count.
+    """Forward/backward path mass per node and total path mass.
 
     `nodes[i]` holds layer i's node weights and `edges[i]` the (successor,
     weight) rows of the gap from layer i to i + 1, all integers: each
@@ -209,16 +208,12 @@ def _masses(nodes: Sequence[Sequence[int]],
     """
     depth = len(nodes)
     fwd = [list(nodes[0])]
-    paths = [1] * len(nodes[0])
     for i in range(1, depth):
         mass = [0] * len(nodes[i])
-        count = [0] * len(nodes[i])
-        for base, n, adj in zip(fwd[-1], paths, edges[i - 1]):
+        for base, adj in zip(fwd[-1], edges[i - 1]):
             for v, w in adj:
                 mass[v] += base * w
-                count[v] += n
         fwd.append([m * w for m, w in zip(mass, nodes[i])])
-        paths = count
     bwd: list[list[int]] = [[] for _ in range(depth)]
     bwd[depth - 1] = [1] * len(nodes[depth - 1])
     for i in range(depth - 2, -1, -1):
@@ -230,7 +225,7 @@ def _masses(nodes: Sequence[Sequence[int]],
                 acc += w * after[v]
             row.append(acc)
         bwd[i] = row
-    return fwd, bwd, sum(fwd[depth - 1]), sum(paths)
+    return fwd, bwd, sum(fwd[depth - 1])
 
 
 def _report(positions: Sequence[Mapping[str, int]], masses: _Masses,
@@ -240,13 +235,13 @@ def _report(positions: Sequence[Mapping[str, int]], masses: _Masses,
     node (`positions[i]` maps layer i's values to node indices) over the
     total.  An actual value with no node, or on a node no path crosses,
     gets risk 0."""
-    fwd, bwd, total, path_count = masses
+    fwd, bwd, total = masses
     risks = []
     for i, value in enumerate(actual):
         k = positions[i].get(value)
         risks.append(Fraction(0) if k is None
                      else Fraction(fwd[i][k] * bwd[i][k], total))
-    return RiskReport(record_id, tuple(versions), tuple(risks), path_count)
+    return RiskReport(record_id, tuple(versions), tuple(risks))
 
 
 def disclosure_risks(fs: Sug, actual: Sequence[str],
@@ -294,7 +289,6 @@ def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
         raise CapExceededError(f"joint enumeration size {size} exceeds cap {cap}")
     total = Fraction(0)
     mass: list[dict[str, Fraction]] = [dict() for _ in layer_data]
-    feasible = 0
     for combo in itertools.product(*layer_data):
         weight = Fraction(1)
         for (v, share) in combo:
@@ -307,7 +301,6 @@ def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
             weight *= p
         if weight == 0:
             continue
-        feasible += 1
         total += weight
         for i, (v, _) in enumerate(combo):
             mass[i][v] = mass[i].get(v, Fraction(0)) + weight
@@ -317,7 +310,7 @@ def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
                   for i, value in enumerate(actual))
     if versions is None:
         versions = range(1, len(candidates) + 1)
-    return RiskReport(record_id, tuple(versions), risks, feasible)
+    return RiskReport(record_id, tuple(versions), risks)
 
 
 class _SharedTables:
@@ -384,7 +377,7 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     Records with the same candidate history share one SUG, so its path
     masses are computed once per call and dropped after its last record.
     No graph is pruned: a node prune removes has forward or backward mass
-    0, so every risk and the path count come out the same without it.
+    0, so every risk comes out the same without it.
     A history with no feasible path raises prune's error, found from its
     forward masses.
 

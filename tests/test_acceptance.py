@@ -372,7 +372,7 @@ def test_criterion_08_desk_scale_runs_hold_all_guarantees(desk_runs,
                                          report.releases):
             failures.append(f"m={m}: fully disclosed versions appeared")
         try:
-            medians = [report.pooled_median(t) for t in DESK["thetas"]]
+            medians = [report.pooled_medians[t] for t in DESK["thetas"]]
         except KeyError:
             failures.append(f"m={m}: no query medians")
             continue
@@ -384,7 +384,7 @@ def test_criterion_08_desk_scale_runs_hold_all_guarantees(desk_runs,
     if elapsed >= 600:
         failures.append(f"three runs took {elapsed:.0f} s")
     detail = "; ".join(
-        f"m={m}: medians " + ", ".join(f"{float(report.pooled_median(t)):.3f}"
+        f"m={m}: medians " + ", ".join(f"{float(report.pooled_medians[t]):.3f}"
                                        for t in DESK["thetas"])
         for m, report in runs.items())
     _conclude(criterion_log, 8, failures,

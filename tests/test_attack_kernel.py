@@ -2,8 +2,8 @@
 
 * `disclosure_risks(prune(build_sug(...)))` runs its path masses on scaled
   integers; the joint-enumeration oracle multiplies `Fraction`s outright.
-  Both must give the same `RiskReport`, path count included, under closed
-  models with non-uniform rational probabilities and explicit priors.
+  Both must give the same `RiskReport` under closed models with
+  non-uniform rational probabilities and explicit priors.
 * `prune` keeps what layer 1 reaches and what reaches the last layer,
   in two passes; it must reach the same subgraph, and fail with the same
   message, as the plain node-by-node sweep kept below as the reference.

@@ -146,9 +146,9 @@ class TestMInvariance:
 class TestCountVulnerable:
     def test_counts_only_certain_versions(self):
         reports = [
-            RiskReport("a", (1, 2), (F(1), F(1, 2)), 4),
-            RiskReport("b", (1, 2), (F(1), F(1)), 1),
-            RiskReport("c", (1,), (F(1, 3),), 9),
+            RiskReport("a", (1, 2), (F(1), F(1, 2))),
+            RiskReport("b", (1, 2), (F(1), F(1))),
+            RiskReport("c", (1,), (F(1, 3),)),
         ]
         assert count_vulnerable(reports) == 3
         assert count_vulnerable([]) == 0

@@ -926,6 +926,13 @@ class TestSimulate:
             f"[0.5, {shown}]\n")
         assert not out_dir.exists()
 
+    def test_huge_theta_is_the_full_axis(self, workdir, capsys):
+        config = workdir / "config.json"
+        config.write_text(json.dumps({**self.CONFIG, "thetas": [1e308],
+                                      "out_dir": str(workdir / "out")}))
+        assert run(workdir, "simulate", "--config", config) == 0
+        assert "theta=1e+308: median relative error" in capsys.readouterr().out
+
     def test_out_dir_under_a_file_exits_two(self, workdir, capsys):
         config = workdir / "config.json"
         taken = workdir / "taken.csv"

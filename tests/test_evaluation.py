@@ -176,8 +176,8 @@ class TestQueryError:
                     est = estimate_count(release, q, schema, domain)
                     act = actual_count(step["records"], q, schema, index)
                     errors.append(abs(est - act) / est)
-                assert report.release_median(release.release_index,
-                                             theta) == median_fraction(errors)
+                assert report.release_medians[
+                    (release.release_index, theta)] == median_fraction(errors)
 
     def test_zero_estimate_rejected(self, run):
         _, seen, schema, domain = run
@@ -350,6 +350,12 @@ class TestRandomQuery:
         assert q.qi_spans == ((0, 30), (0, 25))
         assert q.sensitive_span == (0, 6)
 
+    def test_huge_theta_is_the_full_axis(self, disease_schema):
+        # theta * size overflows float; a theta above 1 means the full axis
+        assert (random_query(disease_schema, DOMAIN, 1e308, random.Random(4))
+                == random_query(disease_schema, DOMAIN, 1.0,
+                                random.Random(4)))
+
 
 class TestMedian:
     def test_odd_and_even(self):
@@ -393,7 +399,7 @@ class TestRunExperiment:
         assert report.verify_ok, report.violations
         assert report.vulnerable == 0
         assert report.max_risk <= F(1, 2)
-        assert report.pooled_median(0.5) >= 0
+        assert report.pooled_medians[0.5] >= 0
         rows = report.to_rows()
         assert rows[0] == ["release", "n_groups", "n_counterfeits", "cnt_g",
                            "vulnerable", "invalidated",
@@ -414,9 +420,42 @@ class TestRunExperiment:
     def test_zero_releases_is_an_empty_report(self):
         report = run_experiment(ExperimentConfig(**{**SMALL,
                                                     "n_releases": 0}))
-        assert report.releases == [] and report.queries == []
+        assert report.releases == []
+        assert report.pooled_medians == {} and report.release_medians == {}
         assert not report.verify_ok
         assert report.to_rows()[1:] == []
+
+    def test_repeated_theta(self):
+        """Each release keeps its first pass's median; the pooled median
+        covers both passes.  Read off the written rows, with the medians'
+        inputs recorded as run_experiment asks for them."""
+        calls = []
+
+        def recording(values):
+            calls.append(list(values))
+            return median_fraction(values)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "median_fraction", recording)
+            report = run_experiment(ExperimentConfig(
+                **{**SMALL, "thetas": (0.5, 0.5)}))
+        n = len(report.releases)
+        passes, pooled = calls[:2 * n], calls[2 * n:]
+        everything = [e for errs in passes for e in errs]
+        assert pooled and all(c == everything for c in pooled)
+        firsts = passes[::2]
+        assert any(median_fraction(a) != median_fraction(b)
+                   for a, b in zip(firsts, passes[1::2]))
+
+        def frac(x):
+            return f"{x.numerator}/{x.denominator}"
+
+        for row, errs in zip(report.to_rows()[1:], firsts):
+            assert row[-2:] == [frac(median_fraction(errs))] * 2
+        summary = [row for row in report.summary_rows()
+                   if row[0] == "pooled_median_error_theta_0.5"]
+        assert summary == [["pooled_median_error_theta_0.5",
+                            frac(median_fraction(everything))]] * 2
 
     def test_single_value_churn_never_invalidates(self):
         config = ExperimentConfig(publisher="m_invariance",

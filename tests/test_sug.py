@@ -70,7 +70,6 @@ class TestPathsAndRisks:
         fs = prune(build_sug([["Dyspepsia", "Pneumonia"]], worked_model))
         report = disclosure_risks(fs, ["Pneumonia"])
         assert report.risks == (F(1, 2),)
-        assert report.path_count == 2
 
     def test_ken_naive_fully_disclosed(self, worked_model):
         fs = prune(build_sug([["Dyspepsia", "Pneumonia"],
@@ -97,12 +96,18 @@ class TestPathsAndRisks:
         report = disclosure_risks(fs, ["Pneumonia", "Dyspepsia"])
         assert report.risks[0] == 0
 
-    def test_path_count_without_enumeration(self, worked_model):
-        """2**25 paths are counted and weighed, never listed."""
-        fs = prune(build_sug([["Dyspepsia", "Gastritis"]] * 25, worked_model))
+    def test_risks_without_enumeration(self, worked_model):
+        """2**25 paths are weighed, never listed: every transition has
+        probability 1/2, so each version's risk is its layer's share."""
+        history = ([["Dyspepsia", "Dyspepsia", "Gastritis"]]
+                   + [["Dyspepsia", "Gastritis"]] * 24)
+        fs = prune(build_sug(history, worked_model))
         report = disclosure_risks(fs, ["Dyspepsia"] * 25)
-        assert report.path_count == 2 ** 25
-        assert report.risks == (F(1, 2),) * 25
+        assert report.risks == (F(2, 3),) + (F(1, 2),) * 24
+        report = disclosure_risks(fs, ["Gastritis"] * 25)
+        assert report.risks == (F(1, 3),) + (F(1, 2),) * 24
+        with pytest.raises(CapExceededError):
+            risks_by_joint_oracle(history, worked_model, ["Dyspepsia"] * 25)
 
 
 class TestJointOracle:
