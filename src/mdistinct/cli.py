@@ -88,43 +88,19 @@ def _check_m(m: int) -> None:
 
 
 def _publish_locked(args, mode: str, step) -> tuple:
-    """The body `publish` and `baseline` share.  Under the history lock it
-    checks a stored history's m and mode, types the microdata by the
-    stored schema (`snapshot_schema`), loads it and calls `step(store,
-    records, schema, model)`, which returns the release and the tail of
-    the summary line.  Only then does it store meta.csv (in a new history),
-    the schema if it is new or grew, the microdata behind the release and
-    last the release, whose release_<i>.csv is what makes release i exist,
-    so a publish that fails leaves no release a later command reads.
-    Returns the release, the records and the tail."""
+    """The body `publish` and `baseline` share: under the history lock,
+    `step(store, records, schema, model)` makes the release and the tail of
+    the summary line, and the release is appended.  Returns all three."""
     _check_m(args.m)
     model = load_update_model(args.model)
     store = HistoryStore(args.history)
     with store.lock():
-        stored = None
-        if store.has_schema():
-            stored = store.read_schema()
-            meta = store.read_meta()
-            m = store.read_meta_int(meta, "m")
-            if "mode" not in meta:
-                raise ValidationError(f"{store.path / 'meta.csv'}: no "
-                                      f"'mode' entry")
-            if m != args.m or meta["mode"] != mode:
-                raise ValidationError(
-                    f"history {store.path} was built with m={m} "
-                    f"mode={meta['mode']}; got m={args.m} mode={mode}")
+        stored = store.stored_schema(args.m, mode)
         schema = snapshot_schema(args.microdata, model, stored)
         records = load_microdata(args.microdata, schema)
         release, tail = step(store, records, schema, model)
-        if stored is None:
-            # meta.csv first: a history with no schema.json counts as new,
-            # so a crash between the two writes leaves one a rerun redoes
-            store.write_meta({"seed": str(args.seed), "m": str(args.m),
-                              "mode": mode})
-        if schema is not stored:
-            store.write_schema(schema)
-        store.write_actuals(release.release_index, schema, records)
-        store.write_release(release, schema)
+        store.append(release, records, schema, stored,
+                     {"seed": str(args.seed), "m": str(args.m), "mode": mode})
     return release, records, tail
 
 
@@ -210,7 +186,7 @@ def cmd_simulate(args) -> int:
 def cmd_baseline(args) -> int:
     def step(store, records, schema, model):
         if args.kind == "ldiv":
-            index = (store.release_indices() or [0])[-1] + 1
+            index = len(store.release_indices()) + 1
             return publish_l_diversity(records, args.m, schema, model,
                                        args.seed, release_index=index), ""
         # replay counts the invalidations of every stored release

@@ -563,7 +563,6 @@ def _fallback_decompose(cells_by_entry: list[list[_Cell]]) -> list[list[_Cell]]:
 
 
 def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
-                 backtrack_cap: int = BACKTRACK_CAP,
                  ) -> list[list[Record | CounterfeitMember]]:
     """Recursively bisect a balanced bucket into one-per-entry QI-groups.
 
@@ -655,7 +654,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
             else:
                 found, cut_short = _pick_sequence(
                     [entry_of[c] for c in queue], [value_of[c] for c in queue],
-                    k, delta - 1, backtrack_cap)
+                    k, delta - 1, BACKTRACK_CAP)
                 picks = [[queue[p] for p in pick] for pick in found]
             if not picks or picks in swept:
                 continue

@@ -10,8 +10,9 @@ A history directory holds one republication sequence:
     risks.csv             written by the attack command
     lock                  advisory lock, held while writing
 
-Numeric region cells serialize as "lo..hi"; categorical cells as the
-hierarchy node name.
+Releases are numbered 1..n, and each file is replaced whole.  Numeric
+region cells serialize as "lo..hi"; categorical cells as the hierarchy
+node name.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import ValidationError
 from .model import (AttributeSchema, ExternalKnowledgeTable, Hierarchy,
@@ -59,18 +60,25 @@ __all__ = [
 
 
 @contextmanager
-def _writing(path: Path | str) -> Iterator[None]:
-    """Report an OSError raised in the block as a failure to write `path`."""
+def _replacing(path: Path | str) -> Iterator[TextIO]:
+    """A file beside `path`, under a name no history pattern matches, that
+    replaces `path` when the block ends and is removed if anything fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        yield
+        try:
+            with open(tmp, "w", newline="") as fh:
+                yield fh
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def write_csv(path: Path | str, rows: Iterable[Sequence[str]]) -> None:
-    with _writing(path), open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
+    with _replacing(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _read_csv(path: Path | str) -> list[list[str]]:
@@ -448,9 +456,8 @@ class HistoryStore:
     # --- meta / schema
 
     def write_meta(self, meta: Mapping[str, str]) -> None:
-        rows = [["key", "value"]]
-        rows += [[k, str(meta[k])] for k in sorted(meta)]
-        write_csv(self.path / "meta.csv", rows)
+        write_csv(self.path / "meta.csv",
+                  [("key", "value"), *sorted(meta.items())])
 
     def read_meta(self) -> dict[str, str]:
         path = self.path / "meta.csv"
@@ -463,22 +470,9 @@ class HistoryStore:
             meta[k] = v
         return meta
 
-    def read_meta_int(self, meta: Mapping[str, str], key: str) -> int:
-        """An integer entry of `meta` (as read_meta returned it)."""
-        if key not in meta:
-            raise ValidationError(f"{self.path / 'meta.csv'}: no {key!r} "
-                                  f"entry")
-        value = _decimal(meta[key])
-        if value is None:
-            raise ValidationError(f"{self.path / 'meta.csv'}: "
-                                  f"{key}={meta[key]!r} is not an integer")
-        return value
-
     def write_schema(self, schema: TableSchema) -> None:
-        path = self.path / "schema.json"
-        with _writing(path), open(path, "w") as fh:
-            json.dump(_schema_to_json(schema), fh, indent=2)
-            fh.write("\n")
+        with _replacing(self.path / "schema.json") as fh:
+            fh.write(json.dumps(_schema_to_json(schema), indent=2) + "\n")
 
     def read_schema(self) -> TableSchema:
         path = self.path / "schema.json"
@@ -492,18 +486,56 @@ class HistoryStore:
             raise ValidationError(f"{path}: bad JSON ({exc})") from None
         return _schema_from_json(data, f"{path}: ")
 
-    def has_schema(self) -> bool:
-        return (self.path / "schema.json").exists()
+    def stored_schema(self, m: int, mode: str) -> TableSchema | None:
+        """The schema of a history built with `m` and `mode`, or None for a
+        new history, one with no schema.json.  Called under the lock."""
+        if not (self.path / "schema.json").exists():
+            return None
+        schema, meta = self.read_schema(), self.read_meta()
+        where = self.path / "meta.csv"
+        for key in ("m", "mode"):
+            if key not in meta:
+                raise ValidationError(f"{where}: no {key!r} entry")
+            if key == "m" and _decimal(meta["m"]) is None:
+                raise ValidationError(f"{where}: m={meta['m']!r} is not an "
+                                      f"integer")
+        if _decimal(meta["m"]) != m or meta["mode"] != mode:
+            raise ValidationError(
+                f"history {self.path} was built with m={_decimal(meta['m'])} "
+                f"mode={meta['mode']}; got m={m} mode={mode}")
+        return schema
+
+    def append(self, release: PublishedRelease, records: Sequence[Record],
+               schema: TableSchema, stored: TableSchema | None,
+               meta: Mapping[str, str]) -> None:
+        """Store the release, its microdata and a new history's `meta` so
+        that a failed write leaves the history as read before: it is new
+        until schema.json exists, so meta.csv goes first; a grown schema
+        still reads the old releases; and release_<i>.csv, which makes
+        release i exist, goes last."""
+        if stored is None:
+            self.write_meta(meta)
+        if schema is not stored:
+            self.write_schema(schema)
+        self.write_actuals(release.release_index, schema, records)
+        self.write_release(release, schema)
 
     # --- releases
 
     def release_indices(self) -> list[int]:
-        return _csv_indices(self.path, "release")
+        """1..n; a gap or a release_0.csv is refused before any use."""
+        indices = _csv_indices(self.path, "release")
+        wrong = set(indices).symmetric_difference(range(1, len(indices) + 1))
+        if wrong:
+            i = min(wrong)
+            what = "unexpected" if i in indices else "missing"
+            raise ValidationError(f"history {self.path}: release_{i}.csv is "
+                                  f"{what}; releases are numbered 1..n")
+        return indices
 
     def write_release(self, release: PublishedRelease,
                       schema: TableSchema) -> None:
-        """Write counterfeits_<i>.csv, then release_<i>.csv: the release
-        file, written last, is what makes release i exist."""
+        """Write counterfeits_<i>.csv, then release_<i>.csv (see `append`)."""
         cf_rows = [["gid", "count"]]
         stats = release.counterfeit_stats
         cf_rows += [[str(g), str(stats[g])] for g in sorted(stats)]
@@ -576,12 +608,9 @@ class HistoryStore:
                       records: Sequence[Record]) -> None:
         write_microdata(self.path / f"microdata_{index}.csv", schema, records)
 
-    def read_actuals(self, index: int, schema: TableSchema) -> list[Record]:
-        return load_microdata(self.path / f"microdata_{index}.csv", schema)
-
     def snapshots(self, schema: TableSchema) -> dict[int, list[Record]]:
         """Every stored microdata snapshot, parsed once, by release index."""
-        return {i: self.read_actuals(i, schema)
+        return {i: load_microdata(self.path / f"microdata_{i}.csv", schema)
                 for i in self.release_indices()
                 if (self.path / f"microdata_{i}.csv").exists()}
 
@@ -662,8 +691,11 @@ def write_report_files(out_dir: Path | str, report: RunReport) -> None:
     """report.csv (one row per release) + summary.csv are deterministic for
     a given config; wall-clock numbers go to timings.csv on the side."""
     out_dir = Path(out_dir)
-    with _writing(out_dir):
+    try:
         out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out_dir}: "
+                              f"{exc.strerror}") from None
     write_csv(out_dir / "report.csv", report.to_rows())
     write_csv(out_dir / "summary.csv", report.summary_rows())
     write_csv(out_dir / "timings.csv", report.timing_rows())

@@ -106,13 +106,11 @@ def _gap(sources: Sequence[str], targets: Sequence[str],
     return tuple(gap)
 
 
-def build_sug(candidates: Sequence[Sequence[str]],
-              model: UpdateModel,
-              priors: Sequence[Mapping[str, Fraction]] | None = None) -> Sug:
+def build_sug(candidates: Sequence[Sequence[str]], model: UpdateModel) -> Sug:
     """Build the SUG for one record's candidate sensitive sets.
 
     Duplicate values in a candidate multiset collapse to one node whose
-    prior is the multiplicity share; explicit per-layer priors override.
+    prior is the multiplicity share.
     """
     if not candidates:
         raise ValidationError("empty candidate history")
@@ -120,8 +118,6 @@ def build_sug(candidates: Sequence[Sequence[str]],
     for i, cand in enumerate(candidates):
         _check_layer(i, cand, model)
         order, shares = _collapse(cand)
-        if priors is not None:
-            shares = [priors[i][v] for v in order]
         layers.append(tuple(SugNode(v, w) for v, w in zip(order, shares)))
     values = [[node.value for node in layer] for layer in layers]
     return Sug(tuple(layers), tuple(_gap(a, b, model.successors)
@@ -268,7 +264,6 @@ def disclosure_risks(fs: Sug, actual: Sequence[str],
 def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
                           model: UpdateModel,
                           actual: Sequence[str],
-                          priors: Sequence[Mapping[str, Fraction]] | None = None,
                           cap: int = JOINT_ORACLE_CAP,
                           record_id: str = "",
                           versions: Sequence[int] | None = None) -> RiskReport:
@@ -279,10 +274,8 @@ def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
     """
     layer_data = []
     size = 1
-    for i, cand in enumerate(candidates):
+    for cand in candidates:
         order, shares = _collapse(cand)
-        if priors is not None:
-            shares = [priors[i][v] for v in order]
         layer_data.append(list(zip(order, shares)))
         size *= len(order)
     if size > cap:

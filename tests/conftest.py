@@ -13,6 +13,21 @@ from mdistinct.updates import UpdateModel
 
 DATA = Path(__file__).parent / "data"
 
+# later snapshots of data/microdata_t1.csv's and _t2.csv's six people:
+# values move inside their CUS, and T3's ages reach 36, past the bound of
+# 35 that t1 and t2 set
+HEADER = ["id", "salary", "age", "disease"]
+T3 = [["Ben", "27", "36", "LungCancer"],
+      ["Harry", "24", "33", "Gastritis"],
+      ["Julia", "19", "32", "LungCancer"],
+      ["Ken", "15", "21", "Gastritis"], ["Lily", "13", "18", "Cataract"],
+      ["Tom", "16", "28", "Pneumonia"]]
+T4 = [["Ben", "28", "37", "LungCancer"],
+      ["Harry", "25", "34", "Dyspepsia"],
+      ["Julia", "20", "33", "LungCancer"],
+      ["Ken", "16", "22", "Dyspepsia"], ["Lily", "14", "19", "Cataract"],
+      ["Tom", "17", "29", "LungCancer"]]
+
 DISEASES = ("Cataract", "Dyspepsia", "Flu", "Gastritis", "Glaucoma",
             "LungCancer", "Pneumonia")
 

@@ -3,7 +3,8 @@
 * `disclosure_risks(prune(build_sug(...)))` runs its path masses on scaled
   integers; the joint-enumeration oracle multiplies `Fraction`s outright.
   Both must give the same `RiskReport` under closed models with
-  non-uniform rational probabilities and explicit priors.
+  non-uniform rational probabilities, where repeated candidate values
+  give non-uniform node weights.
 * `prune` keeps what layer 1 reaches and what reaches the last layer,
   in two passes; it must reach the same subgraph, and fail with the same
   message, as the plain node-by-node sweep kept below as the reference.
@@ -107,18 +108,6 @@ def closed_models(draw, max_values=6):
     return model
 
 
-def _priors(draw, candidates):
-    """Explicit per-layer priors over each layer's distinct values."""
-    priors = []
-    for cand in candidates:
-        values = list(dict.fromkeys(cand))
-        weights = draw(st.lists(st.integers(1, 7), min_size=len(values),
-                                max_size=len(values)))
-        priors.append({v: F(w, sum(weights))
-                       for v, w in zip(values, weights)})
-    return priors
-
-
 @st.composite
 def feasible_instances(draw):
     """A true path through the model plus random decoys per layer; decoys
@@ -135,17 +124,16 @@ def feasible_instances(draw):
         decoys = draw(st.lists(st.sampled_from(domain), max_size=4))
         layer = draw(st.permutations([value, *decoys]))
         candidates.append(list(layer))
-    priors = _priors(draw, candidates) if draw(st.booleans()) else None
-    return model, candidates, actual, priors
+    return model, candidates, actual
 
 
 @settings(max_examples=400, deadline=None)
 @given(feasible_instances())
 def test_kernel_equals_joint_oracle(instance):
-    model, candidates, actual, priors = instance
-    fs = prune(build_sug(candidates, model, priors))
+    model, candidates, actual = instance
+    fs = prune(build_sug(candidates, model))
     graph = disclosure_risks(fs, actual)
-    oracle = risks_by_joint_oracle(candidates, model, actual, priors)
+    oracle = risks_by_joint_oracle(candidates, model, actual)
     assert graph == oracle
 
 

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import shutil
 
 import pytest
@@ -7,6 +9,8 @@ from mdistinct import fileio
 from mdistinct.cli import main
 from mdistinct.fileio import HistoryStore, write_csv
 from mdistinct.model import Record, generalize
+
+from conftest import HEADER, T3, T4
 
 
 @pytest.fixture
@@ -480,6 +484,56 @@ class TestInterruptedPublish:
             assert _tree(hist) == _tree(clean), k
 
 
+def _full_disk(room):
+    """`open` on a disk with `room` characters left: a write past them
+    stores what fits and fails with ENOSPC."""
+    def full_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        if "w" in mode:
+            write = fh.write
+
+            def limited(text):
+                nonlocal room
+                if len(text) > room:
+                    write(text[:room])
+                    room = 0
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                room -= len(text)
+                return write(text)
+
+            fh.write = limited
+        return fh
+    return full_open
+
+
+class TestFailedRewrite:
+    def test_disk_full_while_widening_keeps_the_old_schema(
+            self, workdir, monkeypatch, capsys):
+        """T3 widens the age bound, so its publish rewrites schema.json
+        first.  A disk that fills up during that write fails the publish
+        and leaves every file as it was: the history still verifies, and
+        the publish can be rerun."""
+        write_csv(workdir / "t3.csv", [HEADER, *T3])
+        hist = workdir / "hist"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        publish = ["publish", "--m", "2", "--seed", "3", *base,
+                   "--microdata"]
+        for snap in ("t1.csv", "t2.csv"):
+            assert run(workdir, *publish, workdir / snap) == 0
+        before = _tree(hist)
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(fileio, "open", _full_disk(20), raising=False)
+            assert run(workdir, *publish, workdir / "t3.csv") == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {hist / 'schema.json'}: "
+            f"{os.strerror(errno.ENOSPC)}\n")
+        assert _tree(hist) == before
+        assert run(workdir, "verify", "--m", "2", *base) == 0
+        assert run(workdir, *publish, workdir / "t3.csv") == 0
+        assert '"hi": 36' in (hist / "schema.json").read_text()
+
+
 class TestParameterChecks:
     @pytest.mark.parametrize("m", ["0", "-3", "1"])
     def test_m_below_two_exits_two_and_writes_nothing(self, workdir, capsys,
@@ -670,6 +724,25 @@ class TestStoredReleases:
             workdir, base, capsys,
             f"{path} line 3: sensitive value 'Zzz' outside domain")
 
+    @pytest.mark.parametrize("change, name, what", [
+        ("delete", "release_2.csv", "missing"),
+        ("add", "release_0.csv", "unexpected")])
+    def test_releases_not_numbered_from_one_exit_two(
+            self, workdir, two_releases, capsys, change, name, what):
+        """Every command reads release i as the one after release i - 1,
+        so a history whose release files are not numbered 1..n is neither
+        attacked, verified nor extended."""
+        hist, base = two_releases
+        assert run(workdir, "publish", "--microdata", workdir / "t2.csv",
+                   "--m", "2", "--seed", "3", *base) == 0
+        if change == "delete":
+            (hist / name).unlink()
+        else:
+            shutil.copy(hist / "release_1.csv", hist / name)
+        self._refused_by_every_command(
+            workdir, base, capsys,
+            f"history {hist}: {name} is {what}; releases are numbered 1..n")
+
     @staticmethod
     def _refused_by_every_command(workdir, base, capsys, message):
         """publish, verify and attack each exit 2 with `message` and leave
@@ -752,17 +825,6 @@ class TestBaselineCommands:
         assert code == 3
         assert "not m-eligible" in capsys.readouterr().err
 
-    # later snapshots of the same six people: values move inside their CUS
-    T3 = [["Ben", "27", "36", "LungCancer"],
-          ["Harry", "24", "33", "Gastritis"],
-          ["Julia", "19", "32", "LungCancer"],
-          ["Ken", "15", "21", "Gastritis"], ["Lily", "13", "18", "Cataract"],
-          ["Tom", "16", "28", "Pneumonia"]]
-    T4 = [["Ben", "28", "37", "LungCancer"],
-          ["Harry", "25", "34", "Dyspepsia"],
-          ["Julia", "20", "33", "LungCancer"],
-          ["Ken", "16", "22", "Dyspepsia"], ["Lily", "14", "19", "Cataract"],
-          ["Tom", "17", "29", "LungCancer"]]
     MINV_LINES = [
         "release 1 (minv): 3 groups, 0 counterfeits, 0 invalidated this "
         "release (0 cumulative)",
@@ -774,9 +836,8 @@ class TestBaselineCommands:
         "release (9 cumulative)"]
 
     def _four_snapshots(self, workdir):
-        header = ["id", "salary", "age", "disease"]
-        write_csv(workdir / "t3.csv", [header, *self.T3])
-        write_csv(workdir / "t4.csv", [header, *self.T4])
+        write_csv(workdir / "t3.csv", [HEADER, *T3])
+        write_csv(workdir / "t4.csv", [HEADER, *T4])
         return ["t1.csv", "t2.csv", "t3.csv", "t4.csv"]
 
     def test_minv_reports_cumulative_invalidations(self, workdir, capsys):

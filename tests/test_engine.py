@@ -6,6 +6,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdistinct import engine
 from mdistinct.engine import (Bucket, EngineState, PrevInfo, _Extents,
                               _eligible_buckets, _epsilon, _point, _score,
                               _side_numerator, balance_counterfeits,
@@ -296,7 +297,8 @@ class TestPhase3:
             for fake in fakes:
                 assert fake.sensitive in {"c", "d"}
 
-    def test_zero_budget_falls_back_but_stays_legal(self, small_schema):
+    def test_zero_budget_falls_back_but_stays_legal(self, small_schema,
+                                                     monkeypatch):
         rng = random.Random(1)
         bucket = Bucket(sig_of({"a", "b", "c"}, {"c", "d", "e"}), "signature")
         for i, v in enumerate(["a", "b", "c", "a", "b"]):
@@ -306,8 +308,8 @@ class TestPhase3:
             add(bucket, Record(f"s{i}", (rng.randrange(10),), v), 1,
                 small_schema)
         balance_counterfeits(bucket)
-        groups = phase3_split(bucket, small_schema, random.Random(2),
-                              backtrack_cap=0)
+        monkeypatch.setattr(engine, "BACKTRACK_CAP", 0)
+        groups = phase3_split(bucket, small_schema, random.Random(2))
         assert len(groups) == bucket.delta()
         for group in groups:
             assert len(group) == 2

@@ -555,11 +555,10 @@ class TestHistoryStore:
         store.write_actuals(1, disease_schema, t1_records)
         assert store.release_indices() == [1]
         assert store.read_release(1, disease_schema) == release
-        assert store.read_actuals(1, disease_schema) == sorted(
-            t1_records, key=lambda r: r.id)
+        snapshots = store.snapshots(disease_schema)
+        assert snapshots == {1: sorted(t1_records, key=lambda r: r.id)}
         histories = store.histories(disease_schema)
         assert histories["Ben"] == {1: "Flu"}
-        snapshots = store.snapshots(disease_schema)
         assert snapshot_histories(snapshots) == histories
         tables = snapshot_tables(snapshots)
         assert tables[0].release_index == 1

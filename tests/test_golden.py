@@ -4,7 +4,9 @@ Criterion 9 only compares two reruns of the same code with each other; this
 test pins the outputs themselves.  The digests below were recorded before
 the attack kernel moved to integer arithmetic, so any change to a report,
 a serialized release, an actuals snapshot or a risk rational shows up as a
-digest mismatch.  Regenerate them only for a deliberate output change:
+digest mismatch.  `CLI_DIGESTS` pin a history the CLI itself wrote,
+meta.csv and a widened schema.json included.  Regenerate them only for a
+deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,9 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from mdistinct.cli import main
 from mdistinct.evaluation import ExperimentConfig, run_experiment
-from mdistinct.fileio import (HistoryStore, synthetic_schema,
+from mdistinct.fileio import (HistoryStore, synthetic_schema, write_csv,
                               write_report_files, write_risks)
+
+from conftest import DATA, HEADER, T3
 
 GOLDEN = dict(d=10, n_records=200, n_releases=4, inserts=50, deletes=20,
               internal_updates=50, thetas=(0.25, 0.5), n_queries=100, seed=7)
@@ -93,6 +98,34 @@ GOLDEN_DIGESTS = {
 }
 
 
+CLI_DIGESTS = {
+    "counterfeits_1.csv":
+        "57aeed239f1e8c9ed1647e5a3ff914c7a397bc6bbc05670666c747341a47aedb",
+    "counterfeits_2.csv":
+        "57aeed239f1e8c9ed1647e5a3ff914c7a397bc6bbc05670666c747341a47aedb",
+    "counterfeits_3.csv":
+        "57aeed239f1e8c9ed1647e5a3ff914c7a397bc6bbc05670666c747341a47aedb",
+    "meta.csv":
+        "34ace8c8011a039f93b8fcd205c44274838333fed8fb8e80d6b0e69648c9d461",
+    "microdata_1.csv":
+        "62ddd78795c63de27da321692cc45dd403c909d56d822f472f0073ccd9b10f31",
+    "microdata_2.csv":
+        "041d1a274bd16d6393b49fcf8a662146d213796e36776ec4b7e108416dee4453",
+    "microdata_3.csv":
+        "cad1b6e2146b4fa6ac3e8874b423d548bf964ce9a9efe0b348300e4e38848c2a",
+    "release_1.csv":
+        "2c4ab858cb4bead9c9272be6490db00c4d73c54576d4d45905b89a7e4ff3d251",
+    "release_2.csv":
+        "0de561559b92052a4f5ba3ec5647b06c9ac8ef15ef3efe0b9ca210a0374926e3",
+    "release_3.csv":
+        "06b5db81b538c5ab1b3b24739e8e678d5f944a3d7c7582eb938ff354c3ce2e62",
+    "risks.csv":
+        "a993050823f22052611c6236a01bb92cffffadc8f4236027fe950f92679ce9e5",
+    "schema.json":
+        "b3f261b4f20d2d29cda12cfbefb8c4c3ff27e8451c211bdfe100b530de1dcf51",
+}
+
+
 def golden_outputs(m: int, root: Path) -> dict[str, str]:
     """Run the golden config at `m` and return sha256 per output file:
     `report.csv`, `summary.csv`, and every file of the serialized history
@@ -116,15 +149,41 @@ def golden_outputs(m: int, root: Path) -> dict[str, str]:
             for name, path in files.items()}
 
 
+def cli_outputs(root: Path) -> dict[str, str]:
+    """Publish t1, t2 and T3, whose ages widen the schema, into one history
+    through the CLI, attack it, and return sha256 per file of the
+    history."""
+    write_csv(root / "t3.csv", [HEADER, *T3])
+    history = root / "history"
+    base = ["--model", DATA / "disease_transitions.csv", "--history",
+            history]
+    for snapshot in (DATA / "microdata_t1.csv", DATA / "microdata_t2.csv",
+                     root / "t3.csv"):
+        assert main([str(a) for a in ("publish", "--microdata", snapshot,
+                                      "--m", 2, "--seed", 3, *base)]) == 0
+    assert main([str(a) for a in ("attack", *base)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(history.iterdir())}
+
+
 @pytest.mark.parametrize("m", [2, 6])
 def test_golden_outputs_match_recorded_digests(m, tmp_path):
     assert golden_outputs(m, tmp_path) == GOLDEN_DIGESTS[m]
 
 
+def test_cli_history_matches_recorded_digests(tmp_path):
+    assert cli_outputs(tmp_path) == CLI_DIGESTS
+
+
 if __name__ == "__main__":
+    import contextlib
     import pprint
+    import sys
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         pprint.pprint({m: golden_outputs(m, Path(tmp) / str(m))
                        for m in (2, 6)}, width=100)
+        with contextlib.redirect_stdout(sys.stderr):
+            digests = cli_outputs(Path(tmp))
+        pprint.pprint(digests, width=100)

@@ -15,6 +15,7 @@ import random
 from collections import Counter
 from typing import Iterable
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdistinct import engine
@@ -135,8 +136,7 @@ class _Extents:
         return runs[lo][0], runs[hi][0]
 
 
-def reference_phase3_split(bucket, schema, rng,
-                           backtrack_cap=engine.BACKTRACK_CAP):
+def reference_phase3_split(bucket, schema, rng):
     cus_list = bucket.signature.entries
     cells_by_entry: list[list[_Cell]] = []
     for e, entry in enumerate(bucket.entries):
@@ -173,7 +173,7 @@ def reference_phase3_split(bucket, schema, rng,
         for attr_pos in range(len(schema.qi)):
             queue = sorted(all_cells,
                            key=lambda c: _cell_key(c, attr_pos, schema))
-            budget = _BTrack(backtrack_cap)
+            budget = _BTrack(engine.BACKTRACK_CAP)
             picks: list[list[_Cell]] = []
             avail = queue
             while len(picks) < delta - 1:
@@ -293,10 +293,12 @@ def buckets(draw):
 
 def _outcome(split, bucket, schema, seed, cap):
     rng = random.Random(seed)
-    try:
-        result = split(bucket, schema, rng, backtrack_cap=cap)
-    except (InfeasibilityError, ValidationError) as exc:
-        result = (type(exc), str(exc))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BACKTRACK_CAP", cap)
+        try:
+            result = split(bucket, schema, rng)
+        except (InfeasibilityError, ValidationError) as exc:
+            result = (type(exc), str(exc))
     return result, rng.getstate()
 
 
@@ -467,13 +469,12 @@ def test_workload_buckets_match_reference(monkeypatch):
     does."""
     seen = []
 
-    def checked(bucket, schema, rng, backtrack_cap=engine.BACKTRACK_CAP):
+    def checked(bucket, schema, rng):
         state = rng.getstate()
         ref_rng = random.Random()
         ref_rng.setstate(state)
-        expected = reference_phase3_split(bucket, schema, ref_rng,
-                                          backtrack_cap)
-        got = phase3_split(bucket, schema, rng, backtrack_cap)
+        expected = reference_phase3_split(bucket, schema, ref_rng)
+        got = phase3_split(bucket, schema, rng)
         assert got == expected
         assert rng.getstate() == ref_rng.getstate()
         seen.append(len(got))

@@ -29,11 +29,6 @@ class TestBuild:
         assert sug.out[0][0] == ((0, F(1, 2)),)
         assert sug.out[0][1] == ((1, F(1, 2)),)
 
-    def test_priors_override_multiplicity(self, worked_model):
-        sug = build_sug([["Pneumonia", "Dyspepsia"]], worked_model,
-                        priors=[{"Pneumonia": F(1, 4), "Dyspepsia": F(3, 4)}])
-        assert [n.weight for n in sug.layers[0]] == [F(1, 4), F(3, 4)]
-
     def test_unknown_value_rejected(self, worked_model):
         with pytest.raises(ValidationError):
             build_sug([["Rhinitis"]], worked_model)
