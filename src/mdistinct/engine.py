@@ -15,12 +15,12 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from math import prod
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InfeasibilityError, ValidationError
 from .model import (AttributeSchema, CounterfeitMember, PublishedRelease,
                     Record, TableSchema, generalize)
-from .updates import (USS, UpdateModel, implies, intersect,
+from .updates import (USS, UpdateModel, has_matching, implies, intersect,
                       is_legal_update_instance, pairwise_disjoint, uss_of)
 
 __all__ = [
@@ -35,11 +35,6 @@ __all__ = [
     "publish",
     "verify_m_distinct",
 ]
-
-# Explored partial selections per split candidate before giving up on the
-# backtracking pick-out search.
-BACKTRACK_CAP = 1_000_000
-
 
 class _Extents:
     """Points covered by the generalization of attribute j's index span
@@ -357,96 +352,79 @@ class _Cell(NamedTuple):
 
 
 def _pick_sequence(entry_at: Sequence[int], value_at: Sequence[int], k: int,
-                   max_picks: int, budget: int,
-                   ) -> tuple[list[list[int]], bool]:
-    """Greedy pick-out sequence over one queue, as queue positions, and
-    whether the budget may have cut it short.
+                   max_picks: int) -> list[list[int]]:
+    """Greedy pick-out sequence over one queue, as queue positions.
 
     Each pick takes one untaken position per entry with pairwise-distinct
-    real values (value < 0 marks a counterfeit slot); it is the first find of
-    a backtracking search that prefers the queue head.  `budget` caps the
-    tentative choices over the whole sequence; the first pick it stops ends
-    the sequence.
+    real values (value < 0 marks a counterfeit slot).  It is the first pick
+    in queue order, the one a backtracking search that prefers the queue head
+    finds first; the sequence ends at max_picks or where no pick is left.
 
-    A pick first follows the search's first path: each untaken position in
-    turn whose entry is open and whose value is unused.  When that path takes
-    all k entries, it is the search's first find (a dead end the search would
-    prune is one the path could not cross) and costs k tentative choices;
-    otherwise the search runs with the budget as it was, pruning a branch
-    once an open entry has no untaken position left ahead.
+    A pick first walks the queue, taking each untaken position in turn whose
+    entry is open and whose value is unused.  When that walk takes all k
+    entries, it is the first pick.  Otherwise a pick is a system of distinct
+    representatives: the entries match to distinct unused values ahead, and
+    an entry with a counterfeit slot ahead needs none.  If a matching says a
+    pick exists, the walk runs again and takes a position only when the
+    entries still open can then be completed from the positions after it.
     """
     n = len(entry_at)
+    width = max(value_at, default=-1) + 1
     taken = [False] * n
     head = 0                         # no untaken position before it
-    left = budget
-    last: list[int] = []             # last untaken position per entry
-    chosen: list[int] = []
-    open_entries: set[int] = set()
-    used: set[int] = set()
 
-    def dfs(start: int) -> bool:
-        nonlocal left
-        # an entry is still reachable iff its last untaken position is ahead
-        for e in open_entries:
-            if last[e] < start:
-                return False
+    def completes(start: int, wanted: Iterable[int],
+                  used: set[int]) -> bool:
+        """Whether the wanted entries can take untaken positions from start
+        on whose real values are distinct and not in used."""
+        offers: dict[int, set[int]] = {e: set() for e in wanted}
+        free: set[int] = set()           # entries with a counterfeit ahead
         for p in range(start, n):
-            if taken[p]:
-                continue
             e = entry_at[p]
-            if e in open_entries:
+            if not taken[p] and e in offers:
                 v = value_at[p]
-                if v < 0 or v not in used:
-                    if left <= 0:
-                        return False
-                    left -= 1
-                    chosen.append(p)
-                    open_entries.discard(e)
-                    if v >= 0:
-                        used.add(v)
-                    if not open_entries or dfs(p + 1):
-                        return True
-                    chosen.pop()
-                    open_entries.add(e)
-                    used.discard(v)
-        return False
+                if v < 0:
+                    free.add(e)
+                elif v not in used:
+                    offers[e].add(v)
+        return has_matching([vs for e, vs in offers.items() if e not in free],
+                            width)
 
-    picks: list[list[int]] = []
-    # a pick costs at least k, so a smaller budget cannot pay for one
-    while len(picks) < max_picks and left >= k:
-        while head < n and taken[head]:
-            head += 1
-        chosen.clear()
-        used.clear()
-        open_entries.update(range(k))
+    def walk(checked: bool) -> list[int] | None:
+        chosen: list[int] = []
+        wanted = set(range(k))
+        used: set[int] = set()
         for p in range(head, n):
             if taken[p]:
                 continue
             e = entry_at[p]
-            if e in open_entries:
+            if e in wanted:
                 v = value_at[p]
                 if v < 0 or v not in used:
-                    chosen.append(p)
-                    open_entries.discard(e)
-                    if not open_entries:
-                        break
+                    wanted.discard(e)
                     used.add(v)
-        if open_entries:         # the first path is no pick: search
-            chosen.clear()
-            used.clear()
-            open_entries.update(range(k))
-            last = [-1] * k
-            for p in range(head, n):
-                if not taken[p]:
-                    last[entry_at[p]] = p
-            if not dfs(head):
+                    if checked and not completes(p + 1, wanted, used):
+                        wanted.add(e)
+                        used.discard(v)
+                        continue
+                    chosen.append(p)
+                    if not wanted:
+                        return chosen
+        return None
+
+    picks: list[list[int]] = []
+    while len(picks) < max_picks:
+        while head < n and taken[head]:
+            head += 1
+        pick = walk(False)
+        if pick is None:
+            if not completes(head, range(k), set()):
                 break
-        else:
-            left -= k
-        picks.append(list(chosen))
-        for p in chosen:
+            pick = walk(True)
+        picks.append(pick)
+        for p in pick:
             taken[p] = True
-    return picks, len(picks) < max_picks and left < k
+    return picks
 
 
 def _side_numerator(extents: Sequence[int], cof: Sequence[int]) -> int:
@@ -579,12 +557,11 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
     are two pointers over that prefix, and its largest value frequency only
     falls as side A grows.
 
-    A pick is the smallest valid one in queue order, and a search over part
-    of a queue spends no more of the budget, so the winning attribute's
-    sequence is passed down: child A's is its first delta_A - 1 picks, and
-    child B's is the picks after delta_A unless the budget may have cut the
-    sequence short.  An attribute whose sequence repeats an earlier one's
-    scores the same and cannot win the tie-break, so it is not swept.
+    A pick is the first valid one in queue order, so the winning
+    attribute's sequence is passed down: child A's is its first delta_A - 1
+    picks, and child B's is the picks after delta_A.  An attribute whose
+    sequence repeats an earlier one's scores the same and cannot win the
+    tie-break, so it is not swept.
     """
     cus_list = bucket.signature.entries
     cells: list[_Cell] = []
@@ -646,15 +623,15 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
         cof = [denom // e for e in parent_extents]
 
         best_score = 0
-        best = None  # (attr_pos, delta_a, picks, cut_short)
+        best = None  # (attr_pos, delta_a, picks)
         swept: list[list[list[int]]] = []
         for attr_pos, queue in enumerate(orders):
             if known is not None and known[0] == attr_pos:
-                picks, cut_short = known[1], False
+                picks = known[1]
             else:
-                found, cut_short = _pick_sequence(
+                found = _pick_sequence(
                     [entry_of[c] for c in queue], [value_of[c] for c in queue],
-                    k, delta - 1, BACKTRACK_CAP)
+                    k, delta - 1)
                 picks = [[queue[p] for p in pick] for pick in found]
             if not picks or picks in swept:
                 continue
@@ -729,7 +706,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                 # only a strictly lower score can win the tie-break
                 if best is None or score < best_score:
                     best_score = score
-                    best = (attr_pos, delta_a, picks, cut_short)
+                    best = (attr_pos, delta_a, picks)
         if best is None:
             by_entry: list[list[_Cell]] = [[] for _ in range(k)]
             for c in first:
@@ -737,7 +714,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
             for group in _fallback_decompose(by_entry):
                 out.append(_emit_group(group, cus_list, rng))
             return
-        attr_pos, delta_a, picks, cut_short = best
+        attr_pos, delta_a, picks = best
         stamp += 1
         side = stamp
         a_reals = 0
@@ -748,8 +725,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
         child_a = [[c for c in o if mark[c] == side] for o in orders]
         child_b = [[c for c in o if mark[c] != side] for o in orders]
         recurse(child_a, a_reals, (attr_pos, picks[:delta_a - 1]))
-        recurse(child_b, n_real - a_reals,
-                None if cut_short else (attr_pos, picks[delta_a:]))
+        recurse(child_b, n_real - a_reals, (attr_pos, picks[delta_a:]))
 
     recurse(root, len(reals), None)
     return out

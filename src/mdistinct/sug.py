@@ -365,7 +365,8 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     contain it (counterfeit members included - the adversary cannot tell),
     and its report is what disclosure_risks(prune(build_sug(...))) gives.
     `histories` supplies the actual value per (id, release index); `et`
-    enables the exact-QI integrity check.
+    enables the exact-QI integrity check, and a table whose index names
+    none of the releases is refused.
 
     Records with the same candidate history share one SUG, so its path
     masses are computed once per call and dropped after its last record.
@@ -381,6 +382,10 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     """
     ordered = sorted(releases, key=lambda r: r.release_index)
     et_by_index = {t.release_index: t for t in (et or ())}
+    stray = sorted(et_by_index.keys() - {r.release_index for r in ordered})
+    if stray:
+        raise ValidationError(f"external table of release {stray[0]}: no "
+                              f"release {stray[0]} in the history")
     membership: dict[str, list[tuple[int, tuple[str, ...]]]] = {}
     for rel in ordered:
         for rid, group in sorted(rel.group_of().items()):

@@ -17,6 +17,7 @@ __all__ = [
     "validate_update_model",
     "uss_of",
     "is_legal_update_instance",
+    "has_matching",
     "implies",
     "intersect",
     "pairwise_disjoint",
@@ -170,7 +171,7 @@ def is_legal_update_instance(values: Sequence[str], uss: USS) -> bool:
     return True
 
 
-def _has_matching(adj: Sequence[Sequence[int]], width: int) -> bool:
+def has_matching(adj: Sequence[Iterable[int]], width: int) -> bool:
     """Kuhn's algorithm: True iff every left node i can be matched to a
     distinct right node j < width taken from adj[i]."""
     match_right = [-1] * width
@@ -205,7 +206,7 @@ def implies(a: USS, b: USS) -> bool:
         return False
     adj = [[j for j, ae in enumerate(a.entries) if be <= ae]
            for be in b.entries]
-    return _has_matching(adj, len(a))
+    return has_matching(adj, len(a))
 
 
 def _max_assignment(weights: Sequence[Sequence[int]]) -> list[int]:
@@ -270,8 +271,8 @@ def intersect(a: USS, b: USS) -> USS | None:
         return None
     n = len(a)
     meets = [[ae & be for be in b.entries] for ae in a.entries]
-    if not _has_matching([[j for j, m in enumerate(row) if m]
-                          for row in meets], n):
+    if not has_matching([[j for j, m in enumerate(row) if m]
+                         for row in meets], n):
         return None
     top = n ** n
     barred = -top * (sum(map(len, a.entries)) + 1)

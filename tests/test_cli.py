@@ -675,6 +675,24 @@ class TestStrayFiles:
         assert run(workdir, "attack", "--et", et_dir, *base) == 0
         assert sorted(parsed) == ["et_1.csv", "microdata_1.csv"]
 
+    @pytest.mark.parametrize("names", [["et_7.csv"], ["et_0.csv"],
+                                       ["et_1.csv", "et_2.csv"]])
+    def test_attack_refuses_a_table_of_no_release(self, workdir, one_release,
+                                                  capsys, names):
+        hist, base = one_release
+        et_dir = workdir / "et"
+        et_dir.mkdir()
+        for name in names:
+            write_csv(et_dir / name,
+                      [["id", "salary", "age"], ["Ken", "14", "20"]])
+        index = names[-1][3:-4]
+        capsys.readouterr()
+        assert run(workdir, "attack", "--et", et_dir, *base) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: external table of release {index}: "
+                              f"no release {index} in the history")
+        assert not (hist / "risks.csv").exists()
+
 
 class TestStoredReleases:
     """Every command reads each stored release whole before using it.  A

@@ -6,7 +6,6 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdistinct import engine
 from mdistinct.engine import (Bucket, EngineState, PrevInfo, _Extents,
                               _eligible_buckets, _epsilon, _point, _score,
                               _side_numerator, balance_counterfeits,
@@ -297,20 +296,18 @@ class TestPhase3:
             for fake in fakes:
                 assert fake.sensitive in {"c", "d"}
 
-    def test_zero_budget_falls_back_but_stays_legal(self, small_schema,
-                                                     monkeypatch):
-        rng = random.Random(1)
-        bucket = Bucket(sig_of({"a", "b", "c"}, {"c", "d", "e"}), "signature")
-        for i, v in enumerate(["a", "b", "c", "a", "b"]):
-            add(bucket, Record(f"r{i}", (rng.randrange(10),), v), 0,
-                small_schema)
-        for i, v in enumerate(["c", "d", "e"]):
-            add(bucket, Record(f"s{i}", (rng.randrange(10),), v), 1,
-                small_schema)
+    def test_unsplittable_bucket_falls_back_but_stays_legal(self,
+                                                          small_schema):
+        # the one pick on x takes 2 and 4 and leaves both c cells on side B,
+        # so no split is valid and the fallback decomposes the bucket
+        bucket = Bucket(sig_of({"a", "c"}, {"b", "c"}), "signature")
+        add(bucket, Record("r0", (5,), "c"), 0, small_schema)
+        add(bucket, Record("r1", (2,), "a"), 0, small_schema)
+        add(bucket, Record("s0", (6,), "c"), 1, small_schema)
+        add(bucket, Record("s1", (4,), "b"), 1, small_schema)
         balance_counterfeits(bucket)
-        monkeypatch.setattr(engine, "BACKTRACK_CAP", 0)
         groups = phase3_split(bucket, small_schema, random.Random(2))
-        assert len(groups) == bucket.delta()
+        assert len(groups) == bucket.delta() == 2
         for group in groups:
             assert len(group) == 2
             values = [m.sensitive for m in group]

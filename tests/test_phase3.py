@@ -2,20 +2,21 @@
 
 `reference_phase3_split` is the per-level kernel that `engine.phase3_split`
 replaced: it re-sorts every cell per attribute at each recursion level,
-re-runs a fresh pick-out search over a rebuilt `avail` list per pick and
-recomputes side B's spans from run-length columns.  The engine sorts once
-per bucket and carries the orders down the recursion; the properties below
+re-runs a fresh backtracking pick-out search over a rebuilt `avail` list
+per pick and recomputes side B's spans from run-length columns.  The engine
+sorts once per bucket, carries the orders down the recursion and finds each
+pick by a walk that a bipartite matching guides; the properties below
 require both to emit the same groups, member by member and counterfeit
 value by counterfeit value, and to leave the random generator in the same
-state, including when the backtracking budget runs out and the fallback
-decomposition takes over.
+state, including when no split is valid and the fallback decomposition
+takes over.
 """
 
 import random
+import time
 from collections import Counter
 from typing import Iterable
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdistinct import engine
@@ -37,13 +38,6 @@ _span_extent = span_extent  # the name the reference kernel calls
 # the reference kernel, as it was before the presorted rewrite
 
 
-class _BTrack:
-    __slots__ = ("left",)
-
-    def __init__(self, budget: int):
-        self.left = budget
-
-
 def _cell_key(cell: _Cell, attr_pos: int, schema: TableSchema):
     if cell.record is None:
         return (1, cell.entry, cell.seq)
@@ -51,10 +45,9 @@ def _cell_key(cell: _Cell, attr_pos: int, schema: TableSchema):
     return (0, attr.to_index(cell.record.qi[attr_pos]), cell.record.id)
 
 
-def _one_pick(avail: list[_Cell], k: int, budget: _BTrack) -> list[int] | None:
+def _one_pick(avail: list[_Cell], k: int) -> list[int] | None:
     """Pick one cell per entry with pairwise-distinct real values, preferring
-    the queue head; backtracking, budget-counted.  Returns indices into
-    avail, or None."""
+    the queue head; backtracking.  Returns indices into avail, or None."""
     last_pos: dict[int, int] = {}
     for idx, cell in enumerate(avail):
         last_pos[cell.entry] = idx
@@ -78,9 +71,6 @@ def _one_pick(avail: list[_Cell], k: int, budget: _BTrack) -> list[int] | None:
             value = None if cell.record is None else cell.record.sensitive
             if value is not None and value in used_values:
                 continue
-            if budget.left <= 0:
-                return False
-            budget.left -= 1
             chosen.append(idx)
             open_entries.discard(cell.entry)
             if value is not None:
@@ -173,11 +163,10 @@ def reference_phase3_split(bucket, schema, rng):
         for attr_pos in range(len(schema.qi)):
             queue = sorted(all_cells,
                            key=lambda c: _cell_key(c, attr_pos, schema))
-            budget = _BTrack(engine.BACKTRACK_CAP)
             picks: list[list[_Cell]] = []
             avail = queue
             while len(picks) < delta - 1:
-                pick_idx = _one_pick(avail, k, budget)
+                pick_idx = _one_pick(avail, k)
                 if pick_idx is None:
                     break
                 pick = [avail[i] for i in pick_idx]
@@ -291,14 +280,12 @@ def buckets(draw):
     return schema, balance_counterfeits(bucket)
 
 
-def _outcome(split, bucket, schema, seed, cap):
+def _outcome(split, bucket, schema, seed):
     rng = random.Random(seed)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "BACKTRACK_CAP", cap)
-        try:
-            result = split(bucket, schema, rng)
-        except (InfeasibilityError, ValidationError) as exc:
-            result = (type(exc), str(exc))
+    try:
+        result = split(bucket, schema, rng)
+    except (InfeasibilityError, ValidationError) as exc:
+        result = (type(exc), str(exc))
     return result, rng.getstate()
 
 
@@ -312,42 +299,42 @@ def _bucket(schema: TableSchema, entries) -> tuple[TableSchema, Bucket]:
     return schema, balance_counterfeits(bucket)
 
 
-# two entries of six records: each pick costs 2, so a cap of 5 or 7 stops
-# the root's sequence after 2 or 3 of its 5 picks; the later children then
-# search again
+# two entries of six records whose values shift by one between them
 _SIX_BY_TWO = _bucket(TableSchema((AGE, TREE), "s", DOMAIN), [
     [((20 + i, TREE.hierarchy.leaves[i]), f"v{i}") for i in range(6)],
     [((27 - i, TREE.hierarchy.leaves[-1 - i]), f"v{(i + 1) % 6}")
      for i in range(6)]])
-# three entries with shared values: first paths fail and the search
-# backtracks, so the cap runs out inside a pick
+# three entries with shared values
 _CLASHING = _bucket(TableSchema((AGE,), "s", DOMAIN), [
     [((20 + (e + s) % 4,), f"v{(e * s) % 3}") for s in range(4)]
     for e in range(3)])
+# the first walk takes v0 at age 20 and v1 at 21, the only values the
+# first entry has, so the pick comes from the matching-guided walk
+_BLOCKED = _bucket(TableSchema((AGE,), "s", DOMAIN), [
+    [((22,), "v0"), ((23,), "v1")], [((20,), "v0"), ((24,), "v2")],
+    [((21,), "v1"), ((25,), "v2")]])
 
 
 @settings(max_examples=400, deadline=None)
-@given(buckets(), st.sampled_from([1, 5, 50]), st.integers(0, 2 ** 16))
-@example(_SIX_BY_TWO, 5, 3)
-@example(_SIX_BY_TWO, 7, 3)
-@example(_CLASHING, 9, 1)
-@example(_CLASHING, 14, 1)
-def test_matches_reference(case, cap, seed):
+@given(buckets(), st.integers(0, 2 ** 16))
+@example(_SIX_BY_TWO, 3)
+@example(_CLASHING, 1)
+@example(_BLOCKED, 1)
+def test_matches_reference(case, seed):
     schema, bucket = case
-    assert (_outcome(phase3_split, bucket, schema, seed, cap)
-            == _outcome(reference_phase3_split, bucket, schema, seed, cap))
+    assert (_outcome(phase3_split, bucket, schema, seed)
+            == _outcome(reference_phase3_split, bucket, schema, seed))
 
 
-def reference_pick_sequence(entry_at, value_at, k, max_picks, budget):
+def reference_pick_sequence(entry_at, value_at, k, max_picks):
     """The pick loop of `reference_phase3_split` on a bare queue, as queue
     positions in the order the search chose them."""
     queue = [_Cell(e, p, None if v < 0 else Record(f"p{p}", (), f"v{v}"))
              for p, (e, v) in enumerate(zip(entry_at, value_at))]
     avail = list(range(len(queue)))
-    track = _BTrack(budget)
     picks = []
     while len(picks) < max_picks:
-        pick_idx = _one_pick([queue[p] for p in avail], k, track)
+        pick_idx = _one_pick([queue[p] for p in avail], k)
         if pick_idx is None:
             break
         picks.append([avail[i] for i in pick_idx])
@@ -361,69 +348,66 @@ def reference_pick_sequence(entry_at, value_at, k, max_picks, budget):
     st.just(k),
     st.lists(st.tuples(st.integers(0, k - 1), st.integers(-1, 3)),
              max_size=24))))
-# an unreachable entry while two others are still open: without the
-# reachability cut the search would charge budget-20 attempts differently
+# an unreachable entry while two others are still open
 @example((4, list(zip([1, 2, 3, 3, 1, 3, 2, 2, 1, 0, 0, 2, 1, 1],
                       [0, 0, 1, 0, 1, 0, -1, 1, 1, 1, 0, 1, -1, -1]))))
-# a pick takes an entry's last untaken cell; its last position must move
-# back to the entry's previous untaken cell, not any untaken cell
+# a pick takes an entry's last untaken cell, so later picks must do
+# without that entry's earlier cells
 @example((4, list(zip([1, 0, 1, 2, 3, 1, 2, 0, 3, 1, 2, 0, 3, 0],
                       [1, -1, 0, 1, 0, 0, 1, 1, 0, -1, -1, 0, -1, 1]))))
-# every first path fails: the head's value recurs in the only cell of the
-# other entry ahead of it, so each pick backtracks past the head
+# every first walk fails: the head's value recurs in the only cell of the
+# other entry ahead of it, so each pick passes over the head
 @example((2, list(zip([0, 0, 1, 0, 0, 1, 0, 1],
                       [0, 1, 0, 2, 3, 2, 1, 1]))))
-# three entries whose first paths run out of one entry midway
+# three entries whose first walks run out of one entry midway
 @example((3, list(zip([0, 1, 0, 2, 1, 2, 0, 1, 2],
                       [0, 1, 1, 0, 0, 1, 2, 2, 2]))))
-def test_pick_sequence_spends_the_budget_like_the_reference(case):
-    """Every budget from 0 up, those below k among them, must stop the
-    sequence at the same pick: the search tries the same candidates in the
-    same order, skips the same unreachable branches, and charges the same
-    attempts.  Entries may be missing or uneven, so the reachability
-    cut-off matters.  A sequence the budget did not cut short is the one
-    an unlimited budget gives."""
+def test_pick_sequence_matches_the_reference(case):
+    """The matching-guided walk makes the picks the backtracking search
+    makes, in the same order.  Entries may be missing or uneven, so some
+    picks exist only off the first walk and some queues have none."""
     k, queue = case
     entry_at = [e for e, _ in queue]
     value_at = [v for _, v in queue]
-    unlimited = reference_pick_sequence(entry_at, value_at, k, len(queue),
-                                        10 ** 9)
-    for budget in range(0, 40):
-        picks, cut_short = _pick_sequence(entry_at, value_at, k, len(queue),
-                                          budget)
-        assert picks == reference_pick_sequence(entry_at, value_at, k,
-                                                len(queue), budget)
-        assert cut_short or picks == unlimited
+    assert (_pick_sequence(entry_at, value_at, k, len(queue))
+            == reference_pick_sequence(entry_at, value_at, k, len(queue)))
+
+
+def test_pick_sequence_without_a_pick_ends_at_once():
+    """Ten entries that offer nine values between them have no pick; the
+    matching says so before any walk, where a backtracking search tries
+    every way to fill nine of the ten entries first."""
+    entry_at = [e for e in range(10) for _ in range(9)]
+    value_at = [v for _ in range(10) for v in range(9)]
+    start = time.perf_counter()
+    assert _pick_sequence(entry_at, value_at, 10, 5) == []
+    assert time.perf_counter() - start < 0.5
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
     st.just(k),
     st.lists(st.tuples(st.integers(0, k - 1), st.integers(-1, 3)),
-             max_size=24))), st.integers(1, 12), st.integers(0, 40))
-def test_children_repeat_the_parent_sequence(case, max_picks, budget):
+             max_size=24))), st.integers(1, 12))
+def test_children_repeat_the_parent_sequence(case, max_picks):
     """What `phase3_split` passes down.  Over the cells of its first d
-    picks (child A), a search with the whole budget makes the first d - 1
-    picks again; over the cells they leave (child B), it makes the picks
-    after d, unless the budget may have cut the parent's sequence short."""
+    picks (child A), a fresh sequence makes the first d - 1 picks again;
+    over the cells they leave (child B), it makes the picks after d."""
     k, queue = case
     entry_at = [e for e, _ in queue]
     value_at = [v for _, v in queue]
-    picks, cut_short = _pick_sequence(entry_at, value_at, k, max_picks,
-                                      budget)
+    picks = _pick_sequence(entry_at, value_at, k, max_picks)
 
     def over(positions, n_picks):
-        found, _ = _pick_sequence([entry_at[p] for p in positions],
-                                  [value_at[p] for p in positions], k,
-                                  n_picks, budget)
+        found = _pick_sequence([entry_at[p] for p in positions],
+                               [value_at[p] for p in positions], k, n_picks)
         return [[positions[p] for p in pick] for pick in found]
 
     for d in range(1, len(picks) + 1):
         inside = {p for pick in picks[:d] for p in pick}
         assert over(sorted(inside), d - 1) == picks[:d - 1]
-        if not cut_short:
-            outside = [p for p in range(len(queue)) if p not in inside]
-            assert over(outside, max_picks - d) == picks[d:]
+        outside = [p for p in range(len(queue)) if p not in inside]
+        assert over(outside, max_picks - d) == picks[d:]
 
 
 def test_extent_lookup_matches_the_hierarchy(disease_schema):
@@ -448,19 +432,25 @@ def test_extent_lookup_matches_the_hierarchy(disease_schema):
     assert len(wide.hierarchy.extent) == 2
 
 
-def test_budget_exhaustion_reaches_fallback():
-    """Three entries of three records with interleaved shared values: a cap
-    of 1 stops the first pick, so every level falls back; both kernels must
-    still agree."""
-    schema = TableSchema((AGE,), "s", DOMAIN)
-    bucket = Bucket(USS([{"v0", "v1", "v2"}] * 3), "signature")
-    for e in range(3):
-        for s, v in enumerate(["v0", "v1", "v2"]):
-            add(bucket, Record(f"r{e}{s}", (20 + (e + s) % 3,), v), e, schema)
-    balance_counterfeits(bucket)
-    for cap in (0, 1, 2, 5, 50):
-        assert (_outcome(phase3_split, bucket, schema, 11, cap)
-                == _outcome(reference_phase3_split, bucket, schema, 11, cap))
+def test_unsplittable_bucket_reaches_fallback(monkeypatch):
+    """Two entries, [(25, v2), (22, v0)] and [(26, v2), (24, v1)], on age:
+    the one pick takes ages 22 and 24, which leaves both v2 cells on side
+    B, so no split is valid and the fallback decomposes the bucket.  Both
+    kernels must agree, and every group must hold distinct values."""
+    schema, bucket = _bucket(TableSchema((AGE,), "s", DOMAIN), [
+        [((25,), "v2"), ((22,), "v0")], [((26,), "v2"), ((24,), "v1")]])
+    fallbacks = []
+
+    def counted(cells_by_entry):
+        fallbacks.append(len(cells_by_entry[0]))
+        return _fallback_decompose(cells_by_entry)
+
+    monkeypatch.setattr(engine, "_fallback_decompose", counted)
+    groups, _ = outcome = _outcome(phase3_split, bucket, schema, 11)
+    assert fallbacks == [2]
+    assert outcome == _outcome(reference_phase3_split, bucket, schema, 11)
+    assert sorted(sorted(m.sensitive for m in g) for g in groups) == [
+        ["v0", "v2"], ["v1", "v2"]]
 
 
 def test_workload_buckets_match_reference(monkeypatch):

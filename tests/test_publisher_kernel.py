@@ -31,7 +31,7 @@ from mdistinct.engine import (Bucket, PrevInfo, _Extents, _color_key,
 from mdistinct.errors import InfeasibilityError, ValidationError
 from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.model import AttributeSchema, Hierarchy, Record, TableSchema
-from mdistinct.updates import (USS, UpdateModel, _has_matching, implies,
+from mdistinct.updates import (USS, UpdateModel, has_matching, implies,
                                intersect, uss_of, validate_update_model)
 
 from conftest import add, covers, span_extent
@@ -488,7 +488,7 @@ def reference_implies(a, b):
         return False
     adj = [[j for j, ae in enumerate(a.entries) if be <= ae]
            for be in b.entries]
-    return _has_matching(adj, len(a))
+    return has_matching(adj, len(a))
 
 
 @st.composite

@@ -252,6 +252,16 @@ class TestAttackSequence:
                                     worked_model, histories_12,
                                     disease_schema)
 
+    def test_et_of_no_release_rejected(self, release_one, worked_model,
+                                       histories_12, disease_schema,
+                                       t1_records):
+        rows = {rec.id: rec.qi for rec in t1_records}
+        for index in (0, 2):
+            with pytest.raises(ValidationError, match=f"no release {index} "):
+                attack_release_sequence(
+                    [release_one], [ExternalKnowledgeTable(index, rows)],
+                    worked_model, histories_12, disease_schema)
+
     def test_missing_actual_value_rejected(self, release_one, worked_model):
         with pytest.raises(ValidationError):
             attack_release_sequence([release_one], None, worked_model,
