@@ -8,8 +8,8 @@ from .model import (AttributeSchema, CounterfeitMember, ExternalKnowledgeTable,
                     TableSchema, bounding_region, generalize)
 from .updates import (USS, UpdateModel, implies, intersect,
                       is_legal_update_instance, uss_of, validate_update_model)
-from .sug import (RiskReport, Sug, attack_release_sequence, build_sug,
-                  disclosure_risks, prune, risks_by_joint_oracle)
+from .sug import (AttackMemo, RiskReport, Sug, attack_release_sequence,
+                  build_sug, disclosure_risks, prune, risks_by_joint_oracle)
 from .engine import (EngineState, publish, static_partition,
                      verify_m_distinct)
 from .baselines import (count_vulnerable, publish_l_diversity,

@@ -41,7 +41,7 @@ from .errors import ValidationError
 from .fileio import (apply_external_updates, initial_population,
                      synthesize_internal_updates, synthetic_schema)
 from .model import PublishedRelease, Record, TableSchema
-from .sug import RiskReport, attack_release_sequence
+from .sug import AttackMemo, RiskReport, attack_release_sequence
 from .updates import UpdateModel
 
 __all__ = [
@@ -443,6 +443,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     errors: dict[float, list[Fraction]] = {t: [] for t in config.thetas}
     asks_queries = config.n_queries > 0 and bool(config.thetas)
     histories: dict[str, dict[int, str]] = {}
+    memo = AttackMemo()
 
     for step in range(config.n_releases):
         step_seed = master.randrange(2 ** 32)
@@ -473,8 +474,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 rec.sensitive
 
         prefix_reports = attack_release_sequence(
-            report.published, None, model, histories,
-            previous=report.final_reports)
+            report.published, None, model, histories, memo=memo)
         report.final_reports = prefix_reports
         vulnerable = count_vulnerable(prefix_reports)
         stats = release.counterfeit_stats

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ __all__ = [
     "prune",
     "disclosure_risks",
     "risks_by_joint_oracle",
+    "AttackMemo",
     "attack_release_sequence",
 ]
 
@@ -188,11 +190,12 @@ def _scaled_gap(gap: Sequence[Sequence[tuple[int, Fraction]]],
             for adj in gap]
 
 
-_Masses = tuple[list[list[int]], list[list[int]], int]
+_Masses = tuple[list[Sequence[int]], list[list[int]], int]
 
 
 def _masses(nodes: Sequence[Sequence[int]],
-            edges: Sequence[Sequence[Sequence[tuple[int, int]]]]) -> _Masses:
+            edges: Sequence[Sequence[Sequence[tuple[int, int]]]],
+            known: Sequence[Sequence[int]] | None = None) -> _Masses:
     """Forward/backward path mass per node and total path mass.
 
     `nodes[i]` holds layer i's node weights and `edges[i]` the (successor,
@@ -200,11 +203,12 @@ def _masses(nodes: Sequence[Sequence[int]],
     layer's and each gap's weights are the true ones times a positive
     factor of its own, so every path mass is the true one times the product
     of all those factors.  That product is the same for every path and
-    cancels in fwd * bwd / total.
+    cancels in fwd * bwd / total.  `known`, when given, holds the forward
+    masses of the first layers, computed from the same weights.
     """
     depth = len(nodes)
-    fwd = [list(nodes[0])]
-    for i in range(1, depth):
+    fwd = [list(nodes[0])] if known is None else list(known)
+    for i in range(len(fwd), depth):
         mass = [0] * len(nodes[i])
         for base, adj in zip(fwd[-1], edges[i - 1]):
             for v, w in adj:
@@ -306,50 +310,114 @@ def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
     return RiskReport(record_id, tuple(versions), risks)
 
 
-class _SharedTables:
-    """The integer tables one attack call builds once and shares among its
-    records: the model's transition probabilities times their common lcm
-    denominator, per distinct candidate multiset its value positions and
-    node weights (the multiplicities, in proportion to the shares), and per
-    distinct pair of consecutive multisets its successor rows."""
+_History = tuple[tuple[str, ...], ...]
 
-    def __init__(self, model: UpdateModel):
-        self.model = model
-        table = model.successors
-        scale = math.lcm(*(p.denominator for row in table.values()
-                           for p in row.values()))
-        self.rows = {a: {b: p.numerator * (scale // p.denominator)
-                         for b, p in row.items()}
-                     for a, row in table.items()}
+
+class AttackMemo:
+    """What attacks on ever longer prefixes of one release sequence share.
+
+    Bound to one model, set of external tables and schema, it holds:
+    - the model's transition probabilities times their common lcm
+      denominator; per distinct candidate multiset its value positions and
+      node weights (the multiplicities, in proportion to the shares); per
+      distinct pair of consecutive multisets its successor rows;
+    - the releases folded so far, and each record's versions and candidate
+      sets read off them;
+    - the last attack's reports;
+    - the forward masses of the candidate histories of the newest
+      release's records, and of no other: a longer prefix extends no other
+      history.
+
+    Handed other bindings, or releases whose first ones are not the folded
+    ones (the same objects, in the same order), it starts over.  The
+    actual values of releases already folded must stay as they were.
+    """
+
+    def __init__(self) -> None:
+        self._bind(())
+
+    def _bind(self, bound: tuple) -> None:
+        """Forget everything and serve `bound`: (model, schema, *tables)."""
+        self.bound = bound
+        self.rows: dict[str, dict[str, int]] = {}
+        if bound:
+            table = bound[0].successors
+            scale = math.lcm(*(p.denominator for row in table.values()
+                               for p in row.values()))
+            self.rows = {a: {b: p.numerator * (scale // p.denominator)
+                             for b, p in row.items()}
+                         for a, row in table.items()}
         self.layers: dict[tuple[str, ...],
-                          tuple[dict[str, int], list[int]]] = {}
+                          tuple[dict[str, int], tuple[int, ...]]] = {}
         self.gaps: dict[tuple[tuple[str, ...], tuple[str, ...]],
                         tuple[tuple[tuple[int, int], ...], ...]] = {}
+        # one object per distinct successor row: most gaps repeat a few
+        self.successors: dict[tuple[tuple[int, int], ...],
+                              tuple[tuple[int, int], ...]] = {}
+        self.releases: list[PublishedRelease] = []
+        self.membership: dict[str, tuple[tuple[int, ...], _History]] = {}
+        self.reports: dict[str, RiskReport] = {}
+        self.forwards: dict[_History, tuple[tuple[int, ...], ...]] = {}
 
-    def masses(self, candidates: Sequence[tuple[str, ...]],
+    def _serves(self, bound: tuple,
+                ordered: Sequence[PublishedRelease]) -> bool:
+        """Whether the call binds the same objects and its releases begin
+        with the folded ones."""
+        return (len(bound) == len(self.bound)
+                and all(map(operator.is_, bound, self.bound))
+                and len(ordered) >= len(self.releases)
+                and all(map(operator.is_, self.releases, ordered)))
+
+    def _fold(self, releases: Sequence[PublishedRelease],
+              et_by_index: Mapping[int, ExternalKnowledgeTable],
+              schema: TableSchema | None) -> set[str]:
+        """Add each release's groups to its records' histories, checking
+        them against the external tables; the ids whose history grew."""
+        grown: set[str] = set()
+        for rel in releases:
+            index = rel.release_index
+            rows = (et_by_index[index].rows
+                    if schema is not None and index in et_by_index else {})
+            for rid, group in sorted(rel.group_of().items()):
+                if rid in rows and not region_contains(schema, group.region,
+                                                       rows[rid]):
+                    raise ValidationError(
+                        f"release {index}: record {rid!r} falls outside "
+                        f"its group region")
+                versions, candidates = self.membership.get(rid, ((), ()))
+                self.membership[rid] = (versions + (index,),
+                                        candidates + (group.values,))
+                grown.add(rid)
+            self.releases.append(rel)
+        return grown
+
+    def masses(self, candidates: _History,
                ) -> tuple[list[dict[str, int]], _Masses]:
         """Value positions per layer and the path masses of one history,
-        with build_sug's checks in build_sug's order."""
+        with build_sug's checks in build_sug's order; the forward masses
+        start from those kept for the history without its last layer."""
         layers = []
         for i, values in enumerate(candidates):
             layer = self.layers.get(values)
             if layer is None:
-                _check_layer(i, values, self.model)
+                _check_layer(i, values, self.bound[0])
                 counts = _tally(values)
                 layer = self.layers[values] = (
                     {v: k for k, v in enumerate(counts)},
-                    list(counts.values()))
+                    tuple(counts.values()))
             layers.append(layer)
         edges = []
         for a, b, (sources, _), (targets, _) in zip(
                 candidates, candidates[1:], layers, layers[1:]):
             gap = self.gaps.get((a, b))
             if gap is None:
-                gap = self.gaps[(a, b)] = _gap(list(sources), list(targets),
-                                               self.rows)
+                gap = self.gaps[(a, b)] = tuple(
+                    self.successors.setdefault(row, row)
+                    for row in _gap(list(sources), list(targets), self.rows))
             edges.append(gap)
         positions = [pos for pos, _ in layers]
-        return positions, _masses([weights for _, weights in layers], edges)
+        return positions, _masses([weights for _, weights in layers], edges,
+                                  self.forwards.get(candidates[:-1]))
 
 
 def attack_release_sequence(releases: Sequence[PublishedRelease],
@@ -357,7 +425,7 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
                             model: UpdateModel,
                             histories: Mapping[str, Mapping[int, str]],
                             schema: TableSchema | None = None,
-                            previous: Sequence[RiskReport] | None = None,
+                            memo: AttackMemo | None = None,
                             ) -> list[RiskReport]:
     """Replay the attack over a full release sequence.
 
@@ -366,7 +434,7 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     and its report is what disclosure_risks(prune(build_sug(...))) gives.
     `histories` supplies the actual value per (id, release index); `et`
     enables the exact-QI integrity check, and a table whose index names
-    none of the releases is refused.
+    none of the releases is refused, as is a release index given twice.
 
     Records with the same candidate history share one SUG, so its path
     masses are computed once per call and dropped after its last record.
@@ -375,64 +443,64 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     A history with no feasible path raises prune's error, found from its
     forward masses.
 
-    `previous` may hold the reports of this attack on the same releases
-    without the newest one (same model and histories).  A record absent
-    from the newest release has the same candidate sets, actual values and
-    so the same report as then; it is returned as is, not attacked again.
+    `memo` carries an attack's work to the next one on the same releases
+    plus newer ones (same model, tables, schema and actual values).  Only
+    the new releases are read; a record they leave out keeps its report,
+    and a history one layer longer than a kept one extends its forward
+    masses.  A call that raises leaves the memo empty.  A call without a
+    memo runs on a fresh one, which keeps no forward masses.
     """
     ordered = sorted(releases, key=lambda r: r.release_index)
+    for a, b in zip(ordered, ordered[1:]):
+        if a.release_index == b.release_index:
+            raise ValidationError(f"release {a.release_index} given twice")
     et_by_index = {t.release_index: t for t in (et or ())}
     stray = sorted(et_by_index.keys() - {r.release_index for r in ordered})
     if stray:
         raise ValidationError(f"external table of release {stray[0]}: no "
                               f"release {stray[0]} in the history")
-    membership: dict[str, list[tuple[int, tuple[str, ...]]]] = {}
-    for rel in ordered:
-        for rid, group in sorted(rel.group_of().items()):
-            if schema is not None and rel.release_index in et_by_index:
-                rows = et_by_index[rel.release_index].rows
-                if rid in rows and not region_contains(schema, group.region,
-                                                       rows[rid]):
-                    raise ValidationError(
-                        f"release {rel.release_index}: record {rid!r} falls "
-                        f"outside its group region")
-            membership.setdefault(rid, []).append(
-                (rel.release_index, group.values))
-    settled = {r.record_id: r for r in previous or ()}
-    newest = ordered[-1].release_index if ordered else None
-    reports: dict[str, RiskReport] = {}
-    pending: dict[str, tuple[tuple[int, ...],
-                             tuple[tuple[str, ...], ...]]] = {}
-    for rid, appearances in membership.items():
-        versions = tuple(i for i, _ in appearances)
-        before = settled.get(rid)
-        if (versions[-1] != newest and before is not None
-                and before.versions == versions):
-            reports[rid] = before
-        else:
-            pending[rid] = (versions, tuple(v for _, v in appearances))
-    left = Counter(candidates for _, candidates in pending.values())
-    tables = _SharedTables(model)
-    shared: dict[tuple[tuple[str, ...], ...],
-                 tuple[list[dict[str, int]], _Masses]] = {}
-    for rid in sorted(pending):
-        versions, candidates = pending[rid]
-        try:
-            actual = [histories[rid][i] for i in versions]
-        except KeyError:
-            raise ValidationError(f"no actual sensitive value on file for "
-                                  f"{rid!r} at one of releases {versions}")
-        if candidates in shared:
-            positions, masses = shared.pop(candidates)
-        else:
-            positions, masses = tables.masses(candidates)
-        left[candidates] -= 1
-        if left[candidates]:
-            shared[candidates] = positions, masses
-        if masses[2] == 0:
-            # no feasible path: name prune's layer, the one before the
-            # first that nothing from layer 1 reaches
-            j = next(j for j, row in enumerate(masses[0]) if not any(row))
-            raise InconsistentHistoryError(f"layer {j} has no feasible node")
-        reports[rid] = _report(positions, masses, actual, rid, versions)
-    return [reports[rid] for rid in sorted(membership)]
+    kept = memo is not None    # a memo made here serves no later call
+    if memo is None:
+        memo = AttackMemo()
+    bound = (model, schema, *(et or ()))
+    if not memo._serves(bound, ordered):
+        memo._bind(bound)
+    try:
+        grown = memo._fold(ordered[len(memo.releases):], et_by_index, schema)
+        newest = ordered[-1].release_index if ordered else None
+        left = Counter(memo.membership[rid][1] for rid in grown)
+        shared: dict[_History, tuple[list[dict[str, int]], _Masses]] = {}
+        forwards: dict[_History, tuple[tuple[int, ...], ...]] = {}
+        for rid in sorted(grown):
+            versions, candidates = memo.membership[rid]
+            try:
+                actual = [histories[rid][i] for i in versions]
+            except KeyError:
+                raise ValidationError(f"no actual sensitive value on file "
+                                      f"for {rid!r} at one of releases "
+                                      f"{versions}")
+            if candidates in shared:
+                positions, masses = shared.pop(candidates)
+            else:
+                positions, masses = memo.masses(candidates)
+            left[candidates] -= 1
+            if left[candidates]:
+                shared[candidates] = positions, masses
+            if masses[2] == 0:
+                # no feasible path: name prune's layer, the one before the
+                # first that nothing from layer 1 reaches
+                j = next(j for j, row in enumerate(masses[0]) if not any(row))
+                raise InconsistentHistoryError(
+                    f"layer {j} has no feasible node")
+            if kept and versions[-1] == newest:
+                # as tuples of ints, which the cyclic collector stops
+                # tracking: kept lists would add to every full collection
+                forwards[candidates] = tuple(map(tuple, masses[0]))
+            memo.reports[rid] = _report(positions, masses, actual, rid,
+                                        versions)
+    except BaseException:
+        memo._bind(())
+        raise
+    if grown:
+        memo.forwards = forwards
+    return [memo.reports[rid] for rid in sorted(memo.membership)]

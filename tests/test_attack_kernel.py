@@ -8,8 +8,11 @@
 * `prune` keeps what layer 1 reaches and what reaches the last layer,
   in two passes; it must reach the same subgraph, and fail with the same
   message, as the plain node-by-node sweep kept below as the reference.
-* `attack_release_sequence(..., previous=...)` hands back settled records'
-  earlier reports; every prefix must still equal a fresh attack.
+* `attack_release_sequence(..., memo=...)` folds only the releases its
+  memo has not seen, hands back settled records' earlier reports and
+  extends kept forward masses; every prefix must still equal a fresh
+  attack, or raise its error, and a memo that does not fit the call, or
+  whose call raised, must not change what the next call gives.
 * `attack_release_sequence` shares one set of path masses among the
   records with the same candidate history and prunes nothing; its reports,
   and the error it raises, must be those of `reference_attack`, which runs
@@ -30,10 +33,12 @@ from mdistinct.errors import (InconsistentHistoryError, MDistinctError,
                               ValidationError)
 from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.fileio import synthetic_schema
-from mdistinct.model import Member, PublishedRelease, QIGroup
+from mdistinct.model import (ExternalKnowledgeTable, Member, PublishedRelease,
+                             QIGroup)
 from mdistinct import sug as sug_module
-from mdistinct.sug import (Sug, attack_release_sequence, build_sug,
-                           disclosure_risks, prune, risks_by_joint_oracle)
+from mdistinct.sug import (AttackMemo, Sug, attack_release_sequence,
+                           build_sug, disclosure_risks, prune,
+                           risks_by_joint_oracle)
 from mdistinct.updates import UpdateModel, validate_update_model
 
 F = Fraction
@@ -189,41 +194,88 @@ def test_missing_edges_are_not_built(worked_model):
 # prefix reuse
 
 
+def _without(release, rid):
+    """The release with record `rid` left out."""
+    return replace(release, groups=tuple(
+        replace(g, members=tuple(m for m in g.members if m.rid != rid))
+        for g in release.groups))
+
+
 class TestPrefixReuse:
     def test_settled_records_get_their_previous_report(
             self, release_one, release_two_defended, worked_model,
             histories_12):
+        memo = AttackMemo()
         first = attack_release_sequence([release_one], None, worked_model,
-                                        histories_12)
+                                        histories_12, memo=memo)
         # drop Ken from release 2: his only appearance stays release 1
-        without_ken = replace(release_two_defended, groups=tuple(
-            replace(g, members=tuple(m for m in g.members
-                                     if m.rid != "Ken"))
-            for g in release_two_defended.groups))
-        reports = attack_release_sequence([release_one, without_ken], None,
-                                          worked_model, histories_12,
-                                          previous=first)
-        fresh = attack_release_sequence([release_one, without_ken], None,
-                                        worked_model, histories_12)
-        assert reports == fresh
+        releases = [release_one, _without(release_two_defended, "Ken")]
+        reports = attack_release_sequence(releases, None, worked_model,
+                                          histories_12, memo=memo)
+        assert reports == attack_release_sequence(releases, None,
+                                                  worked_model, histories_12)
         ken = next(r for r in reports if r.record_id == "Ken")
         assert ken is next(r for r in first if r.record_id == "Ken")
         # records in the newest release are attacked again
         assert all(r is not p for r, p in zip(reports, first)
                    if r.record_id != "Ken")
 
-    def test_previous_report_with_other_versions_is_ignored(
-            self, release_one, worked_model, histories_12):
-        stale = attack_release_sequence([release_one], None, worked_model,
-                                        histories_12)
-        stale = [replace(r, versions=(0,)) for r in stale]
-        release_three = replace(release_one, release_index=3)
-        history = {rid: {**h, 3: h[1]} for rid, h in histories_12.items()}
-        fresh = attack_release_sequence([release_one, release_three], None,
-                                        worked_model, history)
-        assert attack_release_sequence([release_one, release_three], None,
-                                       worked_model, history,
-                                       previous=stale) == fresh
+    def test_memo_starts_over_on_releases_it_did_not_fold(
+            self, release_one, release_two_defended, worked_model,
+            class_model, histories_12, disease_schema, t1_records):
+        def both(releases, model=worked_model, et=None, schema=None):
+            fresh = _outcome(attack_release_sequence, releases, et, model,
+                             histories_12, schema)
+            assert _outcome(attack_release_sequence, releases, et, model,
+                            histories_12, schema, memo=memo) == fresh
+            return fresh
+
+        memo = AttackMemo()
+        both([release_one, release_two_defended])
+        # another object in place of a folded release, at its index
+        without_ken = _without(release_two_defended, "Ken")
+        both([release_one, without_ken])
+        # a release slipped in before a folded one
+        release_three = replace(without_ken, release_index=3)
+        history = {rid: {**h, 3: h[2]} for rid, h in histories_12.items()}
+        memo = AttackMemo()
+        attack_release_sequence([release_one, release_three], None,
+                                worked_model, history, memo=memo)
+        fresh = attack_release_sequence(
+            [release_one, release_two_defended, release_three], None,
+            worked_model, history)
+        assert attack_release_sequence(
+            [release_two_defended, release_three, release_one], None,
+            worked_model, history, memo=memo) == fresh
+        # another model, other tables, another schema
+        memo = AttackMemo()
+        releases = [release_one, release_two_defended]
+        assert both(releases) != both(releases, class_model)
+        rows = {rec.id: rec.qi for rec in t1_records}
+        both(releases, et=[ExternalKnowledgeTable(1, rows)],
+             schema=disease_schema)
+        rows["Ken"] = (39, 39)   # outside Ken's published region
+        assert both(releases, et=[ExternalKnowledgeTable(1, rows)],
+                    schema=disease_schema)[0] is ValidationError
+        both(releases)
+
+    def test_a_call_that_raises_leaves_a_memo_that_still_fits(
+            self, release_one, release_two_defended, worked_model,
+            histories_12):
+        memo = AttackMemo()
+        releases = [release_one, release_two_defended]
+        attack_release_sequence(releases[:1], None, worked_model,
+                                histories_12, memo=memo)
+        # no actual value at release 2 for anyone: the call stops after
+        # reading release 2, before any record of it is attacked
+        lacking = {rid: {1: h[1]} for rid, h in histories_12.items()}
+        with pytest.raises(ValidationError, match="no actual sensitive"):
+            attack_release_sequence(releases, None, worked_model, lacking,
+                                    memo=memo)
+        assert attack_release_sequence(
+            releases, None, worked_model, histories_12,
+            memo=memo) == attack_release_sequence(releases, None,
+                                                  worked_model, histories_12)
 
     def test_every_prefix_equals_a_fresh_attack(self):
         config = ExperimentConfig(m=6, d=10, n_records=120, n_releases=4,
@@ -350,11 +402,19 @@ def test_attack_equals_record_by_record_reference(case):
             mock.patch.object(sug_module, "prune", _graph_code_raises):
         assert _outcome(attack_release_sequence, releases, None, model,
                         histories) == want
-        previous = _outcome(attack_release_sequence, releases[:-1], None,
-                            model, histories)
-        if isinstance(previous, list):
-            assert _outcome(attack_release_sequence, releases, None, model,
-                            histories, previous=previous) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(release_sequences())
+def test_one_memo_over_every_prefix_equals_fresh_attacks(case):
+    """A memo carried from each prefix to the next, through the calls that
+    raise, gives what a fresh attack gives at every prefix."""
+    model, releases, histories = case
+    memo = AttackMemo()
+    for k in range(1, len(releases) + 1):
+        assert _outcome(attack_release_sequence, releases[:k], None, model,
+                        histories, memo=memo) == _outcome(
+            attack_release_sequence, releases[:k], None, model, histories)
 
 
 def test_actual_value_on_a_pruned_node_is_inconsistent(worked_model):

@@ -28,7 +28,7 @@ from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.fileio import synthetic_schema
 from mdistinct.model import (AttributeSchema, Hierarchy, Record,
                              TableSchema)
-from mdistinct.updates import USS
+from mdistinct.updates import USS, has_matching
 
 from conftest import add, span_extent
 
@@ -290,12 +290,17 @@ def _outcome(split, bucket, schema, seed):
 
 
 def _bucket(schema: TableSchema, entries) -> tuple[TableSchema, Bucket]:
-    """A balanced bucket from per-entry (QI tuple, value) lists."""
+    """A balanced bucket from per-entry (QI tuple, value) lists.  Each
+    list's CUS is its values plus v6, and the list goes to an entry with
+    that CUS: `USS` sorts its entries, so list i need not be entry i."""
     values = [frozenset(v for _, v in entry) | {"v6"} for entry in entries]
     bucket = Bucket(USS(values), "signature")
-    for e, entry in enumerate(entries):
+    free = list(bucket.signature.entries)
+    for e, (cus, entry) in enumerate(zip(values, entries)):
+        slot = free.index(cus)
+        free[slot] = None
         for s, (qi, value) in enumerate(entry):
-            add(bucket, Record(f"r{e}{s}", qi, value), e, schema)
+            add(bucket, Record(f"r{e}{s}", qi, value), slot, schema)
     return schema, balance_counterfeits(bucket)
 
 
@@ -324,6 +329,26 @@ def test_matches_reference(case, seed):
     schema, bucket = case
     assert (_outcome(phase3_split, bucket, schema, seed)
             == _outcome(reference_phase3_split, bucket, schema, seed))
+
+
+def test_example_buckets_hold_each_value_in_its_cus():
+    for _, bucket in (_SIX_BY_TWO, _CLASHING, _BLOCKED):
+        for cus, records in zip(bucket.signature.entries, bucket.entries):
+            assert all(rec.sensitive in cus for rec in records)
+
+
+def test_blocked_bucket_takes_the_matching_guided_walk(monkeypatch):
+    """The first walk of `_BLOCKED` fails, so phase 3 asks the matching."""
+    calls = []
+
+    def counted(adj, width):
+        calls.append(width)
+        return has_matching(adj, width)
+
+    monkeypatch.setattr(engine, "has_matching", counted)
+    schema, bucket = _BLOCKED
+    _outcome(phase3_split, bucket, schema, 1)
+    assert calls
 
 
 def reference_pick_sequence(entry_at, value_at, k, max_picks):

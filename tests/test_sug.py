@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -261,6 +262,18 @@ class TestAttackSequence:
                 attack_release_sequence(
                     [release_one], [ExternalKnowledgeTable(index, rows)],
                     worked_model, histories_12, disease_schema)
+
+    def test_repeated_release_index_rejected(self, release_one,
+                                             release_two_defended,
+                                             worked_model, histories_12):
+        # before, [release_one, release_one] gave versions (1, 1) reports
+        for releases in ([release_one, release_one],
+                         [release_one, release_two_defended,
+                          replace(release_two_defended, release_index=1)]):
+            with pytest.raises(ValidationError,
+                               match="^release 1 given twice$"):
+                attack_release_sequence(releases, None, worked_model,
+                                        histories_12)
 
     def test_missing_actual_value_rejected(self, release_one, worked_model):
         with pytest.raises(ValidationError):
