@@ -34,7 +34,7 @@ QUICK = dict(n_records=200, n_releases=4, inserts=50, deletes=20,
 def build_config(publisher: str, m: int, seed: int, quick: bool,
                  ) -> ExperimentConfig:
     overrides = dict(QUICK) if quick else {}
-    d = overrides.get("d", 10)
+    d = 10
     if publisher == "m_distinct_star" and 50 // d < m:
         d = 50 // m  # shrink update scopes until m of them fit disjointly
     return ExperimentConfig(publisher=publisher, m=m, d=d, seed=seed,

@@ -2,10 +2,11 @@
 
 Phase 1 creates buckets keyed by update-set signatures (plus best pairwise
 intersections), phase 2 greedily assigns records to bucket entries by a
-counterfeit/generalization score, phase 3 recursively splits balanced
-buckets into QI-groups with one record per entry and distinct sensitive
-values.  First-timers with no usable bucket go through a static
-Mondrian-style partitioner.  Everything is deterministic given the seed.
+counterfeit/generalization score, phase 3 pads every entry of a bucket
+with counterfeit slots up to the bucket's delta and recursively splits it
+into QI-groups with one member per entry and distinct sensitive values.
+First-timers with no usable bucket go through a static Mondrian-style
+partitioner.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from math import prod
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InfeasibilityError, ValidationError
 from .model import (AttributeSchema, CounterfeitMember, PublishedRelease,
@@ -29,7 +30,6 @@ __all__ = [
     "PrevInfo",
     "phase1_create_buckets",
     "phase2_assign",
-    "balance_counterfeits",
     "phase3_split",
     "static_partition",
     "publish",
@@ -77,7 +77,6 @@ class Bucket:
     signature: USS
     origin: str  # "signature" | "intersection"
     entries: list[list[Record]] = field(init=False)
-    counterfeits: list[int] = field(init=False)
     freq: Counter = field(init=False)
     size: int = field(init=False)
     extent_product: int = field(init=False)  # 1 while empty
@@ -89,7 +88,6 @@ class Bucket:
 
     def __post_init__(self):
         self.entries = [[] for _ in self.signature.entries]
-        self.counterfeits = [0] * len(self.signature.entries)
         self.freq = Counter()
         self.size = 0
         self.extent_product = 1
@@ -281,8 +279,13 @@ def phase2_assign(records: Sequence[Record],
     each such pair's bucket list is found once, among the buckets that
     cover the value.  In one bucket lam does not depend on the entry and a
     larger epsilon always scores higher (1/lam > 0 > -lam), so the best
-    entry has the largest epsilon, then the fewest records.  Scores are
-    compared as integer pairs by cross-multiplication.
+    entry has the largest epsilon, then the fewest records, then comes
+    first.  That is the first least-filled eligible entry: in an empty
+    bucket every entry's epsilon is +1, when the value's frequency equals
+    delta every entry's is -1, and otherwise epsilon is -1 exactly on the
+    entries already holding delta records, so `_epsilon` runs once per
+    bucket, on that entry.  Scores are compared as integer pairs by
+    cross-multiplication.
     """
     covering: dict[str, list[int]] = {}
     for b, bucket in enumerate(buckets):
@@ -320,25 +323,17 @@ def phase2_assign(records: Sequence[Record],
         for b, entry_ids in options:
             bucket = buckets[b]
             entries = bucket.entries
-            eps = entry = None
+            entry = entry_ids[0]
             for i in entry_ids:
-                e = _epsilon(bucket, i, value)
-                if entry is None or e > eps or (
-                        e == eps and len(entries[i]) < len(entries[entry])):
-                    eps, entry = e, i
-            num, den = _score(eps, bucket.extent_product,
+                if len(entries[i]) < len(entries[entry]):
+                    entry = i
+            num, den = _score(_epsilon(bucket, entry, value),
+                              bucket.extent_product,
                               bucket.extent_product_with(point, extent))
             if best is None or num * best_den > best_num * den:
                 best_num, best_den, best = num, den, (b, entry)
         buckets[best[0]]._place(rec, best[1], point, extent)
     return pool
-
-
-def balance_counterfeits(bucket: Bucket) -> Bucket:
-    """Pad every entry with counterfeit slots up to delta members."""
-    delta = bucket.delta()
-    bucket.counterfeits = [delta - len(e) for e in bucket.entries]
-    return bucket
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +537,8 @@ def _fallback_decompose(cells_by_entry: list[list[_Cell]]) -> list[list[_Cell]]:
 
 def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                  ) -> list[list[Record | CounterfeitMember]]:
-    """Recursively bisect a balanced bucket into one-per-entry QI-groups.
+    """Pad every entry with counterfeit slots up to the bucket's delta, then
+    recursively bisect the bucket into one-per-entry QI-groups.
 
     At each level, every QI attribute contributes one greedy pick-out
     sequence from its sorted queue; prefix sizes delta_A in 1..delta-1 form
@@ -567,12 +563,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
     cells: list[_Cell] = []
     for e, entry in enumerate(bucket.entries):
         cells += [_Cell(e, s, rec) for s, rec in enumerate(entry)]
-        cells += [_Cell(e, len(entry) + s, None)
-                  for s in range(bucket.counterfeits[e])]
-    sizes = {len(entry) + pad
-             for entry, pad in zip(bucket.entries, bucket.counterfeits)}
-    if len(sizes) != 1:
-        raise ValidationError("bucket not balanced")
+        cells += [_Cell(e, s, None) for s in range(len(entry), bucket.delta())]
 
     k = len(bucket.entries)
     qi = schema.qi
@@ -742,9 +733,13 @@ def _color_key(rec: Record, model: UpdateModel, star: bool):
 
 
 def _deal(records: list[Record], n_groups: int, model: UpdateModel,
-          star: bool) -> list[list[Record]]:
+          star: bool) -> Iterator[list[Record]]:
     """Rarest-color-first cyclic deal; a color's records land in distinct
-    groups because consecutive cursor slots never repeat within n_groups."""
+    groups because consecutive cursor slots never repeat within n_groups.
+    Ids are unique, so the deal does not depend on the records' order.
+    In star mode each group is checked as it is yielded, so a caller that
+    pads group by group meets a failing check and a failing pad in deal
+    order."""
     by_color: dict = {}
     for rec in records:
         by_color.setdefault(_color_key(rec, model, star), []).append(rec)
@@ -754,7 +749,10 @@ def _deal(records: list[Record], n_groups: int, model: UpdateModel,
         for rec in sorted(by_color[color], key=lambda r: r.id):
             groups[cursor % n_groups].append(rec)
             cursor += 1
-    return groups
+    for group in groups:
+        if star:
+            _check_star(group, model)
+        yield group
 
 
 def _pad_group(group: list[Record | CounterfeitMember], m: int,
@@ -805,9 +803,7 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
         # not m-eligible: deal into max-frequency many groups, pad with
         # counterfeits
         for group in _deal(pool, f_root, model, star):
-            if star:
-                _check_star(group, model)
-            out.append(_pad_group(list(group), m, model, star, rng))
+            out.append(_pad_group(group, m, model, star, rng))
         return out
 
     qi = schema.qi
@@ -817,8 +813,6 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
     point = [_point(qi, rec) for rec in pool]
     extent = _Extents(qi)
     width, cover = extent.width, extent.cover
-    mark = [0] * len(pool)
-    stamp = 0
 
     def side_numerators(order: list[int], cof: list[int], forward: bool,
                         ) -> dict[int, int]:
@@ -851,9 +845,8 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
                  for a, b, w, ext in zip(lo, hi, width, cover)], cof)
         return found
 
-    def recurse(members: list[int], orders: list[list[int]]) -> None:
-        nonlocal stamp
-        n = len(members)
+    def recurse(orders: list[list[int]]) -> None:
+        n = len(orders[0])
         best = None  # (numerator, attr_pos, cut)
         if n >= 2 * m:
             parent = [extent.of(j, point[o[0]][j], point[o[-1]][j])
@@ -873,24 +866,16 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
                     if best is None or score < best[0]:
                         best = (score, attr_pos, cut)
         if best is None:
-            for group in _deal([pool[i] for i in members], max(n // m, 1),
-                               model, star):
-                if star:
-                    _check_star(group, model)
-                out.append(list(group))
+            out.extend(_deal([pool[i] for i in orders[0]], max(n // m, 1),
+                             model, star))
             return
         _, attr_pos, cut = best
-        stamp += 1
-        for i in orders[attr_pos][:cut]:
-            mark[i] = stamp
-        child_a = [[i for i in o if mark[i] == stamp] for o in orders]
-        child_b = [[i for i in o if mark[i] != stamp] for o in orders]
-        recurse(child_a[attr_pos], child_a)
-        recurse(child_b[attr_pos], child_b)
+        side_a = set(orders[attr_pos][:cut])
+        recurse([[i for i in o if i in side_a] for o in orders])
+        recurse([[i for i in o if i not in side_a] for o in orders])
 
-    everyone = list(range(len(pool)))
-    recurse(everyone, [sorted(everyone, key=lambda i: (point[i][j], i))
-                       for j in range(n_attr)])
+    recurse([sorted(range(len(pool)), key=lambda i: (point[i][j], i))
+             for j in range(n_attr)])
     return out
 
 
@@ -935,7 +920,6 @@ def publish(records: Sequence[Record], state: EngineState,
     for bucket in buckets:
         if bucket.size == 0:
             continue  # over-generated candidate, nothing assigned
-        balance_counterfeits(bucket)
         groups.extend(phase3_split(bucket, schema, rng))
     groups.extend(static_partition(pool, state.m, schema, model, rng,
                                    star=state.star))

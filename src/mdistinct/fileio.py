@@ -595,6 +595,9 @@ class HistoryStore:
             except ValidationError as exc:
                 raise ValidationError(f"{path} line {lineno}: {exc}") \
                     from None
+        if not groups:
+            # every publisher refuses to write an empty release
+            raise ValidationError(f"{path}: no groups")
         return PublishedRelease(index, tuple(
             QIGroup(g, region, tuple(members))
             for g, (region, members) in groups.items()))

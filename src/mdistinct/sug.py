@@ -376,8 +376,7 @@ class AttackMemo:
         grown: set[str] = set()
         for rel in releases:
             index = rel.release_index
-            rows = (et_by_index[index].rows
-                    if schema is not None and index in et_by_index else {})
+            rows = et_by_index[index].rows if index in et_by_index else {}
             for rid, group in sorted(rel.group_of().items()):
                 if rid in rows and not region_contains(schema, group.region,
                                                        rows[rid]):
@@ -433,8 +432,9 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     contain it (counterfeit members included - the adversary cannot tell),
     and its report is what disclosure_risks(prune(build_sug(...))) gives.
     `histories` supplies the actual value per (id, release index); `et`
-    enables the exact-QI integrity check, and a table whose index names
-    none of the releases is refused, as is a release index given twice.
+    enables the exact-QI integrity check against `schema`.  Tables without
+    a schema are refused, as are a table whose index names none of the
+    releases and a release index given twice.
 
     Records with the same candidate history share one SUG, so its path
     masses are computed once per call and dropped after its last record.
@@ -450,6 +450,9 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     masses.  A call that raises leaves the memo empty.  A call without a
     memo runs on a fresh one, which keeps no forward masses.
     """
+    if et and schema is None:
+        raise ValidationError("external tables need the table schema for "
+                              "the region check")
     ordered = sorted(releases, key=lambda r: r.release_index)
     for a, b in zip(ordered, ordered[1:]):
         if a.release_index == b.release_index:

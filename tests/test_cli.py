@@ -742,6 +742,17 @@ class TestStoredReleases:
             workdir, base, capsys,
             f"{path} line 3: sensitive value 'Zzz' outside domain")
 
+    def test_release_with_no_rows_exits_two(self, workdir, two_releases,
+                                            capsys):
+        """No publisher writes an empty release, so a release file cut
+        down to its header is refused, not read as a release that
+        publishes nobody."""
+        hist, base = two_releases
+        path = hist / "release_2.csv"
+        write_csv(path, [path.read_text().splitlines()[0].split(",")])
+        self._refused_by_every_command(workdir, base, capsys,
+                                       f"{path}: no groups")
+
     @pytest.mark.parametrize("change, name, what", [
         ("delete", "release_2.csv", "missing"),
         ("add", "release_0.csv", "unexpected")])

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from mdistinct.engine import (Bucket, EngineState, PrevInfo, _Extents,
                               _eligible_buckets, _epsilon, _point, _score,
-                              _side_numerator, balance_counterfeits,
-                              phase1_create_buckets, phase2_assign,
-                              phase3_split, publish, static_partition,
-                              verify_m_distinct)
+                              _side_numerator, phase1_create_buckets,
+                              phase2_assign, phase3_split, publish,
+                              static_partition, verify_m_distinct)
 from mdistinct.errors import InfeasibilityError, ValidationError
 from mdistinct.model import (AttributeSchema, CounterfeitMember, Hierarchy,
                              Record, TableSchema, generalize)
@@ -235,12 +234,25 @@ class TestPhase2:
 
 class TestBalance:
     def test_pads_every_entry_to_delta(self, small_schema):
-        bucket = Bucket(sig_of({"a", "b"}, {"c", "d"}), "signature")
+        """Each entry gets delta - len(entry) counterfeits, drawn from that
+        entry's CUS."""
+        bucket = Bucket(sig_of({"a", "b"}, {"c"}, {"d", "e"}), "signature")
         add(bucket, Record("r1", (1,), "a"), 0, small_schema)
         add(bucket, Record("r2", (2,), "b"), 0, small_schema)
-        add(bucket, Record("r3", (3,), "c"), 1, small_schema)
-        balance_counterfeits(bucket)
-        assert bucket.counterfeits == [0, 1]
+        add(bucket, Record("r3", (3,), "a"), 0, small_schema)
+        add(bucket, Record("r4", (4,), "c"), 1, small_schema)
+        add(bucket, Record("r5", (5,), "d"), 2, small_schema)
+        add(bucket, Record("r6", (6,), "e"), 2, small_schema)
+        assert bucket.delta() == 3
+        groups = phase3_split(bucket, small_schema, random.Random(0))
+        assert len(groups) == 3
+        fakes = Counter()
+        for group in groups:
+            for cus, member in zip(bucket.signature.entries, group):
+                if isinstance(member, CounterfeitMember):
+                    assert member.sensitive in cus
+                    fakes[cus] += 1
+        assert [fakes[cus] for cus in bucket.signature.entries] == [0, 2, 1]
 
 
 class TestSplitScore:
@@ -272,7 +284,6 @@ class TestPhase3:
         add(bucket, Record("r2", (9,), "b"), 0, schema)
         add(bucket, Record("r3", (1,), "c"), 1, schema)
         add(bucket, Record("r4", (8,), "d"), 1, schema)
-        balance_counterfeits(bucket)
         return bucket
 
     def test_splits_along_the_gap(self, small_schema):
@@ -286,7 +297,6 @@ class TestPhase3:
         add(bucket, Record("r1", (0,), "a"), 0, small_schema)
         add(bucket, Record("r2", (9,), "b"), 0, small_schema)
         add(bucket, Record("r3", (1,), "c"), 1, small_schema)
-        balance_counterfeits(bucket)
         groups = phase3_split(bucket, small_schema, random.Random(0))
         assert len(groups) == 2
         for group in groups:
@@ -305,7 +315,6 @@ class TestPhase3:
         add(bucket, Record("r1", (2,), "a"), 0, small_schema)
         add(bucket, Record("s0", (6,), "c"), 1, small_schema)
         add(bucket, Record("s1", (4,), "b"), 1, small_schema)
-        balance_counterfeits(bucket)
         groups = phase3_split(bucket, small_schema, random.Random(2))
         assert len(groups) == bucket.delta() == 2
         for group in groups:

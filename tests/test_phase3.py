@@ -21,9 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mdistinct import engine
 from mdistinct.engine import (Bucket, _Cell, _emit_group, _fallback_decompose,
-                              _pick_sequence, balance_counterfeits,
-                              phase3_split)
-from mdistinct.errors import InfeasibilityError, ValidationError
+                              _pick_sequence, phase3_split)
+from mdistinct.errors import InfeasibilityError
 from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.fileio import synthetic_schema
 from mdistinct.model import (AttributeSchema, Hierarchy, Record,
@@ -128,15 +127,15 @@ class _Extents:
 
 def reference_phase3_split(bucket, schema, rng):
     cus_list = bucket.signature.entries
+    # every entry is padded to delta, its largest entry or value frequency
+    delta = max([len(entry) for entry in bucket.entries]
+                + list(Counter(r.sensitive for entry in bucket.entries
+                               for r in entry).values()))
     cells_by_entry: list[list[_Cell]] = []
     for e, entry in enumerate(bucket.entries):
         cells = [_Cell(e, s, rec) for s, rec in enumerate(entry)]
-        cells += [_Cell(e, len(entry) + s, None)
-                  for s in range(bucket.counterfeits[e])]
+        cells += [_Cell(e, s, None) for s in range(len(entry), delta)]
         cells_by_entry.append(cells)
-    sizes = {len(c) for c in cells_by_entry}
-    if len(sizes) != 1:
-        raise ValidationError("bucket not balanced")
 
     out = []
 
@@ -233,7 +232,7 @@ def reference_phase3_split(bucket, schema, rng):
 
 
 # ---------------------------------------------------------------------------
-# random balanced buckets
+# random buckets
 
 DOMAIN = tuple(f"v{i}" for i in range(7))
 
@@ -256,8 +255,8 @@ def _draw_qi(attr: AttributeSchema, draw):
 
 @st.composite
 def buckets(draw):
-    """A schema and a balanced bucket of 1-4 entries with up to 12 records
-    each; records in one entry may share values, QI points may tie."""
+    """A schema and a bucket of 1-4 entries with up to 12 records each;
+    records in one entry may share values, QI points may tie."""
     picked = draw(st.lists(st.sampled_from(ATTRS), min_size=1, max_size=3,
                            unique_by=lambda a: a.name))
     schema = TableSchema(tuple(picked), "s", DOMAIN)
@@ -277,22 +276,22 @@ def buckets(draw):
             value = draw(st.sampled_from(sorted(values)))
             add(bucket, Record(f"r{ids[n]:02d}", qi, value), e, schema)
             n += 1
-    return schema, balance_counterfeits(bucket)
+    return schema, bucket
 
 
 def _outcome(split, bucket, schema, seed):
     rng = random.Random(seed)
     try:
         result = split(bucket, schema, rng)
-    except (InfeasibilityError, ValidationError) as exc:
+    except InfeasibilityError as exc:
         result = (type(exc), str(exc))
     return result, rng.getstate()
 
 
 def _bucket(schema: TableSchema, entries) -> tuple[TableSchema, Bucket]:
-    """A balanced bucket from per-entry (QI tuple, value) lists.  Each
-    list's CUS is its values plus v6, and the list goes to an entry with
-    that CUS: `USS` sorts its entries, so list i need not be entry i."""
+    """A bucket from per-entry (QI tuple, value) lists.  Each list's CUS
+    is its values plus v6, and the list goes to an entry with that CUS:
+    `USS` sorts its entries, so list i need not be entry i."""
     values = [frozenset(v for _, v in entry) | {"v6"} for entry in entries]
     bucket = Bucket(USS(values), "signature")
     free = list(bucket.signature.entries)
@@ -301,7 +300,7 @@ def _bucket(schema: TableSchema, entries) -> tuple[TableSchema, Bucket]:
         free[slot] = None
         for s, (qi, value) in enumerate(entry):
             add(bucket, Record(f"r{e}{s}", qi, value), slot, schema)
-    return schema, balance_counterfeits(bucket)
+    return schema, bucket
 
 
 # two entries of six records whose values shift by one between them

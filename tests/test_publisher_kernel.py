@@ -463,6 +463,22 @@ def test_static_partition_matches_reference(case):
             == _partition_outcome(reference_static_partition, case))
 
 
+def test_star_deal_pads_a_group_before_checking_the_next():
+    """A root pool that is not m-eligible is dealt into {b, c} and {d, c}.
+    The first group passes the star check and is padded, which draws from
+    the generator; the second fails it, since cus(d) holds c.  Both forms
+    raise there, with the generator in the same, advanced state."""
+    cus = {"a": {"a"}, "b": {"b"}, "c": {"c"}, "d": {"c", "d"}}
+    model = UpdateModel.uniform(cus, sorted(cus))
+    schema = TableSchema((AGE,), "s", tuple(sorted(cus)))
+    records = [Record(f"r{i}", (20 + i,), v) for i, v in enumerate("bccd")]
+    case = (schema, model, records, 3, True, 0)
+    outcome = _partition_outcome(static_partition, case)
+    assert outcome == _partition_outcome(reference_static_partition, case)
+    assert outcome[0].startswith("static partition cannot keep group CUS")
+    assert outcome[1] != random.Random(0).getstate()
+
+
 # ---------------------------------------------------------------------------
 # phase 1 and implies against the plain pair loop and matching
 

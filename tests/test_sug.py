@@ -253,6 +253,17 @@ class TestAttackSequence:
                                     worked_model, histories_12,
                                     disease_schema)
 
+    def test_et_without_schema_rejected(self, release_one, worked_model,
+                                        histories_12, t1_records):
+        # without the schema the region check cannot run, and Ken's row,
+        # outside his group's region, would pass unnoticed
+        rows = {rec.id: rec.qi for rec in t1_records}
+        rows["Ken"] = (39, 39)
+        with pytest.raises(ValidationError, match="need the table schema"):
+            attack_release_sequence([release_one],
+                                    [ExternalKnowledgeTable(1, rows)],
+                                    worked_model, histories_12)
+
     def test_et_of_no_release_rejected(self, release_one, worked_model,
                                        histories_12, disease_schema,
                                        t1_records):
