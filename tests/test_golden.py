@@ -5,8 +5,11 @@ test pins the outputs themselves.  The digests below were recorded before
 the attack kernel moved to integer arithmetic, so any change to a report,
 a serialized release, an actuals snapshot or a risk rational shows up as a
 digest mismatch.  `CLI_DIGESTS` pin a history the CLI itself wrote,
-meta.csv and a widened schema.json included.  Regenerate them only for a
-deliberate output change:
+meta.csv and a widened schema.json included.  `PUBLISHER_DIGESTS` pin the
+m=2 runs of the publishers that place most records through the static
+partitioner: m-invariance and l-diversity on every release, the strict
+publisher through its star deal.  Regenerate them only for a deliberate
+output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -98,6 +101,112 @@ GOLDEN_DIGESTS = {
 }
 
 
+PUBLISHER_DIGESTS = {
+    "l_diversity": {
+        "history/counterfeits_1.csv":
+            "57aeed239f1e8c9ed1647e5a3ff914c7a397bc6bbc05670666c747341a47aedb",
+        "history/counterfeits_2.csv":
+            "57aeed239f1e8c9ed1647e5a3ff914c7a397bc6bbc05670666c747341a47aedb",
+        "history/counterfeits_3.csv":
+            "57aeed239f1e8c9ed1647e5a3ff914c7a397bc6bbc05670666c747341a47aedb",
+        "history/counterfeits_4.csv":
+            "57aeed239f1e8c9ed1647e5a3ff914c7a397bc6bbc05670666c747341a47aedb",
+        "history/microdata_1.csv":
+            "d8098dc15bb9883f48ecd9f19a9c4ee65897e13ea2050b6397184977228f908f",
+        "history/microdata_2.csv":
+            "5c37fa36856bbd474429ad111e41cb54cd2deb48b7e6e5297ef7b403c34db0eb",
+        "history/microdata_3.csv":
+            "c25fe1cb4a608c754e701ac3ed89a4abb64c3dcb6ee333fbd8bf1b40250e5ff3",
+        "history/microdata_4.csv":
+            "9b997c65e8790dfd4d1cf72268fdb1dbe9b527f23ea26422add464f40d226fe0",
+        "history/release_1.csv":
+            "3829a79cc6d4ab121c8c909b0eee873d285699e60904899e6e590358ecf9a7ce",
+        "history/release_2.csv":
+            "50860e8ee631e56bb961f749b943610b19256f0d59d9bc0a638c8e04cbabdcb8",
+        "history/release_3.csv":
+            "60f8c675897d1cb38ca95c06cd4b7fd04be7f4f601a7757f773d70d3641f064e",
+        "history/release_4.csv":
+            "4dc3c65599a26dfc4670036d8eade931d2f5cf5c97e9bb61e78b8af4f1146490",
+        "history/risks.csv":
+            "0a5c3c44605a5f2d1e077f5a61fe800833f59e4a7b776165eef951f309206630",
+        "history/schema.json":
+            "229ee1e4c87514b8249596007646e54879d84375babc916310644fb9ee4b82dc",
+        "report.csv":
+            "355166c20c43f647a99470834eea2ccd75e6215c4da15c3280dcfe4a0483589c",
+        "summary.csv":
+            "d7101982a97309dd1ef4dd8aa62aebf5293fa5995aafbd0ab7a1d0c38df860d7",
+    },
+    "m_distinct_star": {
+        "history/counterfeits_1.csv":
+            "57aeed239f1e8c9ed1647e5a3ff914c7a397bc6bbc05670666c747341a47aedb",
+        "history/counterfeits_2.csv":
+            "2477b9bfaaf2ad0260fb8f885d1e870f144fa2405f1b00a5b0619d49c59eacf3",
+        "history/counterfeits_3.csv":
+            "04bc16b17ff44ef7035b186f7c7e139e7cd421efd72c4cc721d4271a9d60b7f9",
+        "history/counterfeits_4.csv":
+            "a880198ccdc26e0e29cf20fef190d1d94e721c42ffa32fe2793bf7f42851ccfc",
+        "history/microdata_1.csv":
+            "d8098dc15bb9883f48ecd9f19a9c4ee65897e13ea2050b6397184977228f908f",
+        "history/microdata_2.csv":
+            "5c37fa36856bbd474429ad111e41cb54cd2deb48b7e6e5297ef7b403c34db0eb",
+        "history/microdata_3.csv":
+            "c25fe1cb4a608c754e701ac3ed89a4abb64c3dcb6ee333fbd8bf1b40250e5ff3",
+        "history/microdata_4.csv":
+            "9b997c65e8790dfd4d1cf72268fdb1dbe9b527f23ea26422add464f40d226fe0",
+        "history/release_1.csv":
+            "373e80e6807b7f93a099dc2bf976aed3ad2abc91868cc55720f41485c68ca788",
+        "history/release_2.csv":
+            "d2cc4d1176c5b19961803f39609e0b06f6178accaa32f933011774a72e0ee53e",
+        "history/release_3.csv":
+            "daa1205f46317e03c5e1570407075c62fdf323b15cb58e4900968605b180d796",
+        "history/release_4.csv":
+            "aa0ab9171fc9d2f3781433e458073bd613b8e49a497a5e812ce9a7425b0c7e38",
+        "history/risks.csv":
+            "ac1dbfe78c586c262f38d236fb3c0feb44d6c27880c458ab65897da28761b775",
+        "history/schema.json":
+            "229ee1e4c87514b8249596007646e54879d84375babc916310644fb9ee4b82dc",
+        "report.csv":
+            "199c33da9c1d95e2a27faabe5d6e1ff58da1fe6e21e6ae808239a29aac74951a",
+        "summary.csv":
+            "04aa2eca6adaaa9c8cf88b3094457ea110dcc60807b3e4a1938e111785ea7017",
+    },
+    "m_invariance": {
+        "history/counterfeits_1.csv":
+            "57aeed239f1e8c9ed1647e5a3ff914c7a397bc6bbc05670666c747341a47aedb",
+        "history/counterfeits_2.csv":
+            "7c1e9516b5c152c33121cae509bdf08d1c5fc80facdf337f6118380884b0867a",
+        "history/counterfeits_3.csv":
+            "c34e56e082d0098bd09e297d718299b817e00d0711a31a22d9edb6528dcdf138",
+        "history/counterfeits_4.csv":
+            "f23fea2e12378160c832ac9831cdc25a9ac3b2dcc8e18d508588a64fab17bf18",
+        "history/microdata_1.csv":
+            "d8098dc15bb9883f48ecd9f19a9c4ee65897e13ea2050b6397184977228f908f",
+        "history/microdata_2.csv":
+            "5c37fa36856bbd474429ad111e41cb54cd2deb48b7e6e5297ef7b403c34db0eb",
+        "history/microdata_3.csv":
+            "c25fe1cb4a608c754e701ac3ed89a4abb64c3dcb6ee333fbd8bf1b40250e5ff3",
+        "history/microdata_4.csv":
+            "9b997c65e8790dfd4d1cf72268fdb1dbe9b527f23ea26422add464f40d226fe0",
+        "history/release_1.csv":
+            "3829a79cc6d4ab121c8c909b0eee873d285699e60904899e6e590358ecf9a7ce",
+        "history/release_2.csv":
+            "b56df9099c2148dfc696eca1daf403f4dbc1e2fc82fdd857cd6f4cb562a3fa20",
+        "history/release_3.csv":
+            "83bb8b1e545fc9d5b523409c308cab650dbb81d8ddd11592bd59e4be4a394959",
+        "history/release_4.csv":
+            "9c0d2d7ac9a0def790c220e05561059af15722df0c28b6c9f372568209fea682",
+        "history/risks.csv":
+            "322ce947315deee62ed09db3a99e6cd08234d156939df9807abd1fb6cd4b35b9",
+        "history/schema.json":
+            "229ee1e4c87514b8249596007646e54879d84375babc916310644fb9ee4b82dc",
+        "report.csv":
+            "dae30b982b070c6cda3849c5f69379a998bb54a6a55409220b98de1f9af3851e",
+        "summary.csv":
+            "a5206cdd45ea4471439d5b9db952d29b4c4e2eae6f63c05286f172d1f6decbda",
+    },
+}
+
+
 CLI_DIGESTS = {
     "counterfeits_1.csv":
         "57aeed239f1e8c9ed1647e5a3ff914c7a397bc6bbc05670666c747341a47aedb",
@@ -126,11 +235,13 @@ CLI_DIGESTS = {
 }
 
 
-def golden_outputs(m: int, root: Path) -> dict[str, str]:
-    """Run the golden config at `m` and return sha256 per output file:
-    `report.csv`, `summary.csv`, and every file of the serialized history
-    (schema, releases, counterfeit counts, actuals and the final risks)."""
-    config = ExperimentConfig(m=m, **GOLDEN)
+def golden_outputs(m: int, root: Path,
+                   publisher: str = "m_distinct") -> dict[str, str]:
+    """Run the golden config of `publisher` at `m` and return sha256 per
+    output file: `report.csv`, `summary.csv`, and every file of the
+    serialized history (schema, releases, counterfeit counts, actuals and
+    the final risks)."""
+    config = ExperimentConfig(publisher=publisher, m=m, **GOLDEN)
     report = run_experiment(config)
     schema, _ = synthetic_schema(config.d, config.sensitive_size)
     report_dir = root / "report"
@@ -171,6 +282,12 @@ def test_golden_outputs_match_recorded_digests(m, tmp_path):
     assert golden_outputs(m, tmp_path) == GOLDEN_DIGESTS[m]
 
 
+@pytest.mark.parametrize("publisher", sorted(PUBLISHER_DIGESTS))
+def test_publisher_outputs_match_recorded_digests(publisher, tmp_path):
+    assert golden_outputs(2, tmp_path, publisher) == \
+        PUBLISHER_DIGESTS[publisher]
+
+
 def test_cli_history_matches_recorded_digests(tmp_path):
     assert cli_outputs(tmp_path) == CLI_DIGESTS
 
@@ -184,6 +301,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         pprint.pprint({m: golden_outputs(m, Path(tmp) / str(m))
                        for m in (2, 6)}, width=100)
+        pprint.pprint({p: golden_outputs(2, Path(tmp) / p, p)
+                       for p in ("l_diversity", "m_distinct_star",
+                                 "m_invariance")}, width=100)
         with contextlib.redirect_stdout(sys.stderr):
             digests = cli_outputs(Path(tmp))
         pprint.pprint(digests, width=100)
