@@ -64,12 +64,12 @@ def main(argv=None) -> int:
             try:
                 config = build_config(publisher, m, args.seed, args.quick)
                 report = run_experiment(config)
+                elapsed = time.perf_counter() - t0
+                write_report_files(args.out / label, report)
             except Exception as exc:
                 print(f"{label:24s} FAILED: {exc}")
                 failures += 1
                 continue
-            elapsed = time.perf_counter() - t0
-            write_report_files(args.out / label, report)
             pooled = [report.pooled_medians.get(t) for t in config.thetas]
             medians = " ".join("-" if med is None else f"{float(med):.3f}"
                                for med in pooled)

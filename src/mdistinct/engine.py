@@ -422,13 +422,6 @@ def _pick_sequence(entry_at: Sequence[int], value_at: Sequence[int], k: int,
     return picks
 
 
-def _side_numerator(extents: Sequence[int], cof: Sequence[int]) -> int:
-    """One side's sum_j extent_j / parent_extent_j times prod(parent
-    extents), cof[j] being prod(parent extents) // parent_extent_j.  A split
-    scores sum over its sides of |side| (real records) times that sum."""
-    return sum(x * c for x, c in zip(extents, cof))
-
-
 def _emit_group(cells: Sequence[_Cell], cus_list: Sequence[frozenset[str]],
                 rng: random.Random) -> list[Record | CounterfeitMember]:
     used = {c.record.sensitive for c in cells if c.record is not None}
@@ -608,8 +601,8 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
         hist = [0] * (max(freq) + 1)     # hist[f]: values with frequency f
         for f in freq:
             hist[f] += 1
-        # candidate scores share the denominator prod(parent_extents), so
-        # they compare exactly as integer numerators (see _side_numerator)
+        # candidate scores share the denominator prod(parent_extents), so they
+        # compare as integer numerators sum_side |side| * sum_j ext_j * cof[j]
         denom = prod(parent_extents)
         cof = [denom // e for e in parent_extents]
 
@@ -791,7 +784,8 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
     Records are sorted by (index, id) along each attribute once, and a
     child's orders are its parent's filtered.  Every cut of one node shares
     the split score's denominator, the product of the node's extents, so
-    cuts are ranked by integer numerators.
+    cuts are ranked by integer numerators.  Each side's numerator is carried
+    along its scan as the side's spans widen, and no cut rebuilds it.
     """
     if not records:
         return []
@@ -821,6 +815,8 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
         n = len(order)
         lo = [sys.maxsize] * n_attr
         hi = [-1] * n_attr
+        ext = [0] * n_attr
+        num = 0
         freq = [0] * len(color_ids)
         f_max = 0
         found = {}
@@ -828,10 +824,17 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
                                  else range(n - 1, 0, -1), start=1):
             r = order[p]
             for j, i in enumerate(point[r]):
-                if i < lo[j]:
-                    lo[j] = i
-                if i > hi[j]:
-                    hi[j] = i
+                a, b = lo[j], hi[j]
+                if a <= i <= b:
+                    continue
+                if i < a:
+                    lo[j] = a = i
+                if i > b:
+                    hi[j] = b = i
+                w = width[j]
+                x = cover[j][a * w + b] if w else b - a + 1
+                num += (x - ext[j]) * cof[j]
+                ext[j] = x
             c = color[r]
             freq[c] += 1
             if freq[c] > f_max:
@@ -840,9 +843,7 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
             # a side of fewer than m records fails the frequency test
             if cut % m or f_max > size // m:
                 continue
-            found[cut] = _side_numerator(
-                [ext[a * w + b] if w else b - a + 1
-                 for a, b, w, ext in zip(lo, hi, width, cover)], cof)
+            found[cut] = num
         return found
 
     def recurse(orders: list[list[int]]) -> None:
@@ -860,9 +861,8 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
                     if cut not in after:
                         continue
                     score = cut * a_num + (n - cut) * after[cut]
-                    # candidates come in increasing (attr_pos, cut), so only
-                    # a strictly lower score wins the (score, attr_pos, cut)
-                    # order
+                    # candidates come in increasing (attr_pos, cut), so
+                    # only a strictly lower score wins the tie-break
                     if best is None or score < best[0]:
                         best = (score, attr_pos, cut)
         if best is None:

@@ -54,6 +54,14 @@ def span_extent(attr, lo: int, hi: int) -> int:
     return attr.hierarchy.leafcount(attr.hierarchy.covering_node(lo, hi))
 
 
+def side_numerator(extents, cof) -> int:
+    """One side's sum_j extent_j / parent_extent_j times prod(parent
+    extents), cof[j] being prod(parent extents) // parent_extent_j: the
+    numerator that the static partitioner carries along its scans.  A split
+    scores sum over its sides of |side| (real records) times that sum."""
+    return sum(x * c for x, c in zip(extents, cof))
+
+
 def add(bucket, rec, entry_index: int, schema) -> None:
     """Place one record in a bucket entry, as phase 2 does."""
     bucket._place(rec, entry_index, _point(schema.qi, rec),

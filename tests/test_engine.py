@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from mdistinct.engine import (Bucket, EngineState, PrevInfo, _Extents,
                               _eligible_buckets, _epsilon, _point, _score,
-                              _side_numerator, phase1_create_buckets,
-                              phase2_assign, phase3_split, publish,
-                              static_partition, verify_m_distinct)
+                              phase1_create_buckets, phase2_assign,
+                              phase3_split, publish, static_partition,
+                              verify_m_distinct)
 from mdistinct.errors import InfeasibilityError, ValidationError
 from mdistinct.model import (AttributeSchema, CounterfeitMember, Hierarchy,
                              Record, TableSchema, generalize)
@@ -18,7 +18,7 @@ from mdistinct.updates import USS, implies, uss_of
 from mdistinct.baselines import count_vulnerable
 from mdistinct.sug import attack_release_sequence
 
-from conftest import add, span_extent
+from conftest import add, side_numerator, span_extent
 
 F = Fraction
 
@@ -266,7 +266,7 @@ class TestSplitScore:
         cof = [prod(parent) // e for e in parent]
 
         def numerator(*sides):
-            return sum(n * _side_numerator(
+            return sum(n * side_numerator(
                 [span_extent(attr, lo, hi) for lo, hi in spans], cof)
                 for n, spans in sides)
 

@@ -21,20 +21,20 @@ from fractions import Fraction
 from math import prod
 from typing import NamedTuple
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdistinct import baselines, engine
 from mdistinct.engine import (Bucket, PrevInfo, _Extents, _color_key,
                               _deal, _epsilon, _pad_group, _point, _score,
-                              _side_numerator, phase1_create_buckets,
-                              phase2_assign, static_partition)
+                              phase1_create_buckets, phase2_assign,
+                              static_partition)
 from mdistinct.errors import InfeasibilityError, ValidationError
 from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.model import AttributeSchema, Hierarchy, Record, TableSchema
 from mdistinct.updates import (USS, UpdateModel, has_matching, implies,
                                intersect, uss_of, validate_update_model)
 
-from conftest import add, covers, span_extent
+from conftest import add, covers, side_numerator, span_extent
 
 F = Fraction
 
@@ -456,8 +456,26 @@ def _partition_outcome(partition, case):
     return result, rng.getstate()
 
 
+BLOCKS = UpdateModel.from_classes([["s0", "s1"], ["s2", "s3"], ["s4"],
+                                   ["s5"]])
+AGE_REGION = TableSchema((AGE, TREE), "s", tuple(BLOCKS.sensitive_domain))
+# m=3 and n=10: a cut leaves the backward scan's side 1, 4 or 7 records
+THREE_OF_TEN = [Record(f"r{k:02d}", (20 + k // 2, "abcdefg"[k % 7]),
+                       f"s{k % 5}") for k in range(10)]
+# star mode: colors are the CUS {s0, s1}, {s2, s3}, {s4} and {s5}
+STAR_POOL = [Record(f"r{k:02d}", (20 + k % 5, "gfedcba"[k % 7]), f"s{k % 6}")
+             for k in range(8)]
+# along the age order the region span grows d, b..d, b..f, a..f, a..g:
+# both of its ends widen within one scan
+BOTH_ENDS = [Record(f"r{k}", (min(20 + k, 24), leaf), f"s{k}")
+             for k, leaf in enumerate("dbfagc")]
+
+
 @settings(max_examples=500, deadline=None)
 @given(partition_cases())
+@example((AGE_REGION, BLOCKS, THREE_OF_TEN, 3, False, 0))
+@example((AGE_REGION, BLOCKS, STAR_POOL, 2, True, 0))
+@example((AGE_REGION, BLOCKS, BOTH_ENDS, 2, False, 0))
 def test_static_partition_matches_reference(case):
     assert (_partition_outcome(static_partition, case)
             == _partition_outcome(reference_static_partition, case))
@@ -577,7 +595,7 @@ def test_side_numerator_matches_reference():
     cof = [denom // e for e in parent]
     for a, b in [((2, [(0, 1), (0, 2)]), (3, [(2, 4), (3, 5)])),
                  ((1, [(4, 4), (5, 5)]), (4, [(0, 3), (0, 4)]))]:
-        num = sum(n * _side_numerator(
+        num = sum(n * side_numerator(
             [span_extent(attr, lo, hi)
              for attr, (lo, hi) in zip(schema.qi, spans)], cof)
             for n, spans in (a, b))

@@ -27,3 +27,17 @@ def test_bad_group_size_fails_the_run(script, tmp_path, capsys, argv,
     out = capsys.readouterr().out
     assert f"FAILED: {message}" in out
     assert not (tmp_path / "out").exists()
+
+
+def test_unwritable_report_fails_the_run_and_the_sweep_goes_on(
+        script, tmp_path, capsys):
+    """--out names a file, so no report directory can be made under it:
+    each run is counted FAILED and the sweep reaches the next one."""
+    out = tmp_path / "notadir"
+    out.write_text("")
+    assert script.main(["--out", str(out), "--quick", "--publishers",
+                        "m_invariance", "-m", "2", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for label in ("m_invariance_m2", "m_invariance_m3"):
+        assert any(line.startswith(label) and "FAILED: cannot write" in line
+                   for line in lines)
