@@ -56,7 +56,7 @@ def main(argv=None) -> int:
                         help="small population for a fast smoke run")
     args = parser.parse_args(argv)
 
-    failures = 0
+    failures = written = 0
     for publisher in args.publishers:
         for m in args.group_sizes:
             label = f"{publisher}_m{m}"
@@ -78,7 +78,9 @@ def main(argv=None) -> int:
                   f"{report.vulnerable:4d}  max risk "
                   f"{report.max_risk.numerator}/{report.max_risk.denominator}"
                   f"  median err by theta: {medians}")
-    print(f"reports written under {args.out}/")
+            written += 1
+    if written:
+        print(f"reports written under {args.out}/")
     return 1 if failures else 0
 
 

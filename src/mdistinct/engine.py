@@ -340,12 +340,6 @@ def phase2_assign(records: Sequence[Record],
 # phase 3
 
 
-class _Cell(NamedTuple):
-    entry: int
-    seq: int                 # tie-breaker, creation order within the entry
-    record: Record | None    # None: counterfeit slot
-
-
 def _pick_sequence(entry_at: Sequence[int], value_at: Sequence[int], k: int,
                    max_picks: int) -> list[list[int]]:
     """Greedy pick-out sequence over one queue, as queue positions.
@@ -422,15 +416,18 @@ def _pick_sequence(entry_at: Sequence[int], value_at: Sequence[int], k: int,
     return picks
 
 
-def _emit_group(cells: Sequence[_Cell], cus_list: Sequence[frozenset[str]],
+def _emit_group(records: Sequence[Record | None],
+                cus_list: Sequence[frozenset[str]],
                 rng: random.Random) -> list[Record | CounterfeitMember]:
-    used = {c.record.sensitive for c in cells if c.record is not None}
+    """One member per entry: its record, or for a counterfeit slot (None) a
+    value drawn from the entry's CUS that the group does not hold yet."""
+    used = {rec.sensitive for rec in records if rec is not None}
     out: list[Record | CounterfeitMember] = []
-    for cell in cells:
-        if cell.record is not None:
-            out.append(cell.record)
+    for e, rec in enumerate(records):
+        if rec is not None:
+            out.append(rec)
         else:
-            options = sorted(cus_list[cell.entry] - used)
+            options = sorted(cus_list[e] - used)
             if not options:
                 raise InfeasibilityError("counterfeit value exhaustion")
             value = rng.choice(options)
@@ -439,22 +436,24 @@ def _emit_group(cells: Sequence[_Cell], cus_list: Sequence[frozenset[str]],
     return out
 
 
-def _fallback_decompose(cells_by_entry: list[list[_Cell]]) -> list[list[_Cell]]:
-    """Deterministic decomposition into delta one-per-entry groups with
-    distinct real values: round-robin order repaired by bipartite
+def _fallback_decompose(by_entry: list[list[int]], value_of: Sequence[int],
+                        ) -> list[list[int]]:
+    """Deterministic decomposition of cells into delta one-per-entry groups
+    with distinct real values: round-robin order repaired by bipartite
     edge-coloring (delta colors always suffice: column degree = delta and
     every value frequency <= delta), then a swap pass so no group is left
-    all-counterfeit.  Each entry's cells come in the first QI attribute's
-    queue order: reals by (index, id), then counterfeit slots by seq."""
-    delta = len(cells_by_entry[0])
-    k = len(cells_by_entry)
+    all-counterfeit.  `by_entry[e]` lists entry e's cells in the first QI
+    attribute's queue order: reals by (index, id), then counterfeit slots
+    (value_of < 0); a group lists one cell per entry."""
+    delta = len(by_entry[0])
+    entry_of = {c: e for e, cells in enumerate(by_entry) for c in cells}
     # proper-coloring bookkeeping: per color, which columns/values are taken
-    col_used: list[dict[int, _Cell]] = [dict() for _ in range(delta)]
-    val_used: list[dict[str, _Cell]] = [dict() for _ in range(delta)]
-    color_of: dict[tuple[int, int], int] = {}  # (entry, seq) -> color
+    col_used: list[dict[int, int]] = [dict() for _ in range(delta)]
+    val_used: list[dict[int, int]] = [dict() for _ in range(delta)]
+    color_of: dict[int, int] = {}
 
-    def insert(cell: _Cell) -> None:
-        e, v = cell.entry, cell.record.sensitive
+    def insert(cell: int) -> None:
+        e, v = entry_of[cell], value_of[cell]
         free_e = [c for c in range(delta) if e not in col_used[c]]
         free_v = [c for c in range(delta) if v not in val_used[c]]
         common = set(free_e) & set(free_v)
@@ -465,7 +464,7 @@ def _fallback_decompose(cells_by_entry: list[list[_Cell]]) -> list[list[_Cell]]:
             # walk the a/b alternating path starting at value v (the path
             # can never loop back to column e, so swapping a<->b along it
             # frees color a at both endpoints)
-            path: list[_Cell] = []
+            path: list[int] = []
             at_value, node, want = True, v, a
             while True:
                 nxt = (val_used[want].get(node) if at_value
@@ -473,58 +472,46 @@ def _fallback_decompose(cells_by_entry: list[list[_Cell]]) -> list[list[_Cell]]:
                 if nxt is None:
                     break
                 path.append(nxt)
-                node = nxt.entry if at_value else nxt.record.sensitive
+                node = entry_of[nxt] if at_value else value_of[nxt]
                 at_value = not at_value
                 want = b if want == a else a
-            flips = [(p, b if color_of[(p.entry, p.seq)] == a else a)
-                     for p in path]
-            for p, _ in flips:
-                c_old = color_of[(p.entry, p.seq)]
-                del col_used[c_old][p.entry]
-                del val_used[c_old][p.record.sensitive]
-            for p, c_new in flips:
-                col_used[c_new][p.entry] = p
-                val_used[c_new][p.record.sensitive] = p
-                color_of[(p.entry, p.seq)] = c_new
+            for p in path:
+                del col_used[color_of[p]][entry_of[p]]
+                del val_used[color_of[p]][value_of[p]]
+            for p in path:
+                color_of[p] = b if color_of[p] == a else a
+                col_used[color_of[p]][entry_of[p]] = p
+                val_used[color_of[p]][value_of[p]] = p
             c = a
         col_used[c][e] = cell
         val_used[c][v] = cell
-        color_of[(cell.entry, cell.seq)] = c
+        color_of[cell] = c
 
-    for cells in cells_by_entry:
+    for cells in by_entry:
         for cell in cells:
-            if cell.record is not None:
+            if value_of[cell] >= 0:
                 insert(cell)
     # counterfeit slots take the leftover colors per column
-    for cells in cells_by_entry:
-        free = sorted(set(range(delta)) - {color_of[(c.entry, c.seq)]
-                                           for c in cells
-                                           if (c.entry, c.seq) in color_of})
-        it = iter(free)
+    for cells in by_entry:
+        free = iter(sorted(set(range(delta))
+                           - {color_of[c] for c in cells if c in color_of}))
         for cell in cells:
-            if cell.record is None:
-                color_of[(cell.entry, cell.seq)] = next(it)
-    groups: list[list[_Cell]] = [[None] * k for _ in range(delta)]
-    for e in range(k):
-        for cell in cells_by_entry[e]:
-            groups[color_of[(cell.entry, cell.seq)]][e] = cell
-    # no emitted group may be all-counterfeit: move a spare real in
-    def reals(g: list[_Cell]) -> list[int]:
-        return [i for i, c in enumerate(g) if c.record is not None]
+            if value_of[cell] < 0:
+                color_of[cell] = next(free)
+    groups = [[0] * len(by_entry) for _ in range(delta)]
+    for e, cells in enumerate(by_entry):
+        for cell in cells:
+            groups[color_of[cell]][e] = cell
+    # no emitted group may be all-counterfeit: move a spare real in (any
+    # real fits a group that holds none)
+    def reals(group: list[int]) -> list[int]:
+        return [e for e, c in enumerate(group) if value_of[c] >= 0]
 
-    for gi, group in enumerate(groups):
-        while not reals(group):
-            donor = next(g for g in range(len(groups))
-                         if len(reals(groups[g])) >= 2)
-            for e in reals(groups[donor]):
-                cell = groups[donor][e]
-                v = cell.record.sensitive
-                if all(c.record is None or c.record.sensitive != v
-                       for c in group):
-                    groups[donor][e], group[e] = group[e], cell
-                    break
-            else:  # pragma: no cover - a legal swap always exists
-                raise AssertionError("stranded all-counterfeit group")
+    for group in groups:
+        if not reals(group):
+            donor = next(g for g in groups if len(reals(g)) >= 2)
+            e = reals(donor)[0]
+            donor[e], group[e] = group[e], donor[e]
     return groups
 
 
@@ -539,12 +526,13 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
     their entry size, and the minimum split score wins.  delta = 1 emits the
     group, drawing counterfeit sensitive values from the entry's CUS.
 
-    A queue orders real cells by (index, record id), then counterfeit slots
-    by (entry, seq).  The keys are unique, so each attribute is sorted once
-    for the whole bucket and a child's queue is its parent's with the other
-    child's cells filtered out.  Reals lead every queue, so side B's spans
-    are two pointers over that prefix, and its largest value frequency only
-    falls as side A grows.
+    A cell is an index: the reals in entry order, then each entry's
+    counterfeit slots.  A queue orders real cells by (index, record id),
+    then the slots by cell.  The keys are unique, so each attribute is
+    sorted once for the whole bucket and a child's queue is its parent's
+    with the other child's cells filtered out.  Reals lead every queue, so
+    side B's spans are two pointers over that prefix, and its largest value
+    frequency only falls as side A grows.
 
     A pick is the first valid one in queue order, so the winning
     attribute's sequence is passed down: child A's is its first delta_A - 1
@@ -553,30 +541,32 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
     tie-break, so it is not swept.
     """
     cus_list = bucket.signature.entries
-    cells: list[_Cell] = []
-    for e, entry in enumerate(bucket.entries):
-        cells += [_Cell(e, s, rec) for s, rec in enumerate(entry)]
-        cells += [_Cell(e, s, None) for s in range(len(entry), bucket.delta())]
+    entries = bucket.entries
+    record_of: list[Record | None] = [rec for entry in entries
+                                      for rec in entry]
+    entry_of = [e for e, entry in enumerate(entries) for _ in entry]
+    n_real = len(record_of)
+    for e, entry in enumerate(entries):
+        slots = bucket.delta() - len(entry)
+        record_of += [None] * slots
+        entry_of += [e] * slots
 
-    k = len(bucket.entries)
+    k = len(entries)
     qi = schema.qi
     n_attr = len(qi)
-    entry_of = [c.entry for c in cells]
     value_ids: dict[str, int] = {}
-    value_of = [-1 if c.record is None
-                else value_ids.setdefault(c.record.sensitive, len(value_ids))
-                for c in cells]
+    value_of = [-1 if rec is None
+                else value_ids.setdefault(rec.sensitive, len(value_ids))
+                for rec in record_of]
     n_values = len(value_ids)
-    reals = [i for i, c in enumerate(cells) if c.record is not None]
-    fakes = [i for i, c in enumerate(cells) if c.record is None]
-    point = [() if c.record is None else _point(qi, c.record)
-             for c in cells]
-    root = [sorted(reals, key=lambda i: (point[i][j], cells[i].record.id))
-            + fakes for j in range(n_attr)]
+    point = [() if rec is None else _point(qi, rec) for rec in record_of]
+    root = [sorted(range(n_real),
+                   key=lambda i: (point[i][j], record_of[i].id))
+            + list(range(n_real, len(record_of))) for j in range(n_attr)]
 
     extent = _Extents(qi)
     width, cover = extent.width, extent.cover
-    mark = [0] * len(cells)
+    mark = [0] * len(record_of)
     stamp = 0
     out: list[list[Record | CounterfeitMember]] = []
 
@@ -588,9 +578,9 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
         first = orders[0]
         delta = len(first) // k
         if delta == 1:
-            group: list[_Cell] = [None] * k
+            group: list[Record | None] = [None] * k
             for c in first:
-                group[entry_of[c]] = cells[c]
+                group[entry_of[c]] = record_of[c]
             out.append(_emit_group(group, cus_list, rng))
             return
         parent_extents = [extent.of(j, point[o[0]][j], point[o[n_real - 1]][j])
@@ -692,11 +682,12 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                     best_score = score
                     best = (attr_pos, delta_a, picks)
         if best is None:
-            by_entry: list[list[_Cell]] = [[] for _ in range(k)]
+            by_entry: list[list[int]] = [[] for _ in range(k)]
             for c in first:
-                by_entry[entry_of[c]].append(cells[c])
-            for group in _fallback_decompose(by_entry):
-                out.append(_emit_group(group, cus_list, rng))
+                by_entry[entry_of[c]].append(c)
+            for group in _fallback_decompose(by_entry, value_of):
+                out.append(_emit_group([record_of[c] for c in group],
+                                       cus_list, rng))
             return
         attr_pos, delta_a, picks = best
         stamp += 1
@@ -711,7 +702,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
         recurse(child_a, a_reals, (attr_pos, picks[:delta_a - 1]))
         recurse(child_b, n_real - a_reals, (attr_pos, picks[delta_a:]))
 
-    recurse(root, len(reals), None)
+    recurse(root, n_real, None)
     return out
 
 

@@ -446,9 +446,17 @@ class HistoryStore:
             raise ValidationError(
                 f"history {self.path} is locked; remove {lockfile} if no "
                 f"other publish is running") from None
+        except OSError as exc:
+            raise ValidationError(f"history {self.path} cannot be locked: "
+                                  f"{exc.strerror}") from None
         try:
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
+            try:
+                os.write(fd, str(os.getpid()).encode())
+            except OSError as exc:
+                raise ValidationError(f"history {self.path} cannot be "
+                                      f"locked: {exc.strerror}") from None
+            finally:
+                os.close(fd)
             yield self
         finally:
             lockfile.unlink(missing_ok=True)

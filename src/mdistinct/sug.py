@@ -2,14 +2,15 @@
 feasible subgraph, exact path mass and per-version disclosure risks.
 
 All results are exact: node and edge weights are `fractions.Fraction`s and
-risks come out as the golden rationals with no tolerance.  Inside, the
-forward/backward path masses run on integers: every layer's node weights
-are scaled to that layer's common denominator and every gap's edge weights
-to that gap's, so each path mass carries the same factor and one exact
-division per risk cancels it.  No path is ever enumerated.  The attack on
-a release sequence runs the same recursion once per distinct candidate
-history, not once per record, and skips pruning, which cannot change a
-risk.
+risks come out as the golden rationals with no tolerance.  The
+forward/backward path masses run on the weights they are handed, and no
+path is ever enumerated.  `disclosure_risks` hands them a graph's own
+`Fraction`s.  The attack on a release sequence hands them integers: its
+memo scales the model's table by one lcm denominator and weights each
+node by its multiplicity, so each path mass carries the same factor and
+one exact division per risk cancels it.  That attack runs the recursion
+once per distinct candidate history, not once per record, and skips
+pruning, which cannot change a risk.
 """
 
 from __future__ import annotations
@@ -175,36 +176,21 @@ class RiskReport:
         return max(self.risks)
 
 
-def _scaled(weights: Sequence[Fraction]) -> list[int]:
-    """Weights times their lcm denominator: integers in the same ratios."""
-    scale = math.lcm(*(w.denominator for w in weights))
-    return [w.numerator * (scale // w.denominator) for w in weights]
+_Masses = tuple[list[Sequence[_W]], list[list[_W]], _W]
 
 
-def _scaled_gap(gap: Sequence[Sequence[tuple[int, Fraction]]],
-                ) -> list[list[tuple[int, int]]]:
-    """A gap's successor rows with every weight times the gap's lcm
-    denominator."""
-    scale = math.lcm(*(w.denominator for adj in gap for _, w in adj))
-    return [[(v, w.numerator * (scale // w.denominator)) for v, w in adj]
-            for adj in gap]
-
-
-_Masses = tuple[list[Sequence[int]], list[list[int]], int]
-
-
-def _masses(nodes: Sequence[Sequence[int]],
-            edges: Sequence[Sequence[Sequence[tuple[int, int]]]],
-            known: Sequence[Sequence[int]] | None = None) -> _Masses:
+def _masses(nodes: Sequence[Sequence[_W]],
+            edges: Sequence[Sequence[Sequence[tuple[int, _W]]]],
+            known: Sequence[Sequence[_W]] | None = None) -> _Masses[_W]:
     """Forward/backward path mass per node and total path mass.
 
     `nodes[i]` holds layer i's node weights and `edges[i]` the (successor,
-    weight) rows of the gap from layer i to i + 1, all integers: each
-    layer's and each gap's weights are the true ones times a positive
-    factor of its own, so every path mass is the true one times the product
-    of all those factors.  That product is the same for every path and
-    cancels in fwd * bwd / total.  `known`, when given, holds the forward
-    masses of the first layers, computed from the same weights.
+    weight) rows of the gap from layer i to i + 1: a graph's `Fraction`s,
+    or the memo's integers, each layer's and each gap's the true weights
+    times a positive factor of its own.  Every path mass is then the true
+    one times the product of all those factors, the same for every path,
+    which cancels in fwd * bwd / total.  `known`, when given, holds the
+    forward masses of the first layers, computed from the same weights.
     """
     depth = len(nodes)
     fwd = [list(nodes[0])] if known is None else list(known)
@@ -253,9 +239,8 @@ def disclosure_risks(fs: Sug, actual: Sequence[str],
         raise ValidationError("empty graph")
     if len(actual) != fs.depth:
         raise ValidationError("one actual value per layer required")
-    masses = _masses([_scaled([n.weight for n in layer])
-                      for layer in fs.layers],
-                     [_scaled_gap(gap) for gap in fs.out])
+    masses = _masses([[n.weight for n in layer] for layer in fs.layers],
+                     fs.out)
     if masses[2] == 0:
         raise InconsistentHistoryError("no feasible path")
     positions = [{n.value: k for k, n in enumerate(layer)}

@@ -1,8 +1,8 @@
 """The integer attack kernel and prefix reuse against independent routes.
 
-* `disclosure_risks(prune(build_sug(...)))` runs its path masses on scaled
-  integers; the joint-enumeration oracle multiplies `Fraction`s outright.
-  Both must give the same `RiskReport` under closed models with
+* `disclosure_risks(prune(build_sug(...)))` runs its path masses on the
+  graph's own `Fraction` weights; the joint-enumeration oracle enumerates
+  every joint assignment outright.  Both must give the same `RiskReport` under closed models with
   non-uniform rational probabilities, where repeated candidate values
   give non-uniform node weights.
 * `prune` keeps what layer 1 reaches and what reaches the last layer,
@@ -16,7 +16,8 @@
 * `attack_release_sequence` shares one set of path masses among the
   records with the same candidate history and prunes nothing; its reports,
   and the error it raises, must be those of `reference_attack`, which runs
-  `disclosure_risks(prune(build_sug(...)))` record by record.  It builds
+  `disclosure_risks(prune(build_sug(...)))` record by record, in exact
+  rationals where the attack runs on its memo's integers.  It builds
   no graph, not even for a history with no feasible path, whose error it
   reads off its own forward masses.
 """

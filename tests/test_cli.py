@@ -221,6 +221,27 @@ class TestExitCodes:
         assert code == 2
         assert "locked" in capsys.readouterr().err
 
+    def test_unlockable_history_exits_two(self, workdir, capsys,
+                                          monkeypatch):
+        """A history whose lock file cannot be made (a read-only
+        directory, say) ends publish in exit 2, not a traceback."""
+        hist = workdir / "hist"
+        real_open = fileio.os.open
+
+        def refusing(path, *args, **kwargs):
+            if str(path) == str(hist / "lock"):
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(fileio.os, "open", refusing)
+        code = run(workdir, "publish", "--microdata", workdir / "t1.csv",
+                   "--model", workdir / "model.csv", "--history", hist,
+                   "--m", "2")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: history {hist} cannot be locked: Permission denied\n")
+        assert not (hist / "lock").exists()
+
     @pytest.mark.parametrize("command", [
         ["publish"], ["baseline", "--kind", "ldiv"],
         ["baseline", "--kind", "minv"]])

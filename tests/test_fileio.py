@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdistinct import fileio
 from mdistinct.baselines import MInvarianceState, publish_m_invariance
 from mdistinct.engine import EngineState, publish
 from mdistinct.errors import ValidationError
@@ -590,6 +592,51 @@ class TestHistoryStore:
                     pass
         with store.lock():
             pass
+        assert not (store.path / "lock").exists()
+
+    def test_lock_open_error_is_a_validation_error(self, tmp_path,
+                                                   monkeypatch):
+        """An `os.open` failure other than an existing lock (a read-only
+        history directory, say) names the history and the reason, and
+        leaves no lock file."""
+        store = HistoryStore(tmp_path / "h")
+        real_open = fileio.os.open
+
+        def refusing(path, *args, **kwargs):
+            if Path(path) == store.path / "lock":
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(fileio.os, "open", refusing)
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"history {store.path} cannot be "
+                                           f"locked: Permission denied")):
+            with store.lock():
+                pass
+        assert not (store.path / "lock").exists()
+
+    def test_lock_write_error_closes_and_removes_the_lock(self, tmp_path,
+                                                          monkeypatch):
+        store = HistoryStore(tmp_path / "h")
+        real_close = fileio.os.close
+        closed = []
+
+        def full(fd, data):
+            raise OSError(28, "No space left on device")
+
+        def close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        monkeypatch.setattr(fileio.os, "write", full)
+        monkeypatch.setattr(fileio.os, "close", close)
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"history {store.path} cannot be "
+                                           f"locked: No space left on "
+                                           f"device")):
+            with store.lock():
+                pass
+        assert len(closed) == 1
         assert not (store.path / "lock").exists()
 
     def test_meta_round_trip(self, tmp_path):

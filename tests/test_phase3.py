@@ -9,24 +9,26 @@ pick by a walk that a bipartite matching guides; the properties below
 require both to emit the same groups, member by member and counterfeit
 value by counterfeit value, and to leave the random generator in the same
 state, including when no split is valid and the fallback decomposition
-takes over.
+takes over.  The reference keeps its own cell tuples, group emission and
+fallback decomposition, so the engine's index-based ones are checked
+against an independent copy; `_fallback_decompose` is also checked on its
+own against the properties a decomposition must have.
 """
 
 import random
 import time
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mdistinct import engine
-from mdistinct.engine import (Bucket, _Cell, _emit_group, _fallback_decompose,
-                              _pick_sequence, phase3_split)
+from mdistinct.engine import Bucket, _pick_sequence, phase3_split
 from mdistinct.errors import InfeasibilityError
 from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.fileio import synthetic_schema
-from mdistinct.model import (AttributeSchema, Hierarchy, Record,
-                             TableSchema)
+from mdistinct.model import (AttributeSchema, CounterfeitMember, Hierarchy,
+                             Record, TableSchema)
 from mdistinct.updates import USS, has_matching
 
 from conftest import add, span_extent
@@ -35,6 +37,110 @@ _span_extent = span_extent  # the name the reference kernel calls
 
 # ---------------------------------------------------------------------------
 # the reference kernel, as it was before the presorted rewrite
+
+
+class _Cell(NamedTuple):
+    entry: int
+    seq: int                 # tie-breaker, creation order within the entry
+    record: Record | None    # None: counterfeit slot
+
+
+def _emit_group(cells: Sequence[_Cell], cus_list: Sequence[frozenset[str]],
+                rng: random.Random) -> list[Record | CounterfeitMember]:
+    used = {c.record.sensitive for c in cells if c.record is not None}
+    out: list[Record | CounterfeitMember] = []
+    for cell in cells:
+        if cell.record is not None:
+            out.append(cell.record)
+        else:
+            options = sorted(cus_list[cell.entry] - used)
+            if not options:
+                raise InfeasibilityError("counterfeit value exhaustion")
+            value = rng.choice(options)
+            used.add(value)
+            out.append(CounterfeitMember(value))
+    return out
+
+
+def reference_fallback(cells_by_entry: list[list[_Cell]]) -> list[list[_Cell]]:
+    """Delta one-per-entry groups with distinct real values: bipartite
+    edge-coloring of the reals, leftover colors for the counterfeit slots,
+    then a swap pass so no group is left all-counterfeit."""
+    delta = len(cells_by_entry[0])
+    k = len(cells_by_entry)
+    # proper-coloring bookkeeping: per color, which columns/values are taken
+    col_used: list[dict[int, _Cell]] = [dict() for _ in range(delta)]
+    val_used: list[dict[str, _Cell]] = [dict() for _ in range(delta)]
+    color_of: dict[tuple[int, int], int] = {}  # (entry, seq) -> color
+
+    def insert(cell: _Cell) -> None:
+        e, v = cell.entry, cell.record.sensitive
+        free_e = [c for c in range(delta) if e not in col_used[c]]
+        free_v = [c for c in range(delta) if v not in val_used[c]]
+        common = set(free_e) & set(free_v)
+        if common:
+            c = min(common)
+        else:
+            a, b = free_e[0], free_v[0]
+            # swap a<->b along the a/b alternating path from value v
+            path: list[_Cell] = []
+            at_value, node, want = True, v, a
+            while True:
+                nxt = (val_used[want].get(node) if at_value
+                       else col_used[want].get(node))
+                if nxt is None:
+                    break
+                path.append(nxt)
+                node = nxt.entry if at_value else nxt.record.sensitive
+                at_value = not at_value
+                want = b if want == a else a
+            flips = [(p, b if color_of[(p.entry, p.seq)] == a else a)
+                     for p in path]
+            for p, _ in flips:
+                c_old = color_of[(p.entry, p.seq)]
+                del col_used[c_old][p.entry]
+                del val_used[c_old][p.record.sensitive]
+            for p, c_new in flips:
+                col_used[c_new][p.entry] = p
+                val_used[c_new][p.record.sensitive] = p
+                color_of[(p.entry, p.seq)] = c_new
+            c = a
+        col_used[c][e] = cell
+        val_used[c][v] = cell
+        color_of[(cell.entry, cell.seq)] = c
+
+    for cells in cells_by_entry:
+        for cell in cells:
+            if cell.record is not None:
+                insert(cell)
+    for cells in cells_by_entry:
+        free = sorted(set(range(delta)) - {color_of[(c.entry, c.seq)]
+                                           for c in cells
+                                           if (c.entry, c.seq) in color_of})
+        it = iter(free)
+        for cell in cells:
+            if cell.record is None:
+                color_of[(cell.entry, cell.seq)] = next(it)
+    groups: list[list[_Cell]] = [[None] * k for _ in range(delta)]
+    for e in range(k):
+        for cell in cells_by_entry[e]:
+            groups[color_of[(cell.entry, cell.seq)]][e] = cell
+
+    def reals(g: list[_Cell]) -> list[int]:
+        return [i for i, c in enumerate(g) if c.record is not None]
+
+    for group in groups:
+        while not reals(group):
+            donor = next(g for g in range(len(groups))
+                         if len(reals(groups[g])) >= 2)
+            for e in reals(groups[donor]):
+                cell = groups[donor][e]
+                v = cell.record.sensitive
+                if all(c.record is None or c.record.sensitive != v
+                       for c in group):
+                    groups[donor][e], group[e] = group[e], cell
+                    break
+    return groups
 
 
 def _cell_key(cell: _Cell, attr_pos: int, schema: TableSchema):
@@ -215,7 +321,7 @@ def reference_phase3_split(bucket, schema, rng):
             # the engine's fallback takes each entry in attribute-0 order
             ordered = [sorted(cells, key=lambda c: _cell_key(c, 0, schema))
                        for cells in by_entry]
-            for group in _fallback_decompose(ordered):
+            for group in reference_fallback(ordered):
                 out.append(_emit_group(group, cus_list, rng))
             return
         _, _, delta_a, chosen = best
@@ -465,9 +571,11 @@ def test_unsplittable_bucket_reaches_fallback(monkeypatch):
         [((25,), "v2"), ((22,), "v0")], [((26,), "v2"), ((24,), "v1")]])
     fallbacks = []
 
-    def counted(cells_by_entry):
-        fallbacks.append(len(cells_by_entry[0]))
-        return _fallback_decompose(cells_by_entry)
+    fallback = engine._fallback_decompose
+
+    def counted(by_entry, value_of):
+        fallbacks.append(len(by_entry[0]))
+        return fallback(by_entry, value_of)
 
     monkeypatch.setattr(engine, "_fallback_decompose", counted)
     groups, _ = outcome = _outcome(phase3_split, bucket, schema, 11)
@@ -475,6 +583,65 @@ def test_unsplittable_bucket_reaches_fallback(monkeypatch):
     assert outcome == _outcome(reference_phase3_split, bucket, schema, 11)
     assert sorted(sorted(m.sensitive for m in g) for g in groups) == [
         ["v0", "v2"], ["v1", "v2"]]
+
+
+@st.composite
+def fallback_cases(draw):
+    """k entries of delta cells each, every entry's reals (value >= 0)
+    before its counterfeit slots (-1), no real value more than delta times
+    and at least delta reals in all; cells are shuffled indices."""
+    k = draw(st.integers(1, 4))
+    delta = draw(st.integers(1, 5))
+    values = draw(st.lists(st.lists(st.integers(-1, 5), min_size=delta,
+                                    max_size=delta),
+                           min_size=k, max_size=k))
+    reals = [v for entry in values for v in entry if v >= 0]
+    assume(len(reals) >= delta)
+    assume(max(Counter(reals).values()) <= delta)
+    cells = draw(st.permutations(range(k * delta)))
+    value_of = [0] * (k * delta)
+    by_entry = []
+    for e, entry in enumerate(values):
+        mine = cells[e * delta:(e + 1) * delta]
+        for c, v in zip(mine, sorted(entry, key=lambda v: v < 0)):
+            value_of[c] = v
+        by_entry.append(mine)
+    return by_entry, value_of
+
+
+@settings(max_examples=400, deadline=None)
+@given(fallback_cases())
+def test_fallback_groups_are_one_per_entry_distinct_and_real(case):
+    """Every group holds one cell of each entry and every cell lands in
+    exactly one group; a group's real values are distinct, and no group is
+    all counterfeit."""
+    by_entry, value_of = case
+    groups = engine._fallback_decompose([list(c) for c in by_entry],
+                                        value_of)
+    assert len(groups) == len(by_entry[0])
+    for group in groups:
+        assert len(group) == len(by_entry)
+        assert all(c in cells for c, cells in zip(group, by_entry))
+        reals = [value_of[c] for c in group if value_of[c] >= 0]
+        assert reals and len(set(reals)) == len(reals)
+    assert sorted(c for group in groups for c in group) == sorted(
+        c for cells in by_entry for c in cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fallback_cases())
+def test_fallback_matches_the_reference(case):
+    """The engine's decomposition of cell indices makes the groups the
+    reference makes of cell tuples."""
+    by_entry, value_of = case
+    tuples = {c: _Cell(e, s, None if value_of[c] < 0
+                       else Record(f"c{c}", (), f"v{value_of[c]}"))
+              for e, cells in enumerate(by_entry)
+              for s, c in enumerate(cells)}
+    expected = reference_fallback([[tuples[c] for c in cells]
+                                   for cells in by_entry])
+    got = engine._fallback_decompose([list(c) for c in by_entry], value_of)
+    assert [[tuples[c] for c in group] for group in got] == expected
 
 
 def test_workload_buckets_match_reference(monkeypatch):

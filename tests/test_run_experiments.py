@@ -26,6 +26,7 @@ def test_bad_group_size_fails_the_run(script, tmp_path, capsys, argv,
                         *argv]) == 1
     out = capsys.readouterr().out
     assert f"FAILED: {message}" in out
+    assert "reports written" not in out
     assert not (tmp_path / "out").exists()
 
 
@@ -41,3 +42,13 @@ def test_unwritable_report_fails_the_run_and_the_sweep_goes_on(
     for label in ("m_invariance_m2", "m_invariance_m3"):
         assert any(line.startswith(label) and "FAILED: cannot write" in line
                    for line in lines)
+    assert not any("reports written" in line for line in lines)
+
+
+def test_a_sweep_with_a_written_report_says_where(script, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert script.main(["--out", str(out), "--quick", "--publishers",
+                        "m_invariance", "-m", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"reports written under {out}/"
+    assert (out / "m_invariance_m2" / "report.csv").exists()
