@@ -16,11 +16,11 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from math import prod
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InfeasibilityError, ValidationError
 from .model import (AttributeSchema, CounterfeitMember, PublishedRelease,
-                    Record, TableSchema, generalize)
+                    Record, TableSchema, generalize, in_release_order)
 from .updates import (USS, UpdateModel, has_matching, implies, intersect,
                       is_legal_update_instance, pairwise_disjoint, uss_of)
 
@@ -186,22 +186,44 @@ class PrevInfo(NamedTuple):
 
 @dataclass
 class EngineState:
+    """What the publisher carries from one release to the next: each real
+    record's previous publication, and two memos that outlive a release.
+
+    `signatures` maps a sorted tuple of CUS keys to its `USS`, so a
+    signature is built once per state, the first time a group with that
+    tuple is folded in.  `verdicts` holds the `implies` verdict of each
+    (previous signature, bucket signature) pair phase 2 has asked about.
+    Both are exact: a `USS` is its key, and `implies` reads nothing but
+    the two signatures.  They grow with the distinct keys and pairs the
+    history has shown."""
+
     m: int
     mode: str = "m_distinct"
     release_count: int = 0
     prev: dict[str, PrevInfo] = field(default_factory=dict)
+    signatures: dict[tuple, USS] = field(default_factory=dict)
+    verdicts: dict[tuple[USS, USS], bool] = field(default_factory=dict)
 
     @property
     def star(self) -> bool:
         return self.mode == "m_distinct_star"
+
+    def implied(self, previous: USS, bucket: USS) -> bool:
+        """`implies(previous, bucket)`, decided once per state."""
+        pair = (previous, bucket)
+        ok = self.verdicts.get(pair)
+        if ok is None:
+            ok = self.verdicts[pair] = implies(previous, bucket)
+        return ok
 
     def apply(self, release: PublishedRelease, model: UpdateModel) -> None:
         """Fold a release in: each real member's value, its group's
         signature and the release index become its previous publication.
 
         A group's `USS.key` is the sorted tuple of its values' CUS keys, so
-        groups with the same such tuple share one `USS`."""
-        signatures: dict[tuple, USS] = {}
+        groups with the same such tuple, in this release or an earlier one,
+        share one `USS`."""
+        signatures = self.signatures
         index = release.release_index
         prev = self.prev
         for group in release.groups:
@@ -218,28 +240,16 @@ class EngineState:
 
 
 def _eligible_buckets(prev: PrevInfo | None, covering: Sequence[int],
-                      buckets: Sequence[Bucket], star: bool,
-                      implies_rows: dict[tuple, list[bool | None]],
+                      buckets: Sequence[Bucket], state: EngineState,
                       ) -> list[int]:
     """The buckets among `covering`, those whose signature covers the
     record's value, that the record may join given its previous
-    publication.  `implies_rows` holds, per previous-signature key, the
-    `implies` verdict of each bucket, filled as buckets are asked about."""
+    publication; the `implies` verdicts come from the state's memo."""
     if prev is None:
-        return [b for b in covering if not star
+        return [b for b in covering if not state.star
                 or pairwise_disjoint(buckets[b].signature.entries)]
-    signature = prev.signature
-    row = implies_rows.get(signature.key)
-    if row is None:
-        row = implies_rows[signature.key] = [None] * len(buckets)
-    out = []
-    for b in covering:
-        ok = row[b]
-        if ok is None:
-            ok = row[b] = implies(signature, buckets[b].signature)
-        if ok:
-            out.append(b)
-    return out
+    return [b for b in covering
+            if state.implied(prev.signature, buckets[b].signature)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +274,16 @@ def _score(epsilon: int, before: int, after: int) -> tuple[int, int]:
     return (before, after) if epsilon == 1 else (-after, before)
 
 
-def phase2_assign(records: Sequence[Record],
-                  prev_of: Mapping[str, PrevInfo],
+def phase2_assign(records: Sequence[Record], state: EngineState,
                   buckets: Sequence[Bucket],
-                  schema: TableSchema,
-                  star: bool = False) -> list[Record]:
+                  schema: TableSchema) -> list[Record]:
     """Assign records to bucket entries in increasing CNT_buc order.
 
     Returns the leftover pool (CNT_buc = 0, necessarily first-timers) for
     the static partitioner.  A returning record with no bucket means the
     microdata contradicts the update model, which is an input error.
+    Previous publications, the mode and the `implies` verdicts come from
+    `state`; the verdicts it has not seen yet are added to it.
 
     Eligibility depends only on the previous signature and the value, so
     each such pair's bucket list is found once, among the buckets that
@@ -291,20 +301,19 @@ def phase2_assign(records: Sequence[Record],
     for b, bucket in enumerate(buckets):
         for value in bucket.signature.values:
             covering.setdefault(value, []).append(b)
-    implies_rows: dict[tuple, list[bool | None]] = {}
+    prev_of = state.prev
     options_for: dict[tuple, list[tuple[int, list[int]]]] = {}
     pool: list[Record] = []
     assignable: list[tuple[int, str, Record, list, tuple[int, ...]]] = []
     for rec in records:
         prev = prev_of.get(rec.id)
-        key = (None if prev is None else prev.signature.key, rec.sensitive)
+        key = (None if prev is None else prev.signature, rec.sensitive)
         options = options_for.get(key)
         if options is None:
             options = options_for[key] = [
                 (b, buckets[b].eligible_entries(rec.sensitive))
                 for b in _eligible_buckets(
-                    prev, covering.get(rec.sensitive, ()), buckets, star,
-                    implies_rows)]
+                    prev, covering.get(rec.sensitive, ()), buckets, state)]
         if not options:
             if prev is not None:
                 raise ValidationError(
@@ -905,8 +914,7 @@ def publish(records: Sequence[Record], state: EngineState,
                 f"may not skip a release")
     buckets = phase1_create_buckets([state.prev[r.id].signature
                                      for r in returning])
-    pool = phase2_assign(ordered, state.prev, buckets, schema,
-                         star=state.star)
+    pool = phase2_assign(ordered, state, buckets, schema)
     groups: list[list[Record | CounterfeitMember]] = []
     for bucket in buckets:
         if bucket.size == 0:
@@ -928,10 +936,16 @@ def verify_m_distinct(releases: Sequence[PublishedRelease],
     record's candidate set is a legal update instance of its previous
     group's signature, and no record skips a release between two of its
     appearances (star mode: CUS of first-appearance groups pairwise
-    disjoint).  Each release is folded into the state once checked."""
+    disjoint).  A release index given twice is refused.
+
+    Each release is folded into the state once checked, so each distinct
+    signature is built once.  Legality depends only on the group's values
+    and the previous signature, so it is decided once per group for each
+    distinct previous signature among its returning members; each failing
+    member still gets its own violation line, in member order."""
     violations: list[str] = []
     state = EngineState(m)
-    for rel in sorted(releases, key=lambda r: r.release_index):
+    for rel in in_release_order(releases):
         i = rel.release_index
         placed: set[str] = set()
         for group in rel.groups:
@@ -941,12 +955,14 @@ def verify_m_distinct(releases: Sequence[PublishedRelease],
                 violations.append(f"{where}: fewer than {m} members")
             if len(set(values)) != len(values):
                 violations.append(f"{where}: duplicate sensitive values")
-            first_timer = any(not mm.counterfeit and mm.rid not in state.prev
-                              for mm in group.members)
-            if star and first_timer and not pairwise_disjoint(
+            first_timer = star and any(
+                not mm.counterfeit and mm.rid not in state.prev
+                for mm in group.members)
+            if first_timer and not pairwise_disjoint(
                     model.cus_of(v) for v in values):
                 violations.append(f"{where}: first-release CUS not pairwise "
                                   f"disjoint")
+            legal: dict[USS, bool] = {}
             for member in group.members:
                 if member.counterfeit:
                     continue
@@ -963,7 +979,12 @@ def verify_m_distinct(releases: Sequence[PublishedRelease],
                         f"{where}: {member.rid!r} last appeared in release "
                         f"{prev.release_index}; a record may not skip a "
                         f"release")
-                if not is_legal_update_instance(values, prev.signature):
+                signature = prev.signature
+                ok = legal.get(signature)
+                if ok is None:
+                    ok = legal[signature] = is_legal_update_instance(
+                        values, signature)
+                if not ok:
                     violations.append(
                         f"{where}: candidate set not a legal update instance "
                         f"of {member.rid!r}'s previous signature")

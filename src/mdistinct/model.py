@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ValidationError
 
@@ -23,6 +23,7 @@ __all__ = [
     "QIGroup",
     "PublishedRelease",
     "ExternalKnowledgeTable",
+    "in_release_order",
     "bounding_region",
     "region_contains",
     "generalize",
@@ -264,6 +265,16 @@ class PublishedRelease:
                             f"appears in two groups")
                     out[m.rid] = g
         return out
+
+
+def in_release_order(releases: Iterable[PublishedRelease],
+                     ) -> list[PublishedRelease]:
+    """The releases sorted by index; an index given twice is refused."""
+    ordered = sorted(releases, key=lambda r: r.release_index)
+    for a, b in zip(ordered, ordered[1:]):
+        if a.release_index == b.release_index:
+            raise ValidationError(f"release {a.release_index} given twice")
+    return ordered
 
 
 @dataclass(frozen=True)

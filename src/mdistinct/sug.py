@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence, TypeVar
 
 from .errors import CapExceededError, InconsistentHistoryError, ValidationError
-from .model import ExternalKnowledgeTable, PublishedRelease, TableSchema, region_contains
+from .model import (ExternalKnowledgeTable, PublishedRelease, TableSchema,
+                    in_release_order, region_contains)
 from .updates import UpdateModel
 
 __all__ = [
@@ -438,10 +439,7 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     if et and schema is None:
         raise ValidationError("external tables need the table schema for "
                               "the region check")
-    ordered = sorted(releases, key=lambda r: r.release_index)
-    for a, b in zip(ordered, ordered[1:]):
-        if a.release_index == b.release_index:
-            raise ValidationError(f"release {a.release_index} given twice")
+    ordered = in_release_order(releases)
     et_by_index = {t.release_index: t for t in (et or ())}
     stray = sorted(et_by_index.keys() - {r.release_index for r in ordered})
     if stray:

@@ -119,15 +119,20 @@ def _entry_key(entry: frozenset[str]) -> tuple[str, ...]:
 
 
 class USS:
-    """An update-set signature: a canonicalized multiset of value sets."""
+    """An update-set signature: a canonicalized multiset of value sets.
 
-    __slots__ = ("entries", "_key", "values")
+    Signatures are dict keys in the publisher's memos, so the hash of the
+    key is computed once.  A string's hash differs between interpreter
+    runs, so a USS is not meant to be pickled."""
+
+    __slots__ = ("entries", "_key", "_hash", "values")
 
     def __init__(self, entries: Iterable[Iterable[str]]):
         sets = [frozenset(e) for e in entries]
         sets.sort(key=_entry_key)
         self.entries: tuple[frozenset[str], ...] = tuple(sets)
         self._key = tuple(_entry_key(e) for e in self.entries)
+        self._hash = hash(self._key)
         # every value some entry holds
         self.values: frozenset[str] = frozenset().union(*sets)
 
@@ -145,7 +150,7 @@ class USS:
         return isinstance(other, USS) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(k) + "}" for k in self._key)
@@ -157,18 +162,13 @@ def uss_of(values: Sequence[str], model: UpdateModel) -> USS:
 
 
 def is_legal_update_instance(values: Sequence[str], uss: USS) -> bool:
-    """Size match + mutual covering: no value outside every entry, no entry
-    missed by every value."""
+    """Size match + mutual covering, as set algebra: the values, duplicates
+    counted, are as many as the entries; every value lies in the union of
+    the entries; and no entry is disjoint from the set of values."""
     if len(values) != len(uss):
         return False
-    vals = list(values)
-    for v in vals:
-        if not any(v in e for e in uss.entries):
-            return False
-    for e in uss.entries:
-        if not any(v in e for v in vals):
-            return False
-    return True
+    vals = set(values)
+    return vals <= uss.values and not any(map(vals.isdisjoint, uss.entries))
 
 
 def has_matching(adj: Sequence[Iterable[int]], width: int) -> bool:

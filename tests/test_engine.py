@@ -3,15 +3,19 @@ from collections import Counter
 from fractions import Fraction
 from math import prod
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdistinct import engine
 from mdistinct.engine import (Bucket, EngineState, PrevInfo, _Extents,
                               _eligible_buckets, _epsilon, _point, _score,
                               phase1_create_buckets, phase2_assign,
                               phase3_split, publish, static_partition,
                               verify_m_distinct)
 from mdistinct.errors import InfeasibilityError, ValidationError
+from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.model import (AttributeSchema, CounterfeitMember, Hierarchy,
                              Record, TableSchema, generalize)
 from mdistinct.updates import USS, implies, uss_of
@@ -87,23 +91,28 @@ class TestCntBuc:
         other = uss_of(["Dyspepsia", "Glaucoma"], worked_model)
         buckets = phase1_create_buckets([sig, other])
         prev = PrevInfo("Pneumonia", sig, 1)
+        state = EngineState(m=2)
         # of the two candidates, only the first is implied by sig
-        assert _eligible_buckets(prev, [0, 1], buckets, False, {}) == [0]
+        assert _eligible_buckets(prev, [0, 1], buckets, state) == [0]
+        # the state keeps both verdicts for the next release
+        assert state.verdicts == {(sig, sig): True, (sig, other): False}
 
     def test_uncovered_value_counts_nothing(self, worked_model,
                                             disease_schema):
         sig = uss_of(["Dyspepsia", "Pneumonia"], worked_model)
         buckets = phase1_create_buckets([sig])
         stranger = Record("new", (20, 20), "Cataract")
-        assert phase2_assign([stranger], {}, buckets,
+        assert phase2_assign([stranger], EngineState(m=2), buckets,
                              disease_schema) == [stranger]
         assert buckets[0].size == 0
 
     def test_star_first_timer_skips_overlapping_entries(self):
         buckets = [Bucket(sig_of({"a", "b"}, {"b", "c"}), "signature"),
                    Bucket(sig_of({"a"}, {"b", "c"}), "signature")]
-        assert _eligible_buckets(None, [0, 1], buckets, True, {}) == [1]
-        assert _eligible_buckets(None, [0, 1], buckets, False, {}) == [0, 1]
+        star = EngineState(m=2, mode="m_distinct_star")
+        assert _eligible_buckets(None, [0, 1], buckets, star) == [1]
+        assert _eligible_buckets(None, [0, 1], buckets,
+                                 EngineState(m=2)) == [0, 1]
 
 
 @pytest.fixture
@@ -201,16 +210,16 @@ class TestAssignmentScore:
 class TestPhase2:
     def test_new_records_without_buckets_pool(self, small_schema):
         records = [Record("r1", (1,), "a"), Record("r2", (2,), "b")]
-        pool = phase2_assign(records, {}, [], small_schema)
+        pool = phase2_assign(records, EngineState(m=2), [], small_schema)
         assert pool == records
 
     def test_returning_record_with_no_bucket_is_model_contradiction(
             self, worked_model, small_schema):
         sig = uss_of(["Dyspepsia", "Pneumonia"], worked_model)
         buckets = phase1_create_buckets([sig])
-        prev = {"Ken": PrevInfo("Dyspepsia", sig, 1)}
+        state = EngineState(m=2, prev={"Ken": PrevInfo("Dyspepsia", sig, 1)})
         with pytest.raises(ValidationError, match="contradicts"):
-            phase2_assign([Record("Ken", (3,), "Glaucoma")], prev, buckets,
+            phase2_assign([Record("Ken", (3,), "Glaucoma")], state, buckets,
                           small_schema)
 
     def test_worked_second_release_lands_in_implied_buckets(
@@ -222,7 +231,7 @@ class TestPhase2:
         buckets = phase1_create_buckets(
             [prev[r.id].signature for r in sorted(t2_records,
                                                   key=lambda r: r.id)])
-        pool = phase2_assign(sorted(t2_records, key=lambda r: r.id), prev,
+        pool = phase2_assign(sorted(t2_records, key=lambda r: r.id), state,
                              buckets, disease_schema)
         assert pool == []
         for bucket in buckets:
@@ -230,6 +239,49 @@ class TestPhase2:
                 for rec in entry:
                     assert rec.sensitive in cus
                     assert implies(prev[rec.id].signature, bucket.signature)
+
+
+def test_later_publish_asks_implies_only_about_new_pairs(monkeypatch):
+    """Each publish of a small m=4 run asks `implies` only about pairs no
+    earlier publish of the run asked about, each once, and its phase 2
+    fills the buckets as a state with empty memos would."""
+    real_phase2 = engine.phase2_assign
+    asked, repeats = [], []
+
+    def pairs_asked(state, records, buckets, schema):
+        calls = []
+
+        def recording(a, b):
+            calls.append((a, b))
+            return implies(a, b)
+
+        with mock.patch.object(engine, "implies", recording):
+            pool = real_phase2(records, state, buckets, schema)
+        return pool, calls
+
+    def checked_phase2(records, state, buckets, schema):
+        known = set(state.verdicts)
+        fresh = [Bucket(b.signature, b.origin) for b in buckets]
+        got, calls = pairs_asked(state, records, buckets, schema)
+        assert not known & set(calls) and len(set(calls)) == len(calls)
+        memo_less = EngineState(state.m, state.mode, state.release_count,
+                                dict(state.prev))
+        pool, again = pairs_asked(memo_less, records, fresh, schema)
+        assert pool == got
+        assert [b.entries for b in fresh] == [b.entries for b in buckets]
+        asked.append(calls)
+        repeats.append(len(again) - len(calls))
+        return got
+
+    monkeypatch.setattr(engine, "phase2_assign", checked_phase2)
+    run_experiment(ExperimentConfig(
+        m=4, n_records=120, n_releases=4, inserts=20, deletes=10,
+        internal_updates=30, n_queries=0, seed=5))
+    # the first publish has no returning record; the second asks afresh
+    assert len(asked) == 4 and not asked[0] and asked[1]
+    # a memo-less state would ask again about pairs an earlier publish
+    # settled
+    assert repeats[:2] == [0, 0] and sum(repeats) > 0
 
 
 class TestBalance:
@@ -482,6 +534,11 @@ class TestVerify:
         ok, violations = verify_m_distinct(
             [release_one, release_two_defended], worked_model, 2)
         assert ok, violations
+
+    def test_release_given_twice_refused(self, release_one, worked_model):
+        # before, [release_one, release_one] verified as (True, [])
+        with pytest.raises(ValidationError, match="^release 1 given twice$"):
+            verify_m_distinct([release_one, release_one], worked_model, 2)
 
 
 # ---------------------------------------------------------------------------

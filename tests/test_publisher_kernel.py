@@ -24,10 +24,10 @@ from typing import NamedTuple
 from hypothesis import example, given, settings, strategies as st
 
 from mdistinct import baselines, engine
-from mdistinct.engine import (Bucket, PrevInfo, _Extents, _color_key,
-                              _deal, _epsilon, _pad_group, _point, _score,
-                              phase1_create_buckets, phase2_assign,
-                              static_partition)
+from mdistinct.engine import (Bucket, EngineState, PrevInfo, _Extents,
+                              _color_key, _deal, _epsilon, _pad_group,
+                              _point, _score, phase1_create_buckets,
+                              phase2_assign, static_partition)
 from mdistinct.errors import InfeasibilityError, ValidationError
 from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.model import AttributeSchema, Hierarchy, Record, TableSchema
@@ -98,7 +98,10 @@ def reference_eligible_buckets(rec, prev, buckets, star, implies_cache):
     return out
 
 
-def reference_phase2_assign(records, prev_of, buckets, schema, star=False):
+def reference_phase2_assign(records, state, buckets, schema):
+    """Phase 2 with a per-call verdict cache of its own; it reads only the
+    previous publications and the mode from `state`."""
+    prev_of, star = state.prev, state.star
     implies_cache = {}
     eligible = {}
     pool = []
@@ -365,11 +368,18 @@ def _buckets(sigs, prefill, schema):
     return buckets
 
 
+def state_of(prev_of, star):
+    """A publisher state holding the given previous publications, with
+    empty memos."""
+    return EngineState(2, "m_distinct_star" if star else "m_distinct",
+                       prev=dict(prev_of))
+
+
 def _phase2_outcome(assign, case):
     schema, sigs, prefill, records, prev_of, star = case
     buckets = _buckets(sigs, prefill, schema)
     try:
-        pool = assign(records, prev_of, buckets, schema, star)
+        pool = assign(records, state_of(prev_of, star), buckets, schema)
     except ValidationError as exc:
         return str(exc)
     return pool, [[[r.id for r in e] for e in b.entries] for b in buckets]
@@ -417,7 +427,7 @@ def test_ties_keep_the_first_bucket_and_the_first_smallest_entry():
     rec = Record("r", (20,), "b")
     for assign in (phase2_assign, reference_phase2_assign):
         buckets = build()
-        assert assign([rec], {}, buckets, schema) == []
+        assert assign([rec], EngineState(2), buckets, schema) == []
         assert [[len(e) for e in b.entries] for b in buckets] == [
             [1, 1, 0, 2], [1, 0, 0, 2]]
 
@@ -611,17 +621,20 @@ def test_workload_calls_match_reference(monkeypatch):
     m-Distinct runs and an m=2 m-invariance run (four QI attributes, three
     of them hierarchies) gives what the reference gives."""
     phase2_seen = []
+    verdicts_seen = []
     partition_seen = []
     real_phase2, real_partition = phase2_assign, static_partition
 
-    def checked_phase2(records, prev_of, buckets, schema, star=False):
+    def checked_phase2(records, state, buckets, schema):
         assert all(b.size == 0 for b in buckets)
         ref = [Bucket(b.signature, b.origin) for b in buckets]
-        expected = reference_phase2_assign(records, prev_of, ref, schema, star)
-        got = real_phase2(records, prev_of, buckets, schema, star)
+        expected = reference_phase2_assign(records, state, ref, schema)
+        # the engine runs on the publisher's own state, memo and all
+        got = real_phase2(records, state, buckets, schema)
         assert got == expected
         assert ([b.entries for b in buckets] == [b.entries for b in ref])
         phase2_seen.append(len(records) - len(got))
+        verdicts_seen.append(dict(state.verdicts))
         return got
 
     def checked_partition(records, m, schema, model, rng, star=False):
@@ -645,4 +658,8 @@ def test_workload_calls_match_reference(monkeypatch):
             inserts=20, deletes=10, internal_updates=30, n_queries=1,
             thetas=(0.5,), seed=5))
     assert len(phase2_seen) == 9 and sum(phase2_seen) > 100
+    # each m-Distinct run's state carries its verdicts from release to release
+    for first, second, third in (verdicts_seen[i:i + 3] for i in (0, 3, 6)):
+        assert not first and second
+        assert second.items() <= third.items()
     assert len(partition_seen) == 12 and sum(partition_seen) > 50

@@ -113,6 +113,56 @@ class TestLegalInstance:
         assert not is_legal_update_instance(["x", "y"], sig)
 
 
+def reference_is_legal_update_instance(values, uss):
+    """The loop form the set-algebra test replaced: size match, then no
+    value outside every entry, then no entry missed by every value."""
+    if len(values) != len(uss):
+        return False
+    vals = list(values)
+    for v in vals:
+        if not any(v in e for e in uss.entries):
+            return False
+    for e in uss.entries:
+        if not any(v in e for v in vals):
+            return False
+    return True
+
+
+@st.composite
+def legality_cases(draw):
+    """A signature over a-e and a value list, "f" and "g" lying in no
+    entry.  The list is any list of a-g up to 5 long, or one value drawn
+    from each entry, shuffled, and then maybe changed: one value replaced
+    by another of the list (a duplicate, which often starves an entry) or
+    by any of a-g, or one value added."""
+    uss = USS(draw(st.lists(st.sets(st.sampled_from("abcde"), min_size=1),
+                            min_size=1, max_size=4)))
+    change = draw(st.sampled_from(["any", "none", "duplicate", "replace",
+                                   "add"]))
+    if change == "any":
+        return uss, draw(st.lists(st.sampled_from("abcdefg"), max_size=5))
+    values = draw(st.permutations(
+        [draw(st.sampled_from(sorted(e))) for e in uss.entries]))
+    at = draw(st.integers(0, len(values) - 1))
+    if change == "duplicate":
+        values[at] = draw(st.sampled_from(values))
+    elif change == "replace":
+        values[at] = draw(st.sampled_from("abcdefg"))
+    elif change == "add":
+        values.append(draw(st.sampled_from("abcdefg")))
+    return uss, values
+
+
+@settings(max_examples=500, deadline=None)
+@given(legality_cases())
+def test_legality_matches_the_loop_form(case):
+    """Values with duplicates, values outside every entry and lists longer
+    or shorter than the signature get the loop form's verdict."""
+    uss, values = case
+    assert (is_legal_update_instance(values, uss)
+            == reference_is_legal_update_instance(values, uss))
+
+
 class TestImplies:
     def test_reflexive(self, worked_model):
         sig = uss_of(["Dyspepsia", "Pneumonia"], worked_model)
