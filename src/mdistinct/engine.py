@@ -6,7 +6,8 @@ counterfeit/generalization score, phase 3 pads every entry of a bucket
 with counterfeit slots up to the bucket's delta and recursively splits it
 into QI-groups with one member per entry and distinct sensitive values.
 First-timers with no usable bucket go through a static Mondrian-style
-partitioner.  Everything is deterministic given the seed.
+partitioner.  Both top-down partitioners pick their cuts with one split
+sweep (`_Sweep`).  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class _Extents:
     [lo, hi]: hi - lo + 1 for a numeric attribute (width 0), and
     `cover[j][lo * width[j] + hi]` for a categorical one, `cover[j]` being
     its hierarchy's cache (`Hierarchy.extent`), which lives as long as the
-    schema.  The hot loops inline `of`."""
+    schema.  The split sweep's inner loops inline `of`."""
 
     __slots__ = ("width", "cover")
 
@@ -346,6 +347,153 @@ def phase2_assign(records: Sequence[Record], state: EngineState,
 
 
 # ---------------------------------------------------------------------------
+# the split sweep of phase 3 and the static partitioner
+
+
+class _Sweep:
+    """The split sweep and child split of both top-down partitioners.
+
+    A cell is an index into `point`, its QI indices, and `value_of`, its
+    value id (star mode: its CUS key's), or -1 for a counterfeit slot.  A
+    node is its orders, one list of its cells per QI attribute with its
+    n_real real cells first, sorted by index.  Cell c is on side A of the
+    current sweep or split while `mark[c] == stamp`."""
+
+    __slots__ = ("point", "value_of", "n_values", "extent", "mark", "stamp")
+
+    def __init__(self, qi: Sequence[AttributeSchema],
+                 point: Sequence[Sequence[int]], value_of: Sequence[int]):
+        self.point = point
+        self.value_of = value_of
+        self.n_values = max(value_of, default=-1) + 1
+        self.extent = _Extents(qi)
+        self.mark = [0] * len(point)
+        self.stamp = 0
+
+    def best(self, orders: list[list[int]], n_real: int,
+             sequences: Sequence[Sequence[int]], unit: int,
+             ) -> tuple[int, int] | None:
+        """The lowest-scoring (attribute position, cut), or None.
+
+        Side A is the first `cut` cells of `sequences[attr_pos]`, side B the
+        rest of the node.  A cut comes after every `unit` cells and is a
+        candidate when each side holds a real cell and no value more than
+        cells(side) // unit times, so B keeps `unit` cells at least.  The
+        split score's denominator, prod(parent extents), is shared, so a
+        cut scores reals_A * num_A + reals_B * num_B, num being a side's
+        sum_j ext_j * cof[j].  Ties go to the first (attr_pos, cut).
+
+        A's numerator changes as its real cells widen its spans.  B's spans
+        are two pointers per order over the node's reals, moved past A's
+        cells only when a candidate is scored, and B's largest value
+        frequency only falls, tracked with a histogram of frequencies."""
+        total = len(orders[0])
+        if total < 2 * unit:
+            return None
+        point, value_of, mark = self.point, self.value_of, self.mark
+        extent = self.extent
+        width, cover = extent.width, extent.cover
+        n_attr = len(orders)
+        n_values = self.n_values
+        parent = [extent.of(j, point[o[0]][j], point[o[n_real - 1]][j])
+                  for j, o in enumerate(orders)]
+        denom = prod(parent)
+        cof = [denom // e for e in parent]
+        freq = [0] * n_values
+        for c in orders[0][:n_real]:
+            freq[value_of[c]] += 1
+        hist = [0] * (max(freq) + 1)     # hist[f]: values with frequency f
+        for f in freq:
+            hist[f] += 1
+
+        best_score = 0
+        best = None
+        for attr_pos, seq in enumerate(sequences):
+            self.stamp += 1
+            stamp = self.stamp
+            a_freq = [0] * n_values
+            a_max = 0
+            b_freq = freq[:]
+            b_hist = hist[:]
+            b_max = len(hist) - 1
+            lo_ptr = [0] * n_attr
+            hi_ptr = [n_real - 1] * n_attr
+            a_lo = [sys.maxsize] * n_attr
+            a_hi = [-1] * n_attr
+            a_ext = [0] * n_attr
+            b_ext = parent[:]                # B starts as the whole node
+            a_num = 0
+            b_num = n_attr * denom
+            a_reals = 0
+            for cut in range(unit, min(len(seq), total - unit) + 1, unit):
+                for c in seq[cut - unit:cut]:
+                    v = value_of[c]
+                    if v < 0:
+                        continue
+                    mark[c] = stamp
+                    a_reals += 1
+                    f = a_freq[v] + 1
+                    a_freq[v] = f
+                    if f > a_max:
+                        a_max = f
+                    f = b_freq[v]
+                    b_freq[v] = f - 1
+                    b_hist[f] -= 1
+                    b_hist[f - 1] += 1
+                    if f == b_max and not b_hist[f]:
+                        b_max -= 1
+                    for j, i in enumerate(point[c]):
+                        lo = a_lo[j]
+                        hi = a_hi[j]
+                        if lo <= i <= hi:
+                            continue
+                        if i < lo:
+                            a_lo[j] = lo = i
+                        if i > hi:
+                            a_hi[j] = hi = i
+                        w = width[j]
+                        x = cover[j][lo * w + hi] if w else hi - lo + 1
+                        a_num += (x - a_ext[j]) * cof[j]
+                        a_ext[j] = x
+                b_reals = n_real - a_reals
+                if (not a_reals or not b_reals or a_max > cut // unit
+                        or b_max > (total - cut) // unit):
+                    continue
+                for j, o in enumerate(orders):
+                    lo = lo_ptr[j]
+                    hi = hi_ptr[j]
+                    if mark[o[lo]] != stamp and mark[o[hi]] != stamp:
+                        continue
+                    while mark[o[lo]] == stamp:
+                        lo += 1
+                    while mark[o[hi]] == stamp:
+                        hi -= 1
+                    lo_ptr[j] = lo
+                    hi_ptr[j] = hi
+                    lo, hi, w = point[o[lo]][j], point[o[hi]][j], width[j]
+                    x = cover[j][lo * w + hi] if w else hi - lo + 1
+                    b_num += (x - b_ext[j]) * cof[j]
+                    b_ext[j] = x
+                score = a_reals * a_num + b_reals * b_num
+                if best is None or score < best_score:
+                    best_score = score
+                    best = (attr_pos, cut)
+        return best
+
+    def split(self, orders: list[list[int]], side: Iterable[int],
+              ) -> tuple[list[list[int]], list[list[int]]]:
+        """The orders of the child holding the cells of `side` and of the
+        other child: the parent's orders, filtered, so still sorted."""
+        self.stamp += 1
+        stamp = self.stamp
+        mark = self.mark
+        for c in side:
+            mark[c] = stamp
+        return ([[c for c in o if mark[c] == stamp] for o in orders],
+                [[c for c in o if mark[c] != stamp] for o in orders])
+
+
+# ---------------------------------------------------------------------------
 # phase 3
 
 
@@ -530,18 +678,19 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
     recursively bisect the bucket into one-per-entry QI-groups.
 
     At each level, every QI attribute contributes one greedy pick-out
-    sequence from its sorted queue; prefix sizes delta_A in 1..delta-1 form
-    the candidate splits, children must stay balanced with F_max bounded by
-    their entry size, and the minimum split score wins.  delta = 1 emits the
-    group, drawing counterfeit sensitive values from the entry's CUS.
+    sequence from its sorted queue, and the split sweep (`_Sweep.best`)
+    cuts it after each pick, with unit k: side A is the first delta_A
+    picks.  A pick holds one cell per entry, so the children's entries hold
+    delta_A and delta - delta_A cells, and distinct values, so A meets the
+    sweep's frequency bound by construction and B may hold no value more
+    than delta - delta_A times.  delta = 1 emits the group, drawing
+    counterfeit sensitive values from the entry's CUS.
 
     A cell is an index: the reals in entry order, then each entry's
     counterfeit slots.  A queue orders real cells by (index, record id),
     then the slots by cell.  The keys are unique, so each attribute is
     sorted once for the whole bucket and a child's queue is its parent's
-    with the other child's cells filtered out.  Reals lead every queue, so
-    side B's spans are two pointers over that prefix, and its largest value
-    frequency only falls as side A grows.
+    with the other child's cells filtered out (`_Sweep.split`).
 
     A pick is the first valid one in queue order, so the winning
     attribute's sequence is passed down: child A's is its first delta_A - 1
@@ -562,28 +711,22 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
 
     k = len(entries)
     qi = schema.qi
-    n_attr = len(qi)
     value_ids: dict[str, int] = {}
     value_of = [-1 if rec is None
                 else value_ids.setdefault(rec.sensitive, len(value_ids))
                 for rec in record_of]
-    n_values = len(value_ids)
     point = [() if rec is None else _point(qi, rec) for rec in record_of]
     root = [sorted(range(n_real),
                    key=lambda i: (point[i][j], record_of[i].id))
-            + list(range(n_real, len(record_of))) for j in range(n_attr)]
-
-    extent = _Extents(qi)
-    width, cover = extent.width, extent.cover
-    mark = [0] * len(record_of)
-    stamp = 0
+            + list(range(n_real, len(record_of))) for j in range(len(qi))]
+    sweep = _Sweep(qi, point, value_of)
     out: list[list[Record | CounterfeitMember]] = []
 
     def recurse(orders: list[list[int]], n_real: int,
-                known: tuple[int, list[list[int]]] | None) -> None:
+                known: tuple[int, list[int]] | None) -> None:
         """`known`: an attribute position and this node's pick sequence on
-        it, when the parent's sequence already gave it."""
-        nonlocal stamp
+        it, its picks' cells in pick order, when the parent's sequence
+        already gave it."""
         first = orders[0]
         delta = len(first) // k
         if delta == 1:
@@ -592,104 +735,16 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                 group[entry_of[c]] = record_of[c]
             out.append(_emit_group(group, cus_list, rng))
             return
-        parent_extents = [extent.of(j, point[o[0]][j], point[o[n_real - 1]][j])
-                          for j, o in enumerate(orders)]
-        freq = [0] * n_values
-        for c in first[:n_real]:
-            freq[value_of[c]] += 1
-        hist = [0] * (max(freq) + 1)     # hist[f]: values with frequency f
-        for f in freq:
-            hist[f] += 1
-        # candidate scores share the denominator prod(parent_extents), so they
-        # compare as integer numerators sum_side |side| * sum_j ext_j * cof[j]
-        denom = prod(parent_extents)
-        cof = [denom // e for e in parent_extents]
-
-        best_score = 0
-        best = None  # (attr_pos, delta_a, picks)
-        swept: list[list[list[int]]] = []
+        sequences: list[list[int]] = []
         for attr_pos, queue in enumerate(orders):
             if known is not None and known[0] == attr_pos:
-                picks = known[1]
+                seq = known[1]
             else:
-                found = _pick_sequence(
+                seq = [queue[p] for pick in _pick_sequence(
                     [entry_of[c] for c in queue], [value_of[c] for c in queue],
-                    k, delta - 1)
-                picks = [[queue[p] for p in pick] for pick in found]
-            if not picks or picks in swept:
-                continue
-            swept.append(picks)
-            # sweep delta_a over pick prefixes; side B's largest frequency
-            # only falls, tracked with a histogram of frequencies, and each
-            # side's score numerator changes only with the spans that moved:
-            # A's as a member widens one, B's once a scored step finds a
-            # pointer's cell taken
-            stamp += 1
-            b_freq = freq[:]
-            b_hist = hist[:]
-            f_max = len(hist) - 1
-            lo_ptr = [0] * n_attr
-            hi_ptr = [n_real - 1] * n_attr
-            a_lo = [sys.maxsize] * n_attr
-            a_hi = [-1] * n_attr
-            a_ext = [0] * n_attr
-            b_ext = parent_extents[:]        # B starts as the whole node
-            a_num = 0
-            b_num = n_attr * denom
-            a_reals = 0
-            for delta_a, pick in enumerate(picks, start=1):
-                for c in pick:
-                    v = value_of[c]
-                    if v < 0:
-                        continue
-                    mark[c] = stamp
-                    a_reals += 1
-                    f = b_freq[v]
-                    b_freq[v] = f - 1
-                    b_hist[f] -= 1
-                    b_hist[f - 1] += 1
-                    if f == f_max and not b_hist[f]:
-                        f_max -= 1
-                    for j, i in enumerate(point[c]):
-                        lo = a_lo[j]
-                        hi = a_hi[j]
-                        if lo <= i <= hi:
-                            continue
-                        if i < lo:
-                            a_lo[j] = lo = i
-                        if i > hi:
-                            a_hi[j] = hi = i
-                        w = width[j]
-                        x = cover[j][lo * w + hi] if w else hi - lo + 1
-                        a_num += (x - a_ext[j]) * cof[j]
-                        a_ext[j] = x
-                b_reals = n_real - a_reals
-                if a_reals == 0 or b_reals == 0:
-                    continue
-                if f_max > delta - delta_a:
-                    continue
-                # F_max(A) <= delta_a holds by construction (distinct per pick)
-                for j, o in enumerate(orders):
-                    lo = lo_ptr[j]
-                    hi = hi_ptr[j]
-                    if mark[o[lo]] != stamp and mark[o[hi]] != stamp:
-                        continue
-                    while mark[o[lo]] == stamp:
-                        lo += 1
-                    while mark[o[hi]] == stamp:
-                        hi -= 1
-                    lo_ptr[j] = lo
-                    hi_ptr[j] = hi
-                    lo, hi, w = point[o[lo]][j], point[o[hi]][j], width[j]
-                    x = cover[j][lo * w + hi] if w else hi - lo + 1
-                    b_num += (x - b_ext[j]) * cof[j]
-                    b_ext[j] = x
-                score = a_reals * a_num + b_reals * b_num
-                # candidates come in increasing (attr_pos, delta_a), so
-                # only a strictly lower score can win the tie-break
-                if best is None or score < best_score:
-                    best_score = score
-                    best = (attr_pos, delta_a, picks)
+                    k, delta - 1) for p in pick]
+            sequences.append([] if seq in sequences else seq)
+        best = sweep.best(orders, n_real, sequences, k)
         if best is None:
             by_entry: list[list[int]] = [[] for _ in range(k)]
             for c in first:
@@ -698,18 +753,12 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                 out.append(_emit_group([record_of[c] for c in group],
                                        cus_list, rng))
             return
-        attr_pos, delta_a, picks = best
-        stamp += 1
-        side = stamp
-        a_reals = 0
-        for pick in picks[:delta_a]:
-            for c in pick:
-                mark[c] = side
-                a_reals += value_of[c] >= 0
-        child_a = [[c for c in o if mark[c] == side] for o in orders]
-        child_b = [[c for c in o if mark[c] != side] for o in orders]
-        recurse(child_a, a_reals, (attr_pos, picks[:delta_a - 1]))
-        recurse(child_b, n_real - a_reals, (attr_pos, picks[delta_a:]))
+        attr_pos, cut = best
+        seq = sequences[attr_pos]
+        child_a, child_b = sweep.split(orders, seq[:cut])
+        a_reals = sum(value_of[c] >= 0 for c in seq[:cut])
+        recurse(child_a, a_reals, (attr_pos, seq[:cut - k]))
+        recurse(child_b, n_real - a_reals, (attr_pos, seq[cut:]))
 
     recurse(root, n_real, None)
     return out
@@ -751,13 +800,10 @@ def _deal(records: list[Record], n_groups: int, model: UpdateModel,
 def _pad_group(group: list[Record | CounterfeitMember], m: int,
                model: UpdateModel, star: bool, rng: random.Random,
                ) -> list[Record | CounterfeitMember]:
-    def value_of(x):
-        return x.sensitive
-
     while len(group) < m:
-        used = {value_of(x) for x in group}
+        used = {x.sensitive for x in group}
         if star:
-            taken = [model.cus_of(value_of(x)) for x in group]
+            taken = [model.cus_of(x.sensitive) for x in group]
             options = sorted(v for v in model.sensitive_domain
                              if all(not (model.cus_of(v) & t) for t in taken))
         else:
@@ -775,17 +821,16 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
                      star: bool = False) -> list[list[Record | CounterfeitMember]]:
     """Partition history-free records into m-unique groups.
 
-    Top-down: recursively apply the best eligible cut (multiples of m along
-    each attribute's sorted order, minimum split score), then deal each leaf
-    rarest-value-first into floor(N/m) groups.  An ineligible root pool
-    falls back to a counterfeit-padded deal.  In star mode the distinctness
-    unit is the whole CUS, making group CUS's pairwise disjoint.
+    Top-down: recursively apply the best eligible cut, then deal each leaf
+    rarest-value-first into floor(N/m) groups.  The cut is the split
+    sweep's (`_Sweep.best`) over each attribute's order as it stands with
+    unit m: a cut at a multiple of m whose sides are both m-eligible, with
+    the minimum split score.  An ineligible root pool falls back to a
+    counterfeit-padded deal.  In star mode the distinctness unit is the
+    whole CUS, making group CUS's pairwise disjoint.
 
     Records are sorted by (index, id) along each attribute once, and a
-    child's orders are its parent's filtered.  Every cut of one node shares
-    the split score's denominator, the product of the node's extents, so
-    cuts are ranked by integer numerators.  Each side's numerator is carried
-    along its scan as the side's spans widen, and no cut rebuilds it.
+    child's orders are its parent's filtered (`_Sweep.split`).
     """
     if not records:
         return []
@@ -801,81 +846,24 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
         return out
 
     qi = schema.qi
-    n_attr = len(qi)
     color_ids: dict = {}
     color = [color_ids.setdefault(key, len(color_ids)) for key in keys]
     point = [_point(qi, rec) for rec in pool]
-    extent = _Extents(qi)
-    width, cover = extent.width, extent.cover
-
-    def side_numerators(order: list[int], cof: list[int], forward: bool,
-                        ) -> dict[int, int]:
-        """cut -> numerator of the side before (forward) or after the cut,
-        for every cut at a multiple of m that leaves that side m-eligible."""
-        n = len(order)
-        lo = [sys.maxsize] * n_attr
-        hi = [-1] * n_attr
-        ext = [0] * n_attr
-        num = 0
-        freq = [0] * len(color_ids)
-        f_max = 0
-        found = {}
-        for size, p in enumerate(range(n - 1) if forward
-                                 else range(n - 1, 0, -1), start=1):
-            r = order[p]
-            for j, i in enumerate(point[r]):
-                a, b = lo[j], hi[j]
-                if a <= i <= b:
-                    continue
-                if i < a:
-                    lo[j] = a = i
-                if i > b:
-                    hi[j] = b = i
-                w = width[j]
-                x = cover[j][a * w + b] if w else b - a + 1
-                num += (x - ext[j]) * cof[j]
-                ext[j] = x
-            c = color[r]
-            freq[c] += 1
-            if freq[c] > f_max:
-                f_max = freq[c]
-            cut = size if forward else n - size
-            # a side of fewer than m records fails the frequency test
-            if cut % m or f_max > size // m:
-                continue
-            found[cut] = num
-        return found
+    sweep = _Sweep(qi, point, color)
 
     def recurse(orders: list[list[int]]) -> None:
         n = len(orders[0])
-        best = None  # (numerator, attr_pos, cut)
-        if n >= 2 * m:
-            parent = [extent.of(j, point[o[0]][j], point[o[-1]][j])
-                      for j, o in enumerate(orders)]
-            denom = prod(parent)
-            cof = [denom // e for e in parent]
-            for attr_pos, order in enumerate(orders):
-                after = side_numerators(order, cof, forward=False)
-                before = side_numerators(order, cof, forward=True)
-                for cut, a_num in before.items():
-                    if cut not in after:
-                        continue
-                    score = cut * a_num + (n - cut) * after[cut]
-                    # candidates come in increasing (attr_pos, cut), so
-                    # only a strictly lower score wins the tie-break
-                    if best is None or score < best[0]:
-                        best = (score, attr_pos, cut)
+        best = sweep.best(orders, n, orders, m)
         if best is None:
             out.extend(_deal([pool[i] for i in orders[0]], max(n // m, 1),
                              model, star))
             return
-        _, attr_pos, cut = best
-        side_a = set(orders[attr_pos][:cut])
-        recurse([[i for i in o if i in side_a] for o in orders])
-        recurse([[i for i in o if i not in side_a] for o in orders])
+        attr_pos, cut = best
+        for child in sweep.split(orders, orders[attr_pos][:cut]):
+            recurse(child)
 
     recurse([sorted(range(len(pool)), key=lambda i: (point[i][j], i))
-             for j in range(n_attr)])
+             for j in range(len(qi))])
     return out
 
 

@@ -57,8 +57,9 @@ def span_extent(attr, lo: int, hi: int) -> int:
 def side_numerator(extents, cof) -> int:
     """One side's sum_j extent_j / parent_extent_j times prod(parent
     extents), cof[j] being prod(parent extents) // parent_extent_j: the
-    numerator that the static partitioner carries along its scans.  A split
-    scores sum over its sides of |side| (real records) times that sum."""
+    numerator that the split sweep of phase 3 and the static partitioner
+    carries for each side.  A split scores sum over its sides of |side|
+    (real records) times that sum."""
     return sum(x * c for x, c in zip(extents, cof))
 
 

@@ -469,16 +469,23 @@ def _partition_outcome(partition, case):
 BLOCKS = UpdateModel.from_classes([["s0", "s1"], ["s2", "s3"], ["s4"],
                                    ["s5"]])
 AGE_REGION = TableSchema((AGE, TREE), "s", tuple(BLOCKS.sensitive_domain))
-# m=3 and n=10: a cut leaves the backward scan's side 1, 4 or 7 records
+# m=3 and n=10: the cuts come after 3 and 6 records, leaving side B 7 or
+# 4, and B's 1 record after a cut at 9 would fail its frequency bound
 THREE_OF_TEN = [Record(f"r{k:02d}", (20 + k // 2, "abcdefg"[k % 7]),
                        f"s{k % 5}") for k in range(10)]
 # star mode: colors are the CUS {s0, s1}, {s2, s3}, {s4} and {s5}
 STAR_POOL = [Record(f"r{k:02d}", (20 + k % 5, "gfedcba"[k % 7]), f"s{k % 6}")
              for k in range(8)]
 # along the age order the region span grows d, b..d, b..f, a..f, a..g:
-# both of its ends widen within one scan
+# both of its ends widen as side A grows
 BOTH_ENDS = [Record(f"r{k}", (min(20 + k, 24), leaf), f"s{k}")
              for k, leaf in enumerate("dbfagc")]
+# the best cut is on the region, and its side A holds the youngest and the
+# oldest record, so side B's span pointers on the age order move in from
+# both ends
+REGION_CUT = [Record(f"r{k}", qi, value) for k, (qi, value) in enumerate(
+    [((20, "a"), "s0"), ((24, "b"), "s1"), ((21, "e"), "s0"),
+     ((22, "f"), "s1")])]
 
 
 @settings(max_examples=500, deadline=None)
@@ -486,6 +493,7 @@ BOTH_ENDS = [Record(f"r{k}", (min(20 + k, 24), leaf), f"s{k}")
 @example((AGE_REGION, BLOCKS, THREE_OF_TEN, 3, False, 0))
 @example((AGE_REGION, BLOCKS, STAR_POOL, 2, True, 0))
 @example((AGE_REGION, BLOCKS, BOTH_ENDS, 2, False, 0))
+@example((AGE_REGION, BLOCKS, REGION_CUT, 2, False, 0))
 def test_static_partition_matches_reference(case):
     assert (_partition_outcome(static_partition, case)
             == _partition_outcome(reference_static_partition, case))
