@@ -3,7 +3,7 @@
 Phase 1 creates buckets keyed by update-set signatures (plus best pairwise
 intersections), phase 2 greedily assigns records to bucket entries by a
 counterfeit/generalization score, phase 3 pads every entry of a bucket
-with counterfeit slots up to the bucket's delta and recursively splits it
+with counterfeit slots up to the bucket's delta and splits it, top down,
 into QI-groups with one member per entry and distinct sensitive values.
 First-timers with no usable bucket go through a static Mondrian-style
 partitioner.  Both top-down partitioners pick their cuts with one split
@@ -95,10 +95,6 @@ class Bucket:
         self._f_max = 0
         self._largest = 0
         self._lo, self._hi, self._ext = [], [], []
-
-    def eligible_entries(self, value: str) -> list[int]:
-        return [i for i, cus in enumerate(self.signature.entries)
-                if value in cus]
 
     def delta(self) -> int:
         return max(self._f_max, self._largest)
@@ -240,19 +236,6 @@ class EngineState:
         self.release_count = index
 
 
-def _eligible_buckets(prev: PrevInfo | None, covering: Sequence[int],
-                      buckets: Sequence[Bucket], state: EngineState,
-                      ) -> list[int]:
-    """The buckets among `covering`, those whose signature covers the
-    record's value, that the record may join given its previous
-    publication; the `implies` verdicts come from the state's memo."""
-    if prev is None:
-        return [b for b in covering if not state.star
-                or pairwise_disjoint(buckets[b].signature.entries)]
-    return [b for b in covering
-            if state.implied(prev.signature, buckets[b].signature)]
-
-
 # ---------------------------------------------------------------------------
 # phase 2
 
@@ -286,35 +269,48 @@ def phase2_assign(records: Sequence[Record], state: EngineState,
     Previous publications, the mode and the `implies` verdicts come from
     `state`; the verdicts it has not seen yet are added to it.
 
-    Eligibility depends only on the previous signature and the value, so
-    each such pair's bucket list is found once, among the buckets that
-    cover the value.  In one bucket lam does not depend on the entry and a
-    larger epsilon always scores higher (1/lam > 0 > -lam), so the best
-    entry has the largest epsilon, then the fewest records, then comes
-    first.  That is the first least-filled eligible entry: in an empty
-    bucket every entry's epsilon is +1, when the value's frequency equals
-    delta every entry's is -1, and otherwise epsilon is -1 exactly on the
-    entries already holding delta records, so `_epsilon` runs once per
-    bucket, on that entry.  Scores are compared as integer pairs by
+    Eligibility is one rule over two tables built once per call: the
+    covering index, each value's (bucket, entry ids) pairs in bucket and
+    entry order, and the allowed table, each previous signature's set of
+    buckets that `state.implied` accepts, built when the signature first
+    comes up.  Its `None` row, for first-timers, is every bucket (star
+    mode: those with pairwise-disjoint entries).  A record's options are
+    its value's covering pairs whose bucket is in its signature's row.
+    In one bucket lam does not depend on the entry and a larger epsilon
+    always scores higher (1/lam > 0 > -lam), so the best entry has the
+    largest epsilon, then the fewest records, then comes first.  That is
+    the first least-filled eligible entry: in an empty bucket every
+    entry's epsilon is +1, when the value's frequency equals delta every
+    entry's is -1, and otherwise epsilon is -1 exactly on the entries
+    already holding delta records, so `_epsilon` runs once per bucket, on
+    that entry.  Scores are compared as integer pairs by
     cross-multiplication.
     """
-    covering: dict[str, list[int]] = {}
+    covering: dict[str, list[tuple[int, list[int]]]] = {}
     for b, bucket in enumerate(buckets):
-        for value in bucket.signature.values:
-            covering.setdefault(value, []).append(b)
+        entry_ids: dict[str, list[int]] = {}
+        for i, cus in enumerate(bucket.signature.entries):
+            for value in cus:
+                entry_ids.setdefault(value, []).append(i)
+        for value, ids in entry_ids.items():
+            covering.setdefault(value, []).append((b, ids))
+    allowed: dict[USS | None, set[int]] = {}
     prev_of = state.prev
-    options_for: dict[tuple, list[tuple[int, list[int]]]] = {}
     pool: list[Record] = []
     assignable: list[tuple[int, str, Record, list, tuple[int, ...]]] = []
     for rec in records:
         prev = prev_of.get(rec.id)
-        key = (None if prev is None else prev.signature, rec.sensitive)
-        options = options_for.get(key)
-        if options is None:
-            options = options_for[key] = [
-                (b, buckets[b].eligible_entries(rec.sensitive))
-                for b in _eligible_buckets(
-                    prev, covering.get(rec.sensitive, ()), buckets, state)]
+        signature = None if prev is None else prev.signature
+        row = allowed.get(signature)
+        if row is None:
+            row = allowed[signature] = {
+                b for b, bucket in enumerate(buckets)
+                if (not state.star
+                    or pairwise_disjoint(bucket.signature.entries)
+                    if signature is None
+                    else state.implied(signature, bucket.signature))}
+        options = [option for option in covering.get(rec.sensitive, ())
+                   if option[0] in row]
         if not options:
             if prev is not None:
                 raise ValidationError(
@@ -675,7 +671,7 @@ def _fallback_decompose(by_entry: list[list[int]], value_of: Sequence[int],
 def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                  ) -> list[list[Record | CounterfeitMember]]:
     """Pad every entry with counterfeit slots up to the bucket's delta, then
-    recursively bisect the bucket into one-per-entry QI-groups.
+    bisect the bucket, top down, into one-per-entry QI-groups.
 
     At each level, every QI attribute contributes one greedy pick-out
     sequence from its sorted queue, and the split sweep (`_Sweep.best`)
@@ -722,11 +718,14 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
     sweep = _Sweep(qi, point, value_of)
     out: list[list[Record | CounterfeitMember]] = []
 
-    def recurse(orders: list[list[int]], n_real: int,
-                known: tuple[int, list[int]] | None) -> None:
-        """`known`: an attribute position and this node's pick sequence on
-        it, its picks' cells in pick order, when the parent's sequence
-        already gave it."""
+    # a node: its orders, its real-cell count, and `known`, an attribute
+    # position and the node's pick sequence on it, its picks' cells in pick
+    # order, when the parent's sequence already gave it.  Child B is pushed
+    # before child A, so nodes are taken depth first, A before B.
+    stack: list[tuple[list[list[int]], int, tuple | None]] = [
+        (root, n_real, None)]
+    while stack:
+        orders, reals, known = stack.pop()
         first = orders[0]
         delta = len(first) // k
         if delta == 1:
@@ -734,7 +733,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
             for c in first:
                 group[entry_of[c]] = record_of[c]
             out.append(_emit_group(group, cus_list, rng))
-            return
+            continue
         sequences: list[list[int]] = []
         for attr_pos, queue in enumerate(orders):
             if known is not None and known[0] == attr_pos:
@@ -744,7 +743,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                     [entry_of[c] for c in queue], [value_of[c] for c in queue],
                     k, delta - 1) for p in pick]
             sequences.append([] if seq in sequences else seq)
-        best = sweep.best(orders, n_real, sequences, k)
+        best = sweep.best(orders, reals, sequences, k)
         if best is None:
             by_entry: list[list[int]] = [[] for _ in range(k)]
             for c in first:
@@ -752,15 +751,13 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
             for group in _fallback_decompose(by_entry, value_of):
                 out.append(_emit_group([record_of[c] for c in group],
                                        cus_list, rng))
-            return
+            continue
         attr_pos, cut = best
         seq = sequences[attr_pos]
         child_a, child_b = sweep.split(orders, seq[:cut])
         a_reals = sum(value_of[c] >= 0 for c in seq[:cut])
-        recurse(child_a, a_reals, (attr_pos, seq[:cut - k]))
-        recurse(child_b, n_real - a_reals, (attr_pos, seq[cut:]))
-
-    recurse(root, n_real, None)
+        stack.append((child_b, reals - a_reals, (attr_pos, seq[cut:])))
+        stack.append((child_a, a_reals, (attr_pos, seq[:cut - k])))
     return out
 
 
@@ -821,7 +818,7 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
                      star: bool = False) -> list[list[Record | CounterfeitMember]]:
     """Partition history-free records into m-unique groups.
 
-    Top-down: recursively apply the best eligible cut, then deal each leaf
+    Top-down: keep applying the best eligible cut, then deal each leaf
     rarest-value-first into floor(N/m) groups.  The cut is the split
     sweep's (`_Sweep.best`) over each attribute's order as it stands with
     unit m: a cut at a multiple of m whose sides are both m-eligible, with
@@ -851,19 +848,21 @@ def static_partition(records: Sequence[Record], m: int, schema: TableSchema,
     point = [_point(qi, rec) for rec in pool]
     sweep = _Sweep(qi, point, color)
 
-    def recurse(orders: list[list[int]]) -> None:
+    # child B is pushed before child A, so nodes are taken depth first,
+    # A before B
+    stack = [[sorted(range(len(pool)), key=lambda i: (point[i][j], i))
+              for j in range(len(qi))]]
+    while stack:
+        orders = stack.pop()
         n = len(orders[0])
         best = sweep.best(orders, n, orders, m)
         if best is None:
             out.extend(_deal([pool[i] for i in orders[0]], max(n // m, 1),
                              model, star))
-            return
+            continue
         attr_pos, cut = best
-        for child in sweep.split(orders, orders[attr_pos][:cut]):
-            recurse(child)
-
-    recurse([sorted(range(len(pool)), key=lambda i: (point[i][j], i))
-             for j in range(len(qi))])
+        child_a, child_b = sweep.split(orders, orders[attr_pos][:cut])
+        stack += (child_b, child_a)
     return out
 
 

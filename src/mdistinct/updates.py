@@ -143,9 +143,6 @@ class USS:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, USS) and self._key == other._key
 

@@ -326,6 +326,30 @@ class TestExitCodes:
             "domain" in err
         assert "Traceback" not in err
 
+    def test_et_value_outside_its_group_node_exits_two(self, workdir,
+                                                       capsys):
+        snap = workdir / "cities.csv"
+        write_csv(snap, [["id", "city", "disease"],
+                         ["a", "north", "Flu"], ["b", "north", "Gastritis"],
+                         ["c", "south", "Glaucoma"],
+                         ["d", "south", "Dyspepsia"]])
+        hist = workdir / "cities"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        assert run(workdir, "publish", "--microdata", snap, "--m", "2",
+                   *base) == 0
+        # each city is its own group, so south lies outside a's group node
+        store = HistoryStore(hist)
+        release = store.read_release(1, store.read_schema())
+        assert [g.region for g in release.groups] == [("north",), ("south",)]
+        et_dir = workdir / "et"
+        et_dir.mkdir()
+        write_csv(et_dir / "et_1.csv", [["id", "city"], ["a", "south"]])
+        capsys.readouterr()
+        assert run(workdir, "attack", "--et", et_dir, *base) == 2
+        assert capsys.readouterr().err == (
+            "error: release 1: record 'a' falls outside its group region\n")
+        assert not (hist / "risks.csv").exists()
+
     def test_infeasible_demand_exits_three(self, workdir, capsys):
         # only three pairwise-disjoint update scopes exist in this model,
         # so no group can hold four of them
@@ -1053,6 +1077,12 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             f"error: cannot write {taken / 'out'}: Not a directory\n")
         assert taken.read_text() == "not a directory\n"
+
+    def test_missing_config_exits_two(self, workdir, capsys):
+        config = workdir / "absent.json"
+        assert run(workdir, "simulate", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {config}: No such file or directory\n")
 
     def test_bad_config_exits_two(self, workdir, capsys):
         config = workdir / "config.json"

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -10,15 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from mdistinct import engine
 from mdistinct.engine import (Bucket, EngineState, PrevInfo, _Extents,
-                              _eligible_buckets, _epsilon, _point, _score,
-                              phase1_create_buckets, phase2_assign,
-                              phase3_split, publish, static_partition,
-                              verify_m_distinct)
+                              _epsilon, _point, _score, phase1_create_buckets,
+                              phase2_assign, phase3_split, publish,
+                              static_partition, verify_m_distinct)
 from mdistinct.errors import InfeasibilityError, ValidationError
 from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.model import (AttributeSchema, CounterfeitMember, Hierarchy,
                              Record, TableSchema, generalize)
-from mdistinct.updates import USS, implies, uss_of
+from mdistinct.updates import USS, UpdateModel, implies, uss_of
 from mdistinct.baselines import count_vulnerable
 from mdistinct.sug import attack_release_sequence
 
@@ -82,20 +82,23 @@ class TestPhase1:
 
 
 class TestCntBuc:
-    """CNT_buc, the number of buckets a record may join, is the length of
-    `_eligible_buckets` over the buckets that cover its value."""
+    """CNT_buc, the number of buckets a record may join: the buckets that
+    cover its value and that its previous signature implies (star mode
+    first-timers: whose entries are pairwise disjoint)."""
 
-    def test_returning_record_counts_implied_covering_buckets(self,
-                                                              worked_model):
+    def test_returning_record_counts_implied_covering_buckets(
+            self, worked_model, disease_schema):
         sig = uss_of(["Dyspepsia", "Pneumonia"], worked_model)
         other = uss_of(["Dyspepsia", "Glaucoma"], worked_model)
-        buckets = phase1_create_buckets([sig, other])
-        prev = PrevInfo("Pneumonia", sig, 1)
-        state = EngineState(m=2)
-        # of the two candidates, only the first is implied by sig
-        assert _eligible_buckets(prev, [0, 1], buckets, state) == [0]
+        buckets = phase1_create_buckets([other, sig])
+        state = EngineState(m=2, prev={"Ken": PrevInfo("Pneumonia", sig, 1)})
+        ken = Record("Ken", (14, 20), "Dyspepsia")
+        # both buckets cover Dyspepsia and tie on score; only the second is
+        # implied by sig
+        assert phase2_assign([ken], state, buckets, disease_schema) == []
+        assert [b.entries for b in buckets] == [[[], []], [[ken], []]]
         # the state keeps both verdicts for the next release
-        assert state.verdicts == {(sig, sig): True, (sig, other): False}
+        assert state.verdicts == {(sig, other): False, (sig, sig): True}
 
     def test_uncovered_value_counts_nothing(self, worked_model,
                                             disease_schema):
@@ -106,13 +109,18 @@ class TestCntBuc:
                              disease_schema) == [stranger]
         assert buckets[0].size == 0
 
-    def test_star_first_timer_skips_overlapping_entries(self):
-        buckets = [Bucket(sig_of({"a", "b"}, {"b", "c"}), "signature"),
-                   Bucket(sig_of({"a"}, {"b", "c"}), "signature")]
-        star = EngineState(m=2, mode="m_distinct_star")
-        assert _eligible_buckets(None, [0, 1], buckets, star) == [1]
-        assert _eligible_buckets(None, [0, 1], buckets,
-                                 EngineState(m=2)) == [0, 1]
+    def test_star_first_timer_skips_overlapping_entries(self, small_schema):
+        def placed(mode):
+            buckets = [Bucket(sig_of({"a", "b"}, {"b", "c"}), "signature"),
+                       Bucket(sig_of({"a"}, {"b", "c"}), "signature")]
+            assert phase2_assign([Record("r", (1,), "a")],
+                                 EngineState(m=2, mode=mode), buckets,
+                                 small_schema) == []
+            return [b.size for b in buckets]
+
+        # both empty buckets tie on score, so the first wins unless skipped
+        assert placed("m_distinct_star") == [0, 1]
+        assert placed("m_distinct") == [1, 0]
 
 
 @pytest.fixture
@@ -200,11 +208,14 @@ class TestAssignmentScore:
                                 small_schema) == (1, F(2), F(1, 2))
 
     def test_value_outside_entry_rejected(self, small_schema):
-        """Phase 2 only scores a record against entries whose CUS holds
-        its value."""
+        """Phase 2 only places a record in an entry whose CUS holds its
+        value, even when another entry has fewer records."""
         bucket = Bucket(sig_of({"a"}, {"b"}), "signature")
-        assert bucket.eligible_entries("b") == [1]
-        assert bucket.eligible_entries("c") == []
+        records = [Record("r1", (1,), "b"), Record("r2", (2,), "b"),
+                   Record("r3", (3,), "c")]
+        assert phase2_assign(records, EngineState(m=2), [bucket],
+                             small_schema) == records[2:]
+        assert bucket.entries == [[], records[:2]]
 
 
 class TestPhase2:
@@ -329,6 +340,32 @@ class TestSplitScore:
         assert tight < crossed
 
 
+GEOMETRIC = 400  # records; x = 2^0 .. 2^399
+
+
+def geometric_schema(values: str) -> TableSchema:
+    """One numeric QI spanning 2^0 .. 2^(GEOMETRIC - 1).  Records at the
+    powers of two make each cut take a few records off the top, so the
+    partitioners' nesting grows with the record count."""
+    return TableSchema(
+        (AttributeSchema.numeric("x", 1, 2 ** (GEOMETRIC - 1)),), "s",
+        tuple(values))
+
+
+def with_shallow_stack(run, frames: int = 40):
+    """`run()` with the recursion limit `frames` above the current stack
+    depth, so that nesting one frame per partition level fails."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        return run()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 class TestPhase3:
     def _bucket(self, schema):
         bucket = Bucket(sig_of({"a", "b"}, {"c", "d"}), "signature")
@@ -375,8 +412,31 @@ class TestPhase3:
             assert len(set(values)) == len(values)
             assert any(not isinstance(m, CounterfeitMember) for m in group)
 
+    def test_peeling_bucket_needs_no_recursion(self):
+        schema = geometric_schema("ab")
+        bucket = Bucket(sig_of({"a"}, {"b"}), "signature")
+        for i in range(GEOMETRIC):
+            add(bucket, Record(f"r{i:03d}", (2 ** i,), "ab"[i % 2]), i % 2,
+                schema)
+        groups = with_shallow_stack(
+            lambda: phase3_split(bucket, schema, random.Random(0)))
+        assert len(groups) == GEOMETRIC // 2
+        assert all(sorted(m.sensitive for m in g) == ["a", "b"]
+                   for g in groups)
+
 
 class TestStaticPartition:
+    def test_geometric_pool_needs_no_recursion(self):
+        values = "abcd"
+        model = UpdateModel.from_classes([[v] for v in values])
+        pool = [Record(f"r{i:03d}", (2 ** i,), values[i % 4])
+                for i in range(GEOMETRIC)]
+        groups = with_shallow_stack(lambda: static_partition(
+            pool, 2, geometric_schema(values), model, random.Random(0)))
+        assert sorted(m.id for g in groups for m in g) == [r.id for r in pool]
+        assert all(len({m.sensitive for m in g}) == len(g) >= 2
+                   for g in groups)
+
     def test_worked_first_release_grouping(self, t1_records, worked_model,
                                            disease_schema):
         groups = static_partition(t1_records, 2, disease_schema, worked_model,

@@ -128,7 +128,9 @@ def reference_phase2_assign(records, state, buckets, schema):
             bucket = buckets[b]
             buc_score = None
             buc_entry = None
-            for i in bucket.eligible_entries(rec.sensitive):
+            for i, cus in enumerate(bucket.signature.entries):
+                if rec.sensitive not in cus:
+                    continue
                 s = reference_assignment_score(rec, bucket, i, schema).value
                 if buc_score is None or s > buc_score:
                     buc_score, buc_entry = s, i
@@ -403,7 +405,9 @@ def test_assignment_score_matches_reference(case):
         for rec in records:
             before = bucket.extent_product
             after = bucket.extent_product_with(_point(schema.qi, rec), extent)
-            for i in bucket.eligible_entries(rec.sensitive):
+            for i, cus in enumerate(bucket.signature.entries):
+                if rec.sensitive not in cus:
+                    continue
                 eps = _epsilon(bucket, i, rec.sensitive)
                 assert (AssignmentScore(eps, F(after, before),
                                         F(*_score(eps, before, after)))
