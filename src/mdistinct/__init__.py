@@ -14,7 +14,6 @@ from .engine import (EngineState, publish, static_partition,
                      verify_m_distinct)
 from .baselines import (count_vulnerable, publish_l_diversity,
                         publish_m_invariance)
-from .evaluation import (AggregateQuery, ExperimentConfig, RunReport,
-                         run_experiment)
+from .evaluation import ExperimentConfig, RunReport, run_experiment
 
 __version__ = "0.1.0"

@@ -284,7 +284,10 @@ def phase2_assign(records: Sequence[Record], state: EngineState,
     entry's is -1, and otherwise epsilon is -1 exactly on the entries
     already holding delta records, so `_epsilon` runs once per bucket, on
     that entry.  Scores are compared as integer pairs by
-    cross-multiplication.
+    cross-multiplication.  No option scores above 1 and ties keep the
+    first, so the scan stops at the first score 1: epsilon +1 and an
+    extent product that does not grow (a categorical point outside the
+    spans can), as in an empty bucket.
     """
     covering: dict[str, list[tuple[int, list[int]]]] = {}
     for b, bucket in enumerate(buckets):
@@ -338,6 +341,8 @@ def phase2_assign(records: Sequence[Record], state: EngineState,
                               bucket.extent_product_with(point, extent))
             if best is None or num * best_den > best_num * den:
                 best_num, best_den, best = num, den, (b, entry)
+                if num == den:
+                    break   # the score 1, which no later option beats
         buckets[best[0]]._place(rec, best[1], point, extent)
     return pool
 

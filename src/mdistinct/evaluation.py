@@ -7,16 +7,16 @@ are exact rationals, summed on integers: the groups' numerators are added
 up per distinct region volume (the denominator), the per-denominator sums
 meet the multipliers that scale them to the release's common denominator
 in an int64 product on limbs of the multipliers, and each query's estimate
-is built as one rational at the end.  Exact counts come from prefix
-bitsets of the snapshot held as Python ints: one AND per axis and one bit
-count per query.  Both are evaluated for a batch of queries at once; the
-tests hold scalar oracles for both.
+is one integer numerator over that denominator.  Exact counts come from
+prefix bitsets of the snapshot held as Python ints: one AND per axis and
+one bit count per query.  Both take a batch of queries as two integer
+arrays of span bounds; the tests hold scalar oracles for both.
 
 The experiment driver replays the full pipeline on synthetic data: evolve
 the population, publish with the chosen scheme, attack after every release,
 and measure relative query error |R* - R| / R* (R* the estimate, R the
 exact count on the microdata; zero-estimate queries are resampled).  Each
-error is one rational built from integers, and medians are exact: a sort
+error is the one `Fraction` a kept query costs.  Medians are exact: a sort
 keyed on the correctly rounded float compares rationals only on float ties.
 """
 
@@ -28,7 +28,6 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -45,8 +44,8 @@ from .sug import AttackMemo, RiskReport, attack_release_sequence
 from .updates import UpdateModel
 
 __all__ = [
-    "AggregateQuery",
-    "random_query",
+    "uniform_below",
+    "random_queries",
     "ReleaseEvaluator",
     "SnapshotCounter",
     "median_fraction",
@@ -59,19 +58,7 @@ __all__ = [
 
 OVERSAMPLE_FACTOR = 10
 
-# the estimate of a query no real member falls in; Fractions are immutable
-ZERO = Fraction(0)
-
 PUBLISHERS = ("m_distinct", "m_distinct_star", "l_diversity", "m_invariance")
-
-
-@dataclass(frozen=True)
-class AggregateQuery:
-    """A box over QI index space plus a contiguous sensitive-value span
-    (indexes into the sorted sensitive domain)."""
-
-    qi_spans: tuple[tuple[int, int], ...]
-    sensitive_span: tuple[int, int]
 
 
 def _theta_width(size: int, theta: float) -> int:
@@ -80,18 +67,34 @@ def _theta_width(size: int, theta: float) -> int:
     return min(size - 1, round(min(theta, 1.0) * size))
 
 
-def random_query(schema: TableSchema, domain: Sequence[str], theta: float,
-                 rng: random.Random) -> AggregateQuery:
-    """A box whose side along every axis covers about a theta fraction of
-    that axis, placed uniformly.  Categorical axes use the fixed leaf order."""
-    spans = []
-    for attr in schema.qi:
-        width = _theta_width(attr.size, theta)
-        lo = rng.randrange(attr.size - width)
-        spans.append((lo, lo + width))
-    width = _theta_width(len(domain), theta)
-    lo = rng.randrange(len(domain) - width)
-    return AggregateQuery(tuple(spans), (lo, lo + width))
+def uniform_below(rng: random.Random, bounds: Sequence[int],
+                  rounds: int) -> list[int]:
+    """`rounds` rounds of `rng.randrange(n)` for each n in `bounds`, drawn
+    by CPython's own rejection loop on `getrandbits` (3.10 to 3.13; a test
+    pins the stream and the generator's state)."""
+    getrandbits = rng.getrandbits
+    axes = [(n, n.bit_length()) for n in bounds]
+    out = []
+    for _ in range(rounds):
+        for n, k in axes:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            out.append(r)
+    return out
+
+
+def random_queries(sizes: Sequence[int], theta: float, rng: random.Random,
+                   count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`count` random boxes as bound arrays (lo, hi), each count x
+    len(sizes).  On an axis of `size` points, hi - lo is `_theta_width(size,
+    theta)` and lo is uniform.  The QI axes come first, categorical ones in
+    their fixed leaf order, then the sensitive axis."""
+    widths = [_theta_width(size, theta) for size in sizes]
+    lo = np.array(uniform_below(rng, [s - w for s, w in zip(sizes, widths)],
+                                count),
+                  dtype=np.int64).reshape(count, len(sizes))
+    return lo, lo + np.array(widths, dtype=np.int64)
 
 
 def _region_span(attr, cell) -> tuple[int, int]:
@@ -99,18 +102,6 @@ def _region_span(attr, cell) -> tuple[int, int]:
         lo, hi = cell
         return (lo - attr.lo, hi - attr.lo)
     return attr.hierarchy.span(cell)
-
-
-def _query_bounds(queries: Sequence[AggregateQuery], n_attr: int):
-    """The queries' span bounds (lo, hi), each Q x (n_attr + 1): a column
-    per QI attribute, then one for the sensitive span."""
-    width = 2 * (n_attr + 1)
-    flat = np.fromiter(chain.from_iterable(chain(*q.qi_spans,
-                                                 q.sensitive_span)
-                                           for q in queries),
-                       dtype=np.int64, count=len(queries) * width)
-    box = flat.reshape(len(queries), n_attr + 1, 2)
-    return box[:, :, 0], box[:, :, 1]
 
 
 class ReleaseEvaluator:
@@ -122,9 +113,9 @@ class ReleaseEvaluator:
     numerators over one denominator fill one run of columns: each run is
     summed on integers, and the sums meet the multipliers `lcm // den`
     that scale them to the release's `lcm` of denominators, which leaves
-    one `Fraction` to build per query.  A numerator is at most (real
-    members) x (largest `extprod`); when that bound does not fit int64,
-    the same steps run on Python ints.
+    each query's estimate as one integer numerator over `lcm`.  A
+    numerator is at most (real members) x (largest `extprod`); when that
+    bound does not fit int64, the same steps run on Python ints.
 
     The multipliers can be far wider than 64 bits, so on int64 they are
     cut into k-bit limbs, k the largest width at which D sums of at most
@@ -153,10 +144,11 @@ class ReleaseEvaluator:
         # index among them
         self.spans = []
         for j in range(len(schema.qi)):
-            bounds = np.array([regions[g][j] for g in order],
-                              dtype=np.int64).reshape(-1, 2)
-            unique, index = np.unique(bounds, axis=0, return_inverse=True)
-            self.spans.append((unique[:, 0], unique[:, 1], index.reshape(-1)))
+            seen: dict[tuple[int, int], int] = {}
+            index = [seen.setdefault(regions[g][j], len(seen)) for g in order]
+            unique = np.array(list(seen), dtype=np.int64).reshape(-1, 2)
+            self.spans.append((unique[:, 0], unique[:, 1],
+                               np.array(index, dtype=np.intp)))
         # per value index v, each group's real members with a value below v
         self.cumhist = np.cumsum(hist[:, order], axis=0)
         dens = [extprod[g] for g in order]
@@ -171,10 +163,12 @@ class ReleaseEvaluator:
         self.dtype = (np.int64 if real * max(distinct, default=1) < 2 ** 63
                       else object)
 
-    def batch(self, queries: Sequence[AggregateQuery]) -> list[Fraction]:
-        if not queries:
+    def batch(self, qlo: np.ndarray, qhi: np.ndarray) -> list[int]:
+        """Each query's estimate as its numerator over `self.lcm`; `qlo`
+        and `qhi` are the queries' span bounds, Q x (n_attr + 1), a column
+        per QI attribute and then one for the sensitive span."""
+        if not len(qlo):
             return []
-        qlo, qhi = _query_bounds(queries, len(self.spans))
         # Q x G: real members in each query's value span, then times each
         # attribute's overlap width, clipped at 0, taken from the query's
         # overlap with each distinct region
@@ -185,9 +179,7 @@ class ReleaseEvaluator:
                   - np.maximum(lo, qlo[:, j:j + 1]) + 1)
             np.maximum(ov, 0, out=ov)
             num *= ov.take(index, axis=1)
-        sums = np.add.reduceat(num, self.starts, axis=1)
-        return [Fraction(t, self.lcm) if t else ZERO
-                for t in self._totals(sums)]
+        return self._totals(np.add.reduceat(num, self.starts, axis=1))
 
     def _totals(self, sums: np.ndarray) -> list[int]:
         """Each row of `sums` (Q x D) dotted with the multipliers."""
@@ -232,10 +224,10 @@ class SnapshotCounter:
         columns.append([domain_index[rec.sensitive] for rec in records])
         self.axes = [_prefix_bitsets(column) for column in columns]
 
-    def batch(self, queries: Sequence[AggregateQuery]) -> np.ndarray:
-        if not queries:
+    def batch(self, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
+        """The queries' exact counts; bounds as in `ReleaseEvaluator.batch`."""
+        if not len(qlo):
             return np.zeros(0, dtype=np.int64)
-        qlo, qhi = _query_bounds(queries, len(self.axes) - 1)
         inside = None
         for (values, pre), lo, hi in zip(self.axes, qlo.T, qhi.T):
             spans = zip(np.searchsorted(values, lo, side="left").tolist(),
@@ -433,6 +425,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     schema, model = synthetic_schema(config.d, config.sensitive_size)
     domain = sorted(model.sensitive_domain)
     domain_index = {v: i for i, v in enumerate(domain)}
+    sizes = [attr.size for attr in schema.qi] + [len(domain)]
     master = random.Random(config.seed)
     pop_rng = random.Random(master.randrange(2 ** 32))
     records, next_id = initial_population(config.n_records, schema, model,
@@ -488,26 +481,24 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             continue
         evaluator = ReleaseEvaluator(release, schema, domain)
         counter = SnapshotCounter(records, schema, domain_index)
+        lcm = evaluator.lcm
         for theta in config.thetas:
             qrng = random.Random(rng.randrange(2 ** 32))
-            kept: list[AggregateQuery] = []
-            estimates: list[Fraction] = []
+            los, his, kept = [], [], []   # kept: the estimates' numerators
             for _ in range(OVERSAMPLE_FACTOR):
-                if len(kept) == config.n_queries:
+                need = config.n_queries - len(kept)
+                if not need:
                     break
-                chunk = [random_query(schema, domain, theta, qrng)
-                         for _ in range(config.n_queries)]
-                for query, est in zip(chunk, evaluator.batch(chunk)):
-                    if est > 0:
-                        kept.append(query)
-                        estimates.append(est)
-                        if len(kept) == config.n_queries:
-                            break
-            # |n/d - act| / (n/d), the estimate n/d in lowest terms
-            errs = [Fraction(abs(est.numerator - act * est.denominator),
-                             est.numerator)
-                    for est, act in zip(estimates,
-                                        counter.batch(kept).tolist())]
+                qlo, qhi = random_queries(sizes, theta, qrng, config.n_queries)
+                totals = evaluator.batch(qlo, qhi)
+                rows = [i for i, t in enumerate(totals) if t > 0][:need]
+                los.append(qlo[rows])
+                his.append(qhi[rows])
+                kept += [totals[i] for i in rows]
+            # |t/lcm - act| / (t/lcm), the estimate t/lcm
+            actual = counter.batch(np.concatenate(los), np.concatenate(his))
+            errs = [Fraction(abs(t - act * lcm), t)
+                    for t, act in zip(kept, actual.tolist())]
             if errs:
                 report.release_medians.setdefault(
                     (release.release_index, theta), median_fraction(errs))

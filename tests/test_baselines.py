@@ -53,6 +53,13 @@ class TestLDiversity:
 
 
 class TestMInvariance:
+    def test_empty_snapshot_rejected(self, worked_model, disease_schema):
+        # the CLI refuses a file with no records before publishing; a
+        # library caller, such as a run with n_records=0, gets here
+        with pytest.raises(InfeasibilityError, match="nothing to publish"):
+            publish_m_invariance([], MInvarianceState(m=2), disease_schema,
+                                 worked_model, seed=0)
+
     def test_first_release_is_plain_partition(self, t1_records, worked_model,
                                               disease_schema):
         state = MInvarianceState(m=2)

@@ -999,6 +999,17 @@ class TestSimulate:
         for name in ("report.csv", "summary.csv", "timings.csv"):
             assert (out_dir / name).exists()
 
+    @pytest.mark.parametrize("publisher", ["l_diversity", "m_invariance"])
+    def test_baseline_exits_zero_when_verify_fails(self, workdir, capsys,
+                                                   publisher):
+        # a baseline promises no m-distinctness: its failed check is
+        # reported, and the run still succeeds
+        config = workdir / "config.json"
+        config.write_text(json.dumps({**self.CONFIG, "publisher": publisher,
+                                      "out_dir": str(workdir / "out")}))
+        assert run(workdir, "simulate", "--config", config) == 0
+        assert "verify FAILED" in capsys.readouterr().out
+
     def test_zero_releases_say_nothing_was_published(self, workdir, capsys):
         config = workdir / "config.json"
         out_dir = workdir / "out"

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from mdistinct import evaluation
 from mdistinct.errors import ValidationError
-from mdistinct.evaluation import (AggregateQuery, ExperimentConfig,
-                                  ReleaseEvaluator, SnapshotCounter,
-                                  _region_span, median_fraction,
-                                  random_query, run_experiment)
+from mdistinct.evaluation import (ExperimentConfig, ReleaseEvaluator,
+                                  SnapshotCounter, _region_span,
+                                  median_fraction, random_queries,
+                                  run_experiment, uniform_below)
 from mdistinct.fileio import synthetic_schema
 from mdistinct.model import (AttributeSchema, CounterfeitMember, Hierarchy,
                              Record, TableSchema, generalize)
@@ -21,56 +21,91 @@ F = Fraction
 
 # ---------------------------------------------------------------------------
 # scalar oracles of the two batch evaluators, one query and one group or
-# record at a time
+# record at a time.  Like the batches, they take the queries as two bound
+# arrays (qlo, qhi), a row per query: a column per QI axis, then one for
+# the sensitive span.
 
 
-def actual_count(records, query, schema, domain_index) -> int:
-    """Records inside the query's QI box with a value in its span."""
-    total = 0
-    slo, shi = query.sensitive_span
-    for rec in records:
-        s = domain_index[rec.sensitive]
-        if not slo <= s <= shi:
-            continue
-        ok = True
-        for attr, v, (qlo, qhi) in zip(schema.qi, rec.qi, query.qi_spans):
-            if not qlo <= attr.to_index(v) <= qhi:
-                ok = False
-                break
-        if ok:
-            total += 1
-    return total
+def boxes(*queries):
+    """The bound arrays (qlo, qhi) of queries each given as its (lo, hi)
+    spans, the QI axes' and then the value span."""
+    box = np.array(queries, dtype=np.int64).reshape(len(queries), -1, 2)
+    return box[:, :, 0], box[:, :, 1]
 
 
-def estimate_count(release, query, schema, domain) -> Fraction:
-    """Exact rational estimate of the query count from one release: each
-    real member in the value span counts for the share of its group's
-    region inside the query box."""
+def stack(*batches):
+    """The bound arrays of several batches' queries, in order."""
+    return [np.concatenate(q) for q in zip(*batches)]
+
+
+def actual_counts(records, qlo, qhi, schema, domain_index) -> list[int]:
+    """Per query, the records inside its QI box with a value in its span."""
+    out = []
+    for lo, hi in zip(qlo.tolist(), qhi.tolist()):
+        total = 0
+        for rec in records:
+            point = [a.to_index(v) for a, v in zip(schema.qi, rec.qi)]
+            point.append(domain_index[rec.sensitive])
+            total += all(a <= x <= b for x, a, b in zip(point, lo, hi))
+        out.append(total)
+    return out
+
+
+def estimates(release, qlo, qhi, schema, domain) -> list[Fraction]:
+    """Per query, the exact rational estimate of its count from one
+    release: each real member in the value span counts for the share of
+    its group's region inside the query box."""
     domain_index = {v: i for i, v in enumerate(domain)}
-    slo, shi = query.sensitive_span
-    total = Fraction(0)
-    for group in release.groups:
-        hits = sum(1 for member in group.members
-                   if not member.counterfeit
-                   and slo <= domain_index[member.sensitive] <= shi)
-        if hits == 0:
-            continue
-        weight = Fraction(1)
-        for attr, cell, (qlo, qhi) in zip(schema.qi, group.region,
-                                          query.qi_spans):
-            glo, ghi = _region_span(attr, cell)
-            ov = min(ghi, qhi) - max(glo, qlo) + 1
-            if ov <= 0:
-                weight = Fraction(0)
-                break
-            weight *= Fraction(ov, ghi - glo + 1)
-        total += hits * weight
-    return total
+    out = []
+    for lo, hi in zip(qlo.tolist(), qhi.tolist()):
+        total = Fraction(0)
+        for group in release.groups:
+            hits = sum(1 for member in group.members
+                       if not member.counterfeit
+                       and lo[-1] <= domain_index[member.sensitive] <= hi[-1])
+            if hits == 0:
+                continue
+            weight = Fraction(1)
+            for attr, cell, qa, qb in zip(schema.qi, group.region, lo, hi):
+                glo, ghi = _region_span(attr, cell)
+                ov = min(ghi, qb) - max(glo, qa) + 1
+                if ov <= 0:
+                    weight = Fraction(0)
+                    break
+                weight *= Fraction(ov, ghi - glo + 1)
+            total += hits * weight
+        out.append(total)
+    return out
+
+
+def batch_estimates(evaluator, qlo, qhi) -> list[Fraction]:
+    """The batch's numerators over the evaluator's common denominator."""
+    return [F(t, evaluator.lcm) for t in evaluator.batch(qlo, qhi)]
+
+
+def axis_sizes(schema, domain) -> list[int]:
+    """The sizes of a query's axes: the QI attributes', then the domain's."""
+    return [a.size for a in schema.qi] + [len(domain)]
+
+
+def reference_random_queries(sizes, theta, rng, count):
+    """The per-query draw that the array draw replaced: one `randrange`
+    call per axis and query, query by query."""
+    lo, hi = [], []
+    for _ in range(count):
+        for size in sizes:
+            width = min(size - 1, round(min(theta, 1.0) * size))
+            x = rng.randrange(size - width)
+            lo.append(x)
+            hi.append(x + width)
+    return (np.array(lo, dtype=np.int64).reshape(count, len(sizes)),
+            np.array(hi, dtype=np.int64).reshape(count, len(sizes)))
 
 
 DOMAIN = ("Cataract", "Dyspepsia", "Flu", "Gastritis", "Glaucoma",
           "LungCancer", "Pneumonia")
-ALL = AggregateQuery(((0, 30), (0, 25)), (0, 6))
+ALL = ((0, 30), (0, 25), (0, 6))
+NO_BOXES = (np.zeros((0, 3), dtype=np.int64),) * 2
 
 
 @pytest.fixture
@@ -86,38 +121,35 @@ class TestEstimate:
                                                        one_group_release):
         # region is salary 10..13 x age 15..16; query takes half the salary
         # extent and all of the age extent
-        query = AggregateQuery(((0, 1), (0, 1)), (0, 6))
-        est = estimate_count(one_group_release, query, disease_schema, DOMAIN)
-        assert est == F(2) * F(2, 4) * F(2, 2) == 1
+        query = boxes(((0, 1), (0, 1), (0, 6)))
+        est = estimates(one_group_release, *query, disease_schema, DOMAIN)
+        assert est == [F(2) * F(2, 4) * F(2, 2)] == [1]
 
     def test_covering_query_returns_real_count(self, disease_schema,
                                                one_group_release):
-        assert estimate_count(one_group_release, ALL, disease_schema,
-                              DOMAIN) == 2
+        assert estimates(one_group_release, *boxes(ALL), disease_schema,
+                         DOMAIN) == [2]
 
     def test_counterfeits_never_contribute(self, disease_schema,
                                            one_group_release):
-        pneumonia_only = AggregateQuery(((0, 30), (0, 25)), (6, 6))
-        assert estimate_count(one_group_release, pneumonia_only,
-                              disease_schema, DOMAIN) == 1
+        pneumonia_only = boxes(((0, 30), (0, 25), (6, 6)))
+        assert estimates(one_group_release, *pneumonia_only,
+                         disease_schema, DOMAIN) == [1]
 
     def test_disjoint_query_is_zero(self, disease_schema, one_group_release):
-        far = AggregateQuery(((20, 30), (0, 25)), (0, 6))
-        assert estimate_count(one_group_release, far, disease_schema,
-                              DOMAIN) == 0
+        far = boxes(((20, 30), (0, 25), (0, 6)))
+        assert estimates(one_group_release, *far, disease_schema,
+                         DOMAIN) == [0]
 
 
 class TestActualCount:
     def test_counts_box_and_value_span(self, t1_records, disease_schema):
         index = {v: i for i, v in enumerate(DOMAIN)}
-        assert actual_count(t1_records, ALL, disease_schema, index) == 6
-        pneumonia_only = AggregateQuery(((0, 30), (0, 25)), (6, 6))
-        assert actual_count(t1_records, pneumonia_only, disease_schema,
-                            index) == 2
-        low_salary = AggregateQuery(((0, 6), (0, 25)), (0, 6))
-        # salaries 10..16: Ken (14) and Julia (16)
-        assert actual_count(t1_records, low_salary, disease_schema,
-                            index) == 2
+        # the last: salaries 10..16, Ken (14) and Julia (16)
+        queries = boxes(ALL, ((0, 30), (0, 25), (6, 6)),
+                        ((0, 6), (0, 25), (0, 6)))
+        assert actual_counts(t1_records, *queries, disease_schema,
+                             index) == [6, 2, 2]
 
 
 class TestQueryError:
@@ -134,7 +166,7 @@ class TestQueryError:
     @pytest.fixture(scope="class")
     def run(self):
         """The report and, per release, the release, the snapshot, every
-        query drawn and the queries kept for each theta."""
+        chunk of queries drawn and the queries kept for each theta."""
         seen = []
 
         class Evaluator(ReleaseEvaluator):
@@ -142,18 +174,18 @@ class TestQueryError:
                 super().__init__(release, schema, domain)
                 seen.append({"release": release, "drawn": [], "kept": []})
 
-            def batch(self, queries):
-                seen[-1]["drawn"].extend(queries)
-                return super().batch(queries)
+            def batch(self, qlo, qhi):
+                seen[-1]["drawn"].append((qlo, qhi))
+                return super().batch(qlo, qhi)
 
         class Counter(SnapshotCounter):
             def __init__(self, records, schema, domain_index):
                 super().__init__(records, schema, domain_index)
                 seen[-1]["records"] = list(records)
 
-            def batch(self, queries):
-                seen[-1]["kept"].append(list(queries))
-                return super().batch(queries)
+            def batch(self, qlo, qhi):
+                seen[-1]["kept"].append((qlo, qhi))
+                return super().batch(qlo, qhi)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(evaluation, "ReleaseEvaluator", Evaluator)
@@ -170,23 +202,34 @@ class TestQueryError:
         for step in seen:
             release = step["release"]
             for theta, kept in zip(self.CONFIG.thetas, step["kept"]):
-                assert len(kept) == self.CONFIG.n_queries
-                errors = []
-                for q in kept:
-                    est = estimate_count(release, q, schema, domain)
-                    act = actual_count(step["records"], q, schema, index)
-                    errors.append(abs(est - act) / est)
+                assert len(kept[0]) == self.CONFIG.n_queries
+                errors = [abs(est - act) / est for est, act in zip(
+                    estimates(release, *kept, schema, domain),
+                    actual_counts(step["records"], *kept, schema, index))]
                 assert report.release_medians[
                     (release.release_index, theta)] == median_fraction(errors)
 
     def test_zero_estimate_rejected(self, run):
+        """Each theta keeps the first n_queries drawn queries whose
+        estimate is positive, in draw order, and draws no chunk after."""
         _, seen, schema, domain = run
-        drawn = [(step["release"], q) for step in seen for q in step["drawn"]]
-        kept = {id(q) for step in seen for qs in step["kept"] for q in qs}
-        zero = [q for release, q in drawn
-                if estimate_count(release, q, schema, domain) == 0]
-        assert zero, "the narrow theta should draw some empty queries"
-        assert not any(id(q) in kept for q in zero)
+        n = self.CONFIG.n_queries
+        some_zero = False
+        for step in seen:
+            chunks = iter(step["drawn"])
+            for kept in step["kept"]:
+                positive = []
+                while len(positive) < n:
+                    qlo, qhi = next(chunks)
+                    est = estimates(step["release"], qlo, qhi, schema,
+                                    domain)
+                    some_zero |= 0 in est
+                    positive += [(lo, hi) for lo, hi, e in zip(
+                        qlo.tolist(), qhi.tolist(), est) if e > 0]
+                assert positive[:n] == list(zip(kept[0].tolist(),
+                                                kept[1].tolist()))
+            assert next(chunks, None) is None
+        assert some_zero, "the narrow theta should draw some empty queries"
 
 
 class TestBatchTwins:
@@ -196,29 +239,28 @@ class TestBatchTwins:
         release, _ = publish(t1_records, EngineState(m=2), worked_model,
                              disease_schema, seed=3)
         rng = random.Random(0)
-        queries = [random_query(disease_schema, DOMAIN, theta, rng)
-                   for theta in (0.3, 0.5, 0.8) for _ in range(50)]
+        sizes = axis_sizes(disease_schema, DOMAIN)
+        queries = stack(*(random_queries(sizes, theta, rng, 50)
+                          for theta in (0.3, 0.5, 0.8)))
         evaluator = ReleaseEvaluator(release, disease_schema, DOMAIN)
-        scalar = [estimate_count(release, q, disease_schema, DOMAIN)
-                  for q in queries]
-        assert evaluator.batch(queries) == scalar
+        assert batch_estimates(evaluator, *queries) == estimates(
+            release, *queries, disease_schema, DOMAIN)
         index = {v: i for i, v in enumerate(DOMAIN)}
         counter = SnapshotCounter(t1_records, disease_schema, index)
-        assert counter.batch(queries).tolist() == [
-            actual_count(t1_records, q, disease_schema, index)
-            for q in queries]
+        assert counter.batch(*queries).tolist() == actual_counts(
+            t1_records, *queries, disease_schema, index)
 
     def test_empty_batches(self, t1_records, disease_schema,
                            one_group_release):
         evaluator = ReleaseEvaluator(one_group_release, disease_schema,
                                      DOMAIN)
-        assert evaluator.batch([]) == []
+        assert evaluator.batch(*NO_BOXES) == []
         no_groups = ReleaseEvaluator(generalize(disease_schema, 1, []),
                                      disease_schema, DOMAIN)
-        assert no_groups.batch([ALL, ALL]) == [0, 0]
+        assert no_groups.batch(*boxes(ALL, ALL)) == [0, 0]
         index = {v: i for i, v in enumerate(DOMAIN)}
         counter = SnapshotCounter(t1_records, disease_schema, index)
-        assert counter.batch([]).tolist() == []
+        assert counter.batch(*NO_BOXES).tolist() == []
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +334,8 @@ def estimate_cases(draw, wide=False):
         lo = draw(st.integers(0, size - 1))
         return (lo, draw(st.integers(lo, size - 1)))
 
-    queries = [AggregateQuery(tuple(span(a.size) for a in qi),
-                              span(len(domain)))
-               for _ in range(draw(st.integers(1, 10)))]
+    queries = boxes(*[[span(size) for size in axis_sizes(schema, domain)]
+                      for _ in range(draw(st.integers(1, 10)))])
     return release, schema, domain, queries
 
 
@@ -314,8 +355,8 @@ class TestBatchProperty:
         release, schema, domain, queries = case
         evaluator = ReleaseEvaluator(release, schema, domain)
         assert evaluator.dtype is dtype
-        assert evaluator.batch(queries) == [
-            estimate_count(release, q, schema, domain) for q in queries]
+        assert batch_estimates(evaluator, *queries) == estimates(
+            release, *queries, schema, domain)
 
     @settings(max_examples=200, deadline=None)
     @given(estimate_cases())
@@ -335,26 +376,70 @@ class TestBatchProperty:
 class TestRandomQuery:
     def test_spans_cover_a_theta_fraction(self, disease_schema):
         rng = random.Random(1)
+        sizes = axis_sizes(disease_schema, DOMAIN)
         for theta in (0.25, 0.5, 0.75, 1.0):
-            for _ in range(50):
-                q = random_query(disease_schema, DOMAIN, theta, rng)
-                for attr, (lo, hi) in zip(disease_schema.qi, q.qi_spans):
-                    assert 0 <= lo <= hi < attr.size
-                    assert hi - lo == min(attr.size - 1,
-                                          round(theta * attr.size))
-                slo, shi = q.sensitive_span
-                assert 0 <= slo <= shi < len(DOMAIN)
+            qlo, qhi = random_queries(sizes, theta, rng, 50)
+            assert qlo.shape == qhi.shape == (50, 3)
+            assert qlo.dtype == qhi.dtype == np.int64
+            for size, lo, hi in zip(sizes, qlo.T.tolist(), qhi.T.tolist()):
+                assert 0 <= min(lo) and max(hi) < size
+                assert {b - a for a, b in zip(lo, hi)} == {
+                    min(size - 1, round(theta * size))}
 
     def test_full_theta_covers_every_axis(self, disease_schema):
-        q = random_query(disease_schema, DOMAIN, 1.0, random.Random(4))
-        assert q.qi_spans == ((0, 30), (0, 25))
-        assert q.sensitive_span == (0, 6)
+        qlo, qhi = random_queries(axis_sizes(disease_schema, DOMAIN), 1.0,
+                                  random.Random(4), 1)
+        assert list(zip(qlo[0].tolist(), qhi[0].tolist())) == list(ALL)
 
     def test_huge_theta_is_the_full_axis(self, disease_schema):
         # theta * size overflows float; a theta above 1 means the full axis
-        assert (random_query(disease_schema, DOMAIN, 1e308, random.Random(4))
-                == random_query(disease_schema, DOMAIN, 1.0,
-                                random.Random(4)))
+        sizes = axis_sizes(disease_schema, DOMAIN)
+        huge = random_queries(sizes, 1e308, random.Random(4), 3)
+        full = random_queries(sizes, 1.0, random.Random(4), 3)
+        assert all(np.array_equal(a, b) for a, b in zip(huge, full))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 0.5, 0.75, 1.0])
+    def test_equals_the_per_query_draw(self, theta):
+        """The array draw gives the queries, in order, that one
+        `randrange` per axis and query gave, on narrow, categorical and
+        wide axes alike."""
+        schema, model = synthetic_schema(10, 50)
+        sizes = axis_sizes(schema, sorted(model.sensitive_domain))
+        sizes += [1, 2, 3, 2 ** 40 + 1]
+        for seed in range(3):
+            drawn = random_queries(sizes, theta, random.Random(seed), 200)
+            expected = reference_random_queries(sizes, theta,
+                                                random.Random(seed), 200)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(drawn, expected))
+
+
+BOUNDS = sorted({1, 2, 3, 5, 7, 10, 100, 1000, 10 ** 6, 2 ** 70 - 1, 2 ** 70}
+                | {2 ** k + d for k in range(1, 70, 3) for d in (-1, 0, 1)})
+
+
+class TestUniformBelow:
+    """`uniform_below` is CPython's own `randrange(n)` rejection loop on
+    `getrandbits`: the same values and the same generator state after, for
+    every bound, interleaved in the order given."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 - 1])
+    def test_same_stream_and_state_as_randrange(self, seed):
+        for bounds in (BOUNDS, BOUNDS[::-1], [1] * 5, [3, 2 ** 70, 1, 2]):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            drawn = uniform_below(ours, bounds, 20)
+            assert drawn == [theirs.randrange(n)
+                             for _ in range(20) for n in bounds]
+            assert ours.getstate() == theirs.getstate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 2 ** 70), min_size=1, max_size=6),
+           st.integers(0, 5), st.integers(0, 2 ** 64))
+    def test_random_bounds(self, bounds, rounds, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert uniform_below(ours, bounds, rounds) == [
+            theirs.randrange(n) for _ in range(rounds) for n in bounds]
+        assert ours.getstate() == theirs.getstate()
 
 
 class TestMedian:
@@ -543,11 +628,11 @@ def count_cases(draw):
         return (lo, draw(st.integers(lo, size - 1)))
 
     index = {v: i for i, v in enumerate(domain)}
-    queries = [AggregateQuery(
-        tuple(span(a.size, [a.to_index(r.qi[j]) for r in records])
-              for j, a in enumerate(qi)),
-        span(len(domain), [index[r.sensitive] for r in records]))
-        for _ in range(draw(st.integers(1, 10)))]
+    queries = boxes(*[
+        [span(a.size, [a.to_index(r.qi[j]) for r in records])
+         for j, a in enumerate(qi)]
+        + [span(len(domain), [index[r.sensitive] for r in records])]
+        for _ in range(draw(st.integers(1, 10)))])
     return records, schema, domain, queries
 
 
@@ -555,10 +640,10 @@ class TestBitsetCounter:
     @staticmethod
     def _check(records, schema, domain, queries):
         index = {v: i for i, v in enumerate(domain)}
-        counts = SnapshotCounter(records, schema, index).batch(queries)
+        counts = SnapshotCounter(records, schema, index).batch(*queries)
         assert counts.dtype == np.int64
-        assert counts.tolist() == [actual_count(records, q, schema, index)
-                                   for q in queries]
+        assert counts.tolist() == actual_counts(records, *queries, schema,
+                                                index)
 
     @settings(max_examples=200, deadline=None)
     @given(count_cases())
@@ -568,19 +653,19 @@ class TestBitsetCounter:
     def test_empty_and_single_record_snapshots(self, t1_records,
                                                disease_schema):
         rng = random.Random(2)
-        queries = [ALL, AggregateQuery(((0, 0), (0, 0)), (0, 0))] + [
-            random_query(disease_schema, DOMAIN, theta, rng)
-            for theta in (0.0, 0.5) for _ in range(20)]
+        sizes = axis_sizes(disease_schema, DOMAIN)
+        queries = stack(boxes(ALL, ((0, 0), (0, 0), (0, 0))),
+                        *(random_queries(sizes, theta, rng, 20)
+                          for theta in (0.0, 0.5)))
         for snapshot in ([], t1_records[:1]):
             self._check(snapshot, disease_schema, DOMAIN, queries)
         one = t1_records[0]
-        cell = AggregateQuery(
-            tuple((a.to_index(v), a.to_index(v))
-                  for a, v in zip(disease_schema.qi, one.qi)),
-            (DOMAIN.index(one.sensitive),) * 2)
+        cell = [(a.to_index(v),) * 2
+                for a, v in zip(disease_schema.qi, one.qi)]
+        cell.append((DOMAIN.index(one.sensitive),) * 2)
         index = {v: i for i, v in enumerate(DOMAIN)}
         assert SnapshotCounter([one], disease_schema, index).batch(
-            [cell, ALL]).tolist() == [1, 1]
+            *boxes(cell, ALL)).tolist() == [1, 1]
 
 
 def _primes(lo: int, n: int) -> list[int]:
@@ -606,8 +691,9 @@ class TestLimbDot:
                   for p in _primes(1000, 12)]
         release = generalize(schema, 1, groups)
         rng = random.Random(5)
-        queries = [random_query(schema, domain, theta, rng)
-                   for theta in (0.1, 0.4, 0.9) for _ in range(30)]
+        queries = stack(*(random_queries(axis_sizes(schema, domain), theta,
+                                         rng, 30)
+                          for theta in (0.1, 0.4, 0.9)))
         return release, schema, domain, queries
 
     def test_wide_lcm_on_limbs(self, case):
@@ -617,8 +703,8 @@ class TestLimbDot:
         assert evaluator.dtype is np.int64
         with patch.object(evaluation, "_split",
                           wraps=evaluation._split) as split:
-            assert evaluator.batch(queries) == [
-                estimate_count(release, q, schema, domain) for q in queries]
+            assert batch_estimates(evaluator, *queries) == estimates(
+                release, *queries, schema, domain)
         assert split.called     # the int64 limb product ran
 
     @settings(max_examples=100, deadline=None)

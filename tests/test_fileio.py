@@ -188,7 +188,8 @@ class TestCheckedReaders:
             path.unlink()
 
 
-NOT_DECIMAL = ["1_0", "+5", " 5", "\u0663", "5 ", "--5", ""]
+# the last is plain decimal, but has more digits than `int` converts
+NOT_DECIMAL = ["1_0", "+5", " 5", "\u0663", "5 ", "--5", "", "9" * 4301]
 
 
 class TestIntegerRule:
@@ -536,6 +537,36 @@ class TestHistoryStore:
         again.path.mkdir()
         again.write_schema(store.read_schema())
         assert (again.path / "schema.json").read_bytes() == first
+
+    def test_schema_tree_as_a_list_of_leaves(self, tmp_path,
+                                             disease_schema):
+        store = HistoryStore(tmp_path / "h")
+        store.path.mkdir()
+        store.write_schema(disease_schema)
+        data = json.loads((store.path / "schema.json").read_text())
+        data["qi"][1] = {"name": "sex", "kind": "categorical",
+                         "root": "any", "tree": ["m", "f"]}
+        (store.path / "schema.json").write_text(json.dumps(data))
+        sex = store.read_schema().qi[1]
+        assert (sex.kind, sex.hierarchy.root) == ("categorical", "any")
+        assert sex.hierarchy.leaves == ("m", "f")
+        data["qi"][1]["tree"] = ["m", 1]
+        (store.path / "schema.json").write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match="sex: bad kind or tree"):
+            store.read_schema()
+
+    @pytest.mark.parametrize("value", [1, None, ["Flu"], {"Flu": 1}])
+    def test_schema_sensitive_values_must_be_strings(self, tmp_path,
+                                                     disease_schema, value):
+        store = HistoryStore(tmp_path / "h")
+        store.path.mkdir()
+        store.write_schema(disease_schema)
+        data = json.loads((store.path / "schema.json").read_text())
+        data["sensitive_domain"].append(value)
+        (store.path / "schema.json").write_text(json.dumps(data))
+        with pytest.raises(ValidationError,
+                           match="sensitive values must be strings"):
+            store.read_schema()
 
     def test_synthetic_schema_round_trip(self, tmp_path):
         schema, _ = synthetic_schema(10, 50)

@@ -6,8 +6,9 @@ integer pairs and the two partitioners as integer numerators over a shared
 denominator, so `engine.py`, where all three kernels live, has no use for
 `Fraction`.  An `ast` walk of the whole module, imports, nested functions
 and annotations included, keeps it that way.  Query estimates are exact
-rationals too, but each one is a single integer over the release's common
-denominator: a count of the `Fraction`s a batch builds keeps it that way.
+rationals too, but each one is an integer numerator over the release's
+common denominator, and a batch builds no `Fraction`: a count of the ones
+it builds keeps it that way.
 """
 
 import ast
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import mdistinct
 from mdistinct import evaluation
-from mdistinct.evaluation import ExperimentConfig, random_query, run_experiment
+from mdistinct.evaluation import (ExperimentConfig, random_queries,
+                                  run_experiment)
 from mdistinct.fileio import synthetic_schema
 
 ENGINE = Path(mdistinct.__file__).parent / "engine.py"
@@ -81,10 +83,10 @@ def test_kernels_do_not_name_fraction():
 
 
 # ---------------------------------------------------------------------------
-# query estimation sums on integers and builds one rational per estimate
+# query estimation sums on integers and builds no rational
 
 
-def test_estimation_builds_one_fraction_per_positive_estimate(monkeypatch):
+def test_estimation_builds_no_fraction(monkeypatch):
     report = run_experiment(ExperimentConfig(
         publisher="m_invariance", m=2, d=5, n_records=60, n_releases=2,
         inserts=10, deletes=5, internal_updates=10, thetas=(0.5,),
@@ -92,8 +94,9 @@ def test_estimation_builds_one_fraction_per_positive_estimate(monkeypatch):
     schema, model = synthetic_schema(5, 10)
     domain = sorted(model.sensitive_domain)
     rng = random.Random(0)
-    queries = [random_query(schema, domain, theta, rng)
-               for theta in (0.1, 0.5, 0.9) for _ in range(100)]
+    sizes = [a.size for a in schema.qi] + [len(domain)]
+    batches = [random_queries(sizes, theta, rng, 100)
+               for theta in (0.1, 0.5, 0.9)]
     built = []
 
     def counting(*args):
@@ -102,12 +105,12 @@ def test_estimation_builds_one_fraction_per_positive_estimate(monkeypatch):
 
     for release in report.published:
         evaluator = evaluation.ReleaseEvaluator(release, schema, domain)
-        expected = evaluator.batch(queries)
-        built.clear()
+        expected = [evaluator.batch(*queries) for queries in batches]
         monkeypatch.setattr(evaluation, "Fraction", counting)
-        estimates = evaluator.batch(queries)
+        totals = [evaluator.batch(*queries) for queries in batches]
         monkeypatch.undo()
-        positive = sum(1 for e in estimates if e > 0)
-        assert estimates == expected
-        assert 0 < positive < len(queries)
-        assert len(built) <= positive
+        flat = [t for batch in totals for t in batch]
+        assert totals == expected
+        assert all(type(t) is int for t in flat)
+        assert 0 < sum(t > 0 for t in flat) < len(flat)
+        assert built == []

@@ -436,6 +436,45 @@ def test_ties_keep_the_first_bucket_and_the_first_smallest_entry():
             [1, 1, 0, 2], [1, 0, 0, 2]]
 
 
+def test_scan_stops_at_a_point_outside_the_span_under_its_node(
+        monkeypatch):
+    """Regions d and e span d..e, which generalizes to south (d, e, f).  A
+    record at f lies outside that span but leaves the node, and so the
+    extent product, as it is: with epsilon +1 it scores 1 in the first
+    bucket, and phase 2 scores no later option.  The second bucket is
+    the same and would only tie."""
+    schema = TableSchema((TREE,), "s", ("a", "b"))
+
+    def build():
+        buckets = [Bucket(USS([{"a", "b"}] * 2), "signature")
+                   for _ in range(2)]
+        for bucket in buckets:
+            add(bucket, Record("p0", ("d",), "a"), 0, schema)
+            add(bucket, Record("p1", ("e",), "b"), 0, schema)
+        return buckets
+
+    rec = Record("r", ("f",), "a")
+    scored = []
+    extent_product_with = Bucket.extent_product_with
+
+    def counting(bucket, point, extent):
+        scored.append(bucket)
+        return extent_product_with(bucket, point, extent)
+
+    monkeypatch.setattr(Bucket, "extent_product_with", counting)
+    outcomes = []
+    for assign in (phase2_assign, reference_phase2_assign):
+        buckets = build()
+        assert buckets[0].extent_product == 3
+        assert assign([rec], EngineState(2), buckets, schema) == []
+        outcomes.append([[[r.id for r in e] for e in b.entries]
+                         for b in buckets])
+        if assign is phase2_assign:
+            assert scored == [buckets[0]]
+    assert outcomes[0] == outcomes[1] == [[["p0", "p1"], ["r"]],
+                                          [["p0", "p1"], []]]
+
+
 @st.composite
 def block_models(draw):
     """Equivalence classes: the CUS sets star mode can keep disjoint."""

@@ -17,6 +17,10 @@ class TestUpdateModel:
         assert worked_model.prob("LungCancer", "LungCancer") == 1
         assert worked_model.prob("Dyspepsia", "Pneumonia") == 0
 
+    def test_uniform_refuses_an_empty_cus(self):
+        with pytest.raises(ValidationError, match=r"cus\('b'\) is empty"):
+            UpdateModel.uniform({"a": ["a", "b"], "b": []})
+
     def test_from_classes(self, class_model):
         assert class_model.cus_of("Flu") == {"Flu", "Pneumonia", "LungCancer"}
         assert class_model.prob("Flu", "Pneumonia") == Fraction(1, 3)
