@@ -126,8 +126,6 @@ def publish_m_invariance(records: Sequence[Record], state: MInvarianceState,
 
 def count_vulnerable(reports: Iterable[RiskReport]) -> int:
     """Number of (record, release) exposures whose sensitive value is fully
-    disclosed, i.e. whose disclosure risk is exactly 1."""
-    total = 0
-    for report in reports:
-        total += sum(1 for r in report.risks if r == 1)
-    return total
+    disclosed, i.e. whose disclosure risk is exactly 1: the sum of the
+    counts each report took when it was made, so no risk is read."""
+    return sum(report.vulnerable for report in reports)

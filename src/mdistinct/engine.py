@@ -387,7 +387,13 @@ class _Sweep:
         A's numerator changes as its real cells widen its spans.  B's spans
         are two pointers per order over the node's reals, moved past A's
         cells only when a candidate is scored, and B's largest value
-        frequency only falls, tracked with a histogram of frequencies."""
+        frequency only falls, tracked with a histogram of frequencies.
+
+        Every extent is at least 1, so num_B >= floor = sum_j cof[j], and
+        a cut scores at least a_reals * (num_A - floor) + n_real * floor.
+        Later cuts of the sequence only widen side A, so that bound never
+        falls along it: once it reaches the best score so far, no later
+        cut of the sequence can win, ties going to the first."""
         total = len(orders[0])
         if total < 2 * unit:
             return None
@@ -400,6 +406,8 @@ class _Sweep:
                   for j, o in enumerate(orders)]
         denom = prod(parent)
         cof = [denom // e for e in parent]
+        floor = sum(cof)
+        n_floor = n_real * floor
         freq = [0] * n_values
         for c in orders[0][:n_real]:
             freq[value_of[c]] += 1
@@ -456,6 +464,9 @@ class _Sweep:
                         x = cover[j][lo * w + hi] if w else hi - lo + 1
                         a_num += (x - a_ext[j]) * cof[j]
                         a_ext[j] = x
+                if (best is not None
+                        and a_reals * (a_num - floor) + n_floor >= best_score):
+                    break
                 b_reals = n_real - a_reals
                 if (not a_reals or not b_reals or a_max > cut // unit
                         or b_max > (total - cut) // unit):

@@ -69,9 +69,8 @@ class Hierarchy:
         leaves: list[str] = []
         self._build(root, tree, leaves)
         self.leaves = tuple(leaves)
+        # every leaf is a node, so _build has refused a repeated leaf
         self.index = {leaf: i for i, leaf in enumerate(self.leaves)}
-        if len(self.index) != len(self.leaves):
-            raise ValidationError(f"duplicate leaves in hierarchy under {root!r}")
         self.extent = _CoverExtents(self)
 
     def _build(self, name: str, subtree: object, leaves: list[str]) -> tuple[int, int]:

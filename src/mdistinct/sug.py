@@ -8,9 +8,12 @@ path is ever enumerated.  `disclosure_risks` hands them a graph's own
 `Fraction`s.  The attack on a release sequence hands them integers: its
 memo scales the model's table by one lcm denominator and weights each
 node by its multiplicity, so each path mass carries the same factor and
-one exact division per risk cancels it.  That attack runs the recursion
-once per distinct candidate history, not once per record, and skips
-pruning, which cannot change a risk.
+one exact division per risk cancels it.  A report keeps its integer
+numerators and the shared total, and makes that division only when its
+risks are first read; whether a risk is exactly 1 is an integer test,
+made when the report is.  That attack runs the recursion once per
+distinct candidate history, not once per record, and skips pruning,
+which cannot change a risk.
 """
 
 from __future__ import annotations
@@ -166,15 +169,71 @@ def prune(sug: Sug) -> Sug:
     return Sug(layers, out)
 
 
-@dataclass(frozen=True)
 class RiskReport:
-    record_id: str
-    versions: tuple[int, ...]       # release index per layer
-    risks: tuple[Fraction, ...]
+    """One record's disclosure risk per version (release index per layer).
+
+    `RiskReport(record_id, versions, risks)` holds the risks it is given.
+    A report the path masses make (`RiskReport.of_masses`) holds what they
+    computed instead: per version an exact numerator, fwd * bwd of the
+    actual value's node or 0 when it has no node, over one shared total.
+    `risks` makes the `Fraction`s the first time it is read, keeps them
+    and drops the numerators; a report holds nothing else, so it reads
+    the same whatever happens to the memo that made it.  `vulnerable`,
+    the number of versions at risk exactly 1 (numerator equal to the
+    total), is counted when the report is made.  Equality, hashing and
+    printing go by (record_id, versions, risks), as for a frozen
+    dataclass, so the two kinds of report are interchangeable."""
+
+    __slots__ = ("record_id", "versions", "vulnerable", "_risks",
+                 "_numerators", "_total")
+
+    def __init__(self, record_id: str, versions: tuple[int, ...],
+                 risks: tuple[Fraction, ...]):
+        self.record_id = record_id
+        self.versions = versions
+        self.vulnerable = sum(1 for r in risks if r == 1)
+        self._risks: tuple[Fraction, ...] | None = risks
+
+    @classmethod
+    def of_masses(cls, record_id: str, versions: tuple[int, ...],
+                  numerators: tuple[_W, ...], total: _W) -> RiskReport:
+        """The report whose risk at each version is numerator / total."""
+        report = cls.__new__(cls)
+        report.record_id = record_id
+        report.versions = versions
+        report.vulnerable = numerators.count(total)
+        report._risks = None
+        report._numerators = numerators
+        report._total = total
+        return report
+
+    @property
+    def risks(self) -> tuple[Fraction, ...]:
+        if self._risks is None:
+            total = self._total
+            self._risks = tuple([Fraction(n, total)
+                                 for n in self._numerators])
+            del self._numerators, self._total
+        return self._risks
 
     @property
     def max_risk(self) -> Fraction:
         return max(self.risks)
+
+    def _key(self) -> tuple:
+        return self.record_id, self.versions, self.risks
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"RiskReport(record_id={self.record_id!r}, "
+                f"versions={self.versions!r}, risks={self.risks!r})")
 
 
 _Masses = tuple[list[Sequence[_W]], list[list[_W]], _W]
@@ -221,14 +280,15 @@ def _report(positions: Sequence[Mapping[str, int]], masses: _Masses,
     """Per-version risk: the mass of the paths crossing the actual value's
     node (`positions[i]` maps layer i's values to node indices) over the
     total.  An actual value with no node, or on a node no path crosses,
-    gets risk 0."""
+    gets risk 0.  The report keeps the numerators; nothing is divided
+    until its risks are read."""
     fwd, bwd, total = masses
-    risks = []
+    numerators = []
     for i, value in enumerate(actual):
         k = positions[i].get(value)
-        risks.append(Fraction(0) if k is None
-                     else Fraction(fwd[i][k] * bwd[i][k], total))
-    return RiskReport(record_id, tuple(versions), tuple(risks))
+        numerators.append(0 if k is None else fwd[i][k] * bwd[i][k])
+    return RiskReport.of_masses(record_id, tuple(versions),
+                                tuple(numerators), total)
 
 
 def disclosure_risks(fs: Sug, actual: Sequence[str],
@@ -309,7 +369,9 @@ class AttackMemo:
       distinct pair of consecutive multisets its successor rows;
     - the releases folded so far, and each record's versions and candidate
       sets read off them;
-    - the last attack's reports;
+    - the last attack's reports, each holding its integer numerators and
+      total until its risks are read, and no reference to the memo, so a
+      report reads the same after the memo starts over;
     - the forward masses of the candidate histories of the newest
       release's records, and of no other: a longer prefix extends no other
       history.
@@ -427,7 +489,9 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     No graph is pruned: a node prune removes has forward or backward mass
     0, so every risk comes out the same without it.
     A history with no feasible path raises prune's error, found from its
-    forward masses.
+    forward masses.  Each report holds its integer numerators until its
+    risks are read (see `RiskReport`), so a prefix whose reports only
+    `count_vulnerable` reads builds no `Fraction`.
 
     `memo` carries an attack's work to the next one on the same releases
     plus newer ones (same model, tables, schema and actual values).  Only

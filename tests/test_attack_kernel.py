@@ -20,8 +20,15 @@
   rationals where the attack runs on its memo's integers.  It builds
   no graph, not even for a history with no feasible path, whose error it
   reads off its own forward masses.
+* The attack's reports hold integer numerators and make their `Fraction`s
+  when `risks` is first read; `count_vulnerable` sums the risk-1 counts
+  taken when the reports were made.  That count must equal the risks read
+  later, a report must read the same after its memo starts over, compare,
+  hash and print like a report built from its risks, and counting must
+  build no `Fraction` at all.
 """
 
+import gc
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -37,7 +44,8 @@ from mdistinct.fileio import synthetic_schema
 from mdistinct.model import (ExternalKnowledgeTable, Member, PublishedRelease,
                              QIGroup)
 from mdistinct import sug as sug_module
-from mdistinct.sug import (AttackMemo, Sug, attack_release_sequence,
+from mdistinct.sug import (AttackMemo, RiskReport, Sug,
+                           attack_release_sequence,
                            build_sug, disclosure_risks, prune,
                            risks_by_joint_oracle)
 from mdistinct.updates import UpdateModel, validate_update_model
@@ -436,3 +444,110 @@ def test_actual_value_on_a_pruned_node_is_inconsistent(worked_model):
     julia, ken = reports
     assert ken.risks == (F(0), F(1, 2))
     assert julia.risks == (F(1), F(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# reports that make their risks when read
+
+
+def test_count_vulnerable_equals_the_risks_read_afterwards():
+    """Over every prefix, with a memo and without one, the count taken
+    before any risk is read equals the risks read after it."""
+    counts = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(release_sequences())
+    def check(case):
+        model, releases, histories = case
+        memo = AttackMemo()
+        for k in range(1, len(releases) + 1):
+            for kept in (memo, None):
+                try:
+                    reports = attack_release_sequence(
+                        releases[:k], None, model, histories, memo=kept)
+                except MDistinctError:
+                    continue
+                vulnerable = count_vulnerable(reports)
+                assert vulnerable == sum(r == 1 for report in reports
+                                         for r in report.risks)
+                counts.append(vulnerable)
+
+    check()
+    assert any(counts)   # some history had a version at risk 1
+
+
+def test_reports_read_after_the_memo_starts_over_equal_fresh_ones(
+        release_one, release_two_defended, worked_model, class_model,
+        histories_12):
+    releases = [release_one, release_two_defended]
+    memo = AttackMemo()
+    unread = attack_release_sequence(releases[:1], None, worked_model,
+                                     histories_12, memo=memo)
+    # a report holds its own ints, not the memo or anything of its caches
+    for report in unread:
+        for part in gc.get_referents(report):
+            if part is RiskReport:
+                continue
+            assert type(part) in (str, int, tuple, type(None))
+            if type(part) is tuple:
+                assert {type(x) for x in part} <= {int}
+    lacking = {rid: {1: h[1]} for rid, h in histories_12.items()}
+    with pytest.raises(ValidationError, match="no actual sensitive"):
+        attack_release_sequence(releases, None, worked_model, lacking,
+                                memo=memo)
+    assert memo.reports == {}
+    assert unread == attack_release_sequence(releases[:1], None,
+                                             worked_model, histories_12)
+    unread = attack_release_sequence(releases, None, worked_model,
+                                     histories_12, memo=memo)
+    attack_release_sequence(releases, None, class_model, histories_12,
+                            memo=memo)   # other bindings: a rebind
+    assert unread == attack_release_sequence(releases, None, worked_model,
+                                             histories_12)
+
+
+def test_made_and_given_reports_compare_hash_and_print_alike(
+        release_one, release_two_naive, worked_model, histories_12):
+    def attack():
+        return attack_release_sequence([release_one, release_two_naive],
+                                       None, worked_model, histories_12)
+
+    given_risks = [RiskReport(r.record_id, r.versions, r.risks)
+                   for r in attack()]
+    assert count_vulnerable(given_risks) == count_vulnerable(attack()) > 0
+    assert attack() == given_risks and given_risks == attack()
+    assert [hash(r) for r in attack()] == [hash(r) for r in given_risks]
+    assert [repr(r) for r in attack()] == [repr(r) for r in given_risks]
+    assert repr(given_risks[0]).startswith(
+        f"RiskReport(record_id={given_risks[0].record_id!r}, versions=")
+    made = attack()[0]
+    assert made != RiskReport(made.record_id, made.versions,
+                              tuple(F(0) for _ in made.versions))
+
+
+def test_risks_read_twice_are_the_same_tuple(release_one,
+                                             release_two_defended,
+                                             worked_model, histories_12):
+    for report in attack_release_sequence(
+            [release_one, release_two_defended], None, worked_model,
+            histories_12):
+        first = report.risks
+        assert report.risks is first
+        assert all(type(r) is Fraction for r in first)
+
+
+def _fraction_built(*args, **kwargs):
+    raise AssertionError("a Fraction was built")
+
+
+def test_count_vulnerable_builds_no_fraction(release_one, release_two_naive,
+                                             worked_model, histories_12):
+    releases = [release_one, release_two_naive]
+    memo = AttackMemo()
+    with mock.patch.object(sug_module, "Fraction", _fraction_built):
+        counts = [count_vulnerable(attack_release_sequence(
+            releases[:k], None, worked_model, histories_12, memo=memo))
+            for k in (1, 2)]
+    assert counts == [count_vulnerable(attack_release_sequence(
+        releases[:k], None, worked_model, histories_12)) for k in (1, 2)]
+    assert counts[-1] > 0

@@ -52,6 +52,26 @@ class TestHierarchy:
         with pytest.raises(ValidationError):
             Hierarchy("top", {"a": {"top": None}})
 
+    @pytest.mark.parametrize("tree", [{"a": None, "b": {"a": None}},
+                                      ["a", "a"]])
+    def test_repeated_leaf_is_a_duplicate_node(self, tree):
+        with pytest.raises(ValidationError, match="duplicate hierarchy node"):
+            Hierarchy("top", tree)
+
+    @pytest.mark.parametrize("tree", [{}, {"a": {}, "b": None}, {"a": []}])
+    def test_node_without_leaves_rejected(self, tree):
+        with pytest.raises(ValidationError, match="has no leaves"):
+            Hierarchy("top", tree)
+
+    def test_unknown_node_rejected(self, marital):
+        with pytest.raises(ValidationError, match="unknown hierarchy node"):
+            marital.span("engaged")
+
+    @pytest.mark.parametrize("lo, hi", [(3, 2), (-1, 0), (0, 6)])
+    def test_covering_node_out_of_bounds_rejected(self, marital, lo, hi):
+        with pytest.raises(ValidationError, match="out of bounds"):
+            marital.covering_node(lo, hi)
+
 
 class TestAttributeSchema:
     def test_numeric_bounds(self):
@@ -71,6 +91,14 @@ class TestAttributeSchema:
         with pytest.raises(ValidationError):
             AttributeSchema.numeric("age", 10, 9)
 
+    def test_categorical_needs_a_hierarchy(self):
+        with pytest.raises(ValidationError, match="without hierarchy"):
+            AttributeSchema("marital", "categorical")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValidationError, match="unknown kind 'ordinal'"):
+            AttributeSchema("grade", "ordinal", 1, 5)
+
 
 @pytest.fixture
 def schema(marital) -> TableSchema:
@@ -79,7 +107,29 @@ def schema(marital) -> TableSchema:
                        "job", ("clerk", "nurse", "pilot"))
 
 
+class TestValidateRecord:
+    def test_record_in_domain_passes(self, schema):
+        schema.validate_record(Record("r", (30, "widowed"), "nurse"))
+
+    @pytest.mark.parametrize("record, message", [
+        (Record("r", (30,), "nurse"), "expected 2 QI values, got 1"),
+        (Record("r", (100, "widowed"), "nurse"), "age=100 outside domain"),
+        (Record("r", (30, "unmarried"), "nurse"),
+         "marital='unmarried' outside domain"),
+        (Record("r", (30, "widowed"), "chef"),
+         "sensitive value 'chef' outside domain"),
+    ])
+    def test_record_outside_the_schema_rejected(self, schema, record,
+                                                message):
+        with pytest.raises(ValidationError, match=message):
+            schema.validate_record(record)
+
+
 class TestRegions:
+    def test_empty_point_set_rejected(self, schema):
+        with pytest.raises(ValidationError, match="empty group"):
+            bounding_region(schema, [])
+
     def test_bounding_region(self, schema):
         region = bounding_region(schema, [(30, "separated"),
                                           (40, "widowed")])
@@ -114,6 +164,11 @@ class TestGeneralize:
         assert release.counterfeit_stats == {1: 1, 2: 1}
         # the region ignores counterfeits (they have no QI values)
         assert g1.region == ((20, 25), "unmarried")
+
+    def test_empty_group_rejected(self, schema):
+        with pytest.raises(ValidationError, match="empty group"):
+            generalize(schema, 1, [[Record("a", (1, "divorced"), "clerk")],
+                                   []])
 
     def test_group_needs_a_real_member(self, schema):
         with pytest.raises(ValidationError):
