@@ -127,14 +127,12 @@ def _read_table(path: Path | str, header: list[str] | None = None,
     return rows[0], body()
 
 
-# An integer as `str` writes one.  `int` alone would also take "+5", " 5",
-# "1_0" and non-ASCII digits.
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
 def _decimal(text: str) -> int | None:
-    """The integer a plain decimal text spells, or None."""
-    if _DECIMAL.fullmatch(text) is None:
+    """The integer a plain decimal text spells, as `str` writes one, or
+    None: ASCII digits after an optional "-".  `int` alone would also take
+    "+5", " 5", "1_0" and non-ASCII digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
         return None
     try:
         return int(text)
@@ -164,9 +162,13 @@ def _read_qi_rows(path: Path | str, schema: TableSchema,
                                       list[str]]]:
     """Parse id,<qi...>,<tail...> rows: unique ids, decimal integers in
     numeric columns and every QI value inside its attribute's domain.
-    Yields (line number, id, qi, tail fields)."""
+    Yields (line number, id, qi, tail fields).  A value is a function of
+    its text, so each column keeps the values its texts passed as, and
+    each distinct text is checked once; a text that fails raises on its
+    first row."""
     _, rows = _read_table(path, ["id", *schema.qi_names, *tail])
     n_qi = len(schema.qi)
+    columns = [(attr, {}) for attr in schema.qi]
     seen: set[str] = set()
     for lineno, row in rows:
         rid = row[0]
@@ -175,18 +177,21 @@ def _read_qi_rows(path: Path | str, schema: TableSchema,
                                   f"{rid!r}")
         seen.add(rid)
         qi: list[QIValue] = []
-        for attr, text in zip(schema.qi, row[1:]):
-            value: QIValue | None = text
-            if attr.kind == "numeric":
-                value = _decimal(text)
-                if value is None:
-                    raise ValidationError(f"{path} line {lineno}: "
-                                          f"{attr.name}={text!r} is not an "
-                                          f"integer")
-            if not attr.contains(value):
-                raise ValidationError(f"{path} line {lineno}: record "
-                                      f"{rid!r}: {attr.name}={value!r} "
-                                      f"outside domain")
+        for (attr, checked), text in zip(columns, row[1:]):
+            value: QIValue | None = checked.get(text)
+            if value is None:
+                value = text
+                if attr.kind == "numeric":
+                    value = _decimal(text)
+                    if value is None:
+                        raise ValidationError(f"{path} line {lineno}: "
+                                              f"{attr.name}={text!r} is not "
+                                              f"an integer")
+                if not attr.contains(value):
+                    raise ValidationError(f"{path} line {lineno}: record "
+                                          f"{rid!r}: {attr.name}={value!r} "
+                                          f"outside domain")
+                checked[text] = value
             qi.append(value)
         yield lineno, rid, tuple(qi), row[1 + n_qi:]
 
@@ -280,23 +285,30 @@ def load_update_model(path: Path | str) -> UpdateModel:
     """Read transition rows.  A blank probability means "uniform over this
     value's successors" and must then be blank on all of the value's rows.
     Probabilities parse as exact rationals: "1/3", "0.25" or "1".  The
-    domain is every value the rows name."""
+    domain is every value the rows name.  Each distinct probability text
+    is parsed once; a bad one raises on its first row."""
     _, rows = _read_table(path, ["value", "successor", "probability"])
     succ: dict[str, dict[str, Fraction | None]] = {}
+    parsed: dict[str, Fraction | None] = {}
     for lineno, (a, b, text) in rows:
-        where = f"{path} line {lineno}: "
         if not a or not b:
-            raise ValidationError(f"{where}blank value or successor")
-        prob: Fraction | None = None
-        if text.strip():
-            try:
-                prob = Fraction(text.strip())
-            except (ValueError, ZeroDivisionError):
-                raise ValidationError(
-                    f"{where}bad probability {text!r}") from None
+            raise ValidationError(f"{path} line {lineno}: blank value or "
+                                  f"successor")
+        if text in parsed:
+            prob = parsed[text]
+        else:
+            prob = None
+            if text.strip():
+                try:
+                    prob = Fraction(text.strip())
+                except (ValueError, ZeroDivisionError):
+                    raise ValidationError(f"{path} line {lineno}: bad "
+                                          f"probability {text!r}") from None
+            parsed[text] = prob
         entry = succ.setdefault(a, {})
         if b in entry:
-            raise ValidationError(f"{where}duplicate transition {a!r}->{b!r}")
+            raise ValidationError(f"{path} line {lineno}: duplicate "
+                                  f"transition {a!r}->{b!r}")
         entry[b] = prob
     for a, targets in succ.items():
         blanks = [p is None for p in targets.values()]
@@ -568,10 +580,24 @@ class HistoryStore:
         end = len(schema.qi) + 2  # a row's region cells are row[2:end]
         domain = frozenset(schema.sensitive_domain)
         # Parsing is a function of the text alone, so each distinct gid
-        # text and each distinct tuple of cell texts is parsed once.
+        # text and each attribute's distinct cell texts are parsed once.
+        # A group's region is parsed on its first row; a later row's cells
+        # are parsed only when their texts differ from that row's, and the
+        # regions are then compared, so "0..4" and "-0..4" are one region.
         gids: dict[str, int] = {}
-        regions: dict[tuple[str, ...], tuple] = {}
-        groups: dict[int, tuple[tuple, list[Member]]] = {}
+        cells = [(attr, {}) for attr in schema.qi]
+
+        def region_of(texts: list[str]) -> tuple:
+            region = []
+            for (attr, parsed), text in zip(cells, texts):
+                cell = parsed.get(text)
+                if cell is None:
+                    cell = parsed[text] = _cell_from_text(attr, text)
+                region.append(cell)
+            return tuple(region)
+
+        # gid -> (its first row's cell texts, its region, its members)
+        groups: dict[int, tuple[list[str], tuple, list[Member]]] = {}
         for lineno, row in rows:
             try:
                 gid = gids.get(row[0])
@@ -586,20 +612,16 @@ class HistoryStore:
                 if row[-2] not in domain:
                     raise ValidationError(f"sensitive value {row[-2]!r} "
                                           f"outside domain")
-                cells = tuple(row[2:end])
-                region = regions.get(cells)
-                if region is None:
-                    region = regions[cells] = tuple(
-                        map(_cell_from_text, schema.qi, cells))
+                texts = row[2:end]
                 member = Member(row[1], row[-2], cf == "1")
                 group = groups.get(gid)
                 if group is None:
-                    groups[gid] = (region, [member])
-                elif group[0] != region:
+                    groups[gid] = (texts, region_of(texts), [member])
+                    continue
+                if texts != group[0] and region_of(texts) != group[1]:
                     raise ValidationError(f"group {gid} region differs "
                                           f"between rows")
-                else:
-                    group[1].append(member)
+                group[2].append(member)
             except ValidationError as exc:
                 raise ValidationError(f"{path} line {lineno}: {exc}") \
                     from None
@@ -608,7 +630,7 @@ class HistoryStore:
             raise ValidationError(f"{path}: no groups")
         return PublishedRelease(index, tuple(
             QIGroup(g, region, tuple(members))
-            for g, (region, members) in groups.items()))
+            for g, (_, region, members) in groups.items()))
 
     def read_releases(self, schema: TableSchema) -> list[PublishedRelease]:
         return [self.read_release(i, schema) for i in self.release_indices()]

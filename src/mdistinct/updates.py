@@ -102,8 +102,11 @@ def validate_update_model(model: UpdateModel) -> list[str]:
         for b, p in sorted(row.items()):
             if p <= 0:
                 problems.append(f"p_trans({a!r}, {b!r}) not strictly positive")
-        total = sum(row.values(), Fraction(0))
-        if total != 1:
+        # the sum is 1 when the numerators over the row's lcm add up to it
+        den = math.lcm(*(p.denominator for p in row.values()))
+        if sum(p.numerator * (den // p.denominator)
+               for p in row.values()) != den:
+            total = sum(row.values(), Fraction(0))
             problems.append(f"p_trans({a!r}, .) sums to {total}, not 1")
         for b in sorted(row):
             other = model.cus.get(b, frozenset())

@@ -530,6 +530,39 @@ class TestPublish:
             publish([], EngineState(m=2), worked_model, disease_schema,
                     seed=0)
 
+    def test_empty_intersection_bucket_is_not_split(self):
+        """Signatures {a,b},{c,d} and {b,c},{d,e} intersect in {b},{d}.
+        Phase 2 fills both signature buckets, which score 1 first, and
+        leaves the intersection bucket empty, so publish hands phase 3 the
+        two filled buckets only."""
+        model = UpdateModel.uniform({"p": ["a", "b"], "q": ["c", "d"],
+                                     "r": ["b", "c"], "s": ["d", "e"],
+                                     **{v: [v] for v in "abcde"}})
+        schema = TableSchema((AttributeSchema.numeric("x", 0, 9),), "s",
+                             model.sensitive_domain)
+        a, b = uss_of(["p", "q"], model), uss_of(["r", "s"], model)
+        state = EngineState(m=2, release_count=1, prev={
+            "r1": PrevInfo("p", a, 1), "r2": PrevInfo("q", a, 1),
+            "r3": PrevInfo("r", b, 1), "r4": PrevInfo("s", b, 1)})
+        records = [Record(rid, (1,), value)
+                   for rid, value in zip(["r1", "r2", "r3", "r4"], "acbd")]
+        made: list[Bucket] = []
+
+        def phase1(signatures):
+            made.extend(phase1_create_buckets(signatures))
+            return made
+
+        with mock.patch.object(engine, "phase1_create_buckets", phase1), \
+                mock.patch.object(engine, "phase3_split",
+                                  wraps=phase3_split) as split:
+            release, _ = publish(records, state, model, schema, seed=1)
+        assert [(bk.origin, bk.size) for bk in made] == [
+            ("signature", 2), ("signature", 2), ("intersection", 0)]
+        assert made[2].signature == sig_of({"b"}, {"d"})
+        assert [call.args[0] for call in split.call_args_list] == made[:2]
+        assert [[mm.rid for mm in g.members] for g in release.groups] == [
+            ["r1", "r2"], ["r3", "r4"]]
+
     def test_star_mode_first_release_disjoint(self, t1_records, worked_model,
                                               disease_schema):
         state = EngineState(m=2, mode="m_distinct_star")

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdistinct import fileio
 from mdistinct.baselines import MInvarianceState, publish_m_invariance
@@ -495,6 +495,63 @@ class TestUpdateModelFiles:
                          ["a", "a", "1/2"]])
         with pytest.raises(ValidationError, match="duplicate transition"):
             load_update_model(path)
+
+    def test_mixed_probability_forms_load(self, tmp_path):
+        path = tmp_path / "forms.csv"
+        write_csv(path, [["value", "successor", "probability"],
+                         ["a", "a", "1/3"],
+                         ["a", "b", "1/6"],
+                         ["a", "c", "0.5"],
+                         ["b", "b", "1"],
+                         ["c", "c", "1"]])
+        assert load_update_model(path).successors["a"] == {
+            "a": F(1, 3), "b": F(1, 6), "c": F(1, 2)}
+
+    def test_sum_just_above_one_rejected(self, tmp_path):
+        path = tmp_path / "over.csv"
+        write_csv(path, [["value", "successor", "probability"],
+                         ["a", "a", "0.5"],
+                         ["a", "b", "0.5" + "0" * 38 + "1"],
+                         ["b", "b", "1"]])
+        total = F(10 ** 40 + 1, 10 ** 40)
+        with pytest.raises(ValidationError) as got:
+            load_update_model(path)
+        assert str(got.value) == (f"{path}: invalid update model:\n  "
+                                  f"p_trans('a', .) sums to {total}, not 1")
+
+    def test_bad_probability_named_at_its_first_line(self, tmp_path):
+        path = tmp_path / "twice_bad.csv"
+        write_csv(path, [["value", "successor", "probability"],
+                         ["a", "a", "1/2"],
+                         ["a", "b", "half"],
+                         ["b", "b", "half"]])
+        with pytest.raises(ValidationError) as got:
+            load_update_model(path)
+        assert str(got.value) == f"{path} line 3: bad probability 'half'"
+
+
+def _regex_decimal(text):
+    """`_decimal` as a regular expression and `int`."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from("0123456789-+_ \u00b2\u0663\uff10"),
+               max_size=8))
+@example("7" * 5000)
+@example("-" + "7" * 5000)
+def test_decimal_matches_the_regex_form(text):
+    """Only ASCII digits after an optional "-": not "+5", " 5", "1_0",
+    the superscript two, the Arabic-Indic three or the fullwidth zero;
+    and no more digits than `int` converts."""
+    assert _decimal(text) == _regex_decimal(text)
+    if len(text) > 4300:
+        assert _decimal(text) is None
 
 
 def _load_written(write):

@@ -2,7 +2,7 @@
 
 `reference_read_release` and `reference_apply` are `HistoryStore.read_release`
 and `EngineState.apply` as they were before each distinct gid text and
-each distinct tuple of region cell texts was parsed once per call, and
+each attribute's distinct region cell texts were parsed once per call, and
 each distinct CUS multiset built once per state.  The properties below require both forms to
 give equal releases and states, and the same error on a corrupted file.
 There are two departures.  The first is the rule for integers: a gid and
@@ -316,8 +316,8 @@ def test_departures_from_the_reference(tmp_path):
 
 def test_each_distinct_text_is_parsed_once(tmp_path):
     """Three groups over two region texts, in rows that interleave: the
-    gid texts are parsed once each and each distinct tuple of cell texts
-    once, cell by cell."""
+    gid texts are parsed once each and each attribute's distinct cell
+    texts once, so the age text both regions share is parsed once."""
     schema = TableSchema((ATTRS[0], ATTRS[1]), "s", DOMAIN)
     header = ["gid", "id", "age", "place", "s", "is_counterfeit"]
     body = [["1", "a", "1..4", "north", "v1", "0"],
@@ -334,10 +334,29 @@ def test_each_distinct_text_is_parsed_once(tmp_path):
                               wraps=fileio._cell_from_text) as cell:
         release = store.read_release(1, schema)
     assert release == reference_read_release(store, 1, schema)
-    # 3 gid texts, then lo and hi of the age cell in 2 distinct regions
-    assert dec.call_count == 3 + 2 * 2
-    assert cell.call_count == 2 * 2
+    # 3 gid texts, then lo and hi of the one age text
+    assert dec.call_count == 3 + 2
+    # "1..4", "north" and "south"
+    assert cell.call_count == 3
     assert [g.gid for g in release.groups] == [1, 2, 3]
+
+
+def test_rows_that_spell_a_group_differently_are_one_group(tmp_path):
+    """A group whose rows spell its gid as "1" and "01" and its region as
+    "0..4" and "-0..4": the texts differ, the parsed values do not, so the
+    rows are one group, as the reference reads them."""
+    schema = TableSchema((ATTRS[0], ATTRS[1]), "s", DOMAIN)
+    header = ["gid", "id", "age", "place", "s", "is_counterfeit"]
+    body = [["1", "a", "0..4", "north", "v1", "0"],
+            ["01", "b", "-0..4", "north", "v2", "0"],
+            ["1", "c", "-0..4", "north", "v3", "1"]]
+    write_csv(tmp_path / "release_1.csv", [header, *body])
+    store = HistoryStore(tmp_path)
+    release = store.read_release(1, schema)
+    assert release == reference_read_release(store, 1, schema)
+    assert release == PublishedRelease(1, (QIGroup(
+        1, ((0, 4), "north"),
+        (Member("a", "v1"), Member("b", "v2"), Member("c", "v3", True))),))
 
 
 # ---------------------------------------------------------------------------

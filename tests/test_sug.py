@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from mdistinct.errors import (CapExceededError, InconsistentHistoryError,
                               ValidationError)
-from mdistinct.model import ExternalKnowledgeTable
+from mdistinct.model import (ExternalKnowledgeTable, Member, PublishedRelease,
+                             QIGroup)
 from mdistinct.sug import (attack_release_sequence, build_sug,
                            disclosure_risks, prune, risks_by_joint_oracle)
 from mdistinct.updates import UpdateModel
@@ -290,3 +291,25 @@ class TestAttackSequence:
         with pytest.raises(ValidationError):
             attack_release_sequence([release_one], None, worked_model,
                                     {"Ken": {1: "Dyspepsia"}})
+
+    def test_infeasible_history_raises_in_attack_and_oracle(self,
+                                                            worked_model):
+        """Glaucoma and Flu reach neither Dyspepsia nor Gastritis, so no
+        value of the first release leads to one of the second: the attack
+        and the joint oracle both refuse the two-release history."""
+        def release(index, members):
+            return PublishedRelease(index, (QIGroup(1, ((0, 9),), tuple(
+                Member(rid, value) for rid, value in members)),))
+
+        releases = [release(1, [("Ben", "Flu"), ("Lily", "Glaucoma")]),
+                    release(2, [("Ben", "Gastritis"), ("Lily", "Dyspepsia")])]
+        histories = {"Ben": {1: "Flu", 2: "Gastritis"},
+                     "Lily": {1: "Glaucoma", 2: "Dyspepsia"}}
+        with pytest.raises(InconsistentHistoryError,
+                           match="^layer 1 has no feasible node$"):
+            attack_release_sequence(releases, None, worked_model, histories)
+        with pytest.raises(InconsistentHistoryError,
+                           match="^no feasible joint assignment$"):
+            risks_by_joint_oracle([["Flu", "Glaucoma"],
+                                   ["Gastritis", "Dyspepsia"]],
+                                  worked_model, ["Glaucoma", "Dyspepsia"])
