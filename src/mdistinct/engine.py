@@ -7,7 +7,10 @@ with counterfeit slots up to the bucket's delta and splits it, top down,
 into QI-groups with one member per entry and distinct sensitive values.
 First-timers with no usable bucket go through a static Mondrian-style
 partitioner.  Both top-down partitioners pick their cuts with one split
-sweep (`_Sweep`).  Everything is deterministic given the seed.
+sweep (`_Sweep`).  Phase 3's split is a function of the bucket alone;
+`publish` draws the counterfeit values group by group, bucket by bucket,
+then the static partitioner's pads, so the seed chooses counterfeit
+values and nothing else.
 """
 
 from __future__ import annotations
@@ -684,10 +687,13 @@ def _fallback_decompose(by_entry: list[list[int]], value_of: Sequence[int],
     return groups
 
 
-def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
-                 ) -> list[list[Record | CounterfeitMember]]:
+def phase3_split(bucket: Bucket, schema: TableSchema,
+                 ) -> list[list[Record | None]]:
     """Pad every entry with counterfeit slots up to the bucket's delta, then
-    bisect the bucket, top down, into one-per-entry QI-groups.
+    bisect the bucket, top down, into one-per-entry QI-groups: one slot per
+    entry, its record or None for a counterfeit slot.  The split is a
+    function of the bucket; `publish` draws the counterfeit values
+    (`_emit_group`).
 
     At each level, every QI attribute contributes one greedy pick-out
     sequence from its sorted queue, and the split sweep (`_Sweep.best`)
@@ -695,8 +701,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
     picks.  A pick holds one cell per entry, so the children's entries hold
     delta_A and delta - delta_A cells, and distinct values, so A meets the
     sweep's frequency bound by construction and B may hold no value more
-    than delta - delta_A times.  delta = 1 emits the group, drawing
-    counterfeit sensitive values from the entry's CUS.
+    than delta - delta_A times.  delta = 1 is a group.
 
     A cell is an index: the reals in entry order, then each entry's
     counterfeit slots.  A queue orders real cells by (index, record id),
@@ -710,7 +715,6 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
     sequence repeats an earlier one's scores the same and cannot win the
     tie-break, so it is not swept.
     """
-    cus_list = bucket.signature.entries
     entries = bucket.entries
     record_of: list[Record | None] = [rec for entry in entries
                                       for rec in entry]
@@ -732,7 +736,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
                    key=lambda i: (point[i][j], record_of[i].id))
             + list(range(n_real, len(record_of))) for j in range(len(qi))]
     sweep = _Sweep(qi, point, value_of)
-    out: list[list[Record | CounterfeitMember]] = []
+    out: list[list[int]] = []        # groups of cells, in entry order
 
     # a node: its orders, its real-cell count, and `known`, an attribute
     # position and the node's pick sequence on it, its picks' cells in pick
@@ -745,10 +749,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
         first = orders[0]
         delta = len(first) // k
         if delta == 1:
-            group: list[Record | None] = [None] * k
-            for c in first:
-                group[entry_of[c]] = record_of[c]
-            out.append(_emit_group(group, cus_list, rng))
+            out.append(sorted(first, key=entry_of.__getitem__))
             continue
         sequences: list[list[int]] = []
         for attr_pos, queue in enumerate(orders):
@@ -764,9 +765,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
             by_entry: list[list[int]] = [[] for _ in range(k)]
             for c in first:
                 by_entry[entry_of[c]].append(c)
-            for group in _fallback_decompose(by_entry, value_of):
-                out.append(_emit_group([record_of[c] for c in group],
-                                       cus_list, rng))
+            out += _fallback_decompose(by_entry, value_of)
             continue
         attr_pos, cut = best
         seq = sequences[attr_pos]
@@ -774,7 +773,7 @@ def phase3_split(bucket: Bucket, schema: TableSchema, rng: random.Random,
         a_reals = sum(value_of[c] >= 0 for c in seq[:cut])
         stack.append((child_b, reals - a_reals, (attr_pos, seq[cut:])))
         stack.append((child_a, a_reals, (attr_pos, seq[:cut - k])))
-    return out
+    return [[record_of[c] for c in group] for group in out]
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +921,8 @@ def publish(records: Sequence[Record], state: EngineState,
     for bucket in buckets:
         if bucket.size == 0:
             continue  # over-generated candidate, nothing assigned
-        groups.extend(phase3_split(bucket, schema, rng))
+        groups += (_emit_group(group, bucket.signature.entries, rng)
+                   for group in phase3_split(bucket, schema))
     groups.extend(static_partition(pool, state.m, schema, model, rng,
                                    star=state.star))
     if not groups:

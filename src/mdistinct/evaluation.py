@@ -316,7 +316,8 @@ def load_experiment_config(path: Path | str) -> tuple[ExperimentConfig, Path]:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also not UTF-8, nested too deep or an integer too long to parse
         raise ValidationError(f"{path}: bad JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: top level must be an object")
@@ -339,8 +340,15 @@ def load_experiment_config(path: Path | str) -> tuple[ExperimentConfig, Path]:
                                   f"{json.dumps(value)}")
     out_dir = Path(data.pop("out_dir", Path(path).parent))
     if "thetas" in data:
-        data["thetas"] = tuple(map(float, data["thetas"]))
+        data["thetas"] = tuple(map(_float, data["thetas"]))
     return ExperimentConfig(**data), out_dir
+
+
+def _float(number: int | float) -> float:
+    try:
+        return float(number)
+    except OverflowError:   # an integer beyond the floats, as json reads 1e400
+        return math.inf if number > 0 else -math.inf
 
 
 @dataclass(frozen=True)

@@ -172,40 +172,28 @@ def prune(sug: Sug) -> Sug:
 class RiskReport:
     """One record's disclosure risk per version (release index per layer).
 
-    `RiskReport(record_id, versions, risks)` holds the risks it is given.
-    A report the path masses make (`RiskReport.of_masses`) holds what they
-    computed instead: per version an exact numerator, fwd * bwd of the
-    actual value's node or 0 when it has no node, over one shared total.
-    `risks` makes the `Fraction`s the first time it is read, keeps them
-    and drops the numerators; a report holds nothing else, so it reads
-    the same whatever happens to the memo that made it.  `vulnerable`,
-    the number of versions at risk exactly 1 (numerator equal to the
-    total), is counted when the report is made.  Equality, hashing and
-    printing go by (record_id, versions, risks), as for a frozen
-    dataclass, so the two kinds of report are interchangeable."""
+    `RiskReport(record_id, versions, numerators, total)` holds per
+    version an exact numerator over one shared total: for the path masses,
+    fwd * bwd of the actual value's node or 0 when it has no node; for the
+    joint oracle, `Fraction` masses.  `risks` makes the `Fraction`s the
+    first time it is read, keeps them and drops the numerators; a report
+    holds nothing else, so it reads the same whatever happens to the memo
+    that made it.  `vulnerable`, the number of versions at risk exactly 1
+    (numerator equal to the total), is counted when the report is made.
+    Equality, hashing and printing go by (record_id, versions, risks), as
+    for a frozen dataclass."""
 
     __slots__ = ("record_id", "versions", "vulnerable", "_risks",
                  "_numerators", "_total")
 
     def __init__(self, record_id: str, versions: tuple[int, ...],
-                 risks: tuple[Fraction, ...]):
+                 numerators: tuple[_W, ...], total: _W):
         self.record_id = record_id
         self.versions = versions
-        self.vulnerable = sum(1 for r in risks if r == 1)
-        self._risks: tuple[Fraction, ...] | None = risks
-
-    @classmethod
-    def of_masses(cls, record_id: str, versions: tuple[int, ...],
-                  numerators: tuple[_W, ...], total: _W) -> RiskReport:
-        """The report whose risk at each version is numerator / total."""
-        report = cls.__new__(cls)
-        report.record_id = record_id
-        report.versions = versions
-        report.vulnerable = numerators.count(total)
-        report._risks = None
-        report._numerators = numerators
-        report._total = total
-        return report
+        self.vulnerable = numerators.count(total)
+        self._risks: tuple[Fraction, ...] | None = None
+        self._numerators = numerators
+        self._total = total
 
     @property
     def risks(self) -> tuple[Fraction, ...]:
@@ -287,8 +275,7 @@ def _report(positions: Sequence[Mapping[str, int]], masses: _Masses,
     for i, value in enumerate(actual):
         k = positions[i].get(value)
         numerators.append(0 if k is None else fwd[i][k] * bwd[i][k])
-    return RiskReport.of_masses(record_id, tuple(versions),
-                                tuple(numerators), total)
+    return RiskReport(record_id, tuple(versions), tuple(numerators), total)
 
 
 def disclosure_risks(fs: Sug, actual: Sequence[str],
@@ -349,11 +336,11 @@ def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
             mass[i][v] = mass[i].get(v, Fraction(0)) + weight
     if total == 0:
         raise InconsistentHistoryError("no feasible joint assignment")
-    risks = tuple(mass[i].get(value, Fraction(0)) / total
-                  for i, value in enumerate(actual))
+    numerators = tuple(mass[i].get(value, Fraction(0))
+                       for i, value in enumerate(actual))
     if versions is None:
         versions = range(1, len(candidates) + 1)
-    return RiskReport(record_id, tuple(versions), risks)
+    return RiskReport(record_id, tuple(versions), numerators, total)
 
 
 _History = tuple[tuple[str, ...], ...]

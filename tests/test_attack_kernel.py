@@ -512,7 +512,7 @@ def test_made_and_given_reports_compare_hash_and_print_alike(
         return attack_release_sequence([release_one, release_two_naive],
                                        None, worked_model, histories_12)
 
-    given_risks = [RiskReport(r.record_id, r.versions, r.risks)
+    given_risks = [RiskReport(r.record_id, r.versions, r.risks, 1)
                    for r in attack()]
     assert count_vulnerable(given_risks) == count_vulnerable(attack()) > 0
     assert attack() == given_risks and given_risks == attack()
@@ -522,7 +522,7 @@ def test_made_and_given_reports_compare_hash_and_print_alike(
         f"RiskReport(record_id={given_risks[0].record_id!r}, versions=")
     made = attack()[0]
     assert made != RiskReport(made.record_id, made.versions,
-                              tuple(F(0) for _ in made.versions))
+                              tuple(F(0) for _ in made.versions), 1)
 
 
 def test_risks_read_twice_are_the_same_tuple(release_one,

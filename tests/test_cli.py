@@ -1056,11 +1056,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("raw, shown", [
         ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
-        ("1e400", "inf"), ("-0.5", "-0.5")])
+        ("1e400", "inf"), ("-0.5", "-0.5"),
+        pytest.param("9" * 400, "inf", id="400-nines")])
     def test_out_of_range_theta_exits_two(self, workdir, capsys, raw,
                                           shown):
-        # Python's json reads all of these as floats; each made the query
-        # generator raise
+        # Python's json reads the first five as floats; each made the query
+        # generator raise.  The integer has no float and is infinite, as
+        # 1e400 is
         config = workdir / "config.json"
         out_dir = workdir / "out"
         text = json.dumps({**self.CONFIG, "out_dir": str(out_dir)})
@@ -1070,6 +1072,27 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             f"error: thetas must be finite and non-negative, got "
             f"[0.5, {shown}]\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("junk, reason", [
+        (b'"\xff"', "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000,
+         "maximum recursion depth exceeded"),
+        (b"9" * 5000, "Exceeds the limit (4300 digits)")],
+        ids=["not-utf8", "nested-100k", "digits-5000"])
+    def test_unparsable_config_exits_two(self, workdir, capsys, junk,
+                                         reason):
+        # bytes that are not UTF-8, arrays nested too deep to parse, and an
+        # integer longer than Python converts from text
+        config = workdir / "config.json"
+        out_dir = workdir / "out"
+        text = json.dumps({**self.CONFIG, "out_dir": str(out_dir)})
+        config.write_bytes(text.encode().replace(b'"seed": 11',
+                                                 b'"seed": ' + junk))
+        assert run(workdir, "simulate", "--config", config) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {config}: bad JSON (")
+        assert reason in line
         assert not out_dir.exists()
 
     def test_huge_theta_is_the_full_axis(self, workdir, capsys):

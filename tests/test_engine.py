@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 from collections import Counter
@@ -11,11 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from mdistinct import engine
 from mdistinct.engine import (Bucket, EngineState, PrevInfo, _Extents,
-                              _epsilon, _point, _score, phase1_create_buckets,
+                              _emit_group, _epsilon, _point, _score,
+                              phase1_create_buckets,
                               phase2_assign, phase3_split, publish,
                               static_partition, verify_m_distinct)
 from mdistinct.errors import InfeasibilityError, ValidationError
 from mdistinct.evaluation import ExperimentConfig, run_experiment
+from mdistinct.fileio import (apply_external_updates, initial_population,
+                              synthesize_internal_updates, synthetic_schema)
 from mdistinct.model import (AttributeSchema, CounterfeitMember, Hierarchy,
                              Record, TableSchema, generalize)
 from mdistinct.updates import USS, UpdateModel, implies, uss_of
@@ -297,8 +301,8 @@ def test_later_publish_asks_implies_only_about_new_pairs(monkeypatch):
 
 class TestBalance:
     def test_pads_every_entry_to_delta(self, small_schema):
-        """Each entry gets delta - len(entry) counterfeits, drawn from that
-        entry's CUS."""
+        """Each entry gets delta - len(entry) counterfeit slots, whose
+        values `_emit_group` draws from that entry's CUS."""
         bucket = Bucket(sig_of({"a", "b"}, {"c"}, {"d", "e"}), "signature")
         add(bucket, Record("r1", (1,), "a"), 0, small_schema)
         add(bucket, Record("r2", (2,), "b"), 0, small_schema)
@@ -307,7 +311,9 @@ class TestBalance:
         add(bucket, Record("r5", (5,), "d"), 2, small_schema)
         add(bucket, Record("r6", (6,), "e"), 2, small_schema)
         assert bucket.delta() == 3
-        groups = phase3_split(bucket, small_schema, random.Random(0))
+        groups = [_emit_group(group, bucket.signature.entries,
+                              random.Random(0))
+                  for group in phase3_split(bucket, small_schema)]
         assert len(groups) == 3
         fakes = Counter()
         for group in groups:
@@ -376,8 +382,7 @@ class TestPhase3:
         return bucket
 
     def test_splits_along_the_gap(self, small_schema):
-        groups = phase3_split(self._bucket(small_schema), small_schema,
-                              random.Random(0))
+        groups = phase3_split(self._bucket(small_schema), small_schema)
         members = sorted(sorted(r.id for r in g) for g in groups)
         assert members == [["r1", "r3"], ["r2", "r4"]]
 
@@ -386,7 +391,9 @@ class TestPhase3:
         add(bucket, Record("r1", (0,), "a"), 0, small_schema)
         add(bucket, Record("r2", (9,), "b"), 0, small_schema)
         add(bucket, Record("r3", (1,), "c"), 1, small_schema)
-        groups = phase3_split(bucket, small_schema, random.Random(0))
+        groups = [_emit_group(group, bucket.signature.entries,
+                              random.Random(0))
+                  for group in phase3_split(bucket, small_schema)]
         assert len(groups) == 2
         for group in groups:
             values = [m.sensitive for m in group]
@@ -404,13 +411,13 @@ class TestPhase3:
         add(bucket, Record("r1", (2,), "a"), 0, small_schema)
         add(bucket, Record("s0", (6,), "c"), 1, small_schema)
         add(bucket, Record("s1", (4,), "b"), 1, small_schema)
-        groups = phase3_split(bucket, small_schema, random.Random(2))
+        groups = phase3_split(bucket, small_schema)
         assert len(groups) == bucket.delta() == 2
         for group in groups:
             assert len(group) == 2
-            values = [m.sensitive for m in group]
+            values = [m.sensitive for m in group if m is not None]
             assert len(set(values)) == len(values)
-            assert any(not isinstance(m, CounterfeitMember) for m in group)
+            assert any(m is not None for m in group)
 
     def test_peeling_bucket_needs_no_recursion(self):
         schema = geometric_schema("ab")
@@ -419,7 +426,7 @@ class TestPhase3:
             add(bucket, Record(f"r{i:03d}", (2 ** i,), "ab"[i % 2]), i % 2,
                 schema)
         groups = with_shallow_stack(
-            lambda: phase3_split(bucket, schema, random.Random(0)))
+            lambda: phase3_split(bucket, schema))
         assert len(groups) == GEOMETRIC // 2
         assert all(sorted(m.sensitive for m in g) == ["a", "b"]
                    for g in groups)
@@ -497,6 +504,37 @@ class TestPublish:
         b, _ = publish(t1_records, EngineState(m=2), worked_model,
                        disease_schema, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("mode, m", [
+        ("m_distinct", 2), ("m_distinct", 6), ("m_distinct_star", 2)])
+    def test_seed_chooses_only_counterfeit_values(self, mode, m):
+        """The same records and state published under two seeds make the
+        same groups: real members, regions and counterfeit counts.  Only
+        counterfeit values differ, on a first release and on a second one
+        published from one shared state."""
+        schema, model = synthetic_schema()
+        rng = random.Random(4)
+        first, next_id = initial_population(400, schema, model, rng)
+        second = synthesize_internal_updates(first, schema, model, 100, rng)
+        second, _ = apply_external_updates(second, schema, rng, 40, 20,
+                                           next_id)
+
+        def shape(release):
+            return [(g.region, [mm.rid for mm in g.members
+                                if not mm.counterfeit], g.counterfeit_count)
+                    for g in release.groups]
+
+        state = EngineState(m, mode)
+        for records in (first, second):
+            a, _ = publish(records, copy.deepcopy(state), model, schema,
+                           seed=1)
+            b, _ = publish(records, copy.deepcopy(state), model, schema,
+                           seed=2)
+            assert shape(a) == shape(b)
+            _, state = publish(records, state, model, schema, seed=0)
+        # the second release has counterfeits, and the seeds drew them
+        # differently
+        assert sum(a.counterfeit_stats.values()) > 0 and a != b
 
     def test_duplicate_ids_rejected(self, worked_model, disease_schema):
         rec = Record("Ken", (14, 20), "Dyspepsia")

@@ -765,8 +765,8 @@ class TestExternalTables:
 
 class TestRiskFile:
     def test_rows_are_exact_and_sorted(self, tmp_path):
-        reports = [RiskReport("b", (1,), (F(1),)),
-                   RiskReport("a", (1, 2), (F(1, 2), F(1, 3)))]
+        reports = [RiskReport("b", (1,), (F(1),), 1),
+                   RiskReport("a", (1, 2), (F(1, 2), F(1, 3)), 1)]
         path = tmp_path / "risks.csv"
         write_risks(path, reports)
         assert path.read_text().splitlines() == [

@@ -6,24 +6,26 @@ re-runs a fresh backtracking pick-out search over a rebuilt `avail` list
 per pick and recomputes side B's spans from run-length columns.  The engine
 sorts once per bucket, carries the orders down the recursion and finds each
 pick by a walk that a bipartite matching guides; the properties below
-require both to emit the same groups, member by member and counterfeit
-value by counterfeit value, and to leave the random generator in the same
-state, including when no split is valid and the fallback decomposition
-takes over.  The reference keeps its own cell tuples, group emission and
-fallback decomposition, so the engine's index-based ones are checked
-against an independent copy; `_fallback_decompose` is also checked on its
-own against the properties a decomposition must have.
+require both to make the same groups, slot by slot (a record, or None for
+a counterfeit slot), including when no split is valid and the fallback
+decomposition takes over.  The split draws nothing, so no random generator
+takes part.  The reference keeps its own cell tuples and fallback
+decomposition, so the engine's index-based ones are checked against an
+independent copy; `_fallback_decompose` is also checked on its own against
+the properties a decomposition must have, and `_emit_group`, which fills
+the counterfeit slots, against the draws it must make.
 """
 
 import random
 import time
 from collections import Counter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mdistinct import engine
-from mdistinct.engine import Bucket, _pick_sequence, phase3_split
+from mdistinct.engine import Bucket, _emit_group, _pick_sequence, phase3_split
 from mdistinct.errors import InfeasibilityError
 from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.fileio import synthetic_schema
@@ -43,23 +45,6 @@ class _Cell(NamedTuple):
     entry: int
     seq: int                 # tie-breaker, creation order within the entry
     record: Record | None    # None: counterfeit slot
-
-
-def _emit_group(cells: Sequence[_Cell], cus_list: Sequence[frozenset[str]],
-                rng: random.Random) -> list[Record | CounterfeitMember]:
-    used = {c.record.sensitive for c in cells if c.record is not None}
-    out: list[Record | CounterfeitMember] = []
-    for cell in cells:
-        if cell.record is not None:
-            out.append(cell.record)
-        else:
-            options = sorted(cus_list[cell.entry] - used)
-            if not options:
-                raise InfeasibilityError("counterfeit value exhaustion")
-            value = rng.choice(options)
-            used.add(value)
-            out.append(CounterfeitMember(value))
-    return out
 
 
 def reference_fallback(cells_by_entry: list[list[_Cell]]) -> list[list[_Cell]]:
@@ -231,8 +216,7 @@ class _Extents:
         return runs[lo][0], runs[hi][0]
 
 
-def reference_phase3_split(bucket, schema, rng):
-    cus_list = bucket.signature.entries
+def reference_phase3_split(bucket, schema):
     # every entry is padded to delta, its largest entry or value frequency
     delta = max([len(entry) for entry in bucket.entries]
                 + list(Counter(r.sensitive for entry in bucket.entries
@@ -248,8 +232,7 @@ def reference_phase3_split(bucket, schema, rng):
     def recurse(by_entry: list[list[_Cell]]) -> None:
         delta = len(by_entry[0])
         if delta == 1:
-            out.append(_emit_group([cells[0] for cells in by_entry],
-                                   cus_list, rng))
+            out.append([cells[0].record for cells in by_entry])
             return
         k = len(by_entry)
         all_cells = [c for cells in by_entry for c in cells]
@@ -322,7 +305,7 @@ def reference_phase3_split(bucket, schema, rng):
             ordered = [sorted(cells, key=lambda c: _cell_key(c, 0, schema))
                        for cells in by_entry]
             for group in reference_fallback(ordered):
-                out.append(_emit_group(group, cus_list, rng))
+                out.append([cell.record for cell in group])
             return
         _, _, delta_a, chosen = best
         picked = {(c.entry, c.seq) for pick in chosen for c in pick}
@@ -385,13 +368,11 @@ def buckets(draw):
     return schema, bucket
 
 
-def _outcome(split, bucket, schema, seed):
-    rng = random.Random(seed)
+def _outcome(split, bucket, schema):
     try:
-        result = split(bucket, schema, rng)
+        return split(bucket, schema)
     except InfeasibilityError as exc:
-        result = (type(exc), str(exc))
-    return result, rng.getstate()
+        return type(exc), str(exc)
 
 
 def _bucket(schema: TableSchema, entries) -> tuple[TableSchema, Bucket]:
@@ -426,14 +407,14 @@ _BLOCKED = _bucket(TableSchema((AGE,), "s", DOMAIN), [
 
 
 @settings(max_examples=400, deadline=None)
-@given(buckets(), st.integers(0, 2 ** 16))
-@example(_SIX_BY_TWO, 3)
-@example(_CLASHING, 1)
-@example(_BLOCKED, 1)
-def test_matches_reference(case, seed):
+@given(buckets())
+@example(_SIX_BY_TWO)
+@example(_CLASHING)
+@example(_BLOCKED)
+def test_matches_reference(case):
     schema, bucket = case
-    assert (_outcome(phase3_split, bucket, schema, seed)
-            == _outcome(reference_phase3_split, bucket, schema, seed))
+    assert (_outcome(phase3_split, bucket, schema)
+            == _outcome(reference_phase3_split, bucket, schema))
 
 
 def test_example_buckets_hold_each_value_in_its_cus():
@@ -452,8 +433,74 @@ def test_blocked_bucket_takes_the_matching_guided_walk(monkeypatch):
 
     monkeypatch.setattr(engine, "has_matching", counted)
     schema, bucket = _BLOCKED
-    _outcome(phase3_split, bucket, schema, 1)
+    _outcome(phase3_split, bucket, schema)
     assert calls
+
+
+class _Recording(random.Random):
+    """A seeded generator that keeps each `choice`'s options and pick."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def choice(self, seq):
+        value = super().choice(seq)
+        self.draws.append((list(seq), value))
+        return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(buckets(), st.integers(0, 2 ** 16))
+@example(_CLASHING, 3)
+def test_emit_group_draws_each_slot_from_its_entry(case, seed):
+    """`_emit_group` keeps each record in its slot and fills the
+    counterfeit slots entry by entry, each with one draw from its entry's
+    CUS minus the values the group holds so far (its records' and the
+    earlier draws'), so a group's values are distinct.  A slot with no
+    value left raises, after the draws before it."""
+    schema, bucket = case
+    cus_list = bucket.signature.entries
+    for group in phase3_split(bucket, schema):
+        rng = _Recording(seed)
+        try:
+            members = _emit_group(group, cus_list, rng)
+        except InfeasibilityError as exc:
+            assert str(exc) == "counterfeit value exhaustion"
+            members = None
+        held = {rec.sensitive for rec in group if rec is not None}
+        draws = iter(rng.draws)
+        expected = []
+        for cus, rec in zip(cus_list, group):
+            if rec is not None:
+                expected.append(rec)
+                continue
+            options = sorted(cus - held)
+            if not options:
+                expected = None
+                break
+            drawn, value = next(draws)
+            assert drawn == options
+            held.add(value)
+            expected.append(CounterfeitMember(value))
+        assert next(draws, None) is None
+        assert members == expected
+        if members is not None:
+            values = [member.sensitive for member in members]
+            assert len(set(values)) == len(values)
+
+
+def test_emit_group_exhausts_a_shared_cus():
+    """Three entries share the CUS {a, b}: the one record holds a, the
+    second entry's slot draws b, and the third entry has nothing left."""
+    schema = TableSchema((AGE,), "s", DOMAIN)
+    bucket = Bucket(USS([frozenset("ab")] * 3), "signature")
+    add(bucket, Record("r0", (20,), "a"), 0, schema)
+    (group,) = phase3_split(bucket, schema)
+    assert group == [bucket.entries[0][0], None, None]
+    with pytest.raises(InfeasibilityError,
+                       match="^counterfeit value exhaustion$"):
+        _emit_group(group, bucket.signature.entries, random.Random(0))
 
 
 def reference_pick_sequence(entry_at, value_at, k, max_picks):
@@ -578,9 +625,9 @@ def test_unsplittable_bucket_reaches_fallback(monkeypatch):
         return fallback(by_entry, value_of)
 
     monkeypatch.setattr(engine, "_fallback_decompose", counted)
-    groups, _ = outcome = _outcome(phase3_split, bucket, schema, 11)
+    groups = _outcome(phase3_split, bucket, schema)
     assert fallbacks == [2]
-    assert outcome == _outcome(reference_phase3_split, bucket, schema, 11)
+    assert groups == _outcome(reference_phase3_split, bucket, schema)
     assert sorted(sorted(m.sensitive for m in g) for g in groups) == [
         ["v0", "v2"], ["v1", "v2"]]
 
@@ -650,14 +697,9 @@ def test_workload_buckets_match_reference(monkeypatch):
     does."""
     seen = []
 
-    def checked(bucket, schema, rng):
-        state = rng.getstate()
-        ref_rng = random.Random()
-        ref_rng.setstate(state)
-        expected = reference_phase3_split(bucket, schema, ref_rng)
-        got = phase3_split(bucket, schema, rng)
-        assert got == expected
-        assert rng.getstate() == ref_rng.getstate()
+    def checked(bucket, schema):
+        got = phase3_split(bucket, schema)
+        assert got == reference_phase3_split(bucket, schema)
         seen.append(len(got))
         return got
 
