@@ -16,9 +16,10 @@ from .baselines import (MInvarianceState, count_vulnerable,
 from .engine import EngineState, publish, verify_m_distinct
 from .errors import InfeasibilityError, MDistinctError, ValidationError
 from .evaluation import load_experiment_config, run_experiment
-from .fileio import (HistoryStore, load_external_tables, load_microdata,
-                     load_update_model, snapshot_histories, snapshot_schema,
-                     snapshot_tables, write_report_files, write_risks)
+from .fileio import (HistoryStore, ReadFile, load_external_tables,
+                     load_microdata, load_update_model, snapshot_histories,
+                     snapshot_schema, snapshot_tables, write_report_files,
+                     write_risks)
 from .sug import attack_release_sequence
 
 EXIT_OK = 0
@@ -96,8 +97,9 @@ def _publish_locked(args, mode: str, step) -> tuple:
     store = HistoryStore(args.history)
     with store.lock():
         stored = store.stored_schema(args.m, mode)
-        schema = snapshot_schema(args.microdata, model, stored)
-        records = load_microdata(args.microdata, schema)
+        microdata = ReadFile(args.microdata)  # one read for both readers
+        schema = snapshot_schema(microdata, model, stored)
+        records = load_microdata(microdata, schema)
         release, tail = step(store, records, schema, model)
         store.append(release, records, schema, stored,
                      {"seed": str(args.seed), "m": str(args.m), "mode": mode})

@@ -227,13 +227,12 @@ class EngineState:
         index = release.release_index
         prev = self.prev
         for group in release.groups:
-            members = group.members
-            values = [mm.sensitive for mm in members]
+            values = group.values
             key = tuple(sorted(map(model.cus_key, values)))
             sig = signatures.get(key)
             if sig is None:
                 sig = signatures[key] = uss_of(values, model)
-            for mm in members:
+            for mm in group.members:
                 if not mm.counterfeit:
                     prev[mm.rid] = PrevInfo(mm.sensitive, sig, index)
         self.release_count = index

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import random
 import re
@@ -41,6 +42,7 @@ if TYPE_CHECKING:
     from .evaluation import RunReport
 
 __all__ = [
+    "ReadFile",
     "load_microdata",
     "write_microdata",
     "snapshot_schema",
@@ -103,13 +105,27 @@ def _read_csv(path: Path | str) -> list[list[str]]:
     return rows
 
 
-def _read_table(path: Path | str, header: list[str] | None = None,
+class ReadFile:
+    """A CSV file read once, for several readers: each takes it where it
+    takes the path, parses `rows` instead of the file and names the path
+    in its messages.  `publish` hands one read of a microdata file to
+    `snapshot_schema` and `load_microdata`."""
+
+    def __init__(self, path: Path | str):
+        self.path = Path(path)
+        self.rows = _read_csv(path)
+
+    def __str__(self) -> str:
+        return str(self.path)
+
+
+def _read_table(path: Path | str | ReadFile, header: list[str] | None = None,
                 ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """A CSV file's header and its body rows as (line number, row).  The
     header must equal `header` unless that is None.  A row whose width is
     not the header's raises when the iteration reaches it, so the first
     bad row raises first, whatever is wrong with it."""
-    rows = _read_csv(path)
+    rows = path.rows if isinstance(path, ReadFile) else _read_csv(path)
     if not rows:
         raise ValidationError(f"{path}: empty file")
     if header is not None and rows[0] != header:
@@ -196,7 +212,8 @@ def _read_qi_rows(path: Path | str, schema: TableSchema,
         yield lineno, rid, tuple(qi), row[1 + n_qi:]
 
 
-def load_microdata(path: Path | str, schema: TableSchema) -> list[Record]:
+def load_microdata(path: Path | str | ReadFile,
+                   schema: TableSchema) -> list[Record]:
     """Read id,<qi...>,<sensitive> rows; errors carry 1-based line numbers.
     `_read_qi_rows` checks the field count and every QI value, so only the
     sensitive value is left to check here."""
@@ -220,7 +237,7 @@ def write_microdata(path: Path | str, schema: TableSchema,
     write_csv(path, rows)
 
 
-def snapshot_schema(path: Path | str, model: UpdateModel,
+def snapshot_schema(path: Path | str | ReadFile, model: UpdateModel,
                     stored: TableSchema | None = None) -> TableSchema:
     """The schema a publish of the microdata file `path` uses.
 
@@ -596,8 +613,10 @@ class HistoryStore:
                 region.append(cell)
             return tuple(region)
 
-        # gid -> (its first row's cell texts, its region, its members)
-        groups: dict[int, tuple[list[str], tuple, list[Member]]] = {}
+        # gid -> (its first row's cell texts, its region, its members, their
+        # sensitive values)
+        groups: dict[int, tuple[list[str], tuple, list[Member],
+                                list[str]]] = {}
         for lineno, row in rows:
             try:
                 gid = gids.get(row[0])
@@ -613,15 +632,18 @@ class HistoryStore:
                     raise ValidationError(f"sensitive value {row[-2]!r} "
                                           f"outside domain")
                 texts = row[2:end]
-                member = Member(row[1], row[-2], cf == "1")
+                sensitive = row[-2]
+                member = Member(row[1], sensitive, cf == "1")
                 group = groups.get(gid)
                 if group is None:
-                    groups[gid] = (texts, region_of(texts), [member])
+                    groups[gid] = (texts, region_of(texts), [member],
+                                   [sensitive])
                     continue
                 if texts != group[0] and region_of(texts) != group[1]:
                     raise ValidationError(f"group {gid} region differs "
                                           f"between rows")
                 group[2].append(member)
+                group[3].append(sensitive)
             except ValidationError as exc:
                 raise ValidationError(f"{path} line {lineno}: {exc}") \
                     from None
@@ -629,8 +651,8 @@ class HistoryStore:
             # every publisher refuses to write an empty release
             raise ValidationError(f"{path}: no groups")
         return PublishedRelease(index, tuple(
-            QIGroup(g, region, tuple(members))
-            for g, (_, region, members) in groups.items()))
+            QIGroup(g, region, tuple(members), tuple(values))
+            for g, (_, region, members, values) in groups.items()))
 
     def read_releases(self, schema: TableSchema) -> list[PublishedRelease]:
         return [self.read_release(i, schema) for i in self.release_indices()]
@@ -707,12 +729,24 @@ def load_external_tables(directory: Path | str,
 
 
 def write_risks(path: Path | str, reports: Sequence[RiskReport]) -> None:
+    """One row per record version: the risk in lowest terms and as a
+    decimal.  Each distinct pair from `RiskReport.ratios` is reduced and
+    written once; `num / den` of the reduced pair is the division
+    `float(Fraction)` makes, so the cells are the same whether or not the
+    report's risks were read."""
     rows = [["id", "version", "risk_num", "risk_den", "risk_decimal"]]
+    cells: dict[tuple[int, int], tuple[str, str, str]] = {}
     for report in sorted(reports, key=lambda r: r.record_id):
-        for version, risk in zip(report.versions, report.risks):
-            rows.append([report.record_id, str(version),
-                         str(risk.numerator), str(risk.denominator),
-                         f"{float(risk):.12g}"])
+        rid = report.record_id
+        for version, pair in zip(report.versions, report.ratios()):
+            risk = cells.get(pair)
+            if risk is None:
+                num, den = pair
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+                risk = cells[pair] = (str(num), str(den),
+                                      f"{num / den:.12g}")
+            rows.append([rid, str(version), *risk])
     write_csv(path, rows)
 
 

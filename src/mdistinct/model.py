@@ -7,8 +7,7 @@ degenerate region still covers one point per attribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ValidationError
@@ -226,16 +225,18 @@ class Member(NamedTuple):
     counterfeit: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QIGroup:
+    """One published group.  `values` is the group's candidate sensitive
+    set, counterfeits included: `tuple(m.sensitive for m in members)`,
+    stored by whoever builds the members, since the publisher's fold, the
+    attack and verify all read it.  It has slots and no instance dict:
+    replaying or auditing a history builds thousands of groups."""
+
     gid: int
     region: Region
     members: tuple[Member, ...]
-
-    @cached_property
-    def values(self) -> tuple[str, ...]:
-        """The group's candidate sensitive set, counterfeits included."""
-        return tuple(m.sensitive for m in self.members)
+    values: tuple[str, ...]
 
     @property
     def counterfeit_count(self) -> int:
@@ -334,8 +335,10 @@ def generalize(schema: TableSchema,
             raise ValidationError("group with no real members")
         region = bounding_region(schema, [r.qi for r in reals])
         members = [Member(r.id, r.sensitive) for r in reals]
+        values = [r.sensitive for r in reals]
         for fake in sorted(fakes, key=lambda m: m.sensitive):
             counterfeit_no += 1
             members.append(Member(f"c{counterfeit_no}", fake.sensitive, True))
-        out.append(QIGroup(gid0 + 1, region, tuple(members)))
+            values.append(fake.sensitive)
+        out.append(QIGroup(gid0 + 1, region, tuple(members), tuple(values)))
     return PublishedRelease(release_index, tuple(out))

@@ -10,8 +10,9 @@ memo scales the model's table by one lcm denominator and weights each
 node by its multiplicity, so each path mass carries the same factor and
 one exact division per risk cancels it.  A report keeps its integer
 numerators and the shared total, and makes that division only when its
-risks are first read; whether a risk is exactly 1 is an integer test,
-made when the report is.  That attack runs the recursion once per
+risks are first read; `risks.csv` is written from the integers, and
+whether a risk is exactly 1 is an integer test, made when the report
+is.  That attack runs the recursion once per
 distinct candidate history, not once per record, and skips pruning,
 which cannot change a risk.
 """
@@ -178,10 +179,13 @@ class RiskReport:
     joint oracle, `Fraction` masses.  `risks` makes the `Fraction`s the
     first time it is read, keeps them and drops the numerators; a report
     holds nothing else, so it reads the same whatever happens to the memo
-    that made it.  `vulnerable`, the number of versions at risk exactly 1
-    (numerator equal to the total), is counted when the report is made.
-    Equality, hashing and printing go by (record_id, versions, risks), as
-    for a frozen dataclass."""
+    that made it.  While the risks are unread, `ratios` hands out integer
+    numerators over the total and `max_risk` makes one `Fraction` from the
+    largest numerator, so writing and ranking the attack's reports makes
+    no `Fraction` per version.  `vulnerable`, the
+    number of versions at risk exactly 1 (numerator equal to the total),
+    is counted when the report is made.  Equality, hashing and printing go
+    by (record_id, versions, risks), as for a frozen dataclass."""
 
     __slots__ = ("record_id", "versions", "vulnerable", "_risks",
                  "_numerators", "_total")
@@ -204,9 +208,22 @@ class RiskReport:
             del self._numerators, self._total
         return self._risks
 
+    def ratios(self) -> list[tuple[int, int]]:
+        """Each version's risk as a pair of ints (numerator, positive
+        denominator), not always in lowest terms: integer numerators over
+        the total while the risks are unread, else each `Fraction`'s
+        pair."""
+        if self._risks is None and type(self._total) is int and all(
+                type(n) is int for n in self._numerators):
+            total = self._total
+            return [(n, total) for n in self._numerators]
+        return [(r.numerator, r.denominator) for r in self.risks]
+
     @property
     def max_risk(self) -> Fraction:
-        return max(self.risks)
+        if self._risks is None:  # the total is positive
+            return Fraction(max(self._numerators), self._total)
+        return max(self._risks)
 
     def _key(self) -> tuple:
         return self.record_id, self.versions, self.risks

@@ -167,7 +167,8 @@ def t2_records() -> list[Record]:
 def _group(gid, region, members):
     return QIGroup(gid, tuple(region),
                    tuple(Member(rid, s, rid.startswith("c"))
-                         for rid, s in members))
+                         for rid, s in members),
+                   tuple(s for _, s in members))
 
 
 @pytest.fixture(scope="session")

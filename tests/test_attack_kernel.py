@@ -205,9 +205,12 @@ def test_missing_edges_are_not_built(worked_model):
 
 def _without(release, rid):
     """The release with record `rid` left out."""
-    return replace(release, groups=tuple(
-        replace(g, members=tuple(m for m in g.members if m.rid != rid))
-        for g in release.groups))
+    groups = []
+    for g in release.groups:
+        members = tuple(m for m in g.members if m.rid != rid)
+        groups.append(replace(g, members=members, values=tuple(
+            m.sensitive for m in members)))
+    return replace(release, groups=tuple(groups))
 
 
 class TestPrefixReuse:
@@ -380,7 +383,9 @@ def release_sequences(draw):
                 max_size=2))
             fakes = [Member(f"c{index}.{gid}.{k}", v, True)
                      for k, v in enumerate(decoys)]
-            groups.append(QIGroup(gid, (), (*members[gid], *fakes)))
+            group = (*members[gid], *fakes)
+            groups.append(QIGroup(gid, (), group,
+                                  tuple(m.sensitive for m in group)))
         releases.append(PublishedRelease(index, tuple(groups)))
     if draw(rarely(8)):
         rid = draw(st.sampled_from(sorted(histories)))
@@ -432,9 +437,11 @@ def test_actual_value_on_a_pruned_node_is_inconsistent(worked_model):
     # of Dyspepsia stay feasible
     releases = [
         PublishedRelease(1, (QIGroup(1, (), (
-            Member("Ken", "Glaucoma"), Member("Julia", "Dyspepsia"))),)),
+            Member("Ken", "Glaucoma"), Member("Julia", "Dyspepsia")),
+            ("Glaucoma", "Dyspepsia")),)),
         PublishedRelease(2, (QIGroup(1, (), (
-            Member("Ken", "Gastritis"), Member("Julia", "Dyspepsia"))),)),
+            Member("Ken", "Gastritis"), Member("Julia", "Dyspepsia")),
+            ("Gastritis", "Dyspepsia")),)),
     ]
     histories = {"Ken": {1: "Glaucoma", 2: "Gastritis"},
                  "Julia": {1: "Dyspepsia", 2: "Dyspepsia"}}

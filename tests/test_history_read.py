@@ -21,16 +21,20 @@ import re
 import tempfile
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdistinct import engine, fileio
+from mdistinct import cli, engine, fileio
+from mdistinct.baselines import MInvarianceState
 from mdistinct.engine import EngineState, PrevInfo
 from mdistinct.errors import ValidationError
-from mdistinct.fileio import HistoryStore, write_csv
-from mdistinct.model import (AttributeSchema, Hierarchy, Member,
-                             PublishedRelease, QIGroup, TableSchema)
+from mdistinct.fileio import HistoryStore, load_update_model, write_csv
+from mdistinct.model import (AttributeSchema, CounterfeitMember, Hierarchy,
+                             Member, PublishedRelease, QIGroup, Record,
+                             TableSchema, generalize)
 from mdistinct.updates import UpdateModel, uss_of
 
+from conftest import HEADER, T3, T4
 from test_publisher_kernel import block_models, closed_models
 
 # ---------------------------------------------------------------------------
@@ -86,7 +90,8 @@ def reference_read_release(store, index, schema):
                                       f"between rows")
             groups[gid][1].append(member)
     return PublishedRelease(index, tuple(
-        QIGroup(g, groups[g][0], tuple(groups[g][1])) for g in order))
+        QIGroup(g, groups[g][0], tuple(groups[g][1]),
+                tuple(m.sensitive for m in groups[g][1])) for g in order))
 
 
 def reference_apply(state, release, model):
@@ -171,7 +176,8 @@ def releases(draw):
             else:
                 real += 1
                 members.append(Member(f"r{real}", value))
-        groups.append(QIGroup(gid, region, tuple(members)))
+        groups.append(QIGroup(gid, region, tuple(members),
+                              tuple(m.sensitive for m in members)))
     return schema, PublishedRelease(draw(st.integers(1, 9)), tuple(groups))
 
 
@@ -356,7 +362,8 @@ def test_rows_that_spell_a_group_differently_are_one_group(tmp_path):
     assert release == reference_read_release(store, 1, schema)
     assert release == PublishedRelease(1, (QIGroup(
         1, ((0, 4), "north"),
-        (Member("a", "v1"), Member("b", "v2"), Member("c", "v3", True))),))
+        (Member("a", "v1"), Member("b", "v2"), Member("c", "v3", True)),
+        ("v1", "v2", "v3")),))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +396,8 @@ def histories(draw, model):
                 else:
                     rid = f"r{draw(st.integers(0, 7))}"
                     members.append(Member(rid, value))
-            groups.append(QIGroup(gid, ((0, 0),), tuple(members)))
+            groups.append(QIGroup(gid, ((0, 0),), tuple(members),
+                                  tuple(values)))
         out.append(PublishedRelease(index, tuple(groups)))
     return out
 
@@ -404,8 +412,6 @@ def test_fold_matches_reference(case):
     for release in history:
         with mock.patch.object(engine, "uss_of", wraps=uss_of) as built:
             state.apply(release, model)
-        # the fold reads values from the members, never the cached property
-        assert not any("values" in vars(g) for g in release.groups)
         # a signature is built only for a key new to the state
         keys = {uss_of(g.values, model).key for g in release.groups}
         assert built.call_count == len(keys - seen)
@@ -429,10 +435,108 @@ def test_equal_cus_sets_in_any_order_share_one_signature():
     a, b = _SameHash("a"), _SameHash("b")
     model = UpdateModel.uniform({a: [a, b], b: [b, a]})
     assert list(model.cus_of(a)) != list(model.cus_of(b))
-    release = PublishedRelease(1, (QIGroup(1, ((0, 0),), (Member("r1", a),)),
-                                   QIGroup(2, ((0, 0),), (Member("r2", b),))))
+    release = PublishedRelease(1, (
+        QIGroup(1, ((0, 0),), (Member("r1", a),), (a,)),
+        QIGroup(2, ((0, 0),), (Member("r2", b),), (b,))))
     state = EngineState(2)
     with mock.patch.object(engine, "uss_of", wraps=uss_of) as built:
         state.apply(release, model)
     assert built.call_count == 1
     assert state.prev["r1"].signature is state.prev["r2"].signature
+
+
+# ---------------------------------------------------------------------------
+# stored values and the replay of a written history
+
+
+def _stores_its_values(release):
+    return all(g.values == tuple(m.sensitive for m in g.members)
+               for g in release.groups)
+
+
+@settings(max_examples=200, deadline=None)
+@given(releases(), st.data())
+def test_read_groups_store_their_members_values(case, data):
+    """Whatever order a group's rows come in, its values follow its
+    members."""
+    schema, release = case
+    index = release.release_index
+    with tempfile.TemporaryDirectory() as tmp:
+        store = HistoryStore(tmp)
+        store.write_release(release, schema)
+        _shuffle(store.path / f"release_{index}.csv", data.draw)
+        assert _stores_its_values(store.read_release(index, schema))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.booleans(), st.sampled_from(DOMAIN)),
+                         min_size=1, max_size=6), min_size=1, max_size=8))
+def test_generalized_groups_store_their_members_values(shape):
+    """Real members sorted by id, then counterfeits by value: the values
+    come in that order too.  A group's first member is real."""
+    schema = TableSchema((ATTRS[0],), "s", DOMAIN)
+    groups = [[Record(f"r{g}.{9 - k}", (k,), value) if real or k == 0
+               else CounterfeitMember(value)
+               for k, (real, value) in enumerate(members)]
+              for g, members in enumerate(shape)]
+    release = generalize(schema, 1, groups)
+    assert _stores_its_values(release)
+    assert [sorted(g.values) for g in release.groups] == [
+        sorted(m.sensitive for m in group) for group in groups]
+
+
+@pytest.mark.parametrize("kind", ["m_distinct", "minv"])
+def test_replay_of_a_written_history_matches_the_fold(tmp_path, data_dir,
+                                                      monkeypatch, kind):
+    """Folding the releases `publish` made in memory gives the state that
+    `replay_state` rebuilds from the files the CLI wrote, and each publish
+    reads its snapshot once."""
+    snapshots = [data_dir / "microdata_t1.csv", data_dir / "microdata_t2.csv",
+                 tmp_path / "t3.csv", tmp_path / "t4.csv"]
+    write_csv(snapshots[2], [HEADER, *T3])
+    write_csv(snapshots[3], [HEADER, *T4])
+    model_path = data_dir / "disease_transitions.csv"
+    made = []
+    name = "publish" if kind == "m_distinct" else "publish_m_invariance"
+    real = getattr(cli, name)
+
+    def keeping(*args, **kwargs):
+        out = real(*args, **kwargs)
+        made.append(out[0])
+        return out
+
+    monkeypatch.setattr(cli, name, keeping)
+    read = []
+    read_csv = fileio._read_csv
+
+    def counting(path):
+        read.append(str(path))
+        return read_csv(path)
+
+    monkeypatch.setattr(fileio, "_read_csv", counting)
+    hist = tmp_path / "hist"
+    command = ["publish"] if kind == "m_distinct" else [
+        "baseline", "--kind", "minv"]
+    for snap in snapshots:
+        assert cli.main([*command, "--microdata", str(snap),
+                         "--model", str(model_path), "--history", str(hist),
+                         "--m", "2", "--seed", "3"]) == 0
+    assert [r.release_index for r in made] == [1, 2, 3, 4]
+    # one read of each snapshot gives its schema and its records
+    assert [read.count(str(snap)) for snap in snapshots] == [1, 1, 1, 1]
+    model = load_update_model(model_path)
+    fresh = (lambda: EngineState(2)) if kind == "m_distinct" else (
+        lambda: MInvarianceState(2))
+    folded = fresh()
+    for release in made:
+        assert _stores_its_values(release)
+        folded.apply(release, model)
+    replayed = HistoryStore(hist).replay_state(fresh(), model)
+    assert replayed == folded
+    if kind == "m_distinct":
+        assert replayed.prev == folded.prev
+        assert replayed.signatures == folded.signatures
+        assert len(folded.prev) == 6
+    else:
+        assert replayed.signatures == folded.signatures
+        assert replayed.invalidated_total == folded.invalidated_total

@@ -299,7 +299,8 @@ class TestAttackSequence:
         and the joint oracle both refuse the two-release history."""
         def release(index, members):
             return PublishedRelease(index, (QIGroup(1, ((0, 9),), tuple(
-                Member(rid, value) for rid, value in members)),))
+                Member(rid, value) for rid, value in members), tuple(
+                value for _, value in members)),))
 
         releases = [release(1, [("Ben", "Flu"), ("Lily", "Glaucoma")]),
                     release(2, [("Ben", "Gastritis"), ("Lily", "Dyspepsia")])]

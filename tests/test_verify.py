@@ -150,7 +150,8 @@ def mutated_histories(draw):
         to = draw(st.integers(0, len(groups) - 1))
         groups[to].insert(draw(st.integers(0, len(groups[to]))), groups[g][k])
     changed = PublishedRelease(rel.release_index, tuple(
-        QIGroup(old.gid, old.region, tuple(members))
+        QIGroup(old.gid, old.region, tuple(members),
+                tuple(mm.sensitive for mm in members))
         for old, members in zip(rel.groups, groups) if members))
     return releases[:at] + (changed,) + releases[at + 1:], model, m
 
