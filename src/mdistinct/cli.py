@@ -143,7 +143,9 @@ def cmd_attack(args) -> int:
     reports = attack_release_sequence(releases, et, model, histories, schema)
     write_risks(store.path / "risks.csv", reports)
     vulnerable = count_vulnerable(reports)
-    worst = max((r.max_risk for r in reports), default=Fraction(0))
+    worst = max((Fraction(*pair) for pair in {(max(r.numerators), r.total)
+                                              for r in reports}),
+                default=Fraction(0))
     print(f"{len(reports)} records attacked; max risk "
           f"{worst.numerator}/{worst.denominator}; {vulnerable} fully "
           f"disclosed record versions")

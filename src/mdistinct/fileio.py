@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import random
 import re
@@ -730,22 +729,19 @@ def load_external_tables(directory: Path | str,
 
 def write_risks(path: Path | str, reports: Sequence[RiskReport]) -> None:
     """One row per record version: the risk in lowest terms and as a
-    decimal.  Each distinct pair from `RiskReport.ratios` is reduced and
-    written once; `num / den` of the reduced pair is the division
-    `float(Fraction)` makes, so the cells are the same whether or not the
-    report's risks were read."""
+    decimal, from one `Fraction` per distinct (numerator, total) pair, so
+    integer reports build no `Fraction` per version."""
     rows = [["id", "version", "risk_num", "risk_den", "risk_decimal"]]
-    cells: dict[tuple[int, int], tuple[str, str, str]] = {}
+    cells: dict[tuple, tuple[str, str, str]] = {}
     for report in sorted(reports, key=lambda r: r.record_id):
-        rid = report.record_id
-        for version, pair in zip(report.versions, report.ratios()):
-            risk = cells.get(pair)
+        rid, total = report.record_id, report.total
+        for version, n in zip(report.versions, report.numerators):
+            risk = cells.get((n, total))
             if risk is None:
-                num, den = pair
-                g = math.gcd(num, den)
-                num, den = num // g, den // g
-                risk = cells[pair] = (str(num), str(den),
-                                      f"{num / den:.12g}")
+                r = Fraction(n, total)
+                risk = cells[n, total] = (str(r.numerator),
+                                          str(r.denominator),
+                                          f"{float(r):.12g}")
             rows.append([rid, str(version), *risk])
     write_csv(path, rows)
 

@@ -8,13 +8,11 @@ path is ever enumerated.  `disclosure_risks` hands them a graph's own
 `Fraction`s.  The attack on a release sequence hands them integers: its
 memo scales the model's table by one lcm denominator and weights each
 node by its multiplicity, so each path mass carries the same factor and
-one exact division per risk cancels it.  A report keeps its integer
-numerators and the shared total, and makes that division only when its
-risks are first read; `risks.csv` is written from the integers, and
+one exact division per risk cancels it.  A report is its integer
+numerators and the shared total, and divides only when a risk is read;
 whether a risk is exactly 1 is an integer test, made when the report
-is.  That attack runs the recursion once per
-distinct candidate history, not once per record, and skips pruning,
-which cannot change a risk.
+is.  That attack runs the recursion once per distinct candidate history,
+not once per record, and skips pruning, which cannot change a risk.
 """
 
 from __future__ import annotations
@@ -174,56 +172,34 @@ class RiskReport:
     """One record's disclosure risk per version (release index per layer).
 
     `RiskReport(record_id, versions, numerators, total)` holds per
-    version an exact numerator over one shared total: for the path masses,
-    fwd * bwd of the actual value's node or 0 when it has no node; for the
-    joint oracle, `Fraction` masses.  `risks` makes the `Fraction`s the
-    first time it is read, keeps them and drops the numerators; a report
-    holds nothing else, so it reads the same whatever happens to the memo
-    that made it.  While the risks are unread, `ratios` hands out integer
-    numerators over the total and `max_risk` makes one `Fraction` from the
-    largest numerator, so writing and ranking the attack's reports makes
-    no `Fraction` per version.  `vulnerable`, the
-    number of versions at risk exactly 1 (numerator equal to the total),
-    is counted when the report is made.  Equality, hashing and printing go
-    by (record_id, versions, risks), as for a frozen dataclass."""
+    version an exact numerator over one shared positive total: fwd * bwd
+    of the actual value's node (0 when it has none), the joint oracle's
+    `Fraction` masses, or given risks over 1, and nothing else, so it
+    reads the same whatever happens to the memo that made it.  `risks`
+    divides each time it is read; `max_risk` divides once.  `vulnerable`,
+    the number of versions at risk exactly 1 (numerator equal to the
+    total), is counted when the report is made.  Equality, hashing and
+    printing go by (record_id, versions, risks), as for a frozen
+    dataclass."""
 
-    __slots__ = ("record_id", "versions", "vulnerable", "_risks",
-                 "_numerators", "_total")
+    __slots__ = ("record_id", "versions", "numerators", "total", "vulnerable")
 
     def __init__(self, record_id: str, versions: tuple[int, ...],
                  numerators: tuple[_W, ...], total: _W):
         self.record_id = record_id
         self.versions = versions
+        self.numerators = numerators
+        self.total = total
         self.vulnerable = numerators.count(total)
-        self._risks: tuple[Fraction, ...] | None = None
-        self._numerators = numerators
-        self._total = total
 
     @property
     def risks(self) -> tuple[Fraction, ...]:
-        if self._risks is None:
-            total = self._total
-            self._risks = tuple([Fraction(n, total)
-                                 for n in self._numerators])
-            del self._numerators, self._total
-        return self._risks
-
-    def ratios(self) -> list[tuple[int, int]]:
-        """Each version's risk as a pair of ints (numerator, positive
-        denominator), not always in lowest terms: integer numerators over
-        the total while the risks are unread, else each `Fraction`'s
-        pair."""
-        if self._risks is None and type(self._total) is int and all(
-                type(n) is int for n in self._numerators):
-            total = self._total
-            return [(n, total) for n in self._numerators]
-        return [(r.numerator, r.denominator) for r in self.risks]
+        total = self.total
+        return tuple([Fraction(n, total) for n in self.numerators])
 
     @property
     def max_risk(self) -> Fraction:
-        if self._risks is None:  # the total is positive
-            return Fraction(max(self._numerators), self._total)
-        return max(self._risks)
+        return Fraction(max(self.numerators), self.total)
 
     def _key(self) -> tuple:
         return self.record_id, self.versions, self.risks
@@ -285,8 +261,8 @@ def _report(positions: Sequence[Mapping[str, int]], masses: _Masses,
     """Per-version risk: the mass of the paths crossing the actual value's
     node (`positions[i]` maps layer i's values to node indices) over the
     total.  An actual value with no node, or on a node no path crosses,
-    gets risk 0.  The report keeps the numerators; nothing is divided
-    until its risks are read."""
+    gets risk 0.  The report holds the numerators; nothing is divided
+    until a risk is read."""
     fwd, bwd, total = masses
     numerators = []
     for i, value in enumerate(actual):
@@ -373,9 +349,9 @@ class AttackMemo:
       distinct pair of consecutive multisets its successor rows;
     - the releases folded so far, and each record's versions and candidate
       sets read off them;
-    - the last attack's reports, each holding its integer numerators and
-      total until its risks are read, and no reference to the memo, so a
-      report reads the same after the memo starts over;
+    - the last attack's reports, each its integer numerators and total
+      and no reference to the memo, so a report reads the same after the
+      memo starts over;
     - the forward masses of the candidate histories of the newest
       release's records, and of no other: a longer prefix extends no other
       history.
@@ -493,9 +469,9 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     No graph is pruned: a node prune removes has forward or backward mass
     0, so every risk comes out the same without it.
     A history with no feasible path raises prune's error, found from its
-    forward masses.  Each report holds its integer numerators until its
-    risks are read (see `RiskReport`), so a prefix whose reports only
-    `count_vulnerable` reads builds no `Fraction`.
+    forward masses.  Each report is its integer numerators and total
+    (see `RiskReport`), so a prefix whose reports only `count_vulnerable`
+    reads builds no `Fraction`.
 
     `memo` carries an attack's work to the next one on the same releases
     plus newer ones (same model, tables, schema and actual values).  Only

@@ -3,8 +3,8 @@
 `reference_write_risks` is `write_risks` as it was when every row came from
 `RiskReport.risks`: one `Fraction` per version, its numerator, denominator
 and `float`.  The properties below require the integer route to write the
-same bytes for every kind of report, and `max_risk` to equal the largest
-risk whether or not the risks were read.
+same bytes for every kind of report, from one `Fraction` per distinct
+(numerator, total) pair, and `max_risk` to equal the largest risk.
 """
 
 import shutil
@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdistinct import cli
+from mdistinct import cli, fileio
 from mdistinct.fileio import write_csv, write_risks
 from mdistinct.sug import RiskReport
 
@@ -75,15 +75,48 @@ def test_integer_route_writes_the_reference_bytes(tmp_path_factory, cases):
         report, read = _made(args), _made(args)
         assert report.max_risk == max(read.risks)
         assert read.max_risk == max(read.risks)
+        assert report.vulnerable == report.risks.count(1)
+        given = RiskReport(args[0], args[1], report.risks, 1)
+        assert report == given and given == report
+        assert hash(report) == hash(given)
 
 
-def test_an_unread_integer_report_is_written_without_its_risks(tmp_path):
+def test_an_unread_integer_report_is_written_without_its_risks(
+        tmp_path, monkeypatch):
+    def unread(self):
+        raise AssertionError("a risk was read")
+
     report = RiskReport("a", (1, 2, 3), (0, 6, 4), 12)
+    monkeypatch.setattr(RiskReport, "risks", property(unread))
     write_risks(tmp_path / "risks.csv", [report])
     assert report.max_risk == F(1, 2)
-    assert report._risks is None
     assert (tmp_path / "risks.csv").read_text().splitlines()[1:] == [
         "a,1,0,1,0", "a,2,1,2,0.5", "a,3,1,3,0.333333333333"]
+
+
+def test_each_distinct_pair_is_made_into_one_fraction(tmp_path,
+                                                      monkeypatch):
+    """Int, `Fraction` and given reports whose (numerator, total) pairs
+    repeat, within a report and across reports."""
+    reports = [RiskReport("a", (1, 2, 3), (0, 6, 6), 12),
+               RiskReport("b", (1, 2, 3), (6, 4, 0), 12),
+               RiskReport("c", (2, 3), (F(1, 3), F(1, 3)), F(2, 3)),
+               RiskReport("d", (1, 3), (F(1, 3), F(1, 2)), F(2, 3)),
+               RiskReport("e", (1, 2), (F(1, 2), F(1, 2)), 1),
+               RiskReport("f", (2,), (F(1, 3),), 1)]
+    pairs = {(n, r.total) for r in reports for n in r.numerators}
+    want = tmp_path / "want.csv"
+    reference_write_risks(want, reports)
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(fileio, "Fraction", counted)
+    write_risks(tmp_path / "risks.csv", reports)
+    assert len(built) == len(pairs) == 7
+    assert (tmp_path / "risks.csv").read_bytes() == want.read_bytes()
 
 
 def test_attack_reads_no_risk(tmp_path, data_dir, monkeypatch, capsys):
