@@ -12,7 +12,7 @@ from .sug import (AttackMemo, RiskReport, Sug, attack_release_sequence,
                   build_sug, disclosure_risks, prune, risks_by_joint_oracle)
 from .engine import (EngineState, publish, static_partition,
                      verify_m_distinct)
-from .baselines import (count_vulnerable, publish_l_diversity,
+from .baselines import (count_vulnerable, max_risk, publish_l_diversity,
                         publish_m_invariance)
 from .evaluation import ExperimentConfig, RunReport, run_experiment
 

@@ -10,7 +10,9 @@ consistently.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .engine import static_partition
@@ -25,6 +27,7 @@ __all__ = [
     "MInvarianceState",
     "publish_m_invariance",
     "count_vulnerable",
+    "max_risk",
 ]
 
 
@@ -38,9 +41,7 @@ def publish_l_diversity(records: Sequence[Record], m: int,
     pool = sorted(records, key=lambda r: r.id)
     if not pool:
         raise InfeasibilityError("nothing to publish")
-    freq: dict[str, int] = {}
-    for rec in pool:
-        freq[rec.sensitive] = freq.get(rec.sensitive, 0) + 1
+    freq = Counter(rec.sensitive for rec in pool)
     if len(pool) < m or max(freq.values()) > len(pool) // m:
         raise InfeasibilityError(
             f"snapshot is not m-eligible for m={m}: most frequent value "
@@ -129,3 +130,10 @@ def count_vulnerable(reports: Iterable[RiskReport]) -> int:
     disclosed, i.e. whose disclosure risk is exactly 1: the sum of the
     counts each report took when it was made, so no risk is read."""
     return sum(report.vulnerable for report in reports)
+
+
+def max_risk(reports: Iterable[RiskReport]) -> Fraction:
+    """The largest disclosure risk over all reports, 0 when there are none:
+    one `Fraction` per distinct (largest numerator, total) pair."""
+    pairs = {(max(r.numerators), r.total) for r in reports}
+    return max((Fraction(*pair) for pair in pairs), default=Fraction(0))

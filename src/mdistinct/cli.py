@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .baselines import (MInvarianceState, count_vulnerable,
+from .baselines import (MInvarianceState, count_vulnerable, max_risk,
                         publish_l_diversity, publish_m_invariance)
 from .engine import EngineState, publish, verify_m_distinct
 from .errors import InfeasibilityError, MDistinctError, ValidationError
@@ -143,9 +142,7 @@ def cmd_attack(args) -> int:
     reports = attack_release_sequence(releases, et, model, histories, schema)
     write_risks(store.path / "risks.csv", reports)
     vulnerable = count_vulnerable(reports)
-    worst = max((Fraction(*pair) for pair in {(max(r.numerators), r.total)
-                                              for r in reports}),
-                default=Fraction(0))
+    worst = max_risk(reports)
     print(f"{len(reports)} records attacked; max risk "
           f"{worst.numerator}/{worst.denominator}; {vulnerable} fully "
           f"disclosed record versions")

@@ -69,7 +69,6 @@ def _point(qi: Sequence[AttributeSchema], rec: Record) -> tuple[int, ...]:
 # buckets
 
 
-@dataclass
 class Bucket:
     """A signature bucket: one entry (record list) per CUS of the signature.
 
@@ -78,26 +77,21 @@ class Bucket:
     span of member QI indices with its extent and the extents' product.
     """
 
-    signature: USS
-    origin: str  # "signature" | "intersection"
-    entries: list[list[Record]] = field(init=False)
-    freq: Counter = field(init=False)
-    size: int = field(init=False)
-    extent_product: int = field(init=False)  # 1 while empty
-    _f_max: int = field(init=False)
-    _largest: int = field(init=False)
-    _lo: list[int] = field(init=False)
-    _hi: list[int] = field(init=False)
-    _ext: list[int] = field(init=False)
+    __slots__ = ("signature", "origin", "entries", "freq", "size",
+                 "extent_product", "_f_max", "_largest", "_lo", "_hi", "_ext")
 
-    def __post_init__(self):
-        self.entries = [[] for _ in self.signature.entries]
-        self.freq = Counter()
+    def __init__(self, signature: USS, origin: str):
+        self.signature = signature
+        self.origin = origin  # "signature" | "intersection"
+        self.entries: list[list[Record]] = [[] for _ in signature.entries]
+        self.freq: Counter = Counter()
         self.size = 0
-        self.extent_product = 1
+        self.extent_product = 1  # 1 while empty
         self._f_max = 0
         self._largest = 0
-        self._lo, self._hi, self._ext = [], [], []
+        self._lo: list[int] = []
+        self._hi: list[int] = []
+        self._ext: list[int] = []
 
     def delta(self) -> int:
         return max(self._f_max, self._largest)
@@ -151,12 +145,8 @@ def phase1_create_buckets(prev_signatures: Sequence[USS]) -> list[Bucket]:
     A pair can intersect only when both signatures have the same size and
     every entry of each meets the other's values, as a perfect matching of
     nonempty intersections needs; other pairs are skipped untried."""
-    queue: list[USS] = []
-    seen: set[USS] = set()
-    for sig in prev_signatures:
-        if sig not in seen:
-            seen.add(sig)
-            queue.append(sig)
+    queue = list(dict.fromkeys(prev_signatures))
+    seen = set(queue)
     values = [sig.values for sig in queue]
     extra: list[USS] = []
     for i, a in enumerate(queue):

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .baselines import (MInvarianceState, count_vulnerable,
+from .baselines import (MInvarianceState, count_vulnerable, max_risk,
                         publish_l_diversity, publish_m_invariance)
 from .engine import EngineState, publish, verify_m_distinct
 from .errors import ValidationError
@@ -469,7 +469,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                                             schema, seed=seed)
         seconds = time.perf_counter() - t0
         report.published.append(release)
-        report.snapshots.append(list(records))
+        report.snapshots.append(records)
         for rec in records:
             histories.setdefault(rec.id, {})[release.release_index] = \
                 rec.sensitive
@@ -520,7 +520,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         report.verify_ok, report.violations = verify_m_distinct(
             report.published, model, config.m,
             star=(config.publisher == "m_distinct_star"))
-        report.vulnerable = count_vulnerable(report.final_reports)
-        report.max_risk = max((r.max_risk for r in report.final_reports),
-                              default=Fraction(0))
+        report.vulnerable = report.releases[-1].vulnerable
+        report.max_risk = max_risk(report.final_reports)
     return report

@@ -514,13 +514,13 @@ class HistoryStore:
         path = self.path / "schema.json"
         try:
             with open(path) as fh:
-                data = json.load(fh)
+                return _schema_from_json(json.load(fh), f"{path}: ")
         except OSError as exc:
             raise ValidationError(f"no schema in history {self.path}: "
                                   f"{exc.strerror}") from None
         except (ValueError, RecursionError) as exc:
+            # a tree too deep to decode, or to check once decoded
             raise ValidationError(f"{path}: bad JSON ({exc})") from None
-        return _schema_from_json(data, f"{path}: ")
 
     def stored_schema(self, m: int, mode: str) -> TableSchema | None:
         """The schema of a history built with `m` and `mode`, or None for a

@@ -176,11 +176,11 @@ class RiskReport:
     of the actual value's node (0 when it has none), the joint oracle's
     `Fraction` masses, or given risks over 1, and nothing else, so it
     reads the same whatever happens to the memo that made it.  `risks`
-    divides each time it is read; `max_risk` divides once.  `vulnerable`,
-    the number of versions at risk exactly 1 (numerator equal to the
-    total), is counted when the report is made.  Equality, hashing and
-    printing go by (record_id, versions, risks), as for a frozen
-    dataclass."""
+    divides each time it is read; `baselines.max_risk` takes the worst
+    risk of many reports.  `vulnerable`, the number of versions at risk
+    exactly 1 (numerator equal to the total), is counted when the report
+    is made.  Equality, hashing and printing go by (record_id, versions,
+    risks), as for a frozen dataclass."""
 
     __slots__ = ("record_id", "versions", "numerators", "total", "vulnerable")
 
@@ -196,10 +196,6 @@ class RiskReport:
     def risks(self) -> tuple[Fraction, ...]:
         total = self.total
         return tuple([Fraction(n, total) for n in self.numerators])
-
-    @property
-    def max_risk(self) -> Fraction:
-        return Fraction(max(self.numerators), self.total)
 
     def _key(self) -> tuple:
         return self.record_id, self.versions, self.risks

@@ -128,32 +128,29 @@ class USS:
     key is computed once.  A string's hash differs between interpreter
     runs, so a USS is not meant to be pickled."""
 
-    __slots__ = ("entries", "_key", "_hash", "values")
+    __slots__ = ("entries", "key", "_hash", "values")
 
     def __init__(self, entries: Iterable[Iterable[str]]):
         sets = [frozenset(e) for e in entries]
         sets.sort(key=_entry_key)
         self.entries: tuple[frozenset[str], ...] = tuple(sets)
-        self._key = tuple(_entry_key(e) for e in self.entries)
-        self._hash = hash(self._key)
+        self.key: tuple[tuple[str, ...], ...] = tuple(
+            _entry_key(e) for e in self.entries)
+        self._hash = hash(self.key)
         # every value some entry holds
         self.values: frozenset[str] = frozenset().union(*sets)
-
-    @property
-    def key(self) -> tuple[tuple[str, ...], ...]:
-        return self._key
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, USS) and self._key == other._key
+        return isinstance(other, USS) and self.key == other.key
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        inner = ", ".join("{" + ",".join(k) + "}" for k in self._key)
+        inner = ", ".join("{" + ",".join(k) + "}" for k in self.key)
         return f"USS[{inner}]"
 
 

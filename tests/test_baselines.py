@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from mdistinct.baselines import (MInvarianceState, count_vulnerable,
-                                 publish_l_diversity, publish_m_invariance)
+                                 max_risk, publish_l_diversity,
+                                 publish_m_invariance)
 from mdistinct.errors import InfeasibilityError
 from mdistinct.fileio import (HistoryStore, apply_external_updates,
                               initial_population, synthesize_internal_updates,
@@ -49,7 +50,7 @@ class TestLDiversity:
         reports = attack_release_sequence([r1, r2], None, worked_model,
                                           histories_12)
         assert count_vulnerable(reports) == 8
-        assert max(r.max_risk for r in reports) == 1
+        assert max_risk(reports) == 1
 
 
 class TestMInvariance:

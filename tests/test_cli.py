@@ -173,6 +173,30 @@ class TestExitCodes:
                 capsys.readouterr().err
         assert _tree(hist) == before
 
+    def test_deeply_nested_schema_tree_exits_two(self, workdir, capsys):
+        # 700 levels decode, but checking the tree once decoded recurses
+        # deeper than the interpreter allows
+        hist = workdir / "hist"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        assert run(workdir, "publish", "--microdata", workdir / "t1.csv",
+                   "--m", "2", *base) == 0
+        capsys.readouterr()
+        schema = json.loads((hist / "schema.json").read_text())
+        schema["qi"].append({"name": "deep", "kind": "categorical",
+                             "root": "n0", "tree": "TREE"})
+        tree = "".join(f'{{"n{i}": ' for i in range(1, 701)) + "null"
+        (hist / "schema.json").write_text(json.dumps(schema).replace(
+            '"TREE"', tree + "}" * 700))
+        before = _tree(hist)
+        for argv in (["verify", "--m", "2"], ["attack"],
+                     ["publish", "--microdata", workdir / "t2.csv",
+                      "--m", "2"]):
+            assert run(workdir, *argv, *base) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert "schema.json: bad JSON" in err[0]
+        assert _tree(hist) == before
+
     def test_mismatched_parameters_exit_two(self, workdir, capsys):
         hist = workdir / "hist"
         base = ["--model", workdir / "model.csv", "--history", hist]

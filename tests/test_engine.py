@@ -23,7 +23,7 @@ from mdistinct.fileio import (apply_external_updates, initial_population,
 from mdistinct.model import (AttributeSchema, CounterfeitMember, Hierarchy,
                              Record, TableSchema, generalize)
 from mdistinct.updates import USS, UpdateModel, implies, uss_of
-from mdistinct.baselines import count_vulnerable
+from mdistinct.baselines import count_vulnerable, max_risk
 from mdistinct.sug import attack_release_sequence
 
 from conftest import add, side_numerator, span_extent
@@ -495,7 +495,7 @@ class TestPublish:
         reports = attack_release_sequence([r1, r2], None, worked_model,
                                           histories_12)
         assert count_vulnerable(reports) == 0
-        assert max(r.max_risk for r in reports) == F(1, 2)
+        assert max_risk(reports) == F(1, 2)
 
     def test_deterministic_given_seed(self, t1_records, worked_model,
                                       disease_schema):

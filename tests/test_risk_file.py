@@ -4,7 +4,8 @@
 `RiskReport.risks`: one `Fraction` per version, its numerator, denominator
 and `float`.  The properties below require the integer route to write the
 same bytes for every kind of report, from one `Fraction` per distinct
-(numerator, total) pair, and `max_risk` to equal the largest risk.
+(numerator, total) pair, and `baselines.max_risk` to equal the largest risk
+of one report and of a whole list.
 """
 
 import shutil
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdistinct import cli, fileio
+from mdistinct.baselines import max_risk
 from mdistinct.fileio import write_csv, write_risks
 from mdistinct.sug import RiskReport
 
@@ -71,10 +73,13 @@ def test_integer_route_writes_the_reference_bytes(tmp_path_factory, cases):
     write_risks(tmp / "new.csv", [_made(a) for a in cases])
     reference_write_risks(tmp / "old.csv", [_made(a) for a in cases])
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+    assert max_risk([_made(a) for a in cases]) == max(
+        max(_made(a).risks) for a in cases)
+    assert max_risk([]) == 0
     for args in cases:
         report, read = _made(args), _made(args)
-        assert report.max_risk == max(read.risks)
-        assert read.max_risk == max(read.risks)
+        assert max_risk([report]) == max(read.risks)
+        assert max_risk([read]) == max(read.risks)
         assert report.vulnerable == report.risks.count(1)
         given = RiskReport(args[0], args[1], report.risks, 1)
         assert report == given and given == report
@@ -89,7 +94,7 @@ def test_an_unread_integer_report_is_written_without_its_risks(
     report = RiskReport("a", (1, 2, 3), (0, 6, 4), 12)
     monkeypatch.setattr(RiskReport, "risks", property(unread))
     write_risks(tmp_path / "risks.csv", [report])
-    assert report.max_risk == F(1, 2)
+    assert max_risk([report]) == F(1, 2)
     assert (tmp_path / "risks.csv").read_text().splitlines()[1:] == [
         "a,1,0,1,0", "a,2,1,2,0.5", "a,3,1,3,0.333333333333"]
 

@@ -8,7 +8,7 @@ from mdistinct.errors import (CapExceededError, InconsistentHistoryError,
                               ValidationError)
 from mdistinct.model import (ExternalKnowledgeTable, Member, PublishedRelease,
                              QIGroup)
-from mdistinct.sug import (attack_release_sequence, build_sug,
+from mdistinct.sug import (Sug, attack_release_sequence, build_sug,
                            disclosure_risks, prune, risks_by_joint_oracle)
 from mdistinct.updates import UpdateModel
 
@@ -38,6 +38,10 @@ class TestBuild:
     def test_empty_layer_rejected(self, worked_model):
         with pytest.raises(ValidationError):
             build_sug([["Flu"], []], worked_model)
+
+    def test_empty_history_rejected(self, worked_model):
+        with pytest.raises(ValidationError, match="^empty candidate history$"):
+            build_sug([], worked_model)
 
 
 class TestPrune:
@@ -105,6 +109,26 @@ class TestPathsAndRisks:
         assert report.risks == (F(1, 3),) + (F(1, 2),) * 24
         with pytest.raises(CapExceededError):
             risks_by_joint_oracle(history, worked_model, ["Dyspepsia"] * 25)
+
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValidationError, match="^empty graph$"):
+            disclosure_risks(Sug((), ()), [])
+
+    def test_one_actual_value_per_layer_required(self, worked_model):
+        sug = build_sug([["Dyspepsia", "Pneumonia"],
+                         ["Gastritis", "LungCancer"]], worked_model)
+        with pytest.raises(ValidationError,
+                           match="^one actual value per layer required$"):
+            disclosure_risks(sug, ["Dyspepsia"])
+
+    def test_unpruned_graph_with_no_path_raises(self, worked_model):
+        # Glaucoma follows neither value, and prune is not called
+        sug = build_sug([["Dyspepsia", "Pneumonia"], ["Glaucoma"]],
+                        worked_model)
+        with pytest.raises(InconsistentHistoryError,
+                           match="^no feasible path$"):
+            disclosure_risks(sug, ["Dyspepsia", "Glaucoma"])
 
 
 class TestJointOracle:
