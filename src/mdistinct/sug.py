@@ -3,16 +3,20 @@ feasible subgraph, exact path mass and per-version disclosure risks.
 
 All results are exact: node and edge weights are `fractions.Fraction`s and
 risks come out as the golden rationals with no tolerance.  The
-forward/backward path masses run on the weights they are handed, and no
-path is ever enumerated.  `disclosure_risks` hands them a graph's own
-`Fraction`s.  The attack on a release sequence hands them integers: its
-memo scales the model's table by one lcm denominator and weights each
-node by its multiplicity, so each path mass carries the same factor and
-one exact division per risk cancels it.  A report is its integer
-numerators and the shared total, and divides only when a risk is read;
-whether a risk is exactly 1 is an integer test, made when the report
-is.  That attack runs the recursion once per distinct candidate history,
-not once per record, and skips pruning, which cannot change a risk.
+forward/backward path masses never enumerate a path.  `disclosure_risks`
+runs them on a graph's own `Fraction`s, record by record; it is the
+reference route.  The attack on a release sequence runs them on
+integers, for all the records it attacks at once: it scales the model's
+table by one lcm denominator and weights each node by its multiplicity,
+so each path mass carries the same factor and one exact division per
+risk cancels it.  It batches the records by history length into numpy
+chunks of bounded size, and runs a chunk in int64 only when an integer
+bound proves that no mass can wrap, else on Python ints in object arrays,
+so every numerator and total is exact either way.  A report is its
+integer numerators and the shared total, and divides only when a risk is
+read; whether a risk is exactly 1 is an integer test, made when the
+report is.  The attack builds no graph and skips pruning, which cannot
+change a risk.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import CapExceededError, InconsistentHistoryError, ValidationError
 from .model import (ExternalKnowledgeTable, PublishedRelease, TableSchema,
@@ -218,20 +223,19 @@ _Masses = tuple[list[Sequence[_W]], list[list[_W]], _W]
 
 def _masses(nodes: Sequence[Sequence[_W]],
             edges: Sequence[Sequence[Sequence[tuple[int, _W]]]],
-            known: Sequence[Sequence[_W]] | None = None) -> _Masses[_W]:
+            ) -> _Masses[_W]:
     """Forward/backward path mass per node and total path mass.
 
     `nodes[i]` holds layer i's node weights and `edges[i]` the (successor,
-    weight) rows of the gap from layer i to i + 1: a graph's `Fraction`s,
-    or the memo's integers, each layer's and each gap's the true weights
-    times a positive factor of its own.  Every path mass is then the true
-    one times the product of all those factors, the same for every path,
-    which cancels in fwd * bwd / total.  `known`, when given, holds the
-    forward masses of the first layers, computed from the same weights.
+    weight) rows of the gap from layer i to i + 1: a graph's `Fraction`s.
+    `_chunk_masses` runs the same recursion on integers, each layer's and
+    each gap's weights the true ones times a positive factor of its own.
+    Every path mass is then the true one times the product of all those
+    factors, the same for every path, which cancels in fwd * bwd / total.
     """
     depth = len(nodes)
-    fwd = [list(nodes[0])] if known is None else list(known)
-    for i in range(len(fwd), depth):
+    fwd = [list(nodes[0])]
+    for i in range(1, depth):
         mass = [0] * len(nodes[i])
         for base, adj in zip(fwd[-1], edges[i - 1]):
             for v, w in adj:
@@ -334,24 +338,226 @@ def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
 
 _History = tuple[tuple[str, ...], ...]
 
+# Past this many model values the scaled transitions are gathered through
+# sorted keys: a dense int64 table of 1,025 x 1,025 entries takes 8 MB.
+_DENSE_CAP = 1024
+# Entries in the largest temporary array of one chunk of the batch.
+_CHUNK = 1 << 17
+_INT64_LIMIT = 1 << 63
+
+
+class _Transitions:
+    """The model's transition probabilities times their one lcm
+    denominator, as integers indexed by value id.
+
+    Every value of the table, row key or successor, gets an id in table
+    order; id `pad` is no value's and has no transitions, so a padding
+    node gathers weight 0.  Up to `_DENSE_CAP` values the weights sit in
+    a dense table; past that they are looked up by their sorted keys
+    a * (pad + 1) + b.  Each dtype's array is made when first gathered:
+    int64, or object for Python ints."""
+
+    def __init__(self, model: UpdateModel):
+        table = model.successors
+        scale = math.lcm(*(p.denominator for row in table.values()
+                           for p in row.values()))
+        ids: dict[str, int] = {}
+        for a, row in table.items():
+            ids.setdefault(a, len(ids))
+            for b in row:
+                ids.setdefault(b, len(ids))
+        self.ids = ids
+        self.pad = len(ids)
+        span = self.pad + 1
+        entries = sorted((ids[a] * span + ids[b],
+                          p.numerator * (scale // p.denominator))
+                         for a, row in table.items() for b, p in row.items())
+        self.largest = max((w for _, w in entries), default=0)
+        # a last key above every query's, weight 0: no search runs off the end
+        self.keys = np.array([k for k, _ in entries] + [span * span],
+                             np.int64)
+        self.weights = [w for _, w in entries] + [0]
+        self.arrays: dict[object, np.ndarray] = {}
+
+    def gather(self, sources: np.ndarray, targets: np.ndarray,
+               dtype: object) -> np.ndarray:
+        """The weight from each source id `sources[..., u]` to each target
+        id `targets[..., v]`, at [..., u, v]."""
+        weights = self.arrays.get(dtype)
+        if weights is None:
+            weights = np.array(self.weights, dtype)
+            if self.pad <= _DENSE_CAP:
+                span = self.pad + 1
+                dense = np.zeros(span * span, dtype)
+                dense[self.keys[:-1]] = weights[:-1]
+                weights = dense.reshape(span, span)
+            self.arrays[dtype] = weights
+        sources = sources[..., :, None]
+        targets = targets[..., None, :]
+        if weights.ndim == 2:
+            return weights[sources, targets]
+        keys = sources * (self.pad + 1) + targets
+        at = np.searchsorted(self.keys, keys)
+        return np.where(self.keys[at] == keys, weights[at], 0)
+
+
+def _chunk_masses(nodes: np.ndarray, mults: np.ndarray, table: _Transitions,
+                  dtype: object) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward path masses of a chunk of equally long
+    histories: `nodes[r, i, k]` is the value id of history r's k-th node
+    in layer i and `mults[r, i, k]` its weight, its multiplicity (padding
+    nodes: id `table.pad`, weight 0).  The same recursion as `_masses`,
+    one matrix product per layer for the whole chunk."""
+    depth = nodes.shape[1]
+    if dtype is object:
+        mults = mults.astype(object)   # Python ints, which never wrap
+    fwd = np.empty(nodes.shape, dtype)
+    bwd = np.empty(nodes.shape, dtype)
+    fwd[:, 0] = mults[:, 0]
+    bwd[:, -1] = 1
+    if depth > 1:
+        edges = table.gather(nodes[:, :-1], nodes[:, 1:], dtype)
+        for i in range(1, depth):
+            fwd[:, i] = np.matmul(fwd[:, i - 1, None],
+                                  edges[:, i - 1])[:, 0] * mults[:, i]
+        for i in range(depth - 2, -1, -1):
+            after = mults[:, i + 1] * bwd[:, i + 1]
+            bwd[:, i] = np.matmul(edges[:, i], after[..., None])[..., 0]
+    return fwd, bwd
+
+
+def _score(memo: "AttackMemo", rids: Sequence[str],
+           histories: Mapping[str, Mapping[int, str]]) -> None:
+    """Put the reports of `rids` (in id order) into `memo.reports`, or raise
+    the error of the first record in id order that has one.
+
+    Each distinct candidate multiset of the call becomes one row of value
+    ids and multiplicities, checked by `_check_layer` when a record first
+    holds it.  The records are then batched by history length, each chunk
+    padded to its own widest layer, and read out at their actual values'
+    nodes.  A chunk runs in int64 only when no mass can reach 2**63; see
+    `attack_release_sequence`.  Records are kept in flat lists of ints,
+    not a list per record: objects that live through the call would make
+    the cyclic collector run full collections inside it."""
+    model = memo.bound[0]
+    membership = memo.membership
+    table = memo.table
+    ids = table.ids
+    rows: dict[tuple[str, ...], int] = {}
+    flat_ids: list[int] = []
+    flat_mults: list[int] = []
+    starts: list[int] = []
+    widths: list[int] = []
+    sizes: list[int] = []
+    layer_rows: list[int] = []     # each record's rows, one after another
+    actual_ids: list[int] = []     # the same for its actual values' ids
+    offsets: list[int] = []        # where each record's rows start
+    by_depth: dict[int, list[int]] = {}
+    failure = None
+    for k, rid in enumerate(rids):
+        versions, candidates = membership[rid]
+        try:
+            try:
+                actual = [histories[rid][i] for i in versions]
+            except KeyError:
+                raise ValidationError(f"no actual sensitive value on file "
+                                      f"for {rid!r} at one of releases "
+                                      f"{versions}")
+            for i, values in enumerate(candidates):
+                row = rows.get(values)
+                if row is None:
+                    _check_layer(i, values, model)
+                    counts = _tally(values)
+                    row = rows[values] = len(starts)
+                    starts.append(len(flat_ids))
+                    flat_ids.extend([ids[v] for v in counts])
+                    flat_mults.extend(counts.values())
+                    widths.append(len(counts))
+                    sizes.append(len(values))
+                layer_rows.append(row)
+        except ValidationError as exc:
+            # raised once the records before it are known to be feasible
+            failure = exc
+            break
+        offsets.append(len(actual_ids))
+        actual_ids.extend([ids.get(v, -1) for v in actual])
+        by_depth.setdefault(len(versions), []).append(k)
+
+    starts_a = np.array(starts, np.int64)
+    widths_a = np.array(widths, np.int64)
+    sizes_a = np.array(sizes, np.int64)
+    ids_a = np.array(flat_ids, np.int64)
+    mults_a = np.array(flat_mults, np.int64)
+    offsets_a = np.array(offsets, np.int64)
+    layer_rows_a = np.array(layer_rows, np.int64)
+    actual_a = np.array(actual_ids, np.int64)
+    reports = memo.reports
+    dead: dict[int, int] = {}
+    for depth, members in by_depth.items():
+        members = np.array(members)
+        at = offsets_a[members][:, None] + np.arange(depth)
+        history_rows, actual = layer_rows_a[at], actual_a[at]
+        width = widths_a[history_rows].max(axis=1)
+        order = np.argsort(width, kind="stable")
+        members, history_rows, actual, width = (
+            members[order], history_rows[order], actual[order], width[order])
+        # a chunk's cost is its records times depth times its widest
+        # layer squared, the size of its gathered transitions
+        cost = depth * width * width
+        start = 0
+        while start < len(members):
+            fits = np.searchsorted(
+                cost[start:] * np.arange(1, len(cost) - start + 1), _CHUNK,
+                "right")
+            stop = start + max(1, int(fits))
+            chunk = history_rows[start:stop]
+            slots = np.arange(width[stop - 1])
+            at = starts_a[chunk][..., None] + slots
+            real = slots < widths_a[chunk][..., None]
+            nodes = np.where(real, ids_a.take(at, mode="clip"), table.pad)
+            mults = np.where(real, mults_a.take(at, mode="clip"), 0)
+            exact = (int(sizes_a[chunk].max()) ** depth
+                     * table.largest ** (depth - 1) < _INT64_LIMIT)
+            fwd, bwd = _chunk_masses(nodes, mults, table,
+                                     np.int64 if exact else object)
+            hit = nodes == actual[start:stop, :, None]
+            numer = np.where(hit, fwd * bwd, 0).sum(axis=2)
+            total = fwd[:, -1].sum(axis=1)
+            for k, row, t in zip(members[start:stop].tolist(), numer.tolist(),
+                                 total.tolist()):
+                rid = rids[k]
+                reports[rid] = RiskReport(rid, membership[rid][0],
+                                          tuple(row), t)
+            empty = total == 0
+            if empty.any():
+                # no feasible path: name prune's layer, the one before the
+                # first that nothing from layer 1 reaches
+                reached = (fwd[empty] != 0).any(axis=2).sum(axis=1)
+                for k, j in zip(members[start:stop][empty].tolist(),
+                                reached.tolist()):
+                    dead[k] = j
+            start = stop
+    if dead:
+        raise InconsistentHistoryError(
+            f"layer {dead[min(dead)]} has no feasible node")
+    if failure is not None:
+        raise failure
+
 
 class AttackMemo:
     """What attacks on ever longer prefixes of one release sequence share.
 
     Bound to one model, set of external tables and schema, it holds:
     - the model's transition probabilities times their common lcm
-      denominator; per distinct candidate multiset its value positions and
-      node weights (the multiplicities, in proportion to the shares); per
-      distinct pair of consecutive multisets its successor rows;
+      denominator, indexed by value id (`_Transitions`);
     - the releases folded so far, and each record's versions and candidate
       sets read off them;
     - the last attack's reports, each its integer numerators and total
       and no reference to the memo, so a report reads the same after the
-      memo starts over;
-    - the forward masses of the candidate histories of the newest
-      release's records, and of no other: a longer prefix extends no other
-      history.
+      memo starts over.
 
+    It keeps no path masses: each call computes those of the records its
+    new releases hold in one batch, and settled records keep their reports.
     Handed other bindings, or releases whose first ones are not the folded
     ones (the same objects, in the same order), it starts over.  The
     actual values of releases already folded must stay as they were.
@@ -363,25 +569,10 @@ class AttackMemo:
     def _bind(self, bound: tuple) -> None:
         """Forget everything and serve `bound`: (model, schema, *tables)."""
         self.bound = bound
-        self.rows: dict[str, dict[str, int]] = {}
-        if bound:
-            table = bound[0].successors
-            scale = math.lcm(*(p.denominator for row in table.values()
-                               for p in row.values()))
-            self.rows = {a: {b: p.numerator * (scale // p.denominator)
-                             for b, p in row.items()}
-                         for a, row in table.items()}
-        self.layers: dict[tuple[str, ...],
-                          tuple[dict[str, int], tuple[int, ...]]] = {}
-        self.gaps: dict[tuple[tuple[str, ...], tuple[str, ...]],
-                        tuple[tuple[tuple[int, int], ...], ...]] = {}
-        # one object per distinct successor row: most gaps repeat a few
-        self.successors: dict[tuple[tuple[int, int], ...],
-                              tuple[tuple[int, int], ...]] = {}
+        self.table = _Transitions(bound[0]) if bound else None
         self.releases: list[PublishedRelease] = []
         self.membership: dict[str, tuple[tuple[int, ...], _History]] = {}
         self.reports: dict[str, RiskReport] = {}
-        self.forwards: dict[_History, tuple[tuple[int, ...], ...]] = {}
 
     def _serves(self, bound: tuple,
                 ordered: Sequence[PublishedRelease]) -> bool:
@@ -414,34 +605,6 @@ class AttackMemo:
             self.releases.append(rel)
         return grown
 
-    def masses(self, candidates: _History,
-               ) -> tuple[list[dict[str, int]], _Masses]:
-        """Value positions per layer and the path masses of one history,
-        with build_sug's checks in build_sug's order; the forward masses
-        start from those kept for the history without its last layer."""
-        layers = []
-        for i, values in enumerate(candidates):
-            layer = self.layers.get(values)
-            if layer is None:
-                _check_layer(i, values, self.bound[0])
-                counts = _tally(values)
-                layer = self.layers[values] = (
-                    {v: k for k, v in enumerate(counts)},
-                    tuple(counts.values()))
-            layers.append(layer)
-        edges = []
-        for a, b, (sources, _), (targets, _) in zip(
-                candidates, candidates[1:], layers, layers[1:]):
-            gap = self.gaps.get((a, b))
-            if gap is None:
-                gap = self.gaps[(a, b)] = tuple(
-                    self.successors.setdefault(row, row)
-                    for row in _gap(list(sources), list(targets), self.rows))
-            edges.append(gap)
-        positions = [pos for pos, _ in layers]
-        return positions, _masses([weights for _, weights in layers], edges,
-                                  self.forwards.get(candidates[:-1]))
-
 
 def attack_release_sequence(releases: Sequence[PublishedRelease],
                             et: Sequence[ExternalKnowledgeTable] | None,
@@ -460,21 +623,27 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     a schema are refused, as are a table whose index names none of the
     releases and a release index given twice.
 
-    Records with the same candidate history share one SUG, so its path
-    masses are computed once per call and dropped after its last record.
-    No graph is pruned: a node prune removes has forward or backward mass
-    0, so every risk comes out the same without it.
-    A history with no feasible path raises prune's error, found from its
-    forward masses.  Each report is its integer numerators and total
-    (see `RiskReport`), so a prefix whose reports only `count_vulnerable`
-    reads builds no `Fraction`.
+    The path masses of every record the call attacks are computed in one
+    batched numpy pass per history length, in chunks of about 2**17
+    entries, each padded only to its own widest layer.  No graph is built
+    or pruned: a node prune removes has forward or backward mass 0, so
+    every risk comes out the same without it.  A chunk runs in int64 only
+    when (largest multiset size)**L * (largest scaled weight)**(L - 1) is
+    below 2**63: that bounds the total mass of an L-layer history and
+    every mass and partial sum on the way to it, so nothing wraps.  Otherwise it runs the same numpy code on Python
+    ints (object arrays).  Either way each numerator and total is the
+    integer the per-record recursion gives.  A history with no feasible
+    path raises prune's error, found from its forward masses; of several
+    errors, the first record's in id order is raised.  Each report is its
+    integer numerators and total (see `RiskReport`), so a prefix whose
+    reports only `count_vulnerable` reads builds no `Fraction`.
 
     `memo` carries an attack's work to the next one on the same releases
     plus newer ones (same model, tables, schema and actual values).  Only
-    the new releases are read; a record they leave out keeps its report,
-    and a history one layer longer than a kept one extends its forward
-    masses.  A call that raises leaves the memo empty.  A call without a
-    memo runs on a fresh one, which keeps no forward masses.
+    the new releases are read, and only the records they hold are
+    attacked; a record they leave out keeps its report.  A call that
+    raises leaves the memo empty.  A call without a memo runs on a fresh
+    one.
     """
     if et and schema is None:
         raise ValidationError("external tables need the table schema for "
@@ -485,7 +654,6 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     if stray:
         raise ValidationError(f"external table of release {stray[0]}: no "
                               f"release {stray[0]} in the history")
-    kept = memo is not None    # a memo made here serves no later call
     if memo is None:
         memo = AttackMemo()
     bound = (model, schema, *(et or ()))
@@ -493,40 +661,8 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
         memo._bind(bound)
     try:
         grown = memo._fold(ordered[len(memo.releases):], et_by_index, schema)
-        newest = ordered[-1].release_index if ordered else None
-        left = Counter(memo.membership[rid][1] for rid in grown)
-        shared: dict[_History, tuple[list[dict[str, int]], _Masses]] = {}
-        forwards: dict[_History, tuple[tuple[int, ...], ...]] = {}
-        for rid in sorted(grown):
-            versions, candidates = memo.membership[rid]
-            try:
-                actual = [histories[rid][i] for i in versions]
-            except KeyError:
-                raise ValidationError(f"no actual sensitive value on file "
-                                      f"for {rid!r} at one of releases "
-                                      f"{versions}")
-            if candidates in shared:
-                positions, masses = shared.pop(candidates)
-            else:
-                positions, masses = memo.masses(candidates)
-            left[candidates] -= 1
-            if left[candidates]:
-                shared[candidates] = positions, masses
-            if masses[2] == 0:
-                # no feasible path: name prune's layer, the one before the
-                # first that nothing from layer 1 reaches
-                j = next(j for j, row in enumerate(masses[0]) if not any(row))
-                raise InconsistentHistoryError(
-                    f"layer {j} has no feasible node")
-            if kept and versions[-1] == newest:
-                # as tuples of ints, which the cyclic collector stops
-                # tracking: kept lists would add to every full collection
-                forwards[candidates] = tuple(map(tuple, masses[0]))
-            memo.reports[rid] = _report(positions, masses, actual, rid,
-                                        versions)
+        _score(memo, sorted(grown), histories)
     except BaseException:
         memo._bind(())
         raise
-    if grown:
-        memo.forwards = forwards
     return [memo.reports[rid] for rid in sorted(memo.membership)]

@@ -10,16 +10,21 @@
   message, as the plain node-by-node sweep kept below as the reference.
 * `attack_release_sequence(..., memo=...)` folds only the releases its
   memo has not seen, hands back settled records' earlier reports and
-  extends kept forward masses; every prefix must still equal a fresh
-  attack, or raise its error, and a memo that does not fit the call, or
-  whose call raised, must not change what the next call gives.
-* `attack_release_sequence` shares one set of path masses among the
-  records with the same candidate history and prunes nothing; its reports,
-  and the error it raises, must be those of `reference_attack`, which runs
-  `disclosure_risks(prune(build_sug(...)))` record by record, in exact
-  rationals where the attack runs on its memo's integers.  It builds
-  no graph, not even for a history with no feasible path, whose error it
-  reads off its own forward masses.
+  attacks only the records the new releases hold; every prefix must still
+  equal a fresh attack, or raise its error, and a memo that does not fit
+  the call, or whose call raised, must not change what the next call
+  gives.
+* `attack_release_sequence` runs the path masses of all the records it
+  attacks in one batched numpy pass per history length, and prunes
+  nothing; its reports, and the error it raises, must be those of
+  `reference_attack`, which runs `disclosure_risks(prune(build_sug(...)))`
+  record by record, in exact rationals where the attack runs on scaled
+  integers.  It builds no graph, not even for a history with no feasible
+  path, whose error it reads off its own forward masses.  Fixed cases pin
+  the batch's edges: masses past 2**63, which must run on Python ints;
+  actual values on no node; the first record's error in id order; a model
+  too large for the dense transition table; and one wide group among
+  narrow ones, which must pad only its own chunk.
 * The attack's reports hold integer numerators and make their `Fraction`s
   each time `risks` is read; `count_vulnerable` sums the risk-1 counts
   taken when the reports were made.  That count must equal the risks read
@@ -29,6 +34,7 @@
 """
 
 import gc
+import random
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -558,3 +564,174 @@ def test_count_vulnerable_builds_no_fraction(release_one, release_two_naive,
     assert counts == [count_vulnerable(attack_release_sequence(
         releases[:k], None, worked_model, histories_12)) for k in (1, 2)]
     assert counts[-1] > 0
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel's edges, each against the record-by-record reference
+
+
+def _release(index, *groups):
+    """A release of `groups`, each a list of (record id, value); a record
+    id of None makes a counterfeit."""
+    out = []
+    for gid, group in enumerate(groups, start=1):
+        members = tuple(Member(rid or f"c{index}.{gid}.{k}", value,
+                               rid is None)
+                        for k, (rid, value) in enumerate(group))
+        out.append(QIGroup(gid, (), members,
+                           tuple(m.sensitive for m in members)))
+    return PublishedRelease(index, tuple(out))
+
+
+def test_masses_past_int64_run_on_python_ints():
+    """A Hypothesis find: the scaled weights are near 2**21 (lcm scale
+    4,594,590), so four layers of two-member groups carry path masses near
+    1e20.  Run in int64 without the bound, r0's last risk came out as
+    -96992976941439579/94244422268832586 instead of 1/2."""
+    model = UpdateModel(tuple(f"s{i}" for i in range(6)), {
+        "s0": {"s0": F(2, 5), "s1": F(2, 5), "s2": F(1, 5)},
+        "s1": {"s1": F(3, 7), "s2": F(4, 7)},
+        "s2": {"s1": F(5, 11), "s2": F(6, 11)},
+        "s3": {"s3": F(8, 17), "s4": F(9, 17)},
+        "s4": {"s3": F(1, 26), "s4": F(25, 26)},
+        "s5": {"s3": F(1, 27), "s4": F(1, 27), "s5": F(25, 27)},
+    })
+    assert validate_update_model(model) == []
+    releases = [_release(i, [("r0", "s0"), ("twin", "s0")])
+                for i in (1, 2, 3)]
+    releases.append(_release(4, [("r0", "s0"), ("twin", "s1")]))
+    histories = {"r0": dict.fromkeys(range(1, 5), "s0"),
+                 "twin": {1: "s0", 2: "s0", 3: "s0", 4: "s1"}}
+    reports = attack_release_sequence(releases, None, model, histories)
+    assert reports == reference_attack(releases, model, histories)
+    r0, _ = reports
+    assert r0.risks[-1] == F(1, 2)
+    assert type(r0.total) is int and r0.total >= 2 ** 63
+
+
+def test_actual_value_in_no_candidate_set_gets_risk_0(worked_model):
+    # Ken's groups are narrower than Ben's, so his layers are padded in the
+    # chunk they share; neither of his actual values, one of them unknown
+    # to the model, is on a node of his history or matches a padding node
+    releases = [
+        _release(1, [("Ken", "Dyspepsia"), ("Julia", "Gastritis")],
+                 [("Ben", "Flu"), ("Tom", "Pneumonia"), ("Lily", "Glaucoma"),
+                  ("Harry", "Dyspepsia")]),
+        _release(2, [("Ken", "Gastritis"), ("Julia", "Dyspepsia")],
+                 [("Ben", "LungCancer"), ("Tom", "LungCancer"),
+                  ("Lily", "Cataract"), ("Harry", "Gastritis")]),
+    ]
+    histories = {rid: {1: g1, 2: g2} for rid, g1, g2 in [
+        ("Ken", "Flu", "zz"), ("Julia", "Gastritis", "Dyspepsia"),
+        ("Ben", "Flu", "LungCancer"), ("Tom", "Pneumonia", "LungCancer"),
+        ("Lily", "Glaucoma", "Cataract"), ("Harry", "Dyspepsia", "Gastritis")]}
+    reports = attack_release_sequence(releases, None, worked_model, histories)
+    assert reports == reference_attack(releases, worked_model, histories)
+    ken = next(r for r in reports if r.record_id == "Ken")
+    assert ken.numerators == (0, 0) and ken.total > 0
+
+
+@pytest.mark.parametrize("lacking", ["a", "b"])
+def test_the_first_record_in_id_order_names_the_error(worked_model, lacking):
+    """One record lacks an actual value and the other's history has no
+    feasible path (Pneumonia cannot become Dyspepsia); the error is the
+    one of the record that sorts first, and the memo is left empty."""
+    infeasible = "b" if lacking == "a" else "a"
+    releases = [
+        _release(1, [(infeasible, "Flu")], [(lacking, "Glaucoma")]),
+        _release(2, [(infeasible, "Pneumonia")], [(lacking, "Cataract")]),
+        _release(3, [(infeasible, "Dyspepsia")], [(lacking, "Cataract")]),
+    ]
+    histories = {infeasible: {1: "Flu", 2: "Pneumonia", 3: "Dyspepsia"},
+                 lacking: {1: "Glaucoma", 2: "Cataract"}}
+    want = _outcome(reference_attack, releases, worked_model, histories)
+    assert want[0] is (ValidationError if lacking == "a"
+                       else InconsistentHistoryError)
+    memo = AttackMemo()
+    assert _outcome(attack_release_sequence, releases, None, worked_model,
+                    histories, memo=memo) == want
+    assert memo.reports == {} and memo.membership == {}
+
+
+def _block_model(n_values, size):
+    """Closed blocks of `size` values, each row a different rotation of
+    the same non-uniform weights."""
+    values = [f"v{i:04d}" for i in range(n_values)]
+    weights = [F(k + 1, size * (size + 1) // 2) for k in range(size)]
+    table = {}
+    for start in range(0, n_values, size):
+        block = values[start:start + size]
+        for r, a in enumerate(block):
+            table[a] = {b: weights[(k - r) % size]
+                        for k, b in enumerate(block)}
+    return UpdateModel(tuple(values), table)
+
+
+def _random_walks(model, rids, n_releases, group_size, seed, domain=None):
+    """Each record walks the model from a random value of `domain` (the
+    model's by default); each release cuts the records, in a shuffled
+    order, into groups of `group_size`, each with one decoy from
+    `domain`."""
+    rng = random.Random(seed)
+    domain = list(domain or model.sensitive_domain)
+    histories = {rid: {} for rid in rids}
+    releases = []
+    for index in range(1, n_releases + 1):
+        for rid in rids:
+            before = histories[rid].get(index - 1)
+            pool = domain if before is None else sorted(model.cus_of(before))
+            histories[rid][index] = rng.choice(pool)
+        order = rng.sample(rids, len(rids))
+        groups = [[(rid, histories[rid][index])
+                   for rid in order[k:k + group_size]]
+                  + [(None, rng.choice(domain))]
+                  for k in range(0, len(order), group_size)]
+        releases.append(_release(index, *groups))
+    return releases, histories
+
+
+def test_a_model_past_the_dense_cap_gathers_through_sorted_keys():
+    model = _block_model(sug_module._DENSE_CAP + 77, 3)
+    assert validate_update_model(model) == []
+    assert len(model.successors) > sug_module._DENSE_CAP
+    rids = [f"r{k:02d}" for k in range(12)]
+    # the first block and the last two: ids on both sides of the cap
+    values = model.sensitive_domain
+    releases, histories = _random_walks(model, rids, 4, 2, seed=5,
+                                        domain=values[:3] + values[-6:])
+    reports = attack_release_sequence(releases, None, model, histories)
+    assert reports == reference_attack(releases, model, histories)
+    assert any(0 < r < 1 for report in reports for r in report.risks)
+
+
+def test_one_wide_group_pads_only_its_own_chunk():
+    narrow = _block_model(12, 3)
+    wide = [f"w{i:02d}" for i in range(60)]
+    model = UpdateModel(narrow.sensitive_domain + tuple(wide), {
+        **narrow.successors,
+        **{w: {b: F(1, 60) for b in wide} for w in wide}})
+    assert validate_update_model(model) == []
+    rids = [f"n{k:02d}" for k in range(30)]
+    releases, histories = _random_walks(narrow, rids, 3, 1, seed=3)
+    # one record of the wide class, in a group of 59 counterfeits
+    histories["wide"] = {i: wide[i] for i in (1, 2, 3)}
+    releases = [replace(rel, groups=rel.groups + _release(
+        i, [("wide", wide[i]), *[(None, w) for w in wide if w != wide[i]]]
+    ).groups) for i, rel in enumerate(releases, start=1)]
+    want = reference_attack(releases, model, histories)
+    shapes = []
+
+    def spy(nodes, *args):
+        shapes.append(nodes.shape)
+        return masses(nodes, *args)
+
+    masses = sug_module._chunk_masses
+    with mock.patch.object(sug_module, "_chunk_masses", spy):
+        assert attack_release_sequence(releases, None, model,
+                                       histories) == want
+    # the 30 narrow records share one chunk, padded to two nodes a layer
+    assert sorted(shapes) == [(1, 3, 60), (30, 3, 2)]
+    # chunks of a few records each give the same reports
+    with mock.patch.object(sug_module, "_CHUNK", 48):
+        assert attack_release_sequence(releases, None, model,
+                                       histories) == want
