@@ -10,9 +10,10 @@ integers, for all the records it attacks at once: it scales the model's
 table by one lcm denominator and weights each node by its multiplicity,
 so each path mass carries the same factor and one exact division per
 risk cancels it.  It batches the records by history length into numpy
-chunks of bounded size, and runs a chunk in int64 only when an integer
-bound proves that no mass can wrap, else on Python ints in object arrays,
-so every numerator and total is exact either way.  A report is its
+chunks of bounded size (a history too wide for any chunk runs alone, on
+its layers' successor rows), and runs a chunk in int64 only when an
+integer bound proves that no mass can wrap, else on Python ints in object
+arrays, so every numerator and total is exact either way.  A report is its
 integer numerators and the shared total, and divides only when a risk is
 read; whether a risk is exactly 1 is an integer test, made when the
 report is.  The attack builds no graph and skips pruning, which cannot
@@ -227,9 +228,10 @@ def _masses(nodes: Sequence[Sequence[_W]],
     """Forward/backward path mass per node and total path mass.
 
     `nodes[i]` holds layer i's node weights and `edges[i]` the (successor,
-    weight) rows of the gap from layer i to i + 1: a graph's `Fraction`s.
-    `_chunk_masses` runs the same recursion on integers, each layer's and
-    each gap's weights the true ones times a positive factor of its own.
+    weight) rows of the gap from layer i to i + 1: a graph's `Fraction`s,
+    or the attack's integers for a history too wide for its chunks.
+    `_chunk_masses` runs the same recursion on integers in numpy.  Integer
+    weights are the true ones times a positive factor per layer and gap.
     Every path mass is then the true one times the product of all those
     factors, the same for every path, which cancels in fwd * bwd / total.
     """
@@ -338,10 +340,13 @@ def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
 
 _History = tuple[tuple[str, ...], ...]
 
-# Past this many model values the scaled transitions are gathered through
-# sorted keys: a dense int64 table of 1,025 x 1,025 entries takes 8 MB.
+# Up to this many model values the scaled weights sit in a dense table
+# (1,025 x 1,025 int64 entries take 8 MB); past it they are found by
+# searching sorted keys.  Searching for every model made perfbench's
+# sim_m6 audit_ref 1.34x slower (seed 7, 2-core host).
 _DENSE_CAP = 1024
-# Entries in the largest temporary array of one chunk of the batch.
+# Entries in the largest array of one chunk of the batch.  A history whose
+# own transitions would pass it runs alone, on its successor rows.
 _CHUNK = 1 << 17
 _INT64_LIMIT = 1 << 63
 
@@ -352,10 +357,10 @@ class _Transitions:
 
     Every value of the table, row key or successor, gets an id in table
     order; id `pad` is no value's and has no transitions, so a padding
-    node gathers weight 0.  Up to `_DENSE_CAP` values the weights sit in
-    a dense table; past that they are looked up by their sorted keys
-    a * (pad + 1) + b.  Each dtype's array is made when first gathered:
-    int64, or object for Python ints."""
+    node gathers weight 0.  `rows[a][b]` is the weight from id a to id b.
+    A chunk gathers weights from a dense table up to `_DENSE_CAP` values,
+    and past that by searching their sorted keys a * (pad + 1) + b; in
+    int64 or in Python ints (object), each made when first used."""
 
     def __init__(self, model: UpdateModel):
         table = model.successors
@@ -368,11 +373,14 @@ class _Transitions:
                 ids.setdefault(b, len(ids))
         self.ids = ids
         self.pad = len(ids)
+        self.rows = {ids[a]: {ids[b]: p.numerator * (scale // p.denominator)
+                              for b, p in row.items()}
+                     for a, row in table.items()}
         span = self.pad + 1
-        entries = sorted((ids[a] * span + ids[b],
-                          p.numerator * (scale // p.denominator))
-                         for a, row in table.items() for b, p in row.items())
-        self.largest = max((w for _, w in entries), default=0)
+        entries = sorted((a * span + b, w) for a, row in self.rows.items()
+                         for b, w in row.items())
+        # bounds every mass's magnitude, whatever the weights' signs
+        self.largest = max((abs(w) for _, w in entries), default=0)
         # a last key above every query's, weight 0: no search runs off the end
         self.keys = np.array([k for k, _ in entries] + [span * span],
                              np.int64)
@@ -426,6 +434,28 @@ def _chunk_masses(nodes: np.ndarray, mults: np.ndarray, table: _Transitions,
     return fwd, bwd
 
 
+def _cuts(cost: np.ndarray) -> list[int]:
+    """Where the chunks of records sorted by ascending cost end: each is
+    the longest run whose length times its last record's cost stays
+    within `_CHUNK` (every cost does)."""
+    stops = []
+    taken = end = 0
+    for each, group in itertools.groupby(cost.tolist()):
+        count = len(list(group))
+        room = _CHUNK // each
+        while count:
+            if taken >= room:
+                stops.append(end)
+                taken = 0
+            step = min(count, room - taken)
+            taken += step
+            end += step
+            count -= step
+    if taken:
+        stops.append(end)
+    return stops
+
+
 def _score(memo: "AttackMemo", rids: Sequence[str],
            histories: Mapping[str, Mapping[int, str]]) -> None:
     """Put the reports of `rids` (in id order) into `memo.reports`, or raise
@@ -436,9 +466,11 @@ def _score(memo: "AttackMemo", rids: Sequence[str],
     holds it.  The records are then batched by history length, each chunk
     padded to its own widest layer, and read out at their actual values'
     nodes.  A chunk runs in int64 only when no mass can reach 2**63; see
-    `attack_release_sequence`.  Records are kept in flat lists of ints,
-    not a list per record: objects that live through the call would make
-    the cyclic collector run full collections inside it."""
+    `attack_release_sequence`.  A history too wide for any chunk runs
+    alone through `_masses`, on the successor rows of its layers.
+    Records are kept in flat lists of ints, not a list per record:
+    objects that live through the call would make the cyclic collector
+    run full collections inside it."""
     model = memo.bound[0]
     membership = memo.membership
     table = memo.table
@@ -504,12 +536,9 @@ def _score(memo: "AttackMemo", rids: Sequence[str],
         # a chunk's cost is its records times depth times its widest
         # layer squared, the size of its gathered transitions
         cost = depth * width * width
+        fits = int(np.searchsorted(cost, _CHUNK, "right"))
         start = 0
-        while start < len(members):
-            fits = np.searchsorted(
-                cost[start:] * np.arange(1, len(cost) - start + 1), _CHUNK,
-                "right")
-            stop = start + max(1, int(fits))
+        for stop in _cuts(cost[:fits]):
             chunk = history_rows[start:stop]
             slots = np.arange(width[stop - 1])
             at = starts_a[chunk][..., None] + slots
@@ -537,6 +566,20 @@ def _score(memo: "AttackMemo", rids: Sequence[str],
                                 reached.tolist()):
                     dead[k] = j
             start = stop
+        for k, history, values in zip(members[fits:].tolist(),
+                                      history_rows[fits:].tolist(),
+                                      actual[fits:].tolist()):
+            nodes = [flat_ids[starts[r]:starts[r] + widths[r]]
+                     for r in history]
+            masses = _masses(
+                [flat_mults[starts[r]:starts[r] + widths[r]] for r in history],
+                [_gap(a, b, table.rows) for a, b in zip(nodes, nodes[1:])])
+            if masses[2] == 0:
+                dead[k] = sum(map(any, masses[0]))
+            rid = rids[k]
+            reports[rid] = _report(
+                [{v: i for i, v in enumerate(layer)} for layer in nodes],
+                masses, values, rid, membership[rid][0])
     if dead:
         raise InconsistentHistoryError(
             f"layer {dead[min(dead)]} has no feasible node")
@@ -624,19 +667,22 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     releases and a release index given twice.
 
     The path masses of every record the call attacks are computed in one
-    batched numpy pass per history length, in chunks of about 2**17
-    entries, each padded only to its own widest layer.  No graph is built
-    or pruned: a node prune removes has forward or backward mass 0, so
-    every risk comes out the same without it.  A chunk runs in int64 only
-    when (largest multiset size)**L * (largest scaled weight)**(L - 1) is
-    below 2**63: that bounds the total mass of an L-layer history and
-    every mass and partial sum on the way to it, so nothing wraps.  Otherwise it runs the same numpy code on Python
-    ints (object arrays).  Either way each numerator and total is the
-    integer the per-record recursion gives.  A history with no feasible
-    path raises prune's error, found from its forward masses; of several
-    errors, the first record's in id order is raised.  Each report is its
-    integer numerators and total (see `RiskReport`), so a prefix whose
-    reports only `count_vulnerable` reads builds no `Fraction`.
+    batched numpy pass per history length, in chunks of at most 2**17
+    gathered transitions, each padded only to its own widest layer; a
+    history whose own transitions pass that runs alone, on its layers'
+    successor rows.  No graph is built or pruned: a node prune removes
+    has forward or backward mass 0, so every risk comes out the same
+    without it.  A chunk runs in int64 only when (largest multiset
+    size)**L * (largest scaled weight's magnitude)**(L - 1) is below
+    2**63: that bounds the total mass of an L-layer history and every
+    mass and partial sum on the way to it, so nothing wraps.  Otherwise
+    it runs the same numpy code on Python ints (object arrays).  Either
+    way each numerator and total is the integer the per-record recursion
+    gives.  A history with no feasible path raises prune's error, found
+    from its forward masses; of several errors, the first record's in id
+    order is raised.  Each report is its integer numerators and total
+    (see `RiskReport`), so a prefix whose reports only `count_vulnerable`
+    reads builds no `Fraction`.
 
     `memo` carries an attack's work to the next one on the same releases
     plus newer ones (same model, tables, schema and actual values).  Only

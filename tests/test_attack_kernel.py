@@ -2,9 +2,9 @@
 
 * `disclosure_risks(prune(build_sug(...)))` runs its path masses on the
   graph's own `Fraction` weights; the joint-enumeration oracle enumerates
-  every joint assignment outright.  Both must give the same `RiskReport` under closed models with
-  non-uniform rational probabilities, where repeated candidate values
-  give non-uniform node weights.
+  every joint assignment outright.  Both must give the same `RiskReport`
+  under closed models with non-uniform rational probabilities, where
+  repeated candidate values give non-uniform node weights.
 * `prune` keeps what layer 1 reaches and what reaches the last layer,
   in two passes; it must reach the same subgraph, and fail with the same
   message, as the plain node-by-node sweep kept below as the reference.
@@ -21,10 +21,12 @@
   record by record, in exact rationals where the attack runs on scaled
   integers.  It builds no graph, not even for a history with no feasible
   path, whose error it reads off its own forward masses.  Fixed cases pin
-  the batch's edges: masses past 2**63, which must run on Python ints;
-  actual values on no node; the first record's error in id order; a model
-  too large for the dense transition table; and one wide group among
-  narrow ones, which must pad only its own chunk.
+  the batch's edges: masses past 2**63, which must run on Python ints,
+  also when a weight is negative; actual values on no node; the first
+  record's error in id order; a model too large for the dense transition
+  table; one wide group among narrow ones, which must pad only its own
+  chunk; and a group too wide for any chunk, whose history must run
+  alone.
 * The attack's reports hold integer numerators and make their `Fraction`s
   each time `risks` is read; `count_vulnerable` sums the risk-1 counts
   taken when the reports were made.  That count must equal the risks read
@@ -609,6 +611,24 @@ def test_masses_past_int64_run_on_python_ints():
     assert type(r0.total) is int and r0.total >= 2 ** 63
 
 
+def test_the_int64_bound_takes_the_weights_magnitudes():
+    """A model built without `validate_update_model` may hold a negative
+    weight.  Every positive scaled weight here is at most 2, but s0 -> s0
+    is -2**41, so three layers carry a path mass of 2**82: the bound must
+    take the largest magnitude, or that mass wraps in int64."""
+    model = UpdateModel(("s0", "s1"), {
+        "s0": {"s0": F(-2 ** 40), "s1": F(1, 2)},
+        "s1": {"s1": F(1)},
+    })
+    releases = [_release(i, [("r0", "s0"), ("twin", "s1")])
+                for i in (1, 2, 3)]
+    histories = {"r0": dict.fromkeys((1, 2, 3), "s0"),
+                 "twin": dict.fromkeys((1, 2, 3), "s1")}
+    reports = attack_release_sequence(releases, None, model, histories)
+    assert reports == reference_attack(releases, model, histories)
+    assert reports[0].total == 2 ** 82 - 2 ** 41 + 6
+
+
 def test_actual_value_in_no_candidate_set_gets_risk_0(worked_model):
     # Ken's groups are narrower than Ben's, so his layers are padded in the
     # chunk they share; neither of his actual values, one of them unknown
@@ -731,7 +751,48 @@ def test_one_wide_group_pads_only_its_own_chunk():
                                        histories) == want
     # the 30 narrow records share one chunk, padded to two nodes a layer
     assert sorted(shapes) == [(1, 3, 60), (30, 3, 2)]
-    # chunks of a few records each give the same reports
-    with mock.patch.object(sug_module, "_CHUNK", 48):
+    # chunks of a few records each give the same reports, and the wide
+    # record, too wide for any chunk now, runs alone
+    shapes.clear()
+    with mock.patch.object(sug_module, "_chunk_masses", spy), \
+            mock.patch.object(sug_module, "_CHUNK", 48):
         assert attack_release_sequence(releases, None, model,
                                        histories) == want
+    assert sorted(shapes) == [(2, 3, 2)] + [(4, 3, 2)] * 7
+
+
+def test_a_history_too_wide_for_any_chunk_runs_alone():
+    """A group of 400 values is wider than sqrt(_CHUNK): its gathered
+    transitions alone would pass the cap, so its history runs through
+    `_masses` on its layers' successor rows, and no chunk array passes
+    `_CHUNK` entries."""
+    model = _block_model(400, 4)
+    values = model.sensitive_domain
+    assert len(values) ** 2 > sug_module._CHUNK
+    rids = [f"n{k:02d}" for k in range(20)]
+    releases, histories = _random_walks(model, rids, 3, 2, seed=11)
+    # one record walks the first block in a group that holds every value
+    histories["wide"] = {1: values[0], 2: values[3], 3: values[1]}
+    releases = [replace(rel, groups=rel.groups + _release(
+        i, [("wide", values[j]), *[(None, w) for w in values
+                                   if w != values[j]]]).groups)
+        for i, j, rel in zip((1, 2, 3), (0, 3, 1), releases)]
+    want = reference_attack(releases, model, histories)
+    shapes, alone = [], []
+
+    def spy(nodes, *args):
+        shapes.append(nodes.shape)
+        return chunk_masses(nodes, *args)
+
+    def spy_alone(nodes, edges):
+        alone.append([len(layer) for layer in nodes])
+        return masses(nodes, edges)
+
+    chunk_masses, masses = sug_module._chunk_masses, sug_module._masses
+    with mock.patch.object(sug_module, "_chunk_masses", spy), \
+            mock.patch.object(sug_module, "_masses", spy_alone):
+        assert attack_release_sequence(releases, None, model,
+                                       histories) == want
+    assert alone == [[400, 400, 400]]
+    assert shapes and all(n * depth * width ** 2 <= sug_module._CHUNK
+                          for n, depth, width in shapes)
