@@ -10,8 +10,9 @@ integers, for all the records it attacks at once: it scales the model's
 table by one lcm denominator and weights each node by its multiplicity,
 so each path mass carries the same factor and one exact division per
 risk cancels it.  It batches the records by history length into numpy
-chunks of bounded size (a history too wide for any chunk runs alone, on
-its layers' successor rows), and runs a chunk in int64 only when an
+chunks of bounded size (a history too wide for any chunk, and every
+history of a model too large for the dense transition table, runs alone
+on its layers' successor rows), and runs a chunk in int64 only when an
 integer bound proves that no mass can wrap, else on Python ints in object
 arrays, so every numerator and total is exact either way.  A report is its
 integer numerators and the shared total, and divides only when a risk is
@@ -340,10 +341,10 @@ def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
 
 _History = tuple[tuple[str, ...], ...]
 
-# Up to this many model values the scaled weights sit in a dense table
-# (1,025 x 1,025 int64 entries take 8 MB); past it they are found by
-# searching sorted keys.  Searching for every model made perfbench's
-# sim_m6 audit_ref 1.34x slower (seed 7, 2-core host).
+# Up to this many model values the scaled weights sit in a dense table,
+# one per dtype: (1,025)**2 int64 entries take 8 MB.  Past it every history
+# runs through `_masses` on its layers' successor rows, as a history too
+# wide for any chunk does.
 _DENSE_CAP = 1024
 # Entries in the largest array of one chunk of the batch.  A history whose
 # own transitions would pass it runs alone, on its successor rows.
@@ -358,9 +359,9 @@ class _Transitions:
     Every value of the table, row key or successor, gets an id in table
     order; id `pad` is no value's and has no transitions, so a padding
     node gathers weight 0.  `rows[a][b]` is the weight from id a to id b.
-    A chunk gathers weights from a dense table up to `_DENSE_CAP` values,
-    and past that by searching their sorted keys a * (pad + 1) + b; in
-    int64 or in Python ints (object), each made when first used."""
+    A chunk gathers weights from a dense (pad + 1)**2 table, in int64 or
+    in Python ints (object), each made from `rows` when first used; only
+    a model of at most `_DENSE_CAP` values is batched."""
 
     def __init__(self, model: UpdateModel):
         table = model.successors
@@ -376,37 +377,22 @@ class _Transitions:
         self.rows = {ids[a]: {ids[b]: p.numerator * (scale // p.denominator)
                               for b, p in row.items()}
                      for a, row in table.items()}
-        span = self.pad + 1
-        entries = sorted((a * span + b, w) for a, row in self.rows.items()
-                         for b, w in row.items())
         # bounds every mass's magnitude, whatever the weights' signs
-        self.largest = max((abs(w) for _, w in entries), default=0)
-        # a last key above every query's, weight 0: no search runs off the end
-        self.keys = np.array([k for k, _ in entries] + [span * span],
-                             np.int64)
-        self.weights = [w for _, w in entries] + [0]
-        self.arrays: dict[object, np.ndarray] = {}
+        self.largest = max((abs(w) for row in self.rows.values()
+                            for w in row.values()), default=0)
+        self.dense: dict[object, np.ndarray] = {}
 
     def gather(self, sources: np.ndarray, targets: np.ndarray,
                dtype: object) -> np.ndarray:
         """The weight from each source id `sources[..., u]` to each target
         id `targets[..., v]`, at [..., u, v]."""
-        weights = self.arrays.get(dtype)
+        weights = self.dense.get(dtype)
         if weights is None:
-            weights = np.array(self.weights, dtype)
-            if self.pad <= _DENSE_CAP:
-                span = self.pad + 1
-                dense = np.zeros(span * span, dtype)
-                dense[self.keys[:-1]] = weights[:-1]
-                weights = dense.reshape(span, span)
-            self.arrays[dtype] = weights
-        sources = sources[..., :, None]
-        targets = targets[..., None, :]
-        if weights.ndim == 2:
-            return weights[sources, targets]
-        keys = sources * (self.pad + 1) + targets
-        at = np.searchsorted(self.keys, keys)
-        return np.where(self.keys[at] == keys, weights[at], 0)
+            span = self.pad + 1
+            weights = self.dense[dtype] = np.zeros((span, span), dtype)
+            for a, row in self.rows.items():
+                weights[a, list(row)] = list(row.values())
+        return weights[sources[..., :, None], targets[..., None, :]]
 
 
 def _chunk_masses(nodes: np.ndarray, mults: np.ndarray, table: _Transitions,
@@ -434,28 +420,6 @@ def _chunk_masses(nodes: np.ndarray, mults: np.ndarray, table: _Transitions,
     return fwd, bwd
 
 
-def _cuts(cost: np.ndarray) -> list[int]:
-    """Where the chunks of records sorted by ascending cost end: each is
-    the longest run whose length times its last record's cost stays
-    within `_CHUNK` (every cost does)."""
-    stops = []
-    taken = end = 0
-    for each, group in itertools.groupby(cost.tolist()):
-        count = len(list(group))
-        room = _CHUNK // each
-        while count:
-            if taken >= room:
-                stops.append(end)
-                taken = 0
-            step = min(count, room - taken)
-            taken += step
-            end += step
-            count -= step
-    if taken:
-        stops.append(end)
-    return stops
-
-
 def _score(memo: "AttackMemo", rids: Sequence[str],
            histories: Mapping[str, Mapping[int, str]]) -> None:
     """Put the reports of `rids` (in id order) into `memo.reports`, or raise
@@ -463,14 +427,16 @@ def _score(memo: "AttackMemo", rids: Sequence[str],
 
     Each distinct candidate multiset of the call becomes one row of value
     ids and multiplicities, checked by `_check_layer` when a record first
-    holds it.  The records are then batched by history length, each chunk
-    padded to its own widest layer, and read out at their actual values'
-    nodes.  A chunk runs in int64 only when no mass can reach 2**63; see
-    `attack_release_sequence`.  A history too wide for any chunk runs
-    alone through `_masses`, on the successor rows of its layers.
-    Records are kept in flat lists of ints, not a list per record:
-    objects that live through the call would make the cyclic collector
-    run full collections inside it."""
+    holds it.  The records of each history length are sorted by their
+    widest layer and cut in one pass into maximal chunks of at most
+    `_CHUNK` gathered transitions, each padded to its own widest layer.
+    A chunk runs in int64 only when its own multiplicities bound every
+    mass below 2**63; see `attack_release_sequence`.  A history too wide
+    for any chunk, and every history of a model past `_DENSE_CAP` values,
+    runs alone through `_masses` on its layers' successor rows.  Records
+    are kept in flat lists of ints per history length, not a list per
+    record: objects that live through the call would make the cyclic
+    collector run full collections inside it."""
     model = memo.bound[0]
     membership = memo.membership
     table = memo.table
@@ -480,21 +446,19 @@ def _score(memo: "AttackMemo", rids: Sequence[str],
     flat_mults: list[int] = []
     starts: list[int] = []
     widths: list[int] = []
-    sizes: list[int] = []
-    layer_rows: list[int] = []     # each record's rows, one after another
-    actual_ids: list[int] = []     # the same for its actual values' ids
-    offsets: list[int] = []        # where each record's rows start
-    by_depth: dict[int, list[int]] = {}
+    # per history length: record indexes, layer rows, actual values' ids
+    by_depth: dict[int, tuple[list[int], list[int], list[int]]] = {}
     failure = None
     for k, rid in enumerate(rids):
         versions, candidates = membership[rid]
         try:
             try:
-                actual = [histories[rid][i] for i in versions]
+                actual = [ids.get(histories[rid][i], -1) for i in versions]
             except KeyError:
                 raise ValidationError(f"no actual sensitive value on file "
                                       f"for {rid!r} at one of releases "
                                       f"{versions}")
+            history = []
             for i, values in enumerate(candidates):
                 row = rows.get(values)
                 if row is None:
@@ -505,47 +469,49 @@ def _score(memo: "AttackMemo", rids: Sequence[str],
                     flat_ids.extend([ids[v] for v in counts])
                     flat_mults.extend(counts.values())
                     widths.append(len(counts))
-                    sizes.append(len(values))
-                layer_rows.append(row)
+                history.append(row)
         except ValidationError as exc:
             # raised once the records before it are known to be feasible
             failure = exc
             break
-        offsets.append(len(actual_ids))
-        actual_ids.extend([ids.get(v, -1) for v in actual])
-        by_depth.setdefault(len(versions), []).append(k)
+        members, layer_rows, actual_ids = by_depth.setdefault(
+            len(versions), ([], [], []))
+        members.append(k)
+        layer_rows.extend(history)
+        actual_ids.extend(actual)
 
     starts_a = np.array(starts, np.int64)
     widths_a = np.array(widths, np.int64)
-    sizes_a = np.array(sizes, np.int64)
     ids_a = np.array(flat_ids, np.int64)
     mults_a = np.array(flat_mults, np.int64)
-    offsets_a = np.array(offsets, np.int64)
-    layer_rows_a = np.array(layer_rows, np.int64)
-    actual_a = np.array(actual_ids, np.int64)
+    # the greatest chunk cost; a model past the dense cap batches nothing
+    limit = _CHUNK if table.pad <= _DENSE_CAP else 0
     reports = memo.reports
     dead: dict[int, int] = {}
-    for depth, members in by_depth.items():
+    for depth, (members, layer_rows, actual_ids) in by_depth.items():
         members = np.array(members)
-        at = offsets_a[members][:, None] + np.arange(depth)
-        history_rows, actual = layer_rows_a[at], actual_a[at]
+        history_rows = np.array(layer_rows, np.int64).reshape(-1, depth)
+        actual = np.array(actual_ids, np.int64).reshape(-1, depth)
         width = widths_a[history_rows].max(axis=1)
         order = np.argsort(width, kind="stable")
         members, history_rows, actual, width = (
             members[order], history_rows[order], actual[order], width[order])
         # a chunk's cost is its records times depth times its widest
         # layer squared, the size of its gathered transitions
-        cost = depth * width * width
-        fits = int(np.searchsorted(cost, _CHUNK, "right"))
+        cost = (depth * width * width).tolist()
         start = 0
-        for stop in _cuts(cost[:fits]):
+        while start < len(cost) and cost[start] <= limit:
+            stop = start + 1
+            while (stop < len(cost)
+                   and (stop + 1 - start) * cost[stop] <= limit):
+                stop += 1
             chunk = history_rows[start:stop]
             slots = np.arange(width[stop - 1])
             at = starts_a[chunk][..., None] + slots
             real = slots < widths_a[chunk][..., None]
             nodes = np.where(real, ids_a.take(at, mode="clip"), table.pad)
             mults = np.where(real, mults_a.take(at, mode="clip"), 0)
-            exact = (int(sizes_a[chunk].max()) ** depth
+            exact = (int(mults.sum(axis=2).max()) ** depth
                      * table.largest ** (depth - 1) < _INT64_LIMIT)
             fwd, bwd = _chunk_masses(nodes, mults, table,
                                      np.int64 if exact else object)
@@ -566,9 +532,9 @@ def _score(memo: "AttackMemo", rids: Sequence[str],
                                 reached.tolist()):
                     dead[k] = j
             start = stop
-        for k, history, values in zip(members[fits:].tolist(),
-                                      history_rows[fits:].tolist(),
-                                      actual[fits:].tolist()):
+        for k, history, values in zip(members[start:].tolist(),
+                                      history_rows[start:].tolist(),
+                                      actual[start:].tolist()):
             nodes = [flat_ids[starts[r]:starts[r] + widths[r]]
                      for r in history]
             masses = _masses(
@@ -630,7 +596,8 @@ class AttackMemo:
               et_by_index: Mapping[int, ExternalKnowledgeTable],
               schema: TableSchema | None) -> set[str]:
         """Add each release's groups to its records' histories, checking
-        them against the external tables; the ids whose history grew."""
+        them against the external tables and refusing a record that skips
+        a release; the ids whose history grew."""
         grown: set[str] = set()
         for rel in releases:
             index = rel.release_index
@@ -642,6 +609,11 @@ class AttackMemo:
                         f"release {index}: record {rid!r} falls outside "
                         f"its group region")
                 versions, candidates = self.membership.get(rid, ((), ()))
+                if versions and versions[-1] < index - 1:
+                    raise ValidationError(
+                        f"release {index} group {group.gid}: {rid!r} last "
+                        f"appeared in release {versions[-1]}; a record may "
+                        f"not skip a release")
                 self.membership[rid] = (versions + (index,),
                                         candidates + (group.values,))
                 grown.add(rid)
@@ -664,25 +636,26 @@ def attack_release_sequence(releases: Sequence[PublishedRelease],
     `histories` supplies the actual value per (id, release index); `et`
     enables the exact-QI integrity check against `schema`.  Tables without
     a schema are refused, as are a table whose index names none of the
-    releases and a release index given twice.
+    releases, a release index given twice and, as `verify` words it, a
+    record that skips a release: the model's one step cannot explain it.
 
     The path masses of every record the call attacks are computed in one
     batched numpy pass per history length, in chunks of at most 2**17
     gathered transitions, each padded only to its own widest layer; a
-    history whose own transitions pass that runs alone, on its layers'
-    successor rows.  No graph is built or pruned: a node prune removes
-    has forward or backward mass 0, so every risk comes out the same
-    without it.  A chunk runs in int64 only when (largest multiset
-    size)**L * (largest scaled weight's magnitude)**(L - 1) is below
-    2**63: that bounds the total mass of an L-layer history and every
-    mass and partial sum on the way to it, so nothing wraps.  Otherwise
-    it runs the same numpy code on Python ints (object arrays).  Either
-    way each numerator and total is the integer the per-record recursion
-    gives.  A history with no feasible path raises prune's error, found
-    from its forward masses; of several errors, the first record's in id
-    order is raised.  Each report is its integer numerators and total
-    (see `RiskReport`), so a prefix whose reports only `count_vulnerable`
-    reads builds no `Fraction`.
+    history whose own transitions pass that, and every history of a model
+    past 1,024 values, runs alone, on its layers' successor rows.  No graph
+    is built or pruned: a node prune removes has forward or backward mass 0,
+    so every risk comes out the same without it.  A chunk runs in int64 only
+    when (largest multiset size)**L * (largest scaled weight's
+    magnitude)**(L - 1) is below 2**63: that bounds the total mass of an
+    L-layer history and every mass and partial sum on the way to it, so
+    nothing wraps.  Otherwise it runs the same numpy code on Python ints
+    (object arrays).  Either way each numerator and total is the integer the
+    per-record recursion gives.  A history with no feasible path raises
+    prune's error, found from its forward masses; of several errors, the
+    first record's in id order is raised.  Each report is its integer
+    numerators and total (see `RiskReport`), so a prefix whose reports only
+    `count_vulnerable` reads builds no `Fraction`.
 
     `memo` carries an attack's work to the next one on the same releases
     plus newer ones (same model, tables, schema and actual values).  Only

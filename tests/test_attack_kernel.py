@@ -22,11 +22,17 @@
   integers.  It builds no graph, not even for a history with no feasible
   path, whose error it reads off its own forward masses.  Fixed cases pin
   the batch's edges: masses past 2**63, which must run on Python ints,
-  also when a weight is negative; actual values on no node; the first
-  record's error in id order; a model too large for the dense transition
-  table; one wide group among narrow ones, which must pad only its own
-  chunk; and a group too wide for any chunk, whose history must run
-  alone.
+  also when a weight is negative or only the multiset sizes, not any one
+  multiplicity or weight, reach past it; actual values on no node; the
+  first record's error in id order; a model too large for the dense
+  transition table, whose histories must run record by record; one wide
+  group among narrow ones, which must pad only its own chunk; and a group
+  too wide for any chunk, whose history must run alone.  Under a small
+  chunk cap, every chunk must hold at most that many gathered transitions
+  and be maximal.
+* A record that skips a release is refused with `verify`'s message;
+  `reference_attack` raises the same error, so every drawn history with
+  a gap checks it.
 * The attack's reports hold integer numerators and make their `Fraction`s
   each time `risks` is read; `count_vulnerable` sums the risk-1 counts
   taken when the reports were made.  That count must equal the risks read
@@ -255,11 +261,11 @@ class TestPrefixReuse:
         # another object in place of a folded release, at its index
         without_ken = _without(release_two_defended, "Ken")
         both([release_one, without_ken])
-        # a release slipped in before a folded one
+        # a release slipped in before the folded ones
         release_three = replace(without_ken, release_index=3)
         history = {rid: {**h, 3: h[2]} for rid, h in histories_12.items()}
         memo = AttackMemo()
-        attack_release_sequence([release_one, release_three], None,
+        attack_release_sequence([release_two_defended, release_three], None,
                                 worked_model, history, memo=memo)
         fresh = attack_release_sequence(
             [release_one, release_two_defended, release_three], None,
@@ -329,9 +335,15 @@ def reference_attack(releases, model, histories):
     """One graph per record, built, pruned and attacked on its own."""
     membership = {}
     for rel in sorted(releases, key=lambda r: r.release_index):
+        index = rel.release_index
         for rid, group in sorted(rel.group_of().items()):
-            membership.setdefault(rid, []).append(
-                (rel.release_index, group.values))
+            before = membership.setdefault(rid, [])
+            if before and before[-1][0] < index - 1:
+                raise ValidationError(
+                    f"release {index} group {group.gid}: {rid!r} last "
+                    f"appeared in release {before[-1][0]}; a record may not "
+                    f"skip a release")
+            before.append((index, group.values))
     reports = []
     for rid in sorted(membership):
         versions = tuple(i for i, _ in membership[rid])
@@ -629,6 +641,25 @@ def test_the_int64_bound_takes_the_weights_magnitudes():
     assert reports[0].total == 2 ** 82 - 2 ** 41 + 6
 
 
+def test_the_int64_bound_takes_the_multiset_sizes():
+    """Eight values that all reach each other with weight 1/8 scale to
+    weight 1, and every node has multiplicity 1, yet 22 layers of eight
+    nodes carry a total mass of 8**22 = 2**66: the bound must take each
+    layer's multiset size, not its largest multiplicity, or masses wrap."""
+    values = [f"s{i}" for i in range(8)]
+    model = UpdateModel(tuple(values), {a: {b: F(1, 8) for b in values}
+                                        for a in values})
+    assert validate_update_model(model) == []
+    rids = [f"r{k}" for k in range(8)]
+    histories = {rid: {i: values[(k + i) % 8] for i in range(1, 23)}
+                 for k, rid in enumerate(rids)}
+    releases = [_release(i, [(rid, histories[rid][i]) for rid in rids])
+                for i in range(1, 23)]
+    reports = attack_release_sequence(releases, None, model, histories)
+    assert reports == reference_attack(releases, model, histories)
+    assert reports[0].total == 8 ** 22
+
+
 def test_actual_value_in_no_candidate_set_gets_risk_0(worked_model):
     # Ken's groups are narrower than Ben's, so his layers are padded in the
     # chunk they share; neither of his actual values, one of them unknown
@@ -710,18 +741,73 @@ def _random_walks(model, rids, n_releases, group_size, seed, domain=None):
     return releases, histories
 
 
-def test_a_model_past_the_dense_cap_gathers_through_sorted_keys():
+def _chunk_masses_raises(*args, **kwargs):
+    raise AssertionError("a chunk ran")
+
+
+def test_a_model_past_the_dense_cap_runs_record_by_record():
+    """Past `_DENSE_CAP` values no dense table is made: every history runs
+    through `_masses` on its layers' successor rows."""
     model = _block_model(sug_module._DENSE_CAP + 77, 3)
     assert validate_update_model(model) == []
     assert len(model.successors) > sug_module._DENSE_CAP
     rids = [f"r{k:02d}" for k in range(12)]
-    # the first block and the last two: ids on both sides of the cap
+    # the first block and the last two: ids at both ends of the table
     values = model.sensitive_domain
     releases, histories = _random_walks(model, rids, 4, 2, seed=5,
                                         domain=values[:3] + values[-6:])
-    reports = attack_release_sequence(releases, None, model, histories)
-    assert reports == reference_attack(releases, model, histories)
+    want = reference_attack(releases, model, histories)
+    alone = []
+
+    def spy_alone(nodes, edges):
+        alone.append(len(nodes))
+        return masses(nodes, edges)
+
+    masses = sug_module._masses
+    memo = AttackMemo()
+    with mock.patch.object(sug_module, "_chunk_masses",
+                           _chunk_masses_raises), \
+            mock.patch.object(sug_module, "_masses", spy_alone):
+        reports = attack_release_sequence(releases, None, model, histories,
+                                          memo=memo)
+    assert reports == want
+    assert alone == [4] * len(rids)
+    assert memo.table.dense == {}
     assert any(0 < r < 1 for report in reports for r in report.risks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(release_sequences(), st.integers(1, 400))
+def test_chunks_are_capped_and_maximal(case, cap):
+    """Under a chunk cap of `cap` entries, each chunk holds at most `cap`
+    gathered transitions, records x depth x width**2, and is maximal: one
+    more record, the next of its length, would pass the cap.  A record
+    that runs alone has a cost past the cap by itself."""
+    model, releases, histories = case
+    want = _outcome(reference_attack, releases, model, histories)
+    chunks, alone = [], []
+
+    def spy(nodes, mults, *args):
+        real = (mults > 0).sum(axis=2).max(axis=1)   # each record's width
+        chunks.append((nodes.shape, real.tolist()))
+        return chunk_masses(nodes, mults, *args)
+
+    def spy_alone(nodes, edges):
+        alone.append(len(nodes) * max(map(len, nodes)) ** 2)
+        return masses(nodes, edges)
+
+    chunk_masses, masses = sug_module._chunk_masses, sug_module._masses
+    with mock.patch.object(sug_module, "_chunk_masses", spy), \
+            mock.patch.object(sug_module, "_masses", spy_alone), \
+            mock.patch.object(sug_module, "_CHUNK", cap):
+        assert _outcome(attack_release_sequence, releases, None, model,
+                        histories) == want
+    assert all(cost > cap for cost in alone)
+    for (n, depth, width), real in chunks:
+        assert max(real) == width and n * depth * width ** 2 <= cap
+    for ((n, depth, _), _), ((_, after, _), real) in zip(chunks, chunks[1:]):
+        if after == depth:   # the next chunk of this length
+            assert (n + 1) * depth * real[0] ** 2 > cap
 
 
 def test_one_wide_group_pads_only_its_own_chunk():

@@ -668,19 +668,36 @@ class TestGappedHistories:
         assert _tree(hist) == before
         assert HistoryStore(hist).release_indices() == [1, 2]
 
-    def test_verify_flags_a_hand_made_gap(self, workdir, gapped, capsys):
-        hist, base = gapped
-        assert run(workdir, "verify", *base) == 0
+    @staticmethod
+    def _write_gap(hist):
+        """Release 3 written by hand: r1 and r2 return after release 2."""
         store = HistoryStore(hist)
         schema = store.read_schema()
         records = [Record("r1", (1,), "b"), Record("r2", (2,), "y")]
         store.write_release(generalize(schema, 3, [records]), schema)
         store.write_actuals(3, schema, records)
+
+    def test_verify_flags_a_hand_made_gap(self, workdir, gapped, capsys):
+        hist, base = gapped
+        assert run(workdir, "verify", *base) == 0
+        self._write_gap(hist)
         capsys.readouterr()
         assert run(workdir, "verify", *base) == 2
         err = capsys.readouterr().err
         assert "release 3 group 1: 'r1' last appeared in release 1" in err
         assert "'r2' last appeared in release 1" in err
+
+    def test_attack_refuses_a_hand_made_gap(self, workdir, gapped, capsys):
+        """Scored as one step, the gap would give r2 risk 1/2 where two
+        steps of the model give 1; the attack refuses it instead."""
+        hist, _ = gapped
+        self._write_gap(hist)
+        capsys.readouterr()
+        assert run(workdir, "attack", "--model", workdir / "gap_model.csv",
+                   "--history", hist) == 2
+        assert ("release 3 group 1: 'r1' last appeared in release 1; a "
+                "record may not skip a release") in capsys.readouterr().err
+        assert not (hist / "risks.csv").exists()
 
 
 class TestStrayFiles:
