@@ -16,9 +16,8 @@ from .engine import EngineState, publish, verify_m_distinct
 from .errors import InfeasibilityError, MDistinctError, ValidationError
 from .evaluation import load_experiment_config, run_experiment
 from .fileio import (HistoryStore, ReadFile, load_external_tables,
-                     load_microdata, load_update_model, snapshot_histories,
-                     snapshot_schema, snapshot_tables, write_report_files,
-                     write_risks)
+                     load_microdata, load_update_model, snapshot_schema,
+                     write_report_files, write_risks)
 from .sug import attack_release_sequence
 
 EXIT_OK = 0
@@ -133,12 +132,9 @@ def _read_history(args) -> tuple:
 
 def cmd_attack(args) -> int:
     model, store, schema, releases = _read_history(args)
-    snapshots = store.snapshots(schema)
-    histories = snapshot_histories(snapshots)
+    histories, et = store.actuals(schema)
     if args.et is not None:
         et = load_external_tables(args.et, schema)
-    else:
-        et = snapshot_tables(snapshots)
     reports = attack_release_sequence(releases, et, model, histories, schema)
     write_risks(store.path / "risks.csv", reports)
     vulnerable = count_vulnerable(reports)

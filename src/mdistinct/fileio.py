@@ -8,7 +8,8 @@ A history directory holds one republication sequence:
     counterfeits_<i>.csv  gid,count (non-zero groups only)
     microdata_<i>.csv     the raw snapshot behind release i (attack actuals)
     risks.csv             written by the attack command
-    lock                  advisory lock, held while writing
+    lock                  advisory lock naming its holder's pid, held while
+                          writing
 
 Releases are numbered 1..n, and each file is replaced whole.  Numeric
 region cells serialize as "lo..hi"; categorical cells as the hierarchy
@@ -22,6 +23,7 @@ import json
 import os
 import random
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -31,7 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
 from .errors import ValidationError
 from .model import (AttributeSchema, ExternalKnowledgeTable, Hierarchy,
                     Member, PublishedRelease, QIGroup, QIValue, Record,
-                    TableSchema)
+                    RegionCell, TableSchema)
 from .sug import RiskReport
 from .updates import UpdateModel, validate_update_model
 
@@ -48,8 +50,6 @@ __all__ = [
     "load_update_model",
     "write_update_model",
     "HistoryStore",
-    "snapshot_histories",
-    "snapshot_tables",
     "load_external_tables",
     "write_risks",
     "write_csv",
@@ -118,28 +118,38 @@ class ReadFile:
         return str(self.path)
 
 
-def _read_table(path: Path | str | ReadFile, header: list[str] | None = None,
-                ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """A CSV file's header and its body rows as (line number, row).  The
-    header must equal `header` unless that is None.  A row whose width is
-    not the header's raises when the iteration reaches it, so the first
-    bad row raises first, whatever is wrong with it."""
+def _read_rows(path: Path | str | ReadFile,
+               header: list[str] | None = None) -> list[list[str]]:
+    """A CSV file's rows, the header first.  The header must equal `header`
+    unless that is None."""
     rows = path.rows if isinstance(path, ReadFile) else _read_csv(path)
     if not rows:
         raise ValidationError(f"{path}: empty file")
     if header is not None and rows[0] != header:
         raise ValidationError(f"{path} line 1: header {rows[0]!r} does not "
                               f"match {header!r}")
+    return rows
+
+
+def _body(path: Path | str | ReadFile, rows: list[list[str]],
+          ) -> Iterator[tuple[int, list[str]]]:
+    """The body rows as (line number, row).  A row whose width is not the
+    header's raises when the iteration reaches it, so the first bad row
+    raises first, whatever is wrong with it."""
     width = len(rows[0])
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise ValidationError(f"{path} line {lineno}: expected "
+                                  f"{width} fields, got {len(row)}")
+        yield lineno, row
 
-    def body() -> Iterator[tuple[int, list[str]]]:
-        for lineno, row in enumerate(rows[1:], start=2):
-            if len(row) != width:
-                raise ValidationError(f"{path} line {lineno}: expected "
-                                      f"{width} fields, got {len(row)}")
-            yield lineno, row
 
-    return rows[0], body()
+def _read_table(path: Path | str | ReadFile, header: list[str] | None = None,
+                ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """A CSV file's header and its body rows as (line number, row), read
+    by `_read_rows` and `_body`."""
+    rows = _read_rows(path, header)
+    return rows[0], _body(path, rows)
 
 
 def _decimal(text: str) -> int | None:
@@ -171,61 +181,86 @@ def _csv_indices(directory: Path, prefix: str) -> list[int]:
     return sorted(out)
 
 
-def _read_qi_rows(path: Path | str, schema: TableSchema,
-                  tail: Sequence[str] = (),
-                  ) -> Iterator[tuple[int, str, tuple[QIValue, ...],
-                                      list[str]]]:
-    """Parse id,<qi...>,<tail...> rows: unique ids, decimal integers in
-    numeric columns and every QI value inside its attribute's domain.
-    Yields (line number, id, qi, tail fields).  A value is a function of
-    its text, so each column keeps the values its texts passed as, and
-    each distinct text is checked once; a text that fails raises on its
-    first row."""
-    _, rows = _read_table(path, ["id", *schema.qi_names, *tail])
-    n_qi = len(schema.qi)
-    columns = [(attr, {}) for attr in schema.qi]
+def _qi_value(attr: AttributeSchema, text: str) -> QIValue | None:
+    """The value a QI cell spells: a numeric attribute's decimal integer
+    (None when the text is not one), a categorical attribute's text.  The
+    caller checks that it lies in the attribute's domain."""
+    return _decimal(text) if attr.kind == "numeric" else text
+
+
+def _read_columns(path: Path | str | ReadFile, schema: TableSchema,
+                  sensitive: bool = False,
+                  ) -> tuple[tuple[str, ...], list[tuple[QIValue, ...]],
+                             tuple[str, ...] | None]:
+    """Parse an id,<qi...>[,<sensitive>] file a column at a time: unique
+    ids, decimal integers in numeric columns, every QI value inside its
+    attribute's domain and, with `sensitive`, every sensitive value inside
+    the schema's.  Returns the ids, each row's QI values and the sensitive
+    column (None without it), all in file order.
+
+    A value is a function of its text, so each QI column's distinct texts
+    are parsed and checked once.  Only when a check fails are the rows
+    scanned in order, so the error names the first bad row whatever is
+    wrong with it, and no set order decides which error is raised."""
+    header = ["id", *schema.qi_names]
+    if sensitive:
+        header.append(schema.sensitive_name)
+    rows = _read_rows(path, header)
+    body = rows[1:]
+    columns = list(zip(*body)) or [()] * len(header)
+    ids = columns[0]
+    parsed = [{text: _qi_value(attr, text) for text in set(column)}
+              for attr, column in zip(schema.qi, columns[1:])]
+    if not (set(map(len, body)) <= {len(header)}
+            and len(set(ids)) == len(ids)
+            and all(attr.contains(value)
+                    for attr, values in zip(schema.qi, parsed)
+                    for value in values.values())
+            and (not sensitive
+                 or set(columns[-1]) <= set(schema.sensitive_domain))):
+        _raise_first_bad_row(path, rows, schema, sensitive)
+    qi = [list(map(values.__getitem__, column))
+          for values, column in zip(parsed, columns[1:])]
+    points = list(zip(*qi)) if qi else [()] * len(ids)
+    return ids, points, columns[-1] if sensitive else None
+
+
+def _raise_first_bad_row(path: Path | str | ReadFile, rows: list[list[str]],
+                         schema: TableSchema, sensitive: bool) -> None:
+    """Raise the error of the first row `_read_columns` refuses.  Within a
+    row the checks run in this order: its width, a repeated id, the QI
+    cells left to right (not an integer, then outside the domain), and
+    last the sensitive value."""
     seen: set[str] = set()
-    for lineno, row in rows:
+    domain = frozenset(schema.sensitive_domain)
+    for lineno, row in _body(path, rows):
+        where = f"{path} line {lineno}: "
         rid = row[0]
         if rid in seen:
-            raise ValidationError(f"{path} line {lineno}: duplicate id "
-                                  f"{rid!r}")
+            raise ValidationError(f"{where}duplicate id {rid!r}")
         seen.add(rid)
-        qi: list[QIValue] = []
-        for (attr, checked), text in zip(columns, row[1:]):
-            value: QIValue | None = checked.get(text)
+        for attr, text in zip(schema.qi, row[1:]):
+            value = _qi_value(attr, text)
             if value is None:
-                value = text
-                if attr.kind == "numeric":
-                    value = _decimal(text)
-                    if value is None:
-                        raise ValidationError(f"{path} line {lineno}: "
-                                              f"{attr.name}={text!r} is not "
-                                              f"an integer")
-                if not attr.contains(value):
-                    raise ValidationError(f"{path} line {lineno}: record "
-                                          f"{rid!r}: {attr.name}={value!r} "
-                                          f"outside domain")
-                checked[text] = value
-            qi.append(value)
-        yield lineno, rid, tuple(qi), row[1 + n_qi:]
+                raise ValidationError(f"{where}{attr.name}={text!r} is not "
+                                      f"an integer")
+            if not attr.contains(value):
+                raise ValidationError(f"{where}record {rid!r}: "
+                                      f"{attr.name}={value!r} outside "
+                                      f"domain")
+        if sensitive and row[-1] not in domain:
+            raise ValidationError(f"{where}record {rid!r}: sensitive value "
+                                  f"{row[-1]!r} outside domain")
 
 
 def load_microdata(path: Path | str | ReadFile,
                    schema: TableSchema) -> list[Record]:
-    """Read id,<qi...>,<sensitive> rows; errors carry 1-based line numbers.
-    `_read_qi_rows` checks the field count and every QI value, so only the
-    sensitive value is left to check here."""
-    domain = frozenset(schema.sensitive_domain)
-    out: list[Record] = []
-    for lineno, rid, qi, (sensitive,) in _read_qi_rows(
-            path, schema, (schema.sensitive_name,)):
-        if sensitive not in domain:
-            raise ValidationError(f"{path} line {lineno}: record {rid!r}: "
-                                  f"sensitive value {sensitive!r} outside "
-                                  f"domain")
-        out.append(Record(rid, qi, sensitive))
-    return out
+    """Read id,<qi...>,<sensitive> rows into `Record`s, in file order, with
+    `_read_columns`; errors carry 1-based line numbers.  `publish` needs
+    the records; the audit reads snapshots through `HistoryStore.actuals`,
+    which builds none."""
+    ids, points, values = _read_columns(path, schema, sensitive=True)
+    return list(map(Record, ids, points, values))
 
 
 def write_microdata(path: Path | str, schema: TableSchema,
@@ -454,14 +489,44 @@ def _cell_from_text(attr: AttributeSchema, text: str):
     return text
 
 
+def _dead_holder(lockfile: Path) -> int | None:
+    """The pid a lock file names when no process with it runs, else None:
+    also when the file cannot be read or holds no positive decimal pid, or
+    when signalling the pid is refused (it runs under another user)."""
+    try:
+        pid = _decimal(lockfile.read_text())
+    except (OSError, UnicodeDecodeError):
+        return None
+    if pid is None or pid <= 0:
+        return None
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return pid
+    except (OSError, OverflowError):
+        pass
+    return None
+
+
 class HistoryStore:
-    """One directory holding a whole republication sequence."""
+    """One directory holding a whole republication sequence.
+
+    A store keeps the parse memos of `read_release` for its lifetime, one
+    command in the CLI: each stored gid text and each attribute's region
+    cell texts are parsed once, however many releases repeat them."""
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
+        self._gids: dict[str, int] = {}
+        # per attribute, so a store read under a grown schema checks each
+        # cell against the bounds it is read under
+        self._cells: dict[AttributeSchema, dict[str, RegionCell]] = {}
 
     @contextmanager
     def lock(self):
+        """Hold the lock file, which names this process's pid.  A lock whose
+        pid no longer runs on this host is taken over, with a notice on
+        stderr; any other existing lock is refused."""
         try:
             self.path.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # the path or a parent is not a directory
@@ -469,7 +534,16 @@ class HistoryStore:
                                   f"directory: {exc.strerror}") from None
         lockfile = self.path / "lock"
         try:
-            fd = os.open(lockfile, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            try:
+                fd = os.open(lockfile, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                pid = _dead_holder(lockfile)
+                if pid is None:
+                    raise
+                lockfile.unlink(missing_ok=True)
+                fd = os.open(lockfile, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                print(f"note: took over {lockfile}, left by process {pid}, "
+                      f"which no longer runs", file=sys.stderr)
         except FileExistsError:
             raise ValidationError(
                 f"history {self.path} is locked; remove {lockfile} if no "
@@ -590,18 +664,23 @@ class HistoryStore:
 
     def read_release(self, index: int,
                      schema: TableSchema) -> PublishedRelease:
+        """Parse release_<index>.csv under `schema`, with the store's parse
+        memos; an error names the file and the line of the first bad
+        row."""
         path = self.path / f"release_{index}.csv"
         _, rows = _read_table(path, ["gid", "id", *schema.qi_names,
                                      schema.sensitive_name, "is_counterfeit"])
         end = len(schema.qi) + 2  # a row's region cells are row[2:end]
         domain = frozenset(schema.sensitive_domain)
         # Parsing is a function of the text alone, so each distinct gid
-        # text and each attribute's distinct cell texts are parsed once.
-        # A group's region is parsed on its first row; a later row's cells
-        # are parsed only when their texts differ from that row's, and the
-        # regions are then compared, so "0..4" and "-0..4" are one region.
-        gids: dict[str, int] = {}
-        cells = [(attr, {}) for attr in schema.qi]
+        # text and each attribute's distinct cell texts are parsed once per
+        # store, from memos every read of this store shares.  A group's
+        # region is parsed on its first row; a later row's cells are parsed
+        # only when their texts differ from that row's, and the regions are
+        # then compared, so "0..4" and "-0..4" are one region.
+        gids = self._gids
+        cells = [(attr, self._cells.setdefault(attr, {}))
+                 for attr in schema.qi]
 
         def region_of(texts: list[str]) -> tuple:
             region = []
@@ -662,14 +741,32 @@ class HistoryStore:
                       records: Sequence[Record]) -> None:
         write_microdata(self.path / f"microdata_{index}.csv", schema, records)
 
-    def snapshots(self, schema: TableSchema) -> dict[int, list[Record]]:
-        """Every stored microdata snapshot, parsed once, by release index."""
-        return {i: load_microdata(self.path / f"microdata_{i}.csv", schema)
-                for i in self.release_indices()
-                if (self.path / f"microdata_{i}.csv").exists()}
+    def actuals(self, schema: TableSchema,
+                ) -> tuple[dict[str, dict[int, str]],
+                           list[ExternalKnowledgeTable]]:
+        """The stored microdata snapshots as the attack reads them, each
+        file read once, a column at a time, with no `Record` built: every
+        record's actual value by release index, and each snapshot as an
+        exact-QI external-knowledge table."""
+        histories: dict[str, dict[int, str]] = {}
+        tables = []
+        for i in self.release_indices():
+            path = self.path / f"microdata_{i}.csv"
+            if not path.exists():
+                continue
+            ids, points, values = _read_columns(path, schema, sensitive=True)
+            for rid, value in zip(ids, values):
+                versions = histories.get(rid)
+                if versions is None:
+                    histories[rid] = {i: value}
+                else:
+                    versions[i] = value
+            tables.append(ExternalKnowledgeTable(i, dict(zip(ids, points))))
+        return histories, tables
 
     def histories(self, schema: TableSchema) -> dict[str, dict[int, str]]:
-        return snapshot_histories(self.snapshots(schema))
+        """Actual sensitive value per record id and release index."""
+        return self.actuals(schema)[0]
 
     # --- publisher state replay
 
@@ -690,27 +787,10 @@ class HistoryStore:
         return state
 
 
-def snapshot_histories(snapshots: Mapping[int, Sequence[Record]],
-                       ) -> dict[str, dict[int, str]]:
-    """Actual sensitive value per record id and release index."""
-    out: dict[str, dict[int, str]] = {}
-    for i, records in snapshots.items():
-        for rec in records:
-            out.setdefault(rec.id, {})[i] = rec.sensitive
-    return out
-
-
-def snapshot_tables(snapshots: Mapping[int, Sequence[Record]],
-                    ) -> list[ExternalKnowledgeTable]:
-    """The snapshots as exact-QI external-knowledge tables."""
-    return [ExternalKnowledgeTable(i, {rec.id: rec.qi for rec in records})
-            for i, records in snapshots.items()]
-
-
 def load_external_tables(directory: Path | str,
                          schema: TableSchema) -> list[ExternalKnowledgeTable]:
     """Read et_<i>.csv files (columns id,<qi...>) from a directory, which
-    must hold at least one."""
+    must hold at least one, each with `_read_columns`."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ValidationError(f"external tables {directory}: not a "
@@ -721,9 +801,8 @@ def load_external_tables(directory: Path | str,
                               f"file")
     out = []
     for i in indices:
-        rows = _read_qi_rows(directory / f"et_{i}.csv", schema)
-        out.append(ExternalKnowledgeTable(
-            i, {rid: qi for _, rid, qi, _ in rows}))
+        ids, points, _ = _read_columns(directory / f"et_{i}.csv", schema)
+        out.append(ExternalKnowledgeTable(i, dict(zip(ids, points))))
     return out
 
 

@@ -2,6 +2,8 @@ import errno
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -53,15 +55,35 @@ class TestPublishAttackVerify:
             run(workdir, "publish", "--microdata", workdir / snap,
                 "--m", "2", "--seed", "3", *base)
         parsed = []
-        load = fileio.load_microdata
+        read = fileio._read_columns
 
-        def counting(path, schema):
+        def counting(path, schema, sensitive=False):
             parsed.append(path.name)
-            return load(path, schema)
+            return read(path, schema, sensitive)
 
-        monkeypatch.setattr(fileio, "load_microdata", counting)
+        monkeypatch.setattr(fileio, "_read_columns", counting)
         assert run(workdir, "attack", *base) == 0
         assert sorted(parsed) == ["microdata_1.csv", "microdata_2.csv"]
+
+    def test_attack_builds_no_record(self, workdir, monkeypatch, capsys):
+        """The audit reads each snapshot as columns: the actual values and
+        the exact-QI tables come from them, and no `Record` is made."""
+        hist = workdir / "hist"
+        base = ["--model", workdir / "model.csv", "--history", hist]
+        for snap in ("t1.csv", "t2.csv"):
+            assert run(workdir, "publish", "--microdata", workdir / snap,
+                       "--m", "2", "--seed", "3", *base) == 0
+        risks = hist / "risks.csv"
+        assert run(workdir, "attack", *base) == 0
+        want = risks.read_bytes()
+        risks.unlink()
+
+        def refused(self, *args):
+            raise AssertionError("attack built a Record")
+
+        monkeypatch.setattr(Record, "__init__", refused)
+        assert run(workdir, "attack", *base) == 0
+        assert risks.read_bytes() == want
 
     def test_attack_with_external_tables_dir(self, workdir, capsys):
         hist = workdir / "hist"
@@ -236,14 +258,50 @@ class TestExitCodes:
             f"error: cannot write {hist / 'risks.csv'}: Is a directory\n")
 
     def test_locked_history_exits_two(self, workdir, capsys):
+        """A lock held by a running process: this one."""
         hist = workdir / "hist"
         hist.mkdir()
-        (hist / "lock").write_text("999")
+        (hist / "lock").write_text(str(os.getpid()))
         code = run(workdir, "publish", "--microdata", workdir / "t1.csv",
                    "--model", workdir / "model.csv", "--history", hist,
                    "--m", "2")
         assert code == 2
         assert "locked" in capsys.readouterr().err
+
+    def test_stale_lock_is_taken_over(self, workdir, capsys):
+        """A lock left by a process that has exited: the publish takes it
+        over, says so on stderr, and releases it when done."""
+        hist = workdir / "hist"
+        hist.mkdir()
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        lockfile = hist / "lock"
+        lockfile.write_text(str(child.pid))
+        assert run(workdir, "publish", "--microdata", workdir / "t1.csv",
+                   "--model", workdir / "model.csv", "--history", hist,
+                   "--m", "2") == 0
+        captured = capsys.readouterr()
+        assert captured.err == (f"note: took over {lockfile}, left by "
+                                f"process {child.pid}, which no longer "
+                                f"runs\n")
+        assert "release 1:" in captured.out
+        assert not lockfile.exists()
+        assert HistoryStore(hist).release_indices() == [1]
+
+    @pytest.mark.parametrize("text", ["", "pid", "12 ", "-1", "0",
+                                      "9" * 30])
+    def test_lock_naming_no_pid_is_refused(self, workdir, capsys, text):
+        hist = workdir / "hist"
+        hist.mkdir()
+        (hist / "lock").write_text(text)
+        assert run(workdir, "publish", "--microdata", workdir / "t1.csv",
+                   "--model", workdir / "model.csv", "--history", hist,
+                   "--m", "2") == 2
+        assert capsys.readouterr().err == (
+            f"error: history {hist} is locked; remove {hist / 'lock'} if "
+            f"no other publish is running\n")
+        assert (hist / "lock").read_text() == text
+        assert not (hist / "release_1.csv").exists()
 
     def test_unlockable_history_exits_two(self, workdir, capsys,
                                           monkeypatch):
@@ -751,13 +809,13 @@ class TestStrayFiles:
         write_csv(et_dir / "et_1_old.csv",
                   [["id", "salary", "age"], ["Ken", "39", "39"]])
         parsed = []
-        parse = fileio._read_qi_rows
+        read = fileio._read_columns
 
-        def counting(path, schema, tail=()):
+        def counting(path, schema, sensitive=False):
             parsed.append(path.name)
-            return parse(path, schema, tail)
+            return read(path, schema, sensitive)
 
-        monkeypatch.setattr(fileio, "_read_qi_rows", counting)
+        monkeypatch.setattr(fileio, "_read_columns", counting)
         assert run(workdir, "attack", "--et", et_dir, *base) == 0
         assert sorted(parsed) == ["et_1.csv", "microdata_1.csv"]
 

@@ -13,15 +13,16 @@ from mdistinct.baselines import MInvarianceState, publish_m_invariance
 from mdistinct.engine import EngineState, publish
 from mdistinct.errors import ValidationError
 from mdistinct.evaluation import ExperimentConfig, load_experiment_config
-from mdistinct.fileio import (HistoryStore, _decimal, _read_table,
-                              _schema_to_json, apply_external_updates,
-                              initial_population, load_external_tables,
-                              load_microdata, load_update_model,
-                              snapshot_histories, snapshot_schema,
-                              snapshot_tables, synthesize_internal_updates,
-                              synthetic_schema, write_csv, write_microdata,
-                              write_risks, write_update_model)
-from mdistinct.model import AttributeSchema, Hierarchy, Record, TableSchema
+from mdistinct.fileio import (HistoryStore, _csv_indices, _decimal,
+                              _read_table, _schema_to_json,
+                              apply_external_updates, initial_population,
+                              load_external_tables, load_microdata,
+                              load_update_model, snapshot_schema,
+                              synthesize_internal_updates, synthetic_schema,
+                              write_csv, write_microdata, write_risks,
+                              write_update_model)
+from mdistinct.model import (AttributeSchema, ExternalKnowledgeTable,
+                             Hierarchy, Record, TableSchema)
 from mdistinct.sug import RiskReport
 from mdistinct.updates import UpdateModel, validate_update_model
 
@@ -396,6 +397,179 @@ def snapshots(draw):
     return rows
 
 
+# ---------------------------------------------------------------------------
+# The row-wise reference for `_read_columns`: `_read_qi_rows`,
+# `load_microdata`, `HistoryStore.snapshots`, `snapshot_histories` and
+# `snapshot_tables` as they were before id,<qi...>[,tail] files were read a
+# column at a time.  The column reader must give what they give: equal
+# records, tables and histories, or the same error.
+
+def reference_qi_rows(path, schema, tail=()):
+    _, rows = _read_table(path, ["id", *schema.qi_names, *tail])
+    n_qi = len(schema.qi)
+    columns = [(attr, {}) for attr in schema.qi]
+    seen = set()
+    for lineno, row in rows:
+        rid = row[0]
+        if rid in seen:
+            raise ValidationError(f"{path} line {lineno}: duplicate id "
+                                  f"{rid!r}")
+        seen.add(rid)
+        qi = []
+        for (attr, checked), text in zip(columns, row[1:]):
+            value = checked.get(text)
+            if value is None:
+                value = text
+                if attr.kind == "numeric":
+                    value = _decimal(text)
+                    if value is None:
+                        raise ValidationError(f"{path} line {lineno}: "
+                                              f"{attr.name}={text!r} is not "
+                                              f"an integer")
+                if not attr.contains(value):
+                    raise ValidationError(f"{path} line {lineno}: record "
+                                          f"{rid!r}: {attr.name}={value!r} "
+                                          f"outside domain")
+                checked[text] = value
+            qi.append(value)
+        yield lineno, rid, tuple(qi), row[1 + n_qi:]
+
+
+def reference_load_microdata(path, schema):
+    domain = frozenset(schema.sensitive_domain)
+    out = []
+    for lineno, rid, qi, (sensitive,) in reference_qi_rows(
+            path, schema, (schema.sensitive_name,)):
+        if sensitive not in domain:
+            raise ValidationError(f"{path} line {lineno}: record {rid!r}: "
+                                  f"sensitive value {sensitive!r} outside "
+                                  f"domain")
+        out.append(Record(rid, qi, sensitive))
+    return out
+
+
+def reference_actuals(store, schema):
+    snapshots = {i: reference_load_microdata(
+                     store.path / f"microdata_{i}.csv", schema)
+                 for i in store.release_indices()
+                 if (store.path / f"microdata_{i}.csv").exists()}
+    histories = {}
+    for i, records in snapshots.items():
+        for rec in records:
+            histories.setdefault(rec.id, {})[i] = rec.sensitive
+    tables = [ExternalKnowledgeTable(i, {rec.id: rec.qi for rec in records})
+              for i, records in snapshots.items()]
+    return histories, tables
+
+
+def reference_external_tables(directory, schema):
+    return [ExternalKnowledgeTable(i, {
+                rid: qi for _, rid, qi, _ in reference_qi_rows(
+                    directory / f"et_{i}.csv", schema)})
+            for i in _csv_indices(directory, "et")]
+
+
+@st.composite
+def qi_schemas(draw, names):
+    """A schema over the QI columns `names`, each numeric or categorical
+    whatever its cells look like, with a domain that may miss some of
+    them: numeric bounds inside -30..30, or a hierarchy over some of
+    `CELLS`' texts, flat or under two inner nodes."""
+    attrs = []
+    for name in names:
+        if draw(st.booleans()):
+            lo, hi = sorted(draw(st.lists(st.integers(-30, 30), min_size=2,
+                                          max_size=2)))
+            attrs.append(AttributeSchema.numeric(name, lo, hi))
+            continue
+        leaves = draw(st.lists(CELLS, min_size=1, max_size=8, unique=True))
+        cut = draw(st.integers(0, len(leaves)))
+        tree = ({"low": leaves[:cut], "high": leaves[cut:]}
+                if 0 < cut < len(leaves) else leaves)
+        attrs.append(AttributeSchema.categorical(
+            name, Hierarchy(f"any_{name}", tree)))
+    return TableSchema(tuple(attrs), "disease", ("Flu", "Cold"))
+
+
+def _valid_text(attr):
+    if attr.kind == "numeric":
+        return st.integers(attr.lo, attr.hi).map(str)
+    return st.sampled_from(attr.hierarchy.leaves)
+
+
+@st.composite
+def qi_files(draw, schema, sensitive):
+    """A file's rows under `schema`, valid but for up to three faults: a row
+    a field longer or shorter, a repeated id, a QI cell from `snapshots()`'
+    cells, which may fall outside its attribute's domain or not be an
+    integer, or a sensitive value outside the domain.  A fault lands on
+    any field of a row, often the row of the fault before, wherever that
+    fault left it, so that one row can break several rules."""
+    n = draw(st.integers(0, 6))
+    rows = [["id", *schema.qi_names,
+             *([schema.sensitive_name] if sensitive else [])]]
+    for i in range(n):
+        row = [f"r{i}", *(draw(_valid_text(a)) for a in schema.qi)]
+        if sensitive:
+            row.append(draw(st.sampled_from(schema.sensitive_domain)))
+        rows.append(row)
+    faults = ["wider", "narrower", "repeated id", "cell", "cell"]
+    if sensitive:
+        faults.append("sensitive")
+    at = 1
+    for k in range(draw(st.integers(0, 3)) if n else 0):
+        if k == 0 or draw(st.booleans()):  # else the last fault's row again
+            at = draw(st.integers(1, n))
+        row = rows[at]
+        fault = draw(st.sampled_from(faults))
+        if fault == "wider":
+            row.append(draw(CELLS))
+        elif len(row) < 2:  # a row cut to its id keeps it
+            continue
+        elif fault == "narrower":
+            row.pop()
+        elif fault == "repeated id":
+            row[0] = f"r{draw(st.integers(0, n - 1))}"
+        elif fault == "cell":
+            row[draw(st.integers(1, len(row) - 1))] = draw(CELLS)
+        else:
+            row[-1] = draw(st.sampled_from(["zz", "Flu"]))
+    return rows
+
+
+def _in_order(actuals, store, schema):
+    """A call giving the histories `actuals` reads, their id order and the
+    tables."""
+    def call():
+        histories, tables = actuals(store, schema)
+        return histories, list(histories), tables
+    return call
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["age", "zone", "zip"]), min_size=1,
+                max_size=3, unique=True).flatmap(qi_schemas), st.data())
+def test_column_reader_matches_row_reference(schema, data):
+    """Microdata files, as `load_microdata` and `HistoryStore.actuals` read
+    them, and external tables: the column reader gives the row-wise
+    reference's records, tables and histories, or its error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        store = HistoryStore(tmp)
+        for i in range(1, data.draw(st.integers(1, 3)) + 1):
+            path = tmp / f"microdata_{i}.csv"
+            write_csv(path, data.draw(qi_files(schema, True)))
+            # `actuals` reads the snapshot of each numbered release file
+            write_csv(tmp / f"release_{i}.csv", [])
+            assert _outcome(lambda: load_microdata(path, schema)) == \
+                _outcome(lambda: reference_load_microdata(path, schema))
+            write_csv(tmp / f"et_{i}.csv", data.draw(qi_files(schema, False)))
+        assert _outcome(_in_order(HistoryStore.actuals, store, schema)) == \
+            _outcome(_in_order(reference_actuals, store, schema))
+        assert _outcome(lambda: load_external_tables(tmp, schema)) == \
+            _outcome(lambda: reference_external_tables(tmp, schema))
+
+
 @st.composite
 def stored_like(draw, observed: TableSchema) -> TableSchema:
     """A stored schema of the observed kinds: numeric bounds that may or may
@@ -645,12 +819,11 @@ class TestHistoryStore:
         store.write_actuals(1, disease_schema, t1_records)
         assert store.release_indices() == [1]
         assert store.read_release(1, disease_schema) == release
-        snapshots = store.snapshots(disease_schema)
-        assert snapshots == {1: sorted(t1_records, key=lambda r: r.id)}
-        histories = store.histories(disease_schema)
+        histories, tables = store.actuals(disease_schema)
+        assert (histories, tables) == reference_actuals(store,
+                                                        disease_schema)
         assert histories["Ben"] == {1: "Flu"}
-        assert snapshot_histories(snapshots) == histories
-        tables = snapshot_tables(snapshots)
+        assert store.histories(disease_schema) == histories
         assert tables[0].release_index == 1
         assert tables[0].rows["Ken"] == (14, 20)
 

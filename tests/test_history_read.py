@@ -2,7 +2,7 @@
 
 `reference_read_release` and `reference_apply` are `HistoryStore.read_release`
 and `EngineState.apply` as they were before each distinct gid text and
-each attribute's distinct region cell texts were parsed once per call, and
+each attribute's distinct region cell texts were parsed once per store, and
 each distinct CUS multiset built once per state.  The properties below require both forms to
 give equal releases and states, and the same error on a corrupted file.
 There are two departures.  The first is the rule for integers: a gid and
@@ -320,10 +320,24 @@ def test_departures_from_the_reference(tmp_path):
         f"{tmp_path / 'release_1.csv'} line 2: bad gid '1_0'"
 
 
+def _parse_counts(store, indices, schema):
+    """The releases a store reads, and how many `_decimal` and
+    `_cell_from_text` calls the reads made."""
+    with mock.patch.object(fileio, "_decimal",
+                           wraps=fileio._decimal) as dec, \
+            mock.patch.object(fileio, "_cell_from_text",
+                              wraps=fileio._cell_from_text) as cell:
+        releases = [store.read_release(i, schema) for i in indices]
+    return releases, dec.call_count, cell.call_count
+
+
 def test_each_distinct_text_is_parsed_once(tmp_path):
     """Three groups over two region texts, in rows that interleave: the
     gid texts are parsed once each and each attribute's distinct cell
-    texts once, so the age text both regions share is parsed once."""
+    texts once, so the age text both regions share is parsed once.  The
+    memos live as long as the store: a second release read through it
+    parses only the texts the first did not hold, and a new store parses
+    them all again."""
     schema = TableSchema((ATTRS[0], ATTRS[1]), "s", DOMAIN)
     header = ["gid", "id", "age", "place", "s", "is_counterfeit"]
     body = [["1", "a", "1..4", "north", "v1", "0"],
@@ -333,18 +347,27 @@ def test_each_distinct_text_is_parsed_once(tmp_path):
             ["2", "c1", "1..4", "south", "v4", "1"],
             ["3", "e", "1..4", "north", "v5", "0"]]
     write_csv(tmp_path / "release_1.csv", [header, *body])
+    # gids 2 and 3 and the "1..4" and "south" cells again; gid 4 and the
+    # "2..4" cell are new
+    write_csv(tmp_path / "release_2.csv",
+              [header, ["3", "a", "1..4", "south", "v1", "0"],
+               ["4", "b", "2..4", "south", "v2", "0"],
+               ["2", "c", "1..4", "south", "v3", "0"]])
     store = HistoryStore(tmp_path)
-    with mock.patch.object(fileio, "_decimal",
-                           wraps=fileio._decimal) as dec, \
-            mock.patch.object(fileio, "_cell_from_text",
-                              wraps=fileio._cell_from_text) as cell:
-        release = store.read_release(1, schema)
+    (release,), dec, cell = _parse_counts(store, [1], schema)
     assert release == reference_read_release(store, 1, schema)
     # 3 gid texts, then lo and hi of the one age text
-    assert dec.call_count == 3 + 2
+    assert dec == 3 + 2
     # "1..4", "north" and "south"
-    assert cell.call_count == 3
+    assert cell == 3
     assert [g.gid for g in release.groups] == [1, 2, 3]
+    (second,), dec, cell = _parse_counts(store, [2], schema)
+    assert second == reference_read_release(store, 2, schema)
+    # gid 4, then lo and hi of "2..4"
+    assert (dec, cell) == (1 + 2, 1)
+    fresh, dec, cell = _parse_counts(HistoryStore(tmp_path), [1, 2], schema)
+    assert fresh == [release, second]
+    assert (dec, cell) == (3 + 2 + 1 + 2, 3 + 1)
 
 
 def test_rows_that_spell_a_group_differently_are_one_group(tmp_path):
