@@ -132,8 +132,10 @@ def _read_history(args) -> tuple:
 
 def cmd_attack(args) -> int:
     model, store, schema, releases = _read_history(args)
-    histories, et = store.actuals(schema)
-    if args.et is not None:
+    if args.et is None:
+        histories, et = store.actuals(schema)
+    else:
+        histories = store.histories(schema)
         et = load_external_tables(args.et, schema)
     reports = attack_release_sequence(releases, et, model, histories, schema)
     write_risks(store.path / "risks.csv", reports)

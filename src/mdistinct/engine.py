@@ -210,21 +210,31 @@ class EngineState:
         """Fold a release in: each real member's value, its group's
         signature and the release index become its previous publication.
 
-        A group's `USS.key` is the sorted tuple of its values' CUS keys, so
-        groups with the same such tuple, in this release or an earlier one,
-        share one `USS`."""
+        A group's `USS.key` is the sorted tuple of its values' CUS keys,
+        read off `model.cus_keys`, so groups with the same such tuple, in
+        this release or an earlier one, share one `USS`.  The publisher,
+        `verify_m_distinct` and `HistoryStore.replay_state` all fold with
+        it, so each entry is made by `tuple.__new__`, not by the named
+        tuple's Python-level constructor."""
         signatures = self.signatures
+        cus_keys = model.cus_keys
         index = release.release_index
         prev = self.prev
+        new = tuple.__new__
         for group in release.groups:
             values = group.values
-            key = tuple(sorted(map(model.cus_key, values)))
+            try:
+                key = tuple(sorted(map(cus_keys.__getitem__, values)))
+            except KeyError:
+                for v in values:
+                    model.cus_key(v)  # names the first value outside it
+                raise
             sig = signatures.get(key)
             if sig is None:
                 sig = signatures[key] = uss_of(values, model)
-            for mm in group.members:
-                if not mm.counterfeit:
-                    prev[mm.rid] = PrevInfo(mm.sensitive, sig, index)
+            for rid, value, counterfeit in group.members:
+                if not counterfeit:
+                    prev[rid] = new(PrevInfo, (value, sig, index))
         self.release_count = index
 
 
@@ -934,51 +944,60 @@ def verify_m_distinct(releases: Sequence[PublishedRelease],
     signature is built once.  Legality depends only on the group's values
     and the previous signature, so it is decided once per group for each
     distinct previous signature among its returning members; each failing
-    member still gets its own violation line, in member order."""
+    member still gets its own violation line, in member order.  Each
+    member is unpacked once, and a group's place is spelled out only in
+    the violations that name it.  Star mode's CUS test waits for the
+    member walk to find a first-timer, and its line goes before the
+    group's member lines."""
     violations: list[str] = []
     state = EngineState(m)
+    prev = state.prev
     for rel in in_release_order(releases):
         i = rel.release_index
         placed: set[str] = set()
         for group in rel.groups:
-            where = f"release {i} group {group.gid}"
             values = group.values
             if len(group.members) < m:
-                violations.append(f"{where}: fewer than {m} members")
+                violations.append(f"release {i} group {group.gid}: fewer "
+                                  f"than {m} members")
             if len(set(values)) != len(values):
-                violations.append(f"{where}: duplicate sensitive values")
-            first_timer = star and any(
-                not mm.counterfeit and mm.rid not in state.prev
-                for mm in group.members)
-            if first_timer and not pairwise_disjoint(
-                    model.cus_of(v) for v in values):
-                violations.append(f"{where}: first-release CUS not pairwise "
-                                  f"disjoint")
+                violations.append(f"release {i} group {group.gid}: "
+                                  f"duplicate sensitive values")
+            at = len(violations)
+            first_timer = False
             legal: dict[USS, bool] = {}
-            for member in group.members:
-                if member.counterfeit:
+            for rid, _, counterfeit in group.members:
+                if counterfeit:
                     continue
-                if member.rid in placed:
-                    violations.append(f"release {i}: id {member.rid!r} "
-                                      f"appears in two groups")
+                before = prev.get(rid)
+                if before is None:
+                    first_timer = True
+                if rid in placed:
+                    violations.append(f"release {i}: id {rid!r} appears in "
+                                      f"two groups")
                     continue
-                placed.add(member.rid)
-                prev = state.prev.get(member.rid)
-                if prev is None:
+                placed.add(rid)
+                if before is None:
                     continue
-                if prev.release_index < i - 1:
+                _, signature, last = before
+                if last < i - 1:
                     violations.append(
-                        f"{where}: {member.rid!r} last appeared in release "
-                        f"{prev.release_index}; a record may not skip a "
-                        f"release")
-                signature = prev.signature
+                        f"release {i} group {group.gid}: {rid!r} last "
+                        f"appeared in release {last}; a record may not skip "
+                        f"a release")
                 ok = legal.get(signature)
                 if ok is None:
                     ok = legal[signature] = is_legal_update_instance(
                         values, signature)
                 if not ok:
                     violations.append(
-                        f"{where}: candidate set not a legal update instance "
-                        f"of {member.rid!r}'s previous signature")
+                        f"release {i} group {group.gid}: candidate set not a "
+                        f"legal update instance of {rid!r}'s previous "
+                        f"signature")
+            if star and first_timer and not pairwise_disjoint(
+                    model.cus_of(v) for v in values):
+                violations.insert(at, f"release {i} group {group.gid}: "
+                                      f"first-release CUS not pairwise "
+                                      f"disjoint")
         state.apply(rel, model)
     return (not violations, violations)

@@ -741,15 +741,14 @@ class HistoryStore:
                       records: Sequence[Record]) -> None:
         write_microdata(self.path / f"microdata_{index}.csv", schema, records)
 
-    def actuals(self, schema: TableSchema,
-                ) -> tuple[dict[str, dict[int, str]],
-                           list[ExternalKnowledgeTable]]:
-        """The stored microdata snapshots as the attack reads them, each
-        file read once, a column at a time, with no `Record` built: every
-        record's actual value by release index, and each snapshot as an
-        exact-QI external-knowledge table."""
+    def _snapshots(self, schema: TableSchema,
+                   ) -> tuple[dict[str, dict[int, str]],
+                              list[tuple[int, tuple[str, ...], list]]]:
+        """Read each stored microdata snapshot once, a column at a time,
+        with no `Record` built: every record's actual value by release
+        index, and each snapshot's index, ids and QI points."""
         histories: dict[str, dict[int, str]] = {}
-        tables = []
+        snapshots = []
         for i in self.release_indices():
             path = self.path / f"microdata_{i}.csv"
             if not path.exists():
@@ -761,12 +760,23 @@ class HistoryStore:
                     histories[rid] = {i: value}
                 else:
                     versions[i] = value
-            tables.append(ExternalKnowledgeTable(i, dict(zip(ids, points))))
-        return histories, tables
+            snapshots.append((i, ids, points))
+        return histories, snapshots
+
+    def actuals(self, schema: TableSchema,
+                ) -> tuple[dict[str, dict[int, str]],
+                           list[ExternalKnowledgeTable]]:
+        """The stored microdata snapshots as the attack reads them: every
+        record's actual value by release index, and each snapshot as an
+        exact-QI external-knowledge table."""
+        histories, snapshots = self._snapshots(schema)
+        return histories, [ExternalKnowledgeTable(i, dict(zip(ids, points)))
+                           for i, ids, points in snapshots]
 
     def histories(self, schema: TableSchema) -> dict[str, dict[int, str]]:
-        """Actual sensitive value per record id and release index."""
-        return self.actuals(schema)[0]
+        """Actual sensitive value per record id and release index, read as
+        `actuals` reads it, with no table built."""
+        return self._snapshots(schema)[0]
 
     # --- publisher state replay
 

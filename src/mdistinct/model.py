@@ -25,6 +25,7 @@ __all__ = [
     "in_release_order",
     "bounding_region",
     "region_contains",
+    "cell_tests",
     "generalize",
 ]
 
@@ -315,6 +316,17 @@ def region_contains(schema: TableSchema, region: Region,
             if not (lo <= h.index[value] <= hi):
                 return False
     return True
+
+
+def cell_tests(schema: TableSchema,
+               ) -> list[tuple[Mapping[str, tuple[int, int]],
+                               Mapping[str, int]] | None]:
+    """Per QI attribute, the maps `region_contains` reads to test a value
+    against a cell: None for a numeric attribute, whose cell is its own
+    (lo, hi) range, else its hierarchy's node -> leaf span and leaf ->
+    index maps.  A loop over many points reads them from here once."""
+    return [None if a.kind == "numeric"
+            else (a.hierarchy._span, a.hierarchy.index) for a in schema.qi]
 
 
 def generalize(schema: TableSchema,

@@ -33,8 +33,9 @@ from typing import Mapping, Sequence, TypeVar
 import numpy as np
 
 from .errors import CapExceededError, InconsistentHistoryError, ValidationError
-from .model import (ExternalKnowledgeTable, PublishedRelease, TableSchema,
-                    in_release_order, region_contains)
+from .model import (ExternalKnowledgeTable, PublishedRelease, QIGroup,
+                    TableSchema, cell_tests, in_release_order,
+                    region_contains)
 from .updates import UpdateModel
 
 __all__ = [
@@ -99,11 +100,14 @@ def _collapse(values: Sequence[str]) -> tuple[list[str], list[Fraction]]:
 
 
 def _check_layer(i: int, values: Sequence[str], model: UpdateModel) -> None:
-    """Reject an empty candidate set or a value outside the model."""
+    """Reject an empty candidate set or a value outside the model.  One
+    subset test passes a good multiset; the values are walked one by one
+    only to name the first bad one."""
     if not values:
         raise ValidationError(f"layer {i + 1}: empty candidate set")
-    for v in dict.fromkeys(values):
-        model.cus_of(v)  # raises on unknown values
+    if not model.cus.keys() >= set(values):
+        for v in values:
+            model.cus_of(v)  # raises on unknown values
 
 
 def _gap(sources: Sequence[str], targets: Sequence[str],
@@ -339,8 +343,6 @@ def risks_by_joint_oracle(candidates: Sequence[Sequence[str]],
     return RiskReport(record_id, tuple(versions), numerators, total)
 
 
-_History = tuple[tuple[str, ...], ...]
-
 # Up to this many model values the scaled weights sit in a dense table,
 # one per dtype: (1,025)**2 int64 entries take 8 MB.  Past it every history
 # runs through `_masses` on its layers' successor rows, as a history too
@@ -350,6 +352,10 @@ _DENSE_CAP = 1024
 # own transitions would pass it runs alone, on its successor rows.
 _CHUNK = 1 << 17
 _INT64_LIMIT = 1 << 63
+# The leaf span the fold's region test gives a cell that names no node: no
+# value lies in it, so the record is checked again by `region_contains`,
+# which raises the cell's error.
+_NO_SPAN = (0, -1)
 
 
 class _Transitions:
@@ -425,61 +431,55 @@ def _score(memo: "AttackMemo", rids: Sequence[str],
     """Put the reports of `rids` (in id order) into `memo.reports`, or raise
     the error of the first record in id order that has one.
 
-    Each distinct candidate multiset of the call becomes one row of value
-    ids and multiplicities, checked by `_check_layer` when a record first
-    holds it.  The records of each history length are sorted by their
-    widest layer and cut in one pass into maximal chunks of at most
-    `_CHUNK` gathered transitions, each padded to its own widest layer.
-    A chunk runs in int64 only when its own multiplicities bound every
-    mass below 2**63; see `attack_release_sequence`.  A history too wide
-    for any chunk, and every history of a model past `_DENSE_CAP` values,
-    runs alone through `_masses` on its layers' successor rows.  Records
-    are kept in flat lists of ints per history length, not a list per
-    record: objects that live through the call would make the cyclic
-    collector run full collections inside it."""
+    Each record's layers are rows of the memo's interned multisets
+    (`_Multisets`); a row `_check_layer` refuses raises its error at the
+    first record in id order that holds it.  The records of each history
+    length are sorted by their widest layer and cut in one pass into
+    maximal chunks of at most `_CHUNK` gathered transitions, each padded
+    to its own widest layer.  A chunk runs in int64 only when its own
+    multiplicities bound every mass below 2**63; see
+    `attack_release_sequence`.  A history too wide for any chunk, and
+    every history of a model past `_DENSE_CAP` values, runs alone through
+    `_masses` on its layers' successor rows.  Records are kept in flat
+    lists of ints per history length, not a list per record: objects that
+    live through the call would make the cyclic collector run full
+    collections inside it."""
     model = memo.bound[0]
     membership = memo.membership
     table = memo.table
     ids = table.ids
-    rows: dict[tuple[str, ...], int] = {}
-    flat_ids: list[int] = []
-    flat_mults: list[int] = []
-    starts: list[int] = []
-    widths: list[int] = []
+    multisets = memo.multisets
+    refused = multisets.refused
     # per history length: record indexes, layer rows, actual values' ids
     by_depth: dict[int, tuple[list[int], list[int], list[int]]] = {}
     failure = None
     for k, rid in enumerate(rids):
-        versions, candidates = membership[rid]
+        versions, history = membership[rid]
         try:
             try:
-                actual = [ids.get(histories[rid][i], -1) for i in versions]
+                on_file = histories[rid]
+                actual = [ids.get(on_file[i], -1) for i in versions]
             except KeyError:
                 raise ValidationError(f"no actual sensitive value on file "
                                       f"for {rid!r} at one of releases "
                                       f"{versions}")
-            history = []
-            for i, values in enumerate(candidates):
-                row = rows.get(values)
-                if row is None:
-                    _check_layer(i, values, model)
-                    counts = _tally(values)
-                    row = rows[values] = len(starts)
-                    starts.append(len(flat_ids))
-                    flat_ids.extend([ids[v] for v in counts])
-                    flat_mults.extend(counts.values())
-                    widths.append(len(counts))
-                history.append(row)
+            if refused and not refused.keys().isdisjoint(history):
+                for i, row in enumerate(history):
+                    if row in refused:
+                        _check_layer(i, refused[row], model)
         except ValidationError as exc:
             # raised once the records before it are known to be feasible
             failure = exc
             break
-        members, layer_rows, actual_ids = by_depth.setdefault(
-            len(versions), ([], [], []))
-        members.append(k)
-        layer_rows.extend(history)
-        actual_ids.extend(actual)
+        batch = by_depth.get(len(versions))
+        if batch is None:
+            batch = by_depth[len(versions)] = ([], [], [])
+        batch[0].append(k)
+        batch[1].extend(history)
+        batch[2].extend(actual)
 
+    starts, widths = multisets.starts, multisets.widths
+    flat_ids, flat_mults = multisets.ids, multisets.mults
     starts_a = np.array(starts, np.int64)
     widths_a = np.array(widths, np.int64)
     ids_a = np.array(flat_ids, np.int64)
@@ -553,14 +553,54 @@ def _score(memo: "AttackMemo", rids: Sequence[str],
         raise failure
 
 
+class _Multisets:
+    """The candidate multisets an `AttackMemo` has folded, each interned
+    once as a row.  `rows` maps a group's values to its row r, whose
+    distinct values' ids and multiplicities, in first-appearance order,
+    are `ids[starts[r]:starts[r] + widths[r]]` and the same slice of
+    `mults`; a value outside the model gets the padding id.  Each new
+    multiset gets `_check_layer`'s subset test once, and `refused` maps
+    the rows that fail it to their values: `_score` raises their error
+    at the first record, in id order, that holds one."""
+
+    def __init__(self, table: _Transitions, model: UpdateModel):
+        self.value_ids = table.ids
+        self.pad = table.pad
+        self.known = model.cus.keys()
+        self.rows: dict[tuple[str, ...], int] = {}
+        self.refused: dict[int, tuple[str, ...]] = {}
+        self.ids: list[int] = []
+        self.mults: list[int] = []
+        self.starts: list[int] = []
+        self.widths: list[int] = []
+
+    def intern(self, values: tuple[str, ...]) -> int:
+        """A new row for `values`, which no row holds yet.  Values are
+        tallied only when some value repeats, as it seldom does in an
+        m-unique release."""
+        distinct = dict.fromkeys(values)
+        row = self.rows[values] = len(self.starts)
+        if not (values and distinct.keys() <= self.known):
+            self.refused[row] = values
+        self.starts.append(len(self.ids))
+        self.widths.append(len(distinct))
+        self.ids.extend(map(self.value_ids.get, distinct,
+                            itertools.repeat(self.pad)))
+        self.mults.extend(_tally(values).values()
+                          if len(distinct) < len(values)
+                          else itertools.repeat(1, len(values)))
+        return row
+
+
 class AttackMemo:
     """What attacks on ever longer prefixes of one release sequence share.
 
     Bound to one model, set of external tables and schema, it holds:
     - the model's transition probabilities times their common lcm
       denominator, indexed by value id (`_Transitions`);
-    - the releases folded so far, and each record's versions and candidate
-      sets read off them;
+    - the releases folded so far, each group's candidate multiset
+      interned once (`_Multisets`), and each record's versions and the
+      rows of its candidate sets;
     - the last attack's reports, each its integer numerators and total
       and no reference to the memo, so a report reads the same after the
       memo starts over.
@@ -579,8 +619,11 @@ class AttackMemo:
         """Forget everything and serve `bound`: (model, schema, *tables)."""
         self.bound = bound
         self.table = _Transitions(bound[0]) if bound else None
+        self.multisets = (_Multisets(self.table, bound[0]) if bound
+                          else None)
         self.releases: list[PublishedRelease] = []
-        self.membership: dict[str, tuple[tuple[int, ...], _History]] = {}
+        self.membership: dict[str, tuple[tuple[int, ...],
+                                         tuple[int, ...]]] = {}
         self.reports: dict[str, RiskReport] = {}
 
     def _serves(self, bound: tuple,
@@ -597,26 +640,74 @@ class AttackMemo:
               schema: TableSchema | None) -> set[str]:
         """Add each release's groups to its records' histories, checking
         them against the external tables and refusing a record that skips
-        a release; the ids whose history grew."""
+        a release; the ids whose history grew.
+
+        A release is read in one pass over its groups and their members,
+        and each group's candidate multiset is interned once.  A record
+        listed in two groups raises at once, in group order, as
+        `PublishedRelease.group_of` raises it.  A record whose point lies
+        outside its group's region (tested inline, cell by cell, with the
+        maps of `cell_tests`) or that skips a release is marked.  Once the
+        release is read, the marked records are checked again in id
+        order, the region by `region_contains` and then the gap, and the
+        first failure is raised: the error a walk over the records in id
+        order raises."""
+        membership = self.membership
+        multisets = self.multisets
+        interned = multisets.rows
         grown: set[str] = set()
+        add = grown.add
+        tests = cell_tests(schema) if et_by_index else ()
         for rel in releases:
             index = rel.release_index
-            rows = et_by_index[index].rows if index in et_by_index else {}
-            for rid, group in sorted(rel.group_of().items()):
-                if rid in rows and not region_contains(schema, group.region,
-                                                       rows[rid]):
+            points = et_by_index[index].rows if index in et_by_index else {}
+            marked: dict[str, QIGroup] = {}
+            version = (index,)
+            for group in rel.groups:
+                row = interned.get(group.values)
+                if row is None:
+                    row = multisets.intern(group.values)
+                layer = (row,)
+                for rid, _, counterfeit in group.members:
+                    if counterfeit:
+                        continue
+                    history = membership.get(rid)
+                    if history is None:
+                        membership[rid] = (version, layer)
+                    else:
+                        versions, rows = history
+                        if versions[-1] != index - 1:
+                            if versions[-1] == index:
+                                raise ValidationError(
+                                    f"release {index}: id {rid!r} appears "
+                                    f"in two groups")
+                            marked[rid] = group
+                        membership[rid] = (versions + version, rows + layer)
+                    add(rid)
+                    if rid in points:
+                        for test, cell, value in zip(tests, group.region,
+                                                     points[rid]):
+                            if test is None:
+                                lo, hi = cell
+                            else:
+                                lo, hi = test[0].get(cell, _NO_SPAN)
+                                value = test[1].get(value, -1)
+                            if not lo <= value <= hi:
+                                marked[rid] = group
+                                break
+            for rid in sorted(marked):
+                group = marked[rid]
+                if rid in points and not region_contains(
+                        schema, group.region, points[rid]):
                     raise ValidationError(
                         f"release {index}: record {rid!r} falls outside "
                         f"its group region")
-                versions, candidates = self.membership.get(rid, ((), ()))
-                if versions and versions[-1] < index - 1:
+                versions = membership[rid][0]
+                if len(versions) > 1 and versions[-2] < index - 1:
                     raise ValidationError(
                         f"release {index} group {group.gid}: {rid!r} last "
-                        f"appeared in release {versions[-1]}; a record may "
+                        f"appeared in release {versions[-2]}; a record may "
                         f"not skip a release")
-                self.membership[rid] = (versions + (index,),
-                                        candidates + (group.values,))
-                grown.add(rid)
             self.releases.append(rel)
         return grown
 

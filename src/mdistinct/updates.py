@@ -63,7 +63,9 @@ class UpdateModel:
         return {a: frozenset(row) for a, row in self.successors.items()}
 
     @cached_property
-    def _cus_keys(self) -> dict[str, tuple[str, ...]]:
+    def cus_keys(self) -> dict[str, tuple[str, ...]]:
+        """value -> its CUS as a sorted tuple, built once per model; a
+        fold that keys many values reads it directly."""
         return {a: tuple(sorted(row)) for a, row in self.successors.items()}
 
     def prob(self, a: str, b: str) -> Fraction:
@@ -74,7 +76,7 @@ class UpdateModel:
 
     def cus_key(self, value: str) -> tuple[str, ...]:
         """value's CUS as a sorted tuple: an entry of a `USS.key`."""
-        return _lookup(self._cus_keys, value)
+        return _lookup(self.cus_keys, value)
 
 
 def _lookup(view: Mapping[str, object], value: str):
@@ -162,7 +164,7 @@ def is_legal_update_instance(values: Sequence[str], uss: USS) -> bool:
     """Size match + mutual covering, as set algebra: the values, duplicates
     counted, are as many as the entries; every value lies in the union of
     the entries; and no entry is disjoint from the set of values."""
-    if len(values) != len(uss):
+    if len(values) != len(uss.entries):
         return False
     vals = set(values)
     return vals <= uss.values and not any(map(vals.isdisjoint, uss.entries))

@@ -33,6 +33,11 @@
 * A record that skips a release is refused with `verify`'s message;
   `reference_attack` raises the same error, so every drawn history with
   a gap checks it.
+* The fold reads each release in one pass over its groups, testing
+  exact-QI points against group regions inline, yet must raise what
+  `reference_attack`'s walk over each release's records in id order
+  raises: a record in two groups first, then the first record in id
+  order whose point lies outside its region or that skips a release.
 * The attack's reports hold integer numerators and make their `Fraction`s
   each time `risks` is read; `count_vulnerable` sums the risk-1 counts
   taken when the reports were made.  That count must equal the risks read
@@ -55,8 +60,9 @@ from mdistinct.errors import (InconsistentHistoryError, MDistinctError,
                               ValidationError)
 from mdistinct.evaluation import ExperimentConfig, run_experiment
 from mdistinct.fileio import synthetic_schema
-from mdistinct.model import (ExternalKnowledgeTable, Member, PublishedRelease,
-                             QIGroup)
+from mdistinct.model import (AttributeSchema, ExternalKnowledgeTable,
+                             Hierarchy, Member, PublishedRelease, QIGroup,
+                             TableSchema, region_contains)
 from mdistinct import sug as sug_module
 from mdistinct.sug import (AttackMemo, RiskReport, Sug,
                            attack_release_sequence,
@@ -331,12 +337,20 @@ class TestPrefixReuse:
 # shared histories against the record-by-record route
 
 
-def reference_attack(releases, model, histories):
-    """One graph per record, built, pruned and attacked on its own."""
+def reference_attack(releases, model, histories, et=None, schema=None):
+    """One graph per record, built, pruned and attacked on its own.  Each
+    release's records are checked in id order: the point of an exact-QI
+    table against the record's group region, then the gap."""
     membership = {}
+    tables = {t.release_index: t.rows for t in et or ()}
     for rel in sorted(releases, key=lambda r: r.release_index):
         index = rel.release_index
+        rows = tables.get(index, {})
         for rid, group in sorted(rel.group_of().items()):
+            if rid in rows and not region_contains(schema, group.region,
+                                                   rows[rid]):
+                raise ValidationError(f"release {index}: record {rid!r} "
+                                      f"falls outside its group region")
             before = membership.setdefault(rid, [])
             if before and before[-1][0] < index - 1:
                 raise ValidationError(
@@ -454,6 +468,73 @@ def test_one_memo_over_every_prefix_equals_fresh_attacks(case):
         assert _outcome(attack_release_sequence, releases[:k], None, model,
                         histories, memo=memo) == _outcome(
             attack_release_sequence, releases[:k], None, model, histories)
+
+
+# a numeric and a categorical attribute, for the fold's region check
+TABLE_SCHEMA = TableSchema((
+    AttributeSchema.numeric("n", 0, 5),
+    AttributeSchema.categorical("c", Hierarchy(
+        "any", {"ab": ["a", "b"], "cd": ["c", "d"]}))), "s", ())
+_CELL_LEAVES = {"any": "abcd", "ab": "ab", "cd": "cd",
+                "a": "a", "b": "b", "c": "c", "d": "d"}
+
+
+@st.composite
+def release_sequences_with_tables(draw):
+    """`release_sequences` with drawn group regions and exact-QI tables.
+    A table covers some of a release's records, and each point lies in
+    its group's region or, in a corrupt case, anywhere in the domain, so
+    that one release can hold several records outside their regions in
+    any order of groups and ids.  Now and then a real member is listed in
+    a second group as well."""
+    model, releases, histories = draw(release_sequences())
+    corrupt = draw(rarely(3))
+    tables = []
+    changed = []
+    for rel in releases:
+        groups = []
+        for group in rel.groups:
+            lo = draw(st.integers(0, 5))
+            hi = draw(st.integers(lo, 5))
+            region = ((lo, hi), draw(st.sampled_from(sorted(_CELL_LEAVES))))
+            groups.append(replace(group, region=region))
+        if len(groups) > 1 and draw(rarely(8)):
+            source, to = draw(st.permutations(range(len(groups))))[:2]
+            member = draw(st.sampled_from(
+                [mm for mm in groups[source].members if not mm.counterfeit]))
+            members = (*groups[to].members, member)
+            groups[to] = replace(groups[to], members=members, values=tuple(
+                mm.sensitive for mm in members))
+        rows = {}
+        for group in groups:
+            (lo, hi), cell = group.region
+            for mm in group.members:
+                if mm.counterfeit or draw(rarely(4)):
+                    continue
+                if corrupt and draw(st.booleans()):
+                    point = (draw(st.integers(0, 5)),
+                             draw(st.sampled_from("abcd")))
+                else:
+                    point = (draw(st.integers(lo, hi)),
+                             draw(st.sampled_from(_CELL_LEAVES[cell])))
+                rows[mm.rid] = point
+        if draw(st.booleans()):
+            tables.append(ExternalKnowledgeTable(rel.release_index, rows))
+        changed.append(replace(rel, groups=tuple(groups)))
+    return model, changed, histories, tables
+
+
+@settings(max_examples=400, deadline=None)
+@given(release_sequences_with_tables())
+def test_fold_with_tables_equals_reference(case):
+    """The fold reads each release in one pass, but its error is the one
+    the reference's walk in id order raises: a record in two groups first,
+    then the first record in id order outside its region or skipping a
+    release."""
+    model, releases, histories, tables = case
+    assert _outcome(attack_release_sequence, releases, tables, model,
+                    histories, TABLE_SCHEMA) == _outcome(
+        reference_attack, releases, model, histories, tables, TABLE_SCHEMA)
 
 
 def test_actual_value_on_a_pruned_node_is_inconsistent(worked_model):

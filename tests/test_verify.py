@@ -115,11 +115,13 @@ def mutated_histories(draw):
     """A publisher-made history with one release changed in one way:
     a real member moved to another group, a counterfeit relabelled as a
     real record (one of the previous release's, or a new id), a returning
-    record dropped from a middle release, or a real member listed in a
-    second group as well."""
+    record dropped from a middle release, a real member listed in a
+    second group as well, two real members of different groups swapping
+    their values, or the release's groups in another order."""
     name = draw(st.sampled_from(sorted(HISTORIES)))
     releases, model, m = history(name)
-    kind = draw(st.sampled_from(["move", "relabel", "drop", "twice"]))
+    kind = draw(st.sampled_from(["move", "relabel", "drop", "twice", "swap",
+                                 "reorder"]))
     low = 1 if kind == "drop" else 0
     high = len(releases) - (2 if kind == "drop" else 1)
     at = draw(st.integers(low, high))
@@ -145,18 +147,33 @@ def mutated_histories(draw):
         assume(returning)
         g, k = draw(st.sampled_from(returning))
         del groups[g][k]
-    else:
+    elif kind == "twice":
         g, k = draw(st.sampled_from(_real_positions(groups)))
         to = draw(st.integers(0, len(groups) - 1))
         groups[to].insert(draw(st.integers(0, len(groups[to]))), groups[g][k])
+    elif kind == "swap":
+        positions = _real_positions(groups)
+        pairs = [(a, b) for a in positions for b in positions if a[0] < b[0]]
+        assume(pairs)
+        (g, k), (h, j) = draw(st.sampled_from(pairs))
+        one, other = groups[g][k], groups[h][j]
+        groups[g][k] = one._replace(sensitive=other.sensitive)
+        groups[h][j] = other._replace(sensitive=one.sensitive)
+    olds = list(rel.groups)
+    if kind == "reorder":
+        assume(len(groups) > 1)
+        order = draw(st.permutations(range(len(groups))))
+        assume(order != sorted(order))
+        olds = [olds[g] for g in order]
+        groups = [groups[g] for g in order]
     changed = PublishedRelease(rel.release_index, tuple(
         QIGroup(old.gid, old.region, tuple(members),
                 tuple(mm.sensitive for mm in members))
-        for old, members in zip(rel.groups, groups) if members))
+        for old, members in zip(olds, groups) if members))
     return releases[:at] + (changed,) + releases[at + 1:], model, m
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(mutated_histories())
 def test_mutated_histories_match_reference(case):
     assert_same_verdicts(*case)
